@@ -17,42 +17,18 @@ step() { printf '\n== %s ==\n' "$*"; }
 step "cargo fmt --check"
 cargo fmt --all --check
 
-step "time-unit lint"
-# All time quantities are integer microseconds (`SimTime`/`TimeDelta` in
-# crates/platform/src/units.rs). The old grep lived here; the logic now
-# lives (tested, token-aware, suppression-audited) in crates/lint —
-# string literals no longer false-positive, and exemptions are inline
-# `// eua-lint: allow(...)` directives instead of path filters. The
-# walker skips vendor/, target/, and fixture corpora on its own.
-cargo run -q -p eua-lint -- check --only lint-time-unit,lint-wall-clock
-
-step "thread-spawn lint"
-# All first-party parallelism goes through the scoped-thread pool in
-# crates/sim/src/pool.rs (deterministic ordering, panic containment,
-# --jobs / EUA_JOBS resolution); the one sanctioned raw-thread site
-# carries an inline allow.
-cargo run -q -p eua-lint -- check --only lint-thread-spawn
-
-step "unsafe-code audit"
-# Every first-party crate carries the workspace forbid; the lint
-# additionally keeps the bare keyword out of code *and* comments so the
-# forbid can never be weakened quietly in a later diff.
-cargo run -q -p eua-lint -- check --only lint-unsafe-token
-
-step "eua-lint workspace scan (interprocedural, all codes)"
-# The full scan: the lexical rules (hash-collection ordering, float
-# sorts via partial_cmp, entropy-seeded RNGs, …) plus the call-graph
-# pass — `// eua-lint: hot` propagation with rendered chains, time-unit
-# flow at resolved call edges, pool-closure purity, and the
-# unresolved-call ambiguity budget. The same gate also runs as a test
-# (crates/lint/tests/dogfood.rs) in BOTH feature states via the two
-# `cargo test` invocations below. The SARIF pass proves the renderer
-# byte-round-trips even when the scan is clean.
+step "eua-lint workspace scan (all codes)"
+# Every rule on every first-party .rs file: float sorts, allocation on
+# hot paths and in nested loops, pool-closure purity over the call
+# graph, seed provenance, and saturating time arithmetic. The lexical
+# determinism bans live in clippy.toml (checked below). The walker
+# skips vendor/, target/, and fixture corpora on its own. The same gate
+# also runs as a test (crates/lint/tests/dogfood.rs) in both feature
+# states via the two `cargo test` invocations below. The SARIF pass
+# proves the renderer byte-round-trips even when the scan is clean.
 #
-# The scan is timed here in bash (date +%s%N): the lint binary cannot
-# time itself without tripping its own lint-wall-clock rule, and the
-# wall time of the whole-workspace interprocedural pass is the number
-# that gates growing the analyzer further (BENCH_lint.json).
+# The scan is timed here in bash (date +%s%N): clippy.toml bans the
+# wall clock in first-party code, so the lint binary cannot time itself.
 cargo build -q -p eua-lint
 lint_start_ns="$(date +%s%N)"
 lint_summary="$(./target/debug/eua-lint check)"
@@ -61,37 +37,50 @@ echo "${lint_summary}"
 ./target/debug/eua-lint check --format sarif --check >/dev/null
 lint_wall_ms="$(( (lint_end_ns - lint_start_ns) / 1000000 ))"
 lint_files="$(awk '{print $2}' <<<"${lint_summary}")"
-
-step "eua-lint workspace dataflow scan (CFG + worklist rules)"
-# The three dataflow rule families alone (intraprocedural CFGs + the
-# worklist fixpoint: loop-depth allocation, seed-provenance taint,
-# saturating time arithmetic), timed separately so BENCH_lint.json
-# tracks what the per-function fixpoint costs on top of the lexical and
-# call-graph passes. The scoped SARIF --check proves the renderer
-# byte-round-trips for the new codes even when the scan is clean; the
-# byte-pinned fixture golden lives in crates/lint/tests/golden/
-# dataflow.sarif (checked by the cli test suite).
-dataflow_codes="lint-loop-alloc,lint-seed-taint,lint-unchecked-time-arith"
-dataflow_start_ns="$(date +%s%N)"
-./target/debug/eua-lint check --only "${dataflow_codes}"
-dataflow_end_ns="$(date +%s%N)"
-./target/debug/eua-lint check --only "${dataflow_codes}" \
-  --format sarif --check >/dev/null
-dataflow_wall_ms="$(( (dataflow_end_ns - dataflow_start_ns) / 1000000 ))"
 cat > BENCH_lint.json <<EOF
 {
-  "description": "Wall time of the full eua-lint workspace scan (lexical rules plus the interprocedural call-graph pass: hot propagation, unit flow, pool-closure purity, ambiguity budget) over every first-party .rs file, as measured by ci.sh with bash date +%s%N around one debug-build invocation. dataflow_scan_wall_ms times the three dataflow rule families alone (per-function CFG construction plus the worklist fixpoint for loop-alloc, seed-taint, and unchecked-time-arith). Indicative single-host numbers, not a statistical benchmark.",
+  "description": "Wall time of the full eua-lint workspace scan (token rules, per-function CFG dataflow, and the call-graph pass for pool purity and seed taint) over every first-party .rs file, as measured by ci.sh with bash date +%s%N around one debug-build invocation. Indicative single-host numbers, not a statistical benchmark.",
   "command": "target/debug/eua-lint check",
   "files_scanned": ${lint_files},
-  "scan_wall_ms": ${lint_wall_ms},
-  "dataflow_scan_wall_ms": ${dataflow_wall_ms}
+  "scan_wall_ms": ${lint_wall_ms}
 }
 EOF
-echo "eua-lint full scan: ${lint_files} files in ${lint_wall_ms} ms," \
-  "dataflow pass alone in ${dataflow_wall_ms} ms (BENCH_lint.json)"
+echo "eua-lint full scan: ${lint_files} files in ${lint_wall_ms} ms (BENCH_lint.json)"
 
-step "cargo clippy -D warnings"
+step "cargo clippy -D warnings (default and all features)"
+# clippy.toml bans wall-clock reads, raw std::thread, std::time types,
+# and hash collections. The worker pool's one raw-thread site carries a
+# statement-level #[expect], which -D warnings turns into an error once
+# it suppresses nothing. --all-features also checks the code behind
+# invariant-checks.
 cargo clippy --workspace --all-targets -- -D warnings
+cargo clippy --workspace --all-targets --all-features -- -D warnings
+
+step "clippy determinism bans fire (fixture package must fail)"
+# crates/lint/tests/fixtures/clippy_bans/ violates every ban, one module
+# per ban. Clippy must reject it and name every path clippy.toml bans,
+# so a mistyped ban path, or a ban without a violating fixture, fails.
+if ban_out="$(cargo clippy -q \
+    --manifest-path crates/lint/tests/fixtures/clippy_bans/Cargo.toml \
+    --target-dir target/clippy-bans -- -D warnings 2>&1)"; then
+  echo "error: clippy accepted the ban fixtures" >&2
+  exit 1
+fi
+banned="$(sed -n 's/.*{ path = "\([^"]*\)".*/\1/p' clippy.toml)"
+if [[ -z "${banned}" ]]; then
+  echo "error: clippy.toml lists no disallowed paths" >&2
+  exit 1
+fi
+while read -r path; do
+  # Match the violation itself: clippy also quotes a ban path it cannot
+  # resolve, in a warning that -D warnings does not promote.
+  if ! grep -qF -e "use of a disallowed method \`${path}\`" \
+      -e "use of a disallowed type \`${path}\`" <<<"${ban_out}"; then
+    echo "error: clippy did not report the ban on ${path}" >&2
+    exit 1
+  fi
+done <<<"${banned}"
+echo "clippy reported all $(wc -l <<<"${banned}") banned paths"
 
 step "cargo test"
 cargo test --workspace -q
@@ -162,19 +151,6 @@ lint_codes="$(cargo run -q -p eua-lint -- codes)"
 grep '^lint-' <<<"${analyze_codes}" | while read -r code _; do
   if ! grep -q "^${code} " <<<"${lint_codes}"; then
     echo "error: ${code} is registered but not listed by eua-lint codes" >&2
-    exit 1
-  fi
-done
-# The dataflow family must stay wired end to end: each of the three
-# codes registered, listed, and accepted by --only (a renamed rule
-# would otherwise silently drop out of the ci dataflow step above).
-for code in lint-loop-alloc lint-seed-taint lint-unchecked-time-arith; do
-  if ! grep -q "^${code} " <<<"${analyze_codes}"; then
-    echo "error: ${code} is absent from the eua-analyze code registry" >&2
-    exit 1
-  fi
-  if ! grep -q "^${code} " <<<"${lint_codes}"; then
-    echo "error: ${code} is not listed by eua-lint codes" >&2
     exit 1
   fi
 done

@@ -169,47 +169,18 @@ pub enum DiagCode {
     /// The certified arrival stream violates a task's declared UAM
     /// `<a, P>` bound: more than `a` arrivals inside one sliding window.
     AudUamViolation,
-    /// Raw time arithmetic (`std::time` paths, `Duration::from_secs*`)
-    /// outside the sanctioned `SimTime`/`TimeDelta` newtypes.
-    LintTimeUnit,
-    /// A wall-clock read (`Instant::now`, `SystemTime`) in first-party
-    /// source: nondeterministic input the byte-identity pins cannot see.
-    LintWallClock,
-    /// Raw `std::thread` spawn/scope/Builder use outside the
-    /// deterministic worker pool.
-    LintThreadSpawn,
-    /// The bare keyword banned by the workspace-wide unsafe-code forbid,
-    /// in code or comments (directive comments are exempt).
-    LintUnsafeToken,
-    /// `HashMap`/`HashSet` in first-party source: iteration order is
-    /// nondeterministic and leaks into any ordered output it feeds.
-    LintHashCollection,
     /// `partial_cmp` inside a `sort_by`-family comparator: NaN ordering
     /// is unspecified where `total_cmp` would be deterministic.
     LintFloatSortPartialCmp,
-    /// Entropy-seeded RNG construction (`thread_rng`, `from_entropy`,
-    /// `OsRng`, `rand::random`) outside the salted per-seed scheme.
-    LintEntropyRng,
-    /// An allocating call inside a function marked `// eua-lint: hot`.
-    LintHotPathAlloc,
-    /// A blocking operation (console I/O, locking, sleeping, filesystem
-    /// access) inside a hot function or anything a hot root reaches.
-    LintHotPathBlocking,
-    /// A call argument whose time unit (µs, Hz, cycles — classified from
-    /// parameter names and type tokens) disagrees with the callee's
-    /// parameter unit.
-    LintUnitFlowMismatch,
-    /// A closure handed to the worker pool that captures or reaches
+    /// A closure handed to the worker pool that captures or may reach
     /// nondeterministic state (hash iteration, entropy RNG, wall clock,
-    /// interior mutability), breaking cell purity.
+    /// interior mutability), breaking cell purity. An ambiguous call
+    /// counts as reaching it when any candidate does.
     LintPoolClosureImpure,
-    /// A call the conservative resolver cannot pin to one function where
-    /// the ambiguity matters (hot propagation or pool purity could be
-    /// missed), beyond the file's declared budget.
-    LintUnresolvedCall,
-    /// An allocating call inside a loop body (reported with the loop
-    /// nesting depth): every iteration pays the allocator again, in hot
-    /// functions and deeply nested non-hot loops alike.
+    /// An allocating call that runs on every event or every inner-loop
+    /// iteration: anywhere inside a function marked `// eua-lint: hot`,
+    /// or at loop depth two or more elsewhere when the value does not
+    /// escape its iteration.
     LintLoopAlloc,
     /// An RNG seeding site whose seed value cannot be proven to derive
     /// from a master-seed parameter through the taint lattice
@@ -228,7 +199,7 @@ pub enum DiagCode {
 
 impl DiagCode {
     /// Every code, in a stable order (used by `eua-analyze codes`).
-    pub const ALL: [DiagCode; 58] = [
+    pub const ALL: [DiagCode; 48] = [
         DiagCode::NoTasks,
         DiagCode::DuplicateTaskName,
         DiagCode::TufNonPositiveUmax,
@@ -270,18 +241,8 @@ impl DiagCode {
         DiagCode::AudDvsOutOfBound,
         DiagCode::AudEnergyMismatch,
         DiagCode::AudUamViolation,
-        DiagCode::LintTimeUnit,
-        DiagCode::LintWallClock,
-        DiagCode::LintThreadSpawn,
-        DiagCode::LintUnsafeToken,
-        DiagCode::LintHashCollection,
         DiagCode::LintFloatSortPartialCmp,
-        DiagCode::LintEntropyRng,
-        DiagCode::LintHotPathAlloc,
-        DiagCode::LintHotPathBlocking,
-        DiagCode::LintUnitFlowMismatch,
         DiagCode::LintPoolClosureImpure,
-        DiagCode::LintUnresolvedCall,
         DiagCode::LintLoopAlloc,
         DiagCode::LintSeedTaint,
         DiagCode::LintUncheckedTimeArith,
@@ -334,18 +295,8 @@ impl DiagCode {
             DiagCode::AudDvsOutOfBound => "aud-dvs-out-of-bound",
             DiagCode::AudEnergyMismatch => "aud-energy-mismatch",
             DiagCode::AudUamViolation => "aud-uam-violation",
-            DiagCode::LintTimeUnit => "lint-time-unit",
-            DiagCode::LintWallClock => "lint-wall-clock",
-            DiagCode::LintThreadSpawn => "lint-thread-spawn",
-            DiagCode::LintUnsafeToken => "lint-unsafe-token",
-            DiagCode::LintHashCollection => "lint-hash-collection",
             DiagCode::LintFloatSortPartialCmp => "lint-float-sort-partial-cmp",
-            DiagCode::LintEntropyRng => "lint-entropy-rng",
-            DiagCode::LintHotPathAlloc => "lint-hot-path-alloc",
-            DiagCode::LintHotPathBlocking => "lint-hot-path-blocking",
-            DiagCode::LintUnitFlowMismatch => "lint-unit-flow-mismatch",
             DiagCode::LintPoolClosureImpure => "lint-pool-closure-impure",
-            DiagCode::LintUnresolvedCall => "lint-unresolved-call",
             DiagCode::LintLoopAlloc => "lint-loop-alloc",
             DiagCode::LintSeedTaint => "lint-seed-taint",
             DiagCode::LintUncheckedTimeArith => "lint-unchecked-time-arith",
@@ -387,18 +338,8 @@ impl DiagCode {
             | DiagCode::AudDvsOutOfBound
             | DiagCode::AudEnergyMismatch
             | DiagCode::AudUamViolation
-            | DiagCode::LintTimeUnit
-            | DiagCode::LintWallClock
-            | DiagCode::LintThreadSpawn
-            | DiagCode::LintUnsafeToken
-            | DiagCode::LintHashCollection
             | DiagCode::LintFloatSortPartialCmp
-            | DiagCode::LintEntropyRng
-            | DiagCode::LintHotPathAlloc
-            | DiagCode::LintHotPathBlocking
-            | DiagCode::LintUnitFlowMismatch
             | DiagCode::LintPoolClosureImpure
-            | DiagCode::LintUnresolvedCall
             | DiagCode::LintLoopAlloc
             | DiagCode::LintSeedTaint
             | DiagCode::LintUncheckedTimeArith
@@ -496,19 +437,9 @@ impl DiagCode {
                 "charged energy disagrees with Martin's model or the total"
             }
             DiagCode::AudUamViolation => "certified arrivals exceed a UAM <a, P> bound",
-            DiagCode::LintTimeUnit => "raw time arithmetic outside the SimTime/TimeDelta newtypes",
-            DiagCode::LintWallClock => "wall-clock read in deterministic first-party code",
-            DiagCode::LintThreadSpawn => "raw std::thread use outside the worker pool",
-            DiagCode::LintUnsafeToken => "bare keyword banned by the unsafe-code forbid",
-            DiagCode::LintHashCollection => "HashMap/HashSet iteration order is nondeterministic",
             DiagCode::LintFloatSortPartialCmp => "partial_cmp in a sort comparator; use total_cmp",
-            DiagCode::LintEntropyRng => "entropy-seeded RNG outside the per-seed scheme",
-            DiagCode::LintHotPathAlloc => "allocation inside a marked hot path",
-            DiagCode::LintHotPathBlocking => "blocking operation reachable from a hot root",
-            DiagCode::LintUnitFlowMismatch => "call argument crosses time-unit domains",
             DiagCode::LintPoolClosureImpure => "pool closure reaches nondeterministic state",
-            DiagCode::LintUnresolvedCall => "ambiguous call beyond the file's declared budget",
-            DiagCode::LintLoopAlloc => "allocation repeated every loop iteration",
+            DiagCode::LintLoopAlloc => "allocation in a hot function or a nested loop",
             DiagCode::LintSeedTaint => "RNG seed not provably derived from a master seed",
             DiagCode::LintUncheckedTimeArith => {
                 "raw arithmetic on microseconds; use saturating ops"
@@ -810,9 +741,9 @@ mod tests {
     fn lint_codes_render_in_text_and_json() {
         let mut r = Report::new("lints");
         r.push(Diagnostic::for_entity(
-            DiagCode::LintWallClock,
-            "Instant::now",
-            "12:9: wall-clock read",
+            DiagCode::LintSeedTaint,
+            "seed_from_u64",
+            "12:9: seed not provably derived",
         ));
         r.push(Diagnostic::for_entity(
             DiagCode::LintFloatSortPartialCmp,
@@ -827,7 +758,7 @@ mod tests {
         let text = r.render_text();
         let json = r.render_json();
         for code in [
-            "lint-wall-clock",
+            "lint-seed-taint",
             "lint-float-sort-partial-cmp",
             "lint-unused-suppression",
         ] {

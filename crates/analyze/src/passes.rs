@@ -73,7 +73,6 @@ impl PassRegistry {
     /// Runs every pass and returns the sorted report.
     ///
     /// Offline certificate/scenario auditing — never on a decision path.
-    // eua-lint: cold
     #[must_use]
     pub fn analyze(&self, scenario: &ScenarioSpec) -> Report {
         let mut report = Report::new(scenario.name.clone());

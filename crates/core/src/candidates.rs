@@ -369,7 +369,6 @@ pub fn build_schedule(
 ///
 /// Retained solely as the differential-testing oracle for the incremental
 /// builder — do not use it on hot paths.
-// eua-lint: cold
 #[must_use]
 pub fn build_schedule_reference(
     now: SimTime,

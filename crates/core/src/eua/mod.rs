@@ -148,7 +148,6 @@ impl Eua {
 
     // Memoized offline table: built on the first decision after a
     // task-set change, then reused — not per-event work.
-    // eua-lint: cold
     fn ensure_offline(&mut self, ctx: &SchedContext<'_>) {
         if self.f_opt.len() == ctx.tasks.len() {
             return;

@@ -24,6 +24,7 @@
 //! conservative direction for both taint and loop-depth queries.
 
 use crate::lexer::{Tok, TokKind};
+use crate::parser::match_bracket;
 
 /// One basic block: the code-token indices it owns plus its loop depth.
 #[derive(Debug, Default)]
@@ -154,24 +155,6 @@ impl Builder<'_, '_> {
         self.blocks[b].tokens.push(i);
     }
 
-    /// Finds the matching close bracket for the open bracket at `open`.
-    fn close_of(&self, open: usize) -> usize {
-        let mut depth = 0usize;
-        for (j, t) in self.code.iter().enumerate().skip(open) {
-            match t.kind {
-                TokKind::Open => depth += 1,
-                TokKind::Close => {
-                    depth -= 1;
-                    if depth == 0 {
-                        return j;
-                    }
-                }
-                _ => {}
-            }
-        }
-        self.code.len()
-    }
-
     /// First `{` at bracket depth 0 in `[from, limit)` — the body open
     /// of an `if`/`while`/`for`/`match` header. Parens and square
     /// brackets nest; a struct-literal brace cannot appear at depth 0
@@ -231,7 +214,7 @@ impl Builder<'_, '_> {
                         && self.code[i].kind != TokKind::Close
                     {
                         if self.code[i].kind == TokKind::Open {
-                            let close = self.close_of(i).min(limit);
+                            let close = match_bracket(self.code, i).min(limit);
                             for k in i..=close.min(limit - 1) {
                                 self.push_tok(&mut cur, k);
                             }
@@ -319,7 +302,7 @@ impl Builder<'_, '_> {
         for k in i + 1..open {
             self.push_tok(cur, k);
         }
-        let close = self.close_of(open).min(limit);
+        let close = match_bracket(self.code, open).min(limit);
         let cond_block = cur.unwrap_or(ENTRY);
         let then_block = self.new_block(self.depth());
         self.edge(cond_block, then_block);
@@ -343,7 +326,7 @@ impl Builder<'_, '_> {
                 }
                 return (i + 1, join);
             };
-            let eclose = self.close_of(eopen).min(limit);
+            let eclose = match_bracket(self.code, eopen).min(limit);
             let else_block = self.new_block(self.depth());
             self.edge(cond_block, else_block);
             let else_end = self.walk(eopen + 1, eclose, Some(else_block));
@@ -375,7 +358,7 @@ impl Builder<'_, '_> {
         for k in i + 1..open {
             self.push_tok(cur, k);
         }
-        let close = self.close_of(open).min(limit);
+        let close = match_bracket(self.code, open).min(limit);
         let head = cur.unwrap_or(ENTRY);
         let join = self.new_block(self.depth());
         let mut j = open + 1;
@@ -412,7 +395,7 @@ impl Builder<'_, '_> {
             // next top-level `,` (or the match close).
             let arm_end =
                 if j < close && self.code[j].kind == TokKind::Open && self.code[j].text == "{" {
-                    let bclose = self.close_of(j).min(close);
+                    let bclose = match_bracket(self.code, j).min(close);
                     let end = self.walk(j + 1, bclose, Some(arm));
                     j = bclose + 1;
                     if j < close && self.code[j].text == "," {
@@ -470,7 +453,7 @@ impl Builder<'_, '_> {
         for k in i + 1..open {
             self.blocks[head].tokens.push(k);
         }
-        let close = self.close_of(open).min(limit);
+        let close = match_bracket(self.code, open).min(limit);
         let after = self.new_block(outer);
         self.loops.push(LoopCtx { label, head, after });
         let body = self.new_block(self.depth());

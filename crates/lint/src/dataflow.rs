@@ -1,13 +1,12 @@
 //! A generic worklist fixpoint over [`crate::cfg`] graphs.
 //!
-//! An [`Analysis`] supplies the lattice: a fact type, the boundary fact
-//! (what holds at the entry for a forward analysis, at the exit for a
-//! backward one), the initial fact for every other block, a `join` for
-//! control-flow merges, and a `transfer` that pushes a fact through one
-//! basic block. [`solve`] iterates blocks off a worklist until nothing
-//! changes and returns the *input* fact of every block in the chosen
-//! direction — callers re-run `transfer` on a block when they need the
-//! fact at a particular token.
+//! An [`Analysis`] supplies the lattice: a fact type, the fact that
+//! holds at the entry block, the initial fact for every other block, a
+//! `join` for control-flow merges, and a `transfer` that pushes a fact
+//! through one basic block. [`solve`] propagates facts forward along
+//! the edges off a worklist until nothing changes and returns the
+//! *input* fact of every block — callers re-run `transfer` on a block
+//! when they need the fact at a particular token.
 //!
 //! Termination is the caller's contract: `join` must be monotone over a
 //! lattice of finite height (every lattice in this crate is a small
@@ -16,29 +15,14 @@
 //! buggy lattice degrades to a loud panic in tests rather than a hung
 //! lint run.
 
-use crate::cfg::{Cfg, ENTRY, EXIT};
+use crate::cfg::{Cfg, ENTRY};
 
-/// Which way facts flow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Direction {
-    /// Facts flow along edges: a block's input is the join over its
-    /// predecessors' outputs.
-    Forward,
-    /// Facts flow against edges: a block's input is the join over its
-    /// successors' outputs.
-    Backward,
-}
-
-/// One dataflow analysis: lattice plus transfer function.
+/// One forward dataflow analysis: lattice plus transfer function.
 pub trait Analysis {
     /// The lattice element attached to each block boundary.
     type Fact: Clone + PartialEq;
 
-    /// Which way this analysis runs.
-    fn direction(&self) -> Direction;
-
-    /// The fact at the graph boundary (entry block for forward,
-    /// exit block for backward).
+    /// The fact at the entry block.
     fn boundary(&self) -> Self::Fact;
 
     /// The initial fact for every non-boundary block (the lattice
@@ -59,20 +43,16 @@ pub trait Analysis {
 const MAX_PASSES: usize = 64;
 
 /// Runs `analysis` to fixpoint over `cfg` and returns each block's
-/// input fact (in the analysis direction).
+/// input fact: the join over its predecessors' outputs.
 ///
 /// # Panics
 /// Panics if the fixpoint has not settled after `MAX_PASSES` sweeps,
 /// which a monotone finite-height lattice cannot trigger.
 pub fn solve<A: Analysis>(cfg: &Cfg, analysis: &A) -> Vec<A::Fact> {
     let n = cfg.blocks.len();
-    let boundary_block = match analysis.direction() {
-        Direction::Forward => ENTRY,
-        Direction::Backward => EXIT,
-    };
     let mut input: Vec<A::Fact> = (0..n)
         .map(|b| {
-            if b == boundary_block {
+            if b == ENTRY {
                 analysis.boundary()
             } else {
                 analysis.bottom()
@@ -97,16 +77,12 @@ pub fn solve<A: Analysis>(cfg: &Cfg, analysis: &A) -> Vec<A::Fact> {
             passes <= MAX_PASSES * n.max(1),
             "dataflow fixpoint did not settle: non-monotone lattice?"
         );
-        let neighbors: Vec<usize> = match analysis.direction() {
-            Direction::Forward => cfg.preds(b).collect(),
-            Direction::Backward => cfg.succs(b).collect(),
-        };
-        let mut inb = if b == boundary_block {
+        let mut inb = if b == ENTRY {
             analysis.boundary()
         } else {
             analysis.bottom()
         };
-        for p in neighbors {
+        for p in cfg.preds(b) {
             inb = analysis.join(&inb, &output[p]);
         }
         // `output[b]` is always `transfer(input[b])` (computed eagerly
@@ -116,11 +92,7 @@ pub fn solve<A: Analysis>(cfg: &Cfg, analysis: &A) -> Vec<A::Fact> {
             input[b] = inb;
             if outb != output[b] {
                 output[b] = outb;
-                let dependents: Vec<usize> = match analysis.direction() {
-                    Direction::Forward => cfg.succs(b).collect(),
-                    Direction::Backward => cfg.preds(b).collect(),
-                };
-                for d in dependents {
+                for d in cfg.succs(b) {
                     if !queued[d] {
                         queued[d] = true;
                         work.push_back(d);
@@ -170,9 +142,6 @@ mod tests {
     struct Reach;
     impl Analysis for Reach {
         type Fact = bool;
-        fn direction(&self) -> Direction {
-            Direction::Forward
-        }
         fn boundary(&self) -> bool {
             true
         }
@@ -200,45 +169,11 @@ mod tests {
         }
     }
 
-    /// Backward "reaches exit": the dual of `Reach`, proving the
-    /// backward plumbing joins over successors.
-    struct ReachesExit;
-    impl Analysis for ReachesExit {
-        type Fact = bool;
-        fn direction(&self) -> Direction {
-            Direction::Backward
-        }
-        fn boundary(&self) -> bool {
-            true
-        }
-        fn bottom(&self) -> bool {
-            false
-        }
-        fn join(&self, a: &bool, b: &bool) -> bool {
-            *a || *b
-        }
-        fn transfer(&self, _cfg: &Cfg, _block: usize, fact: &bool) -> bool {
-            *fact
-        }
-    }
-
-    #[test]
-    fn backward_analysis_joins_over_successors() {
-        let (_toks, cfg) = build("fn f(c: bool) { if c { a(); } else { b(); } t(); }");
-        let facts = solve(&cfg, &ReachesExit);
-        // Every block that has any path to exit carries `true`; the
-        // entry certainly does.
-        assert!(facts[crate::cfg::ENTRY]);
-    }
-
     /// A counting pseudo-lattice that would grow forever; the solver's
     /// ceiling must turn that into a panic, not a hang.
     struct Diverge;
     impl Analysis for Diverge {
         type Fact = u64;
-        fn direction(&self) -> Direction {
-            Direction::Forward
-        }
         fn boundary(&self) -> u64 {
             0
         }

@@ -1,8 +1,8 @@
 //! Machine-applicable fixes for `eua-lint` findings.
 //!
 //! [`fix_file`] takes a file's findings (computed under workspace
-//! semantics, so cross-file cold barriers are judged fairly) and its
-//! text, and returns the rewritten text plus what changed. The same
+//! semantics, like a plain scan) and its text, and returns the
+//! rewritten text plus what changed. The same
 //! contract as `eua-analyze check --fix`: the rewrite is **idempotent**
 //! — re-linting the result and re-fixing applies nothing — and only
 //! provably mechanical conditions are touched:
@@ -10,8 +10,6 @@
 //! | finding | rewrite |
 //! |---------|---------|
 //! | unused `allow(...)` | delete the directive, or narrow it to the codes still earning their keep |
-//! | stale `cold` barrier | delete the directive |
-//! | surplus `unresolved-budget(n)` | tighten `n` to the file's actual count, or delete at zero |
 //! | `partial_cmp` in a sort comparator | `.partial_cmp(x).unwrap()` → `.total_cmp(x)` (also `expect`/`unwrap_or`/`unwrap_or_else`) |
 //! | raw time arithmetic | `a + b` → `a.saturating_add(b)` (method named by the finding; also `saturating_sub`/`mul`/`since`) |
 //!
@@ -37,6 +35,7 @@ use std::ops::Range;
 use eua_analyze::{DiagCode, Span};
 
 use crate::lexer::{lex, Tok, TokKind};
+use crate::parser::match_bracket;
 use crate::FileLint;
 
 /// One applied rewrite.
@@ -120,14 +119,6 @@ fn allow_codes(comment: &str) -> Option<Vec<String>> {
     )
 }
 
-/// Pulls the actual consequential-site count out of the surplus-budget
-/// message ("unresolved-budget(b) exceeds the file's N consequential
-/// ambiguous call(s); …").
-fn surplus_actual(message: &str) -> Option<usize> {
-    let after = message.split("the file's ").nth(1)?;
-    after.split_whitespace().next()?.parse::<usize>().ok()
-}
-
 /// Builds the unused-suppression edits: findings are grouped by
 /// directive span because one `allow(a, b)` yields one finding per
 /// unused code and must be rewritten (or deleted) exactly once.
@@ -150,42 +141,7 @@ fn suppression_edits(lint: &FileLint, text: &str, starts: &[usize], edits: &mut 
             .iter()
             .filter_map(|&i| lint.report.diagnostics[i].entity.as_deref())
             .collect();
-        if entities.contains(&"cold") {
-            edits.push(Edit {
-                range: directive_deletion(text, starts, span),
-                replacement: String::new(),
-                fix: Some(AppliedFix {
-                    code: DiagCode::LintUnusedSuppression,
-                    line: span.start_line,
-                    action: "removed stale cold barrier".into(),
-                }),
-            });
-        } else if entities.contains(&"unresolved-budget") {
-            let Some(actual) = surplus_actual(&lint.report.diagnostics[idxs[0]].message) else {
-                continue;
-            };
-            if actual == 0 {
-                edits.push(Edit {
-                    range: directive_deletion(text, starts, span),
-                    replacement: String::new(),
-                    fix: Some(AppliedFix {
-                        code: DiagCode::LintUnusedSuppression,
-                        line: span.start_line,
-                        action: "removed surplus unresolved-budget".into(),
-                    }),
-                });
-            } else {
-                edits.push(Edit {
-                    range: extent,
-                    replacement: format!("// eua-lint: unresolved-budget({actual})"),
-                    fix: Some(AppliedFix {
-                        code: DiagCode::LintUnusedSuppression,
-                        line: span.start_line,
-                        action: format!("tightened unresolved-budget to {actual}"),
-                    }),
-                });
-            }
-        } else if let Some(named) = allow_codes(comment) {
+        if let Some(named) = allow_codes(comment) {
             let kept: Vec<String> = named
                 .iter()
                 .filter(|c| !entities.contains(&c.as_str()))
@@ -220,25 +176,6 @@ fn suppression_edits(lint: &FileLint, text: &str, starts: &[usize], edits: &mut 
 /// into `Ordering` (what `total_cmp` returns directly).
 const UNWRAP_FAMILY: [&str; 4] = ["unwrap", "expect", "unwrap_or", "unwrap_or_else"];
 
-/// Finds the code-token index of a matching close paren, starting at an
-/// open paren index (string contents never tokenize, so parens balance).
-fn match_paren(code: &[&Tok<'_>], open: usize) -> Option<usize> {
-    let mut depth = 0usize;
-    for (k, t) in code.iter().enumerate().skip(open) {
-        match t.text {
-            "(" => depth += 1,
-            ")" => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(k);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
 /// Builds the `partial_cmp` → `total_cmp` edits for flagged sort
 /// comparators.
 fn float_edits(lint: &FileLint, text: &str, edits: &mut Vec<Edit>) {
@@ -265,9 +202,7 @@ fn float_edits(lint: &FileLint, text: &str, edits: &mut Vec<Edit>) {
         if code.get(at + 1).map(|t| t.text) != Some("(") {
             continue;
         }
-        let Some(args_close) = match_paren(&code, at + 1) else {
-            continue;
-        };
+        let args_close = match_bracket(&code, at + 1);
         let adapter = match (code.get(args_close + 1), code.get(args_close + 2)) {
             (Some(dot), Some(name))
                 if dot.kind == TokKind::Dot
@@ -281,9 +216,10 @@ fn float_edits(lint: &FileLint, text: &str, edits: &mut Vec<Edit>) {
         if code.get(args_close + 3).map(|t| t.text) != Some("(") {
             continue;
         }
-        let Some(adapter_close) = match_paren(&code, args_close + 3) else {
+        let adapter_close = match_bracket(&code, args_close + 3);
+        if adapter_close >= code.len() {
             continue;
-        };
+        }
         edits.push(Edit {
             range: off(text, code[at])..off(text, code[at]) + "partial_cmp".len(),
             replacement: "total_cmp".into(),
@@ -446,10 +382,10 @@ pub fn fix_file(lint: &FileLint, text: &str) -> (String, Vec<AppliedFix>) {
 mod tests {
     #![allow(clippy::unwrap_used)]
     use super::*;
-    use crate::{all_codes, lint_source};
+    use crate::lint_source;
 
     fn fix(src: &str) -> (String, Vec<AppliedFix>) {
-        let lint = lint_source("x.rs", src, &all_codes());
+        let lint = lint_source("x.rs", src);
         fix_file(&lint, src)
     }
 
@@ -464,7 +400,7 @@ mod tests {
 
     #[test]
     fn stale_standalone_allow_line_is_deleted() {
-        let src = "// eua-lint: allow(lint-wall-clock)\nfn f() -> u32 { 7 }\n";
+        let src = "// eua-lint: allow(lint-seed-taint)\nfn f() -> u32 { 7 }\n";
         let (fixed, applied) = fix_to_fixpoint(src);
         assert_eq!(fixed, "fn f() -> u32 { 7 }\n");
         assert_eq!(applied.len(), 1);
@@ -473,38 +409,23 @@ mod tests {
 
     #[test]
     fn stale_trailing_allow_is_stripped_keeping_the_code() {
-        let src = "fn f() -> u32 { 7 } // eua-lint: allow(lint-wall-clock)\n";
+        let src = "fn f() -> u32 { 7 } // eua-lint: allow(lint-seed-taint)\n";
         let (fixed, _) = fix_to_fixpoint(src);
         assert_eq!(fixed, "fn f() -> u32 { 7 }\n");
     }
 
     #[test]
     fn partially_used_allow_is_narrowed() {
-        let src = "// eua-lint: allow(lint-wall-clock, lint-thread-spawn)\n\
-                   let t = Instant::now();\n";
+        let src = "// eua-lint: allow(lint-float-sort-partial-cmp, lint-seed-taint)\n\
+                   v.sort_by(|a, b| a.partial_cmp(b).unwrap());\n";
         let (fixed, applied) = fix_to_fixpoint(src);
         assert_eq!(
             fixed,
-            "// eua-lint: allow(lint-wall-clock)\nlet t = Instant::now();\n"
+            "// eua-lint: allow(lint-float-sort-partial-cmp)\n\
+             v.sort_by(|a, b| a.partial_cmp(b).unwrap());\n"
         );
         assert_eq!(applied.len(), 1);
         assert!(applied[0].action.contains("narrowed"));
-    }
-
-    #[test]
-    fn stale_cold_barrier_is_deleted() {
-        let src = "// eua-lint: cold\nfn f() -> u32 { 7 }\n";
-        let (fixed, applied) = fix_to_fixpoint(src);
-        assert_eq!(fixed, "fn f() -> u32 { 7 }\n");
-        assert!(applied[0].action.contains("cold"));
-    }
-
-    #[test]
-    fn surplus_budget_is_deleted_at_zero() {
-        let src = "// eua-lint: unresolved-budget(3)\nfn f() -> u32 { 7 }\n";
-        let (fixed, applied) = fix_to_fixpoint(src);
-        assert_eq!(fixed, "fn f() -> u32 { 7 }\n");
-        assert!(applied[0].action.contains("surplus"));
     }
 
     #[test]

@@ -1,104 +1,23 @@
-//! Time-unit classification for the unit-flow analysis.
+//! `lint-unchecked-time-arith`: raw `+`/`-`/`*` on microsecond values.
 //!
-//! The workspace keeps three incompatible quantity domains: simulated
-//! microseconds (`SimTime`/`TimeDelta`), clock frequency (`Frequency`,
-//! MHz in the tables), and work (`Cycles`). The newtypes make crossing
-//! them a type error — but the moment a quantity is unwrapped to `u64`
-//! for arithmetic, only naming conventions distinguish `elapsed_us`
-//! from `freq_mhz` from `demand_cycles`. This module classifies
-//! parameters, returns, and argument identifiers into that three-point
-//! lattice (plus "unknown") so the call-graph layer can flag cross-unit
-//! flows the single-token `lint-time-unit` rule cannot see.
-//!
-//! Classification is deliberately conservative: type tokens win over
-//! names, name matching demands the workspace's actual suffix idioms
-//! (`_us`, `_mhz`, `_cycles`, …), and anything rate-like (`per`),
-//! index-like (`idx`), or merely reminiscent stays unknown. A missed
-//! classification costs a finding, never a false one.
-
-/// One point of the unit lattice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Unit {
-    /// Integer microseconds of simulated time.
-    Micros,
-    /// Clock frequency (Hz/MHz domain).
-    Hertz,
-    /// Processor work in cycles.
-    Cycles,
-}
-
-impl Unit {
-    /// Human-readable domain name for diagnostics.
-    #[must_use]
-    pub fn describe(self) -> &'static str {
-        match self {
-            Unit::Micros => "microseconds (SimTime domain)",
-            Unit::Hertz => "a frequency (Hz domain)",
-            Unit::Cycles => "cycles (work domain)",
-        }
-    }
-}
-
-/// The workspace newtypes that pin a unit regardless of naming.
-fn unit_of_type_token(tok: &str) -> Option<Unit> {
-    match tok {
-        "SimTime" | "TimeDelta" => Some(Unit::Micros),
-        "Frequency" => Some(Unit::Hertz),
-        "Cycles" => Some(Unit::Cycles),
-        _ => None,
-    }
-}
-
-/// Classifies a quantity from its binding name and declared type
-/// tokens. Type tokens win; the name is only consulted when no unit
-/// newtype appears (the unwrapped-`u64` case the newtypes cannot
-/// protect).
-#[must_use]
-pub fn classify(name: Option<&str>, ty_tokens: &[String]) -> Option<Unit> {
-    if let Some(unit) = ty_tokens.iter().find_map(|t| unit_of_type_token(t)) {
-        return Some(unit);
-    }
-    let lower = name?.to_ascii_lowercase();
-    // Rates (`cycles_per_us`), indices (`freq_idx`), and identifiers
-    // are different quantities than the unit their substring suggests.
-    if lower.contains("per") || lower.contains("idx") || lower.contains("index") {
-        return None;
-    }
-    if lower == "us" || lower.ends_with("_us") || lower.contains("micros") {
-        return Some(Unit::Micros);
-    }
-    if matches!(lower.as_str(), "hz" | "mhz" | "khz")
-        || lower.ends_with("_hz")
-        || lower.ends_with("_mhz")
-        || lower.ends_with("_khz")
-    {
-        return Some(Unit::Hertz);
-    }
-    if lower == "cycles" || lower.ends_with("_cycles") {
-        return Some(Unit::Cycles);
-    }
-    None
-}
-
-// ---------------------------------------------------------------------
-// `lint-unchecked-time-arith`: raw `+`/`-`/`*` on microsecond values.
-//
-// The unit lattice above says *what* a quantity is; this analysis says
-// *how it may be combined*. A forward dataflow over the function's CFG
-// tracks, per binding, whether it holds a `SimTime`, a `TimeDelta`, an
-// unwrapped microsecond integer, or a float (never flagged), seeded
-// from parameter types and updated through `let` bindings and plain
-// assignments. At every binary `+`/`-`/`*` whose operand environment
-// types either side as microseconds, a finding fires — with a
-// machine-applicable saturating rewrite when both operand kinds pin a
-// lossless replacement method.
+//! The workspace's timeline is integer microseconds, and the newtypes
+//! (`SimTime`/`TimeDelta`) carry saturating methods. Once a quantity is
+//! unwrapped to `u64` for arithmetic, only the naming convention
+//! (`elapsed_us`, `budget_us`, …) marks it as time. A forward dataflow
+//! over the function's CFG tracks, per binding, whether it holds a
+//! `SimTime`, a `TimeDelta`, an unwrapped microsecond integer, or a
+//! float (never flagged), seeded from parameter types and updated
+//! through `let` bindings and plain assignments. At every binary
+//! `+`/`-`/`*` whose operand environment types either side as
+//! microseconds, a finding fires — with a machine-applicable saturating
+//! rewrite when both operand kinds pin a lossless replacement method.
 
 use std::collections::BTreeMap;
 
 use eua_analyze::DiagCode;
 
 use crate::cfg::Cfg;
-use crate::dataflow::{self, Direction};
+use crate::dataflow;
 use crate::lexer::{Tok, TokKind};
 use crate::parser::FnItem;
 use crate::rules::{span_between, Finding};
@@ -156,9 +75,21 @@ pub(crate) fn is_keyword(s: &str) -> bool {
     )
 }
 
+/// Whether a binding name follows the workspace's microsecond idiom
+/// (`us`, `_us` suffixes, `micros`). Rates (`cycles_per_us`), indices
+/// (`slot_idx`), and lookalikes (`bus`, `status`) stay unclassified: a
+/// missed classification costs a finding, never a false one.
+fn is_micros_name(name: &str) -> bool {
+    let lower = name.to_ascii_lowercase();
+    if lower.contains("per") || lower.contains("idx") || lower.contains("index") {
+        return false;
+    }
+    lower == "us" || lower.ends_with("_us") || lower.contains("micros")
+}
+
 /// The kind carried by the identifier `name` at an operand position:
-/// the environment wins; an untracked name falls back to the unit
-/// lattice's `_us` suffix idiom.
+/// the environment wins; an untracked name falls back to the `_us`
+/// naming idiom ([`is_micros_name`]).
 fn kind_of(name: &str, env: &Env) -> Option<Vk> {
     if let Some(k) = env.get(name) {
         return Some(*k);
@@ -166,10 +97,7 @@ fn kind_of(name: &str, env: &Env) -> Option<Vk> {
     if is_keyword(name) {
         return None;
     }
-    match classify(Some(name), &[]) {
-        Some(Unit::Micros) => Some(Vk::RawMicros),
-        _ => None,
-    }
+    is_micros_name(name).then_some(Vk::RawMicros)
 }
 
 /// The kind pinned by declared type tokens, if any; falls back to the
@@ -182,7 +110,7 @@ fn kind_from_ty(tys: &[String], name: &str) -> Option<Vk> {
         Some(Vk::SimTime)
     } else if has("TimeDelta") {
         Some(Vk::TimeDelta)
-    } else if INTEGRALS.iter().any(|i| has(i)) && classify(Some(name), &[]) == Some(Unit::Micros) {
+    } else if INTEGRALS.iter().any(|i| has(i)) && is_micros_name(name) {
         Some(Vk::RawMicros)
     } else {
         None
@@ -328,10 +256,6 @@ struct ArithScan<'a> {
 
 impl dataflow::Analysis for ArithScan<'_> {
     type Fact = Option<Env>;
-
-    fn direction(&self) -> Direction {
-        Direction::Forward
-    }
 
     fn boundary(&self) -> Self::Fact {
         Some(self.boundary.clone())
@@ -574,36 +498,11 @@ pub fn unchecked_time_arith(code: &[&Tok<'_>], fns: &[FnItem], out: &mut Vec<Fin
 mod tests {
     use super::*;
 
-    fn ty(tokens: &[&str]) -> Vec<String> {
-        tokens.iter().map(|s| (*s).to_string()).collect()
-    }
-
-    #[test]
-    fn type_tokens_win_over_names() {
-        assert_eq!(
-            classify(Some("freq_mhz"), &ty(&["SimTime"])),
-            Some(Unit::Micros)
-        );
-        assert_eq!(classify(Some("x"), &ty(&["Frequency"])), Some(Unit::Hertz));
-        assert_eq!(
-            classify(None, &ty(&["Vec", "Cycles"])),
-            Some(Unit::Cycles),
-            "a container of a unit newtype still pins the domain"
-        );
-    }
-
     #[test]
     fn name_suffixes_classify_unwrapped_integers() {
-        assert_eq!(
-            classify(Some("elapsed_us"), &ty(&["u64"])),
-            Some(Unit::Micros)
-        );
-        assert_eq!(classify(Some("freq_mhz"), &ty(&["u64"])), Some(Unit::Hertz));
-        assert_eq!(
-            classify(Some("demand_cycles"), &ty(&["u64"])),
-            Some(Unit::Cycles)
-        );
-        assert_eq!(classify(Some("us"), &[]), Some(Unit::Micros));
+        for name in ["elapsed_us", "us", "total_micros", "Budget_US"] {
+            assert!(is_micros_name(name), "{name}");
+        }
     }
 
     #[test]
@@ -614,21 +513,14 @@ mod tests {
             "modulus",
             "radius",
             "cycles_per_us",
-            "freq_idx",
-            "hz_index",
+            "slot_idx_us",
+            "us_index",
             "deadline",
-            "freq",
-            "frequency",
+            "freq_mhz",
             "period",
         ] {
-            assert_eq!(classify(Some(name), &[]), None, "{name}");
+            assert!(!is_micros_name(name), "{name}");
         }
-    }
-
-    #[test]
-    fn unknown_types_defer_to_nothing() {
-        assert_eq!(classify(None, &ty(&["u64"])), None);
-        assert_eq!(classify(Some("n"), &ty(&["usize"])), None);
     }
 
     fn arith(src: &str) -> Vec<Finding> {
@@ -637,9 +529,9 @@ mod tests {
             .iter()
             .filter(|t| !matches!(t.kind, TokKind::Comment { .. }))
             .collect();
-        let parsed = crate::parser::parse_file(&code);
+        let fns = crate::parser::parse_file(&code);
         let mut out = Vec::new();
-        unchecked_time_arith(&code, &parsed.fns, &mut out);
+        unchecked_time_arith(&code, &fns, &mut out);
         out
     }
 

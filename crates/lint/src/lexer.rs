@@ -6,10 +6,10 @@
 //! The lexer distinguishes what the rules need and nothing more:
 //! identifiers (keywords lex as identifiers), the `::` path separator,
 //! brackets (for brace/paren matching), `!` and `.` (macro bangs and
-//! method calls), and comments (kept, because directives live in them
-//! and one rule scans them). String, character, and numeric literals
-//! are consumed and *dropped* — a hazard name inside a string is data,
-//! not code, and must not trip a lint. Raw strings (`r#"…"#`), byte and
+//! method calls), and comments (kept, because directives live in
+//! them). String, character, and numeric literals are consumed and
+//! *dropped* — a hazard name inside a string is data, not code, and
+//! must not trip a lint. Raw strings (`r#"…"#`), byte and
 //! C strings, raw identifiers, lifetimes, and nested block comments are
 //! all handled so that brace matching never desynchronizes. Loop labels
 //! are the one lifetime-shaped thing that *does* emit a token

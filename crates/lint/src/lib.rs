@@ -1,37 +1,34 @@
 //! `eua-lint` — first-party determinism and hot-path static analyzer
 //! over the workspace's Rust sources.
 //!
-//! The engine-throughput overhaul and the sharded sweep fabric both
-//! stand on one property: *nothing nondeterministic ever leaks into the
-//! engine*. Certificate byte-identity pins, bit-identical parallel
-//! sweeps, and remote-worker audits all assume it. This crate guards
-//! that property at the source level, before a refactor can break it:
-//! a token-aware scan (no rustc/syn — the same first-party philosophy
-//! as the `.scn` source maps and JSON parsers) over every first-party
-//! `.rs` file, reporting hazards as [`Diagnostic`]s with stable
-//! `lint-*` codes from the shared `eua-analyze` registry.
+//! Certificate byte-identity pins and bit-identical parallel sweeps
+//! rest on one property: *nothing nondeterministic ever leaks into the
+//! engine*. Lexical bans (wall clock, raw threads, hash collections)
+//! live in `clippy.toml`; this crate checks what a path ban cannot see,
+//! with a token-aware scan (no rustc/syn — the same first-party
+//! philosophy as the `.scn` source maps and JSON parsers) over every
+//! first-party `.rs` file, reporting hazards as [`Diagnostic`]s with
+//! stable `lint-*` codes from the shared `eua-analyze` registry.
 //!
 //! | Module | What it holds |
 //! |--------|---------------|
 //! | [`lexer`] | the lightweight Rust lexer (tokens with exact spans) |
-//! | [`parser`] | the item parser (fn/impl/mod/use with token ranges) |
-//! | [`callgraph`] | the workspace call graph and what rides on it |
-//! | [`flow`] | the three-point time-unit lattice |
-//! | [`rules`] | the lexical hazard rules ([`rules::HAZARD_CODES`]) |
+//! | [`parser`] | the item parser (fns and their impl blocks) |
+//! | [`cfg`](mod@cfg) / [`dataflow`] | per-function CFGs and the worklist fixpoint |
+//! | [`callgraph`] | the workspace call graph: pool purity, taint oracle |
+//! | [`taint`] | seed provenance (`lint-seed-taint`) |
+//! | [`flow`] | saturating time arithmetic (`lint-unchecked-time-arith`) |
+//! | [`rules`] | the token rules (float sorts, allocation) |
+//! | [`fix`] | the machine-applicable rewrites behind `--fix` |
 //! | this | directives, suppression accounting, the file walker |
 //!
-//! # Two passes
-//!
-//! [`lint_sources`] scans a whole workspace: a lexical pass per file
-//! (the PR-6 rules, unchanged), then an interprocedural pass over the
-//! [`callgraph`] that propagates `hot` markers to reachable callees,
-//! checks time-unit flow at resolved call edges, and proves closures
-//! handed to the worker pool pure. [`lint_source`] is the same pipeline
-//! over a one-file workspace.
+//! [`lint_sources`] scans a whole workspace as one unit (the call graph
+//! spans files); [`lint_source`] is the same pipeline over a one-file
+//! workspace.
 //!
 //! # Directives
 //!
-//! Four line-comment directives steer the scan (plain `//` comments
+//! Two line-comment directives steer the scan (plain `//` comments
 //! only, exact `eua-lint:` prefix):
 //!
 //! * an allow directive — `eua-lint:` followed by `allow(code, …)` —
@@ -40,17 +37,8 @@
 //!   allow that suppresses nothing is itself a finding
 //!   (`lint-unused-suppression`), so stale exemptions cannot linger.
 //! * a hot marker — `eua-lint:` followed by `hot` — marks the next
-//!   function; allocating and blocking calls in its body *and in every
-//!   function it transitively reaches* become findings.
-//! * a cold marker — `eua-lint:` followed by `cold` — a propagation
-//!   barrier: the next function absorbs heat instead of forwarding it
-//!   (for slow paths a hot root legitimately calls, like certificate
-//!   recording). A barrier propagation never touches is reported
-//!   unused.
-//! * a budget — `eua-lint:` followed by `unresolved-budget(n)` —
-//!   accepts up to `n` *consequential* ambiguous call sites in the
-//!   file before `lint-unresolved-call` fires; a budget larger than
-//!   the file needs is reported unused.
+//!   function as per-event code: every allocating call in its body is
+//!   a `lint-loop-alloc` finding, at any loop depth.
 //!
 //! Malformed directives, unknown codes, and markers that precede no
 //! function body are `lint-unknown-suppression` findings: a typo in an
@@ -68,27 +56,19 @@ pub mod parser;
 pub mod rules;
 pub mod taint;
 
-use std::collections::BTreeSet;
 use std::io;
 use std::path::{Path, PathBuf};
 
 use eua_analyze::{DiagCode, Diagnostic, Report, Span};
 
 use lexer::{lex, Tok, TokKind};
-pub use rules::{Finding, HotBody, HAZARD_CODES, INTERPROCEDURAL_CODES, LINT_CODES};
+use rules::span_of;
+pub use rules::{Finding, HAZARD_CODES, LINT_CODES};
 
-/// Whether a comment token is an `eua-lint:` directive (and therefore
-/// exempt from the banned-keyword comment scan).
-#[must_use]
-pub fn is_directive_comment(text: &str) -> bool {
+/// Whether a comment token is an `eua-lint:` directive.
+fn is_directive_comment(text: &str) -> bool {
     text.strip_prefix("//")
         .is_some_and(|rest| rest.trim_start().starts_with("eua-lint:"))
-}
-
-/// Resolves a kebab-case name to a lint code.
-#[must_use]
-pub fn code_from_str(name: &str) -> Option<DiagCode> {
-    LINT_CODES.iter().copied().find(|c| c.as_str() == name)
 }
 
 /// One lint result for one file: the report plus the token extent of
@@ -108,11 +88,6 @@ pub struct FileLint {
 enum DirectiveKind {
     /// `hot`: the next function is a marked hot path.
     Hot,
-    /// `cold`: the next function is a propagation barrier.
-    Cold,
-    /// `unresolved-budget(n)`: accept `n` consequential ambiguous call
-    /// sites in this file (summed when repeated).
-    Budget(u32),
     /// `allow(...)`: suppress the named codes (unknown names kept as
     /// strings for the error message).
     Allow(Vec<Result<DiagCode, String>>),
@@ -134,16 +109,6 @@ fn parse_directive(rest: &str, span: Span, standalone: bool) -> Directive {
     let rest = rest.trim();
     let kind = if rest == "hot" {
         DirectiveKind::Hot
-    } else if rest == "cold" {
-        DirectiveKind::Cold
-    } else if let Some(inner) = rest
-        .strip_prefix("unresolved-budget(")
-        .and_then(|r| r.strip_suffix(')'))
-    {
-        match inner.trim().parse::<u32>() {
-            Ok(n) if n > 0 => DirectiveKind::Budget(n),
-            _ => DirectiveKind::Malformed,
-        }
     } else if let Some(inner) = rest
         .strip_prefix("allow(")
         .and_then(|r| r.strip_suffix(')'))
@@ -193,13 +158,7 @@ fn directives(toks: &[Tok<'_>]) -> Vec<Directive> {
         let standalone = !toks.iter().any(|o| {
             !matches!(o.kind, TokKind::Comment { .. }) && o.line == t.line && o.col < t.col
         });
-        let span = Span {
-            start_line: t.line,
-            start_col: t.col,
-            end_line: t.end_line,
-            end_col: t.end_col,
-        };
-        out.push(parse_directive(rest, span, standalone));
+        out.push(parse_directive(rest, span_of(t), standalone));
     }
     out
 }
@@ -241,86 +200,29 @@ fn hot_body_range(code: &[&Tok<'_>], after: Span) -> Result<(usize, usize), &'st
         }
     }
     let open_idx = open_idx.ok_or("the marked function has no body")?;
-    let mut depth = 0usize;
-    for (k, t) in code.iter().enumerate().skip(open_idx) {
-        match t.text {
-            "{" => depth += 1,
-            "}" => {
-                depth -= 1;
-                if depth == 0 {
-                    return Ok((open_idx + 1, k));
-                }
-            }
-            _ => {}
-        }
-    }
-    Ok((open_idx + 1, code.len()))
+    Ok((open_idx + 1, parser::match_bracket(code, open_idx)))
 }
 
-/// One file's resolved directives, ready for both passes.
-#[derive(Default)]
-struct FilePrep {
-    /// Directive-layer findings (dangling markers, unknown codes, …).
-    meta: Vec<Finding>,
-    /// Body ranges of functions marked `hot` in this file.
-    root_bodies: Vec<(usize, usize)>,
-    /// Item indices (into `ParsedFile::fns`) of the hot-marked fns.
-    hot_items: Vec<usize>,
-    /// Item indices of the cold-marked fns.
-    cold_items: Vec<usize>,
-    /// Directive spans per cold item, for unused-barrier reporting.
-    cold_spans: Vec<(usize, Span)>,
-    /// Summed `unresolved-budget(n)` for the file.
-    budget: usize,
-    /// Span of the first budget directive (the unused-budget anchor).
-    budget_span: Option<Span>,
-}
-
-/// Resolves one file's directives against its parsed items.
-fn prep_file(toks: &[Tok<'_>], code: &[&Tok<'_>], parsed: &parser::ParsedFile) -> FilePrep {
-    let item_of = |range: (usize, usize)| parsed.fns.iter().position(|f| f.body == range);
-    let mut prep = FilePrep::default();
-    for d in &directives(toks) {
+/// Resolves one file's hot markers to body ranges, reporting dangling
+/// markers, unknown codes, and malformed directives as
+/// `lint-unknown-suppression` findings.
+fn prep_file(code: &[&Tok<'_>], directives: &[Directive]) -> (Vec<(usize, usize)>, Vec<Finding>) {
+    let mut hot_bodies = Vec::new();
+    let mut meta = Vec::new();
+    for d in directives {
         match &d.kind {
             DirectiveKind::Hot => match hot_body_range(code, d.span) {
-                Ok(range) => {
-                    prep.root_bodies.push(range);
-                    if let Some(item) = item_of(range) {
-                        prep.hot_items.push(item);
-                    }
-                }
-                Err(why) => prep.meta.push(Finding {
+                Ok(range) => hot_bodies.push(range),
+                Err(why) => meta.push(Finding {
                     code: DiagCode::LintUnknownSuppression,
                     span: d.span,
                     entity: "hot".into(),
                     message: format!("dangling hot marker: {why}"),
                 }),
             },
-            DirectiveKind::Cold => match hot_body_range(code, d.span).map(item_of) {
-                Ok(Some(item)) => {
-                    prep.cold_items.push(item);
-                    prep.cold_spans.push((item, d.span));
-                }
-                Ok(None) => prep.meta.push(Finding {
-                    code: DiagCode::LintUnknownSuppression,
-                    span: d.span,
-                    entity: "cold".into(),
-                    message: "dangling cold marker: no parsed function follows it".into(),
-                }),
-                Err(why) => prep.meta.push(Finding {
-                    code: DiagCode::LintUnknownSuppression,
-                    span: d.span,
-                    entity: "cold".into(),
-                    message: format!("dangling cold marker: {why}"),
-                }),
-            },
-            DirectiveKind::Budget(n) => {
-                prep.budget += *n as usize;
-                prep.budget_span.get_or_insert(d.span);
-            }
             DirectiveKind::Allow(codes) => {
                 for unknown in codes.iter().filter_map(|c| c.as_ref().err()) {
-                    prep.meta.push(Finding {
+                    meta.push(Finding {
                         code: DiagCode::LintUnknownSuppression,
                         span: d.span,
                         entity: unknown.clone(),
@@ -331,18 +233,17 @@ fn prep_file(toks: &[Tok<'_>], code: &[&Tok<'_>], parsed: &parser::ParsedFile) -
                     });
                 }
             }
-            DirectiveKind::Malformed => prep.meta.push(Finding {
+            DirectiveKind::Malformed => meta.push(Finding {
                 code: DiagCode::LintUnknownSuppression,
                 span: d.span,
                 entity: "eua-lint:".into(),
-                message: "malformed directive: expected `eua-lint: hot`, `eua-lint: cold`, \
-                          `eua-lint: allow(code, ...)`, or \
-                          `eua-lint: unresolved-budget(n)`"
+                message: "malformed directive: expected `eua-lint: hot` or \
+                          `eua-lint: allow(code, ...)`"
                     .into(),
             }),
         }
     }
-    prep
+    (hot_bodies, meta)
 }
 
 /// Applies allow-directive suppression to one file's findings, appends
@@ -351,9 +252,9 @@ fn prep_file(toks: &[Tok<'_>], code: &[&Tok<'_>], parsed: &parser::ParsedFile) -
 fn assemble_file(
     path: &str,
     toks: &[Tok<'_>],
+    directives: &[Directive],
     findings: Vec<Finding>,
     meta: Vec<Finding>,
-    on: &dyn Fn(DiagCode) -> bool,
 ) -> FileLint {
     // Suppression: each allow directive covers one line; a finding on
     // that line with a named code is dropped and the (directive, code)
@@ -365,7 +266,7 @@ fn assemble_file(
         used: bool,
     }
     let mut covers: Vec<Cover> = Vec::new();
-    for d in &directives(toks) {
+    for d in directives {
         if let DirectiveKind::Allow(codes) = &d.kind {
             let line = if d.standalone {
                 covered_line(toks, d.span.start_line)
@@ -393,23 +294,19 @@ fn assemble_file(
             None => kept.push(f),
         }
     }
-    if on(DiagCode::LintUnusedSuppression) {
-        for c in covers.iter().filter(|c| !c.used && on(c.code)) {
-            kept.push(Finding {
-                code: DiagCode::LintUnusedSuppression,
-                span: c.span,
-                entity: c.code.as_str().into(),
-                message: format!(
-                    "allow({}) suppressed nothing on line {}; delete the stale directive",
-                    c.code.as_str(),
-                    c.line
-                ),
-            });
-        }
+    for c in covers.iter().filter(|c| !c.used) {
+        kept.push(Finding {
+            code: DiagCode::LintUnusedSuppression,
+            span: c.span,
+            entity: c.code.as_str().into(),
+            message: format!(
+                "allow({}) suppressed nothing on line {}; delete the stale directive",
+                c.code.as_str(),
+                c.line
+            ),
+        });
     }
-    if on(DiagCode::LintUnknownSuppression) {
-        kept.extend(meta);
-    }
+    kept.extend(meta);
 
     kept.sort_by(|a, b| {
         (a.span.start_line, a.span.start_col, a.code.as_str()).cmp(&(
@@ -436,27 +333,12 @@ fn assemble_file(
     }
 }
 
-/// A whole-workspace lint result: per-file reports plus call-graph
-/// statistics from the interprocedural pass.
-#[derive(Debug)]
-pub struct WorkspaceLint {
-    /// One entry per scanned file, in input order.
-    pub files: Vec<FileLint>,
-    /// Call-graph statistics (zeroed when no interprocedural code was
-    /// selected).
-    pub stats: callgraph::GraphStats,
-}
-
-/// Lints a set of `(path, text)` sources as one workspace: the lexical
-/// pass per file, then the interprocedural pass (hot propagation,
-/// unit flow, pool purity, ambiguity budget) across all of them.
-/// `selected` restricts which codes run (pass [`all_codes`] for the
-/// full set); suppression accounting only considers directives whose
-/// codes are selected, so a partial run never misreports an exemption
-/// as unused.
+/// Lints a set of `(path, text)` sources as one workspace, returning
+/// one [`FileLint`] per source in input order. Every rule runs: the
+/// token rules and the dataflow rules per file, pool purity and seed
+/// taint across files over the call graph.
 #[must_use]
-pub fn lint_sources(sources: &[(String, String)], selected: &BTreeSet<DiagCode>) -> WorkspaceLint {
-    let on = |c: DiagCode| selected.contains(&c);
+pub fn lint_sources(sources: &[(String, String)]) -> Vec<FileLint> {
     let lexed: Vec<Vec<Tok<'_>>> = sources.iter().map(|(_, text)| lex(text)).collect();
     let code: Vec<Vec<&Tok<'_>>> = lexed
         .iter()
@@ -466,147 +348,56 @@ pub fn lint_sources(sources: &[(String, String)], selected: &BTreeSet<DiagCode>)
                 .collect()
         })
         .collect();
-    let parsed: Vec<parser::ParsedFile> = code.iter().map(|c| parser::parse_file(c)).collect();
-    let preps: Vec<FilePrep> = (0..sources.len())
-        .map(|fi| prep_file(&lexed[fi], &code[fi], &parsed[fi]))
+    let parsed: Vec<Vec<parser::FnItem>> = code.iter().map(|c| parser::parse_file(c)).collect();
+    let inputs: Vec<callgraph::FileInput<'_>> = (0..sources.len())
+        .map(|fi| callgraph::FileInput {
+            code: &code[fi],
+            fns: &parsed[fi],
+        })
         .collect();
-
-    let run_interp = INTERPROCEDURAL_CODES.iter().any(|c| on(*c));
-    let analysis = if run_interp {
-        let inputs: Vec<callgraph::FileInput<'_>> = (0..sources.len())
-            .map(|fi| callgraph::FileInput {
-                code: &code[fi],
-                parsed: &parsed[fi],
-                hot_marked: preps[fi].hot_items.clone(),
-                cold_marked: preps[fi].cold_items.clone(),
-            })
-            .collect();
-        callgraph::analyze(&inputs)
-    } else {
-        callgraph::Analysis::default()
-    };
-
-    // Hot bodies per file: the marked roots (raw ranges, so a marker on
-    // a shape the parser misses still guards lexically) plus everything
-    // propagation reached.
-    let mut hot_bodies: Vec<Vec<HotBody>> = preps
-        .iter()
-        .map(|p| p.root_bodies.iter().map(|&r| HotBody::root(r)).collect())
-        .collect();
-    for h in &analysis.hot {
-        if h.chain.is_some() {
-            hot_bodies[h.file].push(HotBody {
-                range: parsed[h.file].fns[h.item].body,
-                chain: h.chain.clone(),
-            });
-        }
+    let mut cross: Vec<Vec<Finding>> = vec![Vec::new(); sources.len()];
+    for (fi, finding) in callgraph::analyze(&inputs) {
+        cross[fi].push(finding);
     }
-
-    // Loop-depth oracle per file: each function's CFG stamps its body
-    // tokens (functions come in source order, so a nested function
-    // overwrites its parent's depths with its own). `#[cfg(test)]`
-    // functions stay depth 0 — test code is not held to allocation
-    // discipline, matching the call-graph table's exclusion.
-    let depths: Vec<Vec<u32>> = if on(DiagCode::LintLoopAlloc) {
-        (0..sources.len())
-            .map(|fi| {
-                let mut d = vec![0u32; code[fi].len()];
-                for f in &parsed[fi].fns {
-                    if f.in_test_mod || f.body.0 >= f.body.1 || f.body.1 > code[fi].len() {
-                        continue;
-                    }
-                    let g = cfg::Cfg::build(&code[fi], f.body);
-                    for (i, depth) in g.depth_by_token(code[fi].len()).into_iter().enumerate() {
-                        if i >= f.body.0 && i < f.body.1 {
-                            d[i] = depth;
-                        }
-                    }
-                }
-                d
-            })
-            .collect()
-    } else {
-        vec![Vec::new(); sources.len()]
-    };
 
     let mut files = Vec::with_capacity(sources.len());
     for (fi, (path, _)) in sources.iter().enumerate() {
-        let mut findings =
-            rules::run_hazards(&lexed[fi], &code[fi], &hot_bodies[fi], &depths[fi], &on);
-        if on(DiagCode::LintUncheckedTimeArith) {
-            flow::unchecked_time_arith(&code[fi], &parsed[fi].fns, &mut findings);
-        }
-        let mut meta = preps[fi].meta.clone();
-        for (f, finding) in analysis
-            .unit_flow
-            .iter()
-            .chain(&analysis.pool_impure)
-            .chain(&analysis.seed_taint)
-        {
-            if *f == fi && on(finding.code) {
-                findings.push(finding.clone());
+        let (toks, code, fns) = (&lexed[fi], &code[fi], &parsed[fi]);
+        let directives = directives(toks);
+        let (hot_bodies, meta) = prep_file(code, &directives);
+        // Loop-depth oracle: each function's CFG stamps its body tokens
+        // (functions come in source order, so a nested function
+        // overwrites its parent's depths with its own). `#[cfg(test)]`
+        // functions stay depth 0 — test code is not held to allocation
+        // discipline, matching the call-graph table's exclusion.
+        let mut depths = vec![0u32; code.len()];
+        for f in fns {
+            if f.in_test_mod || f.body.0 >= f.body.1 || f.body.1 > code.len() {
+                continue;
             }
-        }
-        if on(DiagCode::LintUnresolvedCall) {
-            let mut unresolved: Vec<&Finding> = analysis
-                .unresolved
-                .iter()
-                .filter(|(f, _)| *f == fi)
-                .map(|(_, x)| x)
-                .collect();
-            unresolved.sort_by_key(|f| (f.span.start_line, f.span.start_col));
-            let budget = preps[fi].budget;
-            for f in unresolved.iter().skip(budget) {
-                findings.push((*f).clone());
-            }
-            if budget > unresolved.len() && on(DiagCode::LintUnusedSuppression) {
-                if let Some(span) = preps[fi].budget_span {
-                    meta.push(Finding {
-                        code: DiagCode::LintUnusedSuppression,
-                        span,
-                        entity: "unresolved-budget".into(),
-                        message: format!(
-                            "unresolved-budget({budget}) exceeds the file's {} \
-                             consequential ambiguous call(s); tighten or delete it",
-                            unresolved.len()
-                        ),
-                    });
+            let g = cfg::Cfg::build(code, f.body);
+            for (i, depth) in g.depth_by_token(code.len()).into_iter().enumerate() {
+                if i >= f.body.0 && i < f.body.1 {
+                    depths[i] = depth;
                 }
             }
         }
-        if run_interp && on(DiagCode::LintUnusedSuppression) {
-            for &(f, item) in &analysis.unused_cold {
-                if f != fi {
-                    continue;
-                }
-                if let Some(&(_, span)) = preps[fi].cold_spans.iter().find(|(it, _)| *it == item) {
-                    meta.push(Finding {
-                        code: DiagCode::LintUnusedSuppression,
-                        span,
-                        entity: "cold".into(),
-                        message: "cold barrier never reached by hot propagation; delete \
-                                  the stale directive"
-                            .into(),
-                    });
-                }
-            }
-        }
-        files.push(assemble_file(path, &lexed[fi], findings, meta, &on));
+        let mut findings = rules::run_hazards(code, &hot_bodies, &depths);
+        flow::unchecked_time_arith(code, fns, &mut findings);
+        findings.append(&mut cross[fi]);
+        files.push(assemble_file(path, toks, &directives, findings, meta));
     }
-    WorkspaceLint {
-        files,
-        stats: analysis.stats,
-    }
+    files
 }
 
 /// Lints one file's text: the same pipeline as [`lint_sources`] over a
 /// one-file workspace (the call graph sees only this file, so cross-
 /// file resolution degrades to external).
 #[must_use]
-pub fn lint_source(path: &str, text: &str, selected: &BTreeSet<DiagCode>) -> FileLint {
+pub fn lint_source(path: &str, text: &str) -> FileLint {
     let sources = [(path.to_string(), text.to_string())];
-    let mut ws = lint_sources(&sources, selected);
-    ws.files.remove(0)
+    let mut files = lint_sources(&sources);
+    files.remove(0)
 }
 
 /// Directory names the walker never descends into: vendored shims stand
@@ -660,15 +451,12 @@ pub fn collect_sources(root: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
 pub const DEFAULT_ROOTS: [&str; 4] = ["src", "crates", "tests", "examples"];
 
 /// Lints every `.rs` file under the given roots (files or directories)
-/// as one workspace, interprocedural pass included.
+/// as one workspace (see [`lint_sources`]).
 ///
 /// # Errors
 ///
 /// The first I/O failure (unreadable root, file, or directory).
-pub fn lint_roots_workspace(
-    roots: &[PathBuf],
-    selected: &BTreeSet<DiagCode>,
-) -> io::Result<WorkspaceLint> {
+pub fn lint_roots(roots: &[PathBuf]) -> io::Result<Vec<FileLint>> {
     let mut files = Vec::new();
     for root in roots {
         collect_sources(root, &mut files)?;
@@ -679,23 +467,7 @@ pub fn lint_roots_workspace(
             .map_err(|e| io::Error::other(format!("{}: {e}", file.display())))?;
         sources.push((file.display().to_string(), text));
     }
-    Ok(lint_sources(&sources, selected))
-}
-
-/// Lints every `.rs` file under the given roots, returning the per-file
-/// reports (workspace semantics; see [`lint_roots_workspace`]).
-///
-/// # Errors
-///
-/// The first I/O failure (unreadable root, file, or directory).
-pub fn lint_roots(roots: &[PathBuf], selected: &BTreeSet<DiagCode>) -> io::Result<Vec<FileLint>> {
-    Ok(lint_roots_workspace(roots, selected)?.files)
-}
-
-/// The full code set, as a selection.
-#[must_use]
-pub fn all_codes() -> BTreeSet<DiagCode> {
-    LINT_CODES.iter().copied().collect()
+    Ok(lint_sources(&sources))
 }
 
 #[cfg(test)]
@@ -711,40 +483,42 @@ mod tests {
             .collect()
     }
 
+    const FLOAT_SORT: &str = "v.sort_by(|a, b| a.partial_cmp(b).unwrap());";
+
     #[test]
     fn clean_source_yields_empty_report() {
-        let lint = lint_source("x.rs", "fn main() { let a = 1 + 2; }", &all_codes());
+        let lint = lint_source("x.rs", "fn main() { let a = 1 + 2; }");
         assert!(lint.report.diagnostics.is_empty());
         assert!(!lint.report.has_errors());
     }
 
     #[test]
     fn trailing_allow_suppresses_same_line() {
-        let src = "let t = Instant::now(); // eua-lint: allow(lint-wall-clock)\n";
-        let lint = lint_source("x.rs", src, &all_codes());
+        let src = format!("{FLOAT_SORT} // eua-lint: allow(lint-float-sort-partial-cmp)\n");
+        let lint = lint_source("x.rs", &src);
         assert!(codes_of(&lint).is_empty(), "{:?}", lint.report);
     }
 
     #[test]
     fn standalone_allow_suppresses_next_line() {
-        let src = "// eua-lint: allow(lint-wall-clock)\nlet t = Instant::now();\n";
-        let lint = lint_source("x.rs", src, &all_codes());
+        let src = format!("// eua-lint: allow(lint-float-sort-partial-cmp)\n{FLOAT_SORT}\n");
+        let lint = lint_source("x.rs", &src);
         assert!(codes_of(&lint).is_empty(), "{:?}", lint.report);
     }
 
     #[test]
     fn stacked_standalone_allows_cover_one_line() {
-        let src = "// eua-lint: allow(lint-wall-clock)\n\
-                   // eua-lint: allow(lint-hash-collection)\n\
-                   let t: HashMap<u8, u8> = index(Instant::now());\n";
-        let lint = lint_source("x.rs", src, &all_codes());
+        let src = "// eua-lint: allow(lint-float-sort-partial-cmp)\n\
+                   // eua-lint: allow(lint-unchecked-time-arith)\n\
+                   fn f(a_us: u64, b_us: u64) -> u64 { v.sort_by(|a, b| a.partial_cmp(b).unwrap()); a_us + b_us }\n";
+        let lint = lint_source("x.rs", src);
         assert!(codes_of(&lint).is_empty(), "{:?}", lint.report);
     }
 
     #[test]
     fn unused_allow_is_reported_at_the_directive() {
-        let src = "// eua-lint: allow(lint-thread-spawn)\nlet a = 1;\n";
-        let lint = lint_source("x.rs", src, &all_codes());
+        let src = "// eua-lint: allow(lint-seed-taint)\nlet a = 1;\n";
+        let lint = lint_source("x.rs", src);
         assert_eq!(codes_of(&lint), ["lint-unused-suppression"]);
         assert_eq!(lint.spans[0].unwrap().start_line, 1);
     }
@@ -752,28 +526,28 @@ mod tests {
     #[test]
     fn unknown_code_in_allow_is_reported() {
         let src = "// eua-lint: allow(lint-imaginary)\nlet a = 1;\n";
-        let lint = lint_source("x.rs", src, &all_codes());
+        let lint = lint_source("x.rs", src);
         assert_eq!(codes_of(&lint), ["lint-unknown-suppression"]);
     }
 
     #[test]
     fn meta_codes_cannot_be_suppressed() {
         let src = "// eua-lint: allow(lint-unused-suppression)\nlet a = 1;\n";
-        let lint = lint_source("x.rs", src, &all_codes());
+        let lint = lint_source("x.rs", src);
         assert_eq!(codes_of(&lint), ["lint-unknown-suppression"]);
     }
 
     #[test]
     fn malformed_directive_is_reported() {
-        let src = "// eua-lint: alow(lint-wall-clock)\nlet a = 1;\n";
-        let lint = lint_source("x.rs", src, &all_codes());
+        let src = "// eua-lint: alow(lint-seed-taint)\nlet a = 1;\n";
+        let lint = lint_source("x.rs", src);
         assert_eq!(codes_of(&lint), ["lint-unknown-suppression"]);
     }
 
     #[test]
     fn dangling_hot_marker_is_reported() {
         let src = "// eua-lint: hot\nconst X: u32 = 1;\n";
-        let lint = lint_source("x.rs", src, &all_codes());
+        let lint = lint_source("x.rs", src);
         assert_eq!(codes_of(&lint), ["lint-unknown-suppression"]);
     }
 
@@ -785,8 +559,8 @@ mod tests {
                    pub fn decide(xs: &[u64]) -> Vec<u64> {\n\
                    \x20   xs.to_vec()\n\
                    }\n";
-        let lint = lint_source("x.rs", src, &all_codes());
-        assert_eq!(codes_of(&lint), ["lint-hot-path-alloc"]);
+        let lint = lint_source("x.rs", src);
+        assert_eq!(codes_of(&lint), ["lint-loop-alloc"]);
         assert_eq!(lint.spans[0].unwrap().start_line, 5);
     }
 
@@ -794,42 +568,38 @@ mod tests {
     fn hot_fn_alloc_can_be_allowed_inline() {
         let src = "// eua-lint: hot\n\
                    fn decide(xs: &[u64]) -> Vec<u64> {\n\
-                   \x20   xs.to_vec() // eua-lint: allow(lint-hot-path-alloc)\n\
+                   \x20   xs.to_vec() // eua-lint: allow(lint-loop-alloc)\n\
                    }\n";
-        let lint = lint_source("x.rs", src, &all_codes());
+        let lint = lint_source("x.rs", src);
         assert!(codes_of(&lint).is_empty(), "{:?}", lint.report);
     }
 
     #[test]
-    fn selection_skips_unused_accounting_for_unselected_codes() {
-        let src = "// eua-lint: allow(lint-thread-spawn)\nlet a = 1;\n";
-        let only: BTreeSet<DiagCode> = [DiagCode::LintWallClock, DiagCode::LintUnusedSuppression]
-            .into_iter()
-            .collect();
-        let lint = lint_source("x.rs", src, &only);
-        assert!(
-            codes_of(&lint).is_empty(),
-            "an allow for an unselected rule is not 'unused': {:?}",
-            lint.report
-        );
-    }
-
-    #[test]
     fn findings_sort_by_position() {
-        let src = "let s = SystemTime::now();\nlet m: HashSet<u8> = make();\n";
-        let lint = lint_source("x.rs", src, &all_codes());
-        assert_eq!(codes_of(&lint), ["lint-wall-clock", "lint-hash-collection"]);
+        let src = "fn f(a_us: u64, b_us: u64, v: &mut [f64]) -> u64 {\n\
+                   \x20   let t = a_us + b_us;\n\
+                   \x20   v.sort_by(|a, b| a.partial_cmp(b).unwrap());\n\
+                   \x20   t\n\
+                   }\n";
+        let lint = lint_source("x.rs", src);
+        assert_eq!(
+            codes_of(&lint),
+            ["lint-unchecked-time-arith", "lint-float-sort-partial-cmp"]
+        );
         let lines: Vec<u32> = lint.spans.iter().map(|s| s.unwrap().start_line).collect();
-        assert_eq!(lines, [1, 2]);
+        assert_eq!(lines, [2, 3]);
     }
 
     #[test]
     fn messages_carry_line_and_column() {
-        let lint = lint_source("x.rs", "let t = Instant::now();\n", &all_codes());
-        assert!(lint.report.diagnostics[0].message.starts_with("1:9: "));
+        let lint = lint_source(
+            "x.rs",
+            "fn f(a_us: u64, b_us: u64) -> u64 {\n    a_us + b_us\n}\n",
+        );
+        assert!(lint.report.diagnostics[0].message.starts_with("2:5: "));
         assert_eq!(
             lint.report.diagnostics[0].entity.as_deref(),
-            Some("Instant::now")
+            Some("a_us + b_us")
         );
     }
 }

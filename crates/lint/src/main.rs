@@ -1,8 +1,8 @@
 //! The `eua-lint` command-line front end.
 //!
 //! ```text
-//! eua-lint check [--format text|json|sarif] [--check] [--only code,...]
-//!                [--fix [--apply]] [path...]
+//! eua-lint check [--format text|json|sarif] [--check] [--fix [--apply]]
+//!                [path...]
 //! eua-lint codes
 //! ```
 //!
@@ -14,17 +14,13 @@
 //! Error-severity finding survives suppression, `0` when every scanned
 //! file is clean.
 
-use std::collections::BTreeSet;
 use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use eua_analyze::{
-    render_json_reports, render_sarif_with_regions, validate_sarif, DiagCode, Report, Span,
-};
+use eua_analyze::{render_json_reports, render_sarif_with_regions, validate_sarif, Report, Span};
 use eua_lint::{
-    all_codes, code_from_str, collect_sources, fix::fix_file, lint_roots, lint_sources, FileLint,
-    DEFAULT_ROOTS, LINT_CODES,
+    collect_sources, fix::fix_file, lint_roots, lint_sources, FileLint, DEFAULT_ROOTS, LINT_CODES,
 };
 
 /// Writes to stdout, exiting quietly if the reader went away (e.g. the
@@ -47,8 +43,8 @@ enum Format {
 }
 
 fn usage() -> &'static str {
-    "usage: eua-lint check [--format text|json|sarif] [--check] [--only code,...]\n\
-     \x20                     [--fix [--apply]] [path...]\n\
+    "usage: eua-lint check [--format text|json|sarif] [--check] [--fix [--apply]]\n\
+     \x20                     [path...]\n\
      \x20      eua-lint codes\n\
      \n\
      check          scan first-party Rust sources for determinism and\n\
@@ -56,7 +52,6 @@ fn usage() -> &'static str {
      \x20 --format sarif   emit a SARIF 2.1.0 document instead of text/json\n\
      \x20 --check          (sarif) verify the output byte-round-trips and\n\
      \x20                  validates against the pinned SARIF subset\n\
-     \x20 --only a,b       run only the named lint codes\n\
      \x20 --fix            apply machine-applicable fixes; prints each fixed\n\
      \x20                  file to stdout (dry run) and a summary to stderr\n\
      \x20 --apply          with --fix: rewrite the .rs files in place\n\
@@ -88,34 +83,12 @@ fn main() -> ExitCode {
     }
 }
 
-/// Parses a `--only` argument into a selection, always keeping the two
-/// meta codes live so a typo in a directive cannot hide behind a
-/// narrowed run.
-fn parse_only(arg: &str) -> Result<BTreeSet<DiagCode>, String> {
-    let mut selected = BTreeSet::new();
-    for name in arg.split(',').map(str::trim).filter(|s| !s.is_empty()) {
-        match code_from_str(name) {
-            Some(code) => {
-                selected.insert(code);
-            }
-            None => return Err(format!("--only names unknown lint code `{name}`")),
-        }
-    }
-    if selected.is_empty() {
-        return Err("--only needs at least one code".into());
-    }
-    selected.insert(DiagCode::LintUnusedSuppression);
-    selected.insert(DiagCode::LintUnknownSuppression);
-    Ok(selected)
-}
-
 /// Parses `check` flags and scans the requested roots.
 fn run_check(args: &[String]) -> ExitCode {
     let mut format = Format::Text;
     let mut self_check = false;
     let mut fix_mode = false;
     let mut apply = false;
-    let mut selected = all_codes();
     let mut roots: Vec<PathBuf> = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -132,19 +105,6 @@ fn run_check(args: &[String]) -> ExitCode {
                 }
             },
             "--check" => self_check = true,
-            "--only" => match it.next() {
-                Some(list) => match parse_only(list) {
-                    Ok(set) => selected = set,
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return ExitCode::from(2);
-                    }
-                },
-                None => {
-                    eprintln!("--only needs a comma-separated code list");
-                    return ExitCode::from(2);
-                }
-            },
             flag if flag.starts_with('-') => {
                 eprintln!("unknown flag `{flag}`\n{}", usage());
                 return ExitCode::from(2);
@@ -178,10 +138,10 @@ fn run_check(args: &[String]) -> ExitCode {
     }
 
     if fix_mode {
-        return run_fix(&roots, &selected, apply);
+        return run_fix(&roots, apply);
     }
 
-    let lints = match lint_roots(&roots, &selected) {
+    let lints = match lint_roots(&roots) {
         Ok(lints) => lints,
         Err(e) => {
             eprintln!("error: {e}");
@@ -230,14 +190,15 @@ fn run_check(args: &[String]) -> ExitCode {
     }
 }
 
-/// `check --fix`: scans the roots as one workspace (so cross-file cold
-/// barriers are judged fairly), applies the machine rewrites, and
+/// `check --fix`: scans the roots as one workspace (so cross-file
+/// call-graph findings match a plain `check`), applies the machine
+/// rewrites, and
 /// mirrors `eua-analyze check --fix`'s contract: dry-run prints each
 /// fixed file to stdout, `--apply` rewrites in place, the fix summary
 /// goes to stderr either way, and the exit status reflects re-linting
 /// the fixed sources (the rewrite is idempotent, so a second run
 /// applies nothing).
-fn run_fix(roots: &[PathBuf], selected: &BTreeSet<DiagCode>, apply: bool) -> ExitCode {
+fn run_fix(roots: &[PathBuf], apply: bool) -> ExitCode {
     let mut paths: Vec<PathBuf> = Vec::new();
     for root in roots {
         if let Err(e) = collect_sources(root, &mut paths) {
@@ -256,9 +217,9 @@ fn run_fix(roots: &[PathBuf], selected: &BTreeSet<DiagCode>, apply: bool) -> Exi
         }
     }
 
-    let ws = lint_sources(&sources, selected);
+    let lints = lint_sources(&sources);
     let mut total = 0usize;
-    for (i, lint) in ws.files.iter().enumerate() {
+    for (i, lint) in lints.iter().enumerate() {
         let (fixed, applied) = fix_file(lint, &sources[i].1);
         if applied.is_empty() {
             continue;
@@ -289,8 +250,8 @@ fn run_fix(roots: &[PathBuf], selected: &BTreeSet<DiagCode>, apply: bool) -> Exi
         eprintln!("eua-lint: {total} fix(es) applied");
     }
 
-    let relint = lint_sources(&sources, selected);
-    if relint.files.iter().any(|l| l.report.has_errors()) {
+    let relint = lint_sources(&sources);
+    if relint.iter().any(|l| l.report.has_errors()) {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS

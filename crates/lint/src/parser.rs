@@ -1,8 +1,7 @@
-//! A lightweight item parser over the lexed token stream: functions,
-//! impl blocks, `mod`/`use` declarations — just enough structure for the
-//! interprocedural rules (call graph, hot-path propagation, unit-flow
-//! analysis) without rustc or syn, in the same first-party spirit as the
-//! lexer itself.
+//! A lightweight item parser over the lexed token stream: functions and
+//! the impl blocks they sit in — just enough structure for the call
+//! graph and the per-function dataflow rules, without rustc or syn, in
+//! the same first-party spirit as the lexer itself.
 //!
 //! The parser is *recognition*, not validation: anything it cannot
 //! shape-match is skipped, never an error. It tracks balanced brackets
@@ -11,8 +10,6 @@
 //! inside `Fn(&T) -> U` bounds never closes an angle group early, and
 //! records code-token index ranges so the rule layer can scan bodies
 //! directly.
-
-use eua_analyze::Span;
 
 use crate::lexer::{Tok, TokKind};
 
@@ -29,7 +26,7 @@ pub struct Param {
     pub ty: Vec<String>,
 }
 
-/// One function item with byte-exact anchors and code-token ranges.
+/// One function item with its code-token ranges.
 #[derive(Debug, Clone)]
 pub struct FnItem {
     /// The function's name (raw identifiers keep their `r#` prefix).
@@ -40,14 +37,10 @@ pub struct FnItem {
     pub has_self: bool,
     /// Parameters in declaration order, the receiver excluded.
     pub params: Vec<Param>,
-    /// Identifier tokens of the return type (empty for `()` returns).
-    pub ret: Vec<String>,
     /// Code-token index of the `fn` keyword.
     pub fn_tok: usize,
     /// Half-open code-token index range of the body, braces excluded.
     pub body: (usize, usize),
-    /// Span of the name identifier (the diagnostic anchor).
-    pub name_span: Span,
     /// Whether the function sits inside a `#[cfg(test)] mod` body. Test
     /// policies and helpers share names with production items; the call
     /// graph must not let them pollute candidate sets.
@@ -67,45 +60,12 @@ impl FnItem {
 }
 
 /// One `impl` block: the subject type and the body token range.
-#[derive(Debug, Clone)]
-pub struct ImplBlock {
+struct ImplBlock {
     /// The implemented type's final path segment (`Foo` for both `impl
     /// Foo` and `impl Trait for crate::x::Foo`).
-    pub ty: String,
+    ty: String,
     /// Half-open code-token index range of the block body.
-    pub body: (usize, usize),
-}
-
-/// A `mod name` declaration (inline or file-backed).
-#[derive(Debug, Clone)]
-pub struct ModDecl {
-    /// The module name.
-    pub name: String,
-    /// Span of the name identifier.
-    pub span: Span,
-}
-
-/// A `use` declaration, flattened to its identifier tokens.
-#[derive(Debug, Clone)]
-pub struct UseDecl {
-    /// Every identifier in the tree, in source order (`use a::{b, c}`
-    /// yields `["a", "b", "c"]`).
-    pub path: Vec<String>,
-    /// Span from `use` to the final identifier.
-    pub span: Span,
-}
-
-/// Everything the parser extracts from one file.
-#[derive(Debug, Clone, Default)]
-pub struct ParsedFile {
-    /// Function items, in source order (nested functions included).
-    pub fns: Vec<FnItem>,
-    /// Impl blocks, in source order.
-    pub impls: Vec<ImplBlock>,
-    /// Module declarations.
-    pub mods: Vec<ModDecl>,
-    /// Use declarations.
-    pub uses: Vec<UseDecl>,
+    body: (usize, usize),
 }
 
 /// Whether the token at `j` is the tail of a two-byte arrow (`->` or
@@ -141,7 +101,7 @@ fn skip_angles(code: &[&Tok<'_>], i: usize) -> usize {
 
 /// Index of the bracket that closes the opener at `open` (any of the
 /// three bracket kinds, tracked together), or `code.len()`.
-fn match_bracket(code: &[&Tok<'_>], open: usize) -> usize {
+pub(crate) fn match_bracket(code: &[&Tok<'_>], open: usize) -> usize {
     let mut depth = 0usize;
     for (j, t) in code.iter().enumerate().skip(open) {
         match t.kind {
@@ -331,50 +291,15 @@ fn parse_params(code: &[&Tok<'_>]) -> (Vec<Param>, bool, usize) {
     (params, has_self, close + 1)
 }
 
-/// Parses one file's code tokens into items. Never fails: unparseable
-/// shapes are skipped.
+/// Parses one file's code tokens into its functions, in source order
+/// (nested functions included). Never fails: unparseable shapes are
+/// skipped.
 #[must_use]
-pub fn parse_file(code: &[&Tok<'_>]) -> ParsedFile {
+pub fn parse_file(code: &[&Tok<'_>]) -> Vec<FnItem> {
     let impls = collect_impls(code);
     let test_mods = test_mod_ranges(code);
     let mut fns = Vec::new();
-    let mut mods = Vec::new();
-    let mut uses = Vec::new();
     for i in 0..code.len() {
-        if code[i].is_ident("mod") {
-            if let Some(name) = code.get(i + 1).filter(|t| t.kind == TokKind::Ident) {
-                mods.push(ModDecl {
-                    name: name.text.to_string(),
-                    span: span_of(name),
-                });
-            }
-            continue;
-        }
-        if code[i].is_ident("use") {
-            let mut path = Vec::new();
-            let mut last = code[i];
-            for &t in code.iter().skip(i + 1) {
-                if t.text == ";" {
-                    break;
-                }
-                if t.kind == TokKind::Ident {
-                    path.push(t.text.to_string());
-                    last = t;
-                }
-            }
-            if !path.is_empty() {
-                uses.push(UseDecl {
-                    path,
-                    span: Span {
-                        start_line: code[i].line,
-                        start_col: code[i].col,
-                        end_line: last.end_line,
-                        end_col: last.end_col,
-                    },
-                });
-            }
-            continue;
-        }
         if !code[i].is_ident("fn") {
             continue;
         }
@@ -390,23 +315,9 @@ pub fn parse_file(code: &[&Tok<'_>]) -> ParsedFile {
         }
         let (params, has_self, after) = parse_params(&code[j..]);
         j += after;
-        let mut ret = Vec::new();
-        if code.get(j).is_some_and(|t| t.text == "-")
-            && code.get(j + 1).is_some_and(|t| t.text == ">")
-        {
-            j += 2;
-            while let Some(t) = code.get(j) {
-                if matches!(t.text, "{" | ";") || t.is_ident("where") {
-                    break;
-                }
-                if t.kind == TokKind::Ident {
-                    ret.push(t.text.to_string());
-                }
-                j += 1;
-            }
-        }
-        // Past any where clause to the body; `;` first is a bodyless
-        // declaration (trait methods), which carries no analyzable code.
+        // Past the return type and any where clause to the body; `;`
+        // first is a bodyless declaration (trait methods), which carries
+        // no analyzable code.
         let mut open = None;
         while let Some(t) = code.get(j) {
             match t.text {
@@ -429,29 +340,12 @@ pub fn parse_file(code: &[&Tok<'_>]) -> ParsedFile {
             self_type,
             has_self,
             params,
-            ret,
             fn_tok: i,
             body: (open + 1, match_bracket(code, open)),
-            name_span: span_of(name_t),
             in_test_mod: test_mods.iter().any(|&(s, e)| s <= i && i < e),
         });
     }
-    ParsedFile {
-        fns,
-        impls,
-        mods,
-        uses,
-    }
-}
-
-/// The span of one token.
-fn span_of(t: &Tok<'_>) -> Span {
-    Span {
-        start_line: t.line,
-        start_col: t.col,
-        end_line: t.end_line,
-        end_col: t.end_col,
-    }
+    fns
 }
 
 #[cfg(test)]
@@ -460,7 +354,7 @@ mod tests {
     use super::*;
     use crate::lexer::lex;
 
-    fn parse(src: &str) -> ParsedFile {
+    fn parse(src: &str) -> Vec<FnItem> {
         let toks = lex(src);
         let code: Vec<&Tok<'_>> = toks
             .iter()
@@ -472,8 +366,8 @@ mod tests {
     #[test]
     fn free_fn_with_params_and_return() {
         let p = parse("pub fn plan(now_us: u64, budget: SimTime) -> Frequency { body() }");
-        assert_eq!(p.fns.len(), 1);
-        let f = &p.fns[0];
+        assert_eq!(p.len(), 1);
+        let f = &p[0];
         assert_eq!(f.name, "plan");
         assert!(!f.has_self);
         assert_eq!(f.self_type, None);
@@ -481,7 +375,6 @@ mod tests {
         assert_eq!(f.params[0].name.as_deref(), Some("now_us"));
         assert_eq!(f.params[0].ty, ["u64"]);
         assert_eq!(f.params[1].ty, ["SimTime"]);
-        assert_eq!(f.ret, ["Frequency"]);
     }
 
     #[test]
@@ -495,58 +388,57 @@ mod tests {
              \x20   fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result { ok() }\n\
              }",
         );
-        assert_eq!(p.fns.len(), 3);
-        assert_eq!(p.fns[0].self_type.as_deref(), Some("ScheduleBuilder"));
-        assert!(p.fns[0].has_self);
-        assert_eq!(p.fns[0].params.len(), 1);
-        assert_eq!(p.fns[1].name, "new");
-        assert!(!p.fns[1].has_self);
-        assert_eq!(p.fns[2].self_type.as_deref(), Some("Verdict"));
-        assert_eq!(p.fns[2].display_name(), "Verdict::fmt");
+        assert_eq!(p.len(), 3);
+        assert_eq!(p[0].self_type.as_deref(), Some("ScheduleBuilder"));
+        assert!(p[0].has_self);
+        assert_eq!(p[0].params.len(), 1);
+        assert_eq!(p[1].name, "new");
+        assert!(!p[1].has_self);
+        assert_eq!(p[2].self_type.as_deref(), Some("Verdict"));
+        assert_eq!(p[2].display_name(), "Verdict::fmt");
     }
 
     #[test]
     fn generic_fns_and_fn_type_params_parse() {
         let p = parse("fn apply<F: Fn(u64) -> u64>(xs: &[u64], f: F) -> Vec<u64> { go() }");
-        assert_eq!(p.fns.len(), 1);
-        let f = &p.fns[0];
+        assert_eq!(p.len(), 1);
+        let f = &p[0];
         assert_eq!(f.name, "apply");
         assert_eq!(f.params.len(), 2);
         assert_eq!(f.params[1].name.as_deref(), Some("f"));
-        assert_eq!(f.ret, ["Vec", "u64"]);
     }
 
     #[test]
     fn return_position_impl_trait_is_not_an_impl_block() {
-        let p = parse("fn iter_all() -> impl Iterator<Item = u32> { make() }\nfn tail() {}");
-        assert!(p.impls.is_empty());
-        assert_eq!(p.fns.len(), 2);
-        assert_eq!(p.fns[1].self_type, None);
+        let p = parse("fn iter_all() -> impl Iterator<Item = u32> { fn inner() {} make() }");
+        assert_eq!(p.len(), 2);
+        assert_eq!(p[1].self_type, None);
     }
 
     #[test]
     fn bodyless_trait_methods_are_skipped() {
         let p = parse("trait Policy { fn decide(&mut self, now: SimTime) -> Option<u32>; }");
-        assert!(p.fns.is_empty());
+        assert!(p.is_empty());
     }
 
     #[test]
-    fn where_clause_idents_stay_out_of_ret() {
-        let p = parse("fn sum<T>(xs: &[T]) -> u64 where T: Into<u64> { 0 }");
-        assert_eq!(p.fns[0].ret, ["u64"]);
+    fn where_clauses_are_skipped_to_the_body() {
+        let p = parse("fn sum<T>(xs: &[T]) -> u64 where T: Into<u64> { total() }");
+        assert_eq!(p.len(), 1);
+        assert_eq!(p[0].body.1 - p[0].body.0, 3, "the body is `total ( )`");
     }
 
     #[test]
     fn nested_fns_are_found() {
         let p = parse("fn outer() { fn inner(k_us: u64) -> u64 { k_us } inner(1) }");
-        let names: Vec<&str> = p.fns.iter().map(|f| f.name.as_str()).collect();
+        let names: Vec<&str> = p.iter().map(|f| f.name.as_str()).collect();
         assert_eq!(names, ["outer", "inner"]);
     }
 
     #[test]
     fn raw_identifier_fn_names_keep_prefix() {
         let p = parse("fn r#type() { }");
-        assert_eq!(p.fns[0].name, "r#type");
+        assert_eq!(p[0].name, "r#type");
     }
 
     #[test]
@@ -563,11 +455,7 @@ mod tests {
              \x20   pub fn check() { }\n\
              }",
         );
-        let flags: Vec<(&str, bool)> = p
-            .fns
-            .iter()
-            .map(|f| (f.name.as_str(), f.in_test_mod))
-            .collect();
+        let flags: Vec<(&str, bool)> = p.iter().map(|f| (f.name.as_str(), f.in_test_mod)).collect();
         assert_eq!(
             flags,
             [("real", false), ("helper", true), ("check", false)],
@@ -576,25 +464,15 @@ mod tests {
     }
 
     #[test]
-    fn mods_and_uses_are_recorded() {
-        let p = parse("use std::collections::BTreeMap;\nmod calendar;\nuse crate::{lexer, rules};");
-        assert_eq!(p.mods.len(), 1);
-        assert_eq!(p.mods[0].name, "calendar");
-        assert_eq!(p.uses.len(), 2);
-        assert_eq!(p.uses[0].path, ["std", "collections", "BTreeMap"]);
-        assert_eq!(p.uses[1].path, ["crate", "lexer", "rules"]);
-    }
-
-    #[test]
     fn body_ranges_cover_exactly_the_braces() {
         let src = "fn a() { one(); } fn b() { two(); }";
         let toks = lex(src);
         let code: Vec<&Tok<'_>> = toks.iter().collect();
         let p = parse_file(&code);
-        let (s, e) = p.fns[0].body;
+        let (s, e) = p[0].body;
         let body_text: Vec<&str> = code[s..e].iter().map(|t| t.text).collect();
         assert_eq!(body_text, ["one", "(", ")", ";"]);
-        let (s, e) = p.fns[1].body;
+        let (s, e) = p[1].body;
         assert_eq!(code[s].text, "two");
         assert_eq!(e - s, 4);
     }

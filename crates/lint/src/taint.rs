@@ -4,8 +4,9 @@
 //! The determinism story of the whole workspace rests on one
 //! convention: every `SmallRng` is built with `seed_from_u64(expr)`
 //! where `expr` derives — however it is salted, hashed, or mixed —
-//! from a master seed that the caller threads in. `lint-entropy-rng`
-//! bans the obvious escape hatches (`from_entropy`, `thread_rng`);
+//! from a master seed that the caller threads in. The vendored `rand`
+//! shim defines none of the entropy constructors (`from_entropy`,
+//! `thread_rng`, `OsRng`, `rand::random`), so those cannot compile;
 //! this module proves the positive claim at each construction site.
 //!
 //! The lattice is three-point: `Seed ⊑ Unknown ⊑ Entropy`. A forward
@@ -37,10 +38,10 @@ use eua_analyze::DiagCode;
 
 use crate::callgraph::FileInput;
 use crate::cfg::Cfg;
-use crate::dataflow::{self, Direction};
+use crate::dataflow;
 use crate::flow::is_keyword;
 use crate::lexer::{Tok, TokKind};
-use crate::parser::FnItem;
+use crate::parser::{match_bracket, FnItem};
 use crate::rules::{span_between, Finding};
 
 /// What the call graph resolved at one `(file, name-token)` call site.
@@ -307,10 +308,6 @@ struct TaintFlow<'a> {
 impl dataflow::Analysis for TaintFlow<'_> {
     type Fact = Option<Env>;
 
-    fn direction(&self) -> Direction {
-        Direction::Forward
-    }
-
     fn boundary(&self) -> Self::Fact {
         Some(self.boundary.clone())
     }
@@ -346,24 +343,6 @@ impl dataflow::Analysis for TaintFlow<'_> {
     }
 }
 
-/// Index of the bracket closing the opener at `open`, or `code.len()`.
-fn close_of(code: &[&Tok<'_>], open: usize) -> usize {
-    let mut depth = 0usize;
-    for (j, t) in code.iter().enumerate().skip(open) {
-        match t.kind {
-            TokKind::Open => depth += 1,
-            TokKind::Close => {
-                depth -= 1;
-                if depth == 0 {
-                    return j;
-                }
-            }
-            _ => {}
-        }
-    }
-    code.len()
-}
-
 /// Whether code token `j` is a `seed_from_u64(` construction site
 /// (qualified or method position).
 fn site_at(code: &[&Tok<'_>], j: usize) -> bool {
@@ -375,27 +354,17 @@ fn site_at(code: &[&Tok<'_>], j: usize) -> bool {
             .is_some_and(|n| n.kind == TokKind::Open && n.text == "(")
 }
 
-/// Scans every listed function for `seed_from_u64` sites and judges
-/// each argument expression. Returns the findings (tagged by file)
-/// plus `(sites seen, sites proven)` for the graph statistics.
-pub(crate) fn scan(
-    files: &[FileInput<'_>],
-    fns: &[(usize, &FnItem)],
-    oracle: &CallOracle,
-) -> (Vec<(usize, Finding)>, usize, usize) {
+/// Scans every non-test function for `seed_from_u64` sites and judges
+/// each argument expression, returning the unproven sites tagged by
+/// file.
+pub(crate) fn scan(files: &[FileInput<'_>], oracle: &CallOracle) -> Vec<(usize, Finding)> {
     let mut out = Vec::new();
-    let mut sites = 0usize;
-    let mut proven = 0usize;
     for (fi, file) in files.iter().enumerate() {
         let code = file.code;
         if !code.iter().any(|t| t.is_ident("seed_from_u64")) {
             continue;
         }
-        let in_file: Vec<&FnItem> = fns
-            .iter()
-            .filter(|(f, _)| *f == fi)
-            .map(|(_, item)| *item)
-            .collect();
+        let in_file: Vec<&FnItem> = file.fns.iter().filter(|f| !f.in_test_mod).collect();
         // Innermost owner per token, so a nested function's sites are
         // judged under its own environment.
         let mut owner = vec![usize::MAX; code.len()];
@@ -436,12 +405,9 @@ pub(crate) fn scan(
                 env.clone_from(env0);
                 for &j in &cfg.blocks[b].tokens {
                     if owner.get(j) == Some(&k) && site_at(code, j) {
-                        let close = close_of(code, j + 1);
+                        let close = match_bracket(code, j + 1);
                         let (taint, notes) = combine(code, fi, j + 2..close, &env, oracle);
-                        sites += 1;
-                        if taint == Taint::Seed {
-                            proven += 1;
-                        } else {
+                        if taint != Taint::Seed {
                             let joined = notes.join("; ");
                             let why: &str = if joined.is_empty() {
                                 "the expression has no seed-tagged ingredient"
@@ -470,7 +436,7 @@ pub(crate) fn scan(
             }
         }
     }
-    (out, sites, proven)
+    out
 }
 
 #[cfg(test)]
@@ -480,49 +446,35 @@ mod tests {
     use crate::lexer::lex;
     use crate::parser::parse_file;
 
-    fn run(src: &str) -> (Vec<Finding>, usize, usize) {
+    fn run(src: &str) -> Vec<Finding> {
         run_with(src, &CallOracle::new())
     }
 
-    fn run_with(src: &str, oracle: &CallOracle) -> (Vec<Finding>, usize, usize) {
+    fn run_with(src: &str, oracle: &CallOracle) -> Vec<Finding> {
         let toks = lex(src);
         let code: Vec<&Tok<'_>> = toks
             .iter()
             .filter(|t| !matches!(t.kind, TokKind::Comment { .. }))
             .collect();
-        let parsed = parse_file(&code);
+        let fns = parse_file(&code);
         let files = [FileInput {
             code: &code,
-            parsed: &parsed,
-            hot_marked: Vec::new(),
-            cold_marked: Vec::new(),
+            fns: &fns,
         }];
-        // Mirror `Table::build`: test-module items never enter the
-        // call graph, so they never reach the taint scan either.
-        let fns: Vec<(usize, &FnItem)> = parsed
-            .fns
-            .iter()
-            .filter(|f| !f.in_test_mod)
-            .map(|f| (0usize, f))
-            .collect();
-        let (tagged, sites, proven) = scan(&files, &fns, oracle);
-        (tagged.into_iter().map(|(_, f)| f).collect(), sites, proven)
+        scan(&files, oracle).into_iter().map(|(_, f)| f).collect()
     }
 
     #[test]
     fn salted_master_seed_is_proven() {
-        let (hits, sites, proven) =
-            run("fn mk(seed: u64) -> SmallRng { SmallRng::seed_from_u64(seed ^ SALT) }");
+        let hits = run("fn mk(seed: u64) -> SmallRng { SmallRng::seed_from_u64(seed ^ SALT) }");
         assert!(hits.is_empty(), "{hits:?}");
-        assert_eq!((sites, proven), (1, 1));
     }
 
     #[test]
     fn literal_seeds_and_constant_mixes_are_proven() {
-        let (hits, sites, proven) = run("fn mk() -> SmallRng { SmallRng::seed_from_u64(12345) }\n\
+        let hits = run("fn mk() -> SmallRng { SmallRng::seed_from_u64(12345) }\n\
              fn mk2() -> SmallRng { SmallRng::seed_from_u64(GOLDEN ^ 7) }");
         assert!(hits.is_empty(), "{hits:?}");
-        assert_eq!((sites, proven), (2, 2));
     }
 
     #[test]
@@ -531,16 +483,13 @@ mod tests {
                    let stream = master_seed.wrapping_mul(0x9E37).wrapping_add(lane);\n\
                    SmallRng::seed_from_u64(stream)\n\
                    }";
-        let (hits, sites, proven) = run(src);
+        let hits = run(src);
         assert!(hits.is_empty(), "{hits:?}");
-        assert_eq!((sites, proven), (1, 1));
     }
 
     #[test]
     fn unknown_ingredients_fail_the_proof_with_a_witness() {
-        let (hits, sites, proven) =
-            run("fn mk(jitter: u64) -> SmallRng { SmallRng::seed_from_u64(jitter) }");
-        assert_eq!((sites, proven), (1, 0));
+        let hits = run("fn mk(jitter: u64) -> SmallRng { SmallRng::seed_from_u64(jitter) }");
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].code, DiagCode::LintSeedTaint);
         assert!(
@@ -558,8 +507,7 @@ mod tests {
                    let s = seed ^ rand::random();\n\
                    SmallRng::seed_from_u64(s)\n\
                    }";
-        let (hits, _, proven) = run(src);
-        assert_eq!(proven, 0);
+        let hits = run(src);
         assert_eq!(hits.len(), 1);
         assert!(hits[0].message.contains("entropy"), "{}", hits[0].message);
     }
@@ -568,12 +516,11 @@ mod tests {
     fn field_reads_and_index_selectors_judge_the_right_ident() {
         // `cfg.seed` proves via the field; `seeds[i]` ignores the
         // selector and proves via the collection.
-        let (hits, sites, proven) = run(
+        let hits = run(
             "fn a(cfg: &Config) -> SmallRng { SmallRng::seed_from_u64(cfg.seed) }\n\
              fn b(seeds: &[u64], i: usize) -> SmallRng { SmallRng::seed_from_u64(seeds[i]) }",
         );
         assert!(hits.is_empty(), "{hits:?}");
-        assert_eq!((sites, proven), (2, 2));
     }
 
     #[test]
@@ -585,9 +532,8 @@ mod tests {
                    if c { s = w; }\n\
                    SmallRng::seed_from_u64(s)\n\
                    }";
-        let (hits, sites, proven) = run(src);
-        assert_eq!((sites, proven), (1, 0), "{hits:?}");
-        assert_eq!(hits.len(), 1);
+        let hits = run(src);
+        assert_eq!(hits.len(), 1, "{hits:?}");
     }
 
     #[test]
@@ -606,8 +552,7 @@ mod tests {
                 entropy: Some("fresh_word → thread_rng".into()),
             },
         );
-        let (hits, _, proven) = run_with(src, &oracle);
-        assert_eq!(proven, 0);
+        let hits = run_with(src, &oracle);
         assert_eq!(hits.len(), 1);
         assert!(
             hits[0].message.contains("fresh_word → thread_rng"),
@@ -618,10 +563,9 @@ mod tests {
 
     #[test]
     fn test_mod_sites_are_not_scanned() {
-        let (hits, sites, _) = run(
+        let hits = run(
             "#[cfg(test)] mod tests { fn mk(x: u64) -> SmallRng { SmallRng::seed_from_u64(x) } }",
         );
         assert!(hits.is_empty(), "{hits:?}");
-        assert_eq!(sites, 0);
     }
 }

@@ -1,10 +1,10 @@
 #![allow(clippy::expect_used, clippy::unwrap_used)] // test code
 
 //! Binary-level contract tests for `eua-lint`: the strict 2>1>0 exit
-//! ordering, format selection, `--only` narrowing, the `codes` listing,
-//! and a golden SARIF pin for one fixture.
+//! ordering, format selection, the `codes` listing, `--fix`, and golden
+//! SARIF pins for the fixtures.
 //!
-//! Regenerate the golden file with:
+//! Regenerate the golden files with:
 //!
 //! ```text
 //! EUA_REGEN_GOLDEN=1 cargo test -p eua-lint --test cli
@@ -34,18 +34,20 @@ fn clean_file_exits_zero_with_summary() {
     assert_eq!(stdout(&out), "eua-lint: 1 file(s) scanned, 0 finding(s)\n");
 }
 
+const FLOAT_SORT_FIXTURE: &str = "tests/fixtures/float_sort_partial_cmp.rs";
+
 #[test]
 fn hazard_fixture_exits_one() {
-    let out = eua_lint(&["check", "tests/fixtures/wall_clock.rs"]);
+    let out = eua_lint(&["check", FLOAT_SORT_FIXTURE]);
     assert_eq!(out.status.code(), Some(1));
     let text = stdout(&out);
-    assert!(text.contains("lint-wall-clock"), "{text}");
-    assert!(text.contains("Instant::now"), "{text}");
+    assert!(text.contains("lint-float-sort-partial-cmp"), "{text}");
+    assert!(text.contains("partial_cmp"), "{text}");
 }
 
 #[test]
 fn missing_path_exits_two_even_with_findings_elsewhere() {
-    let out = eua_lint(&["check", "tests/fixtures/wall_clock.rs", "no/such/file.rs"]);
+    let out = eua_lint(&["check", FLOAT_SORT_FIXTURE, "no/such/file.rs"]);
     assert_eq!(out.status.code(), Some(2));
 }
 
@@ -66,44 +68,12 @@ fn usage_errors_exit_two() {
         "--check without sarif is a usage error"
     );
     assert_eq!(
-        eua_lint(&["check", "--only", "lint-bogus", "src/main.rs"])
+        eua_lint(&["check", "--only", "lint-seed-taint", "src/main.rs"])
             .status
             .code(),
-        Some(2)
+        Some(2),
+        "every scan runs every rule; there is no rule selection flag"
     );
-}
-
-#[test]
-fn only_narrows_the_scan() {
-    // The wall-clock fixture is clean under a thread-spawn-only scan.
-    let out = eua_lint(&[
-        "check",
-        "--only",
-        "lint-thread-spawn",
-        "tests/fixtures/wall_clock.rs",
-    ]);
-    assert_eq!(out.status.code(), Some(0), "{}", stdout(&out));
-    // And dirty when its own code is selected.
-    let out = eua_lint(&[
-        "check",
-        "--only",
-        "lint-wall-clock",
-        "tests/fixtures/wall_clock.rs",
-    ]);
-    assert_eq!(out.status.code(), Some(1));
-}
-
-#[test]
-fn only_keeps_directive_meta_codes_live() {
-    // A typo'd directive must fail even under a narrowed run.
-    let out = eua_lint(&[
-        "check",
-        "--only",
-        "lint-wall-clock",
-        "tests/fixtures/unknown_suppression.rs",
-    ]);
-    assert_eq!(out.status.code(), Some(1));
-    assert!(stdout(&out).contains("lint-unknown-suppression"));
 }
 
 #[test]
@@ -122,45 +92,11 @@ fn codes_lists_the_registry_in_order() {
 
 #[test]
 fn json_format_renders_reports() {
-    let out = eua_lint(&["check", "--format", "json", "tests/fixtures/wall_clock.rs"]);
+    let out = eua_lint(&["check", "--format", "json", FLOAT_SORT_FIXTURE]);
     assert_eq!(out.status.code(), Some(1));
     let text = stdout(&out);
     assert!(text.starts_with('['), "{text}");
-    assert!(text.contains("\"lint-wall-clock\""), "{text}");
-}
-
-/// The SARIF output for the wall-clock fixture is byte-pinned: a drift
-/// means the SARIF writer, the rule's spans, or the message text changed
-/// — all deliberate events that must update the fixture.
-#[test]
-fn wall_clock_sarif_is_golden() {
-    let out = eua_lint(&[
-        "check",
-        "--format",
-        "sarif",
-        "--check",
-        "tests/fixtures/wall_clock.rs",
-    ]);
-    assert_eq!(out.status.code(), Some(1), "{}", stdout(&out));
-    let rendered = stdout(&out);
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/wall_clock.sarif");
-    if std::env::var("EUA_REGEN_GOLDEN").is_ok() {
-        std::fs::write(&path, &rendered).expect("golden written");
-        return;
-    }
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden {}: {e} (regenerate with EUA_REGEN_GOLDEN=1)",
-            path.display()
-        )
-    });
-    assert_eq!(
-        rendered, golden,
-        "SARIF drifted; regenerate with EUA_REGEN_GOLDEN=1 if deliberate"
-    );
-    // The pinned document names the right driver and both findings.
-    assert!(golden.contains("\"name\": \"eua-lint\""));
-    assert_eq!(golden.matches("\"ruleId\": \"lint-wall-clock\"").count(), 2);
+    assert!(text.contains("\"lint-float-sort-partial-cmp\""), "{text}");
 }
 
 /// A scratch file for the `--fix` tests, removed on drop.
@@ -189,7 +125,7 @@ impl Drop for Scratch {
     }
 }
 
-const FIXABLE: &str = "// eua-lint: allow(lint-wall-clock)\n\
+const FIXABLE: &str = "// eua-lint: allow(lint-seed-taint)\n\
                        fn rank(xs: &mut [f64]) {\n\
                        \x20   xs.sort_by(|a, b| a.partial_cmp(b).unwrap());\n\
                        }\n";
@@ -310,11 +246,10 @@ fn dataflow_fixtures_sarif_is_golden() {
     }
 }
 
-/// The four interprocedural fixtures, scanned as one workspace, are
-/// byte-pinned through the SARIF self-check (`--check` re-parses the
-/// output and asserts `render(parse(x)) == x` before printing). This
-/// pins the chain text, the unit-flow message, and the witness chain
-/// as they appear on the wire.
+/// The call-graph fixture is byte-pinned through the SARIF self-check
+/// (`--check` re-parses the output and asserts `render(parse(x)) == x`
+/// before printing), pinning the pool-purity message as it appears on
+/// the wire.
 #[test]
 fn interprocedural_fixtures_sarif_is_golden() {
     let out = eua_lint(&[
@@ -322,10 +257,7 @@ fn interprocedural_fixtures_sarif_is_golden() {
         "--format",
         "sarif",
         "--check",
-        "tests/fixtures/hot_path_blocking.rs",
-        "tests/fixtures/unit_flow_mismatch.rs",
         "tests/fixtures/pool_closure_impure.rs",
-        "tests/fixtures/unresolved_call.rs",
     ]);
     assert_eq!(out.status.code(), Some(1), "{}", stdout(&out));
     let rendered = stdout(&out);
@@ -344,16 +276,10 @@ fn interprocedural_fixtures_sarif_is_golden() {
         rendered, golden,
         "SARIF drifted; regenerate with EUA_REGEN_GOLDEN=1 if deliberate"
     );
-    for rule in [
-        "lint-hot-path-blocking",
-        "lint-unit-flow-mismatch",
-        "lint-pool-closure-impure",
-        "lint-unresolved-call",
-    ] {
-        assert_eq!(
-            golden.matches(&format!("\"ruleId\": \"{rule}\"")).count(),
-            1,
-            "{rule}"
-        );
-    }
+    assert_eq!(
+        golden
+            .matches("\"ruleId\": \"lint-pool-closure-impure\"")
+            .count(),
+        1
+    );
 }

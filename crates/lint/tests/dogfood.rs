@@ -4,7 +4,7 @@
 //! clean. This is the same scan `ci.sh` runs; having it as a test keeps
 //! `cargo test` sufficient to catch a new hazard before CI does.
 
-use eua_lint::{all_codes, lint_roots, DEFAULT_ROOTS};
+use eua_lint::{lint_roots, DEFAULT_ROOTS};
 
 #[test]
 fn workspace_sources_lint_clean() {
@@ -19,7 +19,7 @@ fn workspace_sources_lint_clean() {
         .filter(|p| p.exists())
         .collect();
     assert!(!roots.is_empty(), "no scan roots under {}", ws.display());
-    let lints = lint_roots(&roots, &all_codes()).expect("workspace readable");
+    let lints = lint_roots(&roots).expect("workspace readable");
     assert!(lints.len() > 50, "suspiciously few files: {}", lints.len());
     let dirty: Vec<String> = lints
         .iter()

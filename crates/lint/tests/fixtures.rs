@@ -11,7 +11,7 @@ use std::collections::BTreeSet;
 use std::path::PathBuf;
 
 use eua_analyze::DiagCode;
-use eua_lint::{all_codes, lint_source, LINT_CODES};
+use eua_lint::{lint_source, LINT_CODES};
 
 fn fixture_path(name: &str) -> PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -19,7 +19,7 @@ fn fixture_path(name: &str) -> PathBuf {
         .join(name)
 }
 
-/// The fixture file for a code: `lint-time-unit` → `time_unit.rs`.
+/// The fixture file for a code: `lint-seed-taint` → `seed_taint.rs`.
 fn fixture_name(code: DiagCode) -> String {
     format!(
         "{}.rs",
@@ -35,7 +35,7 @@ fn lint_fixture(code: DiagCode) -> (BTreeSet<&'static str>, usize) {
     let path = fixture_path(&fixture_name(code));
     let text = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("fixture {} unreadable: {e}", path.display()));
-    let lint = lint_source(&path.display().to_string(), &text, &all_codes());
+    let lint = lint_source(&path.display().to_string(), &text);
     let codes: BTreeSet<&'static str> = lint
         .report
         .diagnostics
@@ -62,8 +62,9 @@ fn each_code_has_a_fixture_tripping_exactly_itself() {
 
 /// No stray files: the corpus is exactly one fixture per code, so a
 /// renamed code cannot leave an orphan behind. Subdirectories (the
-/// lexer edge-case corpus) are exempt — the contract governs rule
-/// fixtures, which are all top-level files.
+/// lexer and CFG corpora, the fix pair, the clippy ban package) are
+/// exempt — the contract governs rule fixtures, which are all top-level
+/// files.
 #[test]
 fn fixture_corpus_is_exactly_one_file_per_code() {
     let dir = fixture_path("");
@@ -105,7 +106,7 @@ fn lexer_edge_fixtures_produce_no_spurious_tokens() {
     for name in &names {
         let path = dir.join(name);
         let text = std::fs::read_to_string(&path).expect("fixture readable");
-        let lint = lint_source(name, &text, &all_codes());
+        let lint = lint_source(name, &text);
         assert!(
             lint.report.diagnostics.is_empty(),
             "{name} must lint clean:\n{}",
@@ -171,9 +172,9 @@ fn cfg_corpus_graph_shapes_are_pinned() {
             .iter()
             .filter(|t| !matches!(t.kind, TokKind::Comment { .. }))
             .collect();
-        let parsed = parse_file(&code);
-        assert_eq!(parsed.fns.len(), 1, "{name} holds exactly one fn");
-        let cfg = Cfg::build(&code, parsed.fns[0].body);
+        let fns = parse_file(&code);
+        assert_eq!(fns.len(), 1, "{name} holds exactly one fn");
+        let cfg = Cfg::build(&code, fns[0].body);
         let depth = cfg.blocks.iter().map(|b| b.depth).max().unwrap_or(0);
         assert!(
             cfg.back_edges.iter().all(|e| cfg.edges.contains(e)),
@@ -188,37 +189,4 @@ fn cfg_corpus_graph_shapes_are_pinned() {
         ));
     }
     assert_eq!(actual, pins, "graph shapes drifted");
-}
-
-/// Spot-check spans and entities on the wall-clock fixture (the same
-/// fixture the golden SARIF pin renders, so a drift here points at the
-/// rule rather than the SARIF writer).
-#[test]
-fn wall_clock_fixture_has_token_exact_spans() {
-    let path = fixture_path("wall_clock.rs");
-    let text = std::fs::read_to_string(&path).expect("fixture");
-    let lint = lint_source("tests/fixtures/wall_clock.rs", &text, &all_codes());
-    let entities: Vec<&str> = lint
-        .report
-        .diagnostics
-        .iter()
-        .filter_map(|d| d.entity.as_deref())
-        .collect();
-    assert_eq!(entities, ["Instant::now", "SystemTime"]);
-    let spans: Vec<_> = lint.spans.iter().map(|s| s.expect("spanned")).collect();
-    assert_eq!((spans[0].start_line, spans[0].start_col), (5, 19));
-    assert_eq!(spans[0].end_col, spans[0].start_col + 12);
-    assert_eq!((spans[1].start_line, spans[1].start_col), (6, 17));
-}
-
-/// The hot-path fixture only fires inside the marked function.
-#[test]
-fn hot_path_fixture_spares_the_unmarked_function() {
-    let path = fixture_path("hot_path_alloc.rs");
-    let text = std::fs::read_to_string(&path).expect("fixture");
-    let lint = lint_source("hot_path_alloc.rs", &text, &all_codes());
-    assert_eq!(lint.report.diagnostics.len(), 1);
-    // The marked `decide` body starts on line 9; `cold_copy`'s identical
-    // call on line 5 must stay clean.
-    assert_eq!(lint.spans[0].expect("spanned").start_line, 10);
 }

@@ -1,120 +1,25 @@
 #![allow(clippy::expect_used, clippy::unwrap_used)] // test code
 
-//! Workspace-level contracts for the interprocedural pass: cross-file
-//! hot propagation with rendered call chains, cold barriers, unit-flow
-//! mismatches across files, pool-closure witness chains, and the
-//! `unresolved-budget` directive's exact accounting.
+//! Workspace-level contracts for the call-graph rule: pool-closure
+//! purity with witness chains across files, and ambiguous calls that
+//! could reach impure state.
 
-use eua_lint::{all_codes, lint_sources, WorkspaceLint};
+use eua_lint::{lint_sources, FileLint};
 
-fn ws(sources: &[(&str, &str)]) -> WorkspaceLint {
+fn ws(sources: &[(&str, &str)]) -> Vec<FileLint> {
     let owned: Vec<(String, String)> = sources
         .iter()
         .map(|(p, t)| ((*p).to_string(), (*t).to_string()))
         .collect();
-    lint_sources(&owned, &all_codes())
+    lint_sources(&owned)
 }
 
 /// All `(code, message)` pairs across the workspace, in file order.
-fn findings(lint: &WorkspaceLint) -> Vec<(&'static str, String)> {
-    lint.files
-        .iter()
+fn findings(lint: &[FileLint]) -> Vec<(&'static str, String)> {
+    lint.iter()
         .flat_map(|f| f.report.diagnostics.iter())
         .map(|d| (d.code.as_str(), d.message.clone()))
         .collect()
-}
-
-#[test]
-fn hot_propagation_renders_the_call_chain_across_files() {
-    let lint = ws(&[
-        (
-            "planner.rs",
-            "// eua-lint: hot\n\
-             pub fn plan(xs: &[u64]) -> u64 {\n\
-                 rebuild(xs)\n\
-             }\n",
-        ),
-        (
-            "builder.rs",
-            "pub fn rebuild(xs: &[u64]) -> u64 {\n\
-                 let copy = xs.to_vec();\n\
-                 copy.len() as u64\n\
-             }\n",
-        ),
-    ]);
-    let all = findings(&lint);
-    assert_eq!(all.len(), 1, "{all:?}");
-    let (code, message) = &all[0];
-    assert_eq!(*code, "lint-hot-path-alloc");
-    assert!(
-        message.ends_with("(hot via plan → rebuild)"),
-        "chain not rendered: {message}"
-    );
-    assert_eq!(lint.stats.hot_roots, 1);
-    assert_eq!(lint.stats.hot_reachable, 2);
-    assert!(lint.stats.edges >= 1);
-}
-
-#[test]
-fn cold_barrier_stops_propagation_and_counts_as_used() {
-    let lint = ws(&[
-        (
-            "planner.rs",
-            "// eua-lint: hot\n\
-             pub fn plan(xs: &[u64]) -> u64 {\n\
-                 rebuild(xs)\n\
-             }\n",
-        ),
-        (
-            "builder.rs",
-            "// eua-lint: cold\n\
-             pub fn rebuild(xs: &[u64]) -> u64 {\n\
-                 let copy = xs.to_vec();\n\
-                 copy.len() as u64\n\
-             }\n",
-        ),
-    ]);
-    let all = findings(&lint);
-    assert!(all.is_empty(), "barrier must absorb the heat: {all:?}");
-}
-
-#[test]
-fn stale_cold_barrier_is_reported_unused() {
-    let lint = ws(&[(
-        "builder.rs",
-        "// eua-lint: cold\n\
-         pub fn rebuild(xs: &[u64]) -> u64 {\n\
-             xs.len() as u64\n\
-         }\n",
-    )]);
-    let all = findings(&lint);
-    assert_eq!(all.len(), 1, "{all:?}");
-    assert_eq!(all[0].0, "lint-unused-suppression");
-    assert!(
-        all[0].1.contains("cold barrier never reached"),
-        "{}",
-        all[0].1
-    );
-}
-
-#[test]
-fn unit_flow_mismatch_fires_across_files() {
-    let lint = ws(&[
-        (
-            "governor.rs",
-            "pub fn set_speed(freq_mhz: u64) -> u64 {\n    freq_mhz\n}\n",
-        ),
-        (
-            "engine.rs",
-            "pub fn tick(elapsed_us: u64) -> u64 {\n    set_speed(elapsed_us)\n}\n",
-        ),
-    ]);
-    let all = findings(&lint);
-    assert_eq!(all.len(), 1, "{all:?}");
-    assert_eq!(all[0].0, "lint-unit-flow-mismatch");
-    // The finding lands at the call site, in the caller's file.
-    assert!(lint.files[0].report.diagnostics.is_empty());
-    assert_eq!(lint.files[1].report.diagnostics.len(), 1);
 }
 
 #[test]
@@ -127,63 +32,56 @@ fn pool_closure_witness_chain_crosses_files() {
              }\n",
         ),
         (
-            "clock.rs",
+            "counter.rs",
             "pub fn stamp() -> u64 {\n\
-                 now_raw()\n\
+                 next_tick()\n\
              }\n\
-             fn now_raw() -> u64 {\n\
-                 // eua-lint: allow(lint-wall-clock)\n\
-                 Instant::now().elapsed().as_micros() as u64\n\
+             fn next_tick() -> u64 {\n\
+                 TICKS.with(|t| *t.borrow())\n\
              }\n",
         ),
     ]);
     let all = findings(&lint);
-    let impure: Vec<&(&'static str, String)> = all
-        .iter()
-        .filter(|(c, _)| *c == "lint-pool-closure-impure")
-        .collect();
-    assert_eq!(impure.len(), 1, "{all:?}");
-    assert!(
-        impure[0].1.contains("via stamp → now_raw"),
-        "witness chain not rendered: {}",
-        impure[0].1
-    );
-    // The inline allow on the raw clock read is used (the direct
-    // wall-clock finding is suppressed), so nothing else fires.
     assert_eq!(all.len(), 1, "{all:?}");
+    assert_eq!(all[0].0, "lint-pool-closure-impure");
+    assert!(
+        all[0].1.contains("via stamp → next_tick"),
+        "witness chain not rendered: {}",
+        all[0].1
+    );
+    // The finding lands at the call site, in the closure's file.
+    assert_eq!(lint[0].report.diagnostics.len(), 1);
 }
 
-/// The budget soaks exactly its count of consequential ambiguities; a
-/// surplus budget is itself a finding.
+/// A call the resolver cannot pin to one function still counts against
+/// the closure's purity when any candidate is impure.
 #[test]
-fn unresolved_budget_soaks_and_surplus_is_reported() {
+fn ambiguous_call_with_an_impure_candidate_is_impure() {
     let body = "struct Alpha { n: u64 }\n\
-                struct Beta { data: Vec<u64> }\n\
+                struct Beta { hits: RefCell<u64> }\n\
                 impl Alpha {\n\
-                    fn refresh(&mut self) { self.n += 1; }\n\
+                    fn refresh(&self) -> u64 { self.n }\n\
                 }\n\
                 impl Beta {\n\
-                    fn refresh(&mut self) -> Vec<u64> { self.data.to_vec() }\n\
+                    fn refresh(&self) -> u64 { *self.hits.borrow() }\n\
                 }\n\
-                // eua-lint: hot\n\
-                pub fn plan(widget: &mut Beta) -> u64 {\n\
-                    widget.refresh();\n\
-                    2\n\
+                pub fn sweep(cells: Vec<u64>, widget: &Alpha) -> Vec<u64> {\n\
+                    map_parallel(cells, |seed| seed + widget.refresh())\n\
                 }\n";
-
-    let bare = ws(&[("amb.rs", body)]);
-    let all = findings(&bare);
+    let lint = ws(&[("amb.rs", body)]);
+    let all = findings(&lint);
     assert_eq!(all.len(), 1, "{all:?}");
-    assert_eq!(all[0].0, "lint-unresolved-call");
-
-    let budgeted = format!("// eua-lint: unresolved-budget(1)\n{body}");
-    let soaked = ws(&[("amb.rs", &budgeted)]);
-    assert!(findings(&soaked).is_empty(), "{:?}", findings(&soaked));
-
-    let surplus = format!("// eua-lint: unresolved-budget(2)\n{body}");
-    let over = ws(&[("amb.rs", &surplus)]);
-    let all = findings(&over);
-    assert_eq!(all.len(), 1, "{all:?}");
-    assert_eq!(all[0].0, "lint-unused-suppression");
-    assert!(all[0].1.contains("exceeds"), "{}", all[0].1);
+    assert_eq!(all[0].0, "lint-pool-closure-impure");
+    assert!(
+        all[0]
+            .1
+            .contains("may reach (`refresh` is ambiguous: 2 candidates)"),
+        "{}",
+        all[0].1
+    );
+    assert!(all[0].1.contains("via Beta::refresh"), "{}", all[0].1);
+    assert_eq!(
+        lint[0].report.diagnostics[0].entity.as_deref(),
+        Some("Beta::refresh")
+    );
 }

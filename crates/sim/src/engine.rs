@@ -384,7 +384,6 @@ pub(crate) struct PreparedRun {
 
 // Per-run setup: traces, frequency table, and certificate skeleton are
 // built once before the first event, never per event.
-// eua-lint: cold
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn prepare_run<P: SchedulerPolicy + ?Sized>(
     tasks: &TaskSet,
@@ -539,7 +538,6 @@ struct EngineState<'a> {
 impl<'a> EngineState<'a> {
     // Per-run state construction (arena, calendar, metrics buffers):
     // allocates once, before the event loop starts.
-    // eua-lint: cold
     fn new(
         tasks: &'a TaskSet,
         platform: &'a Platform,
@@ -842,7 +840,6 @@ impl<'a> EngineState<'a> {
     /// ones later discarded by a costly-abort clock jump, which were
     /// still valid when taken. Cold by construction: recording allocates,
     /// so it lives outside the `// eua-lint: hot` loop body.
-    // eua-lint: cold
     fn record_decision<P: SchedulerPolicy + ?Sized>(
         &mut self,
         event: SchedEvent,

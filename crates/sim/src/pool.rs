@@ -23,7 +23,7 @@
 //!   the siblings' completed work.
 //!
 //! This is the only module in the workspace allowed to spawn threads;
-//! `ci.sh` greps for `thread::spawn`/`thread::scope` elsewhere.
+//! `clippy.toml` bans `std::thread::{spawn, scope}` everywhere else.
 
 use std::any::Any;
 use std::fmt;
@@ -196,9 +196,10 @@ where
     let queue = Mutex::new(items.into_iter().enumerate());
     let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
     let mut panics: Vec<(usize, String, String)> = Vec::new();
-    // This is the one sanctioned raw-thread site in the workspace: the
-    // pool everything else is required to route through.
-    // eua-lint: allow(lint-thread-spawn)
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the one sanctioned raw-thread site: the pool everything else routes through"
+    )]
     thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {

@@ -227,8 +227,7 @@ struct ReferenceState<'a> {
 impl ReferenceState<'_> {
     // The preserved pre-overhaul loop: it allocates per event by design
     // and exists only as the differential oracle for the production
-    // engine, so heat must not flow into it.
-    // eua-lint: cold
+    // engine.
     fn run_loop<P: SchedulerPolicy + ?Sized>(&mut self, policy: &mut P) -> Result<(), SimError> {
         let mut event = SchedEvent::Start;
         loop {
