@@ -223,6 +223,23 @@ struct PoolClosure {
     body: (usize, usize),
 }
 
+/// The functions the workspace analysis sees, tagged by file index: the
+/// call graph's nodes and the seed-taint scan's scope. Test-module
+/// items share names with production code (mock policies, fixture
+/// builders); keeping them out keeps candidate sets honest.
+pub(crate) fn graph_fns<'a>(files: &'a [FileInput<'a>]) -> Vec<(usize, &'a FnItem)> {
+    files
+        .iter()
+        .enumerate()
+        .flat_map(|(fi, file)| {
+            file.fns
+                .iter()
+                .filter(|f| !f.in_test_mod)
+                .map(move |f| (fi, f))
+        })
+        .collect()
+}
+
 /// The flattened workspace function table with resolution indexes.
 struct Table<'a> {
     /// `(file, fn)` per global id.
@@ -235,32 +252,22 @@ struct Table<'a> {
 impl<'a> Table<'a> {
     fn build(files: &'a [FileInput<'a>]) -> Self {
         let mut t = Table {
-            items: Vec::new(),
+            items: graph_fns(files),
             methods: BTreeMap::new(),
             assoc: BTreeMap::new(),
             free: BTreeMap::new(),
         };
-        for (fi, file) in files.iter().enumerate() {
-            for f in file.fns {
-                // Test-module items share names with production code
-                // (mock policies, fixture builders); keeping them out
-                // keeps candidate sets honest.
-                if f.in_test_mod {
-                    continue;
-                }
-                let g = t.items.len();
-                t.items.push((fi, f));
-                if f.has_self {
-                    t.methods.entry(f.name.as_str()).or_default().push(g);
-                }
-                match &f.self_type {
-                    Some(ty) => t
-                        .assoc
-                        .entry((ty.as_str(), f.name.as_str()))
-                        .or_default()
-                        .push(g),
-                    None => t.free.entry(f.name.as_str()).or_default().push(g),
-                }
+        for (g, &(_, f)) in t.items.iter().enumerate() {
+            if f.has_self {
+                t.methods.entry(f.name.as_str()).or_default().push(g);
+            }
+            match &f.self_type {
+                Some(ty) => t
+                    .assoc
+                    .entry((ty.as_str(), f.name.as_str()))
+                    .or_default()
+                    .push(g),
+                None => t.free.entry(f.name.as_str()).or_default().push(g),
             }
         }
         t
@@ -569,7 +576,8 @@ pub fn analyze(files: &[FileInput<'_>]) -> Vec<(usize, Finding)> {
             )
         })
         .collect();
-    out.extend(taint::scan(files, &oracle));
+    let (unproven, _sites) = taint::scan(files, &table.items, &oracle);
+    out.extend(unproven);
     out
 }
 

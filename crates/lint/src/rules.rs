@@ -354,15 +354,11 @@ fn loop_alloc(
         };
         let depth = depth_at(loop_depth, i);
         let hot = hot_bodies.iter().any(|&(s, e)| i >= s && i < e);
-        let message = if hot && depth == 0 {
-            "allocating call inside a `// eua-lint: hot` function: hoist the buffer \
-             into the owning struct and reuse it across events (see ScheduleBuilder)"
-                .to_string()
-        } else if hot {
+        let message = if hot {
             format!(
-                "allocating call at loop depth {depth} inside a hot function: \
-                 every iteration of every event pays the allocator; hoist the \
-                 buffer out of the loop and reuse it"
+                "allocating call at loop depth {depth} inside a `// eua-lint: hot` \
+                 function: every event pays the allocator; hoist the buffer into \
+                 the owning struct and reuse it (see ScheduleBuilder)"
             )
         } else if depth >= 2 && !escapes_iteration(code, i, loop_depth) {
             format!(
@@ -462,6 +458,11 @@ mod tests {
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].code, DiagCode::LintLoopAlloc);
         assert!(hits[0].span.start_col > 40, "the hit is in the marked fn");
+        assert!(
+            hits[0].message.contains("loop depth 0"),
+            "{}",
+            hits[0].message
+        );
     }
 
     #[test]

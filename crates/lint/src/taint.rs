@@ -354,17 +354,27 @@ fn site_at(code: &[&Tok<'_>], j: usize) -> bool {
             .is_some_and(|n| n.kind == TokKind::Open && n.text == "(")
 }
 
-/// Scans every non-test function for `seed_from_u64` sites and judges
-/// each argument expression, returning the unproven sites tagged by
-/// file.
-pub(crate) fn scan(files: &[FileInput<'_>], oracle: &CallOracle) -> Vec<(usize, Finding)> {
+/// Scans every listed function (the call graph's nodes, see
+/// [`crate::callgraph::graph_fns`]) for `seed_from_u64` sites and
+/// judges each argument expression. Returns the unproven sites, tagged
+/// by file, plus the number of sites judged.
+pub(crate) fn scan(
+    files: &[FileInput<'_>],
+    fns: &[(usize, &FnItem)],
+    oracle: &CallOracle,
+) -> (Vec<(usize, Finding)>, usize) {
     let mut out = Vec::new();
+    let mut sites = 0usize;
     for (fi, file) in files.iter().enumerate() {
         let code = file.code;
         if !code.iter().any(|t| t.is_ident("seed_from_u64")) {
             continue;
         }
-        let in_file: Vec<&FnItem> = file.fns.iter().filter(|f| !f.in_test_mod).collect();
+        let in_file: Vec<&FnItem> = fns
+            .iter()
+            .filter(|(f, _)| *f == fi)
+            .map(|(_, item)| *item)
+            .collect();
         // Innermost owner per token, so a nested function's sites are
         // judged under its own environment.
         let mut owner = vec![usize::MAX; code.len()];
@@ -407,6 +417,7 @@ pub(crate) fn scan(files: &[FileInput<'_>], oracle: &CallOracle) -> Vec<(usize, 
                     if owner.get(j) == Some(&k) && site_at(code, j) {
                         let close = match_bracket(code, j + 1);
                         let (taint, notes) = combine(code, fi, j + 2..close, &env, oracle);
+                        sites += 1;
                         if taint != Taint::Seed {
                             let joined = notes.join("; ");
                             let why: &str = if joined.is_empty() {
@@ -436,21 +447,23 @@ pub(crate) fn scan(files: &[FileInput<'_>], oracle: &CallOracle) -> Vec<(usize, 
             }
         }
     }
-    out
+    (out, sites)
 }
 
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used)]
     use super::*;
+    use crate::callgraph::graph_fns;
     use crate::lexer::lex;
     use crate::parser::parse_file;
 
-    fn run(src: &str) -> Vec<Finding> {
+    /// The unproven sites and the number of sites judged.
+    fn run(src: &str) -> (Vec<Finding>, usize) {
         run_with(src, &CallOracle::new())
     }
 
-    fn run_with(src: &str, oracle: &CallOracle) -> Vec<Finding> {
+    fn run_with(src: &str, oracle: &CallOracle) -> (Vec<Finding>, usize) {
         let toks = lex(src);
         let code: Vec<&Tok<'_>> = toks
             .iter()
@@ -461,20 +474,22 @@ mod tests {
             code: &code,
             fns: &fns,
         }];
-        scan(&files, oracle).into_iter().map(|(_, f)| f).collect()
+        let (tagged, sites) = scan(&files, &graph_fns(&files), oracle);
+        (tagged.into_iter().map(|(_, f)| f).collect(), sites)
     }
 
     #[test]
     fn salted_master_seed_is_proven() {
-        let hits = run("fn mk(seed: u64) -> SmallRng { SmallRng::seed_from_u64(seed ^ SALT) }");
-        assert!(hits.is_empty(), "{hits:?}");
+        let (hits, sites) =
+            run("fn mk(seed: u64) -> SmallRng { SmallRng::seed_from_u64(seed ^ SALT) }");
+        assert_eq!((sites, hits.len()), (1, 0), "{hits:?}");
     }
 
     #[test]
     fn literal_seeds_and_constant_mixes_are_proven() {
-        let hits = run("fn mk() -> SmallRng { SmallRng::seed_from_u64(12345) }\n\
+        let (hits, sites) = run("fn mk() -> SmallRng { SmallRng::seed_from_u64(12345) }\n\
              fn mk2() -> SmallRng { SmallRng::seed_from_u64(GOLDEN ^ 7) }");
-        assert!(hits.is_empty(), "{hits:?}");
+        assert_eq!((sites, hits.len()), (2, 0), "{hits:?}");
     }
 
     #[test]
@@ -483,14 +498,15 @@ mod tests {
                    let stream = master_seed.wrapping_mul(0x9E37).wrapping_add(lane);\n\
                    SmallRng::seed_from_u64(stream)\n\
                    }";
-        let hits = run(src);
-        assert!(hits.is_empty(), "{hits:?}");
+        let (hits, sites) = run(src);
+        assert_eq!((sites, hits.len()), (1, 0), "{hits:?}");
     }
 
     #[test]
     fn unknown_ingredients_fail_the_proof_with_a_witness() {
-        let hits = run("fn mk(jitter: u64) -> SmallRng { SmallRng::seed_from_u64(jitter) }");
-        assert_eq!(hits.len(), 1);
+        let (hits, sites) =
+            run("fn mk(jitter: u64) -> SmallRng { SmallRng::seed_from_u64(jitter) }");
+        assert_eq!((sites, hits.len()), (1, 1), "{hits:?}");
         assert_eq!(hits[0].code, DiagCode::LintSeedTaint);
         assert!(
             hits[0]
@@ -507,8 +523,8 @@ mod tests {
                    let s = seed ^ rand::random();\n\
                    SmallRng::seed_from_u64(s)\n\
                    }";
-        let hits = run(src);
-        assert_eq!(hits.len(), 1);
+        let (hits, sites) = run(src);
+        assert_eq!((sites, hits.len()), (1, 1), "{hits:?}");
         assert!(hits[0].message.contains("entropy"), "{}", hits[0].message);
     }
 
@@ -516,11 +532,11 @@ mod tests {
     fn field_reads_and_index_selectors_judge_the_right_ident() {
         // `cfg.seed` proves via the field; `seeds[i]` ignores the
         // selector and proves via the collection.
-        let hits = run(
+        let (hits, sites) = run(
             "fn a(cfg: &Config) -> SmallRng { SmallRng::seed_from_u64(cfg.seed) }\n\
              fn b(seeds: &[u64], i: usize) -> SmallRng { SmallRng::seed_from_u64(seeds[i]) }",
         );
-        assert!(hits.is_empty(), "{hits:?}");
+        assert_eq!((sites, hits.len()), (2, 0), "{hits:?}");
     }
 
     #[test]
@@ -532,8 +548,8 @@ mod tests {
                    if c { s = w; }\n\
                    SmallRng::seed_from_u64(s)\n\
                    }";
-        let hits = run(src);
-        assert_eq!(hits.len(), 1, "{hits:?}");
+        let (hits, sites) = run(src);
+        assert_eq!((sites, hits.len()), (1, 1), "{hits:?}");
     }
 
     #[test]
@@ -552,8 +568,8 @@ mod tests {
                 entropy: Some("fresh_word → thread_rng".into()),
             },
         );
-        let hits = run_with(src, &oracle);
-        assert_eq!(hits.len(), 1);
+        let (hits, sites) = run_with(src, &oracle);
+        assert_eq!((sites, hits.len()), (1, 1), "{hits:?}");
         assert!(
             hits[0].message.contains("fresh_word → thread_rng"),
             "{}",
@@ -563,9 +579,9 @@ mod tests {
 
     #[test]
     fn test_mod_sites_are_not_scanned() {
-        let hits = run(
+        let (hits, sites) = run(
             "#[cfg(test)] mod tests { fn mk(x: u64) -> SmallRng { SmallRng::seed_from_u64(x) } }",
         );
-        assert!(hits.is_empty(), "{hits:?}");
+        assert_eq!((sites, hits.len()), (0, 0), "{hits:?}");
     }
 }
