@@ -96,10 +96,11 @@ cargo test -q -p eua-core --features eua-sim/invariant-checks \
   --test schedule_differential
 
 step "engine differential suite (both feature states)"
-# The production event loop (calendar queue, arena job state,
+# The production event loop (live table, ordered termination set,
 # incremental score cache — DESIGN.md §14) vs the preserved
 # pre-overhaul reference loop: byte-identical certificates and equal
-# outcomes across policies, fault plans, and seeds.
+# outcomes across policies, fault plans, and seeds, plus fixed pins
+# that include a 64-pending overload backlog.
 EUA_ENGINE_DIFF_CASES=8 cargo test -q -p eua-core --test engine_differential
 EUA_ENGINE_DIFF_CASES=8 cargo test -q -p eua-core \
   --features eua-sim/invariant-checks --test engine_differential
@@ -179,6 +180,13 @@ step "simulator_throughput bench smoke"
 # throughput benches (the BENCH_engine.json harness) build and run.
 EUA_BENCH_SMOKE=1 cargo bench -q -p eua-bench \
   --bench simulator_throughput >/dev/null
+
+step "benchmark package tests (perf/)"
+# perf/ is a workspace of its own that builds against crates/* by path,
+# so nothing above compiles it. Its tests check that traced and
+# untraced runs give the same digest on every workload, and that its
+# policy wrappers keep certificates byte-identical.
+cargo test --release --offline -q --manifest-path perf/Cargo.toml
 
 step "overload fallback bench guard (ignored timing test, scaling shape)"
 # Pins the schedule builder's O(n²) overload fallback to at-worst

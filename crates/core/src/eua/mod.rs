@@ -8,7 +8,7 @@ use eua_sim::{
     SchedulerPolicy, TaskId, UerEntry,
 };
 
-use crate::candidates::{build_schedule_reference, Candidate, InsertionMode, ScheduleBuilder};
+use crate::candidates::{Candidate, InsertionMode, ScheduleBuilder};
 use crate::score::ScoreCache;
 use decide_freq::LookAheadDvs;
 
@@ -30,11 +30,6 @@ pub struct EuaOptions {
     pub uer_clamp: bool,
     /// Greedy insertion behaviour on an infeasible insertion.
     pub insertion: InsertionMode,
-    /// Construct schedules with the naive [`build_schedule_reference`]
-    /// oracle instead of the incremental [`ScheduleBuilder`]. Slower and
-    /// semantically identical — exists so certificate tests can force both
-    /// construction paths through the same audit.
-    pub reference_builder: bool,
 }
 
 impl Default for EuaOptions {
@@ -44,7 +39,6 @@ impl Default for EuaOptions {
             abort_infeasible: true,
             uer_clamp: true,
             insertion: InsertionMode::BreakOnInfeasible,
-            reference_builder: false,
         }
     }
 }
@@ -85,8 +79,6 @@ pub struct Eua {
     /// Reused abort scratch; taken (and thus only reallocated on events
     /// that actually abort) when handed to the engine.
     abort_buf: Vec<eua_sim::JobId>,
-    /// Schedule storage for [`EuaOptions::reference_builder`] mode.
-    reference_schedule: Vec<Candidate>,
     /// Whether the engine asked for per-decision explanations.
     certifying: bool,
     /// The explanation of the most recent decision, while certifying.
@@ -125,7 +117,6 @@ impl Eua {
             cand_buf: Vec::new(),
             cache: ScoreCache::default(),
             abort_buf: Vec::new(),
-            reference_schedule: Vec::new(),
             certifying: false,
             explanation: None,
         }
@@ -230,14 +221,8 @@ impl Eua {
 
         // Lines 12–18: greedy UER-ordered construction of a feasible
         // critical-time-ordered schedule.
-        if self.options.reference_builder {
-            let cands = std::mem::take(&mut self.cand_buf);
-            self.reference_schedule =
-                build_schedule_reference(ctx.now, cands, f_m, self.options.insertion);
-        } else {
-            self.builder
-                .rebuild(ctx.now, &mut self.cand_buf, f_m, self.options.insertion);
-        }
+        self.builder
+            .rebuild(ctx.now, &mut self.cand_buf, f_m, self.options.insertion);
 
         if let Some(expl) = expl.as_mut() {
             expl.skip_infeasible = self.options.insertion == InsertionMode::SkipInfeasible;
@@ -258,11 +243,7 @@ impl Eua {
 
     /// The schedule built by the most recent [`Eua::plan`] call.
     pub(crate) fn planned(&self) -> &[Candidate] {
-        if self.options.reference_builder {
-            &self.reference_schedule
-        } else {
-            self.builder.schedule()
-        }
+        self.builder.schedule()
     }
 }
 

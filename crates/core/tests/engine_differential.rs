@@ -1,10 +1,12 @@
 #![allow(clippy::expect_used, clippy::unwrap_used)] // test code: panicking on bad setup is the point
 
 //! Differential suite for the engine-throughput overhaul: the production
-//! event loop (calendar event queue, arena job state, incremental policy
-//! views — DESIGN.md §14) must be **byte-identical** to the preserved
-//! pre-overhaul loop (`Engine::run_*_reference`) on arbitrary workloads,
-//! across every policy family, with and without fault injection.
+//! event loop (an incrementally maintained live table that is also the
+//! policy view, batched abort waves, and an ordered termination set —
+//! DESIGN.md §14) must be **byte-identical** to the preserved
+//! pre-overhaul loop (`Engine::run_with_faults_reference`) on arbitrary
+//! workloads, across every policy family, with and without fault
+//! injection.
 //!
 //! "Byte-identical" is checked at full strength: the two outcomes must
 //! compare equal (metrics, per-job records, traces, fault stats) and the
@@ -73,8 +75,9 @@ struct WorkloadParams {
 }
 
 /// 1–4 tasks spanning underload through heavy overload, window bursts
-/// included (the interesting regimes for abort waves and calendar
-/// churn).
+/// included (the interesting regimes for abort waves and termination-set
+/// churn). These hold at most about 15 live jobs; the deep-backlog pin
+/// below covers 64.
 fn arb_workload() -> impl Strategy<Value = WorkloadParams> {
     proptest::collection::vec(
         (
@@ -232,5 +235,45 @@ fn termination_tie_waves_match_reference() {
         // naive wave implementation diverges first.
         assert_differential(&tasks, &patterns, name, &plan_for(1), 7, 150);
         assert_differential(&tasks, &patterns, name, &FaultPlan::none(), 7, 150);
+    }
+}
+
+/// The `simulate_backlog` shape of the `simulator_throughput` bench: `n`
+/// phase-staggered tasks, one arrival per 40 ms window each, at
+/// aggregate load 2.0, so about `n` jobs are pending at every decision.
+fn backlog_workload(n: usize) -> (TaskSet, Vec<ArrivalPattern>) {
+    let window = ms(40);
+    let cycles = (2 * window.as_micros() * 100) as f64 / n as f64;
+    let tasks = (0..n)
+        .map(|i| {
+            Task::new(
+                format!("b{i}"),
+                Tuf::step(1.0 + (i % 7) as f64, window).unwrap(),
+                UamSpec::new(1, window).unwrap(),
+                DemandModel::deterministic(cycles).unwrap(),
+                Assurance::new(1.0, 0.5).unwrap(),
+            )
+            .unwrap()
+        })
+        .collect();
+    let patterns = (0..n)
+        .map(|i| {
+            let phase = TimeDelta::from_micros(window.as_micros() * i as u64 / n as u64);
+            ArrivalPattern::periodic_with_phase(window, phase).unwrap()
+        })
+        .collect();
+    (TaskSet::new(tasks).unwrap(), patterns)
+}
+
+/// Deep-backlog pin: 64 pending jobs, where tombstone compaction,
+/// binary-search lookups and termination-set removals run far past the
+/// generated workloads' depth.
+#[test]
+fn deep_backlog_matches_reference() {
+    let (tasks, patterns) = backlog_workload(64);
+    for name in ["eua", "dasa", "edf"] {
+        for intensity in 0..2 {
+            assert_differential(&tasks, &patterns, name, &plan_for(intensity), 9, 200);
+        }
     }
 }

@@ -1,13 +1,13 @@
 //! The discrete-event simulation engine.
 
+use std::collections::BTreeSet;
+
 use eua_platform::{Cycles, Frequency, SimTime, TimeDelta};
 use eua_uam::generator::ArrivalPattern;
 use eua_uam::ArrivalTrace;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::arena::{JobArena, JobMeta, JobRef};
-use crate::calendar::TerminationCalendar;
 use crate::certificate::{
     ChargeKind, ChargeRecord, EventRecord, JobSnapshot, RunCertificate, TaskDecl,
 };
@@ -292,32 +292,6 @@ impl Engine {
         config: &SimConfig,
         seed: u64,
     ) -> Result<Outcome, SimError> {
-        Self::run_traces_with_faults(
-            tasks,
-            traces,
-            platform,
-            policy,
-            config,
-            seed,
-            &FaultPlan::none(),
-        )
-    }
-
-    /// [`Engine::run_with_traces`] with a [`FaultPlan`] injected; the
-    /// supplied traces are perturbed exactly like generated ones.
-    ///
-    /// # Errors
-    ///
-    /// As [`Engine::run_with_faults`].
-    pub fn run_traces_with_faults<P: SchedulerPolicy + ?Sized>(
-        tasks: &TaskSet,
-        traces: &[ArrivalTrace],
-        platform: &Platform,
-        policy: &mut P,
-        config: &SimConfig,
-        seed: u64,
-        plan: &FaultPlan,
-    ) -> Result<Outcome, SimError> {
         if traces.len() != tasks.len() {
             return Err(SimError::PatternCountMismatch {
                 tasks: tasks.len(),
@@ -326,15 +300,23 @@ impl Engine {
         }
         let mut rng = SmallRng::seed_from_u64(seed);
         Self::run_core(
-            tasks, traces, platform, policy, config, &mut rng, seed, plan,
+            tasks,
+            traces,
+            platform,
+            policy,
+            config,
+            &mut rng,
+            seed,
+            &FaultPlan::none(),
         )
     }
 
-    /// The production event loop: calendar event queue, arena job state,
-    /// and an incrementally maintained policy view (DESIGN.md §14). The
-    /// pre-overhaul loop is preserved in [`crate::reference`] and runs
-    /// over the same [`PreparedRun`]; the `engine_differential` suite
-    /// pins the two to byte-identical certificates.
+    /// The production event loop: an arrival-ordered live table that is
+    /// also the policy's view, and an ordered set of live terminations
+    /// (DESIGN.md §14). The pre-overhaul loop is preserved in
+    /// [`crate::reference`] and runs over the same [`PreparedRun`]; the
+    /// `engine_differential` suite pins the two to byte-identical
+    /// certificates.
     // eua-lint: hot
     #[allow(clippy::too_many_arguments)]
     fn run_core<P: SchedulerPolicy + ?Sized>(
@@ -503,19 +485,18 @@ struct EngineState<'a> {
     cursor: usize,
     next_job_id: u64,
     now: SimTime,
-    /// Slot storage for every live job's fields.
-    arena: JobArena,
-    /// Live jobs in arrival (= id) order; lockstep with `views`.
-    order: Vec<JobRef>,
-    /// The policy-facing projection of `order`, maintained incrementally:
-    /// only a dispatched job's `remaining`/`executed` ever change, so the
-    /// old per-event collect is replaced by one in-place update.
+    /// Live jobs in arrival (= id) order, exactly as the policy sees
+    /// them. Maintained incrementally: only a dispatched job's
+    /// `remaining`/`executed` ever change, so no per-event collect runs.
     views: Vec<JobView>,
-    /// Tombstones in `order`/`views` awaiting `compact` (an abort wave
+    /// Lockstep with `views`: what the policy must not see.
+    hidden: Vec<Hidden>,
+    /// Tombstones in `views`/`hidden` awaiting `compact` (an abort wave
     /// marks in place and compacts once).
     dead: usize,
-    /// Live termination times, for O(1) earliest-event queries.
-    calendar: TerminationCalendar,
+    /// Every live job's `(termination, id)`; the first entry is the
+    /// earliest live termination.
+    terminations: BTreeSet<(SimTime, JobId)>,
     running: Option<JobId>,
     last_freq: Option<Frequency>,
     /// The surviving frequency set under a DVS degradation fault.
@@ -535,8 +516,24 @@ struct EngineState<'a> {
     invariants: InvariantChecker,
 }
 
+/// The engine-only half of a live job, lockstep with its [`JobView`].
+#[derive(Debug, Clone, Copy)]
+struct Hidden {
+    /// The sampled actual demand.
+    actual: Cycles,
+    /// Tombstone: the job died in the current wave and awaits `compact`.
+    dead: bool,
+}
+
+/// What the scheduler believes remains: the allocation minus executed
+/// cycles, floored at one cycle while the job is actually incomplete
+/// (the scheduler cannot observe the overrun's true size).
+fn believed_remaining(allocation: Cycles, executed: Cycles) -> Cycles {
+    allocation.saturating_sub(executed).max(Cycles::new(1))
+}
+
 impl<'a> EngineState<'a> {
-    // Per-run state construction (arena, calendar, metrics buffers):
+    // Per-run state construction (live table, metrics buffers):
     // allocates once, before the event loop starts.
     fn new(
         tasks: &'a TaskSet,
@@ -556,11 +553,10 @@ impl<'a> EngineState<'a> {
             cursor: 0,
             next_job_id: 0,
             now: SimTime::ZERO,
-            arena: JobArena::new(),
-            order: Vec::new(),
             views: Vec::new(),
+            hidden: Vec::new(),
             dead: 0,
-            calendar: TerminationCalendar::new(),
+            terminations: BTreeSet::new(),
             running: None,
             last_freq: None,
             degraded: prep.degraded,
@@ -606,7 +602,7 @@ impl<'a> EngineState<'a> {
                 break;
             }
             // 4. Fast-forward through idle gaps.
-            if self.order.is_empty() {
+            if self.views.is_empty() {
                 match self.arrivals.get(self.cursor) {
                     Some(&(t, _)) => {
                         let stop = t.min(self.horizon_end);
@@ -741,31 +737,34 @@ impl<'a> EngineState<'a> {
             self.running = Some(run_id);
 
             // 7. Execute until the next event.
-            let r = self.order[job_idx];
+            let actual_remaining = self.hidden[job_idx]
+                .actual
+                .saturating_sub(self.views[job_idx].executed);
             let completion_at = self
                 .now
-                .saturating_add(freq.execution_time(self.arena.actual_remaining(r)));
+                .saturating_add(freq.execution_time(actual_remaining));
             self.invariants.executing(run_id);
             let next = self.next_passive_event().min(completion_at).max(self.now);
             let delta = next - self.now;
-            let cycles = freq.cycles_in(delta).min(self.arena.actual_remaining(r));
-            self.arena.add_executed(r, cycles);
+            let cycles = freq.cycles_in(delta).min(actual_remaining);
             // The dispatched job is the only live job whose view fields
             // can change between events.
-            self.views[job_idx].remaining = self.arena.believed_remaining(r);
-            self.views[job_idx].executed = self.arena.executed(r);
+            let job = &mut self.views[job_idx];
+            job.executed += cycles;
+            job.remaining =
+                believed_remaining(self.tasks.task(job.task).allocation(), job.executed);
+            let (job_id, task_id) = (job.id, job.task);
+            let completed = cycles == actual_remaining;
             let charge = self.platform.energy().energy_for(cycles, freq);
             self.invariants.energy_charge(charge);
             self.metrics.energy += charge;
             self.metrics.busy_time += delta;
             self.metrics.add_residency(freq.as_mhz(), delta);
-            let completed = self.arena.actual_remaining(r).is_zero();
-            let m = self.arena.meta(r);
             self.record_charge(ChargeKind::Execute, freq.as_mhz(), cycles, delta, charge);
             if let Some(trace) = self.trace.as_mut() {
                 trace.push_segment(Segment {
-                    job: m.id,
-                    task: m.task,
+                    job: job_id,
+                    task: task_id,
                     start: self.now,
                     end: next,
                     frequency: freq,
@@ -775,19 +774,18 @@ impl<'a> EngineState<'a> {
             self.now = next;
             if completed {
                 self.complete_at(job_idx);
-                event = SchedEvent::Completion(m.id);
+                event = SchedEvent::Completion(job_id);
             }
         }
         // Anything still live at the horizon is unfinished.
         if let Some(records) = self.records.as_mut() {
-            for &r in &self.order {
-                let m = self.arena.meta(r);
+            for (job, hidden) in self.views.iter().zip(&self.hidden) {
                 records.push(JobRecord {
-                    id: m.id,
-                    task: m.task,
-                    arrival: m.arrival,
-                    actual_demand: self.arena.actual(r),
-                    executed: self.arena.executed(r),
+                    id: job.id,
+                    task: job.task,
+                    arrival: job.arrival,
+                    actual_demand: hidden.actual,
+                    executed: job.executed,
                     outcome: JobOutcome::Unfinished,
                 });
             }
@@ -861,50 +859,55 @@ impl<'a> EngineState<'a> {
     }
 
     /// The earliest upcoming event the engine controls: an arrival, a
-    /// termination expiry, or the horizon itself. O(1): the arrival
-    /// stream is cursor-ordered and the calendar caches its minimum.
+    /// termination expiry, or the horizon itself. The arrival stream is
+    /// cursor-ordered and the termination set is ordered, so both are a
+    /// first-element read.
     // eua-lint: hot
-    fn next_passive_event(&mut self) -> SimTime {
+    fn next_passive_event(&self) -> SimTime {
         let next_arrival = self
             .arrivals
             .get(self.cursor)
             .map_or(SimTime::MAX, |&(t, _)| t);
-        let next_termination = self.calendar.earliest().unwrap_or(SimTime::MAX);
+        let next_termination = self.terminations.first().map_or(SimTime::MAX, |&(t, _)| t);
         next_arrival.min(next_termination).min(self.horizon_end)
     }
 
-    /// The position of `id` in `views`/`order`, dead or alive: ids are
-    /// assigned in arrival order and `views` preserves it, so this is a
-    /// binary search.
-    #[inline]
-    fn find_index(&self, id: JobId) -> Option<usize> {
-        self.views.binary_search_by(|v| v.id.cmp(&id)).ok()
-    }
-
-    /// As [`EngineState::find_index`], but only for live jobs.
+    /// The position of live job `id` in `views`: ids are assigned in
+    /// arrival order and `views` preserves it, so this is a binary
+    /// search. A tombstoned entry counts as absent.
     #[inline]
     fn find_live(&self, id: JobId) -> Option<usize> {
-        let idx = self.find_index(id)?;
-        self.arena.is_live(self.order[idx]).then_some(idx)
+        let idx = self.views.binary_search_by(|v| v.id.cmp(&id)).ok()?;
+        (!self.hidden[idx].dead).then_some(idx)
     }
 
-    /// Drops every tombstoned entry from `order`/`views` in one pass,
+    /// Marks the job at `idx` dead in place and drops its termination
+    /// from the live set, returning its view and actual demand. The
+    /// caller owns the wave's final `compact`.
+    fn tombstone(&mut self, idx: usize) -> (JobView, Cycles) {
+        let job = self.views[idx];
+        self.terminations.remove(&(job.termination, job.id));
+        self.hidden[idx].dead = true;
+        self.dead += 1;
+        (job, self.hidden[idx].actual)
+    }
+
+    /// Drops every tombstoned entry from `views`/`hidden` in one pass,
     /// preserving arrival order.
     fn compact(&mut self) {
         if self.dead == 0 {
             return;
         }
         let mut w = 0;
-        for i in 0..self.order.len() {
-            let r = self.order[i];
-            if self.arena.is_live(r) {
-                self.order[w] = r;
+        for i in 0..self.views.len() {
+            if !self.hidden[i].dead {
                 self.views[w] = self.views[i];
+                self.hidden[w] = self.hidden[i];
                 w += 1;
             }
         }
-        self.order.truncate(w);
         self.views.truncate(w);
+        self.hidden.truncate(w);
         self.dead = 0;
     }
 
@@ -934,27 +937,19 @@ impl<'a> EngineState<'a> {
             self.next_job_id += 1;
             let critical = t.saturating_add(task.critical_offset());
             let termination = t.saturating_add(task.termination_offset());
-            let r = self.arena.insert(
-                JobMeta {
-                    id,
-                    task: tid,
-                    arrival: t,
-                    critical,
-                },
-                termination,
-                actual,
-                task.allocation(),
-            );
-            self.calendar.insert(termination, r.slot());
-            self.order.push(r);
+            self.terminations.insert((termination, id));
             self.views.push(JobView {
                 id,
                 task: tid,
                 arrival: t,
                 critical_time: critical,
                 termination,
-                remaining: self.arena.believed_remaining(r),
+                remaining: believed_remaining(task.allocation(), Cycles::ZERO),
                 executed: Cycles::ZERO,
+            });
+            self.hidden.push(Hidden {
+                actual,
+                dead: false,
             });
             let tm = &mut self.metrics.per_task[tid.index()];
             tm.arrived += 1;
@@ -982,24 +977,22 @@ impl<'a> EngineState<'a> {
     /// Returns one of the aborted ids for event labelling.
     // eua-lint: hot
     fn abort_overdue(&mut self) -> Option<JobId> {
-        // O(1) fast path: nothing is overdue unless the earliest live
+        // Fast path: nothing is overdue unless the earliest live
         // termination has been reached.
-        match self.calendar.earliest() {
-            Some(t) if t <= self.now => {}
+        match self.terminations.first() {
+            Some(&(t, _)) if t <= self.now => {}
             _ => return None,
         }
         let mut witness = None;
-        for idx in 0..self.order.len() {
-            let r = self.order[idx];
+        for idx in 0..self.views.len() {
             // A costly abort advances the clock mid-wave, so each job is
             // checked against the `now` in force when the wave reaches it
             // — exactly the reference loop's traversal. Jobs the jump
             // strands behind the wavefront are caught by the caller's
             // fixpoint.
-            if self.arena.termination(r) <= self.now {
-                let id = self.arena.meta(r).id;
+            if self.views[idx].termination <= self.now {
+                witness = Some(self.views[idx].id);
                 self.finish_abort_at(idx, false);
-                witness = Some(id);
             }
         }
         self.compact();
@@ -1019,11 +1012,10 @@ impl<'a> EngineState<'a> {
                 return Err(SimError::RunAbortConflict { job: id });
             }
             // Tombstones keep `views` id-sorted mid-wave, so the lookup
-            // stays a binary search; a duplicate abort id finds a dead
-            // slot and fails like the unknown id it now is.
-            let idx = match self.find_index(id) {
-                Some(idx) if self.arena.is_live(self.order[idx]) => idx,
-                _ => return Err(SimError::UnknownJob { job: id }),
+            // stays a binary search; a duplicate abort id finds a
+            // tombstone and fails like the unknown id it now is.
+            let Some(idx) = self.find_live(id) else {
+                return Err(SimError::UnknownJob { job: id });
             };
             self.finish_abort_at(idx, true);
             last = Some(id);
@@ -1032,21 +1024,13 @@ impl<'a> EngineState<'a> {
         Ok(last)
     }
 
-    /// Tombstones the job at `idx` — releases its arena slot and
-    /// calendar entry — and does the full end-of-life accounting. The
-    /// caller owns the wave's final `compact`.
+    /// Tombstones the job at `idx` and does the full end-of-life
+    /// accounting. The caller owns the wave's final `compact`.
     fn finish_abort_at(&mut self, idx: usize, by_policy: bool) {
-        let r = self.order[idx];
-        let m = self.arena.meta(r);
-        let actual = self.arena.actual(r);
-        let executed = self.arena.executed(r);
-        let termination = self.arena.termination(r);
-        self.calendar.remove(termination, r.slot());
-        self.arena.release(r);
-        self.dead += 1;
-        self.invariants.job_aborted(m.id);
-        let task = self.tasks.task(m.task);
-        let tm = &mut self.metrics.per_task[m.task.index()];
+        let (job, actual) = self.tombstone(idx);
+        self.invariants.job_aborted(job.id);
+        let task = self.tasks.task(job.task);
+        let tm = &mut self.metrics.per_task[job.task.index()];
         if by_policy {
             tm.aborted_by_policy += 1;
         } else {
@@ -1057,33 +1041,33 @@ impl<'a> EngineState<'a> {
         // current utility. Either way it can still satisfy its `ν`.
         let mut accrued = 0.0;
         if self.config.progress_accrual && !actual.is_zero() {
-            let progress = (executed.as_f64() / actual.as_f64()).clamp(0.0, 1.0);
-            accrued = progress * task.tuf().utility(self.now.saturating_since(m.arrival));
+            let progress = (job.executed.as_f64() / actual.as_f64()).clamp(0.0, 1.0);
+            accrued = progress * task.tuf().utility(self.now.saturating_since(job.arrival));
         }
-        if termination <= self.horizon_end {
+        if job.termination <= self.horizon_end {
             tm.utility += accrued;
             self.metrics.total_utility += accrued;
             if accrued + 1e-9 >= task.assurance().nu() * task.tuf().max_utility() {
                 tm.assured += 1;
             }
         }
-        if self.running == Some(m.id) {
+        if self.running == Some(job.id) {
             self.running = None;
         }
         if let Some(trace) = self.trace.as_mut() {
             trace.push_event(TraceEvent::Abort {
                 at: self.now,
-                job: m.id,
+                job: job.id,
                 by_policy,
             });
         }
         if let Some(records) = self.records.as_mut() {
             records.push(JobRecord {
-                id: m.id,
-                task: m.task,
-                arrival: m.arrival,
+                id: job.id,
+                task: job.task,
+                arrival: job.arrival,
                 actual_demand: actual,
-                executed,
+                executed: job.executed,
                 outcome: JobOutcome::Aborted {
                     at: self.now,
                     by_policy,
@@ -1119,21 +1103,14 @@ impl<'a> EngineState<'a> {
     }
 
     fn complete_at(&mut self, idx: usize) {
-        let r = self.order[idx];
-        let m = self.arena.meta(r);
-        let actual = self.arena.actual(r);
-        let executed = self.arena.executed(r);
-        let termination = self.arena.termination(r);
-        self.calendar.remove(termination, r.slot());
-        self.arena.release(r);
-        self.dead += 1;
+        let (job, actual) = self.tombstone(idx);
         self.compact();
-        let task = self.tasks.task(m.task);
-        let sojourn = self.now - m.arrival;
+        let task = self.tasks.task(job.task);
+        let sojourn = self.now - job.arrival;
         let utility = task.tuf().utility(sojourn);
-        let tm = &mut self.metrics.per_task[m.task.index()];
+        let tm = &mut self.metrics.per_task[job.task.index()];
         tm.completed += 1;
-        if termination <= self.horizon_end {
+        if job.termination <= self.horizon_end {
             tm.utility += utility;
             self.metrics.total_utility += utility;
             let needed = task.assurance().nu() * task.tuf().max_utility();
@@ -1141,32 +1118,32 @@ impl<'a> EngineState<'a> {
                 tm.assured += 1;
             }
         }
-        if self.now <= m.critical {
+        if self.now <= job.critical_time {
             tm.critical_met += 1;
         }
-        let lateness = self.now.as_micros() as i64 - m.critical.as_micros() as i64;
+        let lateness = self.now.as_micros() as i64 - job.critical_time.as_micros() as i64;
         tm.max_lateness_us = tm.max_lateness_us.max(lateness);
         if tm.completed == 1 {
             // First completion defines the initial lateness rather than the
             // i64 default of 0 (which would hide early completions).
             tm.max_lateness_us = lateness;
         }
-        if self.running == Some(m.id) {
+        if self.running == Some(job.id) {
             self.running = None;
         }
         if let Some(trace) = self.trace.as_mut() {
             trace.push_event(TraceEvent::Completion {
                 at: self.now,
-                job: m.id,
+                job: job.id,
             });
         }
         if let Some(records) = self.records.as_mut() {
             records.push(JobRecord {
-                id: m.id,
-                task: m.task,
-                arrival: m.arrival,
+                id: job.id,
+                task: job.task,
+                arrival: job.arrival,
                 actual_demand: actual,
-                executed,
+                executed: job.executed,
                 outcome: JobOutcome::Completed {
                     at: self.now,
                     utility,
@@ -1413,6 +1390,35 @@ mod tests {
         let err =
             Engine::run(&tasks, &patterns, &platform(), &mut Conflict, &config, 1).unwrap_err();
         assert!(matches!(err, SimError::RunAbortConflict { .. }));
+
+        // The second abort of one job in one decision finds its
+        // tombstone, not a live job.
+        struct DoubleAbort;
+        impl SchedulerPolicy for DoubleAbort {
+            fn name(&self) -> &str {
+                "double-abort"
+            }
+            fn decide(&mut self, ctx: &SchedContext<'_>) -> crate::policy::Decision {
+                let id = ctx.jobs[0].id;
+                crate::policy::Decision::idle(ctx.platform.f_max()).with_aborts([id, id])
+            }
+        }
+        let err =
+            Engine::run(&tasks, &patterns, &platform(), &mut DoubleAbort, &config, 1).unwrap_err();
+        assert_eq!(err, SimError::UnknownJob { job: JobId(0) });
+
+        struct RunsGhost;
+        impl SchedulerPolicy for RunsGhost {
+            fn name(&self) -> &str {
+                "runs-ghost"
+            }
+            fn decide(&mut self, ctx: &SchedContext<'_>) -> crate::policy::Decision {
+                crate::policy::Decision::run(JobId(999), ctx.platform.f_max())
+            }
+        }
+        let err =
+            Engine::run(&tasks, &patterns, &platform(), &mut RunsGhost, &config, 1).unwrap_err();
+        assert_eq!(err, SimError::UnknownJob { job: JobId(999) });
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Job state: the engine-internal live job and the public per-job record.
+//! Job state: the reference loop's live job and the public per-job record.
 
 use std::fmt;
 
@@ -90,7 +90,9 @@ impl fmt::Display for JobRecord {
     }
 }
 
-/// Engine-internal mutable job state.
+/// Mutable job state of the reference event loop ([`crate::reference`]).
+/// The production engine splits the same fields between the policy's
+/// [`crate::JobView`] and an engine-only lockstep entry.
 #[derive(Debug, Clone)]
 pub(crate) struct LiveJob {
     pub id: JobId,

@@ -59,8 +59,6 @@
 #![warn(missing_docs)]
 
 pub mod analysis;
-mod arena;
-mod calendar;
 pub mod certificate;
 mod context;
 mod engine;

@@ -1,12 +1,14 @@
 //! The pre-overhaul event loop, preserved verbatim as a differential
 //! oracle.
 //!
-//! When the engine's hot core was rebuilt around the calendar queue and
-//! the job arena (DESIGN.md §14), the old `Vec<LiveJob>` loop moved here
-//! unchanged. `Engine::run_reference` and friends execute it end to end,
-//! sharing the exact run preamble (`prepare_run`) with the production
-//! path, so the two loops consume bit-identical prepared state and must
-//! produce byte-identical certificates and equal outcomes. The
+//! The production loop (DESIGN.md §14) keeps an incrementally maintained
+//! live table, batched abort waves, and an ordered set of termination
+//! times. This module keeps the old `Vec<LiveJob>` loop unchanged: a
+//! fresh view collect per decision, one removal per dead job, and a
+//! linear termination scan. `Engine::run_with_faults_reference` executes
+//! it end to end, sharing the exact run preamble (`prepare_run`) with the
+//! production path, so the two loops consume bit-identical prepared state
+//! and must produce byte-identical certificates and equal outcomes. The
 //! `engine_differential` suite in `eua-core` asserts exactly that across
 //! scenarios × policies × fault plans.
 //!
@@ -35,31 +37,6 @@ use crate::task::TaskSet;
 use crate::trace::{ExecutionTrace, Segment, TraceEvent};
 
 impl Engine {
-    /// [`Engine::run`], executed by the reference (pre-overhaul) event
-    /// loop. Kept for differential testing only.
-    ///
-    /// # Errors
-    ///
-    /// As [`Engine::run`].
-    pub fn run_reference<P: SchedulerPolicy + ?Sized>(
-        tasks: &TaskSet,
-        patterns: &[ArrivalPattern],
-        platform: &Platform,
-        policy: &mut P,
-        config: &SimConfig,
-        seed: u64,
-    ) -> Result<Outcome, SimError> {
-        Self::run_with_faults_reference(
-            tasks,
-            patterns,
-            platform,
-            policy,
-            config,
-            seed,
-            &FaultPlan::none(),
-        )
-    }
-
     /// [`Engine::run_with_faults`], executed by the reference event loop.
     ///
     /// # Errors
@@ -87,57 +64,6 @@ impl Engine {
             .collect();
         run_core_reference(
             tasks, &traces, platform, policy, config, &mut rng, seed, plan,
-        )
-    }
-
-    /// [`Engine::run_with_traces`], executed by the reference event loop.
-    ///
-    /// # Errors
-    ///
-    /// As [`Engine::run_with_traces`].
-    pub fn run_with_traces_reference<P: SchedulerPolicy + ?Sized>(
-        tasks: &TaskSet,
-        traces: &[ArrivalTrace],
-        platform: &Platform,
-        policy: &mut P,
-        config: &SimConfig,
-        seed: u64,
-    ) -> Result<Outcome, SimError> {
-        Self::run_traces_with_faults_reference(
-            tasks,
-            traces,
-            platform,
-            policy,
-            config,
-            seed,
-            &FaultPlan::none(),
-        )
-    }
-
-    /// [`Engine::run_traces_with_faults`], executed by the reference
-    /// event loop.
-    ///
-    /// # Errors
-    ///
-    /// As [`Engine::run_with_faults`].
-    pub fn run_traces_with_faults_reference<P: SchedulerPolicy + ?Sized>(
-        tasks: &TaskSet,
-        traces: &[ArrivalTrace],
-        platform: &Platform,
-        policy: &mut P,
-        config: &SimConfig,
-        seed: u64,
-        plan: &FaultPlan,
-    ) -> Result<Outcome, SimError> {
-        if traces.len() != tasks.len() {
-            return Err(SimError::PatternCountMismatch {
-                tasks: tasks.len(),
-                patterns: traces.len(),
-            });
-        }
-        let mut rng = SmallRng::seed_from_u64(seed);
-        run_core_reference(
-            tasks, traces, platform, policy, config, &mut rng, seed, plan,
         )
     }
 }
@@ -493,8 +419,8 @@ impl ReferenceState<'_> {
     }
 
     /// The earliest upcoming event the engine controls: an arrival, a
-    /// termination expiry, or the horizon itself. The linear termination
-    /// scan is the point the calendar queue replaced.
+    /// termination expiry, or the horizon itself, by a linear scan of the
+    /// live jobs' termination times.
     fn next_passive_event(&self) -> SimTime {
         let next_arrival = self
             .arrivals
