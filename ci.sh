@@ -23,9 +23,9 @@ step "eua-lint workspace scan (all codes)"
 # graph, seed provenance, and saturating time arithmetic. The lexical
 # determinism bans live in clippy.toml (checked below). The walker
 # skips vendor/, target/, and fixture corpora on its own. The same gate
-# also runs as a test (crates/lint/tests/dogfood.rs) in both feature
-# states via the two `cargo test` invocations below. The SARIF pass
-# proves the renderer byte-round-trips even when the scan is clean.
+# also runs as a test (crates/lint/tests/dogfood.rs) under `cargo test`
+# below. The SARIF pass proves the renderer byte-round-trips even when
+# the scan is clean.
 #
 # The scan is timed here in bash (date +%s%N): clippy.toml bans the
 # wall clock in first-party code, so the lint binary cannot time itself.
@@ -47,14 +47,13 @@ cat > BENCH_lint.json <<EOF
 EOF
 echo "eua-lint full scan: ${lint_files} files in ${lint_wall_ms} ms (BENCH_lint.json)"
 
-step "cargo clippy -D warnings (default and all features)"
+step "cargo clippy -D warnings"
 # clippy.toml bans wall-clock reads, raw std::thread, std::time types,
 # and hash collections. The worker pool's one raw-thread site carries a
 # statement-level #[expect], which -D warnings turns into an error once
-# it suppresses nothing. --all-features also checks the code behind
-# invariant-checks.
+# it suppresses nothing. No first-party code is feature-gated, so one
+# run covers everything.
 cargo clippy --workspace --all-targets -- -D warnings
-cargo clippy --workspace --all-targets --all-features -- -D warnings
 
 step "clippy determinism bans fire (fixture package must fail)"
 # crates/lint/tests/fixtures/clippy_bans/ violates every ban, one module
@@ -83,47 +82,16 @@ done <<<"${banned}"
 echo "clippy reported all $(wc -l <<<"${banned}") banned paths"
 
 step "cargo test"
+# Debug builds compile in the engine's runtime invariant checks
+# (crates/sim/src/invariants.rs), so every suite here runs with them on:
+# the schedule and engine differential suites, the fault fuzz, the
+# analyzer soundness gate, the certificate audit gate, and the
+# regression corpus replay.
 cargo test --workspace -q
 
-step "schedule differential suite (invariant checks off)"
-cargo test -q -p eua-core --test schedule_differential
-
-step "cargo test --features invariant-checks"
-cargo test --features invariant-checks -q
-
-step "schedule differential suite (invariant checks on)"
-cargo test -q -p eua-core --features eua-sim/invariant-checks \
-  --test schedule_differential
-
-step "engine differential suite (both feature states)"
-# The production event loop (live table, ordered termination set,
-# incremental score cache — DESIGN.md §14) vs the preserved
-# pre-overhaul reference loop: byte-identical certificates and equal
-# outcomes across policies, fault plans, and seeds, plus fixed pins
-# that include a 64-pending overload backlog.
-EUA_ENGINE_DIFF_CASES=8 cargo test -q -p eua-core --test engine_differential
-EUA_ENGINE_DIFF_CASES=8 cargo test -q -p eua-core \
-  --features eua-sim/invariant-checks --test engine_differential
-
-step "fault-plan fuzz suite (reduced cases, both feature states)"
-EUA_FUZZ_CASES=12 cargo test -q --test fault_fuzz
-EUA_FUZZ_CASES=12 cargo test -q --features invariant-checks --test fault_fuzz
-
-step "analyzer soundness gate (reduced cases, both feature states)"
-# Semantic verdicts (Feasible / Infeasible / witness windows) checked
-# against fault-free simulation through eua-sim's pool.
-EUA_SOUNDNESS_CASES=8 cargo test -q --test analyzer_soundness
-EUA_SOUNDNESS_CASES=8 cargo test -q --features invariant-checks --test analyzer_soundness
-
-step "certificate audit gate (reduced cases, both feature states)"
-# The offline translation validator: golden certificates must audit
-# clean, and the proptest gate (faulted runs only ever trip the
-# aud-* codes their FaultPlan predicts) must hold with and without the
-# engine's runtime invariant checks compiled in.
+step "certificate audit fixtures"
+# The committed golden certificates must audit clean through the CLI.
 cargo run -q -p eua-audit -- check crates/audit/tests/fixtures/*.json >/dev/null
-EUA_AUDIT_CASES=6 cargo test -q -p eua-audit --test fault_gate
-EUA_AUDIT_CASES=6 cargo test -q -p eua-audit \
-  --features eua-sim/invariant-checks --test fault_gate
 
 step "diagnostic-code registry lint"
 # Every diagnostic code any binary can emit must be registered in the
@@ -200,8 +168,8 @@ step "robustness sweep smoke (--jobs 2, byte round-trip, certified)"
 # reproduces the on-disk bytes exactly (first-party parser/renderer).
 # --certify records one eua-certificate/1 document per sweep cell; the
 # unfaulted (intensity-0) cells are then re-validated offline by the
-# auditor. Faulted cells are covered by the reduced fault gate above —
-# auditing all 48 here would dominate the gate's wall clock.
+# auditor. Faulted cells are covered by the fault gate in `cargo test`
+# above; auditing all 48 here would dominate the gate's wall clock.
 rm -rf target/ci-robustness-certs
 cargo run -q -p eua-bench --bin robustness -- \
   --quick --jobs 2 --out target/ci-robustness.json \
@@ -230,15 +198,6 @@ cargo run -q -p eua-bench --bin eua-chaos -- \
   2>/dev/null
 cmp target/ci-chaos/full.jsonl target/ci-chaos/twophase.jsonl
 cmp target/ci-chaos/full.json target/ci-chaos/twophase.json
-
-step "regression corpus replay (both feature states)"
-# The shrunk chaos repros in tests/regression_corpus/ must still
-# reproduce their recorded failure (graded + audited), with and without
-# the engine's runtime invariant checks compiled in. The default-state
-# run is also part of `cargo test --workspace` above; this pins the
-# invariant-checks state explicitly.
-cargo test -q --test regression_corpus
-cargo test -q --features invariant-checks --test regression_corpus
 
 if [[ "$QUICK" == 0 ]]; then
   step "cargo build --release"

@@ -73,7 +73,7 @@ pub use examples::shipped_scenarios;
 pub use fix::{apply_fixes, AppliedFix};
 pub use ir::{lower, AnalysisIr, FreqIr, TaskIr};
 pub use passes::{analyze, Pass, PassRegistry};
-pub use sarif::{render_sarif, render_sarif_with_regions, render_sarif_with_spans, validate_sarif};
+pub use sarif::{render_sarif, validate_sarif};
 pub use scenario::{
     DemandSpec, EnergySpec, FaultSpec, ParseError, ScenarioSpec, TaskSpec, TufSpec,
 };

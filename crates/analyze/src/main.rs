@@ -17,8 +17,8 @@ use std::io::Write;
 use std::process::ExitCode;
 
 use eua_analyze::{
-    analyze, apply_fixes, render_json_reports, render_sarif_with_spans, shipped_scenarios,
-    validate_sarif, DiagCode, Report, ScenarioSpec, SourceMap,
+    analyze, apply_fixes, render_json_reports, render_sarif, shipped_scenarios, validate_sarif,
+    DiagCode, Report, ScenarioSpec, SourceMap, Span,
 };
 
 /// Writes to stdout, exiting quietly if the reader went away (e.g. the
@@ -138,13 +138,13 @@ fn run_check(args: &[String]) -> ExitCode {
     let mut had_parse_failure = false;
     let mut reports: Vec<Report> = Vec::new();
     let mut uris: Vec<Option<String>> = Vec::new();
-    let mut maps: Vec<Option<SourceMap>> = Vec::new();
+    let mut regions: Vec<Vec<Option<Span>>> = Vec::new();
     if all_examples {
         match shipped_scenarios() {
             Ok(scenarios) => {
                 reports.extend(scenarios.iter().map(analyze));
                 uris.extend(scenarios.iter().map(|_| None));
-                maps.extend(scenarios.iter().map(|_| None));
+                regions.extend(scenarios.iter().map(|_| Vec::new()));
             }
             Err(e) => {
                 eprintln!("error: {e}");
@@ -155,9 +155,17 @@ fn run_check(args: &[String]) -> ExitCode {
     for file in files {
         match load_spec_with_spans(file) {
             Ok((spec, map)) => {
-                reports.push(analyze(&spec));
+                let report = analyze(&spec);
+                // Each diagnostic's region is the token its entity names.
+                regions.push(
+                    report
+                        .diagnostics
+                        .iter()
+                        .map(|d| map.resolve(d.entity.as_deref()))
+                        .collect(),
+                );
+                reports.push(report);
                 uris.push(Some(file.to_string()));
-                maps.push(Some(map));
             }
             Err(e) => {
                 eprintln!("error: {e}");
@@ -177,9 +185,9 @@ fn run_check(args: &[String]) -> ExitCode {
             emit("\n");
         }
         Format::Sarif => {
-            let text = render_sarif_with_spans(&reports, &uris, &maps);
+            let text = render_sarif("eua-analyze", &reports, &uris, &regions);
             if self_check {
-                if let Err(e) = sarif_self_check(&text) {
+                if let Err(e) = validate_sarif(&text) {
                     eprintln!("error: sarif self-check failed: {e}");
                     return ExitCode::from(2);
                 }
@@ -206,16 +214,6 @@ fn load_spec(file: &str) -> Result<ScenarioSpec, String> {
 fn load_spec_with_spans(file: &str) -> Result<(ScenarioSpec, SourceMap), String> {
     let text = std::fs::read_to_string(file).map_err(|e| format!("reading `{file}`: {e}"))?;
     ScenarioSpec::parse_with_spans(&text).map_err(|e| format!("`{file}`: {e}"))
-}
-
-/// Asserts the SARIF output byte-round-trips through the first-party
-/// JSON tree and satisfies the pinned SARIF 2.1.0 subset.
-fn sarif_self_check(text: &str) -> Result<(), String> {
-    let reparsed = eua_analyze::json::parse(text)?;
-    if reparsed.render() != text {
-        return Err("render(parse(output)) differs from output".into());
-    }
-    validate_sarif(text)
 }
 
 /// `check --fix`: applies machine-applicable rewrites. Dry-run prints

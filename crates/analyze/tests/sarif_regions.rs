@@ -15,7 +15,7 @@
 //! ```
 
 use eua_analyze::json::{self, Json};
-use eua_analyze::{analyze, render_sarif_with_spans, validate_sarif, ScenarioSpec};
+use eua_analyze::{analyze, render_sarif, validate_sarif, ScenarioSpec};
 
 fn fixture(name: &str) -> String {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -30,11 +30,16 @@ fn fixture(name: &str) -> String {
 fn render_fixture_sarif() -> String {
     let text = fixture("regions.scn");
     let (spec, map) = ScenarioSpec::parse_with_spans(&text).expect("fixture parses");
-    let reports = vec![analyze(&spec)];
+    let report = analyze(&spec);
+    let regions = vec![report
+        .diagnostics
+        .iter()
+        .map(|d| map.resolve(d.entity.as_deref()))
+        .collect()];
     let uris = vec![Some(
         "crates/analyze/tests/fixtures/regions.scn".to_string(),
     )];
-    render_sarif_with_spans(&reports, &uris, &[Some(map)])
+    render_sarif("eua-analyze", &[report], &uris, &regions)
 }
 
 #[test]

@@ -77,10 +77,16 @@ fn certificates_are_identical_across_jobs() {
     let spec = &shipped_scenarios().expect("registry builds")[0];
     let (tasks, patterns, platform) = bridge(spec);
     let seeds: Vec<u64> = (1..=6).collect();
-    let render = |_worker: usize, seed: u64| {
-        run_certified(&tasks, &patterns, &platform, &mut Eua::new(), seed).render()
+    let render = |jobs: usize| -> Vec<String> {
+        map_parallel(
+            jobs,
+            seeds.clone(),
+            |i, _| format!("item {i}"),
+            |_, seed| run_certified(&tasks, &patterns, &platform, &mut Eua::new(), seed).render(),
+        )
+        .into_iter()
+        .collect::<Result<_, _>>()
+        .expect("no run panics")
     };
-    let sequential = map_parallel(1, seeds.clone(), render).expect("pool runs");
-    let parallel = map_parallel(4, seeds, render).expect("pool runs");
-    assert_eq!(sequential, parallel);
+    assert_eq!(render(1), render(4));
 }

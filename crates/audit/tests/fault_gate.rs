@@ -9,8 +9,7 @@
 //! abort costs) must still produce internally consistent certificates.
 //!
 //! The case count defaults to 24 per property and can be overridden via
-//! the `EUA_AUDIT_CASES` environment variable (ci.sh runs a reduced
-//! budget).
+//! the `EUA_AUDIT_CASES` environment variable.
 
 mod common;
 

@@ -15,7 +15,7 @@ use std::path::PathBuf;
 use eua_bench::{jobs_from_args, write_csv, ExperimentConfig, Table};
 use eua_core::{BudgetedEua, Eua};
 use eua_platform::EnergySetting;
-use eua_sim::{replicate_parallel, Platform, SimConfig, Summary};
+use eua_sim::{replicate, Platform, SimConfig, Summary};
 use eua_workload::fig2_workload;
 
 const WORKLOAD_SEED: u64 = 42;
@@ -55,7 +55,7 @@ fn main() {
     for load in [0.5, 0.8] {
         let workload = fig2_workload(load, WORKLOAD_SEED, platform.f_max()).expect("workload");
         // Baseline: unconstrained EUA* on the same seeds.
-        let base = replicate_parallel(
+        let base = replicate(
             &workload.tasks,
             &workload.patterns,
             &platform,
@@ -75,7 +75,7 @@ fn main() {
         ]);
         for frac in [0.1, 0.25, 0.5, 0.75, 1.0, 1.2] {
             let budget = frac * base_energy / config.seeds.len() as f64;
-            let bounded = replicate_parallel(
+            let bounded = replicate(
                 &workload.tasks,
                 &workload.patterns,
                 &platform,

@@ -60,14 +60,21 @@ fn main() {
         println!("load = {load} (periodic, step TUFs, under-load):");
         let w = theorem_workload(load, 42, platform.f_max()).expect("workload");
         // The three comparison runs are independent; fan them out.
-        let mut outs = map_parallel(jobs, vec![0usize, 1, 2], |_, which| {
-            let mut policy: Box<dyn SchedulerPolicy> = match which {
-                0 => Box::new(EdfPolicy::max_speed()),
-                1 => Box::new(Eua::without_dvs()),
-                _ => Box::new(Eua::new()),
-            };
-            run(&w, &platform, policy.as_mut(), horizon, 7)
-        })
+        let mut outs = map_parallel(
+            jobs,
+            vec![0usize, 1, 2],
+            |i, _| format!("item {i}"),
+            |_, which| {
+                let mut policy: Box<dyn SchedulerPolicy> = match which {
+                    0 => Box::new(EdfPolicy::max_speed()),
+                    1 => Box::new(Eua::without_dvs()),
+                    _ => Box::new(Eua::new()),
+                };
+                run(&w, &platform, policy.as_mut(), horizon, 7)
+            },
+        )
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()
         .expect("theorem runs");
         let (edf, eua_fm, eua) = {
             let eua = outs.pop().expect("three runs");

@@ -17,7 +17,7 @@
 //! certificate is checked by the offline `eua-audit` validator. A cell
 //! is *failing* when it collapses, fails audit, or panics; panicking
 //! cells settle into graded records (via
-//! [`eua_sim::map_parallel_settle`]) instead of aborting the campaign,
+//! [`eua_sim::map_parallel`]) instead of aborting the campaign,
 //! and all failing cells are shrink candidates for
 //! [`crate::shrink`].
 
@@ -30,8 +30,8 @@ use eua_analyze::{DiagCode, Report, Severity};
 use eua_core::make_policy;
 use eua_platform::{EnergySetting, Frequency, FrequencyTable, TimeDelta};
 use eua_sim::{
-    classify_degradation, map_parallel_settle, DegradationClass, Engine, FaultPlan, Platform,
-    PoolError, SimConfig, DEFAULT_COLLAPSE_FRACTION,
+    classify_degradation, map_parallel, DegradationClass, Engine, FaultPlan, Platform, PoolError,
+    SimConfig, DEFAULT_COLLAPSE_FRACTION,
 };
 use eua_workload::UniverseFamily;
 use rand::rngs::SmallRng;
@@ -501,14 +501,12 @@ pub fn run_campaign(
         }
         let end = next.saturating_add(chunk).min(config.cells);
         let indices: Vec<u32> = (next..end).collect();
-        let outcomes = map_parallel_settle(
+        let outcomes = map_parallel(
             jobs,
             indices.clone(),
             |_, &index| format!("cell {index}"),
-            || (),
-            |(), _, index| execute_cell(config, &platform, index),
-        )
-        .map_err(|e| format!("worker pool failed: {e}"))?;
+            |_, index| execute_cell(config, &platform, index),
+        );
         let mut buf = String::new();
         for (&index, outcome) in indices.iter().zip(&outcomes) {
             let record = cell_record(config, index, outcome);
@@ -678,14 +676,12 @@ mod tests {
         let config = ChaosConfig::quick();
         let indices: Vec<u32> = (0..config.cells).collect();
         let render = |jobs: usize| -> Vec<String> {
-            map_parallel_settle(
+            map_parallel(
                 jobs,
                 indices.clone(),
                 |_, &i| format!("cell {i}"),
-                || (),
-                |(), _, i| cell_scenario_text(&config, i).expect("renders"),
+                |_, i| cell_scenario_text(&config, i).expect("renders"),
             )
-            .expect("pool")
             .into_iter()
             .map(|r| r.expect("no panics"))
             .collect()

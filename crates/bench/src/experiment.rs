@@ -4,7 +4,7 @@
 
 use eua_core::make_policy;
 use eua_platform::TimeDelta;
-use eua_sim::{map_parallel_labeled, Engine, Metrics, Platform, SimConfig, Summary};
+use eua_sim::{map_parallel, Engine, Metrics, Platform, SimConfig, Summary};
 use eua_workload::Workload;
 
 /// Sweep-wide configuration.
@@ -141,12 +141,11 @@ pub fn run_cells(
         .enumerate()
         .flat_map(|(pi, _)| config.seeds.iter().map(move |&seed| (pi, seed)))
         .collect();
-    let metrics: Vec<Metrics> = map_parallel_labeled(
+    let metrics: Vec<Metrics> = map_parallel(
         config.jobs,
         items,
         |_, &(pi, seed)| format!("policy {}, seed {seed}", policy_names[pi]),
-        || (),
-        |(), _, (pi, seed)| {
+        |_, (pi, seed)| {
             let name = policy_names[pi];
             let mut policy = make_policy(name).unwrap_or_else(|| panic!("unknown policy {name}"));
             Engine::run(
@@ -161,6 +160,8 @@ pub fn run_cells(
             .metrics
         },
     )
+    .into_iter()
+    .collect::<Result<_, _>>()
     .unwrap_or_else(|e| panic!("parallel sweep failed: {e}"));
     metrics
         .chunks(config.seeds.len())

@@ -13,8 +13,8 @@
 use eua_core::make_policy;
 use eua_platform::TimeDelta;
 use eua_sim::{
-    classify_degradation, map_parallel_settle, DegradationClass, Engine, FaultPlan, Metrics,
-    Platform, PoolError, SimConfig, SimError, DEFAULT_COLLAPSE_FRACTION,
+    classify_degradation, map_parallel, DegradationClass, Engine, FaultPlan, Metrics, Platform,
+    PoolError, SimConfig, SimError, DEFAULT_COLLAPSE_FRACTION,
 };
 use eua_workload::{fig2_workload, Workload};
 
@@ -245,7 +245,7 @@ pub struct RobustnessReport {
 ///
 /// Propagates workload-synthesis and simulation errors. A *panicking*
 /// cell does not abort the sweep: the panic settles in its pool slot
-/// (see [`map_parallel_settle`]), the seed is graded `collapsed`, and
+/// (see [`map_parallel`]), the seed is graded `collapsed`, and
 /// the labelled message lands in [`RobustnessReport::panic_cells`].
 pub fn run_robustness(config: &RobustnessConfig) -> Result<RobustnessReport, SimError> {
     let platform = Platform::powernow(eua_platform::EnergySetting::e1());
@@ -294,7 +294,7 @@ pub fn run_robustness(config: &RobustnessConfig) -> Result<RobustnessReport, Sim
     }
 
     type CellResult = Result<(Metrics, Option<String>), SimError>;
-    let runs: Vec<Result<CellResult, PoolError>> = map_parallel_settle(
+    let runs: Vec<Result<CellResult, PoolError>> = map_parallel(
         config.jobs,
         items,
         |_, item| {
@@ -306,8 +306,7 @@ pub fn run_robustness(config: &RobustnessConfig) -> Result<RobustnessReport, Sim
                 item.seed
             )
         },
-        || (),
-        |(), _, item| {
+        |_, item| {
             let name = &config.policies[item.policy_idx];
             let mut policy = make_policy(name).unwrap_or_else(|| panic!("unknown policy {name}"));
             let plan = item.family.plan_at(item.intensity);
@@ -325,7 +324,7 @@ pub fn run_robustness(config: &RobustnessConfig) -> Result<RobustnessReport, Sim
                 (outcome.metrics, cert)
             })
         },
-    )?;
+    );
 
     // Split certificates and settled panics out in grid order so the
     // chunked aggregation below sees plain per-seed outcomes.

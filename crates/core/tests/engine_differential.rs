@@ -13,8 +13,7 @@
 //! rendered `eua-certificate/1` documents must be equal as strings.
 //!
 //! The proptest case count defaults to 24 and can be overridden through
-//! the `EUA_ENGINE_DIFF_CASES` environment variable (ci.sh runs this
-//! suite in both invariant-check feature states on a reduced budget).
+//! the `EUA_ENGINE_DIFF_CASES` environment variable.
 
 use eua_core::make_policy;
 use eua_platform::{EnergySetting, TimeDelta};

@@ -42,14 +42,7 @@ pub struct FileInput<'a> {
 
 /// The worker-pool entry points whose closures must stay pure (see
 /// `crates/sim/src/pool.rs` and `crates/sim/src/runner.rs`).
-pub const POOL_APIS: [&str; 6] = [
-    "map_parallel",
-    "map_parallel_with",
-    "map_parallel_labeled",
-    "map_parallel_settle",
-    "replicate_parallel",
-    "replicate_parallel_with_faults",
-];
+pub const POOL_APIS: [&str; 2] = ["map_parallel", "replicate"];
 
 /// Method names shared with std's containers/iterators/Option/Result.
 /// A non-`self` method call with one of these names is *external* even

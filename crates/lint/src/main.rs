@@ -18,7 +18,7 @@ use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use eua_analyze::{render_json_reports, render_sarif_with_regions, validate_sarif, Report, Span};
+use eua_analyze::{render_json_reports, render_sarif, validate_sarif, Report, Span};
 use eua_lint::{
     collect_sources, fix::fix_file, lint_roots, lint_sources, FileLint, DEFAULT_ROOTS, LINT_CODES,
 };
@@ -173,9 +173,9 @@ fn run_check(args: &[String]) -> ExitCode {
             let reports: Vec<Report> = dirty.iter().map(|l| l.report.clone()).collect();
             let uris: Vec<Option<String>> = dirty.iter().map(|l| Some(l.path.clone())).collect();
             let regions: Vec<Vec<Option<Span>>> = dirty.iter().map(|l| l.spans.clone()).collect();
-            let text = render_sarif_with_regions("eua-lint", &reports, &uris, &regions);
+            let text = render_sarif("eua-lint", &reports, &uris, &regions);
             if self_check {
-                if let Err(e) = sarif_self_check(&text) {
+                if let Err(e) = validate_sarif(&text) {
                     eprintln!("error: sarif self-check failed: {e}");
                     return ExitCode::from(2);
                 }
@@ -256,16 +256,6 @@ fn run_fix(roots: &[PathBuf], apply: bool) -> ExitCode {
     } else {
         ExitCode::SUCCESS
     }
-}
-
-/// Asserts the SARIF output byte-round-trips through the first-party
-/// JSON tree and satisfies the pinned SARIF 2.1.0 subset.
-fn sarif_self_check(text: &str) -> Result<(), String> {
-    let reparsed = eua_analyze::json::parse(text)?;
-    if reparsed.render() != text {
-        return Err("render(parse(output)) differs from output".into());
-    }
-    validate_sarif(text)
 }
 
 /// Prints every lint code with its severity and summary.

@@ -1,59 +1,17 @@
-//! Post-hoc analysis of execution traces and job records: response-time
-//! statistics, EDF-order auditing, and utilization timelines.
+//! Post-hoc analysis of execution traces, job records and metrics:
+//! EDF-order auditing and the degradation oracle.
 //!
 //! These helpers close the loop between the simulator's raw outputs and
 //! the properties the paper argues about — e.g. Theorem 2's "critical
 //! time ordered schedule" is directly checkable with
 //! [`edf_violations`].
 
-use eua_platform::{SimTime, TimeDelta};
+use eua_platform::SimTime;
 
 use crate::ids::{JobId, TaskId};
 use crate::job::{JobOutcome, JobRecord};
 use crate::task::TaskSet;
 use crate::trace::ExecutionTrace;
-
-/// Summary statistics of completed jobs' response (sojourn) times.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ResponseStats {
-    /// Number of completed jobs measured.
-    pub count: u64,
-    /// Mean response time.
-    pub mean: TimeDelta,
-    /// Maximum response time.
-    pub max: TimeDelta,
-    /// 95th-percentile response time (nearest-rank).
-    pub p95: TimeDelta,
-}
-
-/// Response-time statistics over all completed jobs in `records`
-/// (optionally restricted to one task). Returns `None` when nothing
-/// completed.
-#[must_use]
-pub fn response_stats(records: &[JobRecord], task: Option<TaskId>) -> Option<ResponseStats> {
-    let mut sojourns: Vec<u64> = records
-        .iter()
-        .filter(|r| task.is_none_or(|t| r.task == t))
-        .filter_map(|r| match r.outcome {
-            JobOutcome::Completed { at, .. } => Some((at - r.arrival).as_micros()),
-            _ => None,
-        })
-        .collect();
-    if sojourns.is_empty() {
-        return None;
-    }
-    sojourns.sort_unstable();
-    let count = sojourns.len() as u64;
-    let sum: u64 = sojourns.iter().sum();
-    let p95_idx = ((count as f64 * 0.95).ceil() as usize).clamp(1, sojourns.len()) - 1;
-    let &max_us = sojourns.last()?;
-    Some(ResponseStats {
-        count,
-        mean: TimeDelta::from_micros(sum / count),
-        max: TimeDelta::from_micros(max_us),
-        p95: TimeDelta::from_micros(sojourns[p95_idx]),
-    })
-}
 
 /// One departure from earliest-critical-time-first dispatching: at
 /// `at`, `ran` executed although `preferred` (earlier critical time) was
@@ -125,36 +83,6 @@ pub fn edf_violations(
         }
     }
     violations
-}
-
-/// The processor's busy fraction over consecutive buckets of `bucket`
-/// length covering `[0, horizon)`.
-///
-/// # Panics
-///
-/// Panics if `bucket` is zero.
-#[must_use]
-pub fn utilization_timeline(
-    trace: &ExecutionTrace,
-    horizon: TimeDelta,
-    bucket: TimeDelta,
-) -> Vec<f64> {
-    assert!(!bucket.is_zero(), "bucket must be positive");
-    let buckets = horizon.as_micros().div_ceil(bucket.as_micros()) as usize;
-    let mut busy = vec![0u64; buckets];
-    for seg in trace.segments() {
-        let mut t = seg.start.as_micros();
-        let end = seg.end.as_micros().min(horizon.as_micros());
-        while t < end {
-            let idx = (t / bucket.as_micros()) as usize;
-            let bucket_end = (idx as u64 + 1).saturating_mul(bucket.as_micros()).min(end);
-            busy[idx] = busy[idx].saturating_add(bucket_end.saturating_sub(t));
-            t = bucket_end;
-        }
-    }
-    busy.iter()
-        .map(|&b| b as f64 / bucket.as_micros() as f64)
-        .collect()
 }
 
 /// How a run fared against one task's requested `{ν, ρ}` assurance —
@@ -271,7 +199,7 @@ pub fn classify_degradation(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eua_platform::{Cycles, EnergySetting, Frequency};
+    use eua_platform::{Cycles, EnergySetting, Frequency, TimeDelta};
     use eua_tuf::Tuf;
     use eua_uam::demand::DemandModel;
     use eua_uam::generator::ArrivalPattern;
@@ -296,66 +224,6 @@ mod tests {
             executed: Cycles::new(10),
             outcome,
         }
-    }
-
-    #[test]
-    fn response_stats_computes_percentiles() {
-        let records: Vec<JobRecord> = (0..100u64)
-            .map(|i| {
-                record(
-                    i,
-                    0,
-                    0,
-                    JobOutcome::Completed {
-                        at: SimTime::from_micros((i + 1) * 10),
-                        utility: 1.0,
-                    },
-                )
-            })
-            .collect();
-        let stats = response_stats(&records, None).expect("completed jobs");
-        assert_eq!(stats.count, 100);
-        assert_eq!(stats.max, TimeDelta::from_micros(1_000));
-        assert_eq!(stats.p95, TimeDelta::from_micros(950));
-        assert_eq!(stats.mean, TimeDelta::from_micros(505));
-    }
-
-    #[test]
-    fn response_stats_filters_by_task_and_outcome() {
-        let records = vec![
-            record(
-                0,
-                0,
-                0,
-                JobOutcome::Completed {
-                    at: SimTime::from_micros(5),
-                    utility: 1.0,
-                },
-            ),
-            record(
-                1,
-                1,
-                0,
-                JobOutcome::Completed {
-                    at: SimTime::from_micros(50),
-                    utility: 1.0,
-                },
-            ),
-            record(
-                2,
-                0,
-                0,
-                JobOutcome::Aborted {
-                    at: SimTime::from_micros(9),
-                    by_policy: false,
-                },
-            ),
-        ];
-        let t0 = response_stats(&records, Some(TaskId(0))).expect("t0 completed");
-        assert_eq!(t0.count, 1);
-        assert_eq!(t0.max, TimeDelta::from_micros(5));
-        assert!(response_stats(&records, Some(TaskId(9))).is_none());
-        assert!(response_stats(&[], None).is_none());
     }
 
     #[test]
@@ -439,59 +307,6 @@ mod tests {
         assert_eq!(violations.len(), 1);
         assert_eq!(violations[0].ran, JobId(0));
         assert_eq!(violations[0].preferred, JobId(1));
-    }
-
-    #[test]
-    fn utilization_timeline_buckets_busy_time() {
-        let mut trace = ExecutionTrace::new();
-        trace.push_segment(Segment {
-            job: JobId(0),
-            task: TaskId(0),
-            start: SimTime::from_micros(0),
-            end: SimTime::from_micros(500),
-            frequency: Frequency::from_mhz(100),
-        });
-        trace.push_segment(Segment {
-            job: JobId(1),
-            task: TaskId(0),
-            start: SimTime::from_micros(1_500),
-            end: SimTime::from_micros(2_000),
-            frequency: Frequency::from_mhz(100),
-        });
-        let tl = utilization_timeline(
-            &trace,
-            TimeDelta::from_micros(2_000),
-            TimeDelta::from_micros(1_000),
-        );
-        assert_eq!(tl.len(), 2);
-        assert!((tl[0] - 0.5).abs() < 1e-12);
-        assert!((tl[1] - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn utilization_timeline_spans_bucket_boundaries() {
-        let mut trace = ExecutionTrace::new();
-        trace.push_segment(Segment {
-            job: JobId(0),
-            task: TaskId(0),
-            start: SimTime::from_micros(900),
-            end: SimTime::from_micros(1_100),
-            frequency: Frequency::from_mhz(100),
-        });
-        let tl = utilization_timeline(
-            &trace,
-            TimeDelta::from_micros(2_000),
-            TimeDelta::from_micros(1_000),
-        );
-        assert!((tl[0] - 0.1).abs() < 1e-12);
-        assert!((tl[1] - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "bucket must be positive")]
-    fn zero_bucket_rejected() {
-        let trace = ExecutionTrace::new();
-        let _ = utilization_timeline(&trace, ms(1), TimeDelta::ZERO);
     }
 
     fn oracle_tasks(n: usize) -> TaskSet {

@@ -5,10 +5,10 @@ use eua_uam::generator::ArrivalPattern;
 
 use crate::engine::{Engine, SimConfig};
 use crate::error::SimError;
-use crate::faults::FaultPlan;
 use crate::metrics::Metrics;
 use crate::platform_view::Platform;
 use crate::policy::SchedulerPolicy;
+use crate::pool::map_parallel;
 use crate::task::TaskSet;
 
 /// One replication's result.
@@ -33,25 +33,6 @@ impl Summary {
         self.runs.iter().map(|r| f(&r.metrics)).sum::<f64>() / self.runs.len() as f64
     }
 
-    /// Sample standard deviation of an arbitrary metric across runs
-    /// (zero for a single run).
-    pub fn std_by(&self, f: impl Fn(&Metrics) -> f64) -> f64 {
-        if self.runs.len() < 2 {
-            return 0.0;
-        }
-        let mean = self.mean_by(&f);
-        let var = self
-            .runs
-            .iter()
-            .map(|r| {
-                let d = f(&r.metrics) - mean;
-                d * d
-            })
-            .sum::<f64>()
-            / (self.runs.len() - 1) as f64;
-        var.sqrt()
-    }
-
     /// Mean accrued utility.
     #[must_use]
     pub fn mean_utility(&self) -> f64 {
@@ -63,98 +44,23 @@ impl Summary {
     pub fn mean_energy(&self) -> f64 {
         self.mean_by(|m| m.energy)
     }
-
-    /// Mean utility ratio (accrued / ceiling).
-    #[must_use]
-    pub fn mean_utility_ratio(&self) -> f64 {
-        self.mean_by(Metrics::utility_ratio)
-    }
-
-    /// An approximate 95% confidence half-width for the mean of an
-    /// arbitrary metric (`1.96·s/√n`; zero for fewer than two runs).
-    pub fn ci95_by(&self, f: impl Fn(&Metrics) -> f64) -> f64 {
-        if self.runs.len() < 2 {
-            return 0.0;
-        }
-        1.96 * self.std_by(f) / (self.runs.len() as f64).sqrt()
-    }
 }
 
-/// Runs `policy` under every seed in `seeds` and collects the metrics.
+/// Runs a fresh policy from `policy_factory` under every seed in `seeds`,
+/// fanned out over [`map_parallel`] with `jobs` workers (`1` runs
+/// sequentially), and collects the metrics in seed order.
 ///
-/// The policy's [`SchedulerPolicy::reset`] is invoked before each run, so
-/// one policy value can serve all replications.
+/// Each run is an independent deterministic simulation, so the returned
+/// [`Summary`] is bit-identical for every `jobs` count. Policies are
+/// neither `Send` nor `Sync` by contract, so each one is built on the
+/// thread that runs it; the factory must be `Sync`.
 ///
 /// # Errors
 ///
-/// Returns [`SimError::ZeroReplications`] for an empty seed list and
-/// propagates any per-run error.
-pub fn replicate<P: SchedulerPolicy + ?Sized>(
-    tasks: &TaskSet,
-    patterns: &[ArrivalPattern],
-    platform: &Platform,
-    policy: &mut P,
-    config: &SimConfig,
-    seeds: &[u64],
-) -> Result<Summary, SimError> {
-    replicate_with_faults(
-        tasks,
-        patterns,
-        platform,
-        policy,
-        config,
-        seeds,
-        &FaultPlan::none(),
-    )
-}
-
-/// [`replicate`] with a [`FaultPlan`] injected into every run (the same
-/// plan under each seed; the injected fault *schedule* still varies per
-/// seed through [`FaultPlan::rng`]).
-///
-/// # Errors
-///
-/// As [`replicate`], plus [`SimError::InvalidFaultPlan`].
-pub fn replicate_with_faults<P: SchedulerPolicy + ?Sized>(
-    tasks: &TaskSet,
-    patterns: &[ArrivalPattern],
-    platform: &Platform,
-    policy: &mut P,
-    config: &SimConfig,
-    seeds: &[u64],
-    plan: &FaultPlan,
-) -> Result<Summary, SimError> {
-    if seeds.is_empty() {
-        return Err(SimError::ZeroReplications);
-    }
-    let mut runs = Vec::with_capacity(seeds.len());
-    for &seed in seeds {
-        let outcome =
-            Engine::run_with_faults(tasks, patterns, platform, policy, config, seed, plan)?;
-        runs.push(Replication {
-            seed,
-            metrics: outcome.metrics,
-        });
-    }
-    Ok(Summary { runs })
-}
-
-/// [`replicate`] with seeds fanned out over a [`crate::pool`] worker pool.
-///
-/// Policies are constructed **per worker** through `policy_factory` (one
-/// policy value per worker thread, reset by the engine before each seed),
-/// so the factory must be `Sync` but the policy itself never crosses
-/// threads. Runs are re-assembled in the order of `seeds`, and each run
-/// is an independent deterministic simulation, so the returned
-/// [`Summary`] is **bit-identical** to the sequential [`replicate`]'s —
-/// `jobs = 1` short-circuits to the sequential code path outright.
-///
-/// # Errors
-///
-/// Returns [`SimError::ZeroReplications`] for an empty seed list, the
-/// first (in seed order) per-run error, or [`SimError::Pool`] if a
-/// worker panicked.
-pub fn replicate_parallel<P, F>(
+/// Returns [`SimError::ZeroReplications`] for an empty seed list, else
+/// the first failure in seed order: a run's own error, or
+/// [`SimError::Pool`] if its run panicked.
+pub fn replicate<P, F>(
     tasks: &TaskSet,
     patterns: &[ArrivalPattern],
     platform: &Platform,
@@ -167,65 +73,31 @@ where
     P: SchedulerPolicy,
     F: Fn() -> P + Sync,
 {
-    replicate_parallel_with_faults(
-        tasks,
-        patterns,
-        platform,
-        policy_factory,
-        config,
-        seeds,
-        jobs,
-        &FaultPlan::none(),
-    )
-}
-
-/// [`replicate_parallel`] with a [`FaultPlan`] injected into every run.
-/// Fault schedules are seed-derived, so the result stays bit-identical
-/// to the sequential [`replicate_with_faults`] for any `jobs`.
-///
-/// # Errors
-///
-/// As [`replicate_parallel`], plus [`SimError::InvalidFaultPlan`].
-#[allow(clippy::too_many_arguments)]
-pub fn replicate_parallel_with_faults<P, F>(
-    tasks: &TaskSet,
-    patterns: &[ArrivalPattern],
-    platform: &Platform,
-    policy_factory: F,
-    config: &SimConfig,
-    seeds: &[u64],
-    jobs: usize,
-    plan: &FaultPlan,
-) -> Result<Summary, SimError>
-where
-    P: SchedulerPolicy,
-    F: Fn() -> P + Sync,
-{
     if seeds.is_empty() {
         return Err(SimError::ZeroReplications);
     }
-    if jobs <= 1 {
-        let mut policy = policy_factory();
-        return replicate_with_faults(tasks, patterns, platform, &mut policy, config, seeds, plan);
-    }
-    let results = crate::pool::map_parallel_labeled(
+    let runs = map_parallel(
         jobs,
         seeds.to_vec(),
         |_, seed| format!("seed {seed}"),
-        &policy_factory,
-        |policy, _, seed| {
-            Engine::run_with_faults(tasks, patterns, platform, policy, config, seed, plan).map(
-                |outcome| Replication {
-                    seed,
-                    metrics: outcome.metrics,
-                },
+        |_, seed| {
+            Engine::run(
+                tasks,
+                patterns,
+                platform,
+                &mut policy_factory(),
+                config,
+                seed,
             )
+            .map(|outcome| Replication {
+                seed,
+                metrics: outcome.metrics,
+            })
         },
-    )?;
-    let mut runs = Vec::with_capacity(results.len());
-    for run in results {
-        runs.push(run?);
-    }
+    )
+    .into_iter()
+    .map(|slot| slot?)
+    .collect::<Result<_, SimError>>()?;
     Ok(Summary { runs })
 }
 
@@ -238,106 +110,67 @@ mod tests {
     use eua_uam::{Assurance, UamSpec};
 
     use crate::policy::MaxSpeedEdf;
+    use crate::pool::PoolError;
     use crate::task::Task;
 
-    fn ms(v: u64) -> TimeDelta {
-        TimeDelta::from_millis(v)
-    }
-
-    fn setup() -> (TaskSet, Vec<ArrivalPattern>, Platform, SimConfig) {
+    fn replicate_edf<P: SchedulerPolicy>(
+        policy_factory: impl Fn() -> P + Sync,
+        seeds: &[u64],
+        jobs: usize,
+    ) -> Result<Summary, SimError> {
+        let window = TimeDelta::from_millis(10);
         let task = Task::new(
             "t",
-            Tuf::step(5.0, ms(10)).unwrap(),
-            UamSpec::new(2, ms(10)).unwrap(),
+            Tuf::step(5.0, window).unwrap(),
+            UamSpec::new(2, window).unwrap(),
             DemandModel::normal(100_000.0, 100_000.0).unwrap(),
             Assurance::new(1.0, 0.9).unwrap(),
         )
         .unwrap();
         let tasks = TaskSet::new(vec![task]).unwrap();
         let patterns =
-            vec![ArrivalPattern::random_burst(UamSpec::new(2, ms(10)).unwrap()).unwrap()];
-        (
-            tasks,
-            patterns,
-            Platform::powernow(EnergySetting::e1()),
-            SimConfig::new(ms(300)),
+            vec![ArrivalPattern::random_burst(UamSpec::new(2, window).unwrap()).unwrap()];
+        let platform = Platform::powernow(EnergySetting::e1());
+        let config = SimConfig::new(TimeDelta::from_millis(300));
+        replicate(
+            &tasks,
+            &patterns,
+            &platform,
+            policy_factory,
+            &config,
+            seeds,
+            jobs,
         )
     }
 
     #[test]
     fn replicate_aggregates_all_seeds() {
-        let (tasks, patterns, platform, config) = setup();
-        let mut policy = MaxSpeedEdf::new();
-        let summary = replicate(
-            &tasks,
-            &patterns,
-            &platform,
-            &mut policy,
-            &config,
-            &[1, 2, 3, 4],
-        )
-        .unwrap();
+        let summary = replicate_edf(MaxSpeedEdf::new, &[1, 2, 3, 4], 1).unwrap();
         assert_eq!(summary.runs.len(), 4);
         assert!(summary.mean_utility() > 0.0);
         assert!(summary.mean_energy() > 0.0);
-        assert!(summary.mean_utility_ratio() > 0.0);
         // Different seeds actually vary the workload.
-        assert!(summary.std_by(|m| m.total_utility) > 0.0);
-    }
-
-    #[test]
-    fn single_run_has_zero_std() {
-        let (tasks, patterns, platform, config) = setup();
-        let mut policy = MaxSpeedEdf::new();
-        let summary = replicate(&tasks, &patterns, &platform, &mut policy, &config, &[7]).unwrap();
-        assert_eq!(summary.std_by(|m| m.energy), 0.0);
-        assert_eq!(summary.ci95_by(|m| m.energy), 0.0);
-    }
-
-    #[test]
-    fn ci95_scales_with_std() {
-        let (tasks, patterns, platform, config) = setup();
-        let mut policy = MaxSpeedEdf::new();
-        let summary = replicate(
-            &tasks,
-            &patterns,
-            &platform,
-            &mut policy,
-            &config,
-            &[1, 2, 3, 4],
-        )
-        .unwrap();
-        let std = summary.std_by(|m| m.total_utility);
-        let ci = summary.ci95_by(|m| m.total_utility);
-        assert!((ci - 1.96 * std / 2.0).abs() < 1e-9);
+        let first = summary.runs[0].metrics.total_utility;
+        assert!(summary
+            .runs
+            .iter()
+            .any(|r| r.metrics.total_utility != first));
     }
 
     #[test]
     fn empty_seed_list_rejected() {
-        let (tasks, patterns, platform, config) = setup();
-        let mut policy = MaxSpeedEdf::new();
-        let err = replicate(&tasks, &patterns, &platform, &mut policy, &config, &[]).unwrap_err();
-        assert_eq!(err, SimError::ZeroReplications);
+        for jobs in [1, 4] {
+            let err = replicate_edf(MaxSpeedEdf::new, &[], jobs).unwrap_err();
+            assert_eq!(err, SimError::ZeroReplications, "jobs = {jobs}");
+        }
     }
 
     #[test]
     fn parallel_replication_is_bit_identical_to_sequential() {
-        let (tasks, patterns, platform, config) = setup();
         let seeds = [9u64, 1, 5, 3, 7, 2]; // deliberately unsorted
-        let mut policy = MaxSpeedEdf::new();
-        let sequential =
-            replicate(&tasks, &patterns, &platform, &mut policy, &config, &seeds).unwrap();
-        for jobs in [1, 2, 4, 16] {
-            let parallel = replicate_parallel(
-                &tasks,
-                &patterns,
-                &platform,
-                MaxSpeedEdf::new,
-                &config,
-                &seeds,
-                jobs,
-            )
-            .unwrap();
+        let sequential = replicate_edf(MaxSpeedEdf::new, &seeds, 1).unwrap();
+        for jobs in [2, 4, 16] {
+            let parallel = replicate_edf(MaxSpeedEdf::new, &seeds, jobs).unwrap();
             assert_eq!(parallel, sequential, "jobs = {jobs}");
             assert_eq!(
                 parallel.runs.iter().map(|r| r.seed).collect::<Vec<_>>(),
@@ -348,71 +181,20 @@ mod tests {
     }
 
     #[test]
-    fn faulted_parallel_replication_is_bit_identical_to_sequential() {
-        let (tasks, patterns, platform, config) = setup();
-        let plan = FaultPlan {
-            uam: crate::faults::UamViolationFault {
-                extra_per_window: 1,
-                every_n_windows: 3,
-            },
-            demand: crate::faults::DemandFault {
-                mean_factor: 1.5,
-                spread: 0.2,
-            },
-            ..FaultPlan::none()
-        };
-        let seeds = [9u64, 1, 5, 3];
-        let mut policy = MaxSpeedEdf::new();
-        let sequential = replicate_with_faults(
-            &tasks,
-            &patterns,
-            &platform,
-            &mut policy,
-            &config,
-            &seeds,
-            &plan,
-        )
-        .unwrap();
-        for jobs in [1, 2, 4] {
-            let parallel = replicate_parallel_with_faults(
-                &tasks,
-                &patterns,
-                &platform,
-                MaxSpeedEdf::new,
-                &config,
-                &seeds,
-                jobs,
-                &plan,
-            )
-            .unwrap();
-            assert_eq!(parallel, sequential, "jobs = {jobs}");
+    fn a_panicking_run_fails_with_its_seed_label() {
+        let factory = || -> MaxSpeedEdf { panic!("factory boom") };
+        for jobs in [1, 2] {
+            let err = replicate_edf(factory, &[3, 4], jobs).unwrap_err();
+            let SimError::Pool {
+                source: PoolError::WorkerPanic { label, message },
+            } = err
+            else {
+                panic!("expected a pool error, got {err:?}");
+            };
+            assert_eq!(
+                (label.as_str(), message.as_str()),
+                ("seed 3", "factory boom")
+            );
         }
-        // The fault plan actually changes the runs.
-        let unfaulted = replicate(
-            &tasks,
-            &patterns,
-            &platform,
-            &mut MaxSpeedEdf::new(),
-            &config,
-            &seeds,
-        )
-        .unwrap();
-        assert_ne!(sequential, unfaulted);
-    }
-
-    #[test]
-    fn parallel_empty_seed_list_rejected() {
-        let (tasks, patterns, platform, config) = setup();
-        let err = replicate_parallel(
-            &tasks,
-            &patterns,
-            &platform,
-            MaxSpeedEdf::new,
-            &config,
-            &[],
-            4,
-        )
-        .unwrap_err();
-        assert_eq!(err, SimError::ZeroReplications);
     }
 }

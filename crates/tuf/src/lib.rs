@@ -42,7 +42,6 @@
 mod error;
 pub mod presets;
 mod shape;
-mod transform;
 
 pub use error::TufError;
 pub use shape::{ExponentialTuf, LinearTuf, PiecewiseTuf, StepTuf, Tuf};

@@ -21,7 +21,7 @@
 //! non-aborting EDF baseline is the optimal uniprocessor scheduler the
 //! Feasible claim quantifies over.
 //!
-//! Case budget: `EUA_SOUNDNESS_CASES` (default 24; ci.sh smoke uses 8).
+//! Case budget: `EUA_SOUNDNESS_CASES` (default 24).
 
 use eua::analyze::{frequency_verdicts, lower, verdict_at_fmax, ScenarioSpec, Verdict};
 use eua::analyze::{DemandSpec, EnergySpec, TaskSpec, TufSpec};
@@ -235,11 +235,18 @@ proptest! {
         }
 
         // Simulation half, dispatched through the worker pool.
-        let outcomes = map_parallel(2, sims, |_i, (mhz, feasible, horizon_us)| {
-            let (assured, observable, meets) =
-                simulate_fixed(&tasks, &patterns, mhz, horizon_us);
-            (mhz, feasible, assured, observable, meets)
-        })
+        let outcomes = map_parallel(
+            2,
+            sims,
+            |i, _| format!("item {i}"),
+            |_, (mhz, feasible, horizon_us)| {
+                let (assured, observable, meets) =
+                    simulate_fixed(&tasks, &patterns, mhz, horizon_us);
+                (mhz, feasible, assured, observable, meets)
+            },
+        )
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()
         .expect("pool drains");
         for (mhz, feasible, assured, observable, meets) in outcomes {
             prop_assert!(observable > 0, "{mhz} MHz: horizon left nothing observable");

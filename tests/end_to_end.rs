@@ -153,14 +153,13 @@ fn fig3_energy_rises_with_arrival_bound_underload() {
     );
 }
 
-#[cfg(feature = "invariant-checks")]
+#[cfg(debug_assertions)]
 #[test]
 fn invariant_checks_are_compiled_in_and_survive_a_full_sweep() {
-    // With the feature on, every `run()` above already threads each
-    // engine transition through the invariant checker; this test makes
-    // the wiring explicit and sweeps the checker across an overload,
-    // where aborts and clock churn are most frequent.
-    assert!(eua::sim::invariant_checks_enabled());
+    // In debug builds every `run()` above already threads each engine
+    // transition through the invariant checker; this test makes the
+    // wiring explicit and sweeps the checker across an overload, where
+    // aborts and clock churn are most frequent.
     for load in [0.3, 1.2] {
         for name in eua::core::available_policies() {
             let m = run(name, load, EnergySetting::e3(), 11);

@@ -7,9 +7,8 @@
 //! [`SimError`], never panics, and stays deterministic per seed.
 //!
 //! The case count defaults to 48 and can be overridden through the
-//! `EUA_FUZZ_CASES` environment variable (ci.sh runs a reduced budget).
-//! The whole suite is exercised with and without the
-//! `invariant-checks` feature by ci.sh.
+//! `EUA_FUZZ_CASES` environment variable. Debug builds run the suite
+//! with the engine's invariant checks compiled in.
 
 use eua::core::make_policy;
 use eua::platform::TimeDelta;

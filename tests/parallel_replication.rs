@@ -1,36 +1,55 @@
 #![allow(clippy::expect_used)] // test/demo code: panicking on bad setup is the point
 
-//! Cross-crate check of the parallel sweep runner: `replicate_parallel`
-//! must be **bit-identical** to sequential `replicate` — same metrics,
-//! same seed order — on a real paper workload, for any worker count, and
-//! the bench-layer parallel cell map must agree with its sequential self.
+//! Cross-crate check of the sweep runner: `replicate` builds a fresh
+//! policy per seed and fans the seeds out over the worker pool, so it
+//! must be **bit-identical** to one policy value reused sequentially —
+//! same metrics, same seed order — on a real paper workload, for any
+//! worker count. That equivalence rests on `SchedulerPolicy::reset`
+//! restoring a fresh state, which the last test checks for every
+//! policy.
 
-use eua::core::Eua;
+use eua::core::{available_policies, make_policy, BudgetedEua, Eua};
 use eua::platform::{EnergySetting, TimeDelta};
-use eua::sim::{replicate, replicate_parallel, Platform, SimConfig};
-use eua::workload::{fig2_workload, fig3_workload};
+use eua::sim::{replicate, Engine, Metrics, Platform, SchedulerPolicy, SimConfig, Summary};
+use eua::workload::{fig2_workload, fig3_workload, Workload};
 
 const SEEDS: [u64; 6] = [17, 2, 9, 41, 3, 28];
+
+/// The sequential reference: one policy value, reset by the engine
+/// before every seed.
+fn reused_policy_runs(
+    w: &Workload,
+    platform: &Platform,
+    policy: &mut dyn SchedulerPolicy,
+    config: &SimConfig,
+) -> Vec<(u64, Metrics)> {
+    SEEDS
+        .iter()
+        .map(|&seed| {
+            let outcome = Engine::run(&w.tasks, &w.patterns, platform, policy, config, seed)
+                .expect("sequential run");
+            (seed, outcome.metrics)
+        })
+        .collect()
+}
+
+fn seeded_metrics(summary: &Summary) -> Vec<(u64, Metrics)> {
+    summary
+        .runs
+        .iter()
+        .map(|r| (r.seed, r.metrics.clone()))
+        .collect()
+}
 
 #[test]
 fn parallel_replicate_is_bit_identical_on_fig2_workload() {
     let platform = Platform::powernow(EnergySetting::e1());
     let w = fig2_workload(0.8, 42, platform.f_max()).expect("workload");
     let config = SimConfig::new(TimeDelta::from_secs(2));
-
-    let mut policy = Eua::new();
-    let sequential = replicate(
-        &w.tasks,
-        &w.patterns,
-        &platform,
-        &mut policy,
-        &config,
-        &SEEDS,
-    )
-    .expect("sequential run");
+    let sequential = reused_policy_runs(&w, &platform, &mut Eua::new(), &config);
 
     for jobs in [1, 2, 3, 8] {
-        let parallel = replicate_parallel(
+        let summary = replicate(
             &w.tasks,
             &w.patterns,
             &platform,
@@ -39,20 +58,12 @@ fn parallel_replicate_is_bit_identical_on_fig2_workload() {
             &SEEDS,
             jobs,
         )
-        .expect("parallel run");
+        .expect("replicated run");
         assert_eq!(
-            parallel.runs.len(),
-            sequential.runs.len(),
-            "jobs={jobs}: run count"
+            seeded_metrics(&summary),
+            sequential,
+            "jobs={jobs}: seed order and metrics must be bit-identical"
         );
-        for (p, s) in parallel.runs.iter().zip(&sequential.runs) {
-            assert_eq!(p.seed, s.seed, "jobs={jobs}: seed order must match");
-            assert_eq!(
-                p.metrics, s.metrics,
-                "jobs={jobs} seed={}: metrics must be bit-identical",
-                p.seed
-            );
-        }
     }
 }
 
@@ -62,18 +73,9 @@ fn parallel_replicate_is_bit_identical_on_bursty_workload() {
     let platform = Platform::powernow(EnergySetting::e3());
     let w = fig3_workload(1.2, 3, 42, platform.f_max()).expect("workload");
     let config = SimConfig::new(TimeDelta::from_secs(1));
+    let sequential = reused_policy_runs(&w, &platform, &mut Eua::new(), &config);
 
-    let mut policy = Eua::new();
-    let sequential = replicate(
-        &w.tasks,
-        &w.patterns,
-        &platform,
-        &mut policy,
-        &config,
-        &SEEDS,
-    )
-    .expect("sequential run");
-    let parallel = replicate_parallel(
+    let summary = replicate(
         &w.tasks,
         &w.patterns,
         &platform,
@@ -82,10 +84,56 @@ fn parallel_replicate_is_bit_identical_on_bursty_workload() {
         &SEEDS,
         4,
     )
-    .expect("parallel run");
-    assert_eq!(parallel.runs.len(), sequential.runs.len());
-    for (p, s) in parallel.runs.iter().zip(&sequential.runs) {
-        assert_eq!(p.seed, s.seed);
-        assert_eq!(p.metrics, s.metrics);
+    .expect("replicated run");
+    assert_eq!(seeded_metrics(&summary), sequential);
+}
+
+/// One policy value reused across runs over alternating task sets,
+/// platforms and seeds must give the metrics and certificate bytes of a
+/// fresh policy per run, for every registered policy and for
+/// `BudgetedEua`.
+#[test]
+fn reused_policy_matches_a_fresh_policy_for_every_policy() {
+    // E1 and E3 give EUA*'s offline UER-optimal frequencies different
+    // values (36 vs 64 MHz), so a table kept across runs shows.
+    let platforms = [
+        Platform::powernow(EnergySetting::e1()),
+        Platform::powernow(EnergySetting::e3()),
+    ];
+    let f_max = platforms[0].f_max();
+    let workloads = [
+        fig2_workload(1.2, 42, f_max).expect("workload"),
+        fig3_workload(0.6, 3, 7, f_max).expect("workload"),
+    ];
+    // (workload, platform, seed) per run, alternating both inputs.
+    let schedule = [(0, 0, 17u64), (1, 1, 2), (0, 1, 9), (1, 0, 17)];
+    let config = SimConfig::new(TimeDelta::from_millis(500)).with_certificate();
+    let run = |policy: &mut dyn SchedulerPolicy, (w, p, seed): (usize, usize, u64)| {
+        let (w, platform) = (&workloads[w], &platforms[p]);
+        let outcome =
+            Engine::run(&w.tasks, &w.patterns, platform, policy, &config, seed).expect("run");
+        let cert = outcome.certificate.expect("certificate requested").render();
+        (outcome.metrics, cert)
+    };
+    // A budget that runs out mid-run, so the budget-bound paths run too.
+    let budget = run(&mut Eua::new(), schedule[0]).0.energy / 2.0;
+
+    let make = |name: &str| -> Box<dyn SchedulerPolicy> {
+        if name == "eua-budget" {
+            Box::new(BudgetedEua::new(budget))
+        } else {
+            make_policy(name).expect("registered policy")
+        }
+    };
+
+    for &name in available_policies().iter().chain(&["eua-budget"]) {
+        let mut reused = make(name);
+        for (i, &inputs) in schedule.iter().enumerate() {
+            let fresh = run(make(name).as_mut(), inputs);
+            assert!(
+                run(reused.as_mut(), inputs) == fresh,
+                "{name}: run {i} {inputs:?} differs from a fresh policy"
+            );
+        }
     }
 }

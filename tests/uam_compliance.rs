@@ -113,13 +113,12 @@ fn first_arrival_happens_at_time_zero_for_periodic_patterns() {
     assert_eq!(trace.as_slice()[0], SimTime::ZERO);
 }
 
-#[cfg(feature = "invariant-checks")]
+#[cfg(debug_assertions)]
 #[test]
 fn invariant_checks_cover_bursty_admission() {
     // The checker's UAM-window assertion sees the exact arrival stream
     // the engine admits; a maximally bursty pattern (WindowBurst hits
     // the bound) is the sharpest exercise of that assertion.
-    assert!(eua::sim::invariant_checks_enabled());
     let w = WorkloadBuilder::new(eua::workload::table1())
         .max_arrivals(4)
         .build(3)
