@@ -159,14 +159,15 @@ cargo test --release --offline -q --manifest-path perf/Cargo.toml
 step "overload fallback bench guard (ignored timing test, scaling shape)"
 # Pins the schedule builder's O(n²) overload fallback to at-worst
 # quadratic-ish scaling from 64 to 256 candidates (generous 4x headroom
-# for noise). The Fenwick-position upgrade sketched at the slow-path
-# comment in crates/core/src/candidates.rs should beat this baseline.
+# for noise). The segment-tree rewrite sketched at the slow-path comment
+# in crates/core/src/candidates.rs (ROADMAP item 3) should beat this
+# baseline.
 cargo test -q -p eua-bench --test overload_guard -- --ignored
 
 step "robustness sweep smoke (--jobs 2, byte round-trip, certified)"
 # --check re-parses the emitted JSON and fails unless re-rendering it
 # reproduces the on-disk bytes exactly (first-party parser/renderer).
-# --certify records one eua-certificate/1 document per sweep cell; the
+# --certify records one eua-certificate/2 document per sweep cell; the
 # unfaulted (intensity-0) cells are then re-validated offline by the
 # auditor. Faulted cells are covered by the fault gate in `cargo test`
 # above; auditing all 48 here would dominate the gate's wall clock.

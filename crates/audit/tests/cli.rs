@@ -1,10 +1,13 @@
 #![allow(clippy::expect_used)] // test code
 
-//! Binary-level contract test for `eua-audit --format sarif`: the
+//! Binary-level contract tests for `eua-audit`: the `--format sarif`
 //! document names the auditor as its driver and passes `--check` (the
-//! pinned SARIF subset plus the byte round-trip).
+//! pinned SARIF subset plus the byte round-trip), and `check` rejects
+//! a certificate in the retired `eua-certificate/1` format or one whose
+//! ready-set changes depart a job that is not live.
 
-use std::process::Command;
+use std::path::Path;
+use std::process::{Command, Output};
 
 use eua_analyze::json::{self, Json};
 
@@ -35,4 +38,56 @@ fn sarif_check_names_the_auditor_as_driver() {
         .and_then(Json::as_str)
         .map(String::from);
     assert_eq!(driver.as_deref(), Some("eua-audit"));
+}
+
+/// Writes `text` to `name` under the target directory and runs
+/// `eua-audit check` on it.
+fn check_copy(name: &str, text: &str) -> Output {
+    let path = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+    std::fs::write(&path, text).expect("copy written");
+    Command::new(env!("CARGO_BIN_EXE_eua-audit"))
+        .arg("check")
+        .arg(&path)
+        .output()
+        .expect("eua-audit runs")
+}
+
+/// Asserts exit 1 with `aud-malformed-certificate` and `reason` in the
+/// report.
+fn assert_malformed(out: &Output, reason: &str) {
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "stdout: {stdout}");
+    assert!(stdout.contains("aud-malformed-certificate"), "{stdout}");
+    assert!(stdout.contains(reason), "{stdout} does not say {reason:?}");
+}
+
+#[test]
+fn check_rejects_a_v1_certificate_naming_its_format() {
+    let v1 = r#"{
+  "format": "eua-certificate/1",
+  "policy": "eua",
+  "seed": 3,
+  "events": [
+    {
+      "at_us": 0,
+      "ready": []
+    }
+  ]
+}
+"#;
+    let out = check_copy("audit-cli-v1.json", v1);
+    assert_malformed(&out, "unknown certificate format \"eua-certificate/1\"");
+}
+
+#[test]
+fn check_rejects_a_departure_of_a_job_that_is_not_live() {
+    let fixture = std::fs::read_to_string(
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/quickstart-eua-seed3.json"),
+    )
+    .expect("fixture reads");
+    // Job 0 departs at the second event; job 999 never arrives.
+    let forged = fixture.replacen(r#""departed":[0]"#, r#""departed":[999]"#, 1);
+    assert_ne!(forged, fixture, "the forgery changed nothing");
+    let out = check_copy("audit-cli-departed-not-live.json", &forged);
+    assert_malformed(&out, "departed job 999 is not live");
 }

@@ -6,6 +6,8 @@
 
 mod common;
 
+use std::collections::BTreeSet;
+
 use common::{bridge, run_certified};
 use eua_analyze::shipped_scenarios;
 use eua_audit::{audit, audit_text};
@@ -192,4 +194,106 @@ fn corruption_attribution_is_specific() {
     ] {
         assert!(!codes.contains(unrelated), "spurious `{unrelated}`");
     }
+}
+
+/// A job id no certificate in this suite reaches.
+const NOT_LIVE: u64 = 999_999_999;
+
+/// Rewrites the first line of `text` that `edit` returns a new line for,
+/// the way a forger edits one event or one charge of a rendered
+/// certificate.
+fn forge_line(text: &str, edit: impl Fn(&str) -> Option<String>) -> String {
+    let mut edited = false;
+    let mut forged = String::with_capacity(text.len() + 32);
+    for line in text.lines() {
+        match edit(line).filter(|_| !edited) {
+            Some(new) => {
+                forged.push_str(&new);
+                edited = true;
+            }
+            None => forged.push_str(line),
+        }
+        forged.push('\n');
+    }
+    assert_ne!(forged, text, "the forgery changed nothing");
+    forged
+}
+
+/// The job id that follows `marker` on `line`, with its byte range.
+fn id_after(line: &str, marker: &str) -> Option<(std::ops::Range<usize>, u64)> {
+    let start = line.find(marker)? + marker.len();
+    let len = line[start..].bytes().take_while(u8::is_ascii_digit).count();
+    let id = line[start..start + len].parse().ok()?;
+    Some((start..start + len, id))
+}
+
+/// Replaces the first job id that follows `marker` with [`NOT_LIVE`].
+fn unlive_id_after(text: &str, marker: &str) -> String {
+    forge_line(text, |line| {
+        let (ids, _) = id_after(line, marker)?;
+        Some(format!(
+            "{}{NOT_LIVE}{}",
+            &line[..ids.start],
+            &line[ids.end..]
+        ))
+    })
+}
+
+/// Audits forged certificate text and asserts that the only finding is
+/// `aud-malformed-certificate`, for the `reason` the forgery targets.
+fn assert_only_malformed(forged: &str, reason: &str) {
+    let report = audit_text("forged", forged);
+    let text = report.render_text();
+    assert_eq!(
+        report.codes(),
+        BTreeSet::from(["aud-malformed-certificate"]),
+        "{text}"
+    );
+    assert!(text.contains(reason), "{text} does not say {reason:?}");
+}
+
+#[test]
+fn departing_a_job_that_is_not_live_is_malformed() {
+    let forged = unlive_id_after(&certified().render(), r#""departed":["#);
+    assert_only_malformed(&forged, &format!("departed job {NOT_LIVE} is not live"));
+}
+
+#[test]
+fn progressing_a_job_that_is_not_live_is_malformed() {
+    let forged = unlive_id_after(&certified().render(), r#""progressed":[["#);
+    assert_only_malformed(&forged, &format!("progressed job {NOT_LIVE} is not live"));
+}
+
+#[test]
+fn re_adding_a_live_job_is_malformed() {
+    // A job that progressed at an event is live there; arriving it again
+    // must not silently replace its snapshot.
+    let forged = forge_line(&certified().render(), |line| {
+        let (_, live) = id_after(line, r#""progressed":[["#)?;
+        let row = format!("[{live},0,0,0,0,1]");
+        Some(if line.contains(r#""arrived":[]"#) {
+            line.replacen(r#""arrived":[]"#, &format!(r#""arrived":[{row}]"#), 1)
+        } else {
+            line.replacen(r#""arrived":["#, &format!(r#""arrived":[{row},"#), 1)
+        })
+    });
+    assert_only_malformed(&forged, "is already live");
+}
+
+#[test]
+fn a_reordered_columns_header_is_malformed() {
+    let forged = forge_line(&certified().render(), |line| {
+        line.starts_with(r#""columns":"#)
+            .then(|| line.replacen(r#""uer":["job","uer"]"#, r#""uer":["uer","job"]"#, 1))
+    });
+    assert_only_malformed(&forged, "`columns` header");
+}
+
+#[test]
+fn a_row_with_the_wrong_cell_count_is_malformed() {
+    // Charge rows are the only lines that open with a bare array.
+    let forged = forge_line(&certified().render(), |line| {
+        line.starts_with('[').then(|| line.replacen('[', "[0,", 1))
+    });
+    assert_only_malformed(&forged, "charge row has 7 cells");
 }

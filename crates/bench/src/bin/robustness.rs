@@ -11,7 +11,7 @@
 //! document is byte-identical for any `--jobs` count). `--check`
 //! re-parses the written file and fails unless rendering it reproduces
 //! the bytes on disk exactly. `--certify DIR` additionally records an
-//! `eua-certificate/1` document per `(family, intensity, policy, seed)`
+//! `eua-certificate/2` document per `(family, intensity, policy, seed)`
 //! cell into `DIR` so the sweep can be validated offline:
 //!
 //! ```text

@@ -223,7 +223,7 @@ pub struct RobustnessReport {
     pub config: RobustnessConfig,
     /// All points, ordered by (family, intensity, policy).
     pub points: Vec<RobustnessPoint>,
-    /// Rendered `eua-certificate/1` documents, one `(file name, text)`
+    /// Rendered `eua-certificate/2` documents, one `(file name, text)`
     /// pair per `(family, intensity, policy, seed)` cell in grid order;
     /// empty unless [`RobustnessConfig::certify`] was set. The sweep
     /// report itself ([`Self::to_json`]) never embeds them — callers

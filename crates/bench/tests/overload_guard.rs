@@ -1,16 +1,16 @@
 #![allow(clippy::expect_used, clippy::unwrap_used)] // test code
 
 //! Bench guard for the schedule builder's O(n²) overload fallback
-//! (ROADMAP item 1's remaining headroom; design sketch at the slow-path
-//! comment in `crates/core/src/candidates.rs`).
+//! (ROADMAP item 3; its segment-tree replacement is sketched at the
+//! slow-path comment in `crates/core/src/candidates.rs`).
 //!
 //! `#[ignore]`d: timing assertions are load-sensitive, so this runs on
 //! demand (`cargo test -p eua-bench -- --ignored`) and from the bench
 //! stanza in `ci.sh`, not from the default test sweep. The guard pins
 //! the *scaling shape*, not absolute speed: quadratic growth from n=64
 //! to n=256 is expected today (≈16x), and anything far beyond that
-//! means the fallback regressed; a future Fenwick-position rewrite
-//! should drive the ratio toward linear-ish and can tighten the bound.
+//! means the fallback regressed; the segment-tree rewrite should drive
+//! the ratio toward n log n (≈5.3x) and can tighten the bound.
 
 use criterion::measure_ns;
 use eua_core::{Candidate, InsertionMode, ScheduleBuilder};

@@ -247,22 +247,28 @@ impl ScheduleBuilder {
         // Slow path (overload): full greedy insertion in key order.
         //
         // This loop is O(n²): each accepted insertion pays a `Vec` shift
-        // plus the fused tail walk below. The known O(n log n) upgrade,
-        // should sustained overload ever matter beyond the backlog bench
-        // (ROADMAP item 1's remaining headroom), rides on one invariant:
-        // insertion positions are partition points over the FIXED total
-        // order `(critical, id)`, which key-ordered consideration never
-        // changes. So pre-sort the candidates by `(critical, id)` once,
-        // giving every candidate a fixed position index, then keep two
-        // Fenwick trees over those positions — a presence/exec-sum tree
-        // answering "finish time before position p" (prefix sum of
-        // accepted execution times plus `now`), and a min-tree over
-        // per-entry slack answering the suffix-minimum feasibility probe.
-        // Acceptance flips one bit and two point-updates; the per-entry
-        // fields below (`finish`, `entry_slack`, `slack`) become queries
-        // instead of stored state, and the tail shift disappears. The
-        // guard test `overload_fallback_scaling_guard` (crates/bench,
-        // `#[ignore]`d) pins today's quadratic scaling so that upgrade
+        // plus the fused tail walk below. The planned O(n log n)
+        // replacement is ROADMAP item 3's segment tree. It rides on one
+        // invariant: insertion positions are partition points over the
+        // FIXED total order `(critical, id)`, which key-ordered
+        // consideration never changes, so pre-sorting the candidates by
+        // `(critical, id)` once gives each a fixed position index. Two
+        // Fenwick trees over those positions (an exec-sum tree plus a
+        // min-tree over per-entry slack) do not suffice: accepting a
+        // candidate at position p lowers the slack of every accepted
+        // entry after p, so a min-tree with point updates goes stale.
+        // One segment tree answers both queries with point updates only.
+        // Each node keeps the execution-time sum of its accepted entries
+        // and the minimum, over them, of termination minus the execution
+        // time accepted up to and including that entry within the node;
+        // nodes merge as `min(left.min, right.min − left.sum)`. The
+        // prefix sum gives the finish time before p, the suffix query
+        // offset by that prefix gives the minimum slack after p, and
+        // MAX-termination sentinels count as +∞. Each candidate then
+        // costs O(log n), and the per-entry fields below (`finish`,
+        // `entry_slack`, `slack`) go away with the tail shift. The guard
+        // test `overload_fallback_scaling_guard` (crates/bench,
+        // `#[ignore]`d) pins today's quadratic scaling so that rewrite
         // has a measured baseline to beat.
         let mut rejected = false;
         candidates.sort_by(consideration_order);

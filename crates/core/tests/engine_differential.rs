@@ -10,7 +10,7 @@
 //!
 //! "Byte-identical" is checked at full strength: the two outcomes must
 //! compare equal (metrics, per-job records, traces, fault stats) and the
-//! rendered `eua-certificate/1` documents must be equal as strings.
+//! rendered `eua-certificate/2` documents must be equal as strings.
 //!
 //! The proptest case count defaults to 24 and can be overridden through
 //! the `EUA_ENGINE_DIFF_CASES` environment variable.

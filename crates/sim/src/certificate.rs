@@ -11,9 +11,20 @@
 //! declaration, and the certified arrival stream — so `eua-audit` (the
 //! independent checker in `crates/audit`) needs nothing but the file.
 //!
-//! Serialization goes through the first-party [`crate::json`] tree, so
-//! certificates byte-round-trip (`render(parse(s)) == s`) and two runs
-//! producing equal certificates render to identical bytes.
+//! [`RunCertificate::render`] writes an `eua-certificate/2` document:
+//! compact JSON through the first-party [`crate::json`] tree, with one
+//! top-level field per line and one event and one charge per line. The
+//! arrival, job, UER, schedule, abort-witness and charge tables are
+//! positional rows whose cell order the `columns` header names. An event
+//! does not repeat its ready set: it records the ids that `departed`, the
+//! `[job, remaining]` rows that `progressed` and the job rows that
+//! `arrived` since the previous event, and [`RunCertificate::parse`]
+//! rebuilds [`EventRecord::ready`] from them. Certificates byte-round-trip
+//! (`render(parse(s)) == s`), and two runs producing equal certificates
+//! render to identical bytes.
+
+use std::cmp::Ordering;
+use std::collections::BTreeMap;
 
 use eua_platform::{Cycles, Frequency, SimTime, TimeDelta};
 use eua_tuf::Tuf;
@@ -24,7 +35,7 @@ use crate::json::{parse as json_parse, Json};
 use crate::task::Task;
 
 /// The format tag pinned into every certificate this module writes.
-pub const CERT_FORMAT: &str = "eua-certificate/1";
+pub const CERT_FORMAT: &str = "eua-certificate/2";
 
 /// A declarative snapshot of one task, sufficient to re-evaluate its TUF,
 /// UAM bound, and Chebyshev allocation offline.
@@ -367,12 +378,67 @@ pub struct RunCertificate {
 // Serialization.
 // ---------------------------------------------------------------------
 
+// The cell order of each positional table. The `columns` header writes
+// them out, and `parse` rejects a document whose header differs.
+const ARRIVAL_COLUMNS: [&str; 2] = ["at_us", "task"];
+const JOB_COLUMNS: [&str; 6] = [
+    "job",
+    "task",
+    "arrival_us",
+    "critical_us",
+    "termination_us",
+    "remaining_cycles",
+];
+const PROGRESS_COLUMNS: [&str; 2] = ["job", "remaining_cycles"];
+const UER_COLUMNS: [&str; 2] = ["job", "uer"];
+const SCHEDULE_COLUMNS: [&str; 2] = ["job", "finish_us"];
+const ABORT_WITNESS_COLUMNS: [&str; 4] = [
+    "job",
+    "remaining_cycles",
+    "termination_us",
+    "predicted_finish_us",
+];
+const CHARGE_COLUMNS: [&str; 6] = [
+    "at_us",
+    "kind",
+    "frequency_mhz",
+    "cycles",
+    "micros",
+    "energy",
+];
+
+/// The `columns` header: each positional table's name and cell order.
+fn columns_json() -> Json {
+    let tables: [(&str, &[&str]); 7] = [
+        ("arrival", &ARRIVAL_COLUMNS),
+        ("job", &JOB_COLUMNS),
+        ("progress", &PROGRESS_COLUMNS),
+        ("uer", &UER_COLUMNS),
+        ("schedule", &SCHEDULE_COLUMNS),
+        ("abort_witness", &ABORT_WITNESS_COLUMNS),
+        ("charge", &CHARGE_COLUMNS),
+    ];
+    Json::Obj(
+        tables
+            .iter()
+            .map(|&(name, columns)| {
+                let names = columns.iter().map(|&c| Json::Str(c.into())).collect();
+                (name.into(), Json::Arr(names))
+            })
+            .collect(),
+    )
+}
+
 fn time_json(t: SimTime) -> Json {
     Json::uint(t.as_micros())
 }
 
 fn delta_json(d: TimeDelta) -> Json {
     Json::uint(d.as_micros())
+}
+
+fn uint_arr(values: &[u64]) -> Json {
+    Json::Arr(values.iter().map(|&v| Json::uint(v)).collect())
 }
 
 impl TufDecl {
@@ -419,6 +485,32 @@ impl TufDecl {
     }
 }
 
+impl TaskDecl {
+    fn to_json(&self) -> Json {
+        Json::Obj(vec![
+            ("name".into(), Json::Str(self.name.clone())),
+            ("tuf".into(), self.tuf.to_json()),
+            (
+                "max_arrivals".into(),
+                Json::uint(u64::from(self.max_arrivals)),
+            ),
+            ("window_us".into(), delta_json(self.window)),
+            (
+                "allocation_cycles".into(),
+                Json::uint(self.allocation.get()),
+            ),
+            (
+                "critical_offset_us".into(),
+                delta_json(self.critical_offset),
+            ),
+            (
+                "termination_offset_us".into(),
+                delta_json(self.termination_offset),
+            ),
+        ])
+    }
+}
+
 fn trigger_json(event: SchedEvent) -> Json {
     let (kind, job) = match event {
         SchedEvent::Start => ("start", None),
@@ -433,36 +525,54 @@ fn trigger_json(event: SchedEvent) -> Json {
     Json::Obj(fields)
 }
 
+/// Starts a top-level field on a line of its own.
+fn push_key(out: &mut String, key: &str) {
+    out.push_str(if out.is_empty() { "{\n" } else { ",\n" });
+    Json::Str(key.into()).write_compact(out);
+    out.push(':');
+}
+
+/// Writes a top-level array field with one compact row per line.
+fn push_lines(out: &mut String, key: &str, rows: impl Iterator<Item = Json>) {
+    push_key(out, key);
+    out.push('[');
+    let mut separator = "\n";
+    for row in rows {
+        out.push_str(separator);
+        row.write_compact(out);
+        separator = ",\n";
+    }
+    out.push_str("\n]");
+}
+
 impl RunCertificate {
-    /// Lowers the certificate into the first-party JSON tree.
+    /// Renders the certificate as an `eua-certificate/2` document: compact
+    /// JSON with one top-level field per line, except that `events` and
+    /// `charges` put each row on a line of its own.
+    ///
+    /// Each event writes its ready set as the change from the previous
+    /// event's.
+    ///
+    /// # Panics
+    ///
+    /// If an event's ready set is not id-ascending with no duplicates. The
+    /// engine records every ready set that way, and a certificate that is
+    /// not could not be rebuilt from its changes.
     #[must_use]
-    pub fn to_json(&self) -> Json {
+    pub fn render(&self) -> String {
         let (s3, s2, s1_rel, s0_rel) = self.energy_rel;
-        Json::Obj(vec![
-            ("format".into(), Json::Str(CERT_FORMAT.into())),
-            ("policy".into(), Json::Str(self.policy.clone())),
-            ("seed".into(), Json::uint(self.seed)),
-            ("horizon_us".into(), delta_json(self.horizon)),
+        let header = [
+            ("format", Json::Str(CERT_FORMAT.into())),
+            ("policy", Json::Str(self.policy.clone())),
+            ("seed", Json::uint(self.seed)),
+            ("horizon_us", delta_json(self.horizon)),
+            ("frequencies_mhz", uint_arr(&self.frequencies_mhz)),
             (
-                "frequencies_mhz".into(),
-                Json::Arr(
-                    self.frequencies_mhz
-                        .iter()
-                        .map(|&m| Json::uint(m))
-                        .collect(),
-                ),
+                "policy_frequencies_mhz",
+                uint_arr(&self.policy_frequencies_mhz),
             ),
             (
-                "policy_frequencies_mhz".into(),
-                Json::Arr(
-                    self.policy_frequencies_mhz
-                        .iter()
-                        .map(|&m| Json::uint(m))
-                        .collect(),
-                ),
-            ),
-            (
-                "energy".into(),
+                "energy",
                 Json::Obj(vec![
                     ("name".into(), Json::Str(self.energy_name.clone())),
                     ("s3".into(), Json::num(s3)),
@@ -471,62 +581,45 @@ impl RunCertificate {
                     ("s0_rel".into(), Json::num(s0_rel)),
                 ]),
             ),
-            ("idle_power".into(), Json::num(self.idle_power)),
+            ("idle_power", Json::num(self.idle_power)),
+            ("columns", columns_json()),
             (
-                "tasks".into(),
-                Json::Arr(
-                    self.tasks
-                        .iter()
-                        .map(|t| {
-                            Json::Obj(vec![
-                                ("name".into(), Json::Str(t.name.clone())),
-                                ("tuf".into(), t.tuf.to_json()),
-                                ("max_arrivals".into(), Json::uint(u64::from(t.max_arrivals))),
-                                ("window_us".into(), delta_json(t.window)),
-                                ("allocation_cycles".into(), Json::uint(t.allocation.get())),
-                                ("critical_offset_us".into(), delta_json(t.critical_offset)),
-                                (
-                                    "termination_offset_us".into(),
-                                    delta_json(t.termination_offset),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
+                "tasks",
+                Json::Arr(self.tasks.iter().map(TaskDecl::to_json).collect()),
             ),
             (
-                "arrivals".into(),
+                "arrivals",
                 Json::Arr(
                     self.arrivals
                         .iter()
-                        .map(|&(t, task)| {
-                            Json::Obj(vec![
-                                ("at_us".into(), time_json(t)),
-                                ("task".into(), Json::uint(task as u64)),
-                            ])
-                        })
+                        .map(|&(t, task)| Json::Arr(vec![time_json(t), Json::uint(task as u64)]))
                         .collect(),
                 ),
             ),
-            (
-                "events".into(),
-                Json::Arr(self.events.iter().map(event_json).collect()),
-            ),
-            (
-                "charges".into(),
-                Json::Arr(self.charges.iter().map(charge_json).collect()),
-            ),
-            ("final_energy".into(), Json::num(self.final_energy)),
-        ])
+        ];
+        let mut out = String::new();
+        for (key, value) in &header {
+            push_key(&mut out, key);
+            value.write_compact(&mut out);
+        }
+        let before = std::iter::once(&[][..]).chain(self.events.iter().map(|e| e.ready.as_slice()));
+        push_lines(
+            &mut out,
+            "events",
+            self.events
+                .iter()
+                .zip(before)
+                .map(|(e, before)| event_json(e, before)),
+        );
+        push_lines(&mut out, "charges", self.charges.iter().map(charge_json));
+        push_key(&mut out, "final_energy");
+        Json::num(self.final_energy).write_compact(&mut out);
+        out.push_str("\n}\n");
+        out
     }
 
-    /// Renders the certificate as deterministic pretty-printed JSON.
-    #[must_use]
-    pub fn render(&self) -> String {
-        self.to_json().render()
-    }
-
-    /// Parses a rendered certificate.
+    /// Parses a rendered certificate, rebuilding each event's `ready`
+    /// set from the recorded changes.
     ///
     /// # Errors
     ///
@@ -536,7 +629,14 @@ impl RunCertificate {
         let doc = json_parse(text)?;
         let format = str_field(&doc, "format")?;
         if format != CERT_FORMAT {
-            return Err(format!("unknown certificate format {format:?}"));
+            return Err(format!(
+                "unknown certificate format {format:?}; this reader accepts {CERT_FORMAT:?} only"
+            ));
+        }
+        if doc.get("columns") != Some(&columns_json()) {
+            return Err(format!(
+                "missing `columns` header, or one that differs from {CERT_FORMAT:?}'s"
+            ));
         }
         let energy = doc.get("energy").ok_or("missing energy object")?;
         Ok(RunCertificate {
@@ -559,17 +659,15 @@ impl RunCertificate {
                 .collect::<Result<_, _>>()?,
             arrivals: arr_field(&doc, "arrivals")?
                 .iter()
-                .map(|a| {
+                .map(|row| {
+                    let [at, task] = cells(row, "arrival", &ARRIVAL_COLUMNS)?;
                     Ok::<_, String>((
-                        SimTime::from_micros(u64_field(a, "at_us")?),
-                        u64_field(a, "task")? as usize,
+                        SimTime::from_micros(u64_of(at, "at_us")?),
+                        usize_of(task, "task")?,
                     ))
                 })
                 .collect::<Result<_, _>>()?,
-            events: arr_field(&doc, "events")?
-                .iter()
-                .map(parse_event)
-                .collect::<Result<_, _>>()?,
+            events: parse_events(arr_field(&doc, "events")?)?,
             charges: arr_field(&doc, "charges")?
                 .iter()
                 .map(parse_charge)
@@ -579,28 +677,81 @@ impl RunCertificate {
     }
 }
 
-fn event_json(e: &EventRecord) -> Json {
+/// The change from one id-ascending ready set to the next, found by a
+/// merge walk: the ids that `departed`, the `[job, remaining]` rows of
+/// jobs that `progressed`, and the full rows of jobs that `arrived`. A
+/// job whose task, arrival, critical or termination time changed is
+/// written as a departure plus an arrival, so `parse` rebuilds `after`
+/// exactly.
+fn ready_delta(before: &[JobSnapshot], after: &[JobSnapshot]) -> [Json; 3] {
+    assert!(
+        after.windows(2).all(|w| w[0].job < w[1].job),
+        "ready sets must be id-ascending with no duplicates"
+    );
+    let (mut departed, mut progressed, mut arrived) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut i, mut k) = (0, 0);
+    loop {
+        let order = match (before.get(i), after.get(k)) {
+            (None, None) => break,
+            (Some(_), None) => Ordering::Less,
+            (None, Some(_)) => Ordering::Greater,
+            (Some(old), Some(new)) => old.job.cmp(&new.job),
+        };
+        match order {
+            Ordering::Less => {
+                departed.push(Json::uint(before[i].job.0));
+                i += 1;
+            }
+            Ordering::Greater => {
+                arrived.push(job_row(&after[k]));
+                k += 1;
+            }
+            Ordering::Equal => {
+                let (old, new) = (&before[i], &after[k]);
+                let kept = JobSnapshot {
+                    remaining: new.remaining,
+                    ..*old
+                };
+                if kept != *new {
+                    departed.push(Json::uint(old.job.0));
+                    arrived.push(job_row(new));
+                } else if old.remaining != new.remaining {
+                    progressed.push(Json::Arr(vec![
+                        Json::uint(new.job.0),
+                        Json::uint(new.remaining.get()),
+                    ]));
+                }
+                i += 1;
+                k += 1;
+            }
+        }
+    }
+    [
+        Json::Arr(departed),
+        Json::Arr(progressed),
+        Json::Arr(arrived),
+    ]
+}
+
+fn job_row(j: &JobSnapshot) -> Json {
+    Json::Arr(vec![
+        Json::uint(j.job.0),
+        Json::uint(j.task.0 as u64),
+        time_json(j.arrival),
+        time_json(j.critical),
+        time_json(j.termination),
+        Json::uint(j.remaining.get()),
+    ])
+}
+
+fn event_json(e: &EventRecord, before: &[JobSnapshot]) -> Json {
+    let [departed, progressed, arrived] = ready_delta(before, &e.ready);
     Json::Obj(vec![
         ("at_us".into(), time_json(e.at)),
         ("trigger".into(), trigger_json(e.trigger)),
-        (
-            "ready".into(),
-            Json::Arr(
-                e.ready
-                    .iter()
-                    .map(|j| {
-                        Json::Obj(vec![
-                            ("job".into(), Json::uint(j.job.0)),
-                            ("task".into(), Json::uint(j.task.0 as u64)),
-                            ("arrival_us".into(), time_json(j.arrival)),
-                            ("critical_us".into(), time_json(j.critical)),
-                            ("termination_us".into(), time_json(j.termination)),
-                            ("remaining_cycles".into(), Json::uint(j.remaining.get())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
+        ("departed".into(), departed),
+        ("progressed".into(), progressed),
+        ("arrived".into(), arrived),
         ("run".into(), e.run.map_or(Json::Null, |j| Json::uint(j.0))),
         ("frequency_mhz".into(), Json::uint(e.frequency.as_mhz())),
         (
@@ -621,12 +772,7 @@ fn explanation_json(x: &DecisionExplanation) -> Json {
             Json::Arr(
                 x.uer
                     .iter()
-                    .map(|u| {
-                        Json::Obj(vec![
-                            ("job".into(), Json::uint(u.job.0)),
-                            ("uer".into(), Json::num(u.uer)),
-                        ])
-                    })
+                    .map(|u| Json::Arr(vec![Json::uint(u.job.0), Json::num(u.uer)]))
                     .collect(),
             ),
         ),
@@ -635,12 +781,7 @@ fn explanation_json(x: &DecisionExplanation) -> Json {
             Json::Arr(
                 x.schedule
                     .iter()
-                    .map(|s| {
-                        Json::Obj(vec![
-                            ("job".into(), Json::uint(s.job.0)),
-                            ("finish_us".into(), time_json(s.predicted_finish)),
-                        ])
-                    })
+                    .map(|s| Json::Arr(vec![Json::uint(s.job.0), time_json(s.predicted_finish)]))
                     .collect(),
             ),
         ),
@@ -650,11 +791,11 @@ fn explanation_json(x: &DecisionExplanation) -> Json {
                 x.aborts
                     .iter()
                     .map(|a| {
-                        Json::Obj(vec![
-                            ("job".into(), Json::uint(a.job.0)),
-                            ("remaining_cycles".into(), Json::uint(a.remaining.get())),
-                            ("termination_us".into(), time_json(a.termination)),
-                            ("predicted_finish_us".into(), time_json(a.predicted_finish)),
+                        Json::Arr(vec![
+                            Json::uint(a.job.0),
+                            Json::uint(a.remaining.get()),
+                            time_json(a.termination),
+                            time_json(a.predicted_finish),
                         ])
                     })
                     .collect(),
@@ -682,13 +823,13 @@ fn explanation_json(x: &DecisionExplanation) -> Json {
 }
 
 fn charge_json(c: &ChargeRecord) -> Json {
-    Json::Obj(vec![
-        ("at_us".into(), time_json(c.at)),
-        ("kind".into(), Json::Str(c.kind.as_str().into())),
-        ("frequency_mhz".into(), Json::uint(c.frequency_mhz)),
-        ("cycles".into(), Json::uint(c.cycles.get())),
-        ("micros".into(), Json::uint(c.micros)),
-        ("energy".into(), Json::num(c.energy)),
+    Json::Arr(vec![
+        time_json(c.at),
+        Json::Str(c.kind.as_str().into()),
+        Json::uint(c.frequency_mhz),
+        Json::uint(c.cycles.get()),
+        Json::uint(c.micros),
+        Json::num(c.energy),
     ])
 }
 
@@ -696,64 +837,86 @@ fn charge_json(c: &ChargeRecord) -> Json {
 // Parsing.
 // ---------------------------------------------------------------------
 
+fn u64_of(v: &Json, what: &str) -> Result<u64, String> {
+    match v {
+        Json::Num(n) => n
+            .parse::<u64>()
+            .map_err(|_| format!("`{what}` is not an unsigned integer: {n:?}")),
+        _ => Err(format!("non-numeric `{what}`")),
+    }
+}
+
+fn f64_of(v: &Json, what: &str) -> Result<f64, String> {
+    match v {
+        Json::Num(n) => n
+            .parse::<f64>()
+            .map_err(|_| format!("`{what}` is not a number: {n:?}")),
+        _ => Err(format!("non-numeric `{what}`")),
+    }
+}
+
+fn usize_of(v: &Json, what: &str) -> Result<usize, String> {
+    usize::try_from(u64_of(v, what)?).map_err(|_| format!("`{what}` is out of range"))
+}
+
+fn field<'a>(v: &'a Json, key: &str) -> Result<&'a Json, String> {
+    v.get(key).ok_or_else(|| format!("missing `{key}`"))
+}
+
 fn str_field(v: &Json, key: &str) -> Result<String, String> {
-    v.get(key)
-        .and_then(Json::as_str)
+    field(v, key)?
+        .as_str()
         .map(String::from)
-        .ok_or_else(|| format!("missing or non-string `{key}`"))
+        .ok_or_else(|| format!("non-string `{key}`"))
 }
 
 fn u64_field(v: &Json, key: &str) -> Result<u64, String> {
-    match v.get(key) {
-        Some(Json::Num(n)) => n
-            .parse::<u64>()
-            .map_err(|_| format!("`{key}` is not an unsigned integer: {n:?}")),
-        _ => Err(format!("missing or non-numeric `{key}`")),
-    }
+    u64_of(field(v, key)?, key)
 }
 
 fn f64_field(v: &Json, key: &str) -> Result<f64, String> {
-    match v.get(key) {
-        Some(Json::Num(n)) => n
-            .parse::<f64>()
-            .map_err(|_| format!("`{key}` is not a number: {n:?}")),
-        _ => Err(format!("missing or non-numeric `{key}`")),
-    }
+    f64_of(field(v, key)?, key)
 }
 
 fn opt_u64_field(v: &Json, key: &str) -> Result<Option<u64>, String> {
     match v.get(key) {
         Some(Json::Null) | None => Ok(None),
-        Some(Json::Num(n)) => n
-            .parse::<u64>()
-            .map(Some)
-            .map_err(|_| format!("`{key}` is not an unsigned integer: {n:?}")),
-        _ => Err(format!("non-numeric `{key}`")),
+        Some(n) => u64_of(n, key).map(Some),
     }
 }
 
 fn arr_field<'a>(v: &'a Json, key: &str) -> Result<&'a [Json], String> {
-    v.get(key)
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("missing or non-array `{key}`"))
+    field(v, key)?
+        .as_arr()
+        .ok_or_else(|| format!("non-array `{key}`"))
 }
 
 fn u64_arr(v: &Json, key: &str) -> Result<Vec<u64>, String> {
-    arr_field(v, key)?
-        .iter()
-        .map(|e| match e {
-            Json::Num(n) => n
-                .parse::<u64>()
-                .map_err(|_| format!("`{key}` entry is not an unsigned integer: {n:?}")),
-            _ => Err(format!("non-numeric `{key}` entry")),
-        })
-        .collect()
+    arr_field(v, key)?.iter().map(|e| u64_of(e, key)).collect()
+}
+
+/// The cells of one positional row of `table`, which must have exactly
+/// one cell per column.
+fn cells<'a, const N: usize>(
+    row: &'a Json,
+    table: &str,
+    columns: &[&str; N],
+) -> Result<&'a [Json; N], String> {
+    let items = row
+        .as_arr()
+        .ok_or_else(|| format!("{table} row is not an array"))?;
+    items.try_into().map_err(|_| {
+        format!(
+            "{table} row has {} cells, not the {N} of {columns:?}",
+            items.len()
+        )
+    })
 }
 
 fn parse_task(v: &Json) -> Result<TaskDecl, String> {
     Ok(TaskDecl {
         name: str_field(v, "name")?,
-        tuf: parse_tuf(v.get("tuf").ok_or("missing task tuf")?)?,
+        tuf: parse_tuf(field(v, "tuf")?)?,
         max_arrivals: u32::try_from(u64_field(v, "max_arrivals")?)
             .map_err(|_| "max_arrivals out of range".to_string())?,
         window: TimeDelta::from_micros(u64_field(v, "window_us")?),
@@ -784,21 +947,10 @@ fn parse_tuf(v: &Json) -> Result<TufDecl, String> {
             let points = arr_field(v, "points")?
                 .iter()
                 .map(|p| {
-                    let pair = p.as_arr().ok_or("piecewise point is not a pair")?;
-                    let [t, u] = pair else {
-                        return Err("piecewise point is not a pair".to_string());
-                    };
-                    let Json::Num(tn) = t else {
-                        return Err("piecewise offset is not a number".to_string());
-                    };
-                    let Json::Num(un) = u else {
-                        return Err("piecewise utility is not a number".to_string());
-                    };
+                    let [t, u] = cells(p, "piecewise point", &["offset_us", "utility"])?;
                     Ok((
-                        TimeDelta::from_micros(
-                            tn.parse::<u64>().map_err(|_| "bad piecewise offset")?,
-                        ),
-                        un.parse::<f64>().map_err(|_| "bad piecewise utility")?,
+                        TimeDelta::from_micros(u64_of(t, "piecewise offset")?),
+                        f64_of(u, "piecewise utility")?,
                     ))
                 })
                 .collect::<Result<_, String>>()?;
@@ -819,38 +971,59 @@ fn parse_trigger(v: &Json) -> Result<SchedEvent, String> {
     }
 }
 
-fn parse_event(v: &Json) -> Result<EventRecord, String> {
+/// Parses the event rows, replaying each one's ready-set change onto
+/// the live jobs: departures first, then progress, then arrivals.
+fn parse_events(rows: &[Json]) -> Result<Vec<EventRecord>, String> {
+    let mut live = BTreeMap::new();
+    rows.iter()
+        .enumerate()
+        .map(|(i, row)| parse_event(row, &mut live).map_err(|e| format!("event {i}: {e}")))
+        .collect()
+}
+
+fn parse_event(v: &Json, live: &mut BTreeMap<JobId, JobSnapshot>) -> Result<EventRecord, String> {
+    for id in arr_field(v, "departed")? {
+        let job = JobId(u64_of(id, "departed")?);
+        if live.remove(&job).is_none() {
+            return Err(format!("departed job {} is not live", job.0));
+        }
+    }
+    for row in arr_field(v, "progressed")? {
+        let [job, remaining] = cells(row, "progress", &PROGRESS_COLUMNS)?;
+        let job = JobId(u64_of(job, "job")?);
+        let snapshot = live
+            .get_mut(&job)
+            .ok_or_else(|| format!("progressed job {} is not live", job.0))?;
+        snapshot.remaining = Cycles::new(u64_of(remaining, "remaining_cycles")?);
+    }
+    for row in arr_field(v, "arrived")? {
+        let [job, task, arrival, critical, termination, remaining] =
+            cells(row, "job", &JOB_COLUMNS)?;
+        let snapshot = JobSnapshot {
+            job: JobId(u64_of(job, "job")?),
+            task: TaskId(usize_of(task, "task")?),
+            arrival: SimTime::from_micros(u64_of(arrival, "arrival_us")?),
+            critical: SimTime::from_micros(u64_of(critical, "critical_us")?),
+            termination: SimTime::from_micros(u64_of(termination, "termination_us")?),
+            remaining: Cycles::new(u64_of(remaining, "remaining_cycles")?),
+        };
+        if live.insert(snapshot.job, snapshot).is_some() {
+            return Err(format!("arrived job {} is already live", snapshot.job.0));
+        }
+    }
     let frequency_mhz = u64_field(v, "frequency_mhz")?;
     if frequency_mhz == 0 {
         return Err("event frequency_mhz must be positive".into());
     }
     Ok(EventRecord {
         at: SimTime::from_micros(u64_field(v, "at_us")?),
-        trigger: parse_trigger(v.get("trigger").ok_or("missing event trigger")?)?,
-        ready: arr_field(v, "ready")?
-            .iter()
-            .map(|j| {
-                Ok::<_, String>(JobSnapshot {
-                    job: JobId(u64_field(j, "job")?),
-                    task: TaskId(u64_field(j, "task")? as usize),
-                    arrival: SimTime::from_micros(u64_field(j, "arrival_us")?),
-                    critical: SimTime::from_micros(u64_field(j, "critical_us")?),
-                    termination: SimTime::from_micros(u64_field(j, "termination_us")?),
-                    remaining: Cycles::new(u64_field(j, "remaining_cycles")?),
-                })
-            })
-            .collect::<Result<_, _>>()?,
+        trigger: parse_trigger(field(v, "trigger")?)?,
+        ready: live.values().copied().collect(),
         run: opt_u64_field(v, "run")?.map(JobId),
         frequency: Frequency::from_mhz(frequency_mhz),
         aborts: arr_field(v, "aborts")?
             .iter()
-            .map(|j| match j {
-                Json::Num(n) => n
-                    .parse::<u64>()
-                    .map(JobId)
-                    .map_err(|_| format!("bad abort id {n:?}")),
-                _ => Err("non-numeric abort id".into()),
-            })
+            .map(|j| u64_of(j, "aborts").map(JobId))
             .collect::<Result<_, _>>()?,
         explanation: match v.get("explanation") {
             Some(Json::Null) | None => None,
@@ -863,30 +1036,34 @@ fn parse_explanation(v: &Json) -> Result<DecisionExplanation, String> {
     Ok(DecisionExplanation {
         uer: arr_field(v, "uer")?
             .iter()
-            .map(|u| {
+            .map(|row| {
+                let [job, uer] = cells(row, "uer", &UER_COLUMNS)?;
                 Ok::<_, String>(UerEntry {
-                    job: JobId(u64_field(u, "job")?),
-                    uer: f64_field(u, "uer")?,
+                    job: JobId(u64_of(job, "job")?),
+                    uer: f64_of(uer, "uer")?,
                 })
             })
             .collect::<Result<_, _>>()?,
         schedule: arr_field(v, "schedule")?
             .iter()
-            .map(|s| {
+            .map(|row| {
+                let [job, finish] = cells(row, "schedule", &SCHEDULE_COLUMNS)?;
                 Ok::<_, String>(ScheduleEntry {
-                    job: JobId(u64_field(s, "job")?),
-                    predicted_finish: SimTime::from_micros(u64_field(s, "finish_us")?),
+                    job: JobId(u64_of(job, "job")?),
+                    predicted_finish: SimTime::from_micros(u64_of(finish, "finish_us")?),
                 })
             })
             .collect::<Result<_, _>>()?,
         aborts: arr_field(v, "aborts")?
             .iter()
-            .map(|a| {
+            .map(|row| {
+                let [job, remaining, termination, finish] =
+                    cells(row, "abort_witness", &ABORT_WITNESS_COLUMNS)?;
                 Ok::<_, String>(AbortWitness {
-                    job: JobId(u64_field(a, "job")?),
-                    remaining: Cycles::new(u64_field(a, "remaining_cycles")?),
-                    termination: SimTime::from_micros(u64_field(a, "termination_us")?),
-                    predicted_finish: SimTime::from_micros(u64_field(a, "predicted_finish_us")?),
+                    job: JobId(u64_of(job, "job")?),
+                    remaining: Cycles::new(u64_of(remaining, "remaining_cycles")?),
+                    termination: SimTime::from_micros(u64_of(termination, "termination_us")?),
+                    predicted_finish: SimTime::from_micros(u64_of(finish, "predicted_finish_us")?),
                 })
             })
             .collect::<Result<_, _>>()?,
@@ -911,21 +1088,22 @@ fn parse_explanation(v: &Json) -> Result<DecisionExplanation, String> {
     })
 }
 
-fn parse_charge(v: &Json) -> Result<ChargeRecord, String> {
-    let kind = match str_field(v, "kind")?.as_str() {
-        "execute" => ChargeKind::Execute,
-        "switch" => ChargeKind::Switch,
-        "abort-cost" => ChargeKind::AbortCost,
-        "idle" => ChargeKind::Idle,
+fn parse_charge(row: &Json) -> Result<ChargeRecord, String> {
+    let [at, kind, frequency_mhz, cycles, micros, energy] = cells(row, "charge", &CHARGE_COLUMNS)?;
+    let kind = match kind.as_str() {
+        Some("execute") => ChargeKind::Execute,
+        Some("switch") => ChargeKind::Switch,
+        Some("abort-cost") => ChargeKind::AbortCost,
+        Some("idle") => ChargeKind::Idle,
         other => return Err(format!("unknown charge kind {other:?}")),
     };
     Ok(ChargeRecord {
-        at: SimTime::from_micros(u64_field(v, "at_us")?),
+        at: SimTime::from_micros(u64_of(at, "at_us")?),
         kind,
-        frequency_mhz: u64_field(v, "frequency_mhz")?,
-        cycles: Cycles::new(u64_field(v, "cycles")?),
-        micros: u64_field(v, "micros")?,
-        energy: f64_field(v, "energy")?,
+        frequency_mhz: u64_of(frequency_mhz, "frequency_mhz")?,
+        cycles: Cycles::new(u64_of(cycles, "cycles")?),
+        micros: u64_of(micros, "micros")?,
+        energy: f64_of(energy, "energy")?,
     })
 }
 
@@ -960,14 +1138,7 @@ mod tests {
             events: vec![EventRecord {
                 at: SimTime::ZERO,
                 trigger: SchedEvent::Arrival,
-                ready: vec![JobSnapshot {
-                    job: JobId(0),
-                    task: TaskId(0),
-                    arrival: SimTime::ZERO,
-                    critical: SimTime::from_micros(10_000),
-                    termination: SimTime::from_micros(10_000),
-                    remaining: Cycles::new(150_000),
-                }],
+                ready: vec![job(0, 150_000)],
                 run: Some(JobId(0)),
                 frequency: Frequency::from_mhz(36),
                 aborts: vec![],
@@ -1007,27 +1178,142 @@ mod tests {
         }
     }
 
+    /// Job `id` of task 0, released at `id` ms with a 10 ms window.
+    fn job(id: u64, remaining: u64) -> JobSnapshot {
+        JobSnapshot {
+            job: JobId(id),
+            task: TaskId(0),
+            arrival: SimTime::from_micros(id * 1_000),
+            critical: SimTime::from_micros(id * 1_000 + 10_000),
+            termination: SimTime::from_micros(id * 1_000 + 10_000),
+            remaining: Cycles::new(remaining),
+        }
+    }
+
+    /// [`sample`] followed by events that make every kind of ready-set
+    /// change: arrivals, progress, departures, and a job whose critical
+    /// time changed while it stayed live.
+    fn sample_with_deltas() -> RunCertificate {
+        let mut cert = sample();
+        let moved = JobSnapshot {
+            critical: SimTime::from_micros(9_000),
+            ..job(1, 50)
+        };
+        let readies = [
+            vec![job(0, 120_000), job(1, 99), job(2, 99)],
+            vec![job(1, 50), job(2, 99), job(3, 99)],
+            vec![moved, job(3, 99)],
+            vec![],
+        ];
+        for (k, ready) in (1..).zip(readies) {
+            cert.events.push(EventRecord {
+                at: SimTime::from_micros(k * 1_000),
+                trigger: SchedEvent::Completion(JobId(k)),
+                ready,
+                run: None,
+                frequency: Frequency::from_mhz(100),
+                aborts: vec![],
+                explanation: None,
+            });
+        }
+        cert
+    }
+
     #[test]
     fn certificate_round_trips_value_and_bytes() {
-        let cert = sample();
+        for cert in [sample(), sample_with_deltas()] {
+            let text = cert.render();
+            let back = RunCertificate::parse(&text).expect("must parse");
+            assert_eq!(back, cert, "value round-trip");
+            assert_eq!(back.render(), text, "byte round-trip");
+        }
+    }
+
+    #[test]
+    fn events_record_how_the_ready_set_changed() {
+        let cert = sample_with_deltas();
         let text = cert.render();
-        let back = RunCertificate::parse(&text).expect("must parse");
-        assert_eq!(back, cert, "value round-trip");
-        assert_eq!(back.render(), text, "byte round-trip");
+        let events: Vec<&str> = text
+            .lines()
+            .filter(|l| l.starts_with("{\"at_us\":"))
+            .collect();
+        let charges = text.lines().filter(|l| l.starts_with('[')).count();
+        assert_eq!(events.len(), cert.events.len(), "one event per line");
+        assert_eq!(charges, cert.charges.len(), "one charge per line");
+        let deltas = [
+            r#""departed":[],"progressed":[],"arrived":[[0,0,0,10000,10000,150000]]"#,
+            r#""departed":[],"progressed":[[0,120000]],"arrived":[[1,0,1000,11000,11000,99],[2,0,2000,12000,12000,99]]"#,
+            r#""departed":[0],"progressed":[[1,50]],"arrived":[[3,0,3000,13000,13000,99]]"#,
+            r#""departed":[1,2],"progressed":[],"arrived":[[1,0,1000,9000,11000,50]]"#,
+            r#""departed":[1,3],"progressed":[],"arrived":[]"#,
+        ];
+        for (line, delta) in events.iter().zip(deltas) {
+            assert!(line.contains(delta), "{line} lacks {delta}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "id-ascending")]
+    fn rendering_an_unordered_ready_set_panics() {
+        let mut cert = sample();
+        cert.events[0].ready = vec![job(1, 99), job(0, 99)];
+        let _ = cert.render();
     }
 
     #[test]
     fn malformed_certificates_are_rejected() {
-        let cert = sample();
-        let good = cert.render();
-        for bad in [
-            "not json".to_string(),
-            "{}".to_string(),
-            good.replace("eua-certificate/1", "eua-certificate/999"),
-            good.replace("\"kind\": \"execute\"", "\"kind\": \"teleport\""),
-            good.replace("\"shape\": \"step\"", "\"shape\": \"cubist\""),
+        let good = sample_with_deltas().render();
+        let forge = |from: &str, to: &str| good.replacen(from, to, 1);
+        for (bad, reason) in [
+            ("not json".to_string(), "malformed literal"),
+            ("{}".to_string(), "missing `format`"),
+            (
+                forge("eua-certificate/2", "eua-certificate/999"),
+                "unknown certificate format",
+            ),
+            (
+                forge("eua-certificate/2", "eua-certificate/1"),
+                "unknown certificate format \"eua-certificate/1\"",
+            ),
+            (
+                forge(r#""uer":["job","uer"]"#, r#""uer":["uer","job"]"#),
+                "`columns` header",
+            ),
+            (forge(r#""columns":"#, r#""column":"#), "`columns` header"),
+            (
+                forge(r#""arrivals":[[0,0]"#, r#""arrivals":[[0]"#),
+                "arrival row has 1 cells",
+            ),
+            (
+                forge(r#""execute",36,"#, r#""execute",36,36,"#),
+                "charge row has 7 cells",
+            ),
+            (
+                forge(r#""execute""#, r#""teleport""#),
+                "unknown charge kind",
+            ),
+            (
+                forge(r#""shape":"step""#, r#""shape":"cubist""#),
+                "unknown tuf shape",
+            ),
+            (
+                forge(r#""departed":[0]"#, r#""departed":[7]"#),
+                "departed job 7 is not live",
+            ),
+            (
+                forge(r#""progressed":[[0,"#, r#""progressed":[[7,"#),
+                "progressed job 7 is not live",
+            ),
+            (
+                forge(r#""arrived":[[1,"#, r#""arrived":[[0,"#),
+                "arrived job 0 is already live",
+            ),
         ] {
-            assert!(RunCertificate::parse(&bad).is_err(), "{bad:.60} accepted");
+            assert_ne!(bad, good, "the forgery for {reason:?} changed nothing");
+            match RunCertificate::parse(&bad) {
+                Ok(_) => panic!("accepted a document forged for {reason:?}"),
+                Err(e) => assert!(e.contains(reason), "{e:?} does not say {reason:?}"),
+            }
         }
     }
 

@@ -71,7 +71,9 @@ impl Json {
         out
     }
 
-    fn write_compact(&self, out: &mut String) {
+    /// Appends the compact rendering of [`Json::render_compact`] to
+    /// `out`, for writers that lay out a document line by line.
+    pub fn write_compact(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),

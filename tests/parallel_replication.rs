@@ -10,7 +10,13 @@
 
 use eua::core::{available_policies, make_policy, BudgetedEua, Eua};
 use eua::platform::{EnergySetting, TimeDelta};
-use eua::sim::{replicate, Engine, Metrics, Platform, SchedulerPolicy, SimConfig, Summary};
+use eua::sim::{
+    replicate, Engine, Metrics, Platform, SchedulerPolicy, SimConfig, Summary, Task, TaskSet,
+};
+use eua::tuf::Tuf;
+use eua::uam::demand::DemandModel;
+use eua::uam::generator::ArrivalPattern;
+use eua::uam::{Assurance, UamSpec};
 use eua::workload::{fig2_workload, fig3_workload, Workload};
 
 const SEEDS: [u64; 6] = [17, 2, 9, 41, 3, 28];
@@ -135,5 +141,65 @@ fn reused_policy_matches_a_fresh_policy_for_every_policy() {
                 "{name}: run {i} {inputs:?} differs from a fresh policy"
             );
         }
+    }
+}
+
+/// Two tasks, each periodic at 10 ms with a linear TUF of the given
+/// height that ends at 10 ms and a deterministic 600,000-cycle demand:
+/// 12 ms of work per 10 ms at E1's top speed, so an overload.
+fn overloaded_pair(heights: [f64; 2]) -> (TaskSet, Vec<ArrivalPattern>) {
+    let period = TimeDelta::from_millis(10);
+    let tasks = heights
+        .iter()
+        .zip(["first", "second"])
+        .map(|(&height, name)| {
+            Task::new(
+                name,
+                Tuf::linear(height, period).expect("linear tuf"),
+                UamSpec::periodic(period).expect("periodic uam"),
+                DemandModel::deterministic(600_000.0).expect("demand"),
+                Assurance::new(0.1, 0.5).expect("assurance"),
+            )
+            .expect("task")
+        })
+        .collect();
+    let patterns = vec![ArrivalPattern::periodic(period).expect("pattern"); 2];
+    (TaskSet::new(tasks).expect("task set"), patterns)
+}
+
+/// A policy reused after a run that ended on its first decision must
+/// keep nothing of that decision. Both runs release the same two jobs at
+/// t = 0 with the same demand, and only the swapped TUF heights tell
+/// them apart, so a score cache that `reset` left filled answers the
+/// second run with the first run's utilities.
+#[test]
+fn reused_policy_forgets_the_scores_of_a_run_cut_after_one_decision() {
+    let platform = Platform::powernow(EnergySetting::e1());
+    let run = |policy: &mut dyn SchedulerPolicy, heights: [f64; 2], horizon: TimeDelta| {
+        let (tasks, patterns) = overloaded_pair(heights);
+        let config = SimConfig::new(horizon).with_certificate();
+        let outcome = Engine::run(&tasks, &patterns, &platform, policy, &config, 1).expect("run");
+        (
+            outcome.metrics,
+            outcome.certificate.expect("certificate requested"),
+        )
+    };
+    for &name in available_policies() {
+        let make = || make_policy(name).expect("registered policy");
+        let mut reused = make();
+        let (_, first) = run(reused.as_mut(), [10.0, 1.0], TimeDelta::from_micros(1));
+        assert_eq!(
+            first.events.len(),
+            1,
+            "{name}: the first run must stop after one decision"
+        );
+        let second = [1.0, 10.0];
+        let (metrics, cert) = run(make().as_mut(), second, TimeDelta::from_millis(30));
+        let (reused_metrics, reused_cert) =
+            run(reused.as_mut(), second, TimeDelta::from_millis(30));
+        assert!(
+            reused_metrics == metrics && reused_cert.render() == cert.render(),
+            "{name}: a run after a one-decision run differs from a fresh policy"
+        );
     }
 }
