@@ -19,9 +19,9 @@ cargo fmt --all --check
 
 step "eua-lint workspace scan (all codes)"
 # Every rule on every first-party .rs file: float sorts, allocation on
-# hot paths and in nested loops, pool-closure purity over the call
-# graph, seed provenance, and saturating time arithmetic. The lexical
-# determinism bans live in clippy.toml (checked below). The walker
+# hot paths and in nested loops, seed provenance, and saturating time
+# arithmetic. The lexical determinism bans, pool purity's included, live
+# in clippy.toml (checked below). The walker
 # skips vendor/, target/, and fixture corpora on its own. The same gate
 # also runs as a test (crates/lint/tests/dogfood.rs) under `cargo test`
 # below. The SARIF pass proves the renderer byte-round-trips even when
@@ -39,7 +39,7 @@ lint_wall_ms="$(( (lint_end_ns - lint_start_ns) / 1000000 ))"
 lint_files="$(awk '{print $2}' <<<"${lint_summary}")"
 cat > BENCH_lint.json <<EOF
 {
-  "description": "Wall time of the full eua-lint workspace scan (token rules, per-function CFG dataflow, and the call-graph pass for pool purity and seed taint) over every first-party .rs file, as measured by ci.sh with bash date +%s%N around one debug-build invocation. Indicative single-host numbers, not a statistical benchmark.",
+  "description": "Wall time of the full eua-lint workspace scan (token rules and per-function CFG dataflow, seed taint included) over every first-party .rs file, as measured by ci.sh with bash date +%s%N around one debug-build invocation. Indicative single-host numbers, not a statistical benchmark.",
   "command": "target/debug/eua-lint check",
   "files_scanned": ${lint_files},
   "scan_wall_ms": ${lint_wall_ms}
@@ -49,37 +49,46 @@ echo "eua-lint full scan: ${lint_files} files in ${lint_wall_ms} ms (BENCH_lint.
 
 step "cargo clippy -D warnings"
 # clippy.toml bans wall-clock reads, raw std::thread, std::time types,
-# and hash collections. The worker pool's one raw-thread site carries a
-# statement-level #[expect], which -D warnings turns into an error once
-# it suppresses nothing. No first-party code is feature-gated, so one
-# run covers everything.
+# hash collections, and the std::sync shared-state types, channels and
+# thread-locals a Sync pool closure could otherwise share. The worker
+# pool's thread scope and queue, and the overload guard's timer, each
+# carry a statement-level #[expect], which -D warnings turns into an
+# error once it suppresses nothing. No first-party code is
+# feature-gated, so one run covers everything.
 cargo clippy --workspace --all-targets -- -D warnings
 
 step "clippy determinism bans fire (fixture package must fail)"
 # crates/lint/tests/fixtures/clippy_bans/ violates every ban, one module
-# per ban. Clippy must reject it and name every path clippy.toml bans,
-# so a mistyped ban path, or a ban without a violating fixture, fails.
-if ban_out="$(cargo clippy -q \
-    --manifest-path crates/lint/tests/fixtures/clippy_bans/Cargo.toml \
+# per ban family, and ends each violating line with `// ban: <path>`.
+# Clippy must reject the package and report every path clippy.toml lists
+# and every marked path. The markers make a deleted ban fail: the other
+# bans still reject the package, and clippy.toml no longer lists it, but
+# its marker still demands the report. A mistyped ban path fails too.
+ban_pkg=crates/lint/tests/fixtures/clippy_bans
+if ban_out="$(cargo clippy -q --manifest-path "${ban_pkg}/Cargo.toml" \
     --target-dir target/clippy-bans -- -D warnings 2>&1)"; then
   echo "error: clippy accepted the ban fixtures" >&2
   exit 1
 fi
-banned="$(sed -n 's/.*{ path = "\([^"]*\)".*/\1/p' clippy.toml)"
-if [[ -z "${banned}" ]]; then
-  echo "error: clippy.toml lists no disallowed paths" >&2
+listed="$(sed -n 's/.*{ path = "\([^"]*\)".*/\1/p' clippy.toml)"
+marked="$(grep -rhoE '// ban: [A-Za-z0-9_:]+' "${ban_pkg}/src" | sed 's|^// ban: ||' || true)"
+if [[ -z "${listed}" || -z "${marked}" ]]; then
+  echo "error: no ban paths listed in clippy.toml or marked in ${ban_pkg}/src" >&2
   exit 1
 fi
+banned="$(printf '%s\n%s\n' "${listed}" "${marked}" | sort -u)"
 while read -r path; do
   # Match the violation itself: clippy also quotes a ban path it cannot
   # resolve, in a warning that -D warnings does not promote.
   if ! grep -qF -e "use of a disallowed method \`${path}\`" \
-      -e "use of a disallowed type \`${path}\`" <<<"${ban_out}"; then
+      -e "use of a disallowed type \`${path}\`" \
+      -e "use of a disallowed macro \`${path}\`" <<<"${ban_out}"; then
     echo "error: clippy did not report the ban on ${path}" >&2
     exit 1
   fi
 done <<<"${banned}"
-echo "clippy reported all $(wc -l <<<"${banned}") banned paths"
+echo "clippy reported all $(wc -l <<<"${banned}") banned paths" \
+  "($(wc -l <<<"${listed}") listed, $(sort -u <<<"${marked}" | wc -l) marked)"
 
 step "cargo test"
 # Debug builds compile in the engine's runtime invariant checks
@@ -142,12 +151,6 @@ fi
 
 step "bench smoke under --jobs 2"
 cargo run -q -p eua-bench --bin fig2 -- --quick --energy e1 --jobs 2 >/dev/null
-
-step "simulator_throughput bench smoke"
-# Reduced samples, no 256-job level: proves the end-to-end and backlog
-# throughput benches (the BENCH_engine.json harness) build and run.
-EUA_BENCH_SMOKE=1 cargo bench -q -p eua-bench \
-  --bench simulator_throughput >/dev/null
 
 step "benchmark package tests (perf/)"
 # perf/ is a workspace of its own that builds against crates/* by path,

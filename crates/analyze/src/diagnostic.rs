@@ -172,11 +172,6 @@ pub enum DiagCode {
     /// `partial_cmp` inside a `sort_by`-family comparator: NaN ordering
     /// is unspecified where `total_cmp` would be deterministic.
     LintFloatSortPartialCmp,
-    /// A closure handed to the worker pool that captures or may reach
-    /// nondeterministic state (hash iteration, entropy RNG, wall clock,
-    /// interior mutability), breaking cell purity. An ambiguous call
-    /// counts as reaching it when any candidate does.
-    LintPoolClosureImpure,
     /// An allocating call that runs on every event or every inner-loop
     /// iteration: anywhere inside a function marked `// eua-lint: hot`,
     /// or at loop depth two or more elsewhere when the value does not
@@ -184,7 +179,7 @@ pub enum DiagCode {
     LintLoopAlloc,
     /// An RNG seeding site whose seed value cannot be proven to derive
     /// from a master-seed parameter through the taint lattice
-    /// (seed-derived ⊑ unknown ⊑ entropy-derived).
+    /// (seed-derived ⊑ unknown).
     LintSeedTaint,
     /// Raw `+`/`-`/`*` arithmetic on a value the unit lattice types as
     /// integer microseconds, where the workspace idiom is the saturating
@@ -199,7 +194,7 @@ pub enum DiagCode {
 
 impl DiagCode {
     /// Every code, in a stable order (used by `eua-analyze codes`).
-    pub const ALL: [DiagCode; 48] = [
+    pub const ALL: [DiagCode; 47] = [
         DiagCode::NoTasks,
         DiagCode::DuplicateTaskName,
         DiagCode::TufNonPositiveUmax,
@@ -242,7 +237,6 @@ impl DiagCode {
         DiagCode::AudEnergyMismatch,
         DiagCode::AudUamViolation,
         DiagCode::LintFloatSortPartialCmp,
-        DiagCode::LintPoolClosureImpure,
         DiagCode::LintLoopAlloc,
         DiagCode::LintSeedTaint,
         DiagCode::LintUncheckedTimeArith,
@@ -296,7 +290,6 @@ impl DiagCode {
             DiagCode::AudEnergyMismatch => "aud-energy-mismatch",
             DiagCode::AudUamViolation => "aud-uam-violation",
             DiagCode::LintFloatSortPartialCmp => "lint-float-sort-partial-cmp",
-            DiagCode::LintPoolClosureImpure => "lint-pool-closure-impure",
             DiagCode::LintLoopAlloc => "lint-loop-alloc",
             DiagCode::LintSeedTaint => "lint-seed-taint",
             DiagCode::LintUncheckedTimeArith => "lint-unchecked-time-arith",
@@ -339,7 +332,6 @@ impl DiagCode {
             | DiagCode::AudEnergyMismatch
             | DiagCode::AudUamViolation
             | DiagCode::LintFloatSortPartialCmp
-            | DiagCode::LintPoolClosureImpure
             | DiagCode::LintLoopAlloc
             | DiagCode::LintSeedTaint
             | DiagCode::LintUncheckedTimeArith
@@ -438,7 +430,6 @@ impl DiagCode {
             }
             DiagCode::AudUamViolation => "certified arrivals exceed a UAM <a, P> bound",
             DiagCode::LintFloatSortPartialCmp => "partial_cmp in a sort comparator; use total_cmp",
-            DiagCode::LintPoolClosureImpure => "pool closure reaches nondeterministic state",
             DiagCode::LintLoopAlloc => "allocation in a hot function or a nested loop",
             DiagCode::LintSeedTaint => "RNG seed not provably derived from a master seed",
             DiagCode::LintUncheckedTimeArith => {

@@ -22,19 +22,15 @@ const NAME_ALPHABET: [char; 13] = [
     'a', 'b', 'c', 'x', 'y', 'z', '0', '9', ' ', ' ', '.', '_', '-',
 ];
 
-fn case_budget() -> u32 {
-    std::env::var("EUA_UNIVERSE_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(32)
-}
+/// Proptest cases per property.
+const CASE_BUDGET: u32 = 32;
 
 // proptest's documented config idiom (`..ProptestConfig::default()`)
 // trips needless_update because the struct carries hidden fields.
 #[allow(clippy::needless_update)]
 fn proptest_config() -> ProptestConfig {
     ProptestConfig {
-        cases: case_budget(),
+        cases: CASE_BUDGET,
         ..ProptestConfig::default()
     }
 }

@@ -8,8 +8,7 @@
 //! family (demand mis-estimation, DVS latency/stuck/degraded tables,
 //! abort costs) must still produce internally consistent certificates.
 //!
-//! The case count defaults to 24 per property and can be overridden via
-//! the `EUA_AUDIT_CASES` environment variable.
+//! Each property runs `AUDIT_CASES` cases.
 
 mod common;
 
@@ -23,12 +22,8 @@ use eua_platform::TimeDelta;
 use eua_sim::FaultPlan;
 use proptest::prelude::*;
 
-fn audit_cases() -> u32 {
-    std::env::var("EUA_AUDIT_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(24)
-}
+/// Proptest cases per property.
+const AUDIT_CASES: u32 = 24;
 
 /// The `aud-*` codes a plan's active fault families can legitimately
 /// trip. Only the families that tamper with the *arrival stream* may
@@ -91,7 +86,7 @@ fn arb_plan() -> impl Strategy<Value = FaultPlan> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(audit_cases()))]
+    #![proptest_config(ProptestConfig::with_cases(AUDIT_CASES))]
 
     /// Fault-free runs — any shipped scenario, any policy, any seed —
     /// produce certificates the auditor accepts.

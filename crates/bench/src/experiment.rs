@@ -14,9 +14,9 @@ pub struct ExperimentConfig {
     pub horizon: TimeDelta,
     /// Seeds (one run per seed; arrival jitter and demand noise vary).
     pub seeds: Vec<u64>,
-    /// Worker threads for cell/seed fan-out; `1` runs strictly
-    /// sequentially (see `eua_sim::resolve_jobs` for the `--jobs` /
-    /// `EUA_JOBS` resolution the binaries apply).
+    /// Worker threads for cell/seed fan-out; `1` runs the cells one
+    /// after another (see `eua_sim::resolve_jobs` for the `--jobs`
+    /// resolution the binaries apply).
     pub jobs: usize,
 }
 
@@ -52,8 +52,8 @@ impl ExperimentConfig {
 }
 
 /// Resolves the worker-thread count from a binary's CLI arguments: the
-/// value following a `--jobs` flag, else the `EUA_JOBS` environment
-/// variable, else the hardware's available parallelism.
+/// value following a `--jobs` flag, else the hardware's available
+/// parallelism.
 #[must_use]
 pub fn jobs_from_args(args: &[String]) -> usize {
     eua_sim::resolve_jobs(

@@ -12,7 +12,6 @@
 //! means the fallback regressed; the segment-tree rewrite should drive
 //! the ratio toward n log n (≈5.3x) and can tighten the bound.
 
-use criterion::measure_ns;
 use eua_core::{Candidate, InsertionMode, ScheduleBuilder};
 use eua_platform::{Cycles, Frequency, SimTime};
 use eua_sim::JobId;
@@ -38,6 +37,35 @@ fn overloaded_candidates(n: u64) -> Vec<Candidate> {
         .collect()
 }
 
+/// Median ns per call of `routine` over 20 samples. Each sample times a
+/// batch of calls sized to run for about 1 ms, then divides by the batch
+/// size: timing single sub-microsecond calls would mostly measure clock
+/// quantisation.
+#[expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "a timing guard must read the wall clock; nothing it times feeds a simulation"
+)]
+fn median_ns<O>(mut routine: impl FnMut() -> O) -> f64 {
+    const SAMPLES: usize = 20;
+    const TARGET_BATCH_NS: u128 = 1_000_000;
+    let start = std::time::Instant::now();
+    std::hint::black_box(routine());
+    let once_ns = start.elapsed().as_nanos().max(1);
+    let batch = (TARGET_BATCH_NS / once_ns).clamp(1, 1_000_000);
+    let mut samples: Vec<f64> = (0..SAMPLES)
+        .map(|_| {
+            let start = std::time::Instant::now();
+            for _ in 0..batch {
+                std::hint::black_box(routine());
+            }
+            start.elapsed().as_nanos() as f64 / batch as f64
+        })
+        .collect();
+    samples.sort_by(f64::total_cmp);
+    samples[SAMPLES / 2]
+}
+
 /// Median ns per `rebuild` on the overload slow path at size `n`.
 fn overload_rebuild_ns(n: u64) -> f64 {
     let base = overloaded_candidates(n);
@@ -48,7 +76,7 @@ fn overload_rebuild_ns(n: u64) -> f64 {
     // fallback from its first instruction.
     buf.extend_from_slice(&base);
     builder.rebuild(SimTime::ZERO, &mut buf, f_m, InsertionMode::SkipInfeasible);
-    measure_ns(20, || {
+    median_ns(|| {
         buf.clear();
         buf.extend_from_slice(&base);
         std::hint::black_box(

@@ -12,8 +12,7 @@
 //! compare equal (metrics, per-job records, traces, fault stats) and the
 //! rendered `eua-certificate/2` documents must be equal as strings.
 //!
-//! The proptest case count defaults to 24 and can be overridden through
-//! the `EUA_ENGINE_DIFF_CASES` environment variable.
+//! The proptest runs `DIFF_CASES` cases.
 
 use eua_core::make_policy;
 use eua_platform::{EnergySetting, TimeDelta};
@@ -24,12 +23,8 @@ use eua_uam::generator::ArrivalPattern;
 use eua_uam::{Assurance, UamSpec};
 use proptest::prelude::*;
 
-fn diff_cases() -> u32 {
-    std::env::var("EUA_ENGINE_DIFF_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(24)
-}
+/// Proptest cases for the differential property.
+const DIFF_CASES: u32 = 24;
 
 fn ms(v: u64) -> TimeDelta {
     TimeDelta::from_millis(v)
@@ -183,7 +178,7 @@ fn assert_differential(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(diff_cases()))]
+    #![proptest_config(ProptestConfig::with_cases(DIFF_CASES))]
 
     #[test]
     fn production_loop_matches_reference_loop(

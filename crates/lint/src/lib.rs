@@ -3,28 +3,30 @@
 //!
 //! Certificate byte-identity pins and bit-identical parallel sweeps
 //! rest on one property: *nothing nondeterministic ever leaks into the
-//! engine*. Lexical bans (wall clock, raw threads, hash collections)
-//! live in `clippy.toml`; this crate checks what a path ban cannot see,
-//! with a token-aware scan (no rustc/syn — the same first-party
-//! philosophy as the `.scn` source maps and JSON parsers) over every
-//! first-party `.rs` file, reporting hazards as [`Diagnostic`]s with
-//! stable `lint-*` codes from the shared `eua-analyze` registry.
+//! engine*. Lexical bans (wall clock, raw threads, hash collections,
+//! shared-state sync types) live in `clippy.toml`; this crate checks
+//! what a path ban cannot see, with a token-aware scan (no rustc/syn —
+//! the same first-party philosophy as the `.scn` source maps and JSON
+//! parsers) over every first-party `.rs` file, reporting hazards as
+//! [`Diagnostic`]s with stable `lint-*` codes from the shared
+//! `eua-analyze` registry.
 //!
 //! | Module | What it holds |
 //! |--------|---------------|
 //! | [`lexer`] | the lightweight Rust lexer (tokens with exact spans) |
-//! | [`parser`] | the item parser (fns and their impl blocks) |
+//! | [`parser`] | the item parser (fns, their parameters and bodies) |
 //! | [`cfg`](mod@cfg) / [`dataflow`] | per-function CFGs and the worklist fixpoint |
-//! | [`callgraph`] | the workspace call graph: pool purity, taint oracle |
 //! | [`taint`] | seed provenance (`lint-seed-taint`) |
 //! | [`flow`] | saturating time arithmetic (`lint-unchecked-time-arith`) |
 //! | [`rules`] | the token rules (float sorts, allocation) |
 //! | [`fix`] | the machine-applicable rewrites behind `--fix` |
 //! | this | directives, suppression accounting, the file walker |
 //!
-//! [`lint_sources`] scans a whole workspace as one unit (the call graph
-//! spans files); [`lint_source`] is the same pipeline over a one-file
-//! workspace.
+//! Every rule is per file: [`lint_source`] is the whole pipeline, and
+//! [`lint_sources`] maps it over a set of files. Pool purity is not a
+//! rule here — `map_parallel`'s `Fn + Sync` bounds reject a closure
+//! holding a `Cell`, `RefCell` or `Rc`, and `clippy.toml` bans the
+//! shared-state, wall-clock and hash-collection types it could reach.
 //!
 //! # Directives
 //!
@@ -46,7 +48,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod callgraph;
 pub mod cfg;
 pub mod dataflow;
 pub mod fix;
@@ -333,71 +334,47 @@ fn assemble_file(
     }
 }
 
-/// Lints a set of `(path, text)` sources as one workspace, returning
-/// one [`FileLint`] per source in input order. Every rule runs: the
-/// token rules and the dataflow rules per file, pool purity and seed
-/// taint across files over the call graph.
-#[must_use]
-pub fn lint_sources(sources: &[(String, String)]) -> Vec<FileLint> {
-    let lexed: Vec<Vec<Tok<'_>>> = sources.iter().map(|(_, text)| lex(text)).collect();
-    let code: Vec<Vec<&Tok<'_>>> = lexed
-        .iter()
-        .map(|toks| {
-            toks.iter()
-                .filter(|t| !matches!(t.kind, TokKind::Comment { .. }))
-                .collect()
-        })
-        .collect();
-    let parsed: Vec<Vec<parser::FnItem>> = code.iter().map(|c| parser::parse_file(c)).collect();
-    let inputs: Vec<callgraph::FileInput<'_>> = (0..sources.len())
-        .map(|fi| callgraph::FileInput {
-            code: &code[fi],
-            fns: &parsed[fi],
-        })
-        .collect();
-    let mut cross: Vec<Vec<Finding>> = vec![Vec::new(); sources.len()];
-    for (fi, finding) in callgraph::analyze(&inputs) {
-        cross[fi].push(finding);
-    }
-
-    let mut files = Vec::with_capacity(sources.len());
-    for (fi, (path, _)) in sources.iter().enumerate() {
-        let (toks, code, fns) = (&lexed[fi], &code[fi], &parsed[fi]);
-        let directives = directives(toks);
-        let (hot_bodies, meta) = prep_file(code, &directives);
-        // Loop-depth oracle: each function's CFG stamps its body tokens
-        // (functions come in source order, so a nested function
-        // overwrites its parent's depths with its own). `#[cfg(test)]`
-        // functions stay depth 0 — test code is not held to allocation
-        // discipline, matching the call-graph table's exclusion.
-        let mut depths = vec![0u32; code.len()];
-        for f in fns {
-            if f.in_test_mod || f.body.0 >= f.body.1 || f.body.1 > code.len() {
-                continue;
-            }
-            let g = cfg::Cfg::build(code, f.body);
-            for (i, depth) in g.depth_by_token(code.len()).into_iter().enumerate() {
-                if i >= f.body.0 && i < f.body.1 {
-                    depths[i] = depth;
-                }
-            }
-        }
-        let mut findings = rules::run_hazards(code, &hot_bodies, &depths);
-        flow::unchecked_time_arith(code, fns, &mut findings);
-        findings.append(&mut cross[fi]);
-        files.push(assemble_file(path, toks, &directives, findings, meta));
-    }
-    files
-}
-
-/// Lints one file's text: the same pipeline as [`lint_sources`] over a
-/// one-file workspace (the call graph sees only this file, so cross-
-/// file resolution degrades to external).
+/// Lints one file's text: every rule, then suppression accounting.
 #[must_use]
 pub fn lint_source(path: &str, text: &str) -> FileLint {
-    let sources = [(path.to_string(), text.to_string())];
-    let mut files = lint_sources(&sources);
-    files.remove(0)
+    let toks = lex(text);
+    let code: Vec<&Tok<'_>> = toks
+        .iter()
+        .filter(|t| !matches!(t.kind, TokKind::Comment { .. }))
+        .collect();
+    let fns = parser::parse_file(&code);
+    let directives = directives(&toks);
+    let (hot_bodies, meta) = prep_file(&code, &directives);
+    // Loop-depth oracle: each function's CFG stamps its body tokens
+    // (functions come in source order, so a nested function overwrites
+    // its parent's depths with its own). `#[cfg(test)]` functions stay
+    // depth 0 — test code is not held to allocation discipline.
+    let mut depths = vec![0u32; code.len()];
+    for f in &fns {
+        if f.in_test_mod || f.body.0 >= f.body.1 || f.body.1 > code.len() {
+            continue;
+        }
+        let g = cfg::Cfg::build(&code, f.body);
+        for (i, depth) in g.depth_by_token(code.len()).into_iter().enumerate() {
+            if i >= f.body.0 && i < f.body.1 {
+                depths[i] = depth;
+            }
+        }
+    }
+    let mut findings = rules::run_hazards(&code, &hot_bodies, &depths);
+    flow::unchecked_time_arith(&code, &fns, &mut findings);
+    findings.extend(taint::scan(&code, &fns).0);
+    assemble_file(path, &toks, &directives, findings, meta)
+}
+
+/// Lints a set of `(path, text)` sources, one [`FileLint`] per source
+/// in input order (see [`lint_source`]).
+#[must_use]
+pub fn lint_sources(sources: &[(String, String)]) -> Vec<FileLint> {
+    sources
+        .iter()
+        .map(|(path, text)| lint_source(path, text))
+        .collect()
 }
 
 /// Directory names the walker never descends into: vendored shims stand
@@ -450,8 +427,8 @@ pub fn collect_sources(root: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
 /// set the repository's CI gate greps covered.
 pub const DEFAULT_ROOTS: [&str; 4] = ["src", "crates", "tests", "examples"];
 
-/// Lints every `.rs` file under the given roots (files or directories)
-/// as one workspace (see [`lint_sources`]).
+/// Lints every `.rs` file under the given roots, files or directories
+/// (see [`lint_sources`]).
 ///
 /// # Errors
 ///

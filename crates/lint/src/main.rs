@@ -190,9 +190,7 @@ fn run_check(args: &[String]) -> ExitCode {
     }
 }
 
-/// `check --fix`: scans the roots as one workspace (so cross-file
-/// call-graph findings match a plain `check`), applies the machine
-/// rewrites, and
+/// `check --fix`: scans the roots, applies the machine rewrites, and
 /// mirrors `eua-analyze check --fix`'s contract: dry-run prints each
 /// fixed file to stdout, `--apply` rewrites in place, the fix summary
 /// goes to stderr either way, and the exit status reflects re-linting

@@ -1,7 +1,7 @@
-//! A lightweight item parser over the lexed token stream: functions and
-//! the impl blocks they sit in — just enough structure for the call
-//! graph and the per-function dataflow rules, without rustc or syn, in
-//! the same first-party spirit as the lexer itself.
+//! A lightweight item parser over the lexed token stream: functions,
+//! their parameters and body ranges — just enough structure for the
+//! per-function dataflow rules, without rustc or syn, in the same
+//! first-party spirit as the lexer itself.
 //!
 //! The parser is *recognition*, not validation: anything it cannot
 //! shape-match is skipped, never an error. It tracks balanced brackets
@@ -13,8 +13,7 @@
 
 use crate::lexer::{Tok, TokKind};
 
-/// One parsed parameter. The `self` receiver is recorded on the item
-/// ([`FnItem::has_self`]), not here.
+/// One parsed parameter. A `self` receiver is not a parameter.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Param {
     /// The binding name: the first identifier of the pattern (`_` and
@@ -31,41 +30,14 @@ pub struct Param {
 pub struct FnItem {
     /// The function's name (raw identifiers keep their `r#` prefix).
     pub name: String,
-    /// The innermost enclosing impl block's type name, when inside one.
-    pub self_type: Option<String>,
-    /// Whether the parameter list starts with a `self` receiver.
-    pub has_self: bool,
     /// Parameters in declaration order, the receiver excluded.
     pub params: Vec<Param>,
-    /// Code-token index of the `fn` keyword.
-    pub fn_tok: usize,
     /// Half-open code-token index range of the body, braces excluded.
     pub body: (usize, usize),
     /// Whether the function sits inside a `#[cfg(test)] mod` body. Test
-    /// policies and helpers share names with production items; the call
-    /// graph must not let them pollute candidate sets.
+    /// code is held to neither the seed-provenance proof nor the
+    /// loop-allocation and time-arithmetic disciplines.
     pub in_test_mod: bool,
-}
-
-impl FnItem {
-    /// `Type::name` for methods and associated functions, `name` for
-    /// free functions — the form diagnostics print.
-    #[must_use]
-    pub fn display_name(&self) -> String {
-        match &self.self_type {
-            Some(ty) => format!("{ty}::{}", self.name),
-            None => self.name.clone(),
-        }
-    }
-}
-
-/// One `impl` block: the subject type and the body token range.
-struct ImplBlock {
-    /// The implemented type's final path segment (`Foo` for both `impl
-    /// Foo` and `impl Trait for crate::x::Foo`).
-    ty: String,
-    /// Half-open code-token index range of the block body.
-    body: (usize, usize),
 }
 
 /// Whether the token at `j` is the tail of a two-byte arrow (`->` or
@@ -118,87 +90,6 @@ pub(crate) fn match_bracket(code: &[&Tok<'_>], open: usize) -> usize {
     code.len()
 }
 
-/// Reads `Ident (:: Ident)*` starting at `j`, returning the final
-/// segment and the index one past the path.
-fn read_type_path(code: &[&Tok<'_>], j: usize) -> Option<(String, usize)> {
-    if code.get(j).map(|t| t.kind) != Some(TokKind::Ident) {
-        return None;
-    }
-    let mut last = code[j].text;
-    let mut at = j + 1;
-    while code.get(at).map(|t| t.kind) == Some(TokKind::PathSep)
-        && code.get(at + 1).map(|t| t.kind) == Some(TokKind::Ident)
-    {
-        last = code[at + 1].text;
-        at += 2;
-    }
-    Some((last.to_string(), at))
-}
-
-/// Collects impl blocks. Only item-position `impl` counts: `impl Trait`
-/// in return or argument position follows `>`/`:`/`(`/`,`/`&`/`+` and
-/// is skipped.
-fn collect_impls(code: &[&Tok<'_>]) -> Vec<ImplBlock> {
-    let mut out = Vec::new();
-    for i in 0..code.len() {
-        if !code[i].is_ident("impl") {
-            continue;
-        }
-        if let Some(prev) = i.checked_sub(1).map(|p| code[p]) {
-            if !matches!(prev.text, "}" | ";" | "]" | "{") {
-                continue;
-            }
-        }
-        let mut j = i + 1;
-        if code.get(j).is_some_and(|t| t.text == "<") {
-            j = skip_angles(code, j);
-        }
-        let Some((mut ty, next)) = read_type_path(code, j) else {
-            continue;
-        };
-        j = next;
-        if code.get(j).is_some_and(|t| t.text == "<") {
-            j = skip_angles(code, j);
-        }
-        if code.get(j).is_some_and(|t| t.is_ident("for")) {
-            j += 1;
-            while code
-                .get(j)
-                .is_some_and(|t| t.text == "&" || t.is_ident("mut"))
-            {
-                j += 1;
-            }
-            match read_type_path(code, j) {
-                Some((subject, next)) => {
-                    ty = subject;
-                    j = next;
-                }
-                None => continue,
-            }
-        }
-        // The body is the first brace within a bounded window (past any
-        // where clause); `;` first means e.g. a macro, skip.
-        let mut open = None;
-        for (k, t) in code.iter().enumerate().skip(j).take(96) {
-            match t.text {
-                "{" => {
-                    open = Some(k);
-                    break;
-                }
-                ";" => break,
-                _ => {}
-            }
-        }
-        if let Some(open) = open {
-            out.push(ImplBlock {
-                ty,
-                body: (open + 1, match_bracket(code, open)),
-            });
-        }
-    }
-    out
-}
-
 /// Half-open code-token ranges of `#[cfg(test)] mod` bodies. The shape
 /// is matched exactly (`# [ cfg ( test ) ]` with a `mod` and its brace
 /// within a short window); `#[cfg(feature = …)]` modules are production
@@ -233,10 +124,10 @@ fn test_mod_ranges(code: &[&Tok<'_>]) -> Vec<(usize, usize)> {
     out
 }
 
-/// Parses a parameter list whose `(` sits at `open`. Returns the
-/// parameters, whether a `self` receiver leads, and the index one past
-/// the closing `)`.
-fn parse_params(code: &[&Tok<'_>]) -> (Vec<Param>, bool, usize) {
+/// Parses the parameter list whose `(` is `code[0]`. Returns the
+/// parameters (a `self` receiver skipped) and the index one past the
+/// closing `)`.
+fn parse_params(code: &[&Tok<'_>]) -> (Vec<Param>, usize) {
     let close = match_bracket(code, 0);
     let mut pieces: Vec<(usize, usize)> = Vec::new();
     let mut depth = 0usize;
@@ -256,14 +147,12 @@ fn parse_params(code: &[&Tok<'_>]) -> (Vec<Param>, bool, usize) {
         pieces.push((start, close));
     }
     let mut params = Vec::new();
-    let mut has_self = false;
     for (s, e) in pieces {
         let piece = &code[s..e];
         let mut idents = piece
             .iter()
             .filter(|t| t.kind == TokKind::Ident && !t.is_ident("mut"));
         if idents.next().is_some_and(|t| t.is_ident("self")) {
-            has_self = true;
             continue;
         }
         // The name is everything before the first top-level `:`; the
@@ -288,7 +177,7 @@ fn parse_params(code: &[&Tok<'_>]) -> (Vec<Param>, bool, usize) {
             .collect();
         params.push(Param { name, ty });
     }
-    (params, has_self, close + 1)
+    (params, close + 1)
 }
 
 /// Parses one file's code tokens into its functions, in source order
@@ -296,7 +185,6 @@ fn parse_params(code: &[&Tok<'_>]) -> (Vec<Param>, bool, usize) {
 /// skipped.
 #[must_use]
 pub fn parse_file(code: &[&Tok<'_>]) -> Vec<FnItem> {
-    let impls = collect_impls(code);
     let test_mods = test_mod_ranges(code);
     let mut fns = Vec::new();
     for i in 0..code.len() {
@@ -313,7 +201,7 @@ pub fn parse_file(code: &[&Tok<'_>]) -> Vec<FnItem> {
         if code.get(j).map(|t| t.text) != Some("(") {
             continue;
         }
-        let (params, has_self, after) = parse_params(&code[j..]);
+        let (params, after) = parse_params(&code[j..]);
         j += after;
         // Past the return type and any where clause to the body; `;`
         // first is a bodyless declaration (trait methods), which carries
@@ -330,17 +218,9 @@ pub fn parse_file(code: &[&Tok<'_>]) -> Vec<FnItem> {
             }
         }
         let Some(open) = open else { continue };
-        let self_type = impls
-            .iter()
-            .filter(|b| b.body.0 <= i && i < b.body.1)
-            .min_by_key(|b| b.body.1 - b.body.0)
-            .map(|b| b.ty.clone());
         fns.push(FnItem {
             name: name_t.text.to_string(),
-            self_type,
-            has_self,
             params,
-            fn_tok: i,
             body: (open + 1, match_bracket(code, open)),
             in_test_mod: test_mods.iter().any(|&(s, e)| s <= i && i < e),
         });
@@ -369,8 +249,6 @@ mod tests {
         assert_eq!(p.len(), 1);
         let f = &p[0];
         assert_eq!(f.name, "plan");
-        assert!(!f.has_self);
-        assert_eq!(f.self_type, None);
         assert_eq!(f.params.len(), 2);
         assert_eq!(f.params[0].name.as_deref(), Some("now_us"));
         assert_eq!(f.params[0].ty, ["u64"]);
@@ -378,7 +256,7 @@ mod tests {
     }
 
     #[test]
-    fn impl_methods_get_self_type() {
+    fn impl_methods_parse_without_their_receiver() {
         let p = parse(
             "impl ScheduleBuilder {\n\
              \x20   fn rebuild(&mut self, now: SimTime) -> bool { true }\n\
@@ -388,14 +266,12 @@ mod tests {
              \x20   fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result { ok() }\n\
              }",
         );
-        assert_eq!(p.len(), 3);
-        assert_eq!(p[0].self_type.as_deref(), Some("ScheduleBuilder"));
-        assert!(p[0].has_self);
+        let names: Vec<&str> = p.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, ["rebuild", "new", "fmt"]);
         assert_eq!(p[0].params.len(), 1);
-        assert_eq!(p[1].name, "new");
-        assert!(!p[1].has_self);
-        assert_eq!(p[2].self_type.as_deref(), Some("Verdict"));
-        assert_eq!(p[2].display_name(), "Verdict::fmt");
+        assert_eq!(p[0].params[0].name.as_deref(), Some("now"));
+        assert!(p[1].params.is_empty());
+        assert_eq!(p[2].params[0].ty, ["mut", "fmt", "Formatter"]);
     }
 
     #[test]
@@ -409,10 +285,10 @@ mod tests {
     }
 
     #[test]
-    fn return_position_impl_trait_is_not_an_impl_block() {
+    fn return_position_impl_trait_reaches_the_body() {
         let p = parse("fn iter_all() -> impl Iterator<Item = u32> { fn inner() {} make() }");
-        assert_eq!(p.len(), 2);
-        assert_eq!(p[1].self_type, None);
+        let names: Vec<&str> = p.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, ["iter_all", "inner"]);
     }
 
     #[test]

@@ -22,21 +22,19 @@ pub struct Finding {
     pub message: String,
 }
 
-/// The five hazard codes (everything except the two suppression
+/// The four hazard codes (everything except the two suppression
 /// meta-codes), in registry order. Only these may appear in an
 /// `allow(...)` directive.
-pub const HAZARD_CODES: [DiagCode; 5] = [
+pub const HAZARD_CODES: [DiagCode; 4] = [
     DiagCode::LintFloatSortPartialCmp,
-    DiagCode::LintPoolClosureImpure,
     DiagCode::LintLoopAlloc,
     DiagCode::LintSeedTaint,
     DiagCode::LintUncheckedTimeArith,
 ];
 
-/// All seven lint codes, in registry order (`eua-lint codes` order).
-pub const LINT_CODES: [DiagCode; 7] = [
+/// All six lint codes, in registry order (`eua-lint codes` order).
+pub const LINT_CODES: [DiagCode; 6] = [
     DiagCode::LintFloatSortPartialCmp,
-    DiagCode::LintPoolClosureImpure,
     DiagCode::LintLoopAlloc,
     DiagCode::LintSeedTaint,
     DiagCode::LintUncheckedTimeArith,
@@ -182,8 +180,7 @@ fn depth_at(loop_depth: &[u32], i: usize) -> u32 {
 
 /// Idents that hand a value to an accumulator living beyond the loop
 /// iteration (`out.push(format!(…))`, `map.insert(k, v.clone())`).
-/// Sorted for binary-search lookup, like [`callgraph`]'s std-method
-/// table.
+/// Sorted for binary-search lookup.
 const ESCAPE_VERBS: [&str; 12] = [
     "append",
     "entry",

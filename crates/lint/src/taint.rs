@@ -9,34 +9,29 @@
 //! `thread_rng`, `OsRng`, `rand::random`), so those cannot compile;
 //! this module proves the positive claim at each construction site.
 //!
-//! The lattice is three-point: `Seed ⊑ Unknown ⊑ Entropy`. A forward
-//! dataflow over each function's CFG tracks per-binding taint (seeded
-//! from parameter names, flowed through `let` bindings and plain
-//! reassignments), and each `seed_from_u64` argument expression is
-//! judged by its *ingredients*: any entropy ingredient makes it
-//! entropy; otherwise a single seed-tagged ingredient proves it
-//! (mixing a lane index into a master seed is the sanctioned idiom);
-//! an expression with no value ingredients at all (a literal) is also
+//! The lattice is two-point: `Seed ⊑ Unknown`. A forward dataflow over
+//! each function's CFG tracks per-binding taint (seeded from parameter
+//! names, flowed through `let` bindings and plain reassignments), and
+//! each `seed_from_u64` argument expression is judged by its
+//! *ingredients*: a single seed-tagged ingredient proves it (mixing a
+//! lane index into a master seed is the sanctioned idiom); an
+//! expression with no value ingredients at all (a literal) is also
 //! proven; only unknown ingredients with no seed leave it unproven.
-//! Mixer calls
-//! (`wrapping_mul`, `rotate_left`, resolved first-party helpers
-//! without an entropy witness) are transparent: they pass their
-//! arguments' taint through. Resolved call-graph edges contribute two
-//! interprocedural facts: a callee whose purity mask reaches entropy
-//! taints the expression (with the rendered witness chain), and a
-//! seed-deriving callee (`derive_seed`, `salt_for`, …) proves it.
+//! Calls are transparent — mixers (`wrapping_mul`, `rotate_left`) and
+//! first-party helpers alike pass their arguments' taint through —
+//! except that a seed-tagged callee (`cell_seed`, `salt_for`, …)
+//! proves the expression. Each file is judged on its own.
 //!
-//! Soundness limits (documented in DESIGN.md §17): unresolved calls
-//! are transparent rather than unknown, index expressions (`seeds[i]`)
+//! Soundness limits (documented in DESIGN.md §16): calls are
+//! transparent rather than unknown, index expressions (`seeds[i]`)
 //! judge the collection rather than the selector, and `SCREAMING_CASE`
 //! constants count as deterministic. Each trades a missed exotic flow
 //! for zero noise on the workspace's real derivation idioms.
 
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 
 use eua_analyze::DiagCode;
 
-use crate::callgraph::FileInput;
 use crate::cfg::Cfg;
 use crate::dataflow;
 use crate::flow::is_keyword;
@@ -44,31 +39,18 @@ use crate::lexer::{Tok, TokKind};
 use crate::parser::{match_bracket, FnItem};
 use crate::rules::{span_between, Finding};
 
-/// What the call graph resolved at one `(file, name-token)` call site.
-pub(crate) struct Callee {
-    /// The callee's display name.
-    pub name: String,
-    /// The rendered witness chain when the callee's purity mask
-    /// reaches entropy; `None` for entropy-clean callees.
-    pub entropy: Option<String>,
-}
-
-/// Per-site resolution facts, keyed by `(file index, name-token index)`.
-pub(crate) type CallOracle = BTreeMap<(usize, usize), Callee>;
-
-/// The provenance lattice, ordered so `max` is the join.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// The provenance of one ingredient or expression.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Taint {
     /// Provably derived from a master seed (or compile-time constant).
     Seed,
     /// No proof either way.
     Unknown,
-    /// Reaches an entropy source.
-    Entropy,
 }
 
-/// Per-binding taint; absent means [`Taint::Unknown`].
-type Env = BTreeMap<String, Taint>;
+/// The bindings proven seed-derived; every other name is
+/// [`Taint::Unknown`].
+type Env = BTreeSet<String>;
 
 /// Whether a name is seed-tagged by the workspace naming convention.
 fn seedish(name: &str) -> bool {
@@ -89,48 +71,21 @@ fn is_const_name(name: &str) -> bool {
 /// human-readable provenance note — or `None` for neutral tokens
 /// (mixers, paths, constants, field-access bases) that pass taint
 /// through.
-fn ingredient(
-    code: &[&Tok<'_>],
-    fi: usize,
-    j: usize,
-    env: &Env,
-    oracle: &CallOracle,
-) -> Option<(Taint, String)> {
+fn ingredient(code: &[&Tok<'_>], j: usize, env: &Env) -> Option<(Taint, String)> {
     let t = code[j];
     // A path qualifier (`SmallRng::`, `u64::`) names a type or module,
     // not a value.
     if code.get(j + 1).map(|n| n.kind) == Some(TokKind::PathSep) {
         return None;
     }
-    match t.text {
-        "from_entropy" | "thread_rng" | "OsRng" => {
-            return Some((Taint::Entropy, format!("`{}` is an entropy source", t.text)));
-        }
-        "random" if j > 0 && code[j - 1].kind == TokKind::PathSep => {
-            return Some((Taint::Entropy, "`rand::random` is an entropy source".into()));
-        }
-        _ => {}
-    }
     let called = code
         .get(j + 1)
         .is_some_and(|n| n.kind == TokKind::Open && n.text == "(");
     if called {
-        if let Some(c) = oracle.get(&(fi, j)) {
-            if let Some(chain) = &c.entropy {
-                return Some((
-                    Taint::Entropy,
-                    format!("call to `{}` reaches entropy via {chain}", c.name),
-                ));
-            }
-            if seedish(&c.name) {
-                return Some((Taint::Seed, format!("call to seed-deriving `{}`", c.name)));
-            }
-        }
         if seedish(t.text) {
             return Some((Taint::Seed, format!("call to seed-deriving `{}`", t.text)));
         }
-        // Mixers and unresolved helpers: transparent, the arguments
-        // decide.
+        // Mixers and helpers: transparent, the arguments decide.
         return None;
     }
     if is_keyword(t.text) || t.text == "self" {
@@ -151,13 +106,11 @@ fn ingredient(
     {
         return None;
     }
-    if let Some(k) = env.get(t.text) {
-        let note = match k {
-            Taint::Seed => format!("`{}` binds a seed-derived value", t.text),
-            Taint::Unknown => format!("`{}` binds a value of unknown provenance", t.text),
-            Taint::Entropy => format!("`{}` binds an entropy-derived value", t.text),
-        };
-        return Some((*k, note));
+    if env.contains(t.text) {
+        return Some((
+            Taint::Seed,
+            format!("`{}` binds a seed-derived value", t.text),
+        ));
     }
     if seedish(t.text) {
         return Some((Taint::Seed, format!("`{}` names a seed quantity", t.text)));
@@ -180,22 +133,13 @@ fn ingredient(
 }
 
 /// Combines the ingredients of the expression spanning code tokens
-/// `range`. This is deliberately *not* the lattice join: an entropy
-/// ingredient taints the whole expression, but otherwise one seed
-/// ingredient proves it — mixing a lane index into a master seed is
-/// exactly the sanctioned derivation idiom. Only an expression with
-/// unknown ingredients and no seed at all stays unproven; a
-/// literal-only expression is deterministic and counts as seeded.
-/// The notes explain the verdict: entropy culprits when tainted,
-/// unknown ones when unproven.
-fn combine(
-    code: &[&Tok<'_>],
-    fi: usize,
-    range: std::ops::Range<usize>,
-    env: &Env,
-    oracle: &CallOracle,
-) -> (Taint, Vec<String>) {
-    let mut entropy_notes = Vec::new();
+/// `range`. This is deliberately *not* the lattice join: one seed
+/// ingredient proves the expression — mixing a lane index into a
+/// master seed is exactly the sanctioned derivation idiom. Only an
+/// expression with unknown ingredients and no seed at all stays
+/// unproven; a literal-only expression is deterministic and counts as
+/// seeded. The notes name the unknown ingredients when unproven.
+fn combine(code: &[&Tok<'_>], range: std::ops::Range<usize>, env: &Env) -> (Taint, Vec<String>) {
     let mut unknown_notes = Vec::new();
     let mut saw_seed = false;
     let mut index_depth = 0usize;
@@ -217,17 +161,14 @@ fn combine(
         if index_depth > 0 || t.kind != TokKind::Ident {
             continue;
         }
-        if let Some((taint, note)) = ingredient(code, fi, j, env, oracle) {
+        if let Some((taint, note)) = ingredient(code, j, env) {
             match taint {
-                Taint::Entropy => entropy_notes.push(note),
                 Taint::Unknown => unknown_notes.push(note),
                 Taint::Seed => saw_seed = true,
             }
         }
     }
-    if !entropy_notes.is_empty() {
-        (Taint::Entropy, entropy_notes)
-    } else if saw_seed || unknown_notes.is_empty() {
+    if saw_seed || unknown_notes.is_empty() {
         (Taint::Seed, Vec::new())
     } else {
         (Taint::Unknown, unknown_notes)
@@ -238,7 +179,7 @@ fn combine(
 /// reassignment starting at code token `j`, if any. Mirrors the
 /// time-arithmetic walker: a `{` before the `;` means the initializer
 /// spans control flow and the binding degrades to unknown.
-fn stmt_effect(code: &[&Tok<'_>], fi: usize, j: usize, env: &mut Env, oracle: &CallOracle) {
+fn stmt_effect(code: &[&Tok<'_>], j: usize, env: &mut Env) {
     let limit = (j + 96).min(code.len());
     let find_semi = |from: usize| -> Option<usize> {
         for (k, t) in code.iter().enumerate().take(limit).skip(from) {
@@ -251,12 +192,11 @@ fn stmt_effect(code: &[&Tok<'_>], fi: usize, j: usize, env: &mut Env, oracle: &C
         }
         None
     };
-    let bind = |env: &mut Env, name: String, taint: Option<Taint>| match taint {
-        Some(Taint::Unknown) | None => {
+    let bind = |env: &mut Env, name: String, taint: Option<Taint>| {
+        if taint == Some(Taint::Seed) {
+            env.insert(name);
+        } else {
             env.remove(&name);
-        }
-        Some(t) => {
-            env.insert(name, t);
         }
     };
     if code[j].is_ident("let") {
@@ -273,7 +213,7 @@ fn stmt_effect(code: &[&Tok<'_>], fi: usize, j: usize, env: &mut Env, oracle: &C
         });
         let taint = eq.and_then(|e| {
             let semi = find_semi(e + 1)?;
-            Some(combine(code, fi, e + 1..semi, env, oracle).0)
+            Some(combine(code, e + 1..semi, env).0)
         });
         bind(env, name_tok.text.to_string(), taint);
     } else if code[j].kind == TokKind::Ident
@@ -289,19 +229,16 @@ fn stmt_effect(code: &[&Tok<'_>], fi: usize, j: usize, env: &mut Env, oracle: &C
             .get(j + 2)
             .is_some_and(|t| t.kind == TokKind::Punct && t.text == "=")
     {
-        let taint = find_semi(j + 2).map(|semi| combine(code, fi, j + 2..semi, env, oracle).0);
+        let taint = find_semi(j + 2).map(|semi| combine(code, j + 2..semi, env).0);
         bind(env, code[j].text.to_string(), taint);
     }
 }
 
 /// The forward taint analysis over one function body. `None` is the
-/// unreachable bottom; maps join pointwise with absence read as
-/// unknown (and unknown entries normalized away, so equal facts
-/// compare equal).
+/// unreachable bottom; a name stays seed-derived across a join only
+/// when every predecessor proves it.
 struct TaintFlow<'a> {
     code: &'a [&'a Tok<'a>],
-    fi: usize,
-    oracle: &'a CallOracle,
     boundary: Env,
 }
 
@@ -319,17 +256,7 @@ impl dataflow::Analysis for TaintFlow<'_> {
     fn join(&self, a: &Self::Fact, b: &Self::Fact) -> Self::Fact {
         match (a, b) {
             (None, x) | (x, None) => x.clone(),
-            (Some(a), Some(b)) => Some(
-                a.iter()
-                    .chain(b.iter())
-                    .map(|(k, _)| {
-                        let join = (*a.get(k).unwrap_or(&Taint::Unknown))
-                            .max(*b.get(k).unwrap_or(&Taint::Unknown));
-                        (k.clone(), join)
-                    })
-                    .filter(|(_, v)| *v != Taint::Unknown)
-                    .collect(),
-            ),
+            (Some(a), Some(b)) => Some(a.intersection(b).cloned().collect()),
         }
     }
 
@@ -337,7 +264,7 @@ impl dataflow::Analysis for TaintFlow<'_> {
         let env0 = fact.as_ref()?;
         let mut env = env0.clone();
         for &j in &cfg.blocks[block].tokens {
-            stmt_effect(self.code, self.fi, j, &mut env, self.oracle);
+            stmt_effect(self.code, j, &mut env);
         }
         Some(env)
     }
@@ -354,96 +281,77 @@ fn site_at(code: &[&Tok<'_>], j: usize) -> bool {
             .is_some_and(|n| n.kind == TokKind::Open && n.text == "(")
 }
 
-/// Scans every listed function (the call graph's nodes, see
-/// [`crate::callgraph::graph_fns`]) for `seed_from_u64` sites and
-/// judges each argument expression. Returns the unproven sites, tagged
-/// by file, plus the number of sites judged.
-pub(crate) fn scan(
-    files: &[FileInput<'_>],
-    fns: &[(usize, &FnItem)],
-    oracle: &CallOracle,
-) -> (Vec<(usize, Finding)>, usize) {
+/// Scans one file's functions for `seed_from_u64` sites and judges
+/// each argument expression. Functions inside `#[cfg(test)]` modules
+/// are skipped: test helpers seed however they like. Returns the
+/// unproven sites plus the number of sites judged.
+pub(crate) fn scan(code: &[&Tok<'_>], fns: &[FnItem]) -> (Vec<Finding>, usize) {
     let mut out = Vec::new();
     let mut sites = 0usize;
-    for (fi, file) in files.iter().enumerate() {
-        let code = file.code;
-        if !code.iter().any(|t| t.is_ident("seed_from_u64")) {
+    if !code.iter().any(|t| t.is_ident("seed_from_u64")) {
+        return (out, sites);
+    }
+    let fns: Vec<&FnItem> = fns.iter().filter(|f| !f.in_test_mod).collect();
+    // Innermost owner per token, so a nested function's sites are
+    // judged under its own environment.
+    let mut owner = vec![usize::MAX; code.len()];
+    for (k, f) in fns.iter().enumerate() {
+        if f.body.0 <= f.body.1 && f.body.1 <= code.len() {
+            for slot in &mut owner[f.body.0..f.body.1] {
+                *slot = k;
+            }
+        }
+    }
+    // One scratch environment reused across every block of every
+    // function — `clone_from` keeps the map's storage instead of
+    // allocating a fresh copy per block.
+    let mut env = Env::new();
+    for (k, f) in fns.iter().enumerate() {
+        let (lo, hi) = (f.body.0, f.body.1.min(code.len()));
+        if lo >= hi || !(lo..hi).any(|j| site_at(code, j)) {
             continue;
         }
-        let in_file: Vec<&FnItem> = fns
-            .iter()
-            .filter(|(f, _)| *f == fi)
-            .map(|(_, item)| *item)
-            .collect();
-        // Innermost owner per token, so a nested function's sites are
-        // judged under its own environment.
-        let mut owner = vec![usize::MAX; code.len()];
-        for (k, f) in in_file.iter().enumerate() {
-            if f.body.0 <= f.body.1 && f.body.1 <= code.len() {
-                for slot in &mut owner[f.body.0..f.body.1] {
-                    *slot = k;
+        let mut boundary = Env::new();
+        for p in &f.params {
+            if let Some(name) = &p.name {
+                if seedish(name) {
+                    boundary.insert(name.clone());
                 }
             }
         }
-        // One scratch environment reused across every block of every
-        // function — `clone_from` keeps the map's storage instead of
-        // allocating a fresh copy per block.
-        let mut env = Env::new();
-        for (k, f) in in_file.iter().enumerate() {
-            let (lo, hi) = (f.body.0, f.body.1.min(code.len()));
-            if lo >= hi || !(lo..hi).any(|j| site_at(code, j)) {
-                continue;
-            }
-            let mut boundary = Env::new();
-            for p in &f.params {
-                if let Some(name) = &p.name {
-                    if seedish(name) {
-                        boundary.insert(name.clone(), Taint::Seed);
+        let flow = TaintFlow { code, boundary };
+        let cfg = Cfg::build(code, f.body);
+        let facts = dataflow::solve(&cfg, &flow);
+        for (b, fact) in facts.iter().enumerate() {
+            let Some(env0) = fact else { continue };
+            env.clone_from(env0);
+            for &j in &cfg.blocks[b].tokens {
+                if owner.get(j) == Some(&k) && site_at(code, j) {
+                    let close = match_bracket(code, j + 1);
+                    let (taint, notes) = combine(code, j + 2..close, &env);
+                    sites += 1;
+                    if taint != Taint::Seed {
+                        let joined = notes.join("; ");
+                        let why: &str = if joined.is_empty() {
+                            "the expression has no seed-tagged ingredient"
+                        } else {
+                            &joined
+                        };
+                        let end = code.get(close).copied().unwrap_or(code[j]);
+                        out.push(Finding {
+                            code: DiagCode::LintSeedTaint,
+                            span: span_between(code[j], end),
+                            entity: "seed_from_u64".into(),
+                            message: format!(
+                                "RNG seed not provably derived from a master seed: \
+                                 {why}; thread the master seed (or a salted \
+                                 derivation of it) to this site so every stream \
+                                 replays bit-identically"
+                            ),
+                        });
                     }
                 }
-            }
-            let flow = TaintFlow {
-                code,
-                fi,
-                oracle,
-                boundary,
-            };
-            let cfg = Cfg::build(code, f.body);
-            let facts = dataflow::solve(&cfg, &flow);
-            for (b, fact) in facts.iter().enumerate() {
-                let Some(env0) = fact else { continue };
-                env.clone_from(env0);
-                for &j in &cfg.blocks[b].tokens {
-                    if owner.get(j) == Some(&k) && site_at(code, j) {
-                        let close = match_bracket(code, j + 1);
-                        let (taint, notes) = combine(code, fi, j + 2..close, &env, oracle);
-                        sites += 1;
-                        if taint != Taint::Seed {
-                            let joined = notes.join("; ");
-                            let why: &str = if joined.is_empty() {
-                                "the expression has no seed-tagged ingredient"
-                            } else {
-                                &joined
-                            };
-                            let end = code.get(close).copied().unwrap_or(code[j]);
-                            out.push((
-                                fi,
-                                Finding {
-                                    code: DiagCode::LintSeedTaint,
-                                    span: span_between(code[j], end),
-                                    entity: "seed_from_u64".into(),
-                                    message: format!(
-                                        "RNG seed not provably derived from a master seed: \
-                                         {why}; thread the master seed (or a salted \
-                                         derivation of it) to this site so every stream \
-                                         replays bit-identically"
-                                    ),
-                                },
-                            ));
-                        }
-                    }
-                    stmt_effect(code, fi, j, &mut env, oracle);
-                }
+                stmt_effect(code, j, &mut env);
             }
         }
     }
@@ -454,28 +362,17 @@ pub(crate) fn scan(
 mod tests {
     #![allow(clippy::unwrap_used)]
     use super::*;
-    use crate::callgraph::graph_fns;
     use crate::lexer::lex;
     use crate::parser::parse_file;
 
     /// The unproven sites and the number of sites judged.
     fn run(src: &str) -> (Vec<Finding>, usize) {
-        run_with(src, &CallOracle::new())
-    }
-
-    fn run_with(src: &str, oracle: &CallOracle) -> (Vec<Finding>, usize) {
         let toks = lex(src);
         let code: Vec<&Tok<'_>> = toks
             .iter()
             .filter(|t| !matches!(t.kind, TokKind::Comment { .. }))
             .collect();
-        let fns = parse_file(&code);
-        let files = [FileInput {
-            code: &code,
-            fns: &fns,
-        }];
-        let (tagged, sites) = scan(&files, &graph_fns(&files), oracle);
-        (tagged.into_iter().map(|(_, f)| f).collect(), sites)
+        scan(&code, &parse_file(&code))
     }
 
     #[test]
@@ -518,17 +415,6 @@ mod tests {
     }
 
     #[test]
-    fn entropy_ingredients_dominate_seed_ones() {
-        let src = "fn mk(seed: u64) -> SmallRng {\n\
-                   let s = seed ^ rand::random();\n\
-                   SmallRng::seed_from_u64(s)\n\
-                   }";
-        let (hits, sites) = run(src);
-        assert_eq!((sites, hits.len()), (1, 1), "{hits:?}");
-        assert!(hits[0].message.contains("entropy"), "{}", hits[0].message);
-    }
-
-    #[test]
     fn field_reads_and_index_selectors_judge_the_right_ident() {
         // `cfg.seed` proves via the field; `seeds[i]` ignores the
         // selector and proves via the collection.
@@ -550,31 +436,6 @@ mod tests {
                    }";
         let (hits, sites) = run(src);
         assert_eq!((sites, hits.len()), (1, 1), "{hits:?}");
-    }
-
-    #[test]
-    fn resolved_entropy_callees_carry_their_witness_chain() {
-        let mut oracle = CallOracle::new();
-        // Pretend the call graph resolved `fresh_word` at this site to
-        // a function whose purity mask reaches entropy.
-        let src = "fn mk(seed: u64) -> SmallRng { SmallRng::seed_from_u64(fresh_word(seed)) }";
-        let toks = lex(src);
-        let code: Vec<&Tok<'_>> = toks.iter().collect();
-        let at = code.iter().position(|t| t.is_ident("fresh_word")).unwrap();
-        oracle.insert(
-            (0, at),
-            Callee {
-                name: "fresh_word".into(),
-                entropy: Some("fresh_word → thread_rng".into()),
-            },
-        );
-        let (hits, sites) = run_with(src, &oracle);
-        assert_eq!((sites, hits.len()), (1, 1), "{hits:?}");
-        assert!(
-            hits[0].message.contains("fresh_word → thread_rng"),
-            "{}",
-            hits[0].message
-        );
     }
 
     #[test]

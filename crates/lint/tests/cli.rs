@@ -245,41 +245,3 @@ fn dataflow_fixtures_sarif_is_golden() {
         );
     }
 }
-
-/// The call-graph fixture is byte-pinned through the SARIF self-check
-/// (`--check` re-parses the output and asserts `render(parse(x)) == x`
-/// before printing), pinning the pool-purity message as it appears on
-/// the wire.
-#[test]
-fn interprocedural_fixtures_sarif_is_golden() {
-    let out = eua_lint(&[
-        "check",
-        "--format",
-        "sarif",
-        "--check",
-        "tests/fixtures/pool_closure_impure.rs",
-    ]);
-    assert_eq!(out.status.code(), Some(1), "{}", stdout(&out));
-    let rendered = stdout(&out);
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/interproc.sarif");
-    if std::env::var("EUA_REGEN_GOLDEN").is_ok() {
-        std::fs::write(&path, &rendered).expect("golden written");
-        return;
-    }
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden {}: {e} (regenerate with EUA_REGEN_GOLDEN=1)",
-            path.display()
-        )
-    });
-    assert_eq!(
-        rendered, golden,
-        "SARIF drifted; regenerate with EUA_REGEN_GOLDEN=1 if deliberate"
-    );
-    assert_eq!(
-        golden
-            .matches("\"ruleId\": \"lint-pool-closure-impure\"")
-            .count(),
-        1
-    );
-}

@@ -3,10 +3,10 @@
 //!
 //! The build environment is offline — no `rayon`, no `crossbeam` — so
 //! this module implements the minimum needed on plain `std`:
-//! [`std::thread::scope`] workers pulling `(index, item)` pairs from a
-//! mutex-guarded queue and returning `(index, result)` pairs through
-//! their join handles. Results are re-assembled in **input order**, so a
-//! parallel map is observably identical to the sequential one.
+//! the calling thread plus [`std::thread::scope`] workers pulling
+//! `(index, item)` pairs from a mutex-guarded queue and returning
+//! `(index, result)` pairs. Results are re-assembled in **input order**,
+//! so a parallel map is observably identical to a one-worker one.
 //!
 //! Design points (see DESIGN.md §9 for the full rationale):
 //!
@@ -22,14 +22,15 @@
 //!   item still runs and keeps its result, so one poisoned cell neither
 //!   takes down the process nor loses its siblings' work.
 //!
-//! This is the only module in the workspace allowed to spawn threads;
-//! `clippy.toml` bans `std::thread::{spawn, scope}` everywhere else.
+//! This is the only module in the workspace allowed to spawn threads or
+//! hold a lock: `clippy.toml` bans `std::thread::{spawn, scope}` and the
+//! `std::sync` shared-state types everywhere else, and this module's
+//! scope and queue each carry a statement-level `#[expect]`.
 
 use std::any::Any;
 use std::fmt;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::Mutex;
 use std::thread;
 
 /// Errors from a parallel map.
@@ -68,19 +69,12 @@ fn panic_message(payload: Box<dyn Any + Send>) -> String {
 }
 
 /// Resolves the worker count for a sweep: an explicit request (a parsed
-/// `--jobs N` flag) wins, then the `EUA_JOBS` environment variable, then
-/// the hardware's available parallelism. Zero values are ignored; the
-/// result is always ≥ 1, and `1` means "run sequentially".
+/// `--jobs N` flag) wins, then the hardware's available parallelism.
+/// Zero is ignored; the result is always ≥ 1.
 #[must_use]
 pub fn resolve_jobs(explicit: Option<usize>) -> usize {
     explicit
         .filter(|&n| n > 0)
-        .or_else(|| {
-            std::env::var("EUA_JOBS")
-                .ok()
-                .and_then(|v| v.trim().parse::<usize>().ok())
-                .filter(|&n| n > 0)
-        })
         .unwrap_or_else(|| thread::available_parallelism().map_or(1, NonZeroUsize::get))
 }
 
@@ -89,8 +83,37 @@ pub fn resolve_jobs(explicit: Option<usize>) -> usize {
 /// that call panicked.
 ///
 /// Each slot depends only on its own item, so the output is the same
-/// for every `jobs` count. With `jobs <= 1` (or at most one item) the
-/// map runs sequentially on the calling thread without spawning.
+/// for every `jobs` count. The map runs on `jobs.max(1).min(n)` workers
+/// for `n` items: the calling thread and that many minus one scoped
+/// threads. One worker runs the items in input order on the caller.
+///
+/// `f` and `label` are shared by every worker, so they must be `Sync`.
+/// That bound is what keeps each cell a pure function of its item: a
+/// closure holding interior-mutable state does not compile.
+///
+/// ```compile_fail
+/// let shared = std::cell::RefCell::new(0u64);
+/// let shared = &shared;
+/// eua_sim::map_parallel(2, vec![1u64, 2], |i, _| format!("cell {i}"), |_, x| {
+///     std::hint::black_box(shared);
+///     x
+/// });
+/// ```
+///
+/// The identical closure over a plain `&u64` compiles:
+///
+/// ```
+/// let shared = 0u64;
+/// let shared = &shared;
+/// eua_sim::map_parallel(2, vec![1u64, 2], |i, _| format!("cell {i}"), |_, x| {
+///     std::hint::black_box(shared);
+///     x
+/// });
+/// ```
+///
+/// The remaining shared-state types a `Sync` closure could hold (locks,
+/// atomics, lazily initialised globals, channels, thread-locals) are
+/// banned by `clippy.toml`.
 ///
 /// # Panics
 ///
@@ -116,37 +139,34 @@ where
         })
     };
     let n = items.len();
-    if jobs <= 1 || n <= 1 {
-        return items
-            .into_iter()
-            .enumerate()
-            .map(|(i, t)| run(i, t))
-            .collect();
-    }
-    let queue = Mutex::new(items.into_iter().enumerate());
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the one sanctioned lock: the pool's queue hands out items and holds no result"
+    )]
+    let queue = std::sync::Mutex::new(items.into_iter().enumerate());
+    // One worker's loop: pull the next item until the queue is drained.
+    // The guard drops within the `let`, so the queue is never locked
+    // while an item runs. Nothing panics under the lock, so it cannot be
+    // poisoned; a poisoned one would read as drained.
+    let work = || {
+        let mut mine = Vec::new();
+        loop {
+            let next = queue.lock().ok().and_then(|mut q| q.next());
+            let Some((i, t)) = next else { break };
+            mine.push((i, run(i, t)));
+        }
+        mine
+    };
     let mut done: Vec<(usize, Result<R, PoolError>)> = Vec::with_capacity(n);
     #[expect(
         clippy::disallowed_methods,
         reason = "the one sanctioned raw-thread site: the pool everything else routes through"
     )]
     thread::scope(|scope| {
-        let handles: Vec<_> = (0..jobs.min(n))
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut mine = Vec::new();
-                    loop {
-                        // The guard drops within this statement, so the
-                        // queue is never locked while an item runs.
-                        // Nothing panics under the lock, so it cannot be
-                        // poisoned; a poisoned one would read as drained.
-                        let next = queue.lock().ok().and_then(|mut q| q.next());
-                        let Some((i, t)) = next else { break };
-                        mine.push((i, run(i, t)));
-                    }
-                    mine
-                })
-            })
-            .collect();
+        // The calling thread is one of the `jobs.max(1).min(n)` workers,
+        // so a single worker spawns no thread.
+        let handles: Vec<_> = (1..jobs.max(1).min(n)).map(|_| scope.spawn(work)).collect();
+        done.extend(work());
         for handle in handles {
             match handle.join() {
                 Ok(mine) => done.extend(mine),
@@ -175,14 +195,22 @@ mod tests {
 
     #[test]
     fn empty_input_yields_empty_output() {
-        let out = map_parallel(4, Vec::<i32>::new(), item, |_, x| x * 2);
-        assert!(out.is_empty());
+        for jobs in [0, 1, 4] {
+            let out = map_parallel(jobs, Vec::<i32>::new(), item, |_, x| x * 2);
+            assert!(out.is_empty(), "jobs = {jobs}");
+        }
     }
 
     #[test]
-    fn single_item_runs_on_caller_thread() {
-        let out = all_ok(map_parallel(8, vec![21], item, |i, x| (i, x * 2)));
-        assert_eq!(out, vec![(0, 42)]);
+    fn one_worker_runs_on_the_calling_thread() {
+        // One item caps the workers at one, as does `jobs = 1`: the
+        // caller runs the items itself and no thread is spawned.
+        let caller = thread::current().id();
+        let on_caller = |i: usize, x: i32| (i, x * 2, thread::current().id() == caller);
+        let out = all_ok(map_parallel(8, vec![21], item, on_caller));
+        assert_eq!(out, vec![(0, 42, true)]);
+        let out = all_ok(map_parallel(1, vec![1, 2], item, on_caller));
+        assert_eq!(out, vec![(0, 2, true), (1, 4, true)]);
     }
 
     #[test]
@@ -286,15 +314,16 @@ mod tests {
     }
 
     #[test]
-    fn jobs_zero_falls_back_to_sequential() {
+    fn jobs_zero_still_maps_every_item_in_order() {
         let out = all_ok(map_parallel(0, vec![1, 2, 3], item, |_, x| x * 10));
         assert_eq!(out, vec![10, 20, 30]);
     }
 
     #[test]
-    fn resolve_jobs_prefers_explicit_over_env_and_hardware() {
+    fn resolve_jobs_prefers_explicit_over_hardware() {
+        let hardware = thread::available_parallelism().map_or(1, NonZeroUsize::get);
         assert_eq!(resolve_jobs(Some(7)), 7);
-        assert!(resolve_jobs(Some(0)) >= 1, "zero is ignored, not honored");
-        assert!(resolve_jobs(None) >= 1);
+        assert_eq!(resolve_jobs(Some(0)), hardware, "zero is ignored");
+        assert_eq!(resolve_jobs(None), hardware);
     }
 }

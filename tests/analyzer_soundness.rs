@@ -21,7 +21,7 @@
 //! non-aborting EDF baseline is the optimal uniprocessor scheduler the
 //! Feasible claim quantifies over.
 //!
-//! Case budget: `EUA_SOUNDNESS_CASES` (default 24).
+//! Case budget: `SOUNDNESS_CASES`.
 
 use eua::analyze::{frequency_verdicts, lower, verdict_at_fmax, ScenarioSpec, Verdict};
 use eua::analyze::{DemandSpec, EnergySpec, TaskSpec, TufSpec};
@@ -31,13 +31,8 @@ use eua::sim::{map_parallel, Engine, Platform, SimConfig, TaskSet};
 use eua::uam::generator::ArrivalPattern;
 use proptest::prelude::*;
 
-/// Per-run case budget, overridable for CI smoke runs.
-fn soundness_cases() -> u32 {
-    std::env::var("EUA_SOUNDNESS_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(24)
-}
+/// Per-run case budget.
+const SOUNDNESS_CASES: u32 = 24;
 
 /// Witness intervals past this are asserted arithmetically but not
 /// simulated (the event count would dominate the suite's runtime).
@@ -184,7 +179,7 @@ fn simulate_fixed(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(soundness_cases()))]
+    #![proptest_config(ProptestConfig::with_cases(SOUNDNESS_CASES))]
 
     /// The gate itself: every per-frequency verdict of a random scenario,
     /// checked against the engine through `eua-sim`'s pool.

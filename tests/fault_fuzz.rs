@@ -6,9 +6,8 @@
 //! validator must reject — the engine returns `Ok` or a typed
 //! [`SimError`], never panics, and stays deterministic per seed.
 //!
-//! The case count defaults to 48 and can be overridden through the
-//! `EUA_FUZZ_CASES` environment variable. Debug builds run the suite
-//! with the engine's invariant checks compiled in.
+//! The fuzz runs `FUZZ_CASES` cases. Debug builds run the suite with
+//! the engine's invariant checks compiled in.
 
 use eua::core::make_policy;
 use eua::platform::TimeDelta;
@@ -19,12 +18,8 @@ use eua::uam::generator::ArrivalPattern;
 use eua::uam::{Assurance, UamSpec};
 use proptest::prelude::*;
 
-fn fuzz_cases() -> u32 {
-    std::env::var("EUA_FUZZ_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(48)
-}
+/// Proptest cases for the fuzz property.
+const FUZZ_CASES: u32 = 48;
 
 fn ms(v: u64) -> TimeDelta {
     TimeDelta::from_millis(v)
@@ -133,7 +128,7 @@ fn plan_from(params: &PlanParams) -> FaultPlan {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(fuzz_cases()))]
+    #![proptest_config(ProptestConfig::with_cases(FUZZ_CASES))]
 
     #[test]
     fn adversarial_plans_never_panic_and_stay_deterministic(
