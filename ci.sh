@@ -29,6 +29,7 @@ step "eua-lint workspace scan (all codes)"
 #
 # The scan is timed here in bash (date +%s%N): clippy.toml bans the
 # wall clock in first-party code, so the lint binary cannot time itself.
+# The timing is this host's, so it goes under target/, which git ignores.
 cargo build -q -p eua-lint
 lint_start_ns="$(date +%s%N)"
 lint_summary="$(./target/debug/eua-lint check)"
@@ -37,7 +38,7 @@ echo "${lint_summary}"
 ./target/debug/eua-lint check --format sarif --check >/dev/null
 lint_wall_ms="$(( (lint_end_ns - lint_start_ns) / 1000000 ))"
 lint_files="$(awk '{print $2}' <<<"${lint_summary}")"
-cat > BENCH_lint.json <<EOF
+cat > target/BENCH_lint.json <<EOF
 {
   "description": "Wall time of the full eua-lint workspace scan (token rules and per-function CFG dataflow, seed taint included) over every first-party .rs file, as measured by ci.sh with bash date +%s%N around one debug-build invocation. Indicative single-host numbers, not a statistical benchmark.",
   "command": "target/debug/eua-lint check",
@@ -45,7 +46,7 @@ cat > BENCH_lint.json <<EOF
   "scan_wall_ms": ${lint_wall_ms}
 }
 EOF
-echo "eua-lint full scan: ${lint_files} files in ${lint_wall_ms} ms (BENCH_lint.json)"
+echo "eua-lint full scan: ${lint_files} files in ${lint_wall_ms} ms (target/BENCH_lint.json)"
 
 step "cargo clippy -D warnings"
 # clippy.toml bans wall-clock reads, raw std::thread, std::time types,

@@ -192,7 +192,6 @@ mod tests {
                 tuf: TufSpec::Step {
                     umax: 10.0,
                     step_at_us: window_us,
-                    termination_us: window_us,
                 },
                 max_arrivals: arrivals,
                 window_us,
@@ -269,7 +268,6 @@ mod tests {
             tuf: TufSpec::Step {
                 umax: 1.0,
                 step_at_us: 99,
-                termination_us: 99,
             },
             max_arrivals: 1.0,
             window_us: 99,

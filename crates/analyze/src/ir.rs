@@ -203,7 +203,6 @@ mod tests {
                 tuf: TufSpec::Step {
                     umax: 10.0,
                     step_at_us: 10_000,
-                    termination_us: 10_000,
                 },
                 max_arrivals: 2.0,
                 window_us: 10_000,

@@ -53,17 +53,6 @@ impl PassRegistry {
         }
     }
 
-    /// An empty registry, for assembling a custom pipeline.
-    #[must_use]
-    pub fn empty() -> Self {
-        PassRegistry { passes: Vec::new() }
-    }
-
-    /// Appends a pass to the pipeline.
-    pub fn register(&mut self, pass: Box<dyn Pass>) {
-        self.passes.push(pass);
-    }
-
     /// The registered pass names, in run order.
     #[must_use]
     pub fn names(&self) -> Vec<&'static str> {
@@ -132,9 +121,7 @@ impl TufShapePass {
         let name = &task.name;
         let mut sound = true;
         match &task.tuf {
-            TufSpec::Step {
-                umax, step_at_us, ..
-            } => {
+            TufSpec::Step { umax, step_at_us } => {
                 sound &= check_umax(name, *umax, out);
                 if *step_at_us == 0 {
                     sound = false;
@@ -1025,7 +1012,6 @@ mod tests {
             tuf: TufSpec::Step {
                 umax: 10.0,
                 step_at_us: 10_000,
-                termination_us: 10_000,
             },
             max_arrivals: 2.0,
             window_us: 10_000,

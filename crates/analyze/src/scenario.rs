@@ -31,15 +31,13 @@ use eua_workload::Workload;
 /// All times are in microseconds; nothing is validated here.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TufSpec {
-    /// Constant `umax` until `step_at_us`, zero afterwards; the job may
-    /// linger (accruing nothing) until `termination_us`.
+    /// Constant `umax` until `step_at_us`, zero afterwards; the step is
+    /// also the termination.
     Step {
         /// Utility before the step.
         umax: f64,
         /// The step (deadline) offset in µs.
         step_at_us: u64,
-        /// Termination offset in µs (≥ `step_at_us` once validated).
-        termination_us: u64,
     },
     /// Linear decay from `umax` at `t = 0` to zero at `termination_us`.
     Linear {
@@ -72,7 +70,6 @@ impl TufSpec {
             Tuf::Step(s) => TufSpec::Step {
                 umax: s.height(),
                 step_at_us: s.step_at().as_micros(),
-                termination_us: tuf.termination().as_micros(),
             },
             Tuf::Linear(l) => TufSpec::Linear {
                 umax: l.umax(),
@@ -106,9 +103,9 @@ impl TufSpec {
     /// before this is ever called.
     pub fn to_tuf(&self) -> Result<Tuf, String> {
         match self {
-            TufSpec::Step {
-                umax, step_at_us, ..
-            } => Tuf::step(*umax, TimeDelta::from_micros(*step_at_us)),
+            TufSpec::Step { umax, step_at_us } => {
+                Tuf::step(*umax, TimeDelta::from_micros(*step_at_us))
+            }
             TufSpec::Linear {
                 umax,
                 termination_us,
@@ -151,18 +148,6 @@ impl TufSpec {
             | TufSpec::Linear { umax, .. }
             | TufSpec::Exponential { umax, .. } => *umax,
             TufSpec::Piecewise { points } => points.first().map_or(f64::NAN, |&(_, u)| u),
-        }
-    }
-
-    /// The raw termination offset in µs (the last breakpoint for a
-    /// piecewise shape; zero when there are no breakpoints).
-    #[must_use]
-    pub fn termination_us(&self) -> u64 {
-        match self {
-            TufSpec::Step { termination_us, .. }
-            | TufSpec::Linear { termination_us, .. }
-            | TufSpec::Exponential { termination_us, .. } => *termination_us,
-            TufSpec::Piecewise { points } => points.last().map_or(0, |&(t, _)| t),
         }
     }
 }
@@ -524,14 +509,6 @@ impl EnergySpec {
         }
     }
 
-    /// Whether every coefficient is finite and non-negative.
-    #[must_use]
-    pub fn is_valid(&self) -> bool {
-        [self.s3, self.s2, self.s1_rel, self.s0_rel]
-            .iter()
-            .all(|v| v.is_finite() && *v >= 0.0)
-    }
-
     /// Energy per cycle at `f_mhz` with the static terms bound to
     /// `f_max_mhz`: `E(f) = S3·f² + S2·f + S1 + S0/f`.
     #[must_use]
@@ -775,9 +752,9 @@ impl ScenarioSpec {
         for t in &self.tasks {
             out.push_str(&format!("task {}\n", t.name));
             match &t.tuf {
-                TufSpec::Step {
-                    umax, step_at_us, ..
-                } => out.push_str(&format!("  tuf step {umax:?} {step_at_us}\n")),
+                TufSpec::Step { umax, step_at_us } => {
+                    out.push_str(&format!("  tuf step {umax:?} {step_at_us}\n"))
+                }
                 TufSpec::Linear {
                     umax,
                     termination_us,
@@ -1188,11 +1165,10 @@ impl<'a> Parser<'a> {
     fn parse_tuf(line: usize, rest: &[&str]) -> Result<TufSpec, ParseError> {
         match rest {
             ["step", umax, deadline] => {
-                let d = parse_u64(line, "deadline", deadline)?;
+                let step_at_us = parse_u64(line, "deadline", deadline)?;
                 Ok(TufSpec::Step {
                     umax: parse_f64(line, "umax", umax)?,
-                    step_at_us: d,
-                    termination_us: d,
+                    step_at_us,
                 })
             }
             ["linear", umax, termination] => Ok(TufSpec::Linear {
@@ -1517,7 +1493,6 @@ end
             tuf: TufSpec::Step {
                 umax: 1.0,
                 step_at_us: 1_000,
-                termination_us: 1_000,
             },
             max_arrivals: 1.0,
             window_us: 1_000,
@@ -1544,7 +1519,6 @@ end
             tuf: TufSpec::Step {
                 umax: 1.0,
                 step_at_us: 1_000,
-                termination_us: 1_000,
             },
             max_arrivals: 1.0,
             window_us: 1_000,
@@ -1618,7 +1592,6 @@ end
                 tuf: TufSpec::Step {
                     umax: 1.0,
                     step_at_us: 1_000,
-                    termination_us: 1_000,
                 },
                 max_arrivals: 1.0,
                 window_us: 1_000,
@@ -1651,7 +1624,6 @@ end
             tuf: TufSpec::Step {
                 umax: 1.0,
                 step_at_us: 10_000,
-                termination_us: 10_000,
             },
             max_arrivals: 1.0,
             window_us: 10_000,

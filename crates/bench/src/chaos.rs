@@ -31,9 +31,9 @@ use eua_core::make_policy;
 use eua_platform::{EnergySetting, Frequency, FrequencyTable, TimeDelta};
 use eua_sim::{
     classify_degradation, map_parallel, DegradationClass, Engine, FaultPlan, Platform, PoolError,
-    SimConfig, DEFAULT_COLLAPSE_FRACTION,
+    SimConfig, SimError, DEFAULT_COLLAPSE_FRACTION,
 };
-use eua_workload::UniverseFamily;
+use eua_workload::{UniverseFamily, Workload};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -220,10 +220,46 @@ pub fn unexpected_audit_errors(report: &Report, plan: &FaultPlan) -> u64 {
 }
 
 /// What a surviving (non-panicking) cell reports back from the pool.
-struct CellOutcome {
-    grade: DegradationClass,
-    utility_ratio: f64,
-    audit_errors: u64,
+pub(crate) struct CellOutcome {
+    pub(crate) grade: DegradationClass,
+    pub(crate) utility_ratio: f64,
+    pub(crate) audit_errors: u64,
+}
+
+/// Runs `policy_name` (panicking if unknown) on `workload` under
+/// `faults`, audits the certificate if one was recorded, and grades the
+/// run: the steps a chaos cell and a shrink probe share.
+pub(crate) fn run_and_grade(
+    name: &str,
+    workload: &Workload,
+    policy_name: &str,
+    platform: &Platform,
+    sim_config: &SimConfig,
+    seed: u64,
+    faults: &FaultPlan,
+) -> Result<CellOutcome, SimError> {
+    let mut policy =
+        make_policy(policy_name).unwrap_or_else(|| panic!("unknown policy {policy_name}"));
+    let outcome = Engine::run_with_faults(
+        &workload.tasks,
+        &workload.patterns,
+        platform,
+        &mut policy,
+        sim_config,
+        seed,
+        faults,
+    )?;
+    let audit_errors = outcome.certificate.as_ref().map_or(0, |cert| {
+        let report = eua_audit::audit_text(name, &cert.render());
+        unexpected_audit_errors(&report, faults)
+    });
+    let grade =
+        classify_degradation(&outcome.metrics, &workload.tasks, DEFAULT_COLLAPSE_FRACTION).overall;
+    Ok(CellOutcome {
+        grade,
+        utility_ratio: outcome.metrics.utility_ratio(),
+        audit_errors,
+    })
 }
 
 /// Runs one cell end to end. Any internal failure — universe
@@ -257,34 +293,21 @@ fn execute_cell(config: &ChaosConfig, platform: &Platform, index: u32) -> CellOu
     let workload = reparsed
         .to_workload()
         .unwrap_or_else(|e| panic!("workload raise failed: {e}"));
-    let mut policy =
-        make_policy(&plan.policy).unwrap_or_else(|| panic!("unknown policy {}", plan.policy));
     let sim_config = if config.audit {
         SimConfig::new(config.horizon).with_certificate()
     } else {
         SimConfig::new(config.horizon)
     };
-    let outcome = Engine::run_with_faults(
-        &workload.tasks,
-        &workload.patterns,
+    run_and_grade(
+        &scenario.name,
+        &workload,
+        &plan.policy,
         platform,
-        &mut policy,
         &sim_config,
         plan.run_seed,
         &plan.faults,
     )
-    .unwrap_or_else(|e| panic!("simulation failed: {e}"));
-    let audit_errors = outcome.certificate.as_ref().map_or(0, |cert| {
-        let report = eua_audit::audit_text(&scenario.name, &cert.render());
-        unexpected_audit_errors(&report, &plan.faults)
-    });
-    let grade =
-        classify_degradation(&outcome.metrics, &workload.tasks, DEFAULT_COLLAPSE_FRACTION).overall;
-    CellOutcome {
-        grade,
-        utility_ratio: outcome.metrics.utility_ratio(),
-        audit_errors,
-    }
+    .unwrap_or_else(|e| panic!("simulation failed: {e}"))
 }
 
 fn fault_json(plan: &FaultPlan) -> Json {

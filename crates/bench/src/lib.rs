@@ -10,13 +10,16 @@
 //! * `theorems` — the §4 timeliness-property checks (Theorems 2–5);
 //! * `ablation` — design-choice ablations (UER clamp, abortion,
 //!   insertion mode, Chebyshev ρ);
+//! * `budget` — utility accrued under a finite energy budget, swept
+//!   from 10% to 120% of what unconstrained EUA\* spends;
 //! * `robustness` — the fault-intensity × policy degradation sweep;
 //! * `eua-chaos` — resumable chaos campaigns over the workload
 //!   universes, with automatic shrinking of failing cells to minimal
 //!   `.scn` repros (DESIGN.md §15).
 //!
-//! The Criterion benches measure the per-event scheduling cost
-//! (the paper's polynomial-time claim) and simulator throughput.
+//! The `#[ignore]`d overload guard (`tests/overload_guard.rs`) pins the
+//! scaling shape of the schedule builder's overload fallback; the
+//! repository benchmark lives in `perf/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

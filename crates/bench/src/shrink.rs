@@ -25,14 +25,10 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use eua_analyze::scenario::{EnergySpec, FaultSpec, ScenarioSpec};
-use eua_core::make_policy;
 use eua_platform::{EnergySetting, Frequency, FrequencyTable, TimeDelta};
-use eua_sim::{
-    classify_degradation, DegradationClass, Engine, FaultPlan, Platform, SimConfig,
-    DEFAULT_COLLAPSE_FRACTION,
-};
+use eua_sim::{DegradationClass, FaultPlan, Platform, SimConfig};
 
-use crate::chaos::{plan_cell, ChaosConfig};
+use crate::chaos::{plan_cell, run_and_grade, ChaosConfig};
 
 /// The horizon below which the shrinker stops halving (1 ms — shorter
 /// horizons observe no complete job of any realistic task).
@@ -132,26 +128,18 @@ fn run_case(case: &ShrinkCase) -> Result<(DegradationClass, u64), String> {
         .map_or_else(FaultPlan::none, FaultSpec::to_plan);
     plan.validate().map_err(|e| e.to_string())?;
     let platform = Platform::powernow(EnergySetting::e1());
-    let mut policy =
-        make_policy(&case.policy).unwrap_or_else(|| panic!("unknown policy {}", case.policy));
     let sim_config = SimConfig::new(case.horizon).with_certificate();
-    let outcome = Engine::run_with_faults(
-        &workload.tasks,
-        &workload.patterns,
+    let cell = run_and_grade(
+        &case.spec.name,
+        &workload,
+        &case.policy,
         &platform,
-        &mut policy,
         &sim_config,
         case.seed,
         &plan,
     )
     .map_err(|e| e.to_string())?;
-    let audit_errors = outcome.certificate.as_ref().map_or(0, |cert| {
-        let report = eua_audit::audit_text(&case.spec.name, &cert.render());
-        crate::chaos::unexpected_audit_errors(&report, &plan)
-    });
-    let grade =
-        classify_degradation(&outcome.metrics, &workload.tasks, DEFAULT_COLLAPSE_FRACTION).overall;
-    Ok((grade, audit_errors))
+    Ok((cell.grade, cell.audit_errors))
 }
 
 /// Whether (and how) the case reproduces a failure. `None` both for
@@ -367,7 +355,6 @@ mod tests {
             tuf: TufSpec::Step {
                 umax: 10.0,
                 step_at_us: 10_000,
-                termination_us: 10_000,
             },
             max_arrivals: 1.0,
             window_us: 10_000,

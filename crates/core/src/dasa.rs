@@ -7,7 +7,6 @@
 use eua_sim::{Decision, SchedContext, SchedulerPolicy};
 
 use crate::candidates::{Candidate, InsertionMode, ScheduleBuilder};
-use crate::score::ScoreCache;
 
 /// Dependent Activity Scheduling Algorithm (independent-task form):
 /// utility-density-ordered greedy scheduling at the maximum frequency.
@@ -29,8 +28,6 @@ pub struct Dasa {
     cand_buf: Vec<Candidate>,
     /// Reused abort scratch, taken by value only on events that abort.
     abort_buf: Vec<eua_sim::JobId>,
-    /// Event-to-event execution-time and utility cache (DESIGN.md §14).
-    cache: ScoreCache,
 }
 
 impl Dasa {
@@ -51,20 +48,21 @@ impl SchedulerPolicy for Dasa {
         let f_m = ctx.platform.f_max();
         self.abort_buf.clear();
         self.cand_buf.clear();
-        self.cache.begin(f_m);
         for j in ctx.jobs {
-            let (exec, utility) = self
-                .cache
-                .score(ctx.now, j, ctx.tasks.task(j.task).tuf(), f_m);
-            if ctx.now.saturating_add(exec) > j.termination {
+            let predicted = ctx.now.saturating_add(f_m.execution_time(j.remaining));
+            if predicted > j.termination {
                 self.abort_buf.push(j.id);
                 continue;
             }
+            let utility = ctx
+                .tasks
+                .task(j.task)
+                .tuf()
+                .utility(predicted.saturating_since(j.arrival));
             // Utility density: expected utility per remaining cycle.
             self.cand_buf
                 .push(Candidate::from_view(j, utility / j.remaining.as_f64()));
         }
-        self.cache.commit();
         let schedule = self.builder.rebuild(
             ctx.now,
             &mut self.cand_buf,
@@ -76,10 +74,6 @@ impl SchedulerPolicy for Dasa {
             Some(head) => Decision::run(head.id, f_m).with_aborts(aborts),
             None => Decision::idle(f_m).with_aborts(aborts),
         }
-    }
-
-    fn reset(&mut self) {
-        self.cache.clear();
     }
 }
 

@@ -9,7 +9,6 @@ use eua_sim::{
 };
 
 use crate::candidates::{Candidate, InsertionMode, ScheduleBuilder};
-use crate::score::ScoreCache;
 use decide_freq::LookAheadDvs;
 
 /// Tunable switches of [`Eua`], defaulting to the paper's algorithm.
@@ -72,10 +71,6 @@ pub struct Eua {
     builder: ScheduleBuilder,
     /// Reused candidate scratch ([`Eua::plan`] refills it every event).
     cand_buf: Vec<Candidate>,
-    /// Event-to-event execution-time and utility cache; jobs whose TUF
-    /// value provably cannot have changed since the last event are
-    /// re-scored without re-evaluating the TUF (DESIGN.md §14).
-    cache: ScoreCache,
     /// Reused abort scratch; taken (and thus only reallocated on events
     /// that actually abort) when handed to the engine.
     abort_buf: Vec<eua_sim::JobId>,
@@ -115,7 +110,6 @@ impl Eua {
             dvs: LookAheadDvs::new(),
             builder: ScheduleBuilder::new(),
             cand_buf: Vec::new(),
-            cache: ScoreCache::default(),
             abort_buf: Vec::new(),
             certifying: false,
             explanation: None,
@@ -184,19 +178,12 @@ impl Eua {
         // observe every arrival, even when this decision ends up idling.
         let analysis = self.options.dvs.then(|| self.dvs.analyze(ctx));
 
-        // Lines 9–11: abort infeasible jobs, compute the rest's UER. The
-        // execution time and TUF utility come from the event-to-event
-        // [`ScoreCache`], which returns bit-identical values to the
-        // direct `job_feasible` / `Tuf::utility` computation.
+        // Lines 9–11: abort infeasible jobs, compute the rest's UER.
         let mut expl = self.certifying.then(DecisionExplanation::default);
         self.abort_buf.clear();
         self.cand_buf.clear();
-        self.cache.begin(f_m);
         for j in ctx.jobs {
-            let (exec, utility) = self
-                .cache
-                .score(ctx.now, j, ctx.tasks.task(j.task).tuf(), f_m);
-            let predicted = ctx.now.saturating_add(exec);
+            let predicted = ctx.now.saturating_add(f_m.execution_time(j.remaining));
             if predicted > j.termination {
                 if self.options.abort_infeasible {
                     self.abort_buf.push(j.id);
@@ -211,13 +198,17 @@ impl Eua {
                 }
                 continue;
             }
+            let utility = ctx
+                .tasks
+                .task(j.task)
+                .tuf()
+                .utility(predicted.saturating_since(j.arrival));
             let uer = utility / (per_cycle_at_fm * j.remaining.as_f64());
             if let Some(expl) = expl.as_mut() {
                 expl.uer.push(UerEntry { job: j.id, uer });
             }
             self.cand_buf.push(Candidate::from_view(j, uer));
         }
-        self.cache.commit();
 
         // Lines 12–18: greedy UER-ordered construction of a feasible
         // critical-time-ordered schedule.
@@ -301,7 +292,6 @@ impl SchedulerPolicy for Eua {
     fn reset(&mut self) {
         self.f_opt.clear();
         self.dvs.reset();
-        self.cache.clear();
         self.explanation = None;
     }
 

@@ -74,7 +74,6 @@ mod edf;
 mod eua;
 mod llf;
 mod registry;
-mod score;
 
 pub use analysis::{brh_schedulable, demand_bound, sufficient_speed, theorem1_speed};
 pub use budget::BudgetedEua;

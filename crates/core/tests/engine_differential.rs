@@ -12,11 +12,16 @@
 //! compare equal (metrics, per-job records, traces, fault stats) and the
 //! rendered `eua-certificate/2` documents must be equal as strings.
 //!
+//! For the two utility-accrual policies the production certificate is
+//! also replayed against an independent decision oracle (Algorithm 1
+//! recomputed from each event's `ready` rows with the naive builder), so
+//! a scoring bug that both loops share still fails here.
+//!
 //! The proptest runs `DIFF_CASES` cases.
 
-use eua_core::make_policy;
-use eua_platform::{EnergySetting, TimeDelta};
-use eua_sim::{Engine, FaultPlan, Platform, SimConfig, Task, TaskSet};
+use eua_core::{build_schedule_reference, make_policy, Candidate, InsertionMode};
+use eua_platform::{EnergySetting, FrequencyTable, TimeDelta};
+use eua_sim::{Engine, FaultPlan, Platform, RunCertificate, SimConfig, Task, TaskSet};
 use eua_tuf::Tuf;
 use eua_uam::demand::DemandModel;
 use eua_uam::generator::ArrivalPattern;
@@ -30,10 +35,10 @@ fn ms(v: u64) -> TimeDelta {
     TimeDelta::from_millis(v)
 }
 
-/// The policy families under differential test: the UER scheduler with
-/// its incremental score cache, the density baseline sharing that cache,
-/// and the two deadline/laxity baselines with per-event state of their
-/// own.
+/// The policy families under differential test: the UER scheduler and
+/// the utility-density baseline (both also checked against the decision
+/// oracle), and the two deadline/laxity baselines with per-event state
+/// of their own.
 const POLICIES: [&str; 4] = ["eua", "dasa", "edf", "llf"];
 
 /// One task with a proptest-chosen TUF shape, window and demand model.
@@ -126,8 +131,70 @@ fn plan_for(intensity: u8) -> FaultPlan {
     plan
 }
 
+/// Replays every decision of an `eua` or `dasa` certificate from the
+/// event's `ready` rows alone: the aborts are the jobs that cannot finish
+/// by their termination at `f_m`, in ready order, and the run is the head
+/// of the naive builder's schedule over the rest, keyed by UER
+/// `U/(E(f_m)·c)` (EUA, break on infeasible) or by utility density `U/c`
+/// (DASA, skip infeasible). Other policies are not checked.
+fn assert_decisions_match_oracle(cert: &RunCertificate, tasks: &TaskSet, platform: &Platform) {
+    let (mode, per_cycle_weighted) = match cert.policy.as_str() {
+        "eua" => (InsertionMode::BreakOnInfeasible, true),
+        "dasa" => (InsertionMode::SkipInfeasible, false),
+        _ => return,
+    };
+    // A degraded-frequency fault hands the policy a smaller table, so
+    // plan against the table the certificate says the policy saw.
+    let table = FrequencyTable::new(cert.policy_frequencies_mhz.iter().copied())
+        .expect("certified policy table");
+    let policy_platform = Platform::new(table, *platform.setting());
+    let f_m = policy_platform.f_max();
+    let per_cycle_at_fm = policy_platform.energy().energy_per_cycle(f_m);
+    for (k, event) in cert.events.iter().enumerate() {
+        let mut aborts = Vec::new();
+        let mut candidates = Vec::new();
+        for j in &event.ready {
+            let predicted = event.at.saturating_add(f_m.execution_time(j.remaining));
+            if predicted > j.termination {
+                aborts.push(j.job);
+                continue;
+            }
+            let utility = tasks
+                .task(j.task)
+                .tuf()
+                .utility(predicted.saturating_since(j.arrival));
+            let key = if per_cycle_weighted {
+                utility / (per_cycle_at_fm * j.remaining.as_f64())
+            } else {
+                utility / j.remaining.as_f64()
+            };
+            candidates.push(Candidate {
+                id: j.job,
+                critical: j.critical,
+                termination: j.termination,
+                remaining: j.remaining,
+                key,
+            });
+        }
+        let schedule = build_schedule_reference(event.at, candidates, f_m, mode);
+        let policy = &cert.policy;
+        assert_eq!(
+            event.aborts, aborts,
+            "policy {policy}, event {k} at {:?}: aborts differ from the oracle",
+            event.at
+        );
+        assert_eq!(
+            event.run,
+            schedule.first().map(|c| c.id),
+            "policy {policy}, event {k} at {:?}: run differs from the oracle",
+            event.at
+        );
+    }
+}
+
 /// Runs one (workload, policy, plan, seed) cell through both loops and
-/// asserts full-outcome equality plus certificate byte-identity.
+/// asserts full-outcome equality plus certificate byte-identity, then
+/// checks the production certificate against the decision oracle.
 fn assert_differential(
     tasks: &TaskSet,
     patterns: &[ArrivalPattern],
@@ -174,6 +241,11 @@ fn assert_differential(
     assert_eq!(
         new, old,
         "policy {policy_name}, seed {seed}: outcomes diverged"
+    );
+    assert_decisions_match_oracle(
+        new.certificate.as_ref().expect("certificate recorded"),
+        tasks,
+        &platform,
     );
 }
 

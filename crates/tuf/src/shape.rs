@@ -359,74 +359,6 @@ impl Tuf {
         }
     }
 
-    /// [`Tuf::utility`] plus the **plateau bound**: the largest offset
-    /// `u ≥ t` such that `utility(t')` is bit-identical to `utility(t)`
-    /// for every `t' ∈ [t, u]`, or `None` when the value stays constant
-    /// forever (a TUF that has decayed to zero never recovers).
-    ///
-    /// This is the staleness oracle for incrementally maintained UER
-    /// caches (DESIGN.md §14): a cached score computed at sojourn `t`
-    /// stays valid at a later sojourn `t₁` iff `t₁ ≤ u`. The bound is
-    /// conservative — strictly decaying shapes report a zero-width
-    /// plateau (`u = t`) even at their terminal zero value's boundary —
-    /// but never overestimates: within the reported range the returned
-    /// value is exactly what [`Tuf::utility`] computes.
-    #[must_use]
-    pub fn utility_plateau(&self, t: TimeDelta) -> (f64, Option<TimeDelta>) {
-        match self {
-            Tuf::Step(s) => {
-                if t <= s.step_at {
-                    (s.height, Some(s.step_at))
-                } else {
-                    (0.0, None)
-                }
-            }
-            Tuf::Linear(l) => {
-                if t >= l.termination {
-                    // `utility` computes `umax·(1 − 1) = 0.0` exactly at
-                    // the termination and returns literal `0.0` after it.
-                    (0.0, None)
-                } else {
-                    (self.utility(t), Some(t))
-                }
-            }
-            Tuf::Piecewise(p) => {
-                let last = p.last_point();
-                if t > last.0 {
-                    return (0.0, None);
-                }
-                let mut prev = p.points[0];
-                for &(bt, bu) in &p.points {
-                    if bt == t {
-                        // At a breakpoint the next segment holds `bu`
-                        // until its end iff it is a plateau.
-                        let until = p
-                            .points
-                            .iter()
-                            .find(|&&(nt, nu)| nt > t && nu == bu)
-                            .map_or(t, |&(nt, _)| nt);
-                        return (bu, Some(until));
-                    }
-                    if bt > t {
-                        // `prev.1 + (bu − prev.1)·frac` equals `prev.1`
-                        // exactly on a plateau segment (`bu − prev.1 = 0`).
-                        let until = if prev.1 == bu { bt } else { t };
-                        return (self.utility(t), Some(until));
-                    }
-                    prev = (bt, bu);
-                }
-                (last.1, Some(t))
-            }
-            Tuf::Exponential(e) => {
-                if t > e.termination {
-                    (0.0, None)
-                } else {
-                    (self.utility(t), Some(t))
-                }
-            }
-        }
-    }
-
     /// The maximum utility `U^max = U(0)`.
     #[must_use]
     pub fn max_utility(&self) -> f64 {
@@ -765,96 +697,5 @@ mod tests {
             .unwrap()
             .to_string()
             .starts_with("exp"));
-    }
-
-    /// Every shape, dense offset sweep: the plateau value must be
-    /// bit-identical to `utility` at the query point, and at every later
-    /// microsecond up to (and including) the reported bound.
-    #[test]
-    fn utility_plateau_value_and_bound_are_exact() {
-        let shapes = [
-            Tuf::step(7.0, ms(10)).unwrap(),
-            Tuf::from(StepTuf::with_termination(4.0, ms(5), ms(20)).unwrap()),
-            Tuf::linear(100.0, ms(10)).unwrap(),
-            Tuf::exponential(5.0, ms(3), ms(12)).unwrap(),
-            Tuf::piecewise([
-                (TimeDelta::ZERO, 9.0),
-                (ms(2), 9.0),
-                (ms(4), 3.0),
-                (ms(6), 3.0),
-                (ms(8), 0.0),
-            ])
-            .unwrap(),
-        ];
-        for tuf in &shapes {
-            for t_us in (0..25_000)
-                .step_by(173)
-                .chain([0, 1, 9_999, 10_000, 10_001])
-            {
-                let t = TimeDelta::from_micros(t_us);
-                let (value, until) = tuf.utility_plateau(t);
-                assert!(
-                    value == tuf.utility(t),
-                    "{tuf}: plateau value at {t_us}µs: {value} vs {}",
-                    tuf.utility(t)
-                );
-                // Probe inside the plateau (sampled) and at its exact end.
-                let probes: Vec<TimeDelta> = match until {
-                    Some(u) => {
-                        assert!(u >= t, "{tuf}: bound before the query at {t_us}µs");
-                        vec![u, t + TimeDelta::from_micros((u - t).as_micros() / 2)]
-                    }
-                    // "Constant forever": probe far beyond every shape's
-                    // termination.
-                    None => vec![t + ms(1), ms(40), ms(400)],
-                };
-                for p in probes {
-                    assert!(
-                        tuf.utility(p) == value,
-                        "{tuf}: plateau [{t_us}µs, {:?}] broken at {p:?}",
-                        until
-                    );
-                }
-            }
-        }
-    }
-
-    /// The step shape must report its full plateau (that width is what
-    /// makes score caching effective), not just a conservative point.
-    #[test]
-    fn utility_plateau_widths_for_the_step_shape() {
-        let t = Tuf::step(7.0, ms(10)).unwrap();
-        assert_eq!(t.utility_plateau(ms(2)), (7.0, Some(ms(10))));
-        assert_eq!(t.utility_plateau(ms(10)), (7.0, Some(ms(10))));
-        // Past the step the value is zero forever.
-        assert_eq!(
-            t.utility_plateau(ms(10) + TimeDelta::from_micros(1)),
-            (0.0, None)
-        );
-    }
-
-    /// Piecewise plateau segments are reported across their full width;
-    /// decaying segments report a zero-width plateau.
-    #[test]
-    fn utility_plateau_widths_for_piecewise_segments() {
-        let t = Tuf::piecewise([
-            (TimeDelta::ZERO, 9.0),
-            (ms(2), 9.0),
-            (ms(4), 3.0),
-            (ms(6), 3.0),
-            (ms(8), 0.0),
-        ])
-        .unwrap();
-        // On the initial flat segment: valid until the segment's end.
-        assert_eq!(t.utility_plateau(ms(1)), (9.0, Some(ms(2))));
-        assert_eq!(t.utility_plateau(TimeDelta::ZERO), (9.0, Some(ms(2))));
-        // On a decaying segment: exact value, zero-width bound.
-        let (v, until) = t.utility_plateau(ms(3));
-        assert_eq!(v, t.utility(ms(3)));
-        assert_eq!(until, Some(ms(3)));
-        // Mid plateau between 4 and 6 ms.
-        assert_eq!(t.utility_plateau(ms(5)), (3.0, Some(ms(6))));
-        // Past the last breakpoint: zero forever.
-        assert_eq!(t.utility_plateau(ms(9)), (0.0, None));
     }
 }

@@ -59,7 +59,6 @@ impl CaseTask {
                 TufSpec::Step {
                     umax: self.umax,
                     step_at_us: self.window_us,
-                    termination_us: self.window_us,
                 },
                 1.0,
             )

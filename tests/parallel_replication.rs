@@ -170,8 +170,8 @@ fn overloaded_pair(heights: [f64; 2]) -> (TaskSet, Vec<ArrivalPattern>) {
 /// A policy reused after a run that ended on its first decision must
 /// keep nothing of that decision. Both runs release the same two jobs at
 /// t = 0 with the same demand, and only the swapped TUF heights tell
-/// them apart, so a score cache that `reset` left filled answers the
-/// second run with the first run's utilities.
+/// them apart, so any per-job state that `reset` left behind would
+/// answer the second run with the first run's utilities.
 #[test]
 fn reused_policy_forgets_the_scores_of_a_run_cut_after_one_decision() {
     let platform = Platform::powernow(EnergySetting::e1());
