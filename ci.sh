@@ -152,6 +152,9 @@ fi
 
 step "bench smoke under --jobs 2"
 cargo run -q -p eua-bench --bin fig2 -- --quick --energy e1 --jobs 2 >/dev/null
+# theorems exits 1 on any failed check, including Theorem 2's
+# dispatch-sequence comparison read from the runs' certificates.
+cargo run -q -p eua-bench --bin theorems -- --quick --jobs 2 >/dev/null
 
 step "benchmark package tests (perf/)"
 # perf/ is a workspace of its own that builds against crates/* by path,

@@ -72,7 +72,7 @@ pub use energy::{energy_profiles, EnergyProfile};
 pub use examples::shipped_scenarios;
 pub use fix::{apply_fixes, AppliedFix};
 pub use ir::{lower, AnalysisIr, FreqIr, TaskIr};
-pub use passes::{analyze, Pass, PassRegistry};
+pub use passes::analyze;
 pub use sarif::{render_sarif, validate_sarif};
 pub use scenario::{
     DemandSpec, EnergySpec, FaultSpec, ParseError, ScenarioSpec, TaskSpec, TufSpec,

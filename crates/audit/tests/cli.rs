@@ -3,8 +3,9 @@
 //! Binary-level contract tests for `eua-audit`: the `--format sarif`
 //! document names the auditor as its driver and passes `--check` (the
 //! pinned SARIF subset plus the byte round-trip), and `check` rejects
-//! a certificate in the retired `eua-certificate/1` format or one whose
-//! ready-set changes depart a job that is not live.
+//! a certificate in the retired `eua-certificate/1` format, one whose
+//! ready-set changes depart a job that is not live, or a document
+//! nested deeper than the JSON parser's cap.
 
 use std::path::Path;
 use std::process::{Command, Output};
@@ -90,4 +91,12 @@ fn check_rejects_a_departure_of_a_job_that_is_not_live() {
     assert_ne!(forged, fixture, "the forgery changed nothing");
     let out = check_copy("audit-cli-departed-not-live.json", &forged);
     assert_malformed(&out, "departed job 999 is not live");
+}
+
+#[test]
+fn check_rejects_unbounded_nesting_without_overflowing_the_stack() {
+    // 200,000 unclosed arrays: the parser stops at its depth cap with a
+    // typed error instead of recursing once per bracket.
+    let out = check_copy("audit-cli-deep-nesting.json", &"[".repeat(200_000));
+    assert_malformed(&out, "nesting deeper than 128 levels");
 }

@@ -17,7 +17,7 @@
 use eua_bench::jobs_from_args;
 use eua_core::{EdfPolicy, Eua};
 use eua_platform::{EnergySetting, TimeDelta};
-use eua_sim::{map_parallel, Engine, Platform, SchedulerPolicy, SimConfig};
+use eua_sim::{dispatch_sequence, map_parallel, Engine, Platform, SchedulerPolicy, SimConfig};
 use eua_workload::{fig3_workload, theorem_workload, Workload};
 
 fn check(label: &str, ok: bool, detail: String) -> bool {
@@ -32,7 +32,7 @@ fn run(
     horizon: TimeDelta,
     seed: u64,
 ) -> eua_sim::Outcome {
-    let config = SimConfig::new(horizon).with_trace();
+    let config = SimConfig::new(horizon).with_certificate();
     Engine::run(
         &workload.tasks,
         &workload.patterns,
@@ -84,8 +84,8 @@ fn main() {
         };
 
         // Theorem 2: identical schedules at f_m, equal utilities.
-        let seq_edf = edf.trace.as_ref().expect("trace").job_sequence();
-        let seq_eua = eua_fm.trace.as_ref().expect("trace").job_sequence();
+        let seq_edf = dispatch_sequence(edf.certificate.as_ref().expect("certificate"));
+        let seq_eua = dispatch_sequence(eua_fm.certificate.as_ref().expect("certificate"));
         all_ok &= check(
             "Theorem 2 (schedule)",
             seq_edf == seq_eua,

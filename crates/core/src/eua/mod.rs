@@ -309,7 +309,7 @@ impl SchedulerPolicy for Eua {
 mod tests {
     use super::*;
     use eua_platform::{EnergySetting, SimTime, TimeDelta};
-    use eua_sim::{Engine, JobOutcome, Platform, SimConfig, Task, TaskSet};
+    use eua_sim::{Engine, JobId, Platform, SimConfig, Task, TaskSet};
     use eua_tuf::Tuf;
     use eua_uam::demand::DemandModel;
     use eua_uam::generator::ArrivalPattern;
@@ -376,19 +376,20 @@ mod tests {
         // it at release rather than burning energy.
         let tasks = TaskSet::new(vec![step_task("hopeless", 10, 2_000_000.0, 1)]).unwrap();
         let traces = vec![ArrivalTrace::from_times([SimTime::ZERO])];
-        let config = SimConfig::new(ms(30)).with_job_records();
+        let config = SimConfig::new(ms(30)).with_certificate();
         let out =
             Engine::run_with_traces(&tasks, &traces, &platform(), &mut Eua::new(), &config, 1)
                 .unwrap();
-        let records = out.jobs.unwrap();
-        assert_eq!(records.len(), 1);
-        match records[0].outcome {
-            JobOutcome::Aborted { at, by_policy } => {
-                assert!(by_policy, "EUA should abort, not the termination exception");
-                assert_eq!(at, SimTime::ZERO);
-            }
-            ref other => panic!("expected an abort, got {other:?}"),
-        }
+        let tm = &out.metrics.per_task[0];
+        assert_eq!(tm.arrived, 1);
+        assert_eq!(
+            (tm.aborted_by_policy, tm.aborted_by_termination),
+            (1, 0),
+            "EUA should abort, not the termination exception"
+        );
+        let first = &out.certificate.unwrap().events[0];
+        assert_eq!(first.at, SimTime::ZERO);
+        assert_eq!(first.aborts, vec![JobId(0)]);
         assert_eq!(
             out.metrics.energy, 0.0,
             "no cycles wasted on a hopeless job"

@@ -9,8 +9,8 @@
 //! injection.
 //!
 //! "Byte-identical" is checked at full strength: the two outcomes must
-//! compare equal (metrics, per-job records, traces, fault stats) and the
-//! rendered `eua-certificate/2` documents must be equal as strings.
+//! compare equal (metrics, certificate, fault stats) and the rendered
+//! `eua-certificate/2` documents must be equal as strings.
 //!
 //! For the two utility-accrual policies the production certificate is
 //! also replayed against an independent decision oracle (Algorithm 1
@@ -204,10 +204,7 @@ fn assert_differential(
     horizon_ms: u64,
 ) {
     let platform = Platform::powernow(EnergySetting::e1());
-    let config = SimConfig::new(ms(horizon_ms))
-        .with_certificate()
-        .with_job_records()
-        .with_trace();
+    let config = SimConfig::new(ms(horizon_ms)).with_certificate();
 
     let mut policy = make_policy(policy_name).expect("registry policy");
     let new = Engine::run_with_faults(tasks, patterns, &platform, &mut policy, &config, seed, plan)

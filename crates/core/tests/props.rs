@@ -9,7 +9,8 @@ use eua_core::{
 };
 use eua_platform::{Cycles, EnergySetting, Frequency, SimTime, TimeDelta};
 use eua_sim::{
-    Engine, JobId, JobView, Platform, SchedContext, SchedEvent, SimConfig, Task, TaskId, TaskSet,
+    ledger_busy_time, Engine, JobId, JobView, Platform, SchedContext, SchedEvent, SimConfig, Task,
+    TaskId, TaskSet,
 };
 use eua_tuf::Tuf;
 use eua_uam::demand::DemandModel;
@@ -143,13 +144,16 @@ proptest! {
     ) {
         let (tasks, patterns) = small_task_set(n);
         let platform = Platform::powernow(EnergySetting::e2());
-        let config = SimConfig::new(TimeDelta::from_millis(200)).with_trace();
+        let config = SimConfig::new(TimeDelta::from_millis(200)).with_certificate();
         let names = eua_core::available_policies();
         let name = names[policy_idx % names.len()];
         let mut policy = make_policy(name).expect("registry name");
         let out = Engine::run(&tasks, &patterns, &platform, &mut policy, &config, seed)
             .expect("policy produced an invalid decision");
-        prop_assert!(out.trace.expect("trace").is_serial());
+        // The uniprocessor stays serial: no charge starts before the
+        // previous one ends, and the ledger accounts for the busy time.
+        let cert = out.certificate.as_ref().expect("certificate");
+        prop_assert_eq!(ledger_busy_time(cert), Some(out.metrics.busy_time));
         prop_assert!(out.metrics.total_utility <= out.metrics.max_possible_utility + 1e-6);
     }
 }

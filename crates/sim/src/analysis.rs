@@ -1,83 +1,105 @@
-//! Post-hoc analysis of execution traces, job records and metrics:
-//! EDF-order auditing and the degradation oracle.
+//! Post-hoc analysis of a run's certificate and metrics: the dispatch
+//! sequence, the ledger's busy time, EDF-order auditing and the
+//! degradation oracle.
 //!
 //! These helpers close the loop between the simulator's raw outputs and
-//! the properties the paper argues about — e.g. Theorem 2's "critical
-//! time ordered schedule" is directly checkable with
+//! the properties the paper argues about. The certificate
+//! ([`crate::certificate`]) is the run's record: Theorem 2's "EUA\*
+//! produces EDF's schedule" compares two runs' [`dispatch_sequence`]s,
+//! and its "critical time ordered schedule" is directly checkable with
 //! [`edf_violations`].
 
-use eua_platform::SimTime;
+use eua_platform::{SimTime, TimeDelta};
 
+use crate::certificate::{ChargeKind, RunCertificate};
 use crate::ids::{JobId, TaskId};
-use crate::job::{JobOutcome, JobRecord};
 use crate::task::TaskSet;
-use crate::trace::ExecutionTrace;
+
+/// The jobs a run executed, in execution order with adjacent repeats
+/// collapsed: the schedule's "shape", independent of speed.
+///
+/// Each [`ChargeKind::Execute`] charge in the ledger is attributed to
+/// the latest certified decision at or before its start, whose `run`
+/// is the job that executed: the engine records a decision before the
+/// charges it causes, and the next decision comes no earlier than the
+/// end of an execute charge.
+#[must_use]
+pub fn dispatch_sequence(cert: &RunCertificate) -> Vec<JobId> {
+    let mut seq = Vec::new();
+    let mut events = cert.events.iter().peekable();
+    let mut running = None;
+    for charge in cert
+        .charges
+        .iter()
+        .filter(|c| c.kind == ChargeKind::Execute)
+    {
+        while let Some(event) = events.next_if(|e| e.at <= charge.at) {
+            running = event.run;
+        }
+        if let Some(job) = running {
+            if seq.last() != Some(&job) {
+                seq.push(job);
+            }
+        }
+    }
+    seq
+}
+
+/// The busy time the charge ledger accounts for: the summed length of
+/// its non-idle (execute and switch) charges, or `None` when a charge
+/// starts before the previous one ends, which a uniprocessor cannot do.
+#[must_use]
+pub fn ledger_busy_time(cert: &RunCertificate) -> Option<TimeDelta> {
+    let serial = cert
+        .charges
+        .windows(2)
+        .all(|w| w[0].at.saturating_add(TimeDelta::from_micros(w[0].micros)) <= w[1].at);
+    serial.then(|| {
+        TimeDelta::from_micros(
+            cert.charges
+                .iter()
+                .filter(|c| c.kind != ChargeKind::Idle)
+                .map(|c| c.micros)
+                .sum(),
+        )
+    })
+}
 
 /// One departure from earliest-critical-time-first dispatching: at
-/// `at`, `ran` executed although `preferred` (earlier critical time) was
-/// live.
+/// `at`, `ran` was chosen although `preferred` (earlier critical time)
+/// was ready and not aborted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EdfViolation {
-    /// Segment start where the inversion was observed.
+    /// The decision instant where the inversion was observed.
     pub at: SimTime,
-    /// The job that ran.
+    /// The job the decision chose to run.
     pub ran: JobId,
-    /// A live job with a strictly earlier critical time.
+    /// A ready job with a strictly earlier critical time.
     pub preferred: JobId,
 }
 
-/// Audits a trace for earliest-critical-time-first order.
+/// Audits a certificate for earliest-critical-time-first order.
 ///
-/// For every execution segment, every job that was live at the segment's
-/// start (arrived, not yet completed/aborted) is compared against the
-/// running job's critical time. EDF-family policies produce no
-/// violations under-load (Theorem 2); utility-accrual policies *should*
-/// produce violations during overload — that is the point of UA
-/// scheduling — so this doubles as a behavioural fingerprint.
+/// At every certified decision that runs a job, each ready job the
+/// decision did not abort is compared against the running job's
+/// critical time. EDF-family policies produce no violations under-load
+/// (Theorem 2); utility-accrual policies *should* produce violations
+/// during overload — that is the point of UA scheduling — so this
+/// doubles as a behavioural fingerprint.
 #[must_use]
-pub fn edf_violations(
-    trace: &ExecutionTrace,
-    records: &[JobRecord],
-    tasks: &TaskSet,
-) -> Vec<EdfViolation> {
-    struct Span {
-        id: JobId,
-        arrival: SimTime,
-        end: SimTime,
-        critical: SimTime,
-    }
-    let spans: Vec<Span> = records
-        .iter()
-        .map(|r| {
-            let end = match r.outcome {
-                JobOutcome::Completed { at, .. } | JobOutcome::Aborted { at, .. } => at,
-                JobOutcome::Unfinished => SimTime::MAX,
-            };
-            Span {
-                id: r.id,
-                arrival: r.arrival,
-                end,
-                critical: r
-                    .arrival
-                    .saturating_add(tasks.task(r.task).critical_offset()),
-            }
-        })
-        .collect();
+pub fn edf_violations(cert: &RunCertificate) -> Vec<EdfViolation> {
     let mut violations = Vec::new();
-    for seg in trace.segments() {
-        let Some(running) = spans.iter().find(|s| s.id == seg.job) else {
+    for event in &cert.events {
+        let Some(ran) = event.run else { continue };
+        let Some(running) = event.ready.iter().find(|j| j.job == ran) else {
             continue;
         };
-        for other in &spans {
-            if other.id != running.id
-                && other.arrival <= seg.start
-                && other.end > seg.start
-                && other.critical < running.critical
-            {
+        for other in &event.ready {
+            if other.critical < running.critical && !event.aborts.contains(&other.job) {
                 violations.push(EdfViolation {
-                    at: seg.start,
-                    ran: running.id,
-                    preferred: other.id,
+                    at: event.at,
+                    ran,
+                    preferred: other.job,
                 });
             }
         }
@@ -205,24 +227,72 @@ mod tests {
     use eua_uam::generator::ArrivalPattern;
     use eua_uam::{Assurance, UamSpec};
 
+    use crate::certificate::{ChargeRecord, EventRecord, JobSnapshot};
+    use crate::context::SchedEvent;
     use crate::engine::{Engine, SimConfig};
     use crate::platform_view::Platform;
     use crate::policy::MaxSpeedEdf;
     use crate::task::Task;
-    use crate::trace::Segment;
 
     fn ms(v: u64) -> TimeDelta {
         TimeDelta::from_millis(v)
     }
 
-    fn record(id: u64, task: usize, arrival: u64, outcome: JobOutcome) -> JobRecord {
-        JobRecord {
-            id: JobId(id),
-            task: TaskId(task),
-            arrival: SimTime::from_micros(arrival),
-            actual_demand: Cycles::new(10),
-            executed: Cycles::new(10),
-            outcome,
+    fn us(v: u64) -> SimTime {
+        SimTime::from_micros(v)
+    }
+
+    /// A certificate carrying only `events` and `charges`: everything
+    /// the schedule readers look at.
+    fn certificate(events: Vec<EventRecord>, charges: Vec<ChargeRecord>) -> RunCertificate {
+        RunCertificate {
+            policy: "synthetic".to_string(),
+            seed: 0,
+            horizon: ms(1),
+            frequencies_mhz: vec![100],
+            policy_frequencies_mhz: vec![100],
+            energy_name: "E1".to_string(),
+            energy_rel: (1.0, 0.0, 0.0, 0.0),
+            idle_power: 0.0,
+            tasks: Vec::new(),
+            arrivals: Vec::new(),
+            events,
+            charges,
+            final_energy: 0.0,
+        }
+    }
+
+    fn decision(at: u64, ready: Vec<JobSnapshot>, run: u64, aborts: Vec<u64>) -> EventRecord {
+        EventRecord {
+            at: us(at),
+            trigger: SchedEvent::Arrival,
+            ready,
+            run: Some(JobId(run)),
+            frequency: Frequency::from_mhz(100),
+            aborts: aborts.into_iter().map(JobId).collect(),
+            explanation: None,
+        }
+    }
+
+    fn charge(kind: ChargeKind, at: u64, micros: u64) -> ChargeRecord {
+        ChargeRecord {
+            at: us(at),
+            kind,
+            frequency_mhz: 100,
+            cycles: Cycles::new(100 * micros),
+            micros,
+            energy: micros as f64,
+        }
+    }
+
+    fn ready(id: u64, arrival: u64, critical: u64) -> JobSnapshot {
+        JobSnapshot {
+            job: JobId(id),
+            task: TaskId(0),
+            arrival: us(arrival),
+            critical: us(critical),
+            termination: us(critical),
+            remaining: Cycles::new(100),
         }
     }
 
@@ -243,7 +313,7 @@ mod tests {
             ArrivalPattern::periodic(p).unwrap(),
         ];
         let platform = Platform::powernow(EnergySetting::e1());
-        let config = SimConfig::new(ms(200)).with_trace().with_job_records();
+        let config = SimConfig::new(ms(200)).with_certificate();
         let out = Engine::run(
             &tasks,
             &patterns,
@@ -253,60 +323,80 @@ mod tests {
             1,
         )
         .unwrap();
-        let violations = edf_violations(
-            out.trace.as_ref().unwrap(),
-            out.jobs.as_ref().unwrap(),
-            &tasks,
-        );
+        let violations = edf_violations(out.certificate.as_ref().unwrap());
         assert!(violations.is_empty(), "{violations:?}");
     }
 
     #[test]
     fn synthetic_inversion_is_detected() {
-        let p = ms(10);
-        let task = Task::new(
-            "t",
-            Tuf::step(1.0, p).unwrap(),
-            UamSpec::new(2, p).unwrap(),
-            DemandModel::deterministic(100.0).unwrap(),
-            Assurance::new(1.0, 0.5).unwrap(),
-        )
-        .unwrap();
-        let tasks = crate::task::TaskSet::new(vec![task]).unwrap();
         // Job 1 has the earlier critical time (arrival 0) but job 0
-        // (arrival 100 µs) runs first.
-        let records = vec![
-            record(
-                0,
-                0,
-                100,
-                JobOutcome::Completed {
-                    at: SimTime::from_micros(300),
-                    utility: 1.0,
-                },
-            ),
-            record(
-                1,
-                0,
-                0,
-                JobOutcome::Completed {
-                    at: SimTime::from_micros(500),
-                    utility: 1.0,
-                },
-            ),
+        // (arrival 100 µs) runs first. Job 2 is earlier still, but the
+        // same decision aborts it, so it does not count.
+        let event = decision(
+            100,
+            vec![
+                ready(0, 100, 10_100),
+                ready(1, 0, 10_000),
+                ready(2, 0, 5_000),
+            ],
+            0,
+            vec![2],
+        );
+        let violations = edf_violations(&certificate(vec![event], Vec::new()));
+        assert_eq!(
+            violations,
+            vec![EdfViolation {
+                at: us(100),
+                ran: JobId(0),
+                preferred: JobId(1),
+            }]
+        );
+    }
+
+    #[test]
+    fn dispatch_sequence_attributes_execute_charges_to_decisions() {
+        let events = vec![
+            decision(0, vec![ready(1, 0, 50)], 1, Vec::new()),
+            decision(10, vec![ready(1, 0, 50), ready(2, 10, 20)], 2, Vec::new()),
+            // A second decision at the same instant supersedes the first.
+            decision(18, vec![ready(1, 0, 50), ready(3, 18, 40)], 3, Vec::new()),
+            decision(18, vec![ready(1, 0, 50), ready(3, 18, 40)], 1, Vec::new()),
         ];
-        let mut trace = ExecutionTrace::new();
-        trace.push_segment(Segment {
-            job: JobId(0),
-            task: TaskId(0),
-            start: SimTime::from_micros(100),
-            end: SimTime::from_micros(300),
-            frequency: Frequency::from_mhz(100),
-        });
-        let violations = edf_violations(&trace, &records, &tasks);
-        assert_eq!(violations.len(), 1);
-        assert_eq!(violations[0].ran, JobId(0));
-        assert_eq!(violations[0].preferred, JobId(1));
+        let charges = vec![
+            charge(ChargeKind::Execute, 0, 10),
+            charge(ChargeKind::Switch, 10, 2),
+            charge(ChargeKind::Execute, 12, 3),
+            // Same job again (say, at a new frequency): collapsed.
+            charge(ChargeKind::Execute, 15, 3),
+            charge(ChargeKind::Execute, 18, 12),
+            charge(ChargeKind::Idle, 30, 5),
+        ];
+        assert_eq!(
+            dispatch_sequence(&certificate(events, charges)),
+            vec![JobId(1), JobId(2), JobId(1)]
+        );
+    }
+
+    #[test]
+    fn ledger_busy_time_sums_non_idle_charges_of_a_serial_ledger() {
+        let serial = vec![
+            charge(ChargeKind::Execute, 0, 10),
+            charge(ChargeKind::Switch, 10, 2),
+            charge(ChargeKind::Idle, 12, 5),
+            charge(ChargeKind::Execute, 20, 3),
+        ];
+        assert_eq!(
+            ledger_busy_time(&certificate(Vec::new(), serial)),
+            Some(TimeDelta::from_micros(15))
+        );
+        let overlapping = vec![
+            charge(ChargeKind::Execute, 0, 10),
+            charge(ChargeKind::Execute, 9, 3),
+        ];
+        assert_eq!(
+            ledger_busy_time(&certificate(Vec::new(), overlapping)),
+            None
+        );
     }
 
     fn oracle_tasks(n: usize) -> TaskSet {

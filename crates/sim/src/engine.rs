@@ -16,12 +16,10 @@ use crate::error::SimError;
 use crate::faults::{map_to_degraded, FaultPlan, FaultStats};
 use crate::ids::{JobId, TaskId};
 use crate::invariants::InvariantChecker;
-use crate::job::{JobOutcome, JobRecord};
 use crate::metrics::Metrics;
 use crate::platform_view::Platform;
 use crate::policy::SchedulerPolicy;
 use crate::task::TaskSet;
-use crate::trace::{ExecutionTrace, Segment, TraceEvent};
 
 /// Configuration of one simulation run.
 ///
@@ -31,16 +29,12 @@ use crate::trace::{ExecutionTrace, Segment, TraceEvent};
 /// use eua_platform::TimeDelta;
 /// use eua_sim::SimConfig;
 ///
-/// let config = SimConfig::new(TimeDelta::from_secs(10))
-///     .with_trace()
-///     .with_job_records();
-/// assert!(config.record_trace());
+/// let config = SimConfig::new(TimeDelta::from_secs(10)).with_certificate();
+/// assert!(config.record_certificate());
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     horizon: TimeDelta,
-    record_trace: bool,
-    record_jobs: bool,
     record_certificate: bool,
     context_switch: TimeDelta,
     frequency_switch: TimeDelta,
@@ -55,28 +49,12 @@ impl SimConfig {
     pub fn new(horizon: TimeDelta) -> Self {
         SimConfig {
             horizon,
-            record_trace: false,
-            record_jobs: false,
             record_certificate: false,
             context_switch: TimeDelta::ZERO,
             frequency_switch: TimeDelta::ZERO,
             progress_accrual: false,
             idle_power: 0.0,
         }
-    }
-
-    /// Enables recording of the execution trace (segments and events).
-    #[must_use]
-    pub fn with_trace(mut self) -> Self {
-        self.record_trace = true;
-        self
-    }
-
-    /// Enables recording of per-job outcome records.
-    #[must_use]
-    pub fn with_job_records(mut self) -> Self {
-        self.record_jobs = true;
-        self
     }
 
     /// Enables recording of the run's decision certificate: every
@@ -122,18 +100,6 @@ impl SimConfig {
     #[must_use]
     pub fn horizon(&self) -> TimeDelta {
         self.horizon
-    }
-
-    /// Whether the execution trace is recorded.
-    #[must_use]
-    pub fn record_trace(&self) -> bool {
-        self.record_trace
-    }
-
-    /// Whether per-job records are kept.
-    #[must_use]
-    pub fn record_jobs(&self) -> bool {
-        self.record_jobs
     }
 
     /// Whether the decision certificate is recorded.
@@ -185,16 +151,16 @@ impl SimConfig {
     }
 }
 
-/// Everything a run produced: metrics always, plus the optional trace and
-/// job records enabled in [`SimConfig`].
+/// Everything a run produced: metrics always, plus the decision
+/// certificate when [`SimConfig::with_certificate`] is set. The
+/// certificate is the run's only record of what happened when: its
+/// events hold every decision (ready set, chosen job and frequency,
+/// aborts) and its charge ledger every interval of execution, overhead
+/// and idle draw. [`crate::analysis`] reads schedules back from it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Outcome {
     /// Aggregate metrics.
     pub metrics: Metrics,
-    /// The execution trace, when [`SimConfig::with_trace`] was set.
-    pub trace: Option<ExecutionTrace>,
-    /// Per-job records, when [`SimConfig::with_job_records`] was set.
-    pub jobs: Option<Vec<JobRecord>>,
     /// The decision certificate, when [`SimConfig::with_certificate`]
     /// was set.
     pub certificate: Option<RunCertificate>,
@@ -338,8 +304,6 @@ impl Engine {
         }
         Ok(Outcome {
             metrics: state.metrics,
-            trace: state.trace,
-            jobs: state.records,
             certificate: state.cert,
             faults: state.stats,
         })
@@ -509,8 +473,6 @@ struct EngineState<'a> {
     stuck_freq: Option<Frequency>,
     stats: FaultStats,
     metrics: Metrics,
-    trace: Option<ExecutionTrace>,
-    records: Option<Vec<JobRecord>>,
     /// The decision certificate under construction, when recording.
     cert: Option<RunCertificate>,
     invariants: InvariantChecker,
@@ -568,8 +530,6 @@ impl<'a> EngineState<'a> {
             stuck_freq: None,
             stats: prep.stats,
             metrics: Metrics::new(config.horizon, tasks.len()),
-            trace: config.record_trace.then(ExecutionTrace::new),
-            records: config.record_jobs.then(Vec::new),
             cert: prep.cert,
             invariants: InvariantChecker::new(tasks.len()),
         }
@@ -753,7 +713,7 @@ impl<'a> EngineState<'a> {
             job.executed += cycles;
             job.remaining =
                 believed_remaining(self.tasks.task(job.task).allocation(), job.executed);
-            let (job_id, task_id) = (job.id, job.task);
+            let job_id = job.id;
             let completed = cycles == actual_remaining;
             let charge = self.platform.energy().energy_for(cycles, freq);
             self.invariants.energy_charge(charge);
@@ -761,33 +721,11 @@ impl<'a> EngineState<'a> {
             self.metrics.busy_time += delta;
             self.metrics.add_residency(freq.as_mhz(), delta);
             self.record_charge(ChargeKind::Execute, freq.as_mhz(), cycles, delta, charge);
-            if let Some(trace) = self.trace.as_mut() {
-                trace.push_segment(Segment {
-                    job: job_id,
-                    task: task_id,
-                    start: self.now,
-                    end: next,
-                    frequency: freq,
-                });
-            }
             self.invariants.clock_advance(self.now, next);
             self.now = next;
             if completed {
                 self.complete_at(job_idx);
                 event = SchedEvent::Completion(job_id);
-            }
-        }
-        // Anything still live at the horizon is unfinished.
-        if let Some(records) = self.records.as_mut() {
-            for (job, hidden) in self.views.iter().zip(&self.hidden) {
-                records.push(JobRecord {
-                    id: job.id,
-                    task: job.task,
-                    arrival: job.arrival,
-                    actual_demand: hidden.actual,
-                    executed: job.executed,
-                    outcome: JobOutcome::Unfinished,
-                });
             }
         }
         Ok(())
@@ -962,9 +900,6 @@ impl<'a> EngineState<'a> {
                 tm.max_utility += task.tuf().max_utility();
                 self.metrics.max_possible_utility += task.tuf().max_utility();
             }
-            if let Some(trace) = self.trace.as_mut() {
-                trace.push_event(TraceEvent::Arrival { at: t, job: id });
-            }
             any = true;
         }
         any
@@ -1054,26 +989,6 @@ impl<'a> EngineState<'a> {
         if self.running == Some(job.id) {
             self.running = None;
         }
-        if let Some(trace) = self.trace.as_mut() {
-            trace.push_event(TraceEvent::Abort {
-                at: self.now,
-                job: job.id,
-                by_policy,
-            });
-        }
-        if let Some(records) = self.records.as_mut() {
-            records.push(JobRecord {
-                id: job.id,
-                task: job.task,
-                arrival: job.arrival,
-                actual_demand: actual,
-                executed: job.executed,
-                outcome: JobOutcome::Aborted {
-                    at: self.now,
-                    by_policy,
-                },
-            });
-        }
         // Fault plan: the abort handler itself takes wall time and energy
         // (billed at the last dispatched frequency, f_max before any
         // dispatch), advancing the clock past the abort instant.
@@ -1105,6 +1020,8 @@ impl<'a> EngineState<'a> {
     fn complete_at(&mut self, idx: usize) {
         let (job, actual) = self.tombstone(idx);
         self.compact();
+        self.invariants
+            .completion(job.id, self.now, job.termination, job.executed, actual);
         let task = self.tasks.task(job.task);
         let sojourn = self.now - job.arrival;
         let utility = task.tuf().utility(sojourn);
@@ -1130,25 +1047,6 @@ impl<'a> EngineState<'a> {
         }
         if self.running == Some(job.id) {
             self.running = None;
-        }
-        if let Some(trace) = self.trace.as_mut() {
-            trace.push_event(TraceEvent::Completion {
-                at: self.now,
-                job: job.id,
-            });
-        }
-        if let Some(records) = self.records.as_mut() {
-            records.push(JobRecord {
-                id: job.id,
-                task: job.task,
-                arrival: job.arrival,
-                actual_demand: actual,
-                executed: job.executed,
-                outcome: JobOutcome::Completed {
-                    at: self.now,
-                    utility,
-                },
-            });
         }
     }
 }
@@ -1214,7 +1112,7 @@ mod tests {
         // 2M cycles at 100 MHz = 20 ms > 10 ms period: every job expires.
         let tasks = TaskSet::new(vec![step_task("t", 10, 2_000_000.0)]).unwrap();
         let patterns = vec![ArrivalPattern::periodic(ms(10)).unwrap()];
-        let config = SimConfig::new(ms(100)).with_job_records();
+        let config = SimConfig::new(ms(100)).with_certificate();
         let out = Engine::run(
             &tasks,
             &patterns,
@@ -1227,15 +1125,13 @@ mod tests {
         let m = &out.metrics;
         assert_eq!(m.jobs_completed(), 0);
         assert_eq!(m.jobs_aborted(), 10);
+        assert_eq!(m.per_task[0].aborted_by_termination, 10);
         assert_eq!(m.total_utility, 0.0);
-        let records = out.jobs.unwrap();
-        assert!(records.iter().all(|r| matches!(
-            r.outcome,
-            JobOutcome::Aborted {
-                by_policy: false,
-                ..
-            }
-        )));
+        // No decision asked for an abort: the termination exception
+        // took every job.
+        let cert = out.certificate.unwrap();
+        assert_eq!(cert.arrivals.len(), 10);
+        assert!(cert.events.iter().all(|e| e.aborts.is_empty()));
     }
 
     #[test]
@@ -1249,7 +1145,7 @@ mod tests {
             ArrivalPattern::periodic(ms(10)).unwrap(),
             ArrivalPattern::periodic(ms(20)).unwrap(),
         ];
-        let config = SimConfig::new(ms(60)).with_trace();
+        let config = SimConfig::new(ms(60)).with_certificate();
         let out = Engine::run(
             &tasks,
             &patterns,
@@ -1259,9 +1155,12 @@ mod tests {
             1,
         )
         .unwrap();
-        let trace = out.trace.unwrap();
-        assert!(trace.is_serial());
-        assert_eq!(trace.busy_time(), out.metrics.busy_time);
+        // The charge ledger is serial, and its non-idle intervals add up
+        // to the metered busy time.
+        assert_eq!(
+            crate::analysis::ledger_busy_time(out.certificate.as_ref().unwrap()),
+            Some(out.metrics.busy_time)
+        );
         // 6 jobs of a (2 ms each) + 3 jobs of b (4 ms each) = 24 ms busy.
         assert_eq!(out.metrics.busy_time, ms(24));
     }
@@ -1291,7 +1190,7 @@ mod tests {
             ArrivalTrace::from_times([SimTime::ZERO]),
             ArrivalTrace::from_times([SimTime::from_millis(5)]),
         ];
-        let config = SimConfig::new(ms(50)).with_trace();
+        let config = SimConfig::new(ms(50)).with_certificate();
         let out = Engine::run_with_traces(
             &tasks,
             &traces,
@@ -1303,10 +1202,7 @@ mod tests {
         .unwrap();
         assert_eq!(out.metrics.preemptions, 1);
         assert_eq!(out.metrics.jobs_completed(), 2);
-        let seq: Vec<u64> = out
-            .trace
-            .unwrap()
-            .job_sequence()
+        let seq: Vec<u64> = crate::analysis::dispatch_sequence(&out.certificate.unwrap())
             .iter()
             .map(|j| j.get())
             .collect();
@@ -1788,7 +1684,7 @@ mod tests {
         let tasks = TaskSet::new(vec![task]).unwrap();
         let patterns =
             vec![ArrivalPattern::random_burst(UamSpec::new(2, ms(10)).unwrap()).unwrap()];
-        let config = SimConfig::new(ms(500)).with_trace().with_job_records();
+        let config = SimConfig::new(ms(500)).with_certificate();
         let plain = Engine::run(
             &tasks,
             &patterns,
@@ -2048,7 +1944,7 @@ mod tests {
         };
         let tasks = TaskSet::new(vec![step_task("t", 10, 100_000.0)]).unwrap();
         let patterns = vec![ArrivalPattern::periodic(ms(10)).unwrap()];
-        let config = SimConfig::new(ms(100)).with_trace();
+        let config = SimConfig::new(ms(100)).with_certificate();
         let plain = Engine::run(
             &tasks,
             &patterns,
@@ -2070,7 +1966,12 @@ mod tests {
         .unwrap();
         // Per-window completion still holds, so aggregate metrics survive;
         // the execution timeline itself must have moved.
-        assert_ne!(plain.trace, faulted.trace, "jitter must move arrivals");
+        let charges = |out: &Outcome| out.certificate.as_ref().unwrap().charges.clone();
+        assert_ne!(
+            charges(&plain),
+            charges(&faulted),
+            "jitter must move the execution timeline"
+        );
         // Deterministic: same seed, same jittered timeline.
         let again = Engine::run_with_faults(
             &tasks,
@@ -2082,7 +1983,7 @@ mod tests {
             &plan,
         )
         .unwrap();
-        assert_eq!(faulted.trace, again.trace);
+        assert_eq!(faulted.certificate, again.certificate);
         assert_eq!(faulted.metrics, again.metrics);
     }
 

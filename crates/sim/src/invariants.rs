@@ -8,6 +8,9 @@
 //! * admitted arrival streams respect each task's UAM window bound
 //!   (at most `a` arrivals in any half-open window of length `P`);
 //! * a job that has been aborted is never executed again;
+//! * a job completes no later than its termination time (past it, the
+//!   engine must have aborted the job instead), having executed exactly
+//!   its sampled demand;
 //! * every energy charge is finite and non-negative, and the final
 //!   energy total equals the sum of the individual charges.
 //!
@@ -23,7 +26,7 @@
 use std::collections::{BTreeSet, VecDeque};
 
 use crate::ids::JobId;
-use eua_platform::{SimTime, TimeDelta};
+use eua_platform::{Cycles, SimTime, TimeDelta};
 
 /// Relative tolerance for the energy-additivity check.
 #[cfg(debug_assertions)]
@@ -117,6 +120,28 @@ impl InvariantChecker {
         );
     }
 
+    /// Asserts a job completing at `at` did so by its `termination`,
+    /// having executed exactly its sampled `actual` demand.
+    #[inline]
+    pub fn completion(
+        &mut self,
+        id: JobId,
+        at: SimTime,
+        termination: SimTime,
+        executed: Cycles,
+        actual: Cycles,
+    ) {
+        debug_assert!(
+            at <= termination,
+            "invariant violated: job {id:?} completed at {at}, after its termination {termination}"
+        );
+        debug_assert!(
+            executed == actual,
+            "invariant violated: job {id:?} completed after executing {executed} of its \
+             {actual} sampled cycles"
+        );
+    }
+
     /// Asserts a single energy charge is sane and accumulates it.
     #[inline]
     pub fn energy_charge(&mut self, charge: f64) {
@@ -189,6 +214,22 @@ mod tests {
         c.job_aborted(JobId(1));
         let r = std::panic::catch_unwind(move || c.executing(JobId(1)));
         assert!(r.is_err());
+    }
+
+    #[test]
+    fn completions_must_beat_their_termination_after_exactly_their_demand() {
+        let (end, demand) = (SimTime::from_micros(10), Cycles::new(5));
+        let mut c = InvariantChecker::new(1);
+        c.completion(JobId(1), SimTime::from_micros(9), end, demand, demand);
+        c.completion(JobId(2), end, end, demand, demand);
+        let late = (SimTime::from_micros(11), demand);
+        for (at, executed) in [late, (end, Cycles::new(4)), (end, Cycles::new(6))] {
+            let mut c = InvariantChecker::new(1);
+            let r = std::panic::catch_unwind(move || {
+                c.completion(JobId(3), at, end, executed, demand);
+            });
+            assert!(r.is_err(), "completion at {at} after {executed} passed");
+        }
     }
 
     #[test]

@@ -75,11 +75,10 @@ pub mod pool;
 mod reference;
 mod runner;
 mod task;
-mod trace;
 
 pub use analysis::{
-    classify_degradation, edf_violations, DegradationClass, DegradationReport, EdfViolation,
-    TaskDegradation, DEFAULT_COLLAPSE_FRACTION,
+    classify_degradation, dispatch_sequence, edf_violations, ledger_busy_time, DegradationClass,
+    DegradationReport, EdfViolation, TaskDegradation, DEFAULT_COLLAPSE_FRACTION,
 };
 pub use certificate::{
     AbortWitness, ChargeKind, ChargeRecord, DecisionExplanation, DvsExplanation, EventRecord,
@@ -92,11 +91,9 @@ pub use faults::{
     map_to_degraded, DemandFault, DvsFault, FaultPlan, FaultStats, TimingFault, UamViolationFault,
 };
 pub use ids::{JobId, TaskId};
-pub use job::{JobOutcome, JobRecord};
 pub use metrics::{FrequencyResidency, Metrics, TaskMetrics};
 pub use platform_view::Platform;
 pub use policy::{Decision, SchedulerPolicy};
 pub use pool::{map_parallel, resolve_jobs, PoolError};
 pub use runner::{replicate, Replication, Summary};
 pub use task::{Task, TaskSet};
-pub use trace::{ExecutionTrace, Segment, TraceEvent};

@@ -29,12 +29,11 @@ use crate::error::SimError;
 use crate::faults::{map_to_degraded, FaultPlan, FaultStats};
 use crate::ids::{JobId, TaskId};
 use crate::invariants::InvariantChecker;
-use crate::job::{JobOutcome, JobRecord, LiveJob};
+use crate::job::LiveJob;
 use crate::metrics::Metrics;
 use crate::platform_view::Platform;
 use crate::policy::SchedulerPolicy;
 use crate::task::TaskSet;
-use crate::trace::{ExecutionTrace, Segment, TraceEvent};
 
 impl Engine {
     /// [`Engine::run_with_faults`], executed by the reference event loop.
@@ -103,8 +102,6 @@ pub(crate) fn run_core_reference<P: SchedulerPolicy + ?Sized>(
         stuck_freq: None,
         stats: prep.stats,
         metrics: Metrics::new(config.horizon(), tasks.len()),
-        trace: config.record_trace().then(ExecutionTrace::new),
-        records: config.record_jobs().then(Vec::new),
         cert: prep.cert,
         invariants: InvariantChecker::new(tasks.len()),
     };
@@ -115,8 +112,6 @@ pub(crate) fn run_core_reference<P: SchedulerPolicy + ?Sized>(
     }
     Ok(Outcome {
         metrics: state.metrics,
-        trace: state.trace,
-        jobs: state.records,
         certificate: state.cert,
         faults: state.stats,
     })
@@ -144,8 +139,6 @@ struct ReferenceState<'a> {
     stuck_freq: Option<Frequency>,
     stats: FaultStats,
     metrics: Metrics,
-    trace: Option<ExecutionTrace>,
-    records: Option<Vec<JobRecord>>,
     cert: Option<RunCertificate>,
     invariants: InvariantChecker,
 }
@@ -343,35 +336,13 @@ impl ReferenceState<'_> {
             self.metrics.busy_time += delta;
             self.metrics.add_residency(freq.as_mhz(), delta);
             let completed = job.actual_remaining().is_zero();
-            let (job_id, task_id) = (job.id, job.task);
+            let job_id = job.id;
             self.record_charge(ChargeKind::Execute, freq.as_mhz(), cycles, delta, charge);
-            if let Some(trace) = self.trace.as_mut() {
-                trace.push_segment(Segment {
-                    job: job_id,
-                    task: task_id,
-                    start: self.now,
-                    end: next,
-                    frequency: freq,
-                });
-            }
             self.invariants.clock_advance(self.now, next);
             self.now = next;
             if completed {
                 self.complete(job_idx);
                 event = SchedEvent::Completion(job_id);
-            }
-        }
-        // Anything still live at the horizon is unfinished.
-        if let Some(records) = self.records.as_mut() {
-            for job in &self.live {
-                records.push(JobRecord {
-                    id: job.id,
-                    task: job.task,
-                    arrival: job.arrival,
-                    actual_demand: job.actual,
-                    executed: job.executed,
-                    outcome: JobOutcome::Unfinished,
-                });
             }
         }
         Ok(())
@@ -479,9 +450,6 @@ impl ReferenceState<'_> {
                 tm.max_utility += task.tuf().max_utility();
                 self.metrics.max_possible_utility += task.tuf().max_utility();
             }
-            if let Some(trace) = self.trace.as_mut() {
-                trace.push_event(TraceEvent::Arrival { at: t, job: job.id });
-            }
             self.live.push(job);
             any = true;
         }
@@ -554,26 +522,6 @@ impl ReferenceState<'_> {
         if self.running == Some(job.id) {
             self.running = None;
         }
-        if let Some(trace) = self.trace.as_mut() {
-            trace.push_event(TraceEvent::Abort {
-                at: self.now,
-                job: job.id,
-                by_policy,
-            });
-        }
-        if let Some(records) = self.records.as_mut() {
-            records.push(JobRecord {
-                id: job.id,
-                task: job.task,
-                arrival: job.arrival,
-                actual_demand: job.actual,
-                executed: job.executed,
-                outcome: JobOutcome::Aborted {
-                    at: self.now,
-                    by_policy,
-                },
-            });
-        }
         // Fault plan: the abort handler itself takes wall time and energy
         // (billed at the last dispatched frequency, f_max before any
         // dispatch), advancing the clock past the abort instant.
@@ -604,6 +552,8 @@ impl ReferenceState<'_> {
 
     fn complete(&mut self, idx: usize) {
         let job = self.live.remove(idx);
+        self.invariants
+            .completion(job.id, self.now, job.termination, job.executed, job.actual);
         let task = self.tasks.task(job.task);
         let sojourn = self.now - job.arrival;
         let utility = task.tuf().utility(sojourn);
@@ -629,25 +579,6 @@ impl ReferenceState<'_> {
         }
         if self.running == Some(job.id) {
             self.running = None;
-        }
-        if let Some(trace) = self.trace.as_mut() {
-            trace.push_event(TraceEvent::Completion {
-                at: self.now,
-                job: job.id,
-            });
-        }
-        if let Some(records) = self.records.as_mut() {
-            records.push(JobRecord {
-                id: job.id,
-                task: job.task,
-                arrival: job.arrival,
-                actual_demand: job.actual,
-                executed: job.executed,
-                outcome: JobOutcome::Completed {
-                    at: self.now,
-                    utility,
-                },
-            });
         }
     }
 }

@@ -5,7 +5,7 @@
 
 use eua::core::{EdfPolicy, Eua};
 use eua::platform::{EnergySetting, FrequencyTable, TimeDelta};
-use eua::sim::{edf_violations, Engine, Platform, SimConfig, Task, TaskSet};
+use eua::sim::{edf_violations, ledger_busy_time, Engine, Platform, SimConfig, Task, TaskSet};
 use eua::tuf::Tuf;
 use eua::uam::demand::DemandModel;
 use eua::uam::generator::ArrivalPattern;
@@ -89,9 +89,7 @@ fn degenerate_single_frequency_platform_works() {
 #[test]
 fn eua_inverts_edf_order_only_during_overload() {
     let platform = Platform::powernow(EnergySetting::e1());
-    let config = SimConfig::new(TimeDelta::from_secs(5))
-        .with_trace()
-        .with_job_records();
+    let config = SimConfig::new(TimeDelta::from_secs(5)).with_certificate();
 
     // Under-load: EUA* is critical-time ordered (Theorem 2) — no
     // inversions.
@@ -105,11 +103,7 @@ fn eua_inverts_edf_order_only_during_overload() {
         5,
     )
     .expect("run");
-    let v = edf_violations(
-        out.trace.as_ref().expect("trace"),
-        out.jobs.as_ref().expect("records"),
-        &under.tasks,
-    );
+    let v = edf_violations(out.certificate.as_ref().expect("certificate"));
     assert!(
         v.is_empty(),
         "unexpected inversions under-load: {}",
@@ -128,18 +122,14 @@ fn eua_inverts_edf_order_only_during_overload() {
         5,
     )
     .expect("run");
-    let v = edf_violations(
-        out.trace.as_ref().expect("trace"),
-        out.jobs.as_ref().expect("records"),
-        &over.tasks,
-    );
+    let v = edf_violations(out.certificate.as_ref().expect("certificate"));
     assert!(
         !v.is_empty(),
         "EUA* should invert EDF order during overload"
     );
 
     // The deadline baseline stays EDF-ordered even overloaded (it only
-    // drops infeasible jobs, which stop being live immediately).
+    // drops infeasible jobs, which the same decision aborts).
     let out = Engine::run(
         &over.tasks,
         &over.patterns,
@@ -149,11 +139,7 @@ fn eua_inverts_edf_order_only_during_overload() {
         5,
     )
     .expect("run");
-    let v = edf_violations(
-        out.trace.as_ref().expect("trace"),
-        out.jobs.as_ref().expect("records"),
-        &over.tasks,
-    );
+    let v = edf_violations(out.certificate.as_ref().expect("certificate"));
     assert!(v.is_empty(), "EDF produced inversions: {}", v.len());
 }
 
@@ -193,8 +179,7 @@ fn overloaded_run_with_progress_accrual_and_idle_power_stays_consistent() {
         .with_idle_power(500.0)
         .with_context_switch_overhead(TimeDelta::from_micros(20))
         .with_frequency_switch_overhead(TimeDelta::from_micros(50))
-        .with_trace()
-        .with_job_records();
+        .with_certificate();
     let out = Engine::run(
         &w.tasks,
         &w.patterns,
@@ -208,5 +193,8 @@ fn overloaded_run_with_progress_accrual_and_idle_power_stays_consistent() {
     assert!(m.total_utility > 0.0);
     assert!(m.total_utility <= m.max_possible_utility + 1e-6);
     assert!(m.busy_time <= m.horizon);
-    assert!(out.trace.expect("trace").is_serial());
+    // The charge ledger is serial, and its non-idle (execution and
+    // switch) intervals add up to the metered busy time.
+    let cert = out.certificate.as_ref().expect("certificate");
+    assert_eq!(ledger_busy_time(cert), Some(m.busy_time));
 }

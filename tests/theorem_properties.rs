@@ -6,12 +6,12 @@
 
 use eua::core::{EdfPolicy, Eua};
 use eua::platform::{EnergySetting, TimeDelta};
-use eua::sim::{Engine, Outcome, Platform, SchedulerPolicy, SimConfig};
+use eua::sim::{dispatch_sequence, Engine, Outcome, Platform, SchedulerPolicy, SimConfig};
 use eua::workload::{fig3_workload, theorem_workload, Workload};
 
 fn run(w: &Workload, policy: &mut dyn SchedulerPolicy, seed: u64) -> Outcome {
     let platform = Platform::powernow(EnergySetting::e1());
-    let config = SimConfig::new(TimeDelta::from_secs(8)).with_trace();
+    let config = SimConfig::new(TimeDelta::from_secs(8)).with_certificate();
     Engine::run(&w.tasks, &w.patterns, &platform, policy, &config, seed).expect("simulation")
 }
 
@@ -23,8 +23,8 @@ fn theorem2_eua_matches_edf_schedule_at_fmax() {
         let edf = run(&w, &mut EdfPolicy::max_speed(), 3);
         let eua = run(&w, &mut Eua::without_dvs(), 3);
         assert_eq!(
-            edf.trace.as_ref().unwrap().job_sequence(),
-            eua.trace.as_ref().unwrap().job_sequence(),
+            dispatch_sequence(edf.certificate.as_ref().unwrap()),
+            dispatch_sequence(eua.certificate.as_ref().unwrap()),
             "load {load}: schedules diverge"
         );
         assert!(

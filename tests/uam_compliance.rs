@@ -3,7 +3,7 @@
 //! preserves the believed-vs-actual demand asymmetry.
 
 use eua::platform::{EnergySetting, SimTime, TimeDelta};
-use eua::sim::{Engine, Platform, SimConfig, Task, TaskSet};
+use eua::sim::{ChargeKind, Engine, Platform, SimConfig, Task, TaskSet};
 use eua::tuf::Tuf;
 use eua::uam::demand::DemandModel;
 use eua::uam::generator::ArrivalPattern;
@@ -29,9 +29,9 @@ fn synthesized_patterns_comply_with_their_specs() {
 
 #[test]
 fn engine_arrival_stream_respects_uam_in_job_records() {
-    // Run a bursty workload with records on, reconstruct each task's
-    // arrival trace from the records, and verify UAM compliance of what
-    // the scheduler actually saw.
+    // Run a bursty workload with its certificate on, rebuild the task's
+    // arrival trace from the certified arrival stream, and verify UAM
+    // compliance of what the scheduler actually saw.
     let window = TimeDelta::from_millis(20);
     let spec = UamSpec::new(3, window).expect("valid");
     let task = Task::new(
@@ -45,12 +45,14 @@ fn engine_arrival_stream_respects_uam_in_job_records() {
     let tasks = TaskSet::new(vec![task]).expect("non-empty");
     let patterns = vec![ArrivalPattern::constrained_poisson(spec, 2.5).expect("valid")];
     let platform = Platform::powernow(EnergySetting::e1());
-    let config = SimConfig::new(TimeDelta::from_secs(10)).with_job_records();
+    let config = SimConfig::new(TimeDelta::from_secs(10)).with_certificate();
     let mut policy = eua::core::Eua::new();
     let out =
         Engine::run(&tasks, &patterns, &platform, &mut policy, &config, 5).expect("simulation");
-    let records = out.jobs.expect("records enabled");
-    let trace: ArrivalTrace = records.iter().map(|r| r.arrival).collect();
+    let cert = out.certificate.expect("certificate enabled");
+    // One job per certified arrival.
+    assert_eq!(cert.arrivals.len() as u64, out.metrics.jobs_arrived());
+    let trace: ArrivalTrace = cert.arrivals.iter().map(|&(at, _)| at).collect();
     assert!(!trace.is_empty());
     assert!(trace.complies_with(&spec));
 }
@@ -79,14 +81,23 @@ fn scheduler_only_sees_believed_demand() {
     let tasks = TaskSet::new(vec![task]).expect("non-empty");
     let patterns = vec![ArrivalPattern::periodic(window).expect("valid")];
     let platform = Platform::powernow(EnergySetting::e1());
-    let config = SimConfig::new(TimeDelta::from_millis(100)).with_job_records();
+    let config = SimConfig::new(TimeDelta::from_millis(100)).with_certificate();
     let mut policy = eua::core::Eua::new();
     let out =
         Engine::run(&tasks, &patterns, &platform, &mut policy, &config, 5).expect("simulation");
+    assert_eq!(out.metrics.jobs_arrived(), 10);
     assert_eq!(out.metrics.jobs_completed(), 10);
-    for r in out.jobs.expect("records") {
-        assert_eq!(r.executed, r.actual_demand);
-    }
+    // No decision aborted a job, and the ledger executed exactly the
+    // ten actual demands.
+    let cert = out.certificate.expect("certificate");
+    assert!(cert.events.iter().all(|e| e.aborts.is_empty()));
+    let executed: u64 = cert
+        .charges
+        .iter()
+        .filter(|c| c.kind == ChargeKind::Execute)
+        .map(|c| c.cycles.get())
+        .sum();
+    assert_eq!(executed, 10 * 600_000);
 }
 
 #[test]
