@@ -164,12 +164,12 @@ step "benchmark package tests (perf/)"
 cargo test --release --offline -q --manifest-path perf/Cargo.toml
 
 step "overload fallback bench guard (ignored timing test, scaling shape)"
-# Pins the schedule builder's O(n²) overload fallback to at-worst
-# quadratic-ish scaling from 64 to 256 candidates (generous 4x headroom
-# for noise). The segment-tree rewrite sketched at the slow-path comment
-# in crates/core/src/candidates.rs (ROADMAP item 3) should beat this
-# baseline.
-cargo test -q -p eua-bench --test overload_guard -- --ignored
+# Pins the schedule builder's segment-tree overload path to O(n log n):
+# from 64 to 1024 candidates each of two sets (a load-2.0 backlog that
+# accepts 74%, and tight terminations that reject most) must scale by
+# less than 50x. n log n predicts ~27x; the O(n²) builder it replaced
+# measured 70-75x on the backlog set. --nocapture logs the ratios.
+cargo test -q -p eua-bench --test overload_guard -- --ignored --nocapture
 
 step "robustness sweep smoke (--jobs 2, byte round-trip, certified)"
 # --check re-parses the emitted JSON and fails unless re-rendering it

@@ -3,10 +3,10 @@
 //!
 //! Two implementations of the paper's Algorithm 1 lines 12–18 live here:
 //!
-//! * [`ScheduleBuilder`] — the production path. It maintains per-position
-//!   finish times and a suffix-minimum of slack so every insertion is
-//!   tested in O(1) and an *accepted* insertion costs one O(n) incremental
-//!   update, instead of re-walking the whole schedule through
+//! * [`ScheduleBuilder`] — the production path. It sorts the candidates
+//!   once into their fixed `(critical, id)` schedule positions and tests
+//!   each insertion on a segment tree over those positions in O(log n),
+//!   instead of re-walking the whole schedule through
 //!   [`schedule_feasible`] at every attempt. Its buffers are reusable
 //!   across scheduling events (see [`crate::Eua`]).
 //! * [`build_schedule_reference`] — the naive textbook construction that
@@ -108,69 +108,69 @@ fn consideration_order(a: &Candidate, b: &Candidate) -> Ordering {
         .then_with(|| a.id.cmp(&b.id))
 }
 
-/// Incremental constructor of feasible critical-time-ordered schedules
-/// (Algorithm 1 lines 12–18) with reusable buffers.
+/// A segment-tree node: the accepted entries among a range of schedule
+/// positions, run back to back from time 0 at `f_max`.
 ///
-/// Alongside each scheduled candidate the builder maintains (in one
-/// cache-line-sized [`Entry`], so an insertion is a single memmove):
+/// * `sum` — their total execution time;
+/// * `min` — the least `termination − finish` over them, with `finish`
+///   counting only the execution accepted within the range (+∞, i.e.
+///   `i128::MAX`, for an empty range or a [`SimTime::MAX`] termination).
 ///
-/// * `finish` — the entry's back-to-back finish time starting at `now`;
-/// * `entry_slack` — the entry's own tolerance `termination − finish`
-///   ([`TimeDelta::MAX`] when the termination is the [`SimTime::MAX`]
-///   sentinel, which tolerates any shift);
-/// * `slack` — the suffix minimum of `entry_slack` from this position on.
-///
-/// **Invariant** (after every accepted insertion): `finish[i]` equals the
-/// cumulative saturating sum of execution times through position `i`, and
-/// `slack[i] = min(entry_slack[i..])`. Inserting a candidate with
-/// execution time `e` at position `p` then keeps the schedule feasible
-/// **iff** the candidate itself finishes by its termination
-/// (`finish[p−1] + e ≤ termination`) **and** every later entry tolerates
-/// the shift (`e ≤ slack[p]`) — an O(1) test. Positions before `p` are
-/// untouched by the insertion and were feasible already.
-///
-/// An accepted insertion updates the tail in one fused forward pass:
-/// entries after `p` have their finish raised and both slack fields
-/// lowered by `e`. The suffix minimum never needs recomputation there —
-/// every tolerance in the suffix drops by the same `e` (pinned
-/// [`TimeDelta::MAX`] sentinels excepted, and a sentinel can never be the
-/// minimum of a suffix containing a finite tolerance), so the minimum
-/// drops by `e` too. The prefix `[0, p)` is then fixed with an early
-/// exit: once a position's suffix minimum is unchanged, every earlier one
-/// is too (it depends only on its own unchanged tolerance and the
-/// unchanged minimum to its right). No division happens inside the
-/// per-insertion loop; the naive re-walk paid one `execution_time`
-/// division per schedule entry per attempt.
-///
-/// Saturating arithmetic composes: all addends are non-negative, so
-/// `sat(sat(x+a)+b) = sat(x+a+b)` and the incrementally-maintained finish
-/// times are exactly the ones the naive re-walk would compute. A finish
-/// time can only saturate when the entry's termination is the
-/// [`SimTime::MAX`] sentinel (otherwise feasibility bounds it), and those
-/// entries' tolerances are pinned to [`TimeDelta::MAX`] and never
-/// decremented, so saturation cannot make the incremental state drift
-/// from the oracle's.
+/// In `i128` µs a sum of `n` execution times stays below `n · 2^64`, so
+/// nothing overflows, and +∞ stays far above every `now` however much
+/// is subtracted from it.
 #[derive(Debug, Clone, Copy)]
-struct Entry {
-    cand: Candidate,
-    finish: SimTime,
-    entry_slack: TimeDelta,
-    slack: TimeDelta,
+struct Node {
+    sum: i128,
+    min: i128,
 }
 
-/// Incremental constructor of feasible critical-time-ordered schedules;
-/// see [`Entry`] for the maintained per-position state and its invariant.
+impl Node {
+    const EMPTY: Node = Node {
+        sum: 0,
+        min: i128::MAX,
+    };
+
+    /// Range `l` followed by range `r`: every entry of `r` finishes
+    /// `l.sum` later.
+    fn merge(l: Node, r: Node) -> Node {
+        Node {
+            sum: l.sum + r.sum,
+            min: l.min.min(r.min - l.sum),
+        }
+    }
+}
+
+/// Greedy constructor of feasible critical-time-ordered schedules
+/// (Algorithm 1 lines 12–18) with reusable buffers.
+///
+/// Insertion positions are partition points over the fixed total order
+/// `(critical, id)`, which key-ordered consideration never changes, so
+/// one sort gives every candidate its schedule position. A segment tree
+/// over those positions (`Node`) summarises the accepted entries; its
+/// root's `min` is the least `termination − (finish − now)` of the whole
+/// schedule, so the schedule is feasible iff `root.min ≥ now`. A
+/// candidate is a tentative leaf update, kept iff the root still passes;
+/// a rejected one is undone, or ends the build in break mode. That is
+/// O(log n) per candidate, O(n log n) per rebuild.
+///
+/// The tree computes exactly what [`schedule_feasible`] does. Its
+/// saturating `u64` finish times exceed a finite termination exactly when
+/// the unbounded sum does, and never exceed a [`SimTime::MAX`] one,
+/// which the tree counts as +∞.
 #[derive(Debug, Clone, Default)]
 pub struct ScheduleBuilder {
-    entries: Vec<Entry>,
+    /// Each candidate's execution time at `f_max`, by position.
+    exec: Vec<TimeDelta>,
+    /// `(!key.to_bits(), position)` pairs, sorted into consideration
+    /// order.
+    order: Vec<(u64, usize)>,
+    /// The tree, 1-based: node `i` has children `2i` and `2i + 1`, and
+    /// position `p` is leaf `tree.len() / 2 + p`.
+    tree: Vec<Node>,
+    /// Whether the candidate at each position was inserted.
+    accepted: Vec<bool>,
     schedule: Vec<Candidate>,
-    /// Path-selection hysteresis, never correctness: `true` after a
-    /// rebuild rejected a candidate, so the next rebuild skips the
-    /// all-feasible fast-path probe (its sort + walk are wasted work in
-    /// sustained overload). Cleared when a greedy pass accepts every
-    /// candidate again. Both paths produce identical schedules, so a
-    /// stale flag costs one misprediction, nothing else.
-    overloaded: bool,
 }
 
 impl ScheduleBuilder {
@@ -216,141 +216,85 @@ impl ScheduleBuilder {
         // one ends consideration in both insertion modes. Dropping them
         // up front is therefore exact, and it enables the fast path.
         candidates.retain(|c| c.key.partial_cmp(&0.0) == Some(Ordering::Greater));
+        // Schedule positions. Job ids are unique, so no two candidates
+        // tie and the unstable sort is exact.
+        candidates.sort_unstable_by_key(|c| (c.critical, c.id));
+        self.exec.clear();
+        self.exec
+            .extend(candidates.iter().map(|c| f_max.execution_time(c.remaining)));
+        self.schedule.clear();
 
-        // Fast path: if the WHOLE candidate set is feasible in
-        // (critical, id) order, greedy insertion cannot reject anything —
-        // every intermediate schedule is a subset of the full one in the
-        // same relative order, and removing entries from a feasible
-        // critical-ordered schedule only lowers later finish times, so
-        // each insertion's feasibility test passes. The result is then
-        // the full set in (critical, id) order, regardless of key order
-        // or insertion mode: one sort and one O(n) walk replace the
-        // O(n²) insertion loop. (The differential suites pin this
-        // equivalence against both the naive oracle and the pre-overhaul
-        // engine.) The probe is skipped while `overloaded` — in sustained
-        // overload it cannot succeed and its sort + walk are pure waste.
-        if !self.overloaded {
-            candidates.sort_by_key(|c| (c.critical, c.id));
-            let mut t = now;
-            let all_fit = candidates.iter().all(|c| {
-                t = t.saturating_add(f_max.execution_time(c.remaining));
-                t <= c.termination
-            });
-            if all_fit {
-                self.schedule.clear();
-                self.schedule.append(candidates);
-                return &self.schedule;
-            }
-            self.overloaded = true;
+        // Fast path: if the WHOLE candidate set is feasible in position
+        // order, greedy insertion cannot reject anything — every
+        // intermediate schedule is a subset of the full one in the same
+        // relative order, and removing entries from a feasible
+        // critical-ordered schedule only lowers later finish times. The
+        // result is then every candidate, regardless of key order or
+        // insertion mode.
+        let mut t = now;
+        let all_fit = candidates.iter().zip(&self.exec).all(|(c, &exec)| {
+            t = t.saturating_add(exec);
+            t <= c.termination
+        });
+        if all_fit {
+            self.schedule.append(candidates);
+            return &self.schedule;
         }
 
-        // Slow path (overload): full greedy insertion in key order.
-        //
-        // This loop is O(n²): each accepted insertion pays a `Vec` shift
-        // plus the fused tail walk below. The planned O(n log n)
-        // replacement is ROADMAP item 3's segment tree. It rides on one
-        // invariant: insertion positions are partition points over the
-        // FIXED total order `(critical, id)`, which key-ordered
-        // consideration never changes, so pre-sorting the candidates by
-        // `(critical, id)` once gives each a fixed position index. Two
-        // Fenwick trees over those positions (an exec-sum tree plus a
-        // min-tree over per-entry slack) do not suffice: accepting a
-        // candidate at position p lowers the slack of every accepted
-        // entry after p, so a min-tree with point updates goes stale.
-        // One segment tree answers both queries with point updates only.
-        // Each node keeps the execution-time sum of its accepted entries
-        // and the minimum, over them, of termination minus the execution
-        // time accepted up to and including that entry within the node;
-        // nodes merge as `min(left.min, right.min − left.sum)`. The
-        // prefix sum gives the finish time before p, the suffix query
-        // offset by that prefix gives the minimum slack after p, and
-        // MAX-termination sentinels count as +∞. Each candidate then
-        // costs O(log n), and the per-entry fields below (`finish`,
-        // `entry_slack`, `slack`) go away with the tail shift. The guard
-        // test `overload_fallback_scaling_guard` (crates/bench,
-        // `#[ignore]`d) pins today's quadratic scaling so that rewrite
-        // has a measured baseline to beat.
-        let mut rejected = false;
-        candidates.sort_by(consideration_order);
-        self.entries.clear();
-        for cand in candidates.drain(..) {
-            // Sorted non-increasing with NaN last, so the first
-            // non-positive (or NaN) key ends consideration entirely.
-            if cand.key.partial_cmp(&0.0) != Some(Ordering::Greater) {
+        // Overload: consider the candidates in key order. The retained
+        // keys are positive and never NaN, so their bit patterns order as
+        // the keys do, and position order is `consideration_order`'s
+        // `(critical, id)` tie-break.
+        self.order.clear();
+        self.order.extend(
+            candidates
+                .iter()
+                .enumerate()
+                .map(|(p, c)| (!c.key.to_bits(), p)),
+        );
+        self.order.sort_unstable();
+        let leaves = candidates.len().next_power_of_two();
+        self.tree.clear();
+        self.tree.resize(2 * leaves, Node::EMPTY);
+        self.accepted.clear();
+        self.accepted.resize(candidates.len(), false);
+        let start = i128::from(now.as_micros());
+        for &(_, p) in &self.order {
+            let exec = i128::from(self.exec[p].as_micros());
+            let termination = candidates[p].termination;
+            let min = if termination == SimTime::MAX {
+                i128::MAX
+            } else {
+                i128::from(termination.as_micros()).saturating_sub(exec)
+            };
+            set_leaf(&mut self.tree, leaves + p, Node { sum: exec, min });
+            if self.tree[1].min >= start {
+                self.accepted[p] = true;
+                continue;
+            }
+            if mode == InsertionMode::BreakOnInfeasible {
                 break;
             }
-            let exec = f_max.execution_time(cand.remaining);
-            // Insert in (critical, id) order so equal critical times
-            // dispatch in arrival order, exactly like the EDF baseline's
-            // tie-break.
-            let pos = self
-                .entries
-                .partition_point(|e| (e.cand.critical, e.cand.id) < (cand.critical, cand.id));
-            let prev_finish = if pos == 0 {
-                now
-            } else {
-                self.entries[pos - 1].finish
-            };
-            let own_finish = prev_finish.saturating_add(exec);
-            let fits = own_finish <= cand.termination
-                && (pos == self.entries.len() || exec <= self.entries[pos].slack);
-            if !fits {
-                rejected = true;
-                match mode {
-                    InsertionMode::BreakOnInfeasible => break,
-                    InsertionMode::SkipInfeasible => continue,
-                }
-            }
-            let own_slack = if cand.termination == SimTime::MAX {
-                TimeDelta::MAX
-            } else {
-                cand.termination.saturating_since(own_finish)
-            };
-            self.entries.insert(
-                pos,
-                Entry {
-                    cand,
-                    finish: own_finish,
-                    entry_slack: own_slack,
-                    slack: own_slack, // placeholder; fixed after the shift
-                },
-            );
-            // Fused tail shift: later entries finish `exec` later and
-            // tolerate `exec` less. The feasibility test above guarantees
-            // the subtractions cannot underflow, and each shifted entry's
-            // `slack` (its old suffix minimum, which now covers exactly
-            // the same entries) drops by `exec` too — MAX-pinned
-            // sentinels excepted in both fields.
-            for e in &mut self.entries[pos + 1..] {
-                e.finish = e.finish.saturating_add(exec);
-                if e.entry_slack != TimeDelta::MAX {
-                    e.entry_slack = e.entry_slack.saturating_sub(exec);
-                }
-                if e.slack != TimeDelta::MAX {
-                    e.slack = e.slack.saturating_sub(exec);
-                }
-            }
-            // The new entry's suffix minimum, then the early-exiting
-            // prefix fix-up.
-            let right = match self.entries.get(pos + 1) {
-                Some(e) => e.slack,
-                None => TimeDelta::MAX,
-            };
-            self.entries[pos].slack = own_slack.min(right);
-            for i in (0..pos).rev() {
-                let v = self.entries[i].entry_slack.min(self.entries[i + 1].slack);
-                if v == self.entries[i].slack {
-                    break;
-                }
-                self.entries[i].slack = v;
-            }
+            set_leaf(&mut self.tree, leaves + p, Node::EMPTY);
         }
-        // A clean greedy pass means the set was fully feasible after
-        // all — re-arm the fast-path probe for the next event.
-        self.overloaded = rejected;
-        self.schedule.clear();
-        self.schedule.extend(self.entries.iter().map(|e| e.cand));
+        self.schedule.extend(
+            candidates
+                .iter()
+                .zip(&self.accepted)
+                .filter_map(|(c, &accepted)| accepted.then_some(*c)),
+        );
+        candidates.clear();
         &self.schedule
+    }
+}
+
+/// Writes `node` into `leaf` and re-merges its ancestors up to the root.
+fn set_leaf(tree: &mut [Node], leaf: usize, node: Node) {
+    let mut i = leaf;
+    tree[i] = node;
+    while i > 1 {
+        i /= 2;
+        tree[i] = Node::merge(tree[2 * i], tree[2 * i + 1]);
     }
 }
 

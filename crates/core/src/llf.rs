@@ -43,16 +43,18 @@ impl SchedulerPolicy for Llf {
     fn decide(&mut self, ctx: &SchedContext<'_>) -> Decision {
         let f_m = ctx.platform.f_max();
         let mut aborts = Vec::new();
-        let mut best: Option<(i64, eua_sim::JobId)> = None;
+        let mut best: Option<(i128, eua_sim::JobId)> = None;
         for j in ctx.jobs {
             if !job_feasible(ctx.now, j, f_m) {
                 aborts.push(j.id);
                 continue;
             }
             let exec = f_m.execution_time(j.remaining);
-            let laxity = j.critical_time.as_micros() as i64
-                - ctx.now.as_micros() as i64
-                - exec.as_micros() as i64;
+            // In i128: a critical time may lie anywhere in `u64` µs, so
+            // the laxity can exceed `i64` on either side.
+            let laxity = i128::from(j.critical_time.as_micros())
+                .saturating_sub(i128::from(ctx.now.as_micros()))
+                .saturating_sub(i128::from(exec.as_micros()));
             if best.is_none_or(|b| (laxity, j.id) < b) {
                 best = Some((laxity, j.id));
             }
@@ -67,8 +69,11 @@ impl SchedulerPolicy for Llf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eua_platform::{EnergySetting, TimeDelta};
-    use eua_sim::{Engine, Platform, SimConfig, Task, TaskSet};
+    use eua_platform::{Cycles, EnergySetting, SimTime, TimeDelta};
+    use eua_sim::{
+        Engine, JobId, JobView, Platform, SchedContext, SchedEvent, SimConfig, Task, TaskId,
+        TaskSet,
+    };
     use eua_tuf::Tuf;
     use eua_uam::demand::DemandModel;
     use eua_uam::generator::ArrivalPattern;
@@ -103,6 +108,37 @@ mod tests {
         for tm in &out.metrics.per_task {
             assert_eq!(tm.completed, tm.critical_met);
         }
+    }
+
+    #[test]
+    fn laxity_past_i64_does_not_wrap() {
+        // Job 0's critical time is 2^63 µs + 1 ms away, so an i64 laxity
+        // wraps negative and would run it ahead of job 1, due in 10 ms.
+        let tasks = TaskSet::new(vec![task("a", 10, 100_000.0)]).unwrap();
+        let platform = Platform::powernow(EnergySetting::e1());
+        let view = |id, critical_us| {
+            let critical = SimTime::from_micros(critical_us);
+            JobView {
+                id: JobId(id),
+                task: TaskId(0),
+                arrival: SimTime::ZERO,
+                critical_time: critical,
+                termination: critical,
+                remaining: Cycles::new(100_000),
+                executed: Cycles::ZERO,
+            }
+        };
+        let jobs = [view(0, (1 << 63) + 1_000), view(1, 10_000)];
+        let ctx = SchedContext {
+            now: SimTime::ZERO,
+            event: SchedEvent::Arrival,
+            jobs: &jobs,
+            tasks: &tasks,
+            platform: &platform,
+            running: None,
+            energy_used: 0.0,
+        };
+        assert_eq!(Llf::new().decide(&ctx).run, Some(JobId(1)));
     }
 
     #[test]

@@ -1,11 +1,10 @@
 #![allow(clippy::expect_used)] // test code: panicking on bad setup is the point
 
-//! Differential tests for the incremental-feasibility schedule builder:
-//! the optimized `build_schedule` (per-position finish times + suffix-min
-//! slack) must produce byte-identical schedules to the naive
-//! `build_schedule_reference` oracle (full `schedule_feasible` re-walk per
-//! insertion) on arbitrary candidate sets, in both insertion modes, and
-//! across buffer reuse.
+//! Differential tests for the segment-tree schedule builder: the
+//! optimized `build_schedule` must produce byte-identical schedules to the
+//! naive `build_schedule_reference` oracle (full `schedule_feasible`
+//! re-walk per insertion) on arbitrary candidate sets, in both insertion
+//! modes, and across buffer reuse.
 
 use eua_core::{
     build_schedule, build_schedule_reference, Candidate, InsertionMode, ScheduleBuilder,
@@ -16,7 +15,8 @@ use proptest::prelude::*;
 
 /// Candidate sets that stress the interesting regimes: tight and loose
 /// terminations, zero and huge remaining work, negative / zero / NaN keys,
-/// and saturating `SimTime::MAX` sentinels.
+/// and saturating `SimTime::MAX` sentinels. Up to 300 candidates build
+/// trees nine levels deep.
 fn arb_candidates() -> impl Strategy<Value = Vec<Candidate>> {
     // The vendored proptest's `prop_oneof!` is unweighted; repeat the
     // common arm to bias toward it.
@@ -39,7 +39,7 @@ fn arb_candidates() -> impl Strategy<Value = Vec<Candidate>> {
         0u64..2_000_000,
         Just(u64::MAX),
     ];
-    proptest::collection::vec((0u64..2_000_000, termination, remaining, key), 0..24).prop_map(
+    proptest::collection::vec((0u64..2_000_000, termination, remaining, key), 0..300).prop_map(
         |raw| {
             raw.into_iter()
                 .enumerate()
@@ -62,6 +62,12 @@ fn arb_candidates() -> impl Strategy<Value = Vec<Candidate>> {
     )
 }
 
+/// The maximum frequency: at 1 MHz a `u64::MAX`-cycle job runs for
+/// `u64::MAX` µs, so finish times saturate; at 100 MHz they cannot.
+fn arb_f_max() -> impl Strategy<Value = Frequency> {
+    prop_oneof![Just(1u64), Just(100u64)].prop_map(Frequency::from_mhz)
+}
+
 fn same_schedule(a: &[Candidate], b: &[Candidate]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.id == y.id)
 }
@@ -74,8 +80,8 @@ proptest! {
         cands in arb_candidates(),
         now_us in 0u64..200_000,
         skip in any::<bool>(),
+        f_m in arb_f_max(),
     ) {
-        let f_m = Frequency::from_mhz(100);
         let now = SimTime::from_micros(now_us);
         let mode = if skip {
             InsertionMode::SkipInfeasible
@@ -97,8 +103,8 @@ proptest! {
         sets in proptest::collection::vec(arb_candidates(), 1..5),
         now_us in 0u64..200_000,
         skip in any::<bool>(),
+        f_m in arb_f_max(),
     ) {
-        let f_m = Frequency::from_mhz(100);
         let now = SimTime::from_micros(now_us);
         let mode = if skip {
             InsertionMode::SkipInfeasible

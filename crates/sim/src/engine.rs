@@ -1038,7 +1038,11 @@ impl<'a> EngineState<'a> {
         if self.now <= job.critical_time {
             tm.critical_met += 1;
         }
-        let lateness = self.now.as_micros() as i64 - job.critical_time.as_micros() as i64;
+        // In i128, clamped into the i64 field: a critical time may lie
+        // anywhere in `u64` µs.
+        let lateness = i128::from(self.now.as_micros())
+            .saturating_sub(i128::from(job.critical_time.as_micros()))
+            .clamp(i128::from(i64::MIN), i128::from(i64::MAX)) as i64;
         tm.max_lateness_us = tm.max_lateness_us.max(lateness);
         if tm.completed == 1 {
             // First completion defines the initial lateness rather than the
@@ -2006,5 +2010,33 @@ mod tests {
         assert!((out.metrics.total_utility - 10.0).abs() < 1e-9);
         assert_eq!(out.metrics.per_task[0].critical_met, 1);
         assert_eq!(out.metrics.per_task[0].max_lateness_us, 0);
+    }
+
+    #[test]
+    fn lateness_past_i64_clamps_instead_of_overflowing() {
+        // A critical time 2^63 µs + 5 ms away: the job completes after
+        // 1 ms, 2^63 µs + 4 ms early, which is below `i64::MIN`.
+        let far = TimeDelta::from_micros((1 << 63) + 5_000);
+        let task = Task::new(
+            "far",
+            Tuf::step(1.0, far).unwrap(),
+            UamSpec::periodic(ms(10)).unwrap(),
+            DemandModel::deterministic(100_000.0).unwrap(),
+            Assurance::new(1.0, 0.5).unwrap(),
+        )
+        .unwrap();
+        let tasks = TaskSet::new(vec![task]).unwrap();
+        let traces = vec![ArrivalTrace::from_times([SimTime::ZERO])];
+        let out = Engine::run_with_traces(
+            &tasks,
+            &traces,
+            &platform(),
+            &mut MaxSpeedEdf::new(),
+            &SimConfig::new(ms(20)),
+            1,
+        )
+        .unwrap();
+        assert_eq!(out.metrics.jobs_completed(), 1);
+        assert_eq!(out.metrics.per_task[0].max_lateness_us, i64::MIN);
     }
 }

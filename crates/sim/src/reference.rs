@@ -570,7 +570,11 @@ impl ReferenceState<'_> {
         if self.now <= job.critical {
             tm.critical_met += 1;
         }
-        let lateness = self.now.as_micros() as i64 - job.critical.as_micros() as i64;
+        // In i128, clamped into the i64 field: a critical time may lie
+        // anywhere in `u64` µs.
+        let lateness = i128::from(self.now.as_micros())
+            .saturating_sub(i128::from(job.critical.as_micros()))
+            .clamp(i128::from(i64::MIN), i128::from(i64::MAX)) as i64;
         tm.max_lateness_us = tm.max_lateness_us.max(lateness);
         if tm.completed == 1 {
             // First completion defines the initial lateness rather than the
