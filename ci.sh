@@ -17,11 +17,18 @@ step() { printf '\n== %s ==\n' "$*"; }
 step "cargo fmt --check"
 cargo fmt --all --check
 
+step "mutation ledger texts (scripts/mutants.txt)"
+# Every ledger entry's source text must occur exactly once in its file,
+# so a change that moves checked code updates its entry in the same
+# diff. This builds nothing; scripts/mutants.sh is the full run.
+scripts/ledger.sh
+
 step "eua-lint workspace scan (all codes)"
 # Every rule on every first-party .rs file: float sorts, allocation on
-# hot paths and in nested loops, seed provenance, and saturating time
-# arithmetic. The lexical determinism bans, pool purity's included, live
-# in clippy.toml (checked below). The walker
+# hot paths and in nested loops, and saturating time arithmetic. The
+# lexical determinism bans, pool purity's included, live in clippy.toml
+# (checked below), and seed provenance is a test at each production RNG
+# root (run by `cargo test` below). The walker
 # skips vendor/, target/, and fixture corpora on its own. The same gate
 # also runs as a test (crates/lint/tests/dogfood.rs) under `cargo test`
 # below. The SARIF pass proves the renderer byte-round-trips even when
@@ -40,7 +47,7 @@ lint_wall_ms="$(( (lint_end_ns - lint_start_ns) / 1000000 ))"
 lint_files="$(awk '{print $2}' <<<"${lint_summary}")"
 cat > target/BENCH_lint.json <<EOF
 {
-  "description": "Wall time of the full eua-lint workspace scan (token rules and per-function CFG dataflow, seed taint included) over every first-party .rs file, as measured by ci.sh with bash date +%s%N around one debug-build invocation. Indicative single-host numbers, not a statistical benchmark.",
+  "description": "Wall time of the full eua-lint workspace scan (token rules and per-function CFG dataflow) over every first-party .rs file, as measured by ci.sh with bash date +%s%N around one debug-build invocation. Indicative single-host numbers, not a statistical benchmark.",
   "command": "target/debug/eua-lint check",
   "files_scanned": ${lint_files},
   "scan_wall_ms": ${lint_wall_ms}
@@ -59,37 +66,10 @@ step "cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
 step "clippy determinism bans fire (fixture package must fail)"
-# crates/lint/tests/fixtures/clippy_bans/ violates every ban, one module
-# per ban family, and ends each violating line with `// ban: <path>`.
-# Clippy must reject the package and report every path clippy.toml lists
-# and every marked path. The markers make a deleted ban fail: the other
-# bans still reject the package, and clippy.toml no longer lists it, but
-# its marker still demands the report. A mistyped ban path fails too.
-ban_pkg=crates/lint/tests/fixtures/clippy_bans
-if ban_out="$(cargo clippy -q --manifest-path "${ban_pkg}/Cargo.toml" \
-    --target-dir target/clippy-bans -- -D warnings 2>&1)"; then
-  echo "error: clippy accepted the ban fixtures" >&2
-  exit 1
-fi
-listed="$(sed -n 's/.*{ path = "\([^"]*\)".*/\1/p' clippy.toml)"
-marked="$(grep -rhoE '// ban: [A-Za-z0-9_:]+' "${ban_pkg}/src" | sed 's|^// ban: ||' || true)"
-if [[ -z "${listed}" || -z "${marked}" ]]; then
-  echo "error: no ban paths listed in clippy.toml or marked in ${ban_pkg}/src" >&2
-  exit 1
-fi
-banned="$(printf '%s\n%s\n' "${listed}" "${marked}" | sort -u)"
-while read -r path; do
-  # Match the violation itself: clippy also quotes a ban path it cannot
-  # resolve, in a warning that -D warnings does not promote.
-  if ! grep -qF -e "use of a disallowed method \`${path}\`" \
-      -e "use of a disallowed type \`${path}\`" \
-      -e "use of a disallowed macro \`${path}\`" <<<"${ban_out}"; then
-    echo "error: clippy did not report the ban on ${path}" >&2
-    exit 1
-  fi
-done <<<"${banned}"
-echo "clippy reported all $(wc -l <<<"${banned}") banned paths" \
-  "($(wc -l <<<"${listed}") listed, $(sort -u <<<"${marked}" | wc -l) marked)"
+# Clippy must reject crates/lint/tests/fixtures/clippy_bans/ and report
+# every path clippy.toml lists and every `// ban:` marker there. The
+# check is its own script so the mutation ledger can run it alone.
+scripts/clippy-bans.sh
 
 step "cargo test"
 # Debug builds compile in the engine's runtime invariant checks

@@ -162,9 +162,11 @@ pub enum DiagCode {
     /// the table's lowest frequency at or above the certified required
     /// speed (raised by the UER clamp when active).
     AudDvsOutOfBound,
-    /// A charge's energy disagrees with Martin's `E(f)` per-cycle model
-    /// (or the idle-power bill), or the charges do not sum to the
-    /// certified total.
+    /// The charge ledger is impossible: a charge's energy disagrees with
+    /// Martin's `E(f)` per-cycle model (or the idle-power bill), a
+    /// non-idle charge does not last exactly `⌈cycles / f⌉` µs, a charge
+    /// starts before the previous one ends, or the charges do not sum to
+    /// the certified total.
     AudEnergyMismatch,
     /// The certified arrival stream violates a task's declared UAM
     /// `<a, P>` bound: more than `a` arrivals inside one sliding window.
@@ -177,10 +179,6 @@ pub enum DiagCode {
     /// or at loop depth two or more elsewhere when the value does not
     /// escape its iteration.
     LintLoopAlloc,
-    /// An RNG seeding site whose seed value cannot be proven to derive
-    /// from a master-seed parameter through the taint lattice
-    /// (seed-derived ⊑ unknown).
-    LintSeedTaint,
     /// Raw `+`/`-`/`*` arithmetic on a value the unit lattice types as
     /// integer microseconds, where the workspace idiom is the saturating
     /// newtype operations (`saturating_add`/`saturating_since`).
@@ -194,7 +192,7 @@ pub enum DiagCode {
 
 impl DiagCode {
     /// Every code, in a stable order (used by `eua-analyze codes`).
-    pub const ALL: [DiagCode; 47] = [
+    pub const ALL: [DiagCode; 46] = [
         DiagCode::NoTasks,
         DiagCode::DuplicateTaskName,
         DiagCode::TufNonPositiveUmax,
@@ -238,7 +236,6 @@ impl DiagCode {
         DiagCode::AudUamViolation,
         DiagCode::LintFloatSortPartialCmp,
         DiagCode::LintLoopAlloc,
-        DiagCode::LintSeedTaint,
         DiagCode::LintUncheckedTimeArith,
         DiagCode::LintUnusedSuppression,
         DiagCode::LintUnknownSuppression,
@@ -291,7 +288,6 @@ impl DiagCode {
             DiagCode::AudUamViolation => "aud-uam-violation",
             DiagCode::LintFloatSortPartialCmp => "lint-float-sort-partial-cmp",
             DiagCode::LintLoopAlloc => "lint-loop-alloc",
-            DiagCode::LintSeedTaint => "lint-seed-taint",
             DiagCode::LintUncheckedTimeArith => "lint-unchecked-time-arith",
             DiagCode::LintUnusedSuppression => "lint-unused-suppression",
             DiagCode::LintUnknownSuppression => "lint-unknown-suppression",
@@ -333,7 +329,6 @@ impl DiagCode {
             | DiagCode::AudUamViolation
             | DiagCode::LintFloatSortPartialCmp
             | DiagCode::LintLoopAlloc
-            | DiagCode::LintSeedTaint
             | DiagCode::LintUncheckedTimeArith
             | DiagCode::LintUnusedSuppression
             | DiagCode::LintUnknownSuppression => Severity::Error,
@@ -426,12 +421,11 @@ impl DiagCode {
             DiagCode::AudAbortIllegal => "abort without a valid infeasibility witness",
             DiagCode::AudDvsOutOfBound => "chosen frequency violates the look-ahead DVS bound",
             DiagCode::AudEnergyMismatch => {
-                "charged energy disagrees with Martin's model or the total"
+                "charge ledger disagrees with Martin's model, the clock or the total"
             }
             DiagCode::AudUamViolation => "certified arrivals exceed a UAM <a, P> bound",
             DiagCode::LintFloatSortPartialCmp => "partial_cmp in a sort comparator; use total_cmp",
             DiagCode::LintLoopAlloc => "allocation in a hot function or a nested loop",
-            DiagCode::LintSeedTaint => "RNG seed not provably derived from a master seed",
             DiagCode::LintUncheckedTimeArith => {
                 "raw arithmetic on microseconds; use saturating ops"
             }
@@ -732,9 +726,9 @@ mod tests {
     fn lint_codes_render_in_text_and_json() {
         let mut r = Report::new("lints");
         r.push(Diagnostic::for_entity(
-            DiagCode::LintSeedTaint,
-            "seed_from_u64",
-            "12:9: seed not provably derived",
+            DiagCode::LintUncheckedTimeArith,
+            "now_us + budget_us",
+            "12:9: raw `+` on microsecond integers",
         ));
         r.push(Diagnostic::for_entity(
             DiagCode::LintFloatSortPartialCmp,
@@ -749,7 +743,7 @@ mod tests {
         let text = r.render_text();
         let json = r.render_json();
         for code in [
-            "lint-seed-taint",
+            "lint-unchecked-time-arith",
             "lint-float-sort-partial-cmp",
             "lint-unused-suppression",
         ] {

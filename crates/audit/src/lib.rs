@@ -20,10 +20,11 @@
 //! * **DVS bound** — the chosen frequency must be the table's lowest
 //!   speed at or above the certified look-ahead demand, raised by the
 //!   UER clamp when active (`aud-dvs-out-of-bound`);
-//! * **energy accounting** — each charge must match Martin's
+//! * **the charge ledger** — each charge must match Martin's
 //!   `E(f) = S3·f² + S2·f + S1 + S0/f` per cycle (or the idle-power
-//!   bill) and the charges must sum to the certified total
-//!   (`aud-energy-mismatch`);
+//!   bill), each non-idle charge must last exactly `⌈cycles / f⌉` µs, no
+//!   charge may start before the previous one ends, and the charges must
+//!   sum to the certified total (`aud-energy-mismatch`);
 //! * **UAM compliance** — the certified arrival stream must respect
 //!   every task's `⟨a, P⟩` bound (`aud-uam-violation`).
 //!
@@ -653,14 +654,30 @@ fn check_event(index: usize, event: &EventRecord, env: &Env, sink: &mut Sink) {
     }
 }
 
-/// Per-charge and cumulative energy audit against Martin's model (and
-/// the idle-power bill), using the model bound at the *true* table's
-/// `f_m` — degraded-DVS faults change what policies plan with, never
-/// what the silicon bills.
+/// The charge-ledger audit: energy per charge against Martin's model
+/// (and the idle-power bill), using the model bound at the *true*
+/// table's `f_m` — degraded-DVS faults change what policies plan with,
+/// never what the silicon bills; each non-idle charge's duration against
+/// the engine's quantization `⌈cycles / f⌉`; charges that overlap on
+/// the one processor; and the sum against the certified total.
 fn check_energy(cert: &RunCertificate, env: &Env, sink: &mut Sink) {
     let mut total = 0.0f64;
+    let mut busy_until = 0u64;
     for (i, charge) in cert.charges.iter().enumerate() {
         let entity = format!("charge {i} @{}us", charge.at.as_micros());
+        let start = charge.at.as_micros();
+        if start < busy_until {
+            sink.push(Diagnostic::for_entity(
+                DiagCode::AudEnergyMismatch,
+                entity.clone(),
+                format!(
+                    "{} charge starts at {start} us, before the previous charge ends at \
+                     {busy_until} us",
+                    charge.kind.as_str()
+                ),
+            ));
+        }
+        busy_until = start.saturating_add(charge.micros);
         let expected = match charge.kind {
             eua_sim::ChargeKind::Idle => env.idle_power * charge.micros as f64,
             _ => {
@@ -673,8 +690,22 @@ fn check_energy(cert: &RunCertificate, env: &Env, sink: &mut Sink) {
                     total += charge.energy;
                     continue;
                 }
-                env.true_model
-                    .energy_for(charge.cycles, Frequency::from_mhz(charge.frequency_mhz))
+                let f = Frequency::from_mhz(charge.frequency_mhz);
+                let quantized = f.execution_time(charge.cycles).as_micros();
+                if charge.micros != quantized {
+                    sink.push(Diagnostic::for_entity(
+                        DiagCode::AudEnergyMismatch,
+                        entity.clone(),
+                        format!(
+                            "{} charge lasts {} us but {} cycles at {} MHz take {quantized} us",
+                            charge.kind.as_str(),
+                            charge.micros,
+                            charge.cycles.get(),
+                            charge.frequency_mhz
+                        ),
+                    ));
+                }
+                env.true_model.energy_for(charge.cycles, f)
             }
         };
         if !close(expected, charge.energy) {

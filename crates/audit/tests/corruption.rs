@@ -12,8 +12,8 @@ use common::{bridge, run_certified};
 use eua_analyze::shipped_scenarios;
 use eua_audit::{audit, audit_text};
 use eua_core::Eua;
-use eua_platform::{Frequency, SimTime};
-use eua_sim::RunCertificate;
+use eua_platform::{Frequency, SimTime, TimeDelta};
+use eua_sim::{ChargeKind, RunCertificate};
 
 /// A real EUA\* certificate with plenty of multi-job events to corrupt.
 fn certified() -> RunCertificate {
@@ -194,6 +194,74 @@ fn corruption_attribution_is_specific() {
     ] {
         assert!(!codes.contains(unrelated), "spurious `{unrelated}`");
     }
+}
+
+/// Audits a forged charge ledger and asserts that its findings are
+/// exactly one `aud-energy-mismatch` per expected reason.
+fn assert_only_ledger(cert: &RunCertificate, reasons: &[&str]) {
+    let report = audit(cert);
+    let text = report.render_text();
+    assert_eq!(
+        report.codes(),
+        BTreeSet::from(["aud-energy-mismatch"]),
+        "{text}"
+    );
+    assert_eq!(report.diagnostics.len(), reasons.len(), "{text}");
+    for reason in reasons {
+        let saying = report
+            .diagnostics
+            .iter()
+            .filter(|d| d.message.contains(reason))
+            .count();
+        assert_eq!(saying, 1, "{text} must say {reason:?} once");
+    }
+}
+
+/// The first execute charge that lasts at least 2 µs and is followed by
+/// another charge.
+fn long_execute_charge(cert: &RunCertificate) -> usize {
+    cert.charges[..cert.charges.len() - 1]
+        .iter()
+        .position(|c| c.kind == ChargeKind::Execute && c.micros >= 2)
+        .expect("an execute charge of 2 us or more")
+}
+
+const WRONG_DURATION: &str = "lasts";
+const OVERLAP: &str = "before the previous charge ends";
+
+#[test]
+fn a_charge_shorter_than_its_cycles_is_rejected() {
+    let mut cert = certified();
+    let i = long_execute_charge(&cert);
+    let charge = &mut cert.charges[i];
+    charge.micros = charge.micros.saturating_sub(1);
+    assert_only_ledger(&cert, &[WRONG_DURATION]);
+}
+
+#[test]
+fn a_charge_starting_before_the_previous_one_ends_is_rejected() {
+    let mut cert = certified();
+    let i = 1 + cert
+        .charges
+        .windows(2)
+        .position(|w| w[1].at == w[0].at.saturating_add(TimeDelta::from_micros(w[0].micros)))
+        .expect("two back-to-back charges");
+    let charge = &mut cert.charges[i];
+    charge.at = SimTime::from_micros(charge.at.as_micros().saturating_sub(1));
+    assert_only_ledger(&cert, &[OVERLAP]);
+}
+
+#[test]
+fn a_stretched_charge_is_rejected_twice() {
+    let mut cert = certified();
+    let i = long_execute_charge(&cert);
+    let next = cert.charges[i + 1].at;
+    let charge = &mut cert.charges[i];
+    charge.micros = next
+        .saturating_since(charge.at)
+        .as_micros()
+        .saturating_add(1);
+    assert_only_ledger(&cert, &[WRONG_DURATION, OVERLAP]);
 }
 
 /// A job id no certificate in this suite reaches.

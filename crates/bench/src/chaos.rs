@@ -692,6 +692,18 @@ mod tests {
         let families: std::collections::BTreeSet<&str> =
             plans.iter().map(|p| p.family.key()).collect();
         assert!(families.len() >= 4, "64 cells must hit most families");
+        let reseeded = ChaosConfig {
+            master_seed: config.master_seed + 1,
+            ..config
+        };
+        for plan in &plans {
+            assert_ne!(
+                plan_cell(&reseeded, plan.index),
+                *plan,
+                "cell {}: the master seed must move the plan",
+                plan.index
+            );
+        }
     }
 
     #[test]

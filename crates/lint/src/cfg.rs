@@ -21,7 +21,8 @@
 //! land in the current block and any control flow inside them is still
 //! walked. That over-approximates closures (a closure body is *defined*
 //! where it appears, not necessarily run there), which is the
-//! conservative direction for both taint and loop-depth queries.
+//! conservative direction for both loop-depth and time-arithmetic
+//! queries.
 
 use crate::lexer::{Tok, TokKind};
 use crate::parser::match_bracket;

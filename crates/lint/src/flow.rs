@@ -9,8 +9,8 @@
 //! float (never flagged), seeded from parameter types and updated
 //! through `let` bindings and plain assignments. At every binary
 //! `+`/`-`/`*` whose operand environment types either side as
-//! microseconds, a finding fires — with a machine-applicable saturating
-//! rewrite when both operand kinds pin a lossless replacement method.
+//! microseconds, a finding fires — naming the saturating method to use
+//! when both operand kinds pin a lossless replacement.
 
 use std::collections::BTreeMap;
 
@@ -46,7 +46,8 @@ const INTEGRALS: [&str; 12] = [
 ];
 
 /// Keywords that can appear adjacent to an operator but are never an
-/// operand (`return -x`, `x as f64`, …). Shared with the taint scan.
+/// operand (`return -x`, `x as f64`, …). Shared with `lint-loop-alloc`'s
+/// statement walk.
 pub(crate) fn is_keyword(s: &str) -> bool {
     matches!(
         s,
@@ -289,7 +290,7 @@ impl dataflow::Analysis for ArithScan<'_> {
 
 /// Whether `b` starts at the byte immediately after `a` ends (the
 /// lexer emits `->` as two adjacent single-byte puncts).
-pub(crate) fn adjacent(a: &Tok<'_>, b: &Tok<'_>) -> bool {
+fn adjacent(a: &Tok<'_>, b: &Tok<'_>) -> bool {
     a.end_line == b.line && a.end_col == b.col
 }
 

@@ -16,17 +16,17 @@
 //! | [`lexer`] | the lightweight Rust lexer (tokens with exact spans) |
 //! | [`parser`] | the item parser (fns, their parameters and bodies) |
 //! | [`cfg`](mod@cfg) / [`dataflow`] | per-function CFGs and the worklist fixpoint |
-//! | [`taint`] | seed provenance (`lint-seed-taint`) |
 //! | [`flow`] | saturating time arithmetic (`lint-unchecked-time-arith`) |
 //! | [`rules`] | the token rules (float sorts, allocation) |
-//! | [`fix`] | the machine-applicable rewrites behind `--fix` |
 //! | this | directives, suppression accounting, the file walker |
 //!
 //! Every rule is per file: [`lint_source`] is the whole pipeline, and
-//! [`lint_sources`] maps it over a set of files. Pool purity is not a
-//! rule here — `map_parallel`'s `Fn + Sync` bounds reject a closure
-//! holding a `Cell`, `RefCell` or `Rc`, and `clippy.toml` bans the
-//! shared-state, wall-clock and hash-collection types it could reach.
+//! [`lint_roots`] maps it over the files under a set of roots. Seed
+//! provenance is not a rule here: each production RNG root has a test
+//! that its stream moves with its master seed. Nor is pool purity —
+//! `map_parallel`'s `Fn + Sync` bounds reject a closure holding a
+//! `Cell`, `RefCell` or `Rc`, and `clippy.toml` bans the shared-state,
+//! wall-clock and hash-collection types it could reach.
 //!
 //! # Directives
 //!
@@ -50,12 +50,10 @@
 
 pub mod cfg;
 pub mod dataflow;
-pub mod fix;
 pub mod flow;
 pub mod lexer;
 pub mod parser;
 pub mod rules;
-pub mod taint;
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -363,18 +361,7 @@ pub fn lint_source(path: &str, text: &str) -> FileLint {
     }
     let mut findings = rules::run_hazards(&code, &hot_bodies, &depths);
     flow::unchecked_time_arith(&code, &fns, &mut findings);
-    findings.extend(taint::scan(&code, &fns).0);
     assemble_file(path, &toks, &directives, findings, meta)
-}
-
-/// Lints a set of `(path, text)` sources, one [`FileLint`] per source
-/// in input order (see [`lint_source`]).
-#[must_use]
-pub fn lint_sources(sources: &[(String, String)]) -> Vec<FileLint> {
-    sources
-        .iter()
-        .map(|(path, text)| lint_source(path, text))
-        .collect()
 }
 
 /// Directory names the walker never descends into: vendored shims stand
@@ -389,7 +376,7 @@ const SKIPPED_DIRS: [&str; 3] = ["vendor", "target", "fixtures"];
 ///
 /// Any I/O failure reading a directory, with the failing path embedded
 /// in the error message via [`io::Error::other`].
-pub fn collect_sources(root: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
+fn collect_sources(root: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     let label = |e: io::Error, p: &Path| io::Error::other(format!("{}: {e}", p.display()));
     let meta = std::fs::metadata(root).map_err(|e| label(e, root))?;
     if meta.is_file() {
@@ -427,8 +414,8 @@ pub fn collect_sources(root: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
 /// set the repository's CI gate greps covered.
 pub const DEFAULT_ROOTS: [&str; 4] = ["src", "crates", "tests", "examples"];
 
-/// Lints every `.rs` file under the given roots, files or directories
-/// (see [`lint_sources`]).
+/// Lints every `.rs` file under the given roots, files or directories,
+/// one [`FileLint`] per file in walk order (see [`lint_source`]).
 ///
 /// # Errors
 ///
@@ -438,13 +425,14 @@ pub fn lint_roots(roots: &[PathBuf]) -> io::Result<Vec<FileLint>> {
     for root in roots {
         collect_sources(root, &mut files)?;
     }
-    let mut sources = Vec::with_capacity(files.len());
-    for file in files {
-        let text = std::fs::read_to_string(&file)
-            .map_err(|e| io::Error::other(format!("{}: {e}", file.display())))?;
-        sources.push((file.display().to_string(), text));
-    }
-    Ok(lint_sources(&sources))
+    files
+        .iter()
+        .map(|file| {
+            let text = std::fs::read_to_string(file)
+                .map_err(|e| io::Error::other(format!("{}: {e}", file.display())))?;
+            Ok(lint_source(&file.display().to_string(), &text))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -494,7 +482,7 @@ mod tests {
 
     #[test]
     fn unused_allow_is_reported_at_the_directive() {
-        let src = "// eua-lint: allow(lint-seed-taint)\nlet a = 1;\n";
+        let src = "// eua-lint: allow(lint-loop-alloc)\nlet a = 1;\n";
         let lint = lint_source("x.rs", src);
         assert_eq!(codes_of(&lint), ["lint-unused-suppression"]);
         assert_eq!(lint.spans[0].unwrap().start_line, 1);
@@ -516,7 +504,7 @@ mod tests {
 
     #[test]
     fn malformed_directive_is_reported() {
-        let src = "// eua-lint: alow(lint-seed-taint)\nlet a = 1;\n";
+        let src = "// eua-lint: alow(lint-loop-alloc)\nlet a = 1;\n";
         let lint = lint_source("x.rs", src);
         assert_eq!(codes_of(&lint), ["lint-unknown-suppression"]);
     }

@@ -1,8 +1,7 @@
 //! The `eua-lint` command-line front end.
 //!
 //! ```text
-//! eua-lint check [--format text|json|sarif] [--check] [--fix [--apply]]
-//!                [path...]
+//! eua-lint check [--format text|json|sarif] [--check] [path...]
 //! eua-lint codes
 //! ```
 //!
@@ -19,9 +18,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use eua_analyze::{render_json_reports, render_sarif, validate_sarif, Report, Span};
-use eua_lint::{
-    collect_sources, fix::fix_file, lint_roots, lint_sources, FileLint, DEFAULT_ROOTS, LINT_CODES,
-};
+use eua_lint::{lint_roots, FileLint, DEFAULT_ROOTS, LINT_CODES};
 
 /// Writes to stdout, exiting quietly if the reader went away (e.g. the
 /// output is piped into `head`); `println!` would panic instead.
@@ -43,8 +40,7 @@ enum Format {
 }
 
 fn usage() -> &'static str {
-    "usage: eua-lint check [--format text|json|sarif] [--check] [--fix [--apply]]\n\
-     \x20                     [path...]\n\
+    "usage: eua-lint check [--format text|json|sarif] [--check] [path...]\n\
      \x20      eua-lint codes\n\
      \n\
      check          scan first-party Rust sources for determinism and\n\
@@ -52,9 +48,6 @@ fn usage() -> &'static str {
      \x20 --format sarif   emit a SARIF 2.1.0 document instead of text/json\n\
      \x20 --check          (sarif) verify the output byte-round-trips and\n\
      \x20                  validates against the pinned SARIF subset\n\
-     \x20 --fix            apply machine-applicable fixes; prints each fixed\n\
-     \x20                  file to stdout (dry run) and a summary to stderr\n\
-     \x20 --apply          with --fix: rewrite the .rs files in place\n\
      codes          list every lint code with severity and meaning\n\
      \n\
      exit status (strictly ordered, worst wins):\n\
@@ -87,14 +80,10 @@ fn main() -> ExitCode {
 fn run_check(args: &[String]) -> ExitCode {
     let mut format = Format::Text;
     let mut self_check = false;
-    let mut fix_mode = false;
-    let mut apply = false;
     let mut roots: Vec<PathBuf> = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--fix" => fix_mode = true,
-            "--apply" => apply = true,
             "--format" => match it.next().map(String::as_str) {
                 Some("text") => format = Format::Text,
                 Some("json") => format = Format::Json,
@@ -116,14 +105,6 @@ fn run_check(args: &[String]) -> ExitCode {
         eprintln!("--check only applies to --format sarif");
         return ExitCode::from(2);
     }
-    if apply && !fix_mode {
-        eprintln!("--apply only applies with --fix");
-        return ExitCode::from(2);
-    }
-    if fix_mode && format != Format::Text {
-        eprintln!("--fix only applies to --format text");
-        return ExitCode::from(2);
-    }
     if roots.is_empty() {
         // Default roots are best-effort: only the ones that exist.
         roots = DEFAULT_ROOTS
@@ -135,10 +116,6 @@ fn run_check(args: &[String]) -> ExitCode {
             eprintln!("no default roots ({}) exist here", DEFAULT_ROOTS.join(", "));
             return ExitCode::from(2);
         }
-    }
-
-    if fix_mode {
-        return run_fix(&roots, apply);
     }
 
     let lints = match lint_roots(&roots) {
@@ -184,72 +161,6 @@ fn run_check(args: &[String]) -> ExitCode {
         }
     }
     if dirty.iter().any(|l| l.report.has_errors()) {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
-}
-
-/// `check --fix`: scans the roots, applies the machine rewrites, and
-/// mirrors `eua-analyze check --fix`'s contract: dry-run prints each
-/// fixed file to stdout, `--apply` rewrites in place, the fix summary
-/// goes to stderr either way, and the exit status reflects re-linting
-/// the fixed sources (the rewrite is idempotent, so a second run
-/// applies nothing).
-fn run_fix(roots: &[PathBuf], apply: bool) -> ExitCode {
-    let mut paths: Vec<PathBuf> = Vec::new();
-    for root in roots {
-        if let Err(e) = collect_sources(root, &mut paths) {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    }
-    let mut sources: Vec<(String, String)> = Vec::with_capacity(paths.len());
-    for path in &paths {
-        match std::fs::read_to_string(path) {
-            Ok(text) => sources.push((path.display().to_string(), text)),
-            Err(e) => {
-                eprintln!("error: {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        }
-    }
-
-    let lints = lint_sources(&sources);
-    let mut total = 0usize;
-    for (i, lint) in lints.iter().enumerate() {
-        let (fixed, applied) = fix_file(lint, &sources[i].1);
-        if applied.is_empty() {
-            continue;
-        }
-        total += applied.len();
-        for f in &applied {
-            eprintln!(
-                "{}: fixed [{}] line {}: {}",
-                lint.path,
-                f.code.as_str(),
-                f.line,
-                f.action
-            );
-        }
-        if apply {
-            if let Err(e) = std::fs::write(&lint.path, &fixed) {
-                eprintln!("error: writing `{}`: {e}", lint.path);
-                return ExitCode::from(2);
-            }
-        } else {
-            emit(&fixed);
-        }
-        sources[i].1 = fixed;
-    }
-    if total == 0 {
-        eprintln!("eua-lint: nothing to fix");
-    } else {
-        eprintln!("eua-lint: {total} fix(es) applied");
-    }
-
-    let relint = lint_sources(&sources);
-    if relint.iter().any(|l| l.report.has_errors()) {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS

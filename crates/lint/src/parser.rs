@@ -35,8 +35,8 @@ pub struct FnItem {
     /// Half-open code-token index range of the body, braces excluded.
     pub body: (usize, usize),
     /// Whether the function sits inside a `#[cfg(test)] mod` body. Test
-    /// code is held to neither the seed-provenance proof nor the
-    /// loop-allocation and time-arithmetic disciplines.
+    /// code is held to neither the loop-allocation nor the
+    /// time-arithmetic discipline.
     pub in_test_mod: bool,
 }
 

@@ -22,21 +22,19 @@ pub struct Finding {
     pub message: String,
 }
 
-/// The four hazard codes (everything except the two suppression
+/// The three hazard codes (everything except the two suppression
 /// meta-codes), in registry order. Only these may appear in an
 /// `allow(...)` directive.
-pub const HAZARD_CODES: [DiagCode; 4] = [
+pub const HAZARD_CODES: [DiagCode; 3] = [
     DiagCode::LintFloatSortPartialCmp,
     DiagCode::LintLoopAlloc,
-    DiagCode::LintSeedTaint,
     DiagCode::LintUncheckedTimeArith,
 ];
 
-/// All six lint codes, in registry order (`eua-lint codes` order).
-pub const LINT_CODES: [DiagCode; 6] = [
+/// All five lint codes, in registry order (`eua-lint codes` order).
+pub const LINT_CODES: [DiagCode; 5] = [
     DiagCode::LintFloatSortPartialCmp,
     DiagCode::LintLoopAlloc,
-    DiagCode::LintSeedTaint,
     DiagCode::LintUncheckedTimeArith,
     DiagCode::LintUnusedSuppression,
     DiagCode::LintUnknownSuppression,

@@ -1,8 +1,8 @@
 #![allow(clippy::expect_used, clippy::unwrap_used)] // test code
 
 //! Binary-level contract tests for `eua-lint`: the strict 2>1>0 exit
-//! ordering, format selection, the `codes` listing, `--fix`, and golden
-//! SARIF pins for the fixtures.
+//! ordering, format selection, the flag surface, the `codes` listing,
+//! and golden SARIF pins for the fixtures.
 //!
 //! Regenerate the golden files with:
 //!
@@ -68,12 +68,19 @@ fn usage_errors_exit_two() {
         "--check without sarif is a usage error"
     );
     assert_eq!(
-        eua_lint(&["check", "--only", "lint-seed-taint", "src/main.rs"])
+        eua_lint(&["check", "--only", "lint-loop-alloc", "src/main.rs"])
             .status
             .code(),
         Some(2),
         "every scan runs every rule; there is no rule selection flag"
     );
+    for flag in ["--fix", "--apply"] {
+        assert_eq!(
+            eua_lint(&["check", flag, "src/main.rs"]).status.code(),
+            Some(2),
+            "{flag}: the linter reports and never rewrites"
+        );
+    }
 }
 
 #[test]
@@ -99,112 +106,11 @@ fn json_format_renders_reports() {
     assert!(text.contains("\"lint-float-sort-partial-cmp\""), "{text}");
 }
 
-/// A scratch file for the `--fix` tests, removed on drop.
-struct Scratch {
-    dir: std::path::PathBuf,
-    file: std::path::PathBuf,
-}
-
-impl Scratch {
-    fn new(name: &str, content: &str) -> Scratch {
-        let dir = std::env::temp_dir().join(format!("eua-lint-fix-{}-{name}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("scratch dir");
-        let file = dir.join("scratch.rs");
-        std::fs::write(&file, content).expect("scratch file");
-        Scratch { dir, file }
-    }
-
-    fn read(&self) -> String {
-        std::fs::read_to_string(&self.file).expect("scratch readable")
-    }
-}
-
-impl Drop for Scratch {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.dir);
-    }
-}
-
-const FIXABLE: &str = "// eua-lint: allow(lint-seed-taint)\n\
-                       fn rank(xs: &mut [f64]) {\n\
-                       \x20   xs.sort_by(|a, b| a.partial_cmp(b).unwrap());\n\
-                       }\n";
-
-const FIXED: &str = "fn rank(xs: &mut [f64]) {\n\
-                     \x20   xs.sort_by(|a, b| a.total_cmp(b));\n\
-                     }\n";
-
-#[test]
-fn apply_without_fix_is_a_usage_error() {
-    assert_eq!(
-        eua_lint(&["check", "--apply", "src/main.rs"]).status.code(),
-        Some(2)
-    );
-    assert_eq!(
-        eua_lint(&["check", "--fix", "--format", "sarif", "src/main.rs"])
-            .status
-            .code(),
-        Some(2),
-        "--fix only applies to text output"
-    );
-}
-
-#[test]
-fn fix_dry_run_prints_fixed_text_without_touching_the_file() {
-    let scratch = Scratch::new("dry", FIXABLE);
-    let path = scratch.file.display().to_string();
-    let out = eua_lint(&["check", "--fix", &path]);
-    assert_eq!(out.status.code(), Some(0), "{out:?}");
-    assert_eq!(stdout(&out), FIXED);
-    let err = String::from_utf8(out.stderr.clone()).expect("utf-8 stderr");
-    assert!(err.contains("fixed [lint-unused-suppression]"), "{err}");
-    assert!(err.contains("fixed [lint-float-sort-partial-cmp]"), "{err}");
-    assert!(err.contains("2 fix(es) applied"), "{err}");
-    assert_eq!(scratch.read(), FIXABLE, "dry run must not rewrite");
-}
-
-#[test]
-fn fix_apply_rewrites_in_place_and_is_idempotent() {
-    let scratch = Scratch::new("apply", FIXABLE);
-    let path = scratch.file.display().to_string();
-    let out = eua_lint(&["check", "--fix", "--apply", &path]);
-    assert_eq!(out.status.code(), Some(0), "{out:?}");
-    assert_eq!(stdout(&out), "", "--apply prints no file contents");
-    assert_eq!(scratch.read(), FIXED);
-    // Second run: nothing left to fix, file untouched.
-    let again = eua_lint(&["check", "--fix", "--apply", &path]);
-    assert_eq!(again.status.code(), Some(0));
-    let err = String::from_utf8(again.stderr.clone()).expect("utf-8 stderr");
-    assert!(err.contains("nothing to fix"), "{err}");
-    assert_eq!(scratch.read(), FIXED);
-}
-
-/// The `--fix` rewrite for raw time arithmetic, pinned against an
-/// on-disk before/after pair: applying the fix to the before file must
-/// produce the after file byte-for-byte, and a second pass must find
-/// nothing left to fix (the idempotence contract at the binary level).
-#[test]
-fn time_arith_fix_matches_the_fixture_pair() {
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/fix");
-    let before = std::fs::read_to_string(dir.join("time_arith_before.rs")).expect("before");
-    let after = std::fs::read_to_string(dir.join("time_arith_after.rs")).expect("after");
-    let scratch = Scratch::new("arith", &before);
-    let path = scratch.file.display().to_string();
-    let out = eua_lint(&["check", "--fix", "--apply", &path]);
-    assert_eq!(out.status.code(), Some(0), "{out:?}");
-    assert_eq!(scratch.read(), after);
-    let again = eua_lint(&["check", "--fix", "--apply", &path]);
-    assert_eq!(again.status.code(), Some(0));
-    let err = String::from_utf8(again.stderr.clone()).expect("utf-8 stderr");
-    assert!(err.contains("nothing to fix"), "{err}");
-    assert_eq!(scratch.read(), after);
-}
-
-/// The three dataflow-rule fixtures, scanned as one workspace and
+/// The two dataflow-rule fixtures, scanned as one workspace and
 /// byte-pinned through the SARIF self-check (`--check` re-parses the
 /// output and asserts `render(parse(x)) == x` before printing). This
-/// pins the loop-depth message, the taint witness text, and the
-/// saturating fix marker as they appear on the wire.
+/// pins the loop-depth message and the saturating-method hint as they
+/// appear on the wire.
 #[test]
 fn dataflow_fixtures_sarif_is_golden() {
     let out = eua_lint(&[
@@ -213,7 +119,6 @@ fn dataflow_fixtures_sarif_is_golden() {
         "sarif",
         "--check",
         "tests/fixtures/loop_alloc.rs",
-        "tests/fixtures/seed_taint.rs",
         "tests/fixtures/unchecked_time_arith.rs",
     ]);
     assert_eq!(out.status.code(), Some(1), "{}", stdout(&out));
@@ -233,11 +138,7 @@ fn dataflow_fixtures_sarif_is_golden() {
         rendered, golden,
         "SARIF drifted; regenerate with EUA_REGEN_GOLDEN=1 if deliberate"
     );
-    for rule in [
-        "lint-loop-alloc",
-        "lint-seed-taint",
-        "lint-unchecked-time-arith",
-    ] {
+    for rule in ["lint-loop-alloc", "lint-unchecked-time-arith"] {
         assert_eq!(
             golden.matches(&format!("\"ruleId\": \"{rule}\"")).count(),
             1,

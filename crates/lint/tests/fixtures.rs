@@ -19,7 +19,7 @@ fn fixture_path(name: &str) -> PathBuf {
         .join(name)
 }
 
-/// The fixture file for a code: `lint-seed-taint` → `seed_taint.rs`.
+/// The fixture file for a code: `lint-loop-alloc` → `loop_alloc.rs`.
 fn fixture_name(code: DiagCode) -> String {
     format!(
         "{}.rs",
@@ -62,9 +62,8 @@ fn each_code_has_a_fixture_tripping_exactly_itself() {
 
 /// No stray files: the corpus is exactly one fixture per code, so a
 /// renamed code cannot leave an orphan behind. Subdirectories (the
-/// lexer and CFG corpora, the fix pair, the clippy ban package) are
-/// exempt — the contract governs rule fixtures, which are all top-level
-/// files.
+/// lexer and CFG corpora, the clippy ban package) are exempt — the
+/// contract governs rule fixtures, which are all top-level files.
 #[test]
 fn fixture_corpus_is_exactly_one_file_per_code() {
     let dir = fixture_path("");

@@ -1364,6 +1364,21 @@ mod tests {
         )
         .unwrap();
         assert_ne!(a.metrics, c.metrics);
+        // Over one fixed trace, only the seed deals the demands.
+        let traces = vec![patterns[0].generate(config.horizon, &mut SmallRng::seed_from_u64(1))];
+        let metrics_at = |seed| {
+            Engine::run_with_traces(
+                &tasks,
+                &traces,
+                &platform(),
+                &mut MaxSpeedEdf::new(),
+                &config,
+                seed,
+            )
+            .unwrap()
+            .metrics
+        };
+        assert_ne!(metrics_at(9), metrics_at(10));
     }
 
     #[test]

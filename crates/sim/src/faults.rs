@@ -519,6 +519,13 @@ mod tests {
             c[0].iter().collect::<Vec<_>>(),
             "different seeds must jitter differently"
         );
+        for seed in [0, 5, 42, u64::MAX] {
+            assert_ne!(
+                FaultPlan::rng(seed).gen::<u64>(),
+                SmallRng::seed_from_u64(seed).gen::<u64>(),
+                "seed {seed}: the fault stream must not be the demand stream"
+            );
+        }
     }
 
     #[test]
