@@ -25,14 +25,15 @@ scripts/ledger.sh
 
 step "eua-lint workspace scan (all codes)"
 # Every rule on every first-party .rs file: float sorts, allocation on
-# hot paths and in nested loops, and saturating time arithmetic. The
-# lexical determinism bans, pool purity's included, live in clippy.toml
-# (checked below), and seed provenance is a test at each production RNG
-# root (run by `cargo test` below). The walker
-# skips vendor/, target/, and fixture corpora on its own. The same gate
-# also runs as a test (crates/lint/tests/dogfood.rs) under `cargo test`
-# below. The SARIF pass proves the renderer byte-round-trips even when
-# the scan is clean.
+# hot paths and in nested loops, and raw arithmetic on `_us` integers
+# (SimTime and TimeDelta have no operators, so rustc rejects raw
+# arithmetic on them). The lexical determinism bans, pool purity's
+# included, live in clippy.toml (checked below), and seed provenance is
+# a test at each production RNG root (run by `cargo test` below). The
+# walker skips vendor/, target/, and fixture corpora on its own. The
+# same gate also runs as a test (crates/lint/tests/dogfood.rs) under
+# `cargo test` below. The SARIF pass proves the renderer byte-round-trips
+# even when the scan is clean.
 #
 # The scan is timed here in bash (date +%s%N): clippy.toml bans the
 # wall clock in first-party code, so the lint binary cannot time itself.
@@ -47,7 +48,7 @@ lint_wall_ms="$(( (lint_end_ns - lint_start_ns) / 1000000 ))"
 lint_files="$(awk '{print $2}' <<<"${lint_summary}")"
 cat > target/BENCH_lint.json <<EOF
 {
-  "description": "Wall time of the full eua-lint workspace scan (token rules and per-function CFG dataflow) over every first-party .rs file, as measured by ci.sh with bash date +%s%N around one debug-build invocation. Indicative single-host numbers, not a statistical benchmark.",
+  "description": "Wall time of the full eua-lint workspace scan (token rules, lexical loop depth and the per-function time-arithmetic pass) over every first-party .rs file, as measured by ci.sh with bash date +%s%N around one debug-build invocation. Indicative single-host numbers, not a statistical benchmark.",
   "command": "target/debug/eua-lint check",
   "files_scanned": ${lint_files},
   "scan_wall_ms": ${lint_wall_ms}
@@ -64,6 +65,12 @@ step "cargo clippy -D warnings"
 # error once it suppresses nothing. No first-party code is
 # feature-gated, so one run covers everything.
 cargo clippy --workspace --all-targets -- -D warnings
+
+step "rustdoc links (-D warnings)"
+# Every intra-doc link must resolve: a link to a private item or an
+# ambiguous path is an error, so renamed or deleted items cannot leave
+# stale links in the docs.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --keep-going -q
 
 step "clippy determinism bans fire (fixture package must fail)"
 # Clippy must reject crates/lint/tests/fixtures/clippy_bans/ and report

@@ -19,7 +19,7 @@
 //! cells settle into graded records (via
 //! [`eua_sim::map_parallel`]) instead of aborting the campaign,
 //! and all failing cells are shrink candidates for
-//! [`crate::shrink`].
+//! [`crate::shrink`](mod@crate::shrink).
 
 use std::fs;
 use std::io::Write as _;

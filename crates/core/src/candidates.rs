@@ -189,8 +189,9 @@ impl ScheduleBuilder {
 
     /// Greedy construction of a feasible critical-time-ordered schedule.
     ///
-    /// Considers `candidates` in [`consideration_order`] (draining the
-    /// vector but keeping its capacity for reuse), inserts each at its
+    /// Considers `candidates` by non-increasing key, ties broken by
+    /// earlier critical time and then id (draining the vector but
+    /// keeping its capacity for reuse), inserts each at its
     /// critical-time position, and keeps the insertion only if the
     /// schedule remains feasible. Only candidates with a strictly
     /// positive key are considered (Algorithm 1 line 14's `UER > 0`

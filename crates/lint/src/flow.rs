@@ -1,34 +1,29 @@
-//! `lint-unchecked-time-arith`: raw `+`/`-`/`*` on microsecond values.
+//! `lint-unchecked-time-arith`: raw `+`/`-`/`*` on microsecond integers.
 //!
-//! The workspace's timeline is integer microseconds, and the newtypes
-//! (`SimTime`/`TimeDelta`) carry saturating methods. Once a quantity is
-//! unwrapped to `u64` for arithmetic, only the naming convention
-//! (`elapsed_us`, `budget_us`, …) marks it as time. A forward dataflow
-//! over the function's CFG tracks, per binding, whether it holds a
-//! `SimTime`, a `TimeDelta`, an unwrapped microsecond integer, or a
-//! float (never flagged), seeded from parameter types and updated
-//! through `let` bindings and plain assignments. At every binary
-//! `+`/`-`/`*` whose operand environment types either side as
-//! microseconds, a finding fires — naming the saturating method to use
-//! when both operand kinds pin a lossless replacement.
+//! The workspace's timeline is integer microseconds. `SimTime` and
+//! `TimeDelta` have no arithmetic operators, so rustc already rejects a
+//! raw operator on them; this rule covers what types cannot see. Once a
+//! quantity is unwrapped to an integer, only the naming convention
+//! (`elapsed_us`, `budget_us`, …) and the bindings it flows through mark
+//! it as time. Rust fixes a binding's type where it is declared, so one
+//! source-order pass over each function suffices: a binding is a raw
+//! microsecond integer once its parameter type, any `let` or any plain
+//! reassignment makes it one, and it stays one. A float binding (rate
+//! math) is never flagged. At every binary `+`/`-`/`*` with a raw
+//! microsecond operand and no float one, a finding fires, naming the
+//! saturating method to use when the operand kinds pin one.
 
 use std::collections::BTreeMap;
 
 use eua_analyze::DiagCode;
 
-use crate::cfg::Cfg;
-use crate::dataflow;
 use crate::lexer::{Tok, TokKind};
 use crate::parser::FnItem;
 use crate::rules::{span_between, Finding};
 
-/// The per-binding value kind the time-arithmetic lattice tracks.
+/// The per-binding value kind the time-arithmetic pass tracks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Vk {
-    /// A `SimTime` instant.
-    SimTime,
-    /// A `TimeDelta` duration.
-    TimeDelta,
     /// An unwrapped integer carrying microseconds.
     RawMicros,
     /// A float: rate math, never flagged (and it suppresses the
@@ -36,7 +31,8 @@ enum Vk {
     Float,
 }
 
-/// The per-block binding environment. Absent means "unknown".
+/// The binding kinds seen so far in one function. Absent means
+/// "unknown".
 type Env = BTreeMap<String, Vk>;
 
 /// Integral type tokens that make a `_us`-named binding a raw
@@ -107,10 +103,6 @@ fn kind_from_ty(tys: &[String], name: &str) -> Option<Vk> {
     let has = |s: &str| tys.iter().any(|t| t == s);
     if has("f64") || has("f32") {
         Some(Vk::Float)
-    } else if has("SimTime") {
-        Some(Vk::SimTime)
-    } else if has("TimeDelta") {
-        Some(Vk::TimeDelta)
     } else if INTEGRALS.iter().any(|i| has(i)) && is_micros_name(name) {
         Some(Vk::RawMicros)
     } else {
@@ -118,23 +110,39 @@ fn kind_from_ty(tys: &[String], name: &str) -> Option<Vk> {
     }
 }
 
-/// The boundary environment of a function: its typed parameters.
+/// Records that a declaration or reassignment gives `name` the kind
+/// `kind`. A raw microsecond binding stays one; an unknown kind on a
+/// `_us`-named binding is the naming idiom's raw microseconds.
+fn settle(env: &mut Env, name: &str, kind: Option<Vk>) {
+    if env.get(name) == Some(&Vk::RawMicros) {
+        return;
+    }
+    match kind.or_else(|| is_micros_name(name).then_some(Vk::RawMicros)) {
+        Some(k) => {
+            env.insert(name.to_string(), k);
+        }
+        None => {
+            env.remove(name);
+        }
+    }
+}
+
+/// The environment at a function's entry: its parameters.
 fn param_env(f: &FnItem) -> Env {
     let mut env = Env::new();
     for p in &f.params {
-        let Some(name) = &p.name else { continue };
-        if let Some(k) = kind_from_ty(&p.ty, name) {
-            env.insert(name.clone(), k);
+        if let Some(name) = &p.name {
+            settle(&mut env, name, kind_from_ty(&p.ty, name));
         }
     }
     env
 }
 
 /// The kind of an initializer expression spanning code tokens
-/// `range`. Deliberately shallow: constructor and conversion markers
-/// win, then a single-identifier copy propagates its kind; anything
-/// else is unknown (which only costs a finding's fix, never causes a
-/// wrong one).
+/// `range`. Deliberately shallow: a float type or an `as_micros`
+/// conversion wins, then a single-identifier copy propagates its kind;
+/// anything else is unknown (which only costs a finding's fix, never
+/// causes a wrong one).
 fn expr_kind(code: &[&Tok<'_>], range: std::ops::Range<usize>, env: &Env) -> Option<Vk> {
     let idents: Vec<&str> = range
         .filter_map(|j| {
@@ -144,15 +152,6 @@ fn expr_kind(code: &[&Tok<'_>], range: std::ops::Range<usize>, env: &Env) -> Opt
         .collect();
     if idents.iter().any(|s| matches!(*s, "f64" | "f32")) {
         return Some(Vk::Float);
-    }
-    if idents
-        .iter()
-        .any(|s| matches!(*s, "TimeDelta" | "saturating_since"))
-    {
-        return Some(Vk::TimeDelta);
-    }
-    if idents.contains(&"SimTime") {
-        return Some(Vk::SimTime);
     }
     if idents.contains(&"as_micros") {
         return Some(Vk::RawMicros);
@@ -166,8 +165,7 @@ fn expr_kind(code: &[&Tok<'_>], range: std::ops::Range<usize>, env: &Env) -> Opt
 /// Applies the binding effect of the statement starting at code token
 /// `j` (a `let` or a plain reassignment), if any, to `env`. Scans
 /// ahead in the flat stream; a `{` before the `;` means the
-/// initializer spans control flow, and the binding conservatively
-/// degrades to unknown.
+/// initializer spans control flow, and its kind is unknown.
 fn stmt_effect(code: &[&Tok<'_>], j: usize, env: &mut Env) {
     let limit = (j + 96).min(code.len());
     let find_semi = |from: usize| -> Option<usize> {
@@ -212,14 +210,7 @@ fn stmt_effect(code: &[&Tok<'_>], j: usize, env: &mut Env) {
             let semi = find_semi(e + 1)?;
             expr_kind(code, e + 1..semi, env)
         });
-        match annotated.or(inferred) {
-            Some(k) => {
-                env.insert(name, k);
-            }
-            None => {
-                env.remove(&name);
-            }
-        }
+        settle(env, &name, annotated.or(inferred));
     } else if code[j].kind == TokKind::Ident
         && j > 0
         && matches!(
@@ -234,57 +225,8 @@ fn stmt_effect(code: &[&Tok<'_>], j: usize, env: &mut Env) {
             .is_some_and(|t| t.kind == TokKind::Punct && t.text == "=")
     {
         // Plain statement-initial reassignment: `x = expr;`.
-        let name = code[j].text.to_string();
         let kind = find_semi(j + 2).and_then(|semi| expr_kind(code, j + 2..semi, env));
-        match kind {
-            Some(k) => {
-                env.insert(name, k);
-            }
-            None => {
-                env.remove(&name);
-            }
-        }
-    }
-}
-
-/// The forward must-analysis over one function body: `None` is the
-/// unreachable bottom; a map joins by intersection (a binding survives
-/// a merge only when every path agrees on its kind).
-struct ArithScan<'a> {
-    code: &'a [&'a Tok<'a>],
-    boundary: Env,
-}
-
-impl dataflow::Analysis for ArithScan<'_> {
-    type Fact = Option<Env>;
-
-    fn boundary(&self) -> Self::Fact {
-        Some(self.boundary.clone())
-    }
-
-    fn bottom(&self) -> Self::Fact {
-        None
-    }
-
-    fn join(&self, a: &Self::Fact, b: &Self::Fact) -> Self::Fact {
-        match (a, b) {
-            (None, x) | (x, None) => x.clone(),
-            (Some(a), Some(b)) => Some(
-                a.iter()
-                    .filter(|(k, v)| b.get(*k) == Some(v))
-                    .map(|(k, v)| (k.clone(), *v))
-                    .collect(),
-            ),
-        }
-    }
-
-    fn transfer(&self, cfg: &Cfg, block: usize, fact: &Self::Fact) -> Self::Fact {
-        let env0 = fact.as_ref()?;
-        let mut env = env0.clone();
-        for &j in &cfg.blocks[block].tokens {
-            stmt_effect(self.code, j, &mut env);
-        }
-        Some(env)
+        settle(env, code[j].text, kind);
     }
 }
 
@@ -292,11 +234,6 @@ impl dataflow::Analysis for ArithScan<'_> {
 /// lexer emits `->` as two adjacent single-byte puncts).
 fn adjacent(a: &Tok<'_>, b: &Tok<'_>) -> bool {
     a.end_line == b.line && a.end_col == b.col
-}
-
-/// A kind that makes an operand worth flagging.
-fn is_us(k: Option<Vk>) -> bool {
-    matches!(k, Some(Vk::SimTime | Vk::TimeDelta | Vk::RawMicros))
 }
 
 /// Last token of the postfix chain headed by the ident at `i`
@@ -402,23 +339,21 @@ fn check_op(code: &[&Tok<'_>], j: usize, env: &Env, out: &mut Vec<Finding>) {
     if lhs_kind == Some(Vk::Float) || rhs_kind == Some(Vk::Float) {
         return;
     }
-    if !is_us(lhs_kind) && !is_us(rhs_kind) {
+    if lhs_kind != Some(Vk::RawMicros) && rhs_kind != Some(Vk::RawMicros) {
         return;
     }
-    let method = if compound {
-        None
-    } else {
-        match (lhs_kind, t.text, rhs_kind) {
-            (Some(Vk::RawMicros), "+", Some(Vk::RawMicros)) => Some("saturating_add"),
-            (Some(Vk::RawMicros), "-", Some(Vk::RawMicros)) => Some("saturating_sub"),
-            (Some(Vk::RawMicros), "*", Some(Vk::RawMicros)) => Some("saturating_mul"),
-            (Some(Vk::RawMicros), "+", None) if rhs_literal => Some("saturating_add"),
-            (Some(Vk::RawMicros), "-", None) if rhs_literal => Some("saturating_sub"),
-            (Some(Vk::RawMicros), "*", None) if rhs_literal => Some("saturating_mul"),
-            (Some(Vk::SimTime), "-", Some(Vk::SimTime)) => Some("saturating_since"),
-            (Some(Vk::SimTime), "+", Some(Vk::TimeDelta)) => Some("saturating_add"),
-            (Some(Vk::TimeDelta), "-", Some(Vk::TimeDelta)) => Some("saturating_sub"),
-            _ => None,
+    // Raw microseconds on both sides (or a literal on the right) pin
+    // the saturating method of the same operator.
+    let pinned = !compound
+        && lhs_kind == Some(Vk::RawMicros)
+        && (rhs_kind == Some(Vk::RawMicros) || rhs_literal);
+    let remedy = match (pinned, t.text) {
+        (true, "+") => "use `.saturating_add(…)` instead",
+        (true, "-") => "use `.saturating_sub(…)` instead",
+        (true, _) => "use `.saturating_mul(…)` instead",
+        (false, _) => {
+            "use the checked/saturating methods on the unit newtypes \
+             (crates/platform/src/units.rs)"
         }
     };
     let op_txt = if compound {
@@ -428,33 +363,19 @@ fn check_op(code: &[&Tok<'_>], j: usize, env: &Env, out: &mut Vec<Finding>) {
     };
     let lhs_txt = if lhs_ident { prev.text } else { "…" };
     let rhs_txt = rhs_name.map_or(if rhs_literal { "<literal>" } else { "…" }, |n| n.text);
-    let what = match (lhs_kind, rhs_kind) {
-        (Some(Vk::SimTime), _) | (_, Some(Vk::SimTime)) => "SimTime values",
-        (Some(Vk::TimeDelta), _) | (_, Some(Vk::TimeDelta)) => "TimeDelta values",
-        _ => "microsecond integers",
-    };
-    let message = match method {
-        Some(m) => format!(
-            "raw `{op_txt}` on {what}: overflow wraps silently in release; \
-             use `.{m}(…)` instead"
-        ),
-        None => format!(
-            "raw `{op_txt}` on {what}: overflow wraps silently in release; use the \
-             checked/saturating methods on the unit newtypes \
-             (crates/platform/src/units.rs)"
-        ),
-    };
     let start_tok = if lhs_ident { prev } else { t };
     let end_tok = rhs_name.unwrap_or(if compound { code[j + 1] } else { t });
     out.push(Finding {
         code: DiagCode::LintUncheckedTimeArith,
         span: span_between(start_tok, end_tok),
         entity: format!("{lhs_txt} {op_txt} {rhs_txt}"),
-        message,
+        message: format!(
+            "raw `{op_txt}` on microsecond integers: overflow wraps silently in release; {remedy}"
+        ),
     });
 }
 
-/// Runs the time-arithmetic analysis over every non-test function of a
+/// Runs the time-arithmetic pass over every non-test function of a
 /// parsed file and appends its findings.
 pub fn unchecked_time_arith(code: &[&Tok<'_>], fns: &[FnItem], out: &mut Vec<Finding>) {
     // Innermost owner per token, so a nested function's operators are
@@ -468,29 +389,16 @@ pub fn unchecked_time_arith(code: &[&Tok<'_>], fns: &[FnItem], out: &mut Vec<Fin
             }
         }
     }
-    // One scratch environment reused across every block of every
-    // function — `clone_from` keeps the map's storage instead of
-    // allocating a fresh copy per block.
-    let mut env = Env::new();
     for (k, f) in fns.iter().enumerate() {
         if f.in_test_mod || f.body.0 >= f.body.1 || f.body.1 > code.len() {
             continue;
         }
-        let scan = ArithScan {
-            code,
-            boundary: param_env(f),
-        };
-        let cfg = Cfg::build(code, f.body);
-        let facts = dataflow::solve(&cfg, &scan);
-        for (b, fact) in facts.iter().enumerate() {
-            let Some(env0) = fact else { continue }; // unreachable
-            env.clone_from(env0);
-            for &j in &cfg.blocks[b].tokens {
-                if owner.get(j) == Some(&k) {
-                    check_op(code, j, &env, out);
-                }
-                stmt_effect(code, j, &mut env);
+        let mut env = param_env(f);
+        for (j, &own) in owner.iter().enumerate().take(f.body.1).skip(f.body.0) {
+            if own == k {
+                check_op(code, j, &env, out);
             }
+            stmt_effect(code, j, &mut env);
         }
     }
 }
@@ -553,28 +461,19 @@ mod tests {
     }
 
     #[test]
-    fn sim_time_minus_sim_time_suggests_saturating_since() {
-        let hits = arith("fn f(end: SimTime, start: SimTime) { let d = end - start; }");
-        assert_eq!(hits.len(), 1, "{hits:?}");
-        assert!(hits[0].message.contains("`.saturating_since(…)`"));
-    }
-
-    #[test]
     fn float_rate_math_is_clean() {
         assert!(arith("fn f(load_us: f64, n: f64) -> f64 { load_us * n }").is_empty());
         assert!(arith("fn f(t_us: u64, r: f64) -> f64 { r * (t_us as f64) }").is_empty());
         let cast = arith("fn f(a: f64, t_us: u64) -> f64 { a * t_us as f64 }");
         assert!(cast.is_empty(), "{cast:?}");
         // The cast may sit on a postfix chain, not just a bare ident.
-        let chain = arith(
-            "fn f(p: f64, d: TimeDelta) -> f64 { let delta = d; p * delta.as_micros() as f64 }",
-        );
+        let chain = arith("fn f(d_us: u64) -> f64 { rate() * d_us.max(1) as f64 }");
         assert!(chain.is_empty(), "{chain:?}");
     }
 
     #[test]
-    fn let_bindings_flow_kinds_through_the_cfg() {
-        // `span` is not `_us`-named: only the dataflow knows it holds
+    fn let_bindings_carry_their_kind() {
+        // `span` is not `_us`-named: only its declaration says it holds
         // a raw microsecond value.
         let hits =
             arith("fn f(now_us: u64) -> u64 { let span = now_us; if c() { span + 4 } else { 0 } }");
@@ -589,19 +488,17 @@ mod tests {
     }
 
     #[test]
-    fn must_join_keeps_only_agreeing_kinds() {
-        // One branch rebinds to float; after the merge the name is
-        // unknown *and* the fallback is gone only if we kept tracking —
-        // intersection drops it, so the `_ms`-free name stays silent.
-        let src = "fn f(c: bool, t_us: u64) -> u64 {\n\
-                   let mut v = t_us;\n\
-                   if c { v = 0; }\n\
-                   v + 1\n\
-                   }";
-        // `v = 0;` infers nothing (literal initializer) so `v` degrades
-        // to unknown on that path; the join drops it and `v + 1` stays
-        // silent — a missed finding, never a wrong fix.
-        assert!(arith(src).is_empty(), "{:?}", arith(src));
+    fn a_reassignment_never_unmarks_raw_micros() {
+        // `v = 0` keeps `v` a u64 of microseconds, so `v + 1` fires
+        // whichever path reaches it, the early return's included.
+        for src in [
+            "fn f(c: bool, t_us: u64) -> u64 { let mut v = t_us; if c { v = 0; } v + 1 }",
+            "fn f(c: bool, t_us: u64) -> u64 { let mut v = t_us; if c { v = 0; return v; } v + 1 }",
+        ] {
+            let hits = arith(src);
+            assert_eq!(hits.len(), 1, "{src}: {hits:?}");
+            assert_eq!(hits[0].entity, "v + <literal>");
+        }
     }
 
     #[test]

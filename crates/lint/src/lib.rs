@@ -15,9 +15,8 @@
 //! |--------|---------------|
 //! | [`lexer`] | the lightweight Rust lexer (tokens with exact spans) |
 //! | [`parser`] | the item parser (fns, their parameters and bodies) |
-//! | [`cfg`](mod@cfg) / [`dataflow`] | per-function CFGs and the worklist fixpoint |
-//! | [`flow`] | saturating time arithmetic (`lint-unchecked-time-arith`) |
-//! | [`rules`] | the token rules (float sorts, allocation) |
+//! | [`flow`] | raw microsecond arithmetic (`lint-unchecked-time-arith`) |
+//! | [`rules`] | the token rules (float sorts, allocation) and loop depth |
 //! | this | directives, suppression accounting, the file walker |
 //!
 //! Every rule is per file: [`lint_source`] is the whole pipeline, and
@@ -48,8 +47,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod cfg;
-pub mod dataflow;
 pub mod flow;
 pub mod lexer;
 pub mod parser;
@@ -343,22 +340,7 @@ pub fn lint_source(path: &str, text: &str) -> FileLint {
     let fns = parser::parse_file(&code);
     let directives = directives(&toks);
     let (hot_bodies, meta) = prep_file(&code, &directives);
-    // Loop-depth oracle: each function's CFG stamps its body tokens
-    // (functions come in source order, so a nested function overwrites
-    // its parent's depths with its own). `#[cfg(test)]` functions stay
-    // depth 0 — test code is not held to allocation discipline.
-    let mut depths = vec![0u32; code.len()];
-    for f in &fns {
-        if f.in_test_mod || f.body.0 >= f.body.1 || f.body.1 > code.len() {
-            continue;
-        }
-        let g = cfg::Cfg::build(&code, f.body);
-        for (i, depth) in g.depth_by_token(code.len()).into_iter().enumerate() {
-            if i >= f.body.0 && i < f.body.1 {
-                depths[i] = depth;
-            }
-        }
-    }
+    let depths = rules::loop_depths(&code, &fns);
     let mut findings = rules::run_hazards(&code, &hot_bodies, &depths);
     flow::unchecked_time_arith(&code, &fns, &mut findings);
     assemble_file(path, &toks, &directives, findings, meta)

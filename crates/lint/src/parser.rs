@@ -1,6 +1,6 @@
 //! A lightweight item parser over the lexed token stream: functions,
 //! their parameters and body ranges — just enough structure for the
-//! per-function dataflow rules, without rustc or syn, in the same
+//! per-function rules, without rustc or syn, in the same
 //! first-party spirit as the lexer itself.
 //!
 //! The parser is *recognition*, not validation: anything it cannot

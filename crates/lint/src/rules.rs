@@ -8,6 +8,7 @@
 use eua_analyze::{DiagCode, Span};
 
 use crate::lexer::{Tok, TokKind};
+use crate::parser::{match_bracket, FnItem};
 
 /// One raw rule hit, before suppression accounting.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -170,10 +171,191 @@ fn alloc_site(code: &[&Tok<'_>], i: usize) -> Option<(Span, String)> {
     }
 }
 
-/// The loop depth of code token `i` under the per-file depth oracle
-/// (`0` outside any loop, including when no oracle was computed).
+/// The loop depth of code token `i` under [`loop_depths`] (`0` outside
+/// any loop, including when no depths were computed).
 fn depth_at(loop_depth: &[u32], i: usize) -> u32 {
     loop_depth.get(i).copied().unwrap_or(0)
+}
+
+/// Loop depth per code token, from lexical nesting: 0 outside any loop,
+/// 1 in a loop body, 2 in a doubly nested body. A `while`/`loop` header
+/// counts inside its loop (the condition re-runs every iteration), a
+/// `for` header outside (the iterator expression evaluates once). Each
+/// non-test function is walked on its own, so a nested function starts
+/// again at 0, and test code stays at 0. The delimiters of `if`,
+/// `match` and loop bodies (their braces, `else`, `=>` and the commas
+/// between arms) execute nothing and stay 0 too, as does a
+/// `break`/`continue` label; a `return` or `break` value is read flat,
+/// so a loop inside it adds no depth. Closures and plain blocks are
+/// transparent.
+#[must_use]
+pub fn loop_depths(code: &[&Tok<'_>], fns: &[FnItem]) -> Vec<u32> {
+    let mut depths = vec![0u32; code.len()];
+    for f in fns {
+        if f.in_test_mod || f.body.0 >= f.body.1 || f.body.1 > code.len() {
+            continue;
+        }
+        depths[f.body.0..f.body.1].fill(0);
+        let mut walk = DepthWalk {
+            code,
+            depths: &mut depths,
+        };
+        walk.block(f.body.0, f.body.1, 0);
+    }
+    depths
+}
+
+/// One function's [`loop_depths`] walk.
+struct DepthWalk<'a, 'b> {
+    code: &'a [&'a Tok<'b>],
+    depths: &'a mut [u32],
+}
+
+impl DepthWalk<'_, '_> {
+    /// First token in `[from, limit)` at bracket depth 0 for which `hit`
+    /// holds.
+    fn top_level(&self, from: usize, limit: usize, hit: impl Fn(usize) -> bool) -> Option<usize> {
+        let mut nest = 0usize;
+        for k in from..limit {
+            if nest == 0 && hit(k) {
+                return Some(k);
+            }
+            match self.code[k].kind {
+                TokKind::Open => nest += 1,
+                TokKind::Close => nest = nest.saturating_sub(1),
+                _ => {}
+            }
+        }
+        None
+    }
+
+    /// The body `{` of the construct whose keyword is at `i`.
+    fn body_open(&self, i: usize, limit: usize) -> Option<usize> {
+        self.top_level(i + 1, limit, |k| self.code[k].text == "{")
+    }
+
+    /// Stamps the header of the construct at `i` (keyword through the
+    /// body's `{`, exclusive) at `depth` and returns the body's bracket
+    /// pair; with no body, stamps the keyword alone.
+    fn header(&mut self, i: usize, limit: usize, depth: u32) -> Option<(usize, usize)> {
+        let Some(open) = self.body_open(i, limit) else {
+            self.depths[i] = depth;
+            return None;
+        };
+        self.depths[i..open].fill(depth);
+        Some((open, match_bracket(self.code, open).min(limit)))
+    }
+
+    /// Stamps `[i, limit)` at loop depth `depth`, descending into
+    /// conditionals, matches and loops.
+    fn block(&mut self, mut i: usize, limit: usize, depth: u32) {
+        while i < limit {
+            let t = self.code[i];
+            if t.kind != TokKind::Ident {
+                self.depths[i] = depth;
+                i += 1;
+                continue;
+            }
+            i = match t.text {
+                "if" => self.conditional(i, limit, depth),
+                "match" => self.arms(i, limit, depth),
+                "loop" | "while" | "for" => self.repeat(i, limit, depth),
+                "break" | "continue" | "return" => self.exit(i, limit, depth),
+                _ => {
+                    self.depths[i] = depth;
+                    i + 1
+                }
+            };
+        }
+    }
+
+    /// `if cond { … } [else if …] [else { … }]`; returns the index past
+    /// the construct.
+    fn conditional(&mut self, i: usize, limit: usize, depth: u32) -> usize {
+        let Some((open, close)) = self.header(i, limit, depth) else {
+            return i + 1;
+        };
+        self.block(open + 1, close, depth);
+        let i = close + 1;
+        if i >= limit || !self.code[i].is_ident("else") {
+            return i;
+        }
+        if i + 1 < limit && self.code[i + 1].is_ident("if") {
+            return self.conditional(i + 1, limit, depth);
+        }
+        let Some(open) = self.body_open(i, limit) else {
+            return i + 1;
+        };
+        let close = match_bracket(self.code, open).min(limit);
+        self.block(open + 1, close, depth);
+        close + 1
+    }
+
+    /// `match scrutinee { pat [if guard] => body, … }`; returns the index
+    /// past the construct. Patterns and guards are read flat.
+    fn arms(&mut self, i: usize, limit: usize, depth: u32) -> usize {
+        let Some((open, close)) = self.header(i, limit, depth) else {
+            return i + 1;
+        };
+        let mut j = open + 1;
+        while j < close {
+            let arrow = self.top_level(j, close, |k| {
+                self.code[k].text == "=" && self.code.get(k + 1).is_some_and(|n| n.text == ">")
+            });
+            let arrow = arrow.unwrap_or(close);
+            self.depths[j..arrow].fill(depth);
+            j = (arrow + 2).min(close);
+            if j < close && self.code[j].text == "{" {
+                let bclose = match_bracket(self.code, j).min(close);
+                self.block(j + 1, bclose, depth);
+                j = bclose + 1;
+                if j < close && self.code[j].text == "," {
+                    j += 1;
+                }
+            } else {
+                let comma = self.top_level(j, close, |k| self.code[k].text == ",");
+                let comma = comma.unwrap_or(close);
+                self.block(j, comma, depth);
+                j = (comma + 1).min(close);
+            }
+        }
+        close + 1
+    }
+
+    /// `loop`/`while`/`for … { body }`; returns the index past the
+    /// construct.
+    fn repeat(&mut self, i: usize, limit: usize, depth: u32) -> usize {
+        let head = if self.code[i].text == "for" {
+            depth
+        } else {
+            depth + 1
+        };
+        let Some((open, close)) = self.header(i, limit, head) else {
+            return i + 1;
+        };
+        self.block(open + 1, close, depth + 1);
+        close + 1
+    }
+
+    /// `return`, or `break`/`continue` with an optional label, and its
+    /// value read flat through the `;`. A `break` value also ends at a
+    /// `,`, and either ends at an unmatched closing bracket. Returns the
+    /// index past it.
+    fn exit(&mut self, i: usize, limit: usize, depth: u32) -> usize {
+        let is_return = self.code[i].text == "return";
+        self.depths[i] = depth;
+        let mut start = i + 1;
+        if !is_return && start < limit && self.code[start].kind == TokKind::Label {
+            start += 1;
+        }
+        let end = self.top_level(start, limit, |k| {
+            let t = self.code[k];
+            t.kind == TokKind::Close || t.text == ";" || (!is_return && t.text == ",")
+        });
+        let end = end.map_or(limit, |e| e + usize::from(self.code[e].text == ";"));
+        self.depths[start..end].fill(depth);
+        end
+    }
 }
 
 /// Idents that hand a value to an accumulator living beyond the loop

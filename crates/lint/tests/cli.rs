@@ -106,9 +106,10 @@ fn json_format_renders_reports() {
     assert!(text.contains("\"lint-float-sort-partial-cmp\""), "{text}");
 }
 
-/// The two dataflow-rule fixtures, scanned as one workspace and
-/// byte-pinned through the SARIF self-check (`--check` re-parses the
-/// output and asserts `render(parse(x)) == x` before printing). This
+/// The loop-allocation and time-arithmetic fixtures, scanned as one
+/// workspace and byte-pinned through the SARIF self-check (`--check`
+/// re-parses the output and asserts `render(parse(x)) == x` before
+/// printing). This
 /// pins the loop-depth message and the saturating-method hint as they
 /// appear on the wire.
 #[test]

@@ -62,7 +62,7 @@ fn each_code_has_a_fixture_tripping_exactly_itself() {
 
 /// No stray files: the corpus is exactly one fixture per code, so a
 /// renamed code cannot leave an orphan behind. Subdirectories (the
-/// lexer and CFG corpora, the clippy ban package) are exempt — the
+/// lexer and loop-depth corpora, the clippy ban package) are exempt — the
 /// contract governs rule fixtures, which are all top-level files.
 #[test]
 fn fixture_corpus_is_exactly_one_file_per_code() {
@@ -137,27 +137,29 @@ fn lexer_edge_fixtures_produce_no_spurious_tokens() {
     }
 }
 
-/// The CFG edge-case corpus: each fixture's graph shape is pinned —
-/// block, edge, and back-edge counts plus the maximum loop depth — so
-/// a builder change that silently reshapes graphs fails here, next to
-/// the source that exhibits the shape.
+/// The loop-depth corpus: each fixture's maximum loop depth under
+/// [`loop_depths`](eua_lint::rules::loop_depths) is pinned, and so is
+/// the depth of each loop keyword (a `for` header sits outside its
+/// loop, a `while` or `loop` header inside), next to the source that
+/// exhibits the shape (early returns, a labeled break, match guards,
+/// `for` over `while` over `loop`, and `?`).
 #[test]
-fn cfg_corpus_graph_shapes_are_pinned() {
-    use eua_lint::cfg::Cfg;
+fn depth_corpus_loop_depths_are_pinned() {
     use eua_lint::lexer::{lex, Tok, TokKind};
     use eua_lint::parser::parse_file;
+    use eua_lint::rules::loop_depths;
 
-    // (file, blocks, edges, back edges, max loop depth)
-    let pins: [(&str, usize, usize, usize, u32); 5] = [
-        ("early_returns.rs", 6, 7, 0, 0),
-        ("labeled_break.rs", 10, 12, 2, 2),
-        ("match_guards.rs", 6, 7, 0, 0),
-        ("nested_loops.rs", 11, 12, 2, 3),
-        ("question_mark.rs", 2, 1, 0, 0),
+    // (file, max loop depth, depth of each loop keyword in order)
+    let pins: [(&str, u32, &[u32]); 5] = [
+        ("early_returns.rs", 0, &[]),
+        ("labeled_break.rs", 2, &[0, 1]),
+        ("match_guards.rs", 0, &[]),
+        ("nested_loops.rs", 3, &[0, 2, 3]),
+        ("question_mark.rs", 0, &[]),
     ];
-    let dir = fixture_path("cfg");
+    let dir = fixture_path("depth");
     let mut on_disk: Vec<String> = std::fs::read_dir(&dir)
-        .expect("cfg fixtures dir")
+        .expect("depth fixtures dir")
         .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
         .collect();
     on_disk.sort();
@@ -173,19 +175,14 @@ fn cfg_corpus_graph_shapes_are_pinned() {
             .collect();
         let fns = parse_file(&code);
         assert_eq!(fns.len(), 1, "{name} holds exactly one fn");
-        let cfg = Cfg::build(&code, fns[0].body);
-        let depth = cfg.blocks.iter().map(|b| b.depth).max().unwrap_or(0);
-        assert!(
-            cfg.back_edges.iter().all(|e| cfg.edges.contains(e)),
-            "{name}: back edges must be a subset of edges"
-        );
-        actual.push((
-            name,
-            cfg.blocks.len(),
-            cfg.edges.len(),
-            cfg.back_edges.len(),
-            depth,
-        ));
+        let depths = loop_depths(&code, &fns);
+        let keywords: Vec<u32> = (0..code.len())
+            .filter(|&i| ["for", "while", "loop"].iter().any(|k| code[i].is_ident(k)))
+            .map(|i| depths[i])
+            .collect();
+        let max = depths.into_iter().max().unwrap_or(0);
+        actual.push((name, max, keywords));
     }
-    assert_eq!(actual, pins, "graph shapes drifted");
+    let pins: Vec<(&str, u32, Vec<u32>)> = pins.iter().map(|p| (p.0, p.1, p.2.to_vec())).collect();
+    assert_eq!(actual, pins, "loop depths drifted");
 }

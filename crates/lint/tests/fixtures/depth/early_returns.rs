@@ -1,5 +1,5 @@
-//! CFG corpus: early returns edge straight to the exit block and leave
-//! the straight-line tail as the only fallthrough path.
+//! Loop-depth corpus: early returns and no loop, so every token is at
+//! depth 0.
 
 pub fn clamp(n: u64, lo: u64, hi: u64) -> u64 {
     if n < lo {

@@ -1,5 +1,6 @@
-//! CFG corpus: a labeled break out of the inner loop jumps straight to
-//! the outer loop's after-block, not the inner one's.
+//! Loop-depth corpus: a labeled break out of the inner of two `for`
+//! loops; the inner body is at depth 2, and the tail after both loops
+//! is back at 0.
 
 pub fn probe(grid: &[Vec<u64>], want: u64) -> bool {
     let mut hit = false;

@@ -1,5 +1,5 @@
-//! CFG corpus: `?` adds an exit edge without terminating its block, so
-//! both propagation points share blocks with their statements.
+//! Loop-depth corpus: `?` propagation opens no loop, so every token is
+//! at depth 0.
 
 pub fn head_sum(xs: &[u64]) -> Option<u64> {
     let head = xs.first()?;

@@ -5,6 +5,13 @@
 //! [`crate::frequency::Frequency`]) are integer cycles-per-microsecond, which
 //! keeps every `time = cycles / frequency` conversion exact and the whole
 //! simulation deterministic.
+//!
+//! [`SimTime`] and [`TimeDelta`] have no arithmetic operators: every sum,
+//! difference and scaling goes through a named method that saturates
+//! (`saturating_add`, `saturating_since`, `saturating_sub`,
+//! `saturating_mul`) or reports overflow (`checked_add`, `checked_mul`),
+//! so the compiler rejects a raw `+`, `-` or `*` on time. A raw operator
+//! would panic in debug builds and wrap in release.
 
 use std::fmt;
 use std::iter::Sum;
@@ -13,18 +20,31 @@ use std::ops::{Add, AddAssign, Mul, Sub, SubAssign};
 /// An absolute instant on the simulation clock, in microseconds since the
 /// start of the simulation.
 ///
-/// `SimTime` is totally ordered and supports the obvious affine arithmetic
-/// with [`TimeDelta`]: `SimTime + TimeDelta = SimTime` and
-/// `SimTime - SimTime = TimeDelta`.
+/// `SimTime` is totally ordered. It moves by a [`TimeDelta`] with
+/// [`SimTime::saturating_add`] (or [`SimTime::checked_add`]), and two
+/// instants differ by [`SimTime::saturating_since`].
 ///
 /// # Example
 ///
 /// ```
 /// use eua_platform::{SimTime, TimeDelta};
 ///
-/// let t = SimTime::ZERO + TimeDelta::from_millis(3);
+/// let t = SimTime::ZERO.saturating_add(TimeDelta::from_millis(3));
 /// assert_eq!(t.as_micros(), 3_000);
-/// assert_eq!(t - SimTime::ZERO, TimeDelta::from_millis(3));
+/// assert_eq!(t.saturating_since(SimTime::ZERO), TimeDelta::from_millis(3));
+/// assert_eq!(SimTime::ZERO.saturating_since(t), TimeDelta::ZERO);
+/// ```
+///
+/// The operators do not exist, so neither of these compiles:
+///
+/// ```compile_fail
+/// use eua_platform::SimTime;
+/// let _ = SimTime::from_micros(5) - SimTime::ZERO;
+/// ```
+///
+/// ```compile_fail
+/// use eua_platform::{SimTime, TimeDelta};
+/// let _ = SimTime::ZERO + TimeDelta::from_micros(5);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
@@ -97,42 +117,33 @@ impl fmt::Display for SimTime {
     }
 }
 
-impl Add<TimeDelta> for SimTime {
-    type Output = SimTime;
-    fn add(self, rhs: TimeDelta) -> SimTime {
-        SimTime(self.0 + rhs.0)
-    }
-}
-
-impl AddAssign<TimeDelta> for SimTime {
-    fn add_assign(&mut self, rhs: TimeDelta) {
-        self.0 += rhs.0;
-    }
-}
-
-impl Sub<TimeDelta> for SimTime {
-    type Output = SimTime;
-    fn sub(self, rhs: TimeDelta) -> SimTime {
-        SimTime(self.0 - rhs.0)
-    }
-}
-
-impl Sub for SimTime {
-    type Output = TimeDelta;
-    fn sub(self, rhs: SimTime) -> TimeDelta {
-        TimeDelta(self.0 - rhs.0)
-    }
-}
-
 /// A span of simulation time, in microseconds.
+///
+/// Spans add, subtract and scale through the saturating methods
+/// ([`TimeDelta::saturating_add`], [`TimeDelta::saturating_sub`],
+/// [`TimeDelta::saturating_mul`]) or [`TimeDelta::checked_mul`]; a sum
+/// over an iterator saturates too.
 ///
 /// # Example
 ///
 /// ```
 /// use eua_platform::TimeDelta;
 ///
-/// let d = TimeDelta::from_millis(2) + TimeDelta::from_micros(500);
+/// let d = TimeDelta::from_millis(2).saturating_add(TimeDelta::from_micros(500));
 /// assert_eq!(d.as_micros(), 2_500);
+/// assert_eq!(TimeDelta::MAX.saturating_mul(2), TimeDelta::MAX);
+/// ```
+///
+/// The operators do not exist, so neither of these compiles:
+///
+/// ```compile_fail
+/// use eua_platform::TimeDelta;
+/// let _ = TimeDelta::from_micros(5) - TimeDelta::from_micros(3);
+/// ```
+///
+/// ```compile_fail
+/// use eua_platform::TimeDelta;
+/// let _ = TimeDelta::from_micros(5) * 2;
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct TimeDelta(u64);
@@ -227,42 +238,9 @@ impl fmt::Display for TimeDelta {
     }
 }
 
-impl Add for TimeDelta {
-    type Output = TimeDelta;
-    fn add(self, rhs: TimeDelta) -> TimeDelta {
-        TimeDelta(self.0 + rhs.0)
-    }
-}
-
-impl AddAssign for TimeDelta {
-    fn add_assign(&mut self, rhs: TimeDelta) {
-        self.0 += rhs.0;
-    }
-}
-
-impl Sub for TimeDelta {
-    type Output = TimeDelta;
-    fn sub(self, rhs: TimeDelta) -> TimeDelta {
-        TimeDelta(self.0 - rhs.0)
-    }
-}
-
-impl SubAssign for TimeDelta {
-    fn sub_assign(&mut self, rhs: TimeDelta) {
-        self.0 -= rhs.0;
-    }
-}
-
-impl Mul<u64> for TimeDelta {
-    type Output = TimeDelta;
-    fn mul(self, rhs: u64) -> TimeDelta {
-        TimeDelta(self.0 * rhs)
-    }
-}
-
 impl Sum for TimeDelta {
     fn sum<I: Iterator<Item = TimeDelta>>(iter: I) -> TimeDelta {
-        iter.fold(TimeDelta::ZERO, Add::add)
+        iter.fold(TimeDelta::ZERO, TimeDelta::saturating_add)
     }
 }
 
@@ -387,9 +365,8 @@ mod tests {
     fn sim_time_affine_arithmetic() {
         let a = SimTime::from_micros(100);
         let d = TimeDelta::from_micros(40);
-        assert_eq!(a + d, SimTime::from_micros(140));
-        assert_eq!((a + d) - a, d);
-        assert_eq!((a + d) - d, a);
+        assert_eq!(a.saturating_add(d), SimTime::from_micros(140));
+        assert_eq!(a.saturating_add(d).saturating_since(a), d);
     }
 
     #[test]
@@ -442,7 +419,10 @@ mod tests {
             .map(|&m| TimeDelta::from_micros(m))
             .sum();
         assert_eq!(total, TimeDelta::from_micros(6));
-        assert_eq!(TimeDelta::from_micros(6) * 2, TimeDelta::from_micros(12));
+        let saturated: TimeDelta = [TimeDelta::MAX, TimeDelta::from_micros(1)]
+            .into_iter()
+            .sum();
+        assert_eq!(saturated, TimeDelta::MAX);
     }
 
     #[test]

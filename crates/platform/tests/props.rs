@@ -19,7 +19,7 @@ proptest! {
         prop_assert!(f.cycles_in(t).get() >= cycles);
         // ...and one microsecond less would not (tightness).
         if !t.is_zero() {
-            let shorter = t - TimeDelta::from_micros(1);
+            let shorter = t.saturating_sub(TimeDelta::from_micros(1));
             prop_assert!(f.cycles_in(shorter).get() < cycles);
         }
     }

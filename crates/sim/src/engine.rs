@@ -345,7 +345,7 @@ pub(crate) fn prepare_run<P: SchedulerPolicy + ?Sized>(
         return Err(SimError::ZeroHorizon);
     }
     plan.validate()?;
-    let horizon_end = SimTime::ZERO + config.horizon;
+    let horizon_end = SimTime::ZERO.saturating_add(config.horizon);
 
     // Fault randomness lives in its own seed-derived stream so an
     // active plan never re-deals the legal workload (and an inactive
@@ -656,29 +656,28 @@ impl<'a> EngineState<'a> {
             }
             let mut pause = TimeDelta::ZERO;
             if switching_job {
-                pause += self.config.context_switch;
+                pause = pause.saturating_add(self.config.context_switch);
             }
             if switching_freq {
-                pause += self.config.frequency_switch;
+                pause = pause.saturating_add(self.config.frequency_switch);
                 let latency = self.plan.dvs.switch_latency_cycles;
                 if latency > 0 {
                     // PLL relock modelled in cycles: billed as wall time
                     // at the target frequency.
-                    pause += freq.execution_time(Cycles::new(latency));
+                    pause = pause.saturating_add(freq.execution_time(Cycles::new(latency)));
                     self.stats.latency_switches += 1;
                 }
             }
             if !pause.is_zero() {
                 let target = self.now.saturating_add(pause);
                 let stop = self.next_passive_event().min(target).max(self.now);
-                let delta = stop - self.now;
+                let delta = stop.saturating_since(self.now);
                 if !delta.is_zero() {
                     let cycles = freq.cycles_in(delta);
                     let charge = self.platform.energy().energy_for(cycles, freq);
                     self.invariants.energy_charge(charge);
                     self.metrics.energy += charge;
-                    self.metrics.busy_time += delta;
-                    self.metrics.add_residency(freq.as_mhz(), delta);
+                    self.metrics.add_busy(freq.as_mhz(), delta);
                     self.record_charge(ChargeKind::Switch, freq.as_mhz(), cycles, delta, charge);
                 }
                 self.invariants.clock_advance(self.now, stop);
@@ -705,7 +704,7 @@ impl<'a> EngineState<'a> {
                 .saturating_add(freq.execution_time(actual_remaining));
             self.invariants.executing(run_id);
             let next = self.next_passive_event().min(completion_at).max(self.now);
-            let delta = next - self.now;
+            let delta = next.saturating_since(self.now);
             let cycles = freq.cycles_in(delta).min(actual_remaining);
             // The dispatched job is the only live job whose view fields
             // can change between events.
@@ -718,8 +717,7 @@ impl<'a> EngineState<'a> {
             let charge = self.platform.energy().energy_for(cycles, freq);
             self.invariants.energy_charge(charge);
             self.metrics.energy += charge;
-            self.metrics.busy_time += delta;
-            self.metrics.add_residency(freq.as_mhz(), delta);
+            self.metrics.add_busy(freq.as_mhz(), delta);
             self.record_charge(ChargeKind::Execute, freq.as_mhz(), cycles, delta, charge);
             self.invariants.clock_advance(self.now, next);
             self.now = next;
@@ -1002,8 +1000,7 @@ impl<'a> EngineState<'a> {
                 .energy_for(freq.cycles_in(cost), freq);
             self.invariants.energy_charge(charge);
             self.metrics.energy += charge;
-            self.metrics.busy_time += cost;
-            self.metrics.add_residency(freq.as_mhz(), cost);
+            self.metrics.add_busy(freq.as_mhz(), cost);
             self.record_charge(
                 ChargeKind::AbortCost,
                 freq.as_mhz(),
@@ -1023,7 +1020,7 @@ impl<'a> EngineState<'a> {
         self.invariants
             .completion(job.id, self.now, job.termination, job.executed, actual);
         let task = self.tasks.task(job.task);
-        let sojourn = self.now - job.arrival;
+        let sojourn = self.now.saturating_since(job.arrival);
         let utility = task.tuf().utility(sojourn);
         let tm = &mut self.metrics.per_task[job.task.index()];
         tm.completed += 1;
@@ -1619,7 +1616,7 @@ mod tests {
             1,
         )
         .unwrap();
-        let idle_us = (ms(100) - a.metrics.busy_time).as_micros() as f64;
+        let idle_us = ms(100).saturating_sub(a.metrics.busy_time).as_micros() as f64;
         assert!(
             (b.metrics.energy - a.metrics.energy - 2.0 * idle_us).abs() < 1e-6,
             "idle energy mismatch: {} vs {}",

@@ -111,7 +111,10 @@ impl Metrics {
         }
     }
 
-    pub(crate) fn add_residency(&mut self, mhz: u64, delta: TimeDelta) {
+    /// Books `delta` of execution at `mhz`: busy time and that
+    /// frequency's residency.
+    pub(crate) fn add_busy(&mut self, mhz: u64, delta: TimeDelta) {
+        self.busy_time = self.busy_time.saturating_add(delta);
         match self.freq_residency.binary_search_by_key(&mhz, |r| r.mhz) {
             Ok(i) => {
                 let r = &mut self.freq_residency[i];

@@ -278,29 +278,28 @@ impl ReferenceState<'_> {
             }
             let mut pause = TimeDelta::ZERO;
             if switching_job {
-                pause += self.config.context_switch_overhead();
+                pause = pause.saturating_add(self.config.context_switch_overhead());
             }
             if switching_freq {
-                pause += self.config.frequency_switch_overhead();
+                pause = pause.saturating_add(self.config.frequency_switch_overhead());
                 let latency = self.plan.dvs.switch_latency_cycles;
                 if latency > 0 {
                     // PLL relock modelled in cycles: billed as wall time
                     // at the target frequency.
-                    pause += freq.execution_time(Cycles::new(latency));
+                    pause = pause.saturating_add(freq.execution_time(Cycles::new(latency)));
                     self.stats.latency_switches += 1;
                 }
             }
             if !pause.is_zero() {
                 let target = self.now.saturating_add(pause);
                 let stop = self.next_passive_event().min(target).max(self.now);
-                let delta = stop - self.now;
+                let delta = stop.saturating_since(self.now);
                 if !delta.is_zero() {
                     let cycles = freq.cycles_in(delta);
                     let charge = self.platform.energy().energy_for(cycles, freq);
                     self.invariants.energy_charge(charge);
                     self.metrics.energy += charge;
-                    self.metrics.busy_time += delta;
-                    self.metrics.add_residency(freq.as_mhz(), delta);
+                    self.metrics.add_busy(freq.as_mhz(), delta);
                     self.record_charge(ChargeKind::Switch, freq.as_mhz(), cycles, delta, charge);
                 }
                 self.invariants.clock_advance(self.now, stop);
@@ -326,15 +325,14 @@ impl ReferenceState<'_> {
             };
             self.invariants.executing(run_id);
             let next = self.next_passive_event().min(completion_at).max(self.now);
-            let delta = next - self.now;
+            let delta = next.saturating_since(self.now);
             let job = &mut self.live[job_idx];
             let cycles = freq.cycles_in(delta).min(job.actual_remaining());
             job.executed += cycles;
             let charge = self.platform.energy().energy_for(cycles, freq);
             self.invariants.energy_charge(charge);
             self.metrics.energy += charge;
-            self.metrics.busy_time += delta;
-            self.metrics.add_residency(freq.as_mhz(), delta);
+            self.metrics.add_busy(freq.as_mhz(), delta);
             let completed = job.actual_remaining().is_zero();
             let job_id = job.id;
             self.record_charge(ChargeKind::Execute, freq.as_mhz(), cycles, delta, charge);
@@ -535,8 +533,7 @@ impl ReferenceState<'_> {
                 .energy_for(freq.cycles_in(cost), freq);
             self.invariants.energy_charge(charge);
             self.metrics.energy += charge;
-            self.metrics.busy_time += cost;
-            self.metrics.add_residency(freq.as_mhz(), cost);
+            self.metrics.add_busy(freq.as_mhz(), cost);
             self.record_charge(
                 ChargeKind::AbortCost,
                 freq.as_mhz(),
@@ -555,7 +552,7 @@ impl ReferenceState<'_> {
         self.invariants
             .completion(job.id, self.now, job.termination, job.executed, job.actual);
         let task = self.tasks.task(job.task);
-        let sojourn = self.now - job.arrival;
+        let sojourn = self.now.saturating_since(job.arrival);
         let utility = task.tuf().utility(sojourn);
         let tm = &mut self.metrics.per_task[job.task.index()];
         tm.completed += 1;

@@ -197,7 +197,7 @@ impl PiecewiseTuf {
                 return bu;
             }
             if bt > t {
-                let span = (bt - prev.0).as_micros() as f64;
+                let span = bt.saturating_sub(prev.0).as_micros() as f64;
                 let frac = t.saturating_sub(prev.0).as_micros() as f64 / span;
                 return prev.1 + (bu - prev.1) * frac;
             }
@@ -423,7 +423,7 @@ impl Tuf {
         // microsecond actually meeting the target.
         let mut d = exact;
         while !d.is_zero() && self.utility(d) + 1e-9 < target {
-            d -= TimeDelta::from_micros(1);
+            d = d.saturating_sub(TimeDelta::from_micros(1));
         }
         Some(d)
     }
@@ -445,8 +445,8 @@ fn piecewise_critical(p: &PiecewiseTuf, target: f64) -> TimeDelta {
                 return t1;
             }
             let frac = (u0 - target) / (u0 - u1);
-            let span = (t1 - t0).as_micros() as f64;
-            return t0 + TimeDelta::from_micros((frac * span).floor() as u64);
+            let span = t1.saturating_sub(t0).as_micros() as f64;
+            return t0.saturating_add(TimeDelta::from_micros((frac * span).floor() as u64));
         }
     }
     TimeDelta::ZERO
@@ -502,7 +502,10 @@ mod tests {
         let t = Tuf::step(7.0, ms(10)).unwrap();
         assert_eq!(t.utility(TimeDelta::ZERO), 7.0);
         assert_eq!(t.utility(ms(10)), 7.0);
-        assert_eq!(t.utility(ms(10) + TimeDelta::from_micros(1)), 0.0);
+        assert_eq!(
+            t.utility(ms(10).saturating_add(TimeDelta::from_micros(1))),
+            0.0
+        );
         assert_eq!(t.max_utility(), 7.0);
         assert_eq!(t.termination(), ms(10));
         assert!(t.is_step());
@@ -564,7 +567,7 @@ mod tests {
             // And one microsecond later no longer meets the bound (except at
             // the ν=0 boundary where the TUF simply ends).
             if nu > 0.0 && d < t.termination() {
-                let after = d + TimeDelta::from_micros(1);
+                let after = d.saturating_add(TimeDelta::from_micros(1));
                 assert!(t.utility(after) < nu * 100.0 + 1e-6);
             }
         }

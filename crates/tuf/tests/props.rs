@@ -53,7 +53,7 @@ proptest! {
 
     #[test]
     fn utility_past_termination_is_zero(tuf in arb_tuf(), extra in 1u64..1_000_000) {
-        let t = tuf.termination() + TimeDelta::from_micros(extra);
+        let t = tuf.termination().saturating_add(TimeDelta::from_micros(extra));
         prop_assert_eq!(tuf.utility(t), 0.0);
     }
 
@@ -73,7 +73,7 @@ proptest! {
         let d = tuf.critical_time(nu).expect("valid nu");
         // One microsecond later must violate the bound (or run off the end).
         if d < tuf.termination() {
-            let after = d + TimeDelta::from_micros(1);
+            let after = d.saturating_add(TimeDelta::from_micros(1));
             prop_assert!(
                 tuf.utility(after) < nu * tuf.max_utility() + 1e-6,
                 "critical time {d} is not maximal for nu={nu}"

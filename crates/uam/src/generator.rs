@@ -227,7 +227,7 @@ impl ArrivalPattern {
                     } else {
                         TimeDelta::from_micros(rng.gen_range(0..=max_extra.as_micros()))
                     };
-                    t = t.saturating_add(spec.window() + extra);
+                    t = t.saturating_add(spec.window().saturating_add(extra));
                     if t == SimTime::MAX {
                         break;
                     }
@@ -375,9 +375,19 @@ mod tests {
         let trace = p.generate(ms(500), &mut rng());
         assert!(trace.len() > 10);
         for w in trace.as_slice().windows(2) {
-            assert!(w[1] - w[0] >= ms(5));
-            assert!(w[1] - w[0] <= ms(8));
+            assert!(w[1].saturating_since(w[0]) >= ms(5));
+            assert!(w[1].saturating_since(w[0]) <= ms(8));
         }
+    }
+
+    #[test]
+    fn sporadic_gap_past_u64_saturates_to_one_arrival() {
+        // With a u64::MAX µs window, the gap `window + extra` overflows
+        // for any extra > 0: it must saturate to "never again", not wrap
+        // into a short gap.
+        let p = ArrivalPattern::sporadic(TimeDelta::MAX, ms(1)).unwrap();
+        let trace = p.generate(ms(1_000), &mut rng());
+        assert_eq!(trace.len(), 1);
     }
 
     #[test]
@@ -401,7 +411,7 @@ mod tests {
             let start = SimTime::from_millis(w * 10);
             let in_window = trace
                 .iter()
-                .filter(|&t| t >= start && t < start + ms(10))
+                .filter(|&t| t >= start && t < start.saturating_add(ms(10)))
                 .count();
             assert!((1..=5).contains(&in_window), "window {w}: {in_window}");
         }

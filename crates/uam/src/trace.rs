@@ -120,7 +120,7 @@ impl ArrivalTrace {
         let a = spec.max_arrivals() as usize;
         let p = spec.window();
         for i in 0..self.times.len().saturating_sub(a) {
-            let span = self.times[i + a] - self.times[i];
+            let span = self.times[i + a].saturating_since(self.times[i]);
             if span < p {
                 // Count everything inside [times[i], times[i] + P).
                 let end = self.times[i].saturating_add(p);
