@@ -33,7 +33,8 @@ step "eua-lint workspace scan (all codes)"
 # walker skips vendor/, target/, and fixture corpora on its own. The
 # same gate also runs as a test (crates/lint/tests/dogfood.rs) under
 # `cargo test` below. The SARIF pass proves the renderer byte-round-trips
-# even when the scan is clean.
+# even when the scan is clean: every SARIF document the checkers write
+# must first pass their shared validator (exit 2 otherwise).
 #
 # The scan is timed here in bash (date +%s%N): clippy.toml bans the
 # wall clock in first-party code, so the lint binary cannot time itself.
@@ -43,7 +44,7 @@ lint_start_ns="$(date +%s%N)"
 lint_summary="$(./target/debug/eua-lint check)"
 lint_end_ns="$(date +%s%N)"
 echo "${lint_summary}"
-./target/debug/eua-lint check --format sarif --check >/dev/null
+./target/debug/eua-lint check --format sarif >/dev/null
 lint_wall_ms="$(( (lint_end_ns - lint_start_ns) / 1000000 ))"
 lint_files="$(awk '{print $2}' <<<"${lint_summary}")"
 cat > target/BENCH_lint.json <<EOF
@@ -89,37 +90,6 @@ cargo test --workspace -q
 step "certificate audit fixtures"
 # The committed golden certificates must audit clean through the CLI.
 cargo run -q -p eua-audit -- check crates/audit/tests/fixtures/*.json >/dev/null
-
-step "diagnostic-code registry lint"
-# Every diagnostic code any binary can emit must be registered in the
-# shared eua-analyze registry — exactly once — so `codes` listings and
-# SARIF rule metadata stay a single source of truth across all three
-# binaries (renderer coverage for every code is pinned by unit tests in
-# crates/analyze/src/diagnostic.rs).
-analyze_codes="$(cargo run -q -p eua-analyze -- codes)"
-dupes="$(awk '{print $1}' <<<"${analyze_codes}" | sort | uniq -d)"
-if [[ -n "${dupes}" ]]; then
-  echo "error: duplicate codes in the eua-analyze registry: ${dupes}" >&2
-  exit 1
-fi
-for tool in eua-audit eua-lint; do
-  cargo run -q -p "${tool}" -- codes | while read -r code _; do
-    if ! grep -q "^${code} " <<<"${analyze_codes}"; then
-      echo "error: ${code} is emitted by ${tool} but absent from the" \
-        "eua-analyze code registry" >&2
-      exit 1
-    fi
-  done
-done
-# And no gaps in the other direction: every registered lint-* code must
-# be one eua-lint actually lists (a renamed rule cannot strand its code).
-lint_codes="$(cargo run -q -p eua-lint -- codes)"
-grep '^lint-' <<<"${analyze_codes}" | while read -r code _; do
-  if ! grep -q "^${code} " <<<"${lint_codes}"; then
-    echo "error: ${code} is registered but not listed by eua-lint codes" >&2
-    exit 1
-  fi
-done
 
 step "miri smoke (worker pool)"
 # Opt-in: EUA_MIRI=1 runs the eua-sim pool tests under miri for UB
@@ -209,10 +179,10 @@ if cargo run -q -p eua-analyze -- check crates/analyze/scenarios/invalid.scn \
   exit 1
 fi
 
-step "analyzer SARIF round-trip (--format sarif --check)"
-# --check fails (exit 2) unless the SARIF output byte-round-trips through
-# the first-party JSON tree and validates against the pinned 2.1.0 subset.
-cargo run -q -p eua-analyze -- check --format sarif --check \
+step "analyzer SARIF round-trip (--format sarif)"
+# Exits 2 unless the SARIF output byte-round-trips through the
+# first-party JSON tree and validates against the pinned 2.1.0 subset.
+cargo run -q -p eua-analyze -- check --format sarif \
   crates/analyze/scenarios/valid.scn >/dev/null
 
 printf '\nCI gate passed.\n'

@@ -3,13 +3,19 @@
 //!
 //! Every check in [`crate::passes`] reports problems as [`Diagnostic`]
 //! values carrying a stable kebab-case [`DiagCode`], a [`Severity`], the
-//! entity it concerns (usually a task name), a human message, and an
-//! optional suggestion. A [`Report`] collects the diagnostics for one
-//! scenario and renders them for humans (`render_text`) or tools
-//! (`render_json`).
+//! entity it concerns (usually a task name), a human message, an
+//! optional suggestion, and the source extent it concerns when there is
+//! one. A [`Report`] collects the diagnostics for one scenario (and the
+//! file it came from, when there is one) and renders them for humans
+//! (`render_text`) or tools (`render_json`, and SARIF through
+//! [`crate::sarif`]).
 
 use std::collections::BTreeSet;
 use std::fmt;
+
+use eua_sim::json::Json;
+
+use crate::spans::Span;
 
 /// How bad a diagnostic is.
 ///
@@ -179,9 +185,10 @@ pub enum DiagCode {
     /// or at loop depth two or more elsewhere when the value does not
     /// escape its iteration.
     LintLoopAlloc,
-    /// Raw `+`/`-`/`*` arithmetic on a value the unit lattice types as
-    /// integer microseconds, where the workspace idiom is the saturating
-    /// newtype operations (`saturating_add`/`saturating_since`).
+    /// Raw `+`/`-`/`*` arithmetic on an integer-microsecond binding (a
+    /// `_us` name, or one assigned from such a value), where the
+    /// workspace idiom is the saturating `SimTime`/`TimeDelta` methods
+    /// (`saturating_add`/`saturating_since`).
     LintUncheckedTimeArith,
     /// An `// eua-lint: allow(...)` directive that suppressed nothing.
     LintUnusedSuppression,
@@ -191,7 +198,8 @@ pub enum DiagCode {
 }
 
 impl DiagCode {
-    /// Every code, in a stable order (used by `eua-analyze codes`).
+    /// Every code, in declaration order (the `codes` listings; a unit
+    /// test pins that each variant appears exactly once).
     pub const ALL: [DiagCode; 46] = [
         DiagCode::NoTasks,
         DiagCode::DuplicateTaskName,
@@ -442,7 +450,7 @@ impl fmt::Display for DiagCode {
 }
 
 /// One finding: a code, its severity, the entity concerned, a message,
-/// and an optional remedy.
+/// an optional remedy, and the source extent it concerns.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Diagnostic {
     /// Stable identifier for the class of finding.
@@ -456,6 +464,9 @@ pub struct Diagnostic {
     pub message: String,
     /// Optional remedy, rendered as a `help:` line.
     pub suggestion: Option<String>,
+    /// The token extent the finding concerns in its report's file, the
+    /// SARIF `region` (only rendered when the report has a `uri`).
+    pub span: Option<Span>,
 }
 
 impl Diagnostic {
@@ -468,6 +479,7 @@ impl Diagnostic {
             entity: None,
             message: message.into(),
             suggestion: None,
+            span: None,
         }
     }
 
@@ -497,6 +509,13 @@ impl Diagnostic {
         self.suggestion = Some(suggestion.into());
         self
     }
+
+    /// Attaches the source extent the finding concerns.
+    #[must_use]
+    pub fn with_span(mut self, span: Span) -> Self {
+        self.span = Some(span);
+        self
+    }
 }
 
 /// All diagnostics produced for one scenario.
@@ -504,16 +523,20 @@ impl Diagnostic {
 pub struct Report {
     /// The analyzed scenario's name.
     pub scenario: String,
+    /// The file the scenario came from, the SARIF artifact (`None` for
+    /// in-memory scenarios such as the shipped examples).
+    pub uri: Option<String>,
     /// Findings, sorted most severe first (stable within a severity).
     pub diagnostics: Vec<Diagnostic>,
 }
 
 impl Report {
-    /// An empty report for the named scenario.
+    /// An empty report for the named scenario, backed by no file.
     #[must_use]
     pub fn new(scenario: impl Into<String>) -> Self {
         Report {
             scenario: scenario.into(),
+            uri: None,
             diagnostics: Vec::new(),
         }
     }
@@ -580,78 +603,49 @@ impl Report {
         out
     }
 
-    /// Machine-readable JSON rendering (a single object).
+    /// Machine-readable JSON rendering (a single compact object).
     ///
     /// All numeric detail lives inside the message strings, so the
     /// output contains only strings and integer counts and is always
     /// valid JSON regardless of non-finite values in the input.
     #[must_use]
     pub fn render_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!(
-            "\"scenario\":\"{}\",",
-            json_escape(&self.scenario)
-        ));
-        out.push_str(&format!(
-            "\"summary\":{{\"errors\":{},\"warnings\":{},\"infos\":{}}},",
-            self.count(Severity::Error),
-            self.count(Severity::Warning),
-            self.count(Severity::Info),
-        ));
-        out.push_str("\"diagnostics\":[");
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('{');
-            out.push_str(&format!("\"code\":\"{}\",", d.code.as_str()));
-            out.push_str(&format!("\"severity\":\"{}\",", d.severity.as_str()));
-            match &d.entity {
-                Some(e) => out.push_str(&format!("\"entity\":\"{}\",", json_escape(e))),
-                None => out.push_str("\"entity\":null,"),
-            }
-            out.push_str(&format!("\"message\":\"{}\",", json_escape(&d.message)));
-            match &d.suggestion {
-                Some(s) => out.push_str(&format!("\"suggestion\":\"{}\"", json_escape(s))),
-                None => out.push_str("\"suggestion\":null"),
-            }
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
+        self.to_json().render_compact()
+    }
+
+    /// The [`Report::render_json`] object as a JSON value.
+    fn to_json(&self) -> Json {
+        let text = |s: &Option<String>| s.clone().map_or(Json::Null, Json::Str);
+        let count = |severity| Json::uint(self.count(severity) as u64);
+        let diagnostics = self.diagnostics.iter().map(|d| {
+            Json::Obj(vec![
+                ("code".into(), Json::Str(d.code.as_str().into())),
+                ("severity".into(), Json::Str(d.severity.as_str().into())),
+                ("entity".into(), text(&d.entity)),
+                ("message".into(), Json::Str(d.message.clone())),
+                ("suggestion".into(), text(&d.suggestion)),
+            ])
+        });
+        Json::Obj(vec![
+            ("scenario".into(), Json::Str(self.scenario.clone())),
+            (
+                "summary".into(),
+                Json::Obj(vec![
+                    ("errors".into(), count(Severity::Error)),
+                    ("warnings".into(), count(Severity::Warning)),
+                    ("infos".into(), count(Severity::Info)),
+                ]),
+            ),
+            ("diagnostics".into(), Json::Arr(diagnostics.collect())),
+        ])
     }
 }
 
-/// Renders several reports as one JSON array (the `--all-examples`
-/// output shape).
+/// Renders several reports as one compact JSON array (the `--format
+/// json` output shape).
 #[must_use]
 pub fn render_json_reports(reports: &[Report]) -> String {
-    let mut out = String::from("[");
-    for (i, r) in reports.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&r.render_json());
-    }
-    out.push(']');
-    out
-}
-
-/// Escapes a string for embedding inside a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+    Json::Arr(reports.iter().map(Report::to_json).collect()).render_compact()
 }
 
 #[cfg(test)]
@@ -671,6 +665,27 @@ mod tests {
             );
         }
         assert_eq!(seen.len(), DiagCode::ALL.len());
+    }
+
+    /// `ALL` is the registry every `codes` listing and SARIF rule table
+    /// reads, so a variant missing from it would be emitted but never
+    /// listed. The declaration is read from this file's own source.
+    #[test]
+    fn all_lists_every_variant_once_in_declaration_order() {
+        let source = include_str!("diagnostic.rs");
+        let body = source
+            .split_once("pub enum DiagCode {")
+            .and_then(|(_, rest)| rest.split_once("\n}"))
+            .map(|(body, _)| body)
+            .unwrap_or_default();
+        let declared: Vec<&str> = body
+            .lines()
+            .map(str::trim)
+            .filter(|l| !l.is_empty() && !l.starts_with("//"))
+            .map(|l| l.trim_end_matches(','))
+            .collect();
+        let listed: Vec<String> = DiagCode::ALL.iter().map(|c| format!("{c:?}")).collect();
+        assert_eq!(listed, declared);
     }
 
     #[test]

@@ -3,11 +3,11 @@
 //! application mix — lowered into raw [`ScenarioSpec`]s so
 //! `eua-analyze check --all-examples` can pre-flight all of them.
 //!
-//! The constructions here deliberately reuse the same presets and
-//! constructors the examples call, then lower the validated types via
-//! [`ScenarioSpec::from_task_set`]; the registry therefore stays honest
-//! if an example's parameters change (the mirror breaks loudly in CI's
-//! `--all-examples` gate rather than drifting).
+//! The constructions here reuse the same presets and constructors the
+//! examples call, then lower the validated types via
+//! [`ScenarioSpec::from_task_set`]. The parameters themselves are
+//! copies: nothing compares them with the examples', so an example
+//! whose parameters change must be mirrored here by hand.
 
 use crate::scenario::{EnergySpec, ScenarioSpec};
 use eua_platform::{FrequencyTable, TimeDelta};

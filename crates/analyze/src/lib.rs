@@ -12,13 +12,14 @@
 //! | Module | What it holds |
 //! |--------|---------------|
 //! | [`diagnostic`] | [`DiagCode`], [`Severity`], [`Report`], text/JSON renderers |
+//! | [`cli`] | the command-line front end `eua-analyze`, `eua-audit` and `eua-lint` share |
 //! | [`scenario`] | raw specs ([`ScenarioSpec`] …), the `.scn` parser/renderer, bridges to simulator types |
 //! | [`passes`] | the checks: TUF shape, assurances, Chebyshev, UAM, frequencies, energy, feasibility, semantics |
 //! | [`ir`] | the typed analysis IR ([`AnalysisIr`]) lowered from a raw spec |
 //! | [`demand`] | UAM demand-bound verdicts per frequency ([`Verdict`], [`FrequencyVerdict`]) |
 //! | [`energy`] | UER brackets, dominated frequencies, unreachable DVS states ([`EnergyProfile`]) |
-//! | [`json`] | first-party byte-round-tripping JSON values for SARIF |
 //! | [`sarif`] | SARIF 2.1.0 rendering and subset validation |
+//! | [`spans`] | `.scn` token extents ([`SourceMap`]) for SARIF regions |
 //! | [`fix`] | machine-applicable fixes for a subset of diagnostic codes |
 //! | [`examples`] | registry mirroring every shipped workload for `--all-examples` |
 //!
@@ -51,13 +52,13 @@
 
 #![forbid(unsafe_code)]
 
+pub mod cli;
 pub mod demand;
 pub mod diagnostic;
 pub mod energy;
 pub mod examples;
 pub mod fix;
 pub mod ir;
-pub mod json;
 pub mod passes;
 pub mod sarif;
 pub mod scenario;

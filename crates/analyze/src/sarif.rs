@@ -6,19 +6,22 @@
 //! `result` per diagnostic. Severities map onto SARIF levels as
 //! `Error → error`, `Warning → warning`, `Info → note`. Each result
 //! carries a logical location (scenario, and the task/frequency entity
-//! when the diagnostic names one); results for file-backed scenarios
-//! also carry a physical `artifactLocation`. Results whose code has a
-//! machine-applicable rewrite (see [`crate::fix`]) are tagged with
-//! `properties.machineApplicableFix: true`.
+//! when the diagnostic names one); results of a report with a
+//! [`Report::uri`] also carry a physical `artifactLocation`, with the
+//! diagnostic's [`Diagnostic::span`](crate::Diagnostic::span) as its
+//! `region`. Results whose code has a machine-applicable rewrite (see
+//! [`crate::fix`]) are tagged with `properties.machineApplicableFix:
+//! true`.
 //!
-//! Rendering goes through the deterministic first-party [`crate::json`]
-//! tree, so [`validate_sarif`] (each CLI's `--check`) can assert
-//! `render(parse(out)) == out` — the SARIF output byte-round-trips.
+//! Rendering goes through the deterministic first-party
+//! [`eua_sim::json`] tree, so [`validate_sarif`] (which every CLI runs
+//! before it writes SARIF) can assert `render(parse(out)) == out` — the
+//! SARIF output byte-round-trips.
+
+use eua_sim::json::{self, Json};
 
 use crate::diagnostic::{DiagCode, Report, Severity};
 use crate::fix::is_fixable;
-use crate::json::{self, Json};
-use crate::spans::Span;
 
 /// The schema URI pinned into every document this writer emits.
 pub const SCHEMA_URI: &str = "https://json.schemastore.org/sarif-2.1.0.json";
@@ -39,21 +42,14 @@ pub fn level(severity: Severity) -> &'static str {
 /// Renders reports as one SARIF 2.1.0 document (a single run).
 ///
 /// `driver` names the emitting tool (`eua-analyze`, `eua-audit`,
-/// `eua-lint`). `uris[i]` is the file report `i` came from, when there
-/// is one (`--all-examples` scenarios and missing entries mean "no
-/// artifact"). `regions[i][j]` pairs report `i`'s diagnostic `j` with
-/// the token extent it concerns (`None`, or a missing entry, omits the
-/// region): 1-based `startLine`/`startColumn`/`endLine` and exclusive
-/// `endColumn`. A region is only emitted when the report also has a
-/// backing `uris[i]` artifact, matching SARIF's expectation that
-/// regions live inside a `physicalLocation`.
+/// `eua-lint`). A report's [`Report::uri`] is its artifact, and each of
+/// its diagnostics' spans becomes a region: 1-based
+/// `startLine`/`startColumn`/`endLine` and exclusive `endColumn`. A
+/// region is only emitted when the report also has an artifact,
+/// matching SARIF's expectation that regions live inside a
+/// `physicalLocation`.
 #[must_use]
-pub fn render_sarif(
-    driver: &str,
-    reports: &[Report],
-    uris: &[Option<String>],
-    regions: &[Vec<Option<Span>>],
-) -> String {
+pub fn render_sarif(driver: &str, reports: &[Report]) -> String {
     // Rules: the union of codes that actually fired, in ALL order, so
     // ruleIndex is stable regardless of diagnostic ordering.
     let fired: Vec<DiagCode> = DiagCode::ALL
@@ -83,9 +79,8 @@ pub fn render_sarif(
     );
 
     let mut results = Vec::new();
-    for (i, report) in reports.iter().enumerate() {
-        let uri = uris.get(i).and_then(Option::as_deref);
-        for (j, d) in report.diagnostics.iter().enumerate() {
+    for report in reports {
+        for d in &report.diagnostics {
             let mut logical = vec![(
                 "fullyQualifiedName".into(),
                 Json::Str(match &d.entity {
@@ -97,13 +92,12 @@ pub fn render_sarif(
                 logical.push(("name".into(), Json::Str(e.clone())));
             }
             let mut location = Vec::new();
-            if let Some(uri) = uri {
+            if let Some(uri) = &report.uri {
                 let mut physical = vec![(
                     "artifactLocation".into(),
-                    Json::Obj(vec![("uri".into(), Json::Str(uri.into()))]),
+                    Json::Obj(vec![("uri".into(), Json::Str(uri.clone()))]),
                 )];
-                let span = regions.get(i).and_then(|r| r.get(j)).copied().flatten();
-                if let Some(s) = span {
+                if let Some(s) = d.span {
                     physical.push((
                         "region".into(),
                         Json::Obj(vec![
@@ -294,7 +288,8 @@ mod tests {
     use super::*;
     use crate::diagnostic::Diagnostic;
 
-    fn sample_reports() -> Vec<Report> {
+    /// Two reports; `alpha` comes from `alpha.scn` when `file_backed`.
+    fn sample_reports(file_backed: bool) -> Vec<Report> {
         let mut a = Report::new("alpha");
         a.push(
             Diagnostic::for_entity(
@@ -308,6 +303,9 @@ mod tests {
             Diagnostic::new(DiagCode::Theorem1Speed, "Theorem 1 holds at 73 MHz")
                 .with_severity(Severity::Info),
         );
+        if file_backed {
+            a.uri = Some("alpha.scn".into());
+        }
         let mut b = Report::new("beta");
         b.push(Diagnostic::new(
             DiagCode::FreqTableInvalid,
@@ -316,15 +314,13 @@ mod tests {
         vec![a, b]
     }
 
-    fn render(reports: &[Report], uris: &[Option<String>]) -> String {
-        render_sarif("eua-analyze", reports, uris, &[])
+    fn render(reports: &[Report]) -> String {
+        render_sarif("eua-analyze", reports)
     }
 
     #[test]
     fn sarif_output_byte_round_trips_and_validates() {
-        let reports = sample_reports();
-        let uris = vec![Some("scenarios/alpha.scn".to_string()), None];
-        let text = render(&reports, &uris);
+        let text = render(&sample_reports(true));
         let reparsed = json::parse(&text).expect("sarif must be valid json");
         assert_eq!(reparsed.render(), text, "byte-exact round-trip");
         validate_sarif(&text).expect("must satisfy the pinned subset");
@@ -335,14 +331,14 @@ mod tests {
         assert_eq!(level(Severity::Error), "error");
         assert_eq!(level(Severity::Warning), "warning");
         assert_eq!(level(Severity::Info), "note");
-        let text = render(&sample_reports(), &[]);
+        let text = render(&sample_reports(false));
         assert!(text.contains("\"level\": \"error\""));
         assert!(text.contains("\"level\": \"note\""));
     }
 
     #[test]
     fn rule_indices_point_at_their_rule_ids() {
-        let text = render(&sample_reports(), &[]);
+        let text = render(&sample_reports(false));
         let doc = json::parse(&text).unwrap();
         let run = &doc.get("runs").and_then(Json::as_arr).unwrap()[0];
         let rules = run
@@ -358,7 +354,7 @@ mod tests {
 
     #[test]
     fn fixable_results_carry_the_machine_fix_property() {
-        let text = render(&sample_reports(), &[]);
+        let text = render(&sample_reports(false));
         // assurance-nu-range and freq-table-invalid are fixable,
         // theorem1-speed is not.
         assert!(text.contains("machineApplicableFix"));
@@ -414,7 +410,7 @@ mod tests {
         }
         assert!(validate_sarif("not json").is_err());
         // Valid SARIF whose bytes do not round-trip is rejected too.
-        let text = render(&sample_reports(), &[]);
+        let text = render(&sample_reports(false));
         validate_sarif(&text).unwrap();
         let err = validate_sarif(&text.replace("\n", "\n ")).unwrap_err();
         assert!(err.contains("differs from output"), "{err:?}");
@@ -422,9 +418,7 @@ mod tests {
 
     #[test]
     fn physical_locations_appear_only_for_file_backed_reports() {
-        let reports = sample_reports();
-        let uris = vec![Some("alpha.scn".to_string()), None];
-        let text = render(&reports, &uris);
+        let text = render(&sample_reports(true));
         assert!(text.contains("\"uri\": \"alpha.scn\""));
         // The beta report has no uri, so exactly one artifactLocation
         // uri string appears per alpha diagnostic (2 of them).

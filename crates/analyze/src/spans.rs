@@ -11,6 +11,8 @@
 
 use std::fmt;
 
+use crate::diagnostic::Report;
+
 /// One token extent in a `.scn` file. Lines and columns are 1-based;
 /// `end_col` points one past the last byte, as SARIF's `endColumn` does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -148,6 +150,15 @@ impl SourceMap {
             .iter()
             .find(|(name, _)| name == entity)
             .map(|(_, s)| *s)
+    }
+
+    /// Sets each of `report`'s diagnostics' span to the token its entity
+    /// names (see [`SourceMap::resolve`]): the SARIF regions of a
+    /// file-backed scenario.
+    pub fn anchor(&self, report: &mut Report) {
+        for d in &mut report.diagnostics {
+            d.span = self.resolve(d.entity.as_deref());
+        }
     }
 }
 

@@ -2,12 +2,13 @@
 
 //! Binary-level tests for the CLI contract added with the semantic
 //! engine: the strict 2 > 1 > 0 exit ordering across multiple inputs,
-//! SARIF output (`--format sarif`, `--check`), and machine-applicable
+//! SARIF output (`--format sarif`), and machine-applicable
 //! fixes (`--fix`, `--apply`).
 
 use std::process::Command;
 
-use eua_analyze::{json, validate_sarif};
+use eua_analyze::validate_sarif;
+use eua_sim::json;
 
 fn scn_path(name: &str) -> String {
     format!("{}/scenarios/{name}", env!("CARGO_MANIFEST_DIR"))
@@ -53,7 +54,7 @@ fn help_documents_the_exit_code_contract() {
     let out = bin().arg("--help").output().expect("runs");
     assert_eq!(out.status.code(), Some(0));
     let stdout = String::from_utf8_lossy(&out.stdout);
-    for needle in ["exit status", "sarif", "--fix", "--apply", "--check"] {
+    for needle in ["exit status", "sarif", "--fix", "--apply"] {
         assert!(stdout.contains(needle), "help must mention {needle:?}");
     }
 }
@@ -65,7 +66,6 @@ fn sarif_output_round_trips_and_validates() {
             "check",
             "--format",
             "sarif",
-            "--check",
             &scn_path("valid.scn"),
             &scn_path("invalid.scn"),
         ])
@@ -87,12 +87,19 @@ fn sarif_output_round_trips_and_validates() {
 }
 
 #[test]
-fn sarif_check_flag_requires_sarif_format() {
+fn the_check_flag_is_unknown() {
     let out = bin()
-        .args(["check", "--check", &scn_path("valid.scn")])
+        .args([
+            "check",
+            "--format",
+            "sarif",
+            "--check",
+            &scn_path("valid.scn"),
+        ])
         .output()
         .expect("runs");
     assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag `--check`"));
 }
 
 #[test]

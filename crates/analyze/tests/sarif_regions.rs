@@ -9,13 +9,13 @@
 //! Regenerate with:
 //!
 //! ```text
-//! cargo run -p eua-analyze -- check --format sarif --check \
+//! cargo run -p eua-analyze -- check --format sarif \
 //!     crates/analyze/tests/fixtures/regions.scn \
 //!     > crates/analyze/tests/fixtures/regions.sarif
 //! ```
 
-use eua_analyze::json::{self, Json};
 use eua_analyze::{analyze, render_sarif, validate_sarif, ScenarioSpec};
+use eua_sim::json::{self, Json};
 
 fn fixture(name: &str) -> String {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -30,16 +30,10 @@ fn fixture(name: &str) -> String {
 fn render_fixture_sarif() -> String {
     let text = fixture("regions.scn");
     let (spec, map) = ScenarioSpec::parse_with_spans(&text).expect("fixture parses");
-    let report = analyze(&spec);
-    let regions = vec![report
-        .diagnostics
-        .iter()
-        .map(|d| map.resolve(d.entity.as_deref()))
-        .collect()];
-    let uris = vec![Some(
-        "crates/analyze/tests/fixtures/regions.scn".to_string(),
-    )];
-    render_sarif("eua-analyze", &[report], &uris, &regions)
+    let mut report = analyze(&spec);
+    report.uri = Some("crates/analyze/tests/fixtures/regions.scn".to_string());
+    map.anchor(&mut report);
+    render_sarif("eua-analyze", &[report])
 }
 
 #[test]

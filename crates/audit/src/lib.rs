@@ -4,8 +4,9 @@
 //! every scheduling decision, its self-explanation, and every energy
 //! charge of one run (see [`eua_sim::certificate`]). This crate is the
 //! *independent checker* of that record. It never runs the engine and
-//! deliberately does not link `eua-core`; instead it re-derives the
-//! paper's invariants from the certificate alone:
+//! calls nothing in `eua-core` (which it links only through
+//! `eua-analyze`); instead it re-derives the paper's invariants from the
+//! certificate alone:
 //!
 //! * **UER recomputation** — every certified utility-and-energy ratio is
 //!   recomputed from the declared TUF and Martin energy model at `f_m`
@@ -30,7 +31,8 @@
 //!
 //! Findings reuse the `eua-analyze` diagnostic machinery ([`Report`],
 //! [`DiagCode`], text/JSON/SARIF renderers), and the `eua-audit` binary
-//! keeps the same `2 > 1 > 0` exit contract.
+//! runs on its shared command-line front end (`eua_analyze::cli`), with the
+//! same `2 > 1 > 0` exit contract.
 //!
 //! Policies that cannot explain themselves (no
 //! [`eua_sim::DecisionExplanation`] on an event) are audited at the
@@ -49,20 +51,6 @@ use eua_platform::{
 };
 use eua_sim::{EventRecord, JobId, JobSnapshot, RunCertificate};
 use eua_tuf::Tuf;
-
-/// Every diagnostic code this crate can emit, in stable order (the
-/// `eua-audit codes` listing; CI checks each is registered in the shared
-/// `eua-analyze` registry).
-pub const AUDIT_CODES: [DiagCode; 8] = [
-    DiagCode::AudMalformedCertificate,
-    DiagCode::AudUerMismatch,
-    DiagCode::AudScheduleOrder,
-    DiagCode::AudScheduleInfeasible,
-    DiagCode::AudAbortIllegal,
-    DiagCode::AudDvsOutOfBound,
-    DiagCode::AudEnergyMismatch,
-    DiagCode::AudUamViolation,
-];
 
 /// Relative tolerance for comparing certified against recomputed floats.
 /// The recomputation performs the same `f64` operations the engine did

@@ -1,8 +1,8 @@
 #![allow(clippy::expect_used)] // test code
 
 //! Binary-level contract tests for `eua-audit`: the `--format sarif`
-//! document names the auditor as its driver and passes `--check` (the
-//! pinned SARIF subset plus the byte round-trip), and `check` rejects
+//! document names the auditor as its driver (the front end validates it
+//! against the pinned SARIF subset before writing it), and `check` rejects
 //! a certificate in the retired `eua-certificate/1` format, one whose
 //! ready-set changes depart a job that is not live, or a document
 //! nested deeper than the JSON parser's cap.
@@ -10,7 +10,7 @@
 use std::path::Path;
 use std::process::{Command, Output};
 
-use eua_analyze::json::{self, Json};
+use eua_sim::json::{self, Json};
 
 #[test]
 fn sarif_check_names_the_auditor_as_driver() {
@@ -19,7 +19,6 @@ fn sarif_check_names_the_auditor_as_driver() {
             "check",
             "--format",
             "sarif",
-            "--check",
             "tests/fixtures/quickstart-eua-seed3.json",
         ])
         .current_dir(env!("CARGO_MANIFEST_DIR"))
@@ -41,16 +40,57 @@ fn sarif_check_names_the_auditor_as_driver() {
     assert_eq!(driver.as_deref(), Some("eua-audit"));
 }
 
+#[test]
+fn the_check_flag_is_unknown() {
+    let out = Command::new(env!("CARGO_BIN_EXE_eua-audit"))
+        .args([
+            "check",
+            "--format",
+            "sarif",
+            "--check",
+            "tests/fixtures/quickstart-eua-seed3.json",
+        ])
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .output()
+        .expect("eua-audit runs");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag `--check`"));
+}
+
 /// Writes `text` to `name` under the target directory and runs
-/// `eua-audit check` on it.
-fn check_copy(name: &str, text: &str) -> Output {
+/// `eua-audit check` on it, followed by `more` arguments.
+fn check_copy_and(name: &str, text: &str, more: &[&str]) -> Output {
     let path = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
     std::fs::write(&path, text).expect("copy written");
     Command::new(env!("CARGO_BIN_EXE_eua-audit"))
         .arg("check")
         .arg(&path)
+        .args(more)
         .output()
         .expect("eua-audit runs")
+}
+
+/// Writes `text` to `name` under the target directory and runs
+/// `eua-audit check` on it.
+fn check_copy(name: &str, text: &str) -> Output {
+    check_copy_and(name, text, &[])
+}
+
+#[test]
+fn an_unreadable_certificate_outranks_findings_in_another() {
+    let fixture = std::fs::read_to_string(
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/quickstart-eua-seed3.json"),
+    )
+    .expect("fixture reads");
+    let forged = fixture.replacen(r#""departed":[0]"#, r#""departed":[999]"#, 1);
+    let name = "audit-cli-outranked.json";
+    assert_malformed(&check_copy(name, &forged), "departed job 999 is not live");
+    let out = check_copy_and(name, &forged, &["no/such/certificate.json"]);
+    assert_eq!(out.status.code(), Some(2));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("aud-malformed-certificate"), "{stdout}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("no/such/certificate.json"), "{stderr}");
 }
 
 /// Asserts exit 1 with `aud-malformed-certificate` and `reason` in the

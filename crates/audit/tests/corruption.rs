@@ -84,6 +84,27 @@ fn perturbed_schedule_order_is_rejected() {
 }
 
 #[test]
+fn a_certified_finish_moved_by_one_microsecond_is_infeasible() {
+    let mut cert = certified();
+    let entry = cert
+        .events
+        .iter_mut()
+        .find_map(|e| e.explanation.as_mut()?.schedule.first_mut())
+        .expect("a certified schedule exists");
+    entry.predicted_finish = entry
+        .predicted_finish
+        .saturating_add(TimeDelta::from_micros(1));
+    let report = audit(&cert);
+    let text = report.render_text();
+    assert_eq!(
+        report.codes(),
+        BTreeSet::from(["aud-schedule-infeasible"]),
+        "{text}"
+    );
+    assert_eq!(report.diagnostics.len(), 1, "{text}");
+}
+
+#[test]
 fn forged_final_energy_is_rejected() {
     let mut cert = certified();
     cert.final_energy *= 1.01;

@@ -128,7 +128,7 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        let reparsed = match eua_bench::json::parse(&on_disk) {
+        let reparsed = match eua_sim::json::parse(&on_disk) {
             Ok(v) => v,
             Err(e) => {
                 eprintln!(

@@ -29,6 +29,7 @@ use eua_analyze::scenario::{EnergySpec, FaultSpec, ScenarioSpec};
 use eua_analyze::{DiagCode, Report, Severity};
 use eua_core::make_policy;
 use eua_platform::{EnergySetting, Frequency, FrequencyTable, TimeDelta};
+use eua_sim::json::Json;
 use eua_sim::{
     classify_degradation, map_parallel, DegradationClass, Engine, FaultPlan, Platform, PoolError,
     SimConfig, SimError, DEFAULT_COLLAPSE_FRACTION,
@@ -37,7 +38,6 @@ use eua_workload::{UniverseFamily, Workload};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::json::Json;
 use crate::robustness::FaultFamily;
 
 /// Schema tag of the journal's header line.
@@ -476,7 +476,7 @@ pub fn run_campaign(
         }
         for (i, line) in lines.enumerate() {
             let record =
-                crate::json::parse(line).map_err(|e| format!("journal line {}: {e}", i + 2))?;
+                eua_sim::json::parse(line).map_err(|e| format!("journal line {}: {e}", i + 2))?;
             let cell = record_cell(&record)
                 .ok_or_else(|| format!("journal line {}: missing cell index", i + 2))?;
             if cell as usize != i {
@@ -764,7 +764,7 @@ mod tests {
         );
 
         // The report round-trips through the JSON layer byte-for-byte.
-        let parsed = crate::json::parse(&report_bytes).expect("report parses");
+        let parsed = eua_sim::json::parse(&report_bytes).expect("report parses");
         assert_eq!(parsed.render(), report_bytes);
 
         // Resuming an already-complete journal is a no-op with the

@@ -27,7 +27,6 @@
 pub mod chaos;
 pub mod chart;
 pub mod experiment;
-pub mod json;
 pub mod report;
 pub mod robustness;
 pub mod shrink;
@@ -38,7 +37,6 @@ pub use chaos::{
 };
 pub use chart::{render_chart, render_svg, Series};
 pub use experiment::{jobs_from_args, run_cell, run_cells, Cell, ExperimentConfig};
-pub use json::Json;
 pub use report::{write_csv, Table};
 pub use robustness::{
     run_robustness, FaultFamily, RobustnessConfig, RobustnessPoint, RobustnessReport,

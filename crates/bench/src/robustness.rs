@@ -12,13 +12,12 @@
 
 use eua_core::make_policy;
 use eua_platform::TimeDelta;
+use eua_sim::json::Json;
 use eua_sim::{
     classify_degradation, map_parallel, DegradationClass, Engine, FaultPlan, Metrics, Platform,
     PoolError, SimConfig, SimError, DEFAULT_COLLAPSE_FRACTION,
 };
 use eua_workload::{fig2_workload, Workload};
-
-use crate::json::Json;
 
 /// The fixed workload seed (arrival patterns and declared statistics),
 /// shared with the figure binaries; run seeds vary per replication.
@@ -424,7 +423,7 @@ fn aggregate(
 
 impl RobustnessReport {
     /// Serializes the report as the deterministic `results/robustness.json`
-    /// document (see [`crate::json`]; re-parsing and re-rendering the
+    /// document (see [`eua_sim::json`]; re-parsing and re-rendering the
     /// output reproduces it byte-for-byte).
     #[must_use]
     pub fn to_json(&self) -> Json {
@@ -616,7 +615,7 @@ mod tests {
         let bytes = report.to_json().render();
         let parallel = run_robustness(&config.clone().with_jobs(4)).expect("sweep");
         assert_eq!(parallel.to_json().render(), bytes);
-        let parsed = crate::json::parse(&bytes).expect("report must parse");
+        let parsed = eua_sim::json::parse(&bytes).expect("report must parse");
         assert_eq!(parsed.render(), bytes);
     }
 
@@ -627,7 +626,7 @@ mod tests {
         config.intensities = vec![0.0, 1.0];
         let report = run_robustness(&config).expect("sweep");
         let text = report.to_json().render();
-        let parsed = crate::json::parse(&text).expect("report must parse");
+        let parsed = eua_sim::json::parse(&text).expect("report must parse");
         assert_eq!(parsed.render(), text, "byte-exact round-trip");
     }
 }

@@ -67,18 +67,6 @@ fn is_directive_comment(text: &str) -> bool {
         .is_some_and(|rest| rest.trim_start().starts_with("eua-lint:"))
 }
 
-/// One lint result for one file: the report plus the token extent of
-/// each diagnostic, index-aligned, for SARIF regions.
-#[derive(Debug, Clone)]
-pub struct FileLint {
-    /// The scanned file's path as given.
-    pub path: String,
-    /// Findings for this file (empty when clean).
-    pub report: Report,
-    /// `spans[i]` is the extent of `report.diagnostics[i]`.
-    pub spans: Vec<Option<Span>>,
-}
-
 /// A parsed `eua-lint:` directive.
 #[derive(Debug)]
 enum DirectiveKind {
@@ -244,14 +232,14 @@ fn prep_file(code: &[&Tok<'_>], directives: &[Directive]) -> (Vec<(usize, usize)
 
 /// Applies allow-directive suppression to one file's findings, appends
 /// unused-suppression accounting and the directive-layer meta findings,
-/// and builds the final sorted [`FileLint`].
+/// and builds the file's final sorted [`Report`].
 fn assemble_file(
     path: &str,
     toks: &[Tok<'_>],
     directives: &[Directive],
     findings: Vec<Finding>,
     meta: Vec<Finding>,
-) -> FileLint {
+) -> Report {
     // Suppression: each allow directive covers one line; a finding on
     // that line with a named code is dropped and the (directive, code)
     // pair marked used.
@@ -313,25 +301,25 @@ fn assemble_file(
     });
 
     let mut report = Report::new(path);
-    let mut spans = Vec::with_capacity(kept.len());
+    report.uri = Some(path.to_string());
     for f in kept {
-        report.push(Diagnostic::for_entity(
-            f.code,
-            f.entity,
-            format!("{}:{}: {}", f.span.start_line, f.span.start_col, f.message),
-        ));
-        spans.push(Some(f.span));
+        report.push(
+            Diagnostic::for_entity(
+                f.code,
+                f.entity,
+                format!("{}:{}: {}", f.span.start_line, f.span.start_col, f.message),
+            )
+            .with_span(f.span),
+        );
     }
-    FileLint {
-        path: path.to_string(),
-        report,
-        spans,
-    }
+    report
 }
 
-/// Lints one file's text: every rule, then suppression accounting.
+/// Lints one file's text: every rule, then suppression accounting. The
+/// report is named after `path`, which is also its artifact, and each
+/// finding carries its token extent.
 #[must_use]
-pub fn lint_source(path: &str, text: &str) -> FileLint {
+pub fn lint_source(path: &str, text: &str) -> Report {
     let toks = lex(text);
     let code: Vec<&Tok<'_>> = toks
         .iter()
@@ -397,12 +385,12 @@ fn collect_sources(root: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
 pub const DEFAULT_ROOTS: [&str; 4] = ["src", "crates", "tests", "examples"];
 
 /// Lints every `.rs` file under the given roots, files or directories,
-/// one [`FileLint`] per file in walk order (see [`lint_source`]).
+/// one [`Report`] per file in walk order (see [`lint_source`]).
 ///
 /// # Errors
 ///
 /// The first I/O failure (unreadable root, file, or directory).
-pub fn lint_roots(roots: &[PathBuf]) -> io::Result<Vec<FileLint>> {
+pub fn lint_roots(roots: &[PathBuf]) -> io::Result<Vec<Report>> {
     let mut files = Vec::new();
     for root in roots {
         collect_sources(root, &mut files)?;
@@ -422,12 +410,8 @@ mod tests {
     #![allow(clippy::unwrap_used)]
     use super::*;
 
-    fn codes_of(lint: &FileLint) -> Vec<&'static str> {
-        lint.report
-            .diagnostics
-            .iter()
-            .map(|d| d.code.as_str())
-            .collect()
+    fn codes_of(lint: &Report) -> Vec<&'static str> {
+        lint.diagnostics.iter().map(|d| d.code.as_str()).collect()
     }
 
     const FLOAT_SORT: &str = "v.sort_by(|a, b| a.partial_cmp(b).unwrap());";
@@ -435,22 +419,22 @@ mod tests {
     #[test]
     fn clean_source_yields_empty_report() {
         let lint = lint_source("x.rs", "fn main() { let a = 1 + 2; }");
-        assert!(lint.report.diagnostics.is_empty());
-        assert!(!lint.report.has_errors());
+        assert!(lint.diagnostics.is_empty());
+        assert!(!lint.has_errors());
     }
 
     #[test]
     fn trailing_allow_suppresses_same_line() {
         let src = format!("{FLOAT_SORT} // eua-lint: allow(lint-float-sort-partial-cmp)\n");
         let lint = lint_source("x.rs", &src);
-        assert!(codes_of(&lint).is_empty(), "{:?}", lint.report);
+        assert!(codes_of(&lint).is_empty(), "{:?}", lint);
     }
 
     #[test]
     fn standalone_allow_suppresses_next_line() {
         let src = format!("// eua-lint: allow(lint-float-sort-partial-cmp)\n{FLOAT_SORT}\n");
         let lint = lint_source("x.rs", &src);
-        assert!(codes_of(&lint).is_empty(), "{:?}", lint.report);
+        assert!(codes_of(&lint).is_empty(), "{:?}", lint);
     }
 
     #[test]
@@ -459,7 +443,7 @@ mod tests {
                    // eua-lint: allow(lint-unchecked-time-arith)\n\
                    fn f(a_us: u64, b_us: u64) -> u64 { v.sort_by(|a, b| a.partial_cmp(b).unwrap()); a_us + b_us }\n";
         let lint = lint_source("x.rs", src);
-        assert!(codes_of(&lint).is_empty(), "{:?}", lint.report);
+        assert!(codes_of(&lint).is_empty(), "{:?}", lint);
     }
 
     #[test]
@@ -467,7 +451,7 @@ mod tests {
         let src = "// eua-lint: allow(lint-loop-alloc)\nlet a = 1;\n";
         let lint = lint_source("x.rs", src);
         assert_eq!(codes_of(&lint), ["lint-unused-suppression"]);
-        assert_eq!(lint.spans[0].unwrap().start_line, 1);
+        assert_eq!(lint.diagnostics[0].span.unwrap().start_line, 1);
     }
 
     #[test]
@@ -508,7 +492,7 @@ mod tests {
                    }\n";
         let lint = lint_source("x.rs", src);
         assert_eq!(codes_of(&lint), ["lint-loop-alloc"]);
-        assert_eq!(lint.spans[0].unwrap().start_line, 5);
+        assert_eq!(lint.diagnostics[0].span.unwrap().start_line, 5);
     }
 
     #[test]
@@ -518,7 +502,7 @@ mod tests {
                    \x20   xs.to_vec() // eua-lint: allow(lint-loop-alloc)\n\
                    }\n";
         let lint = lint_source("x.rs", src);
-        assert!(codes_of(&lint).is_empty(), "{:?}", lint.report);
+        assert!(codes_of(&lint).is_empty(), "{:?}", lint);
     }
 
     #[test]
@@ -533,7 +517,11 @@ mod tests {
             codes_of(&lint),
             ["lint-unchecked-time-arith", "lint-float-sort-partial-cmp"]
         );
-        let lines: Vec<u32> = lint.spans.iter().map(|s| s.unwrap().start_line).collect();
+        let lines: Vec<u32> = lint
+            .diagnostics
+            .iter()
+            .map(|d| d.span.unwrap().start_line)
+            .collect();
         assert_eq!(lines, [2, 3]);
     }
 
@@ -543,10 +531,7 @@ mod tests {
             "x.rs",
             "fn f(a_us: u64, b_us: u64) -> u64 {\n    a_us + b_us\n}\n",
         );
-        assert!(lint.report.diagnostics[0].message.starts_with("2:5: "));
-        assert_eq!(
-            lint.report.diagnostics[0].entity.as_deref(),
-            Some("a_us + b_us")
-        );
+        assert!(lint.diagnostics[0].message.starts_with("2:5: "));
+        assert_eq!(lint.diagnostics[0].entity.as_deref(), Some("a_us + b_us"));
     }
 }

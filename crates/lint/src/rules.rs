@@ -415,8 +415,8 @@ fn verb_called(code: &[&Tok<'_>], k: usize) -> bool {
 /// Whether the allocation at code token `site` escapes its loop
 /// iteration. Two shapes count: the value is directly an argument of an
 /// accumulator call in its own statement (`out.push(format!(…))`), or
-/// it is `let`-bound and a later statement, still inside the
-/// allocation's loop, hands the binding to an accumulator
+/// it is `let`-bound and a later statement of the binding's block
+/// hands the binding to an accumulator
 /// (`let row = vec![…]; … grid.push(row);`). Such an allocation is new
 /// data the loop exists to produce — the idiomatic report/collection
 /// builders — not per-iteration waste, so cold code is not flagged for
@@ -424,7 +424,7 @@ fn verb_called(code: &[&Tok<'_>], k: usize) -> bool {
 /// (`return Err(format!(…))`) count as escaping too: the failure they
 /// describe aborts the loop, so they run at most once. Hot code still
 /// is flagged: a hot path should not pay the allocator at all.
-fn escapes_iteration(code: &[&Tok<'_>], site: usize, loop_depth: &[u32]) -> bool {
+fn escapes_iteration(code: &[&Tok<'_>], site: usize) -> bool {
     // Backward through the enclosing statement. Balanced `{…}` groups
     // earlier in the statement (match arms, literal bodies) are skipped
     // whole; an unmatched `{` preceded by a non-keyword ident or a `)`
@@ -468,18 +468,19 @@ fn escapes_iteration(code: &[&Tok<'_>], site: usize, loop_depth: &[u32]) -> bool
                 .checked_sub(1)
                 .is_some_and(|p| code[p].is_ident("if") || code[p].is_ident("while"))
         {
-            return binding_escapes(code, k + 1, site, loop_depth);
+            return binding_escapes(code, k + 1, site);
         }
     }
     false
 }
 
 /// The `let`-binding half of [`escapes_iteration`]: does any later
-/// statement, still inside the allocation's loop (idents at a
-/// shallower depth end the scan — a value only consumed outside the
-/// loop is overwritten per-iteration waste), mention the binding
-/// alongside an accumulator call?
-fn binding_escapes(code: &[&Tok<'_>], after_let: usize, site: usize, loop_depth: &[u32]) -> bool {
+/// statement of the binding's block mention the binding alongside an
+/// accumulator call? The scan ends where that block ends — the
+/// innermost loop body, or a block inside it — since the binding does
+/// not outlive it: a value only consumed after the loop is a different
+/// binding, and this one is per-iteration waste.
+fn binding_escapes(code: &[&Tok<'_>], after_let: usize, site: usize) -> bool {
     let mut s = after_let;
     if code.get(s).is_some_and(|t| t.is_ident("mut")) {
         s += 1;
@@ -488,23 +489,25 @@ fn binding_escapes(code: &[&Tok<'_>], after_let: usize, site: usize, loop_depth:
         Some(t) if t.kind == TokKind::Ident => t.text,
         _ => return false,
     };
-    let depth = depth_at(loop_depth, site);
     let mut k = site;
     while k < code.len() && !(code[k].kind == TokKind::Punct && code[k].text == ";") {
         k += 1;
     }
-    let (mut saw_name, mut saw_verb) = (false, false);
+    let (mut saw_name, mut saw_verb, mut braces) = (false, false, 0usize);
     for k in k + 1..code.len() {
         let t = code[k];
-        if t.kind == TokKind::Ident && depth_at(loop_depth, k) < depth {
-            break;
-        }
-        if t.kind == TokKind::Punct && t.text == ";" {
-            if saw_name && saw_verb {
-                return true;
+        match (t.kind, t.text) {
+            (TokKind::Open, "{") => braces += 1,
+            (TokKind::Close, "}") if braces == 0 => break,
+            (TokKind::Close, "}") => braces -= 1,
+            (TokKind::Punct, ";") => {
+                if saw_name && saw_verb {
+                    return true;
+                }
+                (saw_name, saw_verb) = (false, false);
+                continue;
             }
-            (saw_name, saw_verb) = (false, false);
-            continue;
+            _ => {}
         }
         saw_name |= t.kind == TokKind::Ident && t.text == name;
         saw_verb |= verb_called(code, k);
@@ -537,7 +540,7 @@ fn loop_alloc(
                  function: every event pays the allocator; hoist the buffer into \
                  the owning struct and reuse it (see ScheduleBuilder)"
             )
-        } else if depth >= 2 && !escapes_iteration(code, i, loop_depth) {
+        } else if depth >= 2 && !escapes_iteration(code, i) {
             format!(
                 "allocating call at loop depth {depth}: the allocation count \
                  multiplies across the enclosing loops; hoist it above the \
@@ -640,6 +643,36 @@ mod tests {
             "{}",
             hits[0].message
         );
+    }
+
+    /// Runs the rules with the depths `lint_source` computes.
+    fn run_nested(src: &str) -> Vec<Finding> {
+        let toks = lex(src);
+        let code = code_of(&toks);
+        let fns = crate::parser::parse_file(&code);
+        run_hazards(&code, &[], &loop_depths(&code, &fns))
+    }
+
+    #[test]
+    fn a_binding_that_escapes_after_a_conditional_is_exempt() {
+        for branch in ["if c { tick(); }", "if c { tick(); } else { tock(); }"] {
+            let src = format!(
+                "fn f(ids: &[u64], out: &mut Vec<String>) {{ for _ in 0..2 {{ for id in ids {{ \
+                 let label = id.to_string(); {branch} out.push(label); }} }} }}"
+            );
+            let hits = run_nested(&src);
+            assert!(hits.is_empty(), "{branch}: {hits:?}");
+        }
+    }
+
+    #[test]
+    fn a_binding_consumed_only_after_its_block_is_reported() {
+        let hits = run_nested(
+            "fn f(ids: &[u64], out: &mut Vec<String>) { for _ in 0..2 { for id in ids { \
+             if c { let label = id.to_string(); tick(); } else { tock(); } out.push(label); } } }",
+        );
+        let entities: Vec<&str> = hits.iter().map(|f| f.entity.as_str()).collect();
+        assert_eq!(entities, ["to_string"]);
     }
 
     #[test]

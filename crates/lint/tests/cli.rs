@@ -107,7 +107,7 @@ fn json_format_renders_reports() {
 }
 
 /// The loop-allocation and time-arithmetic fixtures, scanned as one
-/// workspace and byte-pinned through the SARIF self-check (`--check`
+/// workspace and byte-pinned through the SARIF self-check (the front end
 /// re-parses the output and asserts `render(parse(x)) == x` before
 /// printing). This
 /// pins the loop-depth message and the saturating-method hint as they
@@ -118,7 +118,6 @@ fn dataflow_fixtures_sarif_is_golden() {
         "check",
         "--format",
         "sarif",
-        "--check",
         "tests/fixtures/loop_alloc.rs",
         "tests/fixtures/unchecked_time_arith.rs",
     ]);

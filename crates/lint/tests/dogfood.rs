@@ -23,8 +23,8 @@ fn workspace_sources_lint_clean() {
     assert!(lints.len() > 50, "suspiciously few files: {}", lints.len());
     let dirty: Vec<String> = lints
         .iter()
-        .filter(|l| !l.report.diagnostics.is_empty())
-        .map(|l| l.report.render_text())
+        .filter(|l| !l.diagnostics.is_empty())
+        .map(|l| l.render_text())
         .collect();
     assert!(dirty.is_empty(), "{}", dirty.join("\n"));
 }

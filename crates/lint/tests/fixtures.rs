@@ -36,13 +36,8 @@ fn lint_fixture(code: DiagCode) -> (BTreeSet<&'static str>, usize) {
     let text = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("fixture {} unreadable: {e}", path.display()));
     let lint = lint_source(&path.display().to_string(), &text);
-    let codes: BTreeSet<&'static str> = lint
-        .report
-        .diagnostics
-        .iter()
-        .map(|d| d.code.as_str())
-        .collect();
-    (codes, lint.report.diagnostics.len())
+    let codes: BTreeSet<&'static str> = lint.diagnostics.iter().map(|d| d.code.as_str()).collect();
+    (codes, lint.diagnostics.len())
 }
 
 /// Every code has a fixture, and every fixture trips exactly its code.
@@ -107,9 +102,9 @@ fn lexer_edge_fixtures_produce_no_spurious_tokens() {
         let text = std::fs::read_to_string(&path).expect("fixture readable");
         let lint = lint_source(name, &text);
         assert!(
-            lint.report.diagnostics.is_empty(),
+            lint.diagnostics.is_empty(),
             "{name} must lint clean:\n{}",
-            lint.report.render_text()
+            lint.render_text()
         );
         let toks = lex(&text);
         for hidden in ["thread", "spawn", "Instant", "HashMap", "SystemTime", "now"] {

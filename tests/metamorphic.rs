@@ -12,15 +12,24 @@
 //! doubled, and energy (idle power included, scaled by 8) times exactly
 //! 8. A policy that hard-codes a frequency, or mixes MHz with cycles
 //! anywhere else, breaks the relation.
+//!
+//! **Non-clairvoyance.** A decision may depend only on arrivals up to its
+//! own instant. Dropping every arrival at or after `t` from explicit
+//! traces therefore leaves every certified event before `t`, and every
+//! charge that ends before `t`, unchanged: demands are sampled in
+//! arrival order, so the kept jobs draw the same demands. A charge or an
+//! idle gap that ends exactly at `t` can end there only because of a
+//! dropped arrival, so the bound is strict. An engine that admits an
+//! arrival early, or a policy that peeks at the trace, breaks it.
 
 use eua::core::{available_policies, make_policy, BudgetedEua};
-use eua::platform::{EnergySetting, FrequencyTable, TimeDelta};
+use eua::platform::{EnergySetting, FrequencyTable, SimTime, TimeDelta};
 use eua::sim::{dispatch_sequence, Engine, Outcome, Platform, RunCertificate, SchedulerPolicy};
-use eua::sim::{SimConfig, Task, TaskSet};
+use eua::sim::{ChargeRecord, EventRecord, SimConfig, Task, TaskSet};
 use eua::tuf::Tuf;
 use eua::uam::demand::DemandModel;
 use eua::uam::generator::ArrivalPattern;
-use eua::uam::{Assurance, UamSpec};
+use eua::uam::{ArrivalTrace, Assurance, UamSpec};
 use proptest::prelude::*;
 
 /// The budgets `BudgetedEua` runs under; the scaled run gets 8 times
@@ -114,6 +123,61 @@ fn assert_scaled(base: &Outcome, scaled: &Outcome, setting: &str, policy: &str) 
 /// One policy twice: for the base run and for the scaled run.
 type PolicyPair = (String, Box<dyn SchedulerPolicy>, Box<dyn SchedulerPolicy>);
 
+/// One periodic task: period (ms), arrivals per release, phase (µs),
+/// demand as a share of the period's cycles at 100 MHz, step utility,
+/// and whether the demand is normal (variance = mean) or deterministic.
+type PeriodicParams = (u64, u32, u64, f64, f64, bool);
+
+/// The horizon of the non-clairvoyance runs.
+const CUT_HORIZON: TimeDelta = TimeDelta::from_millis(60);
+
+/// Periodic bursts on a 1 ms grid, each task offset by 0 or 1 µs, so a
+/// decision at one task's release often falls exactly 1 µs before
+/// another's: the one instant where admitting an arrival early shows.
+fn periodic(params: &[PeriodicParams]) -> (TaskSet, Vec<ArrivalTrace>) {
+    let mut tasks = Vec::new();
+    let mut traces = Vec::new();
+    for (i, &(period_ms, burst, phase_us, share, utility, normal)) in params.iter().enumerate() {
+        let period = TimeDelta::from_millis(period_ms);
+        let cycles = (share * period_ms as f64 * 1e5).round();
+        let demand = if normal {
+            DemandModel::normal(cycles, cycles)
+        } else {
+            DemandModel::deterministic(cycles)
+        };
+        let task = Task::new(
+            format!("t{i}"),
+            Tuf::step(utility, period).expect("tuf"),
+            UamSpec::new(burst, period).expect("bound"),
+            demand.expect("demand"),
+            Assurance::new(1.0, 0.96).expect("assurance"),
+        );
+        tasks.push(task.expect("task"));
+        let releases = (0..)
+            .map(|k| SimTime::from_micros(phase_us).saturating_add(period.saturating_mul(k)))
+            .take_while(|&t| t < SimTime::ZERO.saturating_add(CUT_HORIZON));
+        traces.push(
+            releases
+                .flat_map(|t| std::iter::repeat_n(t, burst as usize))
+                .collect(),
+        );
+    }
+    (TaskSet::new(tasks).expect("task set"), traces)
+}
+
+/// The certified events before `t` and the charges that end before it.
+fn before(outcome: &Outcome, t: SimTime) -> (Vec<EventRecord>, Vec<ChargeRecord>) {
+    let cert = outcome.certificate.as_ref().expect("certified");
+    let events = cert.events.iter().filter(|e| e.at < t).cloned().collect();
+    let charges = cert
+        .charges
+        .iter()
+        .filter(|c| c.at.saturating_add(TimeDelta::from_micros(c.micros)) < t)
+        .copied()
+        .collect();
+    (events, charges)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -146,6 +210,51 @@ proptest! {
                 let b = run(&base, &platform, p.as_mut(), idle_power, seed);
                 let s = run(&scaled, &platform2, p2.as_mut(), 8.0 * idle_power, seed);
                 assert_scaled(&b, &s, setting.name(), name)?;
+            }
+        }
+    }
+
+    #[test]
+    fn dropping_arrivals_from_t_on_keeps_everything_before_t(
+        params in proptest::collection::vec(
+            (2u64..13, 1u32..3, 0u64..2, 0.01f64..0.6, 1.0f64..100.0, any::<bool>()),
+            1..6,
+        ),
+        cuts in proptest::collection::vec(any::<usize>(), 3),
+        setting in 0usize..3,
+        idle_power in prop_oneof![Just(0.0), 1.0f64..1e6],
+        seed in any::<u64>(),
+    ) {
+        let (tasks, traces) = periodic(&params);
+        let mut instants: Vec<SimTime> = traces.iter().flat_map(ArrivalTrace::iter).collect();
+        instants.sort_unstable();
+        instants.dedup();
+        let platform = Platform::powernow(EnergySetting::all()[setting]);
+        let config = SimConfig::new(CUT_HORIZON)
+            .with_certificate()
+            .with_idle_power(idle_power);
+        // Each cut, with the traces that keep only the arrivals before it.
+        let cut_traces: Vec<(SimTime, Vec<ArrivalTrace>)> = cuts
+            .iter()
+            .map(|&cut| {
+                let t = instants[cut % instants.len()];
+                (t, traces.iter().map(|trace| trace.iter().filter(|&a| a < t).collect()).collect())
+            })
+            .collect();
+        let registered = available_policies()
+            .iter()
+            .map(|&name| (name.to_string(), make_policy(name).expect("registered")));
+        let budgeted = BUDGETS.iter().map(|&budget| -> (String, Box<dyn SchedulerPolicy>) {
+            (format!("budgeted-eua {budget:e}"), Box::new(BudgetedEua::new(budget)))
+        });
+        for (name, mut policy) in registered.chain(budgeted) {
+            let mut run = |traces: &[ArrivalTrace]| {
+                Engine::run_with_traces(&tasks, traces, &platform, policy.as_mut(), &config, seed)
+                    .expect("run")
+            };
+            let full = run(&traces);
+            for (t, kept) in &cut_traces {
+                prop_assert_eq!(before(&run(kept), *t), before(&full, *t), "{} cut at {}", name, t);
             }
         }
     }
