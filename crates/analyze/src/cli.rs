@@ -7,8 +7,9 @@
 //! text|json|sarif` (each report's text stanza and then the step's
 //! summary line, one compact JSON array, or one SARIF 2.1.0 document that
 //! must pass [`validate_sarif`] before it is written); `codes`, which
-//! lists the registry codes of the tool's family; and the exit order of
-//! [`status`].
+//! lists the registry codes of the tool's family; and the exit order:
+//! `2` when an input failed, else `1` on Error-severity findings, else
+//! `0`.
 
 use std::io::Write;
 use std::process::ExitCode;
@@ -54,7 +55,7 @@ pub struct Checked {
 
 /// Writes to stdout, exiting quietly if the reader went away (e.g. the
 /// output is piped into `head`); `println!` would panic instead.
-pub fn emit(text: &str) {
+fn emit(text: &str) {
     if std::io::stdout().write_all(text.as_bytes()).is_err() {
         std::process::exit(0);
     }
@@ -63,8 +64,7 @@ pub fn emit(text: &str) {
 /// The exit status, strictly ordered: `2` when an input `failed` (even
 /// if others were checked), else `1` when there are Error-severity
 /// `errors`, else `0`.
-#[must_use]
-pub fn status(failed: bool, errors: bool) -> ExitCode {
+fn status(failed: bool, errors: bool) -> ExitCode {
     if failed {
         ExitCode::from(2)
     } else if errors {
@@ -75,10 +75,10 @@ pub fn status(failed: bool, errors: bool) -> ExitCode {
 }
 
 /// Runs `tool` on the process's command line. `check` is the input
-/// step: `Err(status)` ends the run before any report is written, after
-/// a usage error the step has reported or a mode that writes its own
-/// output (`eua-analyze check --fix`). Usage errors exit `2`.
-pub fn run(tool: &Tool, check: impl FnOnce(&Inputs<'_>) -> Result<Checked, ExitCode>) -> ExitCode {
+/// step: `Err(message)` is a usage error, such as nothing to check or
+/// a root that cannot be read, and ends the run before any report is
+/// written, with `message` on stderr and exit `2`.
+pub fn run(tool: &Tool, check: impl FnOnce(&Inputs<'_>) -> Result<Checked, String>) -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("check") => run_check(tool, &args[1..], check),
@@ -111,7 +111,7 @@ pub fn run(tool: &Tool, check: impl FnOnce(&Inputs<'_>) -> Result<Checked, ExitC
 fn run_check(
     tool: &Tool,
     args: &[String],
-    check: impl FnOnce(&Inputs<'_>) -> Result<Checked, ExitCode>,
+    check: impl FnOnce(&Inputs<'_>) -> Result<Checked, String>,
 ) -> ExitCode {
     let mut format = "text";
     let mut inputs = Inputs::default();
@@ -135,7 +135,10 @@ fn run_check(
     }
     let checked = match check(&inputs) {
         Ok(checked) => checked,
-        Err(status) => return status,
+        Err(message) => {
+            eprintln!("{message}");
+            return ExitCode::from(2);
+        }
     };
     match format {
         "json" => emit(&(render_json_reports(&checked.reports) + "\n")),

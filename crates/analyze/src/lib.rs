@@ -20,7 +20,6 @@
 //! | [`energy`] | UER brackets, dominated frequencies, unreachable DVS states ([`EnergyProfile`]) |
 //! | [`sarif`] | SARIF 2.1.0 rendering and subset validation |
 //! | [`spans`] | `.scn` token extents ([`SourceMap`]) for SARIF regions |
-//! | [`fix`] | machine-applicable fixes for a subset of diagnostic codes |
 //! | [`examples`] | registry mirroring every shipped workload for `--all-examples` |
 //!
 //! # Example
@@ -57,7 +56,6 @@ pub mod demand;
 pub mod diagnostic;
 pub mod energy;
 pub mod examples;
-pub mod fix;
 pub mod ir;
 pub mod passes;
 pub mod sarif;
@@ -71,7 +69,6 @@ pub use demand::{
 pub use diagnostic::{render_json_reports, DiagCode, Diagnostic, Report, Severity};
 pub use energy::{energy_profiles, EnergyProfile};
 pub use examples::shipped_scenarios;
-pub use fix::{apply_fixes, AppliedFix};
 pub use ir::{lower, AnalysisIr, FreqIr, TaskIr};
 pub use passes::analyze;
 pub use sarif::{render_sarif, validate_sarif};

@@ -17,6 +17,9 @@ use eua_sim::TaskSet;
 /// Relative slop for float comparisons against `f_m`.
 const EPS: f64 = 1e-9;
 
+/// Relative tolerance for the declared-allocation cross-check.
+const ALLOCATION_TOL: f64 = 1e-6;
+
 /// Analyzes `scenario` with every pass, in order: structure, TUF
 /// shapes, assurances, Chebyshev budgets, UAM specs, frequency table,
 /// energy model, feasibility classification, fault stanzas, and the
@@ -362,7 +365,7 @@ fn check_declared_allocation(task: &TaskSpec, out: &mut Vec<Diagnostic>) {
         return;
     };
     let expected = c.ceil();
-    if declared.is_finite() && (declared - expected).abs() <= 1.0 + crate::fix::ALLOCATION_TOL * c {
+    if declared.is_finite() && (declared - expected).abs() <= 1.0 + ALLOCATION_TOL * c {
         return;
     }
     out.push(

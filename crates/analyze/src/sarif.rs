@@ -9,9 +9,7 @@
 //! when the diagnostic names one); results of a report with a
 //! [`Report::uri`] also carry a physical `artifactLocation`, with the
 //! diagnostic's [`Diagnostic::span`](crate::Diagnostic::span) as its
-//! `region`. Results whose code has a machine-applicable rewrite (see
-//! [`crate::fix`]) are tagged with `properties.machineApplicableFix:
-//! true`.
+//! `region`.
 //!
 //! Rendering goes through the deterministic first-party
 //! [`eua_sim::json`] tree, so [`validate_sarif`] (which every CLI runs
@@ -21,7 +19,6 @@
 use eua_sim::json::{self, Json};
 
 use crate::diagnostic::{DiagCode, Report, Severity};
-use crate::fix::is_fixable;
 
 /// The schema URI pinned into every document this writer emits.
 pub const SCHEMA_URI: &str = "https://json.schemastore.org/sarif-2.1.0.json";
@@ -121,7 +118,7 @@ pub fn render_sarif(driver: &str, reports: &[Report]) -> String {
                 text.push_str(s);
             }
 
-            let mut result = vec![
+            results.push(Json::Obj(vec![
                 ("ruleId".into(), Json::Str(d.code.as_str().into())),
                 ("ruleIndex".into(), Json::uint(rule_index(d.code) as u64)),
                 ("level".into(), Json::Str(level(d.severity).into())),
@@ -130,14 +127,7 @@ pub fn render_sarif(driver: &str, reports: &[Report]) -> String {
                     Json::Obj(vec![("text".into(), Json::Str(text))]),
                 ),
                 ("locations".into(), Json::Arr(vec![Json::Obj(location)])),
-            ];
-            if is_fixable(d.code) {
-                result.push((
-                    "properties".into(),
-                    Json::Obj(vec![("machineApplicableFix".into(), Json::Bool(true))]),
-                ));
-            }
-            results.push(Json::Obj(result));
+            ]));
         }
     }
 
@@ -350,25 +340,6 @@ mod tests {
         // Three distinct codes fired.
         assert_eq!(rules.len(), 3);
         validate_sarif(&text).unwrap();
-    }
-
-    #[test]
-    fn fixable_results_carry_the_machine_fix_property() {
-        let text = render(&sample_reports(false));
-        // assurance-nu-range and freq-table-invalid are fixable,
-        // theorem1-speed is not.
-        assert!(text.contains("machineApplicableFix"));
-        let doc = json::parse(&text).unwrap();
-        let results = doc.get("runs").and_then(Json::as_arr).unwrap()[0]
-            .get("results")
-            .and_then(Json::as_arr)
-            .unwrap()
-            .to_vec();
-        let tagged = results
-            .iter()
-            .filter(|r| r.get("properties").is_some())
-            .count();
-        assert_eq!(tagged, 2);
     }
 
     #[test]

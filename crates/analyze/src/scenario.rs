@@ -727,7 +727,7 @@ impl ScenarioSpec {
     /// of the result reproduces every field, except that a custom energy
     /// model's name normalizes to `custom`). Floats use Rust's
     /// shortest-round-trip `{:?}` formatting, so no precision is lost.
-    /// This is what `eua-analyze --fix` emits after rewriting a spec.
+    /// The chaos harness and the shrinker write their repros with it.
     #[must_use]
     pub fn render(&self) -> String {
         let mut out = String::new();

@@ -3,11 +3,14 @@
 //! SARIF output can carry precise `region`s (start/end line and column)
 //! instead of whole-file locations.
 //!
-//! The scan is deliberately independent of the parser: it only looks at
-//! line structure and whitespace-separated tokens, so it succeeds on
-//! files the parser rejects (and the map is simply sparse wherever the
-//! text is too mangled to anchor). Columns are 1-based byte offsets and
-//! `end_col` is exclusive, matching SARIF's `endColumn` convention.
+//! The scan reads only line structure and whitespace-separated tokens,
+//! with `#` comments stripped as the parser strips them. A `scenario` or
+//! `task` name is the rest of its line, as the parser keeps it, so its
+//! span runs from the name's first token to its last.
+//! [`ScenarioSpec::parse_with_spans`](crate::ScenarioSpec::parse_with_spans)
+//! scans only text that parsed; on other text the scan still never
+//! fails, and the map is simply sparse. Columns are 1-based byte offsets
+//! and `end_col` is exclusive, matching SARIF's `endColumn` convention.
 
 use std::fmt;
 
@@ -42,13 +45,13 @@ impl fmt::Display for Span {
 /// diagnostics name their entities (see [`SourceMap::resolve`]).
 #[derive(Debug, Clone, Default)]
 pub struct SourceMap {
-    /// The name token on the `scenario` header line.
+    /// The name on the `scenario` header line.
     scenario: Option<Span>,
     /// `(mhz, span)` per numeric token on the `frequencies` line.
     frequencies: Vec<(u64, Span)>,
     /// The value token(s) on the `energy` line, merged into one span.
     energy: Option<Span>,
-    /// `(name, span)` per `task` header name token.
+    /// `(name, span)` per `task` header name.
     tasks: Vec<(String, Span)>,
 }
 
@@ -73,6 +76,11 @@ fn tokens(line: &str) -> Vec<(u32, u32, &str)> {
     out
 }
 
+/// The 1-based columns from the first of `toks` to the end of the last.
+fn extent(toks: &[(u32, u32, &str)]) -> Option<(u32, u32)> {
+    Some((toks.first()?.0, toks.last()?.1))
+}
+
 impl SourceMap {
     /// Scans scenario text for anchorable tokens. Never fails: unknown
     /// or malformed lines simply contribute nothing.
@@ -82,31 +90,33 @@ impl SourceMap {
         for (idx, line) in text.lines().enumerate() {
             #[allow(clippy::cast_possible_truncation)]
             let lineno = idx as u32 + 1;
-            let toks = tokens(line);
-            let span = |start: u32, end: u32| Span {
+            let body = line.split('#').next().unwrap_or("");
+            let toks = tokens(body);
+            let span = |(start, end): (u32, u32)| Span {
                 start_line: lineno,
                 start_col: start,
                 end_line: lineno,
                 end_col: end,
             };
             match toks.as_slice() {
-                [(_, _, "scenario"), (s, e, _), ..] if map.scenario.is_none() => {
-                    map.scenario = Some(span(*s, *e));
+                [(_, _, "scenario"), rest @ ..] if map.scenario.is_none() => {
+                    map.scenario = extent(rest).map(span);
                 }
                 [(_, _, "frequencies"), rest @ ..] if map.frequencies.is_empty() => {
-                    for (s, e, tok) in rest {
+                    for &(s, e, tok) in rest {
                         if let Ok(mhz) = tok.parse::<u64>() {
-                            map.frequencies.push((mhz, span(*s, *e)));
+                            map.frequencies.push((mhz, span((s, e))));
                         }
                     }
                 }
-                [(_, _, "energy"), rest @ ..] if map.energy.is_none() && !rest.is_empty() => {
-                    let (first, _, _) = rest[0];
-                    let (_, last, _) = rest[rest.len() - 1];
-                    map.energy = Some(span(first, last));
+                [(_, _, "energy"), rest @ ..] if map.energy.is_none() => {
+                    map.energy = extent(rest).map(span);
                 }
-                [(_, _, "task"), (s, e, name), ..] => {
-                    map.tasks.push(((*name).to_string(), span(*s, *e)));
+                [(_, _, "task"), rest @ ..] => {
+                    if let Some((s, e)) = extent(rest) {
+                        let name = &body[s as usize - 1..e as usize - 1];
+                        map.tasks.push((name.to_string(), span((s, e))));
+                    }
                 }
                 _ => {}
             }
@@ -201,6 +211,30 @@ end
         );
         let backup = map.resolve(Some("backup")).unwrap();
         assert_eq!(backup.start_line, 7);
+    }
+
+    #[test]
+    fn multi_word_names_span_the_rest_of_their_line() {
+        // A regression-corpus header and a two-word task name, each with
+        // a trailing comment the parser strips.
+        let text = "scenario chaos-repro policy=edf  seed=6 # a comment\n\
+                    task sensor fusion   # trailing comment\n\
+                    \x20 tuf step 10 10000\n\
+                    \x20 uam 1 10000\n\
+                    \x20 demand det 1000\n\
+                    \x20 assurance 1.0 0.9\n\
+                    end\n";
+        let (spec, map) = crate::ScenarioSpec::parse_with_spans(text).unwrap();
+        assert_eq!(spec.name, "chaos-repro policy=edf  seed=6");
+        assert_eq!(spec.tasks[0].name, "sensor fusion");
+        let scenario = map.resolve(None).unwrap();
+        assert_eq!(
+            (scenario.start_line, scenario.start_col, scenario.end_col),
+            (1, 10, 40)
+        );
+        let task = map.resolve(Some(&spec.tasks[0].name)).unwrap();
+        assert_eq!((task.start_line, task.start_col, task.end_col), (2, 6, 19));
+        assert_eq!(map.resolve(Some("sensor")), None);
     }
 
     #[test]

@@ -2,8 +2,7 @@
 
 //! Binary-level tests for the CLI contract added with the semantic
 //! engine: the strict 2 > 1 > 0 exit ordering across multiple inputs,
-//! SARIF output (`--format sarif`), and machine-applicable
-//! fixes (`--fix`, `--apply`).
+//! SARIF output (`--format sarif`), and the flags `check` refuses.
 
 use std::process::Command;
 
@@ -54,7 +53,7 @@ fn help_documents_the_exit_code_contract() {
     let out = bin().arg("--help").output().expect("runs");
     assert_eq!(out.status.code(), Some(0));
     let stdout = String::from_utf8_lossy(&out.stdout);
-    for needle in ["exit status", "sarif", "--fix", "--apply"] {
+    for needle in ["exit status", "sarif"] {
         assert!(stdout.contains(needle), "help must mention {needle:?}");
     }
 }
@@ -103,79 +102,18 @@ fn the_check_flag_is_unknown() {
 }
 
 #[test]
-fn fix_dry_run_prints_a_repaired_scenario_without_touching_the_file() {
-    let before = std::fs::read_to_string(scn_path("fixable.scn")).expect("readable");
-    let out = bin()
-        .args(["check", "--fix", &scn_path("fixable.scn")])
-        .output()
-        .expect("runs");
-    assert_eq!(
-        out.status.code(),
-        Some(0),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let after = std::fs::read_to_string(scn_path("fixable.scn")).expect("readable");
-    assert_eq!(before, after, "dry run must not rewrite the file");
-
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("frequencies 25 50 100"), "{stdout}");
-    assert!(stdout.contains("assurance 1.0 0.96"), "{stdout}");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    for code in [
-        "freq-table-invalid",
-        "assurance-nu-range",
-        "assurance-rho-range",
-        "tuf-unordered-breakpoints",
-        "uam-arrival-bound",
-        "sem-chebyshev-allocation-mismatch",
-    ] {
-        assert!(stderr.contains(code), "summary must name {code}: {stderr}");
+fn the_rewrite_flags_are_unknown() {
+    // The analyzer reports and never rewrites its input.
+    for flag in ["--fix", "--apply"] {
+        let out = bin()
+            .args(["check", flag, &scn_path("valid.scn")])
+            .output()
+            .expect("runs");
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains(&format!("unknown flag `{flag}`")),
+            "{flag}"
+        );
+        assert!(out.stdout.is_empty(), "{flag}");
     }
-}
-
-#[test]
-fn fix_apply_rewrites_the_file_to_a_clean_fixed_point() {
-    // Work on a copy under the test temp dir; never touch the fixture.
-    let tmp = format!("{}/fixable-copy.scn", env!("CARGO_TARGET_TMPDIR"));
-    std::fs::copy(scn_path("fixable.scn"), &tmp).expect("copy fixture");
-
-    let out = bin()
-        .args(["check", "--fix", "--apply", &tmp])
-        .output()
-        .expect("runs");
-    assert_eq!(
-        out.status.code(),
-        Some(0),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-
-    // The rewritten file parses and re-analyzes clean of errors…
-    let check = bin().args(["check", &tmp]).output().expect("runs");
-    assert_eq!(
-        check.status.code(),
-        Some(0),
-        "fixed file must be clean: {}",
-        String::from_utf8_lossy(&check.stdout)
-    );
-
-    // …and a second --fix pass is a no-op (idempotent fixed point).
-    let again = bin().args(["check", "--fix", &tmp]).output().expect("runs");
-    let stderr = String::from_utf8_lossy(&again.stderr);
-    assert!(stderr.contains("nothing to fix"), "{stderr}");
-}
-
-#[test]
-fn fix_rejects_all_examples_and_bare_apply() {
-    let out = bin()
-        .args(["check", "--fix", "--all-examples"])
-        .output()
-        .expect("runs");
-    assert_eq!(out.status.code(), Some(2));
-    let out = bin()
-        .args(["check", "--apply", &scn_path("valid.scn")])
-        .output()
-        .expect("runs");
-    assert_eq!(out.status.code(), Some(2));
 }

@@ -45,10 +45,9 @@ fn main() -> ExitCode {
 
 /// Audits every certificate, continuing past per-file I/O failures so a
 /// missing file never hides findings in the readable ones.
-fn check(inputs: &Inputs<'_>) -> Result<Checked, ExitCode> {
+fn check(inputs: &Inputs<'_>) -> Result<Checked, String> {
     if inputs.operands.is_empty() {
-        eprintln!("nothing to audit\n{}", TOOL.usage);
-        return Err(ExitCode::from(2));
+        return Err(format!("nothing to audit\n{}", TOOL.usage));
     }
     let mut checked = Checked::default();
     for file in &inputs.operands {

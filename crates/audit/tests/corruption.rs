@@ -11,19 +11,31 @@ use std::collections::BTreeSet;
 use common::{bridge, run_certified};
 use eua_analyze::shipped_scenarios;
 use eua_audit::{audit, audit_text};
-use eua_core::Eua;
+use eua_core::{EdfPolicy, Eua};
 use eua_platform::{Frequency, SimTime, TimeDelta};
-use eua_sim::{ChargeKind, RunCertificate};
+use eua_sim::{ChargeKind, RunCertificate, SchedulerPolicy, UerEntry};
 
 /// A real EUA\* certificate with plenty of multi-job events to corrupt.
 fn certified() -> RunCertificate {
+    certified_by(SATURATED, &mut Eua::new())
+}
+
+/// The shipped near-saturation scenario [`certified`] runs.
+const SATURATED: &str = "overload-survival-0.9";
+
+/// The shipped scenario whose EUA\* run aborts jobs and leaves feasible
+/// jobs out of its schedules.
+const ABORTING: &str = "overload-survival-1.8";
+
+/// The certificate of `policy` on the shipped scenario `name`.
+fn certified_by(name: &str, policy: &mut dyn SchedulerPolicy) -> RunCertificate {
     let spec = shipped_scenarios()
         .expect("registry builds")
         .into_iter()
-        .find(|s| s.name == "overload-survival-0.9")
+        .find(|s| s.name == name)
         .expect("shipped scenario");
     let (tasks, patterns, platform) = bridge(&spec);
-    run_certified(&tasks, &patterns, &platform, &mut Eua::new(), 42)
+    run_certified(&tasks, &patterns, &platform, policy, 42)
 }
 
 /// The index of an event whose explanation certifies at least two UER
@@ -220,13 +232,16 @@ fn corruption_attribution_is_specific() {
 /// Audits a forged charge ledger and asserts that its findings are
 /// exactly one `aud-energy-mismatch` per expected reason.
 fn assert_only_ledger(cert: &RunCertificate, reasons: &[&str]) {
+    assert_only(cert, "aud-energy-mismatch", reasons);
+}
+
+/// Audits a forged certificate and asserts that its findings are exactly
+/// one `code` per expected reason. Several checks share a code, so the
+/// reason names the check.
+fn assert_only(cert: &RunCertificate, code: &str, reasons: &[&str]) {
     let report = audit(cert);
     let text = report.render_text();
-    assert_eq!(
-        report.codes(),
-        BTreeSet::from(["aud-energy-mismatch"]),
-        "{text}"
-    );
+    assert_eq!(report.codes(), BTreeSet::from([code]), "{text}");
     assert_eq!(report.diagnostics.len(), reasons.len(), "{text}");
     for reason in reasons {
         let saying = report
@@ -283,6 +298,190 @@ fn a_stretched_charge_is_rejected_twice() {
         .as_micros()
         .saturating_add(1);
     assert_only_ledger(&cert, &[WRONG_DURATION, OVERLAP]);
+}
+
+// One forgery per decision check, each caught by that check alone. The
+// forgeries edit only what the policy decided and explained; the ready
+// rows stay as recorded.
+
+#[test]
+fn a_schedule_missing_its_last_entry_is_not_the_greedy_one() {
+    let mut cert = certified();
+    let expl = cert
+        .events
+        .iter_mut()
+        .find_map(|e| e.explanation.as_mut().filter(|x| x.schedule.len() >= 2))
+        .expect("a multi-entry schedule exists");
+    // The head stays, so the dispatch still heads the schedule.
+    expl.schedule.pop();
+    assert_only(
+        &cert,
+        "aud-schedule-order",
+        &["greedy non-increasing-UER insertion reconstructs"],
+    );
+}
+
+#[test]
+fn a_dispatch_other_than_the_schedule_head_is_rejected() {
+    let mut cert = certified();
+    let event = cert
+        .events
+        .iter_mut()
+        .find(|e| e.explanation.is_some() && e.run.is_some() && e.ready.len() >= 2)
+        .expect("a dispatch among several ready jobs");
+    let other = event
+        .ready
+        .iter()
+        .map(|s| s.job)
+        .find(|&j| Some(j) != event.run && !event.aborts.contains(&j))
+        .expect("another ready job that is not aborted");
+    event.run = Some(other);
+    assert_only(
+        &cert,
+        "aud-schedule-order",
+        &["disagrees with the schedule head"],
+    );
+}
+
+#[test]
+fn a_witness_finish_moved_by_one_microsecond_proves_nothing() {
+    let mut cert = certified_by(ABORTING, &mut Eua::new());
+    let witness = cert
+        .events
+        .iter_mut()
+        .find_map(|e| e.explanation.as_mut()?.aborts.first_mut())
+        .expect("an abort witness exists");
+    witness.predicted_finish = witness
+        .predicted_finish
+        .saturating_add(TimeDelta::from_micros(1));
+    assert_only(
+        &cert,
+        "aud-abort-illegal",
+        &["does not prove infeasibility"],
+    );
+}
+
+#[test]
+fn a_feasible_job_without_a_uer_is_rejected() {
+    let mut cert = certified_by(ABORTING, &mut Eua::new());
+    // The job with the strictly lowest UER is considered last, so when
+    // it is left out of the schedule, dropping its row leaves the greedy
+    // reconstruction as it was.
+    let (i, job) = cert
+        .events
+        .iter()
+        .enumerate()
+        .find_map(|(i, e)| {
+            let expl = e.explanation.as_ref()?;
+            let last = expl.uer.iter().min_by(|a, b| a.uer.total_cmp(&b.uer))?;
+            let alone = expl.uer.iter().filter(|u| u.uer <= last.uer).count() == 1;
+            let scheduled = expl.schedule.iter().any(|s| s.job == last.job);
+            (alone && !scheduled).then_some((i, last.job))
+        })
+        .expect("an unscheduled job with the lowest UER");
+    let expl = cert.events[i].explanation.as_mut().unwrap();
+    expl.uer.retain(|u| u.job != job);
+    assert_only(
+        &cert,
+        "aud-uer-mismatch",
+        &["is missing from the certified UER set"],
+    );
+}
+
+#[test]
+fn an_aborted_job_with_a_uer_is_rejected() {
+    let mut cert = certified_by(ABORTING, &mut Eua::new());
+    let event = cert
+        .events
+        .iter_mut()
+        .find(|e| e.explanation.is_some() && !e.aborts.is_empty())
+        .expect("an abort exists");
+    let job = event.aborts[0];
+    // Past its termination an aborted job's utility is zero, so a zero
+    // UER passes the recomputation, and a zero key ends the greedy
+    // consideration without changing the schedule.
+    let expl = event.explanation.as_mut().unwrap();
+    expl.uer.push(UerEntry { job, uer: 0.0 });
+    assert_only(&cert, "aud-uer-mismatch", &["carries a UER"]);
+}
+
+/// The top of the table the policy planned against.
+fn policy_f_max(cert: &RunCertificate) -> Frequency {
+    Frequency::from_mhz(*cert.policy_frequencies_mhz.iter().max().unwrap())
+}
+
+/// The index of the first dispatch whose explanation `has`, with a
+/// policy-visible table entry other than the one it ran at.
+fn dispatch_moved_on_the_table(
+    cert: &RunCertificate,
+    has: impl Fn(&eua_sim::DecisionExplanation) -> bool,
+) -> (usize, Frequency) {
+    let i = cert
+        .events
+        .iter()
+        .position(|e| e.run.is_some() && e.explanation.as_ref().is_some_and(&has))
+        .expect("such a dispatch exists");
+    let other = cert
+        .policy_frequencies_mhz
+        .iter()
+        .map(|&mhz| Frequency::from_mhz(mhz))
+        .find(|&f| f != cert.events[i].frequency)
+        .expect("a table of two or more entries");
+    (i, other)
+}
+
+#[test]
+fn a_required_speed_above_f_max_is_rejected() {
+    let mut cert = certified();
+    let f_m = policy_f_max(&cert);
+    // At f_m the selection still agrees: a speed above the table selects
+    // its top.
+    let dvs = cert
+        .events
+        .iter_mut()
+        .filter(|e| e.run.is_some() && e.frequency == f_m)
+        .find_map(|e| e.explanation.as_mut()?.dvs.as_mut())
+        .expect("a dispatch at f_m with a DVS record");
+    dvs.required_speed = 2.0 * f_m.as_f64();
+    assert_only(&cert, "aud-dvs-out-of-bound", &["outside [0, f_m"]);
+}
+
+#[test]
+fn a_frequency_the_required_speed_does_not_select_is_rejected() {
+    let mut cert = certified();
+    let (i, other) = dispatch_moved_on_the_table(&cert, |x| x.dvs.is_some());
+    cert.events[i].frequency = other;
+    assert_only(&cert, "aud-dvs-out-of-bound", &["but required speed"]);
+}
+
+#[test]
+fn a_dispatch_without_dvs_below_f_max_is_rejected() {
+    let mut cert = certified_by(SATURATED, &mut Eua::without_dvs());
+    let (i, other) = dispatch_moved_on_the_table(&cert, |x| x.dvs.is_none());
+    cert.events[i].frequency = other;
+    assert_only(
+        &cert,
+        "aud-dvs-out-of-bound",
+        &["no DVS record, so the choice must be f_m"],
+    );
+}
+
+#[test]
+fn an_unexplained_dispatch_off_the_table_is_rejected() {
+    // EDF explains nothing, so only the table check sees its frequency.
+    let mut cert = certified_by(SATURATED, &mut EdfPolicy::max_speed());
+    let event = cert
+        .events
+        .iter_mut()
+        .find(|e| e.run.is_some())
+        .expect("a dispatch exists");
+    assert!(event.explanation.is_none());
+    event.frequency = Frequency::from_mhz(9_999);
+    assert_only(
+        &cert,
+        "aud-dvs-out-of-bound",
+        &["is not in the policy-visible table"],
+    );
 }
 
 /// A job id no certificate in this suite reaches.

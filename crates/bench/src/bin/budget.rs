@@ -12,7 +12,7 @@
 
 use std::path::PathBuf;
 
-use eua_bench::{jobs_from_args, write_csv, ExperimentConfig, Table};
+use eua_bench::{write_csv, ExperimentConfig, Flags, Table};
 use eua_core::{BudgetedEua, Eua};
 use eua_platform::EnergySetting;
 use eua_sim::{replicate, Platform, SimConfig, Summary};
@@ -21,19 +21,14 @@ use eua_workload::fig2_workload;
 const WORKLOAD_SEED: u64 = 42;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let csv_dir: Option<PathBuf> = args
-        .iter()
-        .position(|a| a == "--csv-dir")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from);
-    let config = if quick {
+    let flags = Flags::parse(&["--quick"], &["--csv-dir", "--jobs"]);
+    let csv_dir = flags.value("--csv-dir").map(PathBuf::from);
+    let config = if flags.has("--quick") {
         ExperimentConfig::quick()
     } else {
         ExperimentConfig::standard()
     }
-    .with_jobs(jobs_from_args(&args));
+    .with_jobs(flags.jobs());
     let platform = Platform::powernow(EnergySetting::e1());
     let sim_config = SimConfig::new(config.horizon);
     let totals = |summary: &Summary| {

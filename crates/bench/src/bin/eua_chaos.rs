@@ -22,52 +22,61 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use eua_bench::chaos::{self, ChaosConfig};
-use eua_bench::jobs_from_args;
-use eua_bench::shrink;
+use eua_bench::{shrink, usage_error, Flags};
+use eua_core::make_policy;
 use eua_platform::TimeDelta;
 
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-}
-
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let resume = args.iter().any(|a| a == "--resume");
-    let no_audit = args.iter().any(|a| a == "--no-audit");
-    let journal: PathBuf = flag_value(&args, "--journal")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("results/chaos-journal.jsonl"));
-    let out: PathBuf = flag_value(&args, "--out")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("results/chaos.json"));
-    let halt_after: Option<u32> = flag_value(&args, "--halt-after").and_then(|v| v.parse().ok());
-    let shrink_dir: Option<PathBuf> = flag_value(&args, "--shrink-dir").map(PathBuf::from);
-    let shrink_limit: usize = flag_value(&args, "--shrink-limit")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3);
+    let flags = Flags::parse(
+        &["--quick", "--resume", "--no-audit"],
+        &[
+            "--seed",
+            "--cells",
+            "--horizon-ms",
+            "--jobs",
+            "--policies",
+            "--journal",
+            "--out",
+            "--halt-after",
+            "--shrink-dir",
+            "--shrink-limit",
+        ],
+    );
+    let resume = flags.has("--resume");
+    let journal = PathBuf::from(
+        flags
+            .value("--journal")
+            .unwrap_or("results/chaos-journal.jsonl"),
+    );
+    let out = PathBuf::from(flags.value("--out").unwrap_or("results/chaos.json"));
+    let halt_after: Option<u32> = flags.parsed("--halt-after");
+    let shrink_dir = flags.value("--shrink-dir").map(PathBuf::from);
+    let shrink_limit: usize = flags.parsed("--shrink-limit").unwrap_or(3);
 
-    let mut config = if quick {
+    let mut config = if flags.has("--quick") {
         ChaosConfig::quick()
     } else {
         ChaosConfig::standard()
     }
-    .with_jobs(jobs_from_args(&args));
-    if let Some(seed) = flag_value(&args, "--seed").and_then(|v| v.parse().ok()) {
+    .with_jobs(flags.jobs());
+    if let Some(seed) = flags.parsed("--seed") {
         config.master_seed = seed;
     }
-    if let Some(cells) = flag_value(&args, "--cells").and_then(|v| v.parse().ok()) {
+    if let Some(cells) = flags.parsed("--cells") {
         config.cells = cells;
     }
-    if let Some(ms) = flag_value(&args, "--horizon-ms").and_then(|v| v.parse().ok()) {
+    if let Some(ms) = flags.parsed("--horizon-ms") {
         config.horizon = TimeDelta::from_millis(ms);
     }
-    if let Some(list) = flag_value(&args, "--policies") {
+    if let Some(list) = flags.value("--policies") {
         config.policies = list.split(',').map(String::from).collect();
+        if let Some(bad) = config.policies.iter().find(|p| make_policy(p).is_none()) {
+            usage_error(format!(
+                "`--policies` cannot take `{bad}`: no policy has that name"
+            ));
+        }
     }
-    if no_audit {
+    if flags.has("--no-audit") {
         config.audit = false;
     }
 

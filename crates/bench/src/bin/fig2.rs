@@ -12,7 +12,8 @@
 use std::path::PathBuf;
 
 use eua_bench::{
-    jobs_from_args, render_chart, render_svg, run_cells, write_csv, ExperimentConfig, Series, Table,
+    render_chart, render_svg, run_cells, usage_error, write_csv, ExperimentConfig, Flags, Series,
+    Table,
 };
 use eua_platform::EnergySetting;
 use eua_sim::Platform;
@@ -27,29 +28,32 @@ fn loads() -> Vec<f64> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let show_settings = args.iter().any(|a| a == "--show-settings");
-    let csv_dir: Option<PathBuf> = args
-        .iter()
-        .position(|a| a == "--csv-dir")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from);
-    let mut settings: Vec<EnergySetting> = args
-        .iter()
-        .enumerate()
-        .filter(|(_, a)| *a == "--energy")
-        .filter_map(|(i, _)| args.get(i + 1))
-        .filter_map(|v| match v.as_str() {
-            "e1" => Some(EnergySetting::e1()),
-            "e2" => Some(EnergySetting::e2()),
-            "e3" => Some(EnergySetting::e3()),
-            _ => None,
+    let flags = Flags::parse(
+        &["--quick", "--show-settings"],
+        &["--energy", "--csv-dir", "--jobs"],
+    );
+    let show_settings = flags.has("--show-settings");
+    let csv_dir = flags.value("--csv-dir").map(PathBuf::from);
+    let mut settings: Vec<EnergySetting> = flags
+        .values("--energy")
+        .map(|v| match v {
+            "e1" => EnergySetting::e1(),
+            "e2" => EnergySetting::e2(),
+            "e3" => EnergySetting::e3(),
+            _ => usage_error(format!(
+                "`--energy` cannot take `{v}`: expected e1, e2 or e3"
+            )),
         })
         .collect();
     if settings.is_empty() {
         settings = vec![EnergySetting::e1(), EnergySetting::e3()];
     }
+    let config = if flags.has("--quick") {
+        ExperimentConfig::quick()
+    } else {
+        ExperimentConfig::standard()
+    }
+    .with_jobs(flags.jobs());
 
     if show_settings {
         println!("Table 1 — task settings (reconstruction, see DESIGN.md):");
@@ -62,13 +66,6 @@ fn main() {
         }
         println!();
     }
-
-    let config = if quick {
-        ExperimentConfig::quick()
-    } else {
-        ExperimentConfig::standard()
-    }
-    .with_jobs(jobs_from_args(&args));
 
     for setting in settings {
         let platform = Platform::powernow(setting);

@@ -14,7 +14,7 @@
 use std::path::PathBuf;
 
 use eua_bench::{
-    jobs_from_args, render_chart, render_svg, run_cells, write_csv, ExperimentConfig, Series, Table,
+    render_chart, render_svg, run_cells, write_csv, ExperimentConfig, Flags, Series, Table,
 };
 use eua_platform::EnergySetting;
 use eua_sim::Platform;
@@ -27,19 +27,14 @@ fn loads() -> Vec<f64> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let csv_dir: Option<PathBuf> = args
-        .iter()
-        .position(|a| a == "--csv-dir")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from);
-    let config = if quick {
+    let flags = Flags::parse(&["--quick"], &["--csv-dir", "--jobs"]);
+    let csv_dir = flags.value("--csv-dir").map(PathBuf::from);
+    let config = if flags.has("--quick") {
         ExperimentConfig::quick()
     } else {
         ExperimentConfig::standard()
     }
-    .with_jobs(jobs_from_args(&args));
+    .with_jobs(flags.jobs());
     let platform = Platform::powernow(EnergySetting::e1());
 
     let mut table = Table::new(vec![

@@ -5,14 +5,15 @@
 //! abort-cost/jitter timing faults.
 //!
 //! Usage: `cargo run -p eua-bench --bin robustness [--quick] [--jobs N]
-//! [--load X] [--out PATH] [--certify DIR] [--check]`
+//! [--load X] [--out PATH] [--certify DIR]`
 //!
 //! The report goes to `results/robustness.json` (first-party JSON; the
-//! document is byte-identical for any `--jobs` count). `--check`
-//! re-parses the written file and fails unless rendering it reproduces
-//! the bytes on disk exactly. `--certify DIR` additionally records an
-//! `eua-certificate/2` document per `(family, intensity, policy, seed)`
-//! cell into `DIR` so the sweep can be validated offline:
+//! document is byte-identical for any `--jobs` count). Before writing
+//! it, the binary re-parses the rendered text and exits 1 unless
+//! rendering the parse reproduces it exactly. `--certify DIR`
+//! additionally records an `eua-certificate/2` document per `(family,
+//! intensity, policy, seed)` cell into `DIR` so the sweep can be
+//! validated offline:
 //!
 //! ```text
 //! eua-audit check DIR/*.json
@@ -21,36 +22,20 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use eua_bench::{jobs_from_args, run_robustness, RobustnessConfig};
+use eua_bench::{run_robustness, Flags, RobustnessConfig};
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let check = args.iter().any(|a| a == "--check");
-    let out: PathBuf = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("results/robustness.json"));
-    let certify_dir: Option<PathBuf> = args
-        .iter()
-        .position(|a| a == "--certify")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from);
+    let flags = Flags::parse(&["--quick"], &["--jobs", "--load", "--out", "--certify"]);
+    let out = PathBuf::from(flags.value("--out").unwrap_or("results/robustness.json"));
+    let certify_dir = flags.value("--certify").map(PathBuf::from);
 
-    let mut config = if quick {
+    let mut config = if flags.has("--quick") {
         RobustnessConfig::quick()
     } else {
         RobustnessConfig::standard()
     }
-    .with_jobs(jobs_from_args(&args));
-    if let Some(load) = args
-        .iter()
-        .position(|a| a == "--load")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-    {
+    .with_jobs(flags.jobs());
+    if let Some(load) = flags.parsed("--load") {
         config.load = load;
     }
     config.certify = certify_dir.is_some();
@@ -87,6 +72,10 @@ fn main() -> ExitCode {
     }
 
     let text = report.to_json().render();
+    if !eua_sim::json::parse(&text).is_ok_and(|doc| doc.render() == text) {
+        eprintln!("round-trip check failed: the report does not re-render to its own bytes");
+        return ExitCode::FAILURE;
+    }
     if let Some(dir) = out.parent() {
         if !dir.as_os_str().is_empty() {
             if let Err(e) = std::fs::create_dir_all(dir) {
@@ -118,34 +107,6 @@ fn main() -> ExitCode {
             dir.display(),
             dir.display(),
         );
-    }
-
-    if check {
-        let on_disk = match std::fs::read_to_string(&out) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("cannot re-read {}: {e}", out.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        let reparsed = match eua_sim::json::parse(&on_disk) {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!(
-                    "round-trip check failed: {} does not parse: {e}",
-                    out.display()
-                );
-                return ExitCode::FAILURE;
-            }
-        };
-        if reparsed.render() != on_disk {
-            eprintln!(
-                "round-trip check failed: re-rendering {} changed its bytes",
-                out.display()
-            );
-            return ExitCode::FAILURE;
-        }
-        eprintln!("round-trip check passed");
     }
     ExitCode::SUCCESS
 }

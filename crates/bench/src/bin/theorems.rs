@@ -14,7 +14,7 @@
 //!
 //! Usage: `cargo run -p eua-bench --bin theorems [--quick] [--jobs N]`
 
-use eua_bench::jobs_from_args;
+use eua_bench::Flags;
 use eua_core::{EdfPolicy, Eua};
 use eua_platform::{EnergySetting, TimeDelta};
 use eua_sim::{dispatch_sequence, map_parallel, Engine, Platform, SchedulerPolicy, SimConfig};
@@ -45,10 +45,9 @@ fn run(
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let jobs = jobs_from_args(&args);
-    let horizon = if quick {
+    let flags = Flags::parse(&["--quick"], &["--jobs"]);
+    let jobs = flags.jobs();
+    let horizon = if flags.has("--quick") {
         TimeDelta::from_secs(5)
     } else {
         TimeDelta::from_secs(20)

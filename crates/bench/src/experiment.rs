@@ -51,19 +51,6 @@ impl ExperimentConfig {
     }
 }
 
-/// Resolves the worker-thread count from a binary's CLI arguments: the
-/// value following a `--jobs` flag, else the hardware's available
-/// parallelism.
-#[must_use]
-pub fn jobs_from_args(args: &[String]) -> usize {
-    eua_sim::resolve_jobs(
-        args.iter()
-            .position(|a| a == "--jobs")
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse().ok()),
-    )
-}
-
 /// The aggregated result of one `(workload, policy)` cell.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cell {

@@ -27,6 +27,7 @@
 pub mod chaos;
 pub mod chart;
 pub mod experiment;
+pub mod flags;
 pub mod report;
 pub mod robustness;
 pub mod shrink;
@@ -36,7 +37,8 @@ pub use chaos::{
     unexpected_audit_errors, CampaignOutcome, CellPlan, ChaosConfig,
 };
 pub use chart::{render_chart, render_svg, Series};
-pub use experiment::{jobs_from_args, run_cell, run_cells, Cell, ExperimentConfig};
+pub use experiment::{run_cell, run_cells, Cell, ExperimentConfig};
+pub use flags::{usage_error, Flags};
 pub use report::{write_csv, Table};
 pub use robustness::{
     run_robustness, FaultFamily, RobustnessConfig, RobustnessPoint, RobustnessReport,

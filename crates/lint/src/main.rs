@@ -44,7 +44,7 @@ fn main() -> ExitCode {
 
 /// Scans the given roots (or the default ones that exist) and keeps the
 /// reports of files with findings.
-fn check(inputs: &Inputs<'_>) -> Result<Checked, ExitCode> {
+fn check(inputs: &Inputs<'_>) -> Result<Checked, String> {
     let mut roots: Vec<PathBuf> = inputs.operands.iter().map(PathBuf::from).collect();
     if roots.is_empty() {
         roots = DEFAULT_ROOTS
@@ -53,14 +53,13 @@ fn check(inputs: &Inputs<'_>) -> Result<Checked, ExitCode> {
             .filter(|p| p.exists())
             .collect();
         if roots.is_empty() {
-            eprintln!("no default roots ({}) exist here", DEFAULT_ROOTS.join(", "));
-            return Err(ExitCode::from(2));
+            return Err(format!(
+                "no default roots ({}) exist here",
+                DEFAULT_ROOTS.join(", ")
+            ));
         }
     }
-    let reports = lint_roots(&roots).map_err(|e| {
-        eprintln!("error: {e}");
-        ExitCode::from(2)
-    })?;
+    let reports = lint_roots(&roots).map_err(|e| format!("error: {e}"))?;
     let scanned = reports.len();
     let dirty: Vec<Report> = reports
         .into_iter()

@@ -60,8 +60,8 @@ fn every_corpus_repro_still_reproduces_its_failure() {
 fn corpus_repros_are_canonical_and_minimal() {
     for path in corpus_files() {
         let text = fs::read_to_string(&path).expect("corpus file reads");
-        // Committed repro text must be a parse ∘ render fixpoint, so
-        // `eua-analyze --fix`-style rewrites can never drift it.
+        // Committed repro text must be a parse ∘ render fixpoint, so a
+        // re-harvested repro of the same spec is the same bytes.
         let spec = eua_analyze::scenario::ScenarioSpec::parse(&text)
             .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
         assert_eq!(spec.render(), text, "{}: not canonical", path.display());
