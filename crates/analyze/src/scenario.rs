@@ -930,7 +930,7 @@ impl<'a> Parser<'a> {
     fn run(mut self) -> Result<ScenarioSpec, ParseError> {
         let mut name: Option<String> = None;
         let mut frequencies: Vec<u64> = Vec::new();
-        let mut energy = EnergySpec::e1();
+        let mut energy: Option<EnergySpec> = None;
         let mut tasks = Vec::new();
         let mut faults: Option<FaultSpec> = None;
 
@@ -955,6 +955,10 @@ impl<'a> Parser<'a> {
                     name = Some(raw_rest(body, keyword));
                 }
                 "frequencies" => {
+                    // A first `frequencies` line holds at least one value.
+                    if !frequencies.is_empty() {
+                        return Err(Self::err(line, "duplicate `frequencies` line"));
+                    }
                     if rest.is_empty() {
                         return Err(Self::err(line, "`frequencies` needs at least one value"));
                     }
@@ -963,7 +967,10 @@ impl<'a> Parser<'a> {
                     }
                 }
                 "energy" => {
-                    energy = Self::parse_energy(line, &rest)?;
+                    if energy.is_some() {
+                        return Err(Self::err(line, "duplicate `energy` line"));
+                    }
+                    energy = Some(Self::parse_energy(line, &rest)?);
                 }
                 "task" => {
                     if rest.is_empty() {
@@ -987,7 +994,7 @@ impl<'a> Parser<'a> {
         Ok(ScenarioSpec {
             name: name.unwrap_or_else(|| "unnamed".into()),
             frequencies_mhz: frequencies,
-            energy,
+            energy: energy.unwrap_or_else(EnergySpec::e1),
             tasks,
             faults,
         })
@@ -1454,6 +1461,30 @@ end
 
         let e = ScenarioSpec::parse("scenario x\nfaults\nend\nfaults\nend\n").unwrap_err();
         assert!(e.message.contains("duplicate `faults`"));
+    }
+
+    #[test]
+    fn a_second_frequencies_line_is_rejected_at_its_line() {
+        let e = ScenarioSpec::parse("scenario x\nfrequencies 36 55 64\nfrequencies 73 100\n")
+            .unwrap_err();
+        assert_eq!(e.line, 3);
+        assert!(
+            e.message.contains("duplicate `frequencies` line"),
+            "{}",
+            e.message
+        );
+    }
+
+    #[test]
+    fn a_second_energy_line_is_rejected_at_its_line() {
+        let e = ScenarioSpec::parse("scenario x\nenergy E1\nfrequencies 36 100\nenergy E3\n")
+            .unwrap_err();
+        assert_eq!(e.line, 4);
+        assert!(
+            e.message.contains("duplicate `energy` line"),
+            "{}",
+            e.message
+        );
     }
 
     #[test]

@@ -117,3 +117,22 @@ fn the_rewrite_flags_are_unknown() {
         assert!(out.stdout.is_empty(), "{flag}");
     }
 }
+
+#[test]
+fn a_repeated_table_or_energy_line_is_a_parse_error() {
+    // Two table lines and two energy lines used to merge into one table
+    // analyzed under the last energy setting; the second line is an error.
+    let valid = std::fs::read_to_string(scn_path("valid.scn")).expect("valid.scn reads");
+    let repeated = valid.replacen(
+        "frequencies 36 55 64 73 82 91 100\nenergy E2\n",
+        "frequencies 36 55 64\nfrequencies 73 82 91 100\nenergy E1\nenergy E3\n",
+        1,
+    );
+    assert_ne!(repeated, valid, "the edit changed nothing");
+    let path = format!("{}/repeated-lines.scn", env!("CARGO_TARGET_TMPDIR"));
+    std::fs::write(&path, repeated).expect("scenario writes");
+    let out = bin().args(["check", &path]).output().expect("runs");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("duplicate `frequencies` line"), "{stderr}");
+}

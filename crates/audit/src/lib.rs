@@ -80,21 +80,30 @@ pub fn audit_text(label: &str, text: &str) -> Report {
             report.scenario = label.to_string();
             report
         }
-        Err(e) => {
-            let mut report = Report::new(label);
-            report.push(Diagnostic::new(
-                DiagCode::AudMalformedCertificate,
-                format!("certificate does not parse: {e}"),
-            ));
-            report
-        }
+        Err(e) => unreadable(label, e),
     }
+}
+
+/// The report on a certificate that cannot be read: its one
+/// `aud-malformed-certificate` finding.
+fn unreadable(label: &str, reason: impl std::fmt::Display) -> Report {
+    let mut report = Report::new(label);
+    report.push(Diagnostic::new(
+        DiagCode::AudMalformedCertificate,
+        format!("certificate does not parse: {reason}"),
+    ));
+    report
 }
 
 /// Audits a parsed certificate, re-deriving every invariant listed in
 /// the crate docs. The returned report is sorted most severe first; all
 /// `aud-*` codes are Error severity, so [`Report::has_errors`] is the
 /// accept/reject verdict.
+///
+/// Each event is checked against the ready set that
+/// [`RunCertificate::walk`] rebuilds from the recorded changes. A change
+/// that does not apply leaves nothing to check against, so, like text
+/// that does not parse, it is the report's one finding.
 #[must_use]
 pub fn audit(cert: &RunCertificate) -> Report {
     let mut sink = Sink {
@@ -103,8 +112,9 @@ pub fn audit(cert: &RunCertificate) -> Report {
     };
     if let Some(env) = Env::build(cert, &mut sink) {
         check_uam(cert, &mut sink);
-        for (i, event) in cert.events.iter().enumerate() {
-            check_event(i, event, &env, &mut sink);
+        let walked = cert.walk(|i, event, ready| check_event(i, event, ready, &env, &mut sink));
+        if let Err(e) = walked {
+            return unreadable(&sink.report.scenario, e);
         }
         check_energy(cert, &env, &mut sink);
     }
@@ -338,20 +348,32 @@ fn event_entity(index: usize, at: SimTime) -> String {
     format!("event {index} @{}us", at.as_micros())
 }
 
-/// All per-event checks. Engine-level invariants apply to every event;
-/// the Algorithm 1/2 re-derivations additionally apply when the policy
-/// supplied a [`eua_sim::DecisionExplanation`].
-fn check_event(index: usize, event: &EventRecord, env: &Env, sink: &mut Sink) {
-    let entity = event_entity(index, event.at);
-    let ready: BTreeMap<JobId, &JobSnapshot> = event.ready.iter().map(|s| (s.job, s)).collect();
+/// All per-event checks against the event's id-ordered `ready` set.
+/// Engine-level invariants apply to every event; the Algorithm 1/2
+/// re-derivations additionally apply when the policy supplied a
+/// [`eua_sim::DecisionExplanation`].
+fn check_event(
+    index: usize,
+    event: &EventRecord,
+    ready: &[JobSnapshot],
+    env: &Env,
+    sink: &mut Sink,
+) {
+    let entity = || event_entity(index, event.at);
+    let find = |job: JobId| {
+        ready
+            .binary_search_by_key(&job, |s| s.job)
+            .ok()
+            .map(|i| &ready[i])
+    };
 
     // Engine-level invariants: referenced jobs must be live, a decision
     // must not both run and abort a job, tasks must exist.
-    for snap in &event.ready {
+    for snap in ready {
         if snap.task.index() >= env.tufs.len() {
             sink.push(Diagnostic::for_entity(
                 DiagCode::AudMalformedCertificate,
-                entity.clone(),
+                entity(),
                 format!(
                     "ready job {} references unknown task index {}",
                     snap.job.get(),
@@ -362,17 +384,17 @@ fn check_event(index: usize, event: &EventRecord, env: &Env, sink: &mut Sink) {
         }
     }
     if let Some(run) = event.run {
-        if !ready.contains_key(&run) {
+        if find(run).is_none() {
             sink.push(Diagnostic::for_entity(
                 DiagCode::AudMalformedCertificate,
-                entity.clone(),
+                entity(),
                 format!("dispatched job {} is not in the ready set", run.get()),
             ));
         }
         if event.aborts.contains(&run) {
             sink.push(Diagnostic::for_entity(
                 DiagCode::AudMalformedCertificate,
-                entity.clone(),
+                entity(),
                 format!("job {} is both dispatched and aborted", run.get()),
             ));
         }
@@ -385,7 +407,7 @@ fn check_event(index: usize, event: &EventRecord, env: &Env, sink: &mut Sink) {
         {
             sink.push(Diagnostic::for_entity(
                 DiagCode::AudDvsOutOfBound,
-                entity.clone(),
+                entity(),
                 format!(
                     "chosen frequency {} MHz is not in the policy-visible table",
                     event.frequency.as_mhz()
@@ -394,10 +416,10 @@ fn check_event(index: usize, event: &EventRecord, env: &Env, sink: &mut Sink) {
         }
     }
     for &abort in &event.aborts {
-        if !ready.contains_key(&abort) {
+        if find(abort).is_none() {
             sink.push(Diagnostic::for_entity(
                 DiagCode::AudMalformedCertificate,
-                entity.clone(),
+                entity(),
                 format!("aborted job {} is not in the ready set", abort.get()),
             ));
         }
@@ -414,10 +436,10 @@ fn check_event(index: usize, event: &EventRecord, env: &Env, sink: &mut Sink) {
     // (E(f_m)·c_r)`, and no infeasible job may carry one.
     let uer_of: BTreeMap<JobId, f64> = expl.uer.iter().map(|u| (u.job, u.uer)).collect();
     for u in &expl.uer {
-        let Some(snap) = ready.get(&u.job) else {
+        let Some(snap) = find(u.job) else {
             sink.push(Diagnostic::for_entity(
                 DiagCode::AudMalformedCertificate,
-                entity.clone(),
+                entity(),
                 format!(
                     "UER entry for job {} absent from the ready set",
                     u.job.get()
@@ -432,7 +454,7 @@ fn check_event(index: usize, event: &EventRecord, env: &Env, sink: &mut Sink) {
         if !close(expected, u.uer) {
             sink.push(Diagnostic::for_entity(
                 DiagCode::AudUerMismatch,
-                entity.clone(),
+                entity(),
                 format!(
                     "job {}: certified UER {} but recomputation at f_m = {} MHz gives {}",
                     u.job.get(),
@@ -443,13 +465,13 @@ fn check_event(index: usize, event: &EventRecord, env: &Env, sink: &mut Sink) {
             ));
         }
     }
-    for snap in &event.ready {
+    for snap in ready {
         let feasible =
             event.at.saturating_add(f_m.execution_time(snap.remaining)) <= snap.termination;
         if feasible && !uer_of.contains_key(&snap.job) {
             sink.push(Diagnostic::for_entity(
                 DiagCode::AudUerMismatch,
-                entity.clone(),
+                entity(),
                 format!(
                     "feasible ready job {} is missing from the certified UER set",
                     snap.job.get()
@@ -459,7 +481,7 @@ fn check_event(index: usize, event: &EventRecord, env: &Env, sink: &mut Sink) {
         if !feasible && uer_of.contains_key(&snap.job) {
             sink.push(Diagnostic::for_entity(
                 DiagCode::AudUerMismatch,
-                entity.clone(),
+                entity(),
                 format!(
                     "infeasible job {} carries a UER (it should be aborted or skipped)",
                     snap.job.get()
@@ -474,7 +496,7 @@ fn check_event(index: usize, event: &EventRecord, env: &Env, sink: &mut Sink) {
     if witness_jobs != event.aborts {
         sink.push(Diagnostic::for_entity(
             DiagCode::AudAbortIllegal,
-            entity.clone(),
+            entity(),
             format!(
                 "abort list {:?} and witness list {:?} disagree",
                 event.aborts.iter().map(|j| j.get()).collect::<Vec<_>>(),
@@ -483,7 +505,7 @@ fn check_event(index: usize, event: &EventRecord, env: &Env, sink: &mut Sink) {
         ));
     }
     for w in &expl.aborts {
-        let Some(snap) = ready.get(&w.job) else {
+        let Some(snap) = find(w.job) else {
             continue; // already flagged via event.aborts membership
         };
         let predicted = event.at.saturating_add(f_m.execution_time(w.remaining));
@@ -494,7 +516,7 @@ fn check_event(index: usize, event: &EventRecord, env: &Env, sink: &mut Sink) {
         {
             sink.push(Diagnostic::for_entity(
                 DiagCode::AudAbortIllegal,
-                entity.clone(),
+                entity(),
                 format!(
                     "job {}: witness (remaining {}, termination {} us, predicted {} us) does \
                      not prove infeasibility at f_m = {} MHz",
@@ -514,7 +536,7 @@ fn check_event(index: usize, event: &EventRecord, env: &Env, sink: &mut Sink) {
         .uer
         .iter()
         .filter_map(|u| {
-            ready.get(&u.job).map(|snap| Cand {
+            find(u.job).map(|snap| Cand {
                 job: u.job,
                 critical: snap.critical,
                 termination: snap.termination,
@@ -528,7 +550,7 @@ fn check_event(index: usize, event: &EventRecord, env: &Env, sink: &mut Sink) {
     if expected != certified {
         sink.push(Diagnostic::for_entity(
             DiagCode::AudScheduleOrder,
-            entity.clone(),
+            entity(),
             format!(
                 "certified schedule {:?} but greedy non-increasing-UER insertion \
                  reconstructs {:?}",
@@ -543,14 +565,14 @@ fn check_event(index: usize, event: &EventRecord, env: &Env, sink: &mut Sink) {
         let mut t = event.at;
         let mut prev: Option<(SimTime, JobId)> = None;
         for entry in &expl.schedule {
-            let Some(snap) = ready.get(&entry.job) else {
+            let Some(snap) = find(entry.job) else {
                 continue;
             };
             if let Some(p) = prev {
                 if (snap.critical, entry.job) < p {
                     sink.push(Diagnostic::for_entity(
                         DiagCode::AudScheduleOrder,
-                        entity.clone(),
+                        entity(),
                         format!(
                             "schedule is not critical-time ordered at job {}",
                             entry.job.get()
@@ -563,7 +585,7 @@ fn check_event(index: usize, event: &EventRecord, env: &Env, sink: &mut Sink) {
             if entry.predicted_finish != t || t > snap.termination {
                 sink.push(Diagnostic::for_entity(
                     DiagCode::AudScheduleInfeasible,
-                    entity.clone(),
+                    entity(),
                     format!(
                         "job {}: certified finish {} us, replay gives {} us against \
                          termination {} us",
@@ -580,7 +602,7 @@ fn check_event(index: usize, event: &EventRecord, env: &Env, sink: &mut Sink) {
     if event.run != certified.first().copied() {
         sink.push(Diagnostic::for_entity(
             DiagCode::AudScheduleOrder,
-            entity.clone(),
+            entity(),
             format!(
                 "dispatch {:?} disagrees with the schedule head {:?}",
                 event.run.map(|j| j.get()),
@@ -599,7 +621,7 @@ fn check_event(index: usize, event: &EventRecord, env: &Env, sink: &mut Sink) {
                 if !(dvs.required_speed >= 0.0 && dvs.required_speed <= f_m.as_f64()) {
                     sink.push(Diagnostic::for_entity(
                         DiagCode::AudDvsOutOfBound,
-                        entity.clone(),
+                        entity(),
                         format!(
                             "certified required speed {} outside [0, f_m = {}]",
                             dvs.required_speed,
@@ -614,7 +636,7 @@ fn check_event(index: usize, event: &EventRecord, env: &Env, sink: &mut Sink) {
                 if event.frequency != expected {
                     sink.push(Diagnostic::for_entity(
                         DiagCode::AudDvsOutOfBound,
-                        entity.clone(),
+                        entity(),
                         format!(
                             "chosen {} MHz but required speed {} (clamp {:?}) selects {} MHz",
                             event.frequency.as_mhz(),
@@ -629,7 +651,7 @@ fn check_event(index: usize, event: &EventRecord, env: &Env, sink: &mut Sink) {
                 if event.frequency != f_m {
                     sink.push(Diagnostic::for_entity(
                         DiagCode::AudDvsOutOfBound,
-                        entity.clone(),
+                        entity(),
                         format!(
                             "no DVS record, so the choice must be f_m = {} MHz, got {} MHz",
                             f_m.as_mhz(),
@@ -816,7 +838,9 @@ mod tests {
         cert.events.push(EventRecord {
             at: SimTime::ZERO,
             trigger: SchedEvent::Start,
-            ready: vec![JobSnapshot {
+            departed: Vec::new(),
+            progressed: Vec::new(),
+            arrived: vec![JobSnapshot {
                 job: JobId(0),
                 task: TaskId(9),
                 arrival: SimTime::ZERO,

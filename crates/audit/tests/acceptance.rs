@@ -60,8 +60,8 @@ fn every_table_frequency_audits_clean() {
 }
 
 /// Certificates round-trip through the rendered text on real engine
-/// output, by value (`parse(render(c)) == c`, so every event's rebuilt
-/// ready set is the recorded one) and by bytes (`render(parse(s)) == s`).
+/// output, by value (`parse(render(c)) == c`, so every event's recorded
+/// ready-set change is read back) and by bytes (`render(parse(s)) == s`).
 /// The grid is every shipped example under four policies, with and
 /// without a compound fault plan that moves arrivals, demands and abort
 /// costs, at three seeds.

@@ -324,18 +324,19 @@ fn a_schedule_missing_its_last_entry_is_not_the_greedy_one() {
 #[test]
 fn a_dispatch_other_than_the_schedule_head_is_rejected() {
     let mut cert = certified();
-    let event = cert
-        .events
-        .iter_mut()
-        .find(|e| e.explanation.is_some() && e.run.is_some() && e.ready.len() >= 2)
-        .expect("a dispatch among several ready jobs");
-    let other = event
-        .ready
-        .iter()
-        .map(|s| s.job)
-        .find(|&j| Some(j) != event.run && !event.aborts.contains(&j))
-        .expect("another ready job that is not aborted");
-    event.run = Some(other);
+    let mut found = None;
+    cert.walk(|i, e, ready| {
+        if found.is_none() && e.explanation.is_some() && e.run.is_some() && ready.len() >= 2 {
+            let other = ready
+                .iter()
+                .map(|s| s.job)
+                .find(|&j| Some(j) != e.run && !e.aborts.contains(&j));
+            found = Some((i, other));
+        }
+    })
+    .expect("the recorded changes apply");
+    let (i, other) = found.expect("a dispatch among several ready jobs");
+    cert.events[i].run = Some(other.expect("another ready job that is not aborted"));
     assert_only(
         &cert,
         "aud-schedule-order",
@@ -584,4 +585,14 @@ fn a_row_with_the_wrong_cell_count_is_malformed() {
         line.starts_with('[').then(|| line.replacen('[', "[0,", 1))
     });
     assert_only_malformed(&forged, "charge row has 7 cells");
+}
+
+#[test]
+fn a_number_that_is_not_json_is_malformed() {
+    // `str::parse::<f64>` reads `+5` as 5, and re-rendering dropped the
+    // sign; the reader follows RFC 8259, which has no leading `+`.
+    let fixture = include_str!("fixtures/overload-edf-seed5.json");
+    let forged = fixture.replacen(r#""seed":5,"#, r#""seed":+5,"#, 1);
+    assert_ne!(forged, fixture, "the forgery changed nothing");
+    assert_only_malformed(&forged, r#"malformed number "+5""#);
 }

@@ -178,8 +178,16 @@ impl Eua {
         // observe every arrival, even when this decision ends up idling.
         let analysis = self.options.dvs.then(|| self.dvs.analyze(ctx));
 
-        // Lines 9–11: abort infeasible jobs, compute the rest's UER.
-        let mut expl = self.certifying.then(DecisionExplanation::default);
+        // Lines 9–11: abort infeasible jobs, compute the rest's UER. A
+        // certified decision refills the previous explanation's buffers.
+        let mut expl = self.certifying.then(|| {
+            let mut expl = self.explanation.take().unwrap_or_default();
+            expl.uer.clear();
+            expl.schedule.clear();
+            expl.aborts.clear();
+            expl.dvs = None;
+            expl
+        });
         self.abort_buf.clear();
         self.cand_buf.clear();
         for j in ctx.jobs {

@@ -14,14 +14,23 @@
 //!
 //! For the two utility-accrual policies the production certificate is
 //! also replayed against an independent decision oracle (Algorithm 1
-//! recomputed from each event's `ready` rows with the naive builder), so
+//! recomputed from each event's ready set with the naive builder), so
 //! a scoring bug that both loops share still fails here.
+//!
+//! Both loops record through one certificate recorder, so their byte
+//! comparison cannot see a recorder bug. Every run therefore goes through
+//! a forwarding policy that copies the ready set it is shown at each
+//! decision, and the ready sets walked from the certificate must equal
+//! those copies.
 //!
 //! The proptest runs `DIFF_CASES` cases.
 
 use eua_core::{build_schedule_reference, make_policy, Candidate, InsertionMode};
 use eua_platform::{EnergySetting, FrequencyTable, TimeDelta};
-use eua_sim::{Engine, FaultPlan, Platform, RunCertificate, SimConfig, Task, TaskSet};
+use eua_sim::{
+    Decision, DecisionExplanation, Engine, FaultPlan, JobSnapshot, Platform, RunCertificate,
+    SchedContext, SchedulerPolicy, SimConfig, Task, TaskSet,
+};
 use eua_tuf::Tuf;
 use eua_uam::demand::DemandModel;
 use eua_uam::generator::ArrivalPattern;
@@ -132,7 +141,7 @@ fn plan_for(intensity: u8) -> FaultPlan {
 }
 
 /// Replays every decision of an `eua` or `dasa` certificate from the
-/// event's `ready` rows alone: the aborts are the jobs that cannot finish
+/// event's ready set alone: the aborts are the jobs that cannot finish
 /// by their termination at `f_m`, in ready order, and the run is the head
 /// of the naive builder's schedule over the rest, keyed by UER
 /// `U/(E(f_m)·c)` (EUA, break on infeasible) or by utility density `U/c`
@@ -150,10 +159,10 @@ fn assert_decisions_match_oracle(cert: &RunCertificate, tasks: &TaskSet, platfor
     let policy_platform = Platform::new(table, *platform.setting());
     let f_m = policy_platform.f_max();
     let per_cycle_at_fm = policy_platform.energy().energy_per_cycle(f_m);
-    for (k, event) in cert.events.iter().enumerate() {
+    cert.walk(|k, event, ready| {
         let mut aborts = Vec::new();
         let mut candidates = Vec::new();
-        for j in &event.ready {
+        for j in ready {
             let predicted = event.at.saturating_add(f_m.execution_time(j.remaining));
             if predicted > j.termination {
                 aborts.push(j.job);
@@ -189,7 +198,71 @@ fn assert_decisions_match_oracle(cert: &RunCertificate, tasks: &TaskSet, platfor
             "policy {policy}, event {k} at {:?}: run differs from the oracle",
             event.at
         );
+    })
+    .expect("the recorded ready-set changes apply");
+}
+
+/// A registry policy behind a forwarding wrapper that copies the ready
+/// set the engine shows it at every decision.
+struct Watched {
+    inner: Box<dyn SchedulerPolicy>,
+    seen: Vec<Vec<JobSnapshot>>,
+}
+
+impl Watched {
+    fn new(name: &str) -> Self {
+        Watched {
+            inner: make_policy(name).expect("registry policy"),
+            seen: Vec::new(),
+        }
     }
+}
+
+impl SchedulerPolicy for Watched {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn decide(&mut self, ctx: &SchedContext<'_>) -> Decision {
+        self.seen
+            .push(ctx.jobs.iter().map(JobSnapshot::from_view).collect());
+        self.inner.decide(ctx)
+    }
+    fn reset(&mut self) {
+        self.inner.reset();
+    }
+    fn certify(&mut self, on: bool) {
+        self.inner.certify(on);
+    }
+    fn explain(&self) -> Option<DecisionExplanation> {
+        self.inner.explain()
+    }
+}
+
+/// The recorded changes are what the policy saw: walking the certificate
+/// rebuilds, at event `k`, exactly the ready set of the `k`-th decision.
+/// Costly aborts and arrival jitter are where an admitted job can depart
+/// before the next decision.
+fn assert_recorded_changes_are_what_the_policy_saw(
+    cert: &RunCertificate,
+    seen: &[Vec<JobSnapshot>],
+) {
+    let policy = &cert.policy;
+    let mut walked = 0;
+    cert.walk(|k, event, ready| {
+        assert_eq!(
+            Some(ready),
+            seen.get(k).map(Vec::as_slice),
+            "policy {policy}, event {k} at {:?}: the walked ready set is not the one decided on",
+            event.at
+        );
+        walked += 1;
+    })
+    .expect("the recorded ready-set changes apply");
+    assert_eq!(
+        walked,
+        seen.len(),
+        "policy {policy}: one event per decision"
+    );
 }
 
 /// Runs one (workload, policy, plan, seed) cell through both loops and
@@ -206,20 +279,34 @@ fn assert_differential(
     let platform = Platform::powernow(EnergySetting::e1());
     let config = SimConfig::new(ms(horizon_ms)).with_certificate();
 
-    let mut policy = make_policy(policy_name).expect("registry policy");
-    let new = Engine::run_with_faults(tasks, patterns, &platform, &mut policy, &config, seed, plan)
-        .expect("production engine runs");
-    let mut policy = make_policy(policy_name).expect("registry policy");
+    let mut watched_new = Watched::new(policy_name);
+    let new = Engine::run_with_faults(
+        tasks,
+        patterns,
+        &platform,
+        &mut watched_new,
+        &config,
+        seed,
+        plan,
+    )
+    .expect("production engine runs");
+    let mut watched_old = Watched::new(policy_name);
     let old = Engine::run_with_faults_reference(
         tasks,
         patterns,
         &platform,
-        &mut policy,
+        &mut watched_old,
         &config,
         seed,
         plan,
     )
     .expect("reference engine runs");
+    for (outcome, watched) in [(&new, &watched_new), (&old, &watched_old)] {
+        assert_recorded_changes_are_what_the_policy_saw(
+            outcome.certificate.as_ref().expect("certificate recorded"),
+            &watched.seen,
+        );
+    }
 
     let new_cert = new
         .certificate

@@ -11,7 +11,7 @@
 
 use eua_platform::{SimTime, TimeDelta};
 
-use crate::certificate::{ChargeKind, RunCertificate};
+use crate::certificate::{ChargeKind, RunCertificate, WalkError};
 use crate::ids::{JobId, TaskId};
 use crate::task::TaskSet;
 
@@ -86,15 +86,19 @@ pub struct EdfViolation {
 /// (Theorem 2); utility-accrual policies *should* produce violations
 /// during overload — that is the point of UA scheduling — so this
 /// doubles as a behavioural fingerprint.
-#[must_use]
-pub fn edf_violations(cert: &RunCertificate) -> Vec<EdfViolation> {
+///
+/// # Errors
+///
+/// The certificate's first ready-set change that does not apply
+/// ([`RunCertificate::walk`]).
+pub fn edf_violations(cert: &RunCertificate) -> Result<Vec<EdfViolation>, WalkError> {
     let mut violations = Vec::new();
-    for event in &cert.events {
-        let Some(ran) = event.run else { continue };
-        let Some(running) = event.ready.iter().find(|j| j.job == ran) else {
-            continue;
+    cert.walk(|_, event, ready| {
+        let Some(ran) = event.run else { return };
+        let Some(running) = ready.iter().find(|j| j.job == ran) else {
+            return;
         };
-        for other in &event.ready {
+        for other in ready {
             if other.critical < running.critical && !event.aborts.contains(&other.job) {
                 violations.push(EdfViolation {
                     at: event.at,
@@ -103,8 +107,8 @@ pub fn edf_violations(cert: &RunCertificate) -> Vec<EdfViolation> {
                 });
             }
         }
-    }
-    violations
+    })?;
+    Ok(violations)
 }
 
 /// How a run fared against one task's requested `{ν, ρ}` assurance —
@@ -262,11 +266,14 @@ mod tests {
         }
     }
 
-    fn decision(at: u64, ready: Vec<JobSnapshot>, run: u64, aborts: Vec<u64>) -> EventRecord {
+    /// A decision at `at` where `arrived` joined the ready set.
+    fn decision(at: u64, arrived: Vec<JobSnapshot>, run: u64, aborts: Vec<u64>) -> EventRecord {
         EventRecord {
             at: us(at),
             trigger: SchedEvent::Arrival,
-            ready,
+            departed: Vec::new(),
+            progressed: Vec::new(),
+            arrived,
             run: Some(JobId(run)),
             frequency: Frequency::from_mhz(100),
             aborts: aborts.into_iter().map(JobId).collect(),
@@ -323,7 +330,7 @@ mod tests {
             1,
         )
         .unwrap();
-        let violations = edf_violations(out.certificate.as_ref().unwrap());
+        let violations = edf_violations(out.certificate.as_ref().unwrap()).unwrap();
         assert!(violations.is_empty(), "{violations:?}");
     }
 
@@ -345,11 +352,26 @@ mod tests {
         let violations = edf_violations(&certificate(vec![event], Vec::new()));
         assert_eq!(
             violations,
-            vec![EdfViolation {
+            Ok(vec![EdfViolation {
                 at: us(100),
                 ran: JobId(0),
                 preferred: JobId(1),
-            }]
+            }])
+        );
+    }
+
+    #[test]
+    fn a_change_that_does_not_apply_is_a_typed_error() {
+        let event = EventRecord {
+            departed: vec![JobId(4)],
+            ..decision(100, Vec::new(), 0, Vec::new())
+        };
+        assert_eq!(
+            edf_violations(&certificate(vec![event], Vec::new())),
+            Err(WalkError::DepartedNotLive {
+                event: 0,
+                job: JobId(4),
+            })
         );
     }
 
@@ -357,10 +379,13 @@ mod tests {
     fn dispatch_sequence_attributes_execute_charges_to_decisions() {
         let events = vec![
             decision(0, vec![ready(1, 0, 50)], 1, Vec::new()),
-            decision(10, vec![ready(1, 0, 50), ready(2, 10, 20)], 2, Vec::new()),
+            decision(10, vec![ready(2, 10, 20)], 2, Vec::new()),
             // A second decision at the same instant supersedes the first.
-            decision(18, vec![ready(1, 0, 50), ready(3, 18, 40)], 3, Vec::new()),
-            decision(18, vec![ready(1, 0, 50), ready(3, 18, 40)], 1, Vec::new()),
+            EventRecord {
+                departed: vec![JobId(2)],
+                ..decision(18, vec![ready(3, 18, 40)], 3, Vec::new())
+            },
+            decision(18, Vec::new(), 1, Vec::new()),
         ];
         let charges = vec![
             charge(ChargeKind::Execute, 0, 10),

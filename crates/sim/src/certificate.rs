@@ -12,26 +12,30 @@
 //! independent checker in `crates/audit`) needs nothing but the file.
 //!
 //! [`RunCertificate::render`] writes an `eua-certificate/2` document:
-//! compact JSON through the first-party [`crate::json`] tree, with one
-//! top-level field per line and one event and one charge per line. The
-//! arrival, job, UER, schedule, abort-witness and charge tables are
-//! positional rows whose cell order the `columns` header names. An event
-//! does not repeat its ready set: it records the ids that `departed`, the
+//! compact JSON with one top-level field per line and one event and one
+//! charge per line, written straight into the output through
+//! [`crate::json`]'s scalar writers. The arrival, job, UER, schedule,
+//! abort-witness and charge tables are positional rows whose cell order
+//! the `columns` header names. An event does not repeat its ready set,
+//! in memory or in text: it holds the ids that `departed`, the
 //! `[job, remaining]` rows that `progressed` and the job rows that
-//! `arrived` since the previous event, and [`RunCertificate::parse`]
-//! rebuilds [`EventRecord::ready`] from them. Certificates byte-round-trip
-//! (`render(parse(s)) == s`), and two runs producing equal certificates
+//! `arrived` since the previous event. [`RunCertificate::parse`] reads
+//! them back through the shared [`crate::json::Lexer`], and
+//! [`RunCertificate::walk`] replays them into each event's ready set.
+//! Certificates round-trip both ways (`render(parse(s)) == s` and
+//! `parse(render(c)) == c`), and two runs producing equal certificates
 //! render to identical bytes.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
 
 use eua_platform::{Cycles, Frequency, SimTime, TimeDelta};
 use eua_tuf::Tuf;
 
 use crate::context::{JobView, SchedEvent};
 use crate::ids::{JobId, TaskId};
-use crate::json::{parse as json_parse, Json};
+use crate::json::{parse as json_parse, write_num, write_str, write_uint, Lexer, Token};
+use crate::policy::Decision;
 use crate::task::Task;
 
 /// The format tag pinned into every certificate this module writes.
@@ -272,15 +276,33 @@ pub struct DecisionExplanation {
     pub skip_infeasible: bool,
 }
 
-/// One scheduling event: what the policy saw and what it decided.
+/// A live job whose believed remaining cycles changed between two
+/// events: one `progressed` row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Progress {
+    /// The job.
+    pub job: JobId,
+    /// Its believed remaining cycles at the later event.
+    pub remaining: Cycles,
+}
+
+/// One scheduling event: how the ready set changed since the previous
+/// event, and what the policy decided. [`RunCertificate::walk`] replays
+/// the changes into each event's ready set.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EventRecord {
     /// The decision instant.
     pub at: SimTime,
     /// What woke the scheduler.
     pub trigger: SchedEvent,
-    /// The ready-job set, in arrival (= id) order.
-    pub ready: Vec<JobSnapshot>,
+    /// Jobs that left the ready set since the previous event.
+    pub departed: Vec<JobId>,
+    /// Jobs still ready whose believed remaining cycles changed.
+    pub progressed: Vec<Progress>,
+    /// Jobs that joined the ready set since the previous event. A job
+    /// whose task, arrival, critical or termination time changed is
+    /// recorded as a departure plus an arrival.
+    pub arrived: Vec<JobSnapshot>,
     /// The job chosen to run (`None` = idle).
     pub run: Option<JobId>,
     /// The chosen frequency, as the policy requested it (before any
@@ -374,8 +396,194 @@ pub struct RunCertificate {
     pub final_energy: f64,
 }
 
+/// A ready-set change that does not apply to the live set it follows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WalkError {
+    /// Event `event` departs a job that is not live.
+    DepartedNotLive {
+        /// The event's index.
+        event: usize,
+        /// The job.
+        job: JobId,
+    },
+    /// Event `event` progresses a job that is not live.
+    ProgressedNotLive {
+        /// The event's index.
+        event: usize,
+        /// The job.
+        job: JobId,
+    },
+    /// Event `event` admits a job that is already live.
+    ArrivedAlreadyLive {
+        /// The event's index.
+        event: usize,
+        /// The job.
+        job: JobId,
+    },
+}
+
+impl std::fmt::Display for WalkError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            WalkError::DepartedNotLive { event, job } => {
+                write!(f, "event {event}: departed job {} is not live", job.0)
+            }
+            WalkError::ProgressedNotLive { event, job } => {
+                write!(f, "event {event}: progressed job {} is not live", job.0)
+            }
+            WalkError::ArrivedAlreadyLive { event, job } => {
+                write!(f, "event {event}: arrived job {} is already live", job.0)
+            }
+        }
+    }
+}
+
+impl std::error::Error for WalkError {}
+
+impl RunCertificate {
+    /// Replays every event's ready-set change over one reused live set
+    /// kept in id order, and hands `visit` each event's index, the event
+    /// and its ready set. The changes apply in the order the engine
+    /// makes them: departures, then progress, then arrivals.
+    ///
+    /// # Errors
+    ///
+    /// The first change that does not apply: a departure or a progress
+    /// row for a job that is not live, or an arrival of a job that
+    /// already is. Events before it have been visited.
+    pub fn walk(
+        &self,
+        mut visit: impl FnMut(usize, &EventRecord, &[JobSnapshot]),
+    ) -> Result<(), WalkError> {
+        let mut live: Vec<JobSnapshot> = Vec::new();
+        let find = |live: &[JobSnapshot], job: JobId| live.binary_search_by_key(&job, |s| s.job);
+        for (event, record) in self.events.iter().enumerate() {
+            for &job in &record.departed {
+                let at = find(&live, job).map_err(|_| WalkError::DepartedNotLive { event, job })?;
+                live.remove(at);
+            }
+            for &Progress { job, remaining } in &record.progressed {
+                let at =
+                    find(&live, job).map_err(|_| WalkError::ProgressedNotLive { event, job })?;
+                live[at].remaining = remaining;
+            }
+            for &arrival in &record.arrived {
+                let job = arrival.job;
+                let at = find(&live, job)
+                    .err()
+                    .ok_or(WalkError::ArrivedAlreadyLive { event, job })?;
+                live.insert(at, arrival);
+            }
+            visit(event, record, &live);
+        }
+        Ok(())
+    }
+}
+
+/// A certificate under construction. Both event loops record every
+/// decision through [`Recorder::record`], which finds the ready set's
+/// change by a merge walk against the ids and remaining cycles of the
+/// last recorded set; the loops themselves track no change. A live job's
+/// task, arrival, critical and termination times never change, so a job
+/// present in both sets can only have progressed.
+#[derive(Debug)]
+pub(crate) struct Recorder {
+    cert: RunCertificate,
+    ready: Vec<(JobId, Cycles)>,
+}
+
+impl Recorder {
+    pub(crate) fn new(cert: RunCertificate) -> Self {
+        Recorder {
+            cert,
+            ready: Vec::new(),
+        }
+    }
+
+    /// Records one decision taken over `views`, the id-ascending ready
+    /// set the policy saw: the ids that departed since the previous
+    /// decision, the jobs whose remaining cycles changed, the jobs that
+    /// arrived, and what the policy decided.
+    pub(crate) fn record(
+        &mut self,
+        at: SimTime,
+        trigger: SchedEvent,
+        views: &[JobView],
+        decision: &Decision,
+        explanation: Option<DecisionExplanation>,
+    ) {
+        debug_assert!(
+            views.windows(2).all(|w| w[0].id < w[1].id),
+            "ready sets must be id-ascending with no duplicates"
+        );
+        let mut event = EventRecord {
+            at,
+            trigger,
+            departed: Vec::new(),
+            progressed: Vec::new(),
+            arrived: Vec::new(),
+            run: decision.run,
+            frequency: decision.frequency,
+            aborts: decision.abort.clone(),
+            explanation,
+        };
+        let before = &self.ready;
+        let (mut i, mut k) = (0, 0);
+        while let (Some(&(id, remaining)), Some(view)) = (before.get(i), views.get(k)) {
+            match id.cmp(&view.id) {
+                Ordering::Less => {
+                    event.departed.push(id);
+                    i += 1;
+                }
+                Ordering::Greater => {
+                    event.arrived.push(JobSnapshot::from_view(view));
+                    k += 1;
+                }
+                Ordering::Equal => {
+                    if remaining != view.remaining {
+                        event.progressed.push(Progress {
+                            job: id,
+                            remaining: view.remaining,
+                        });
+                    }
+                    i += 1;
+                    k += 1;
+                }
+            }
+        }
+        event.departed.extend(before[i..].iter().map(|&(id, _)| id));
+        event
+            .arrived
+            .extend(views[k..].iter().map(JobSnapshot::from_view));
+        self.ready.clear();
+        self.ready.extend(views.iter().map(|v| (v.id, v.remaining)));
+        self.cert.events.push(event);
+    }
+
+    /// The finished certificate.
+    pub(crate) fn finish(mut self, final_energy: f64) -> RunCertificate {
+        self.cert.final_energy = final_energy;
+        self.cert
+    }
+}
+
+// The event loops bill charges straight into the certificate.
+impl std::ops::Deref for Recorder {
+    type Target = RunCertificate;
+
+    fn deref(&self) -> &RunCertificate {
+        &self.cert
+    }
+}
+
+impl std::ops::DerefMut for Recorder {
+    fn deref_mut(&mut self) -> &mut RunCertificate {
+        &mut self.cert
+    }
+}
+
 // ---------------------------------------------------------------------
-// Serialization.
+// Writing.
 // ---------------------------------------------------------------------
 
 // The cell order of each positional table. The `columns` header writes
@@ -408,703 +616,801 @@ const CHARGE_COLUMNS: [&str; 6] = [
 ];
 
 /// The `columns` header: each positional table's name and cell order.
-fn columns_json() -> Json {
-    let tables: [(&str, &[&str]); 7] = [
-        ("arrival", &ARRIVAL_COLUMNS),
-        ("job", &JOB_COLUMNS),
-        ("progress", &PROGRESS_COLUMNS),
-        ("uer", &UER_COLUMNS),
-        ("schedule", &SCHEDULE_COLUMNS),
-        ("abort_witness", &ABORT_WITNESS_COLUMNS),
-        ("charge", &CHARGE_COLUMNS),
-    ];
-    Json::Obj(
-        tables
-            .iter()
-            .map(|&(name, columns)| {
-                let names = columns.iter().map(|&c| Json::Str(c.into())).collect();
-                (name.into(), Json::Arr(names))
-            })
-            .collect(),
-    )
+const TABLES: [(&str, &[&str]); 7] = [
+    ("arrival", &ARRIVAL_COLUMNS),
+    ("job", &JOB_COLUMNS),
+    ("progress", &PROGRESS_COLUMNS),
+    ("uer", &UER_COLUMNS),
+    ("schedule", &SCHEDULE_COLUMNS),
+    ("abort_witness", &ABORT_WITNESS_COLUMNS),
+    ("charge", &CHARGE_COLUMNS),
+];
+
+/// Starts a top-level field on a line of its own.
+fn push_key(out: &mut String, key: &str) {
+    out.push_str(if out.is_empty() { "{\n" } else { ",\n" });
+    write_str(out, key);
+    out.push(':');
 }
 
-fn time_json(t: SimTime) -> Json {
-    Json::uint(t.as_micros())
+/// Writes `[a,b,…]`, each item by `item`.
+fn push_list<T>(out: &mut String, items: &[T], mut item: impl FnMut(&mut String, &T)) {
+    out.push('[');
+    for (i, value) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item(out, value);
+    }
+    out.push(']');
 }
 
-fn delta_json(d: TimeDelta) -> Json {
-    Json::uint(d.as_micros())
+/// Writes a positional row of unsigned integers.
+fn push_uints(out: &mut String, cells: &[u64]) {
+    push_list(out, cells, |out, &v| write_uint(out, v));
 }
 
-fn uint_arr(values: &[u64]) -> Json {
-    Json::Arr(values.iter().map(|&v| Json::uint(v)).collect())
+/// Writes a top-level array field with one row per line.
+fn push_lines<T>(out: &mut String, key: &str, rows: &[T], row: impl Fn(&mut String, &T)) {
+    push_key(out, key);
+    out.push('[');
+    let mut separator = "\n";
+    for value in rows {
+        out.push_str(separator);
+        row(out, value);
+        separator = ",\n";
+    }
+    out.push_str("\n]");
 }
 
-impl TufDecl {
-    fn to_json(&self) -> Json {
-        match self {
-            TufDecl::Step {
-                umax,
-                step_at,
-                termination,
-            } => Json::Obj(vec![
-                ("shape".into(), Json::Str("step".into())),
-                ("umax".into(), Json::num(*umax)),
-                ("step_at_us".into(), delta_json(*step_at)),
-                ("termination_us".into(), delta_json(*termination)),
-            ]),
-            TufDecl::Linear { umax, termination } => Json::Obj(vec![
-                ("shape".into(), Json::Str("linear".into())),
-                ("umax".into(), Json::num(*umax)),
-                ("termination_us".into(), delta_json(*termination)),
-            ]),
-            TufDecl::Exponential {
-                umax,
-                tau,
-                termination,
-            } => Json::Obj(vec![
-                ("shape".into(), Json::Str("exponential".into())),
-                ("umax".into(), Json::num(*umax)),
-                ("tau_us".into(), delta_json(*tau)),
-                ("termination_us".into(), delta_json(*termination)),
-            ]),
-            TufDecl::Piecewise { points } => Json::Obj(vec![
-                ("shape".into(), Json::Str("piecewise".into())),
-                (
-                    "points".into(),
-                    Json::Arr(
-                        points
-                            .iter()
-                            .map(|&(t, u)| Json::Arr(vec![delta_json(t), Json::num(u)]))
-                            .collect(),
-                    ),
-                ),
-            ]),
+fn push_columns(out: &mut String) {
+    out.push('{');
+    for (i, (table, columns)) in TABLES.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_str(out, table);
+        out.push(':');
+        push_list(out, columns, |out, column| write_str(out, column));
+    }
+    out.push('}');
+}
+
+fn push_tuf(out: &mut String, tuf: &TufDecl) {
+    match tuf {
+        TufDecl::Step {
+            umax,
+            step_at,
+            termination,
+        } => {
+            out.push_str(r#"{"shape":"step","umax":"#);
+            write_num(out, *umax);
+            out.push_str(r#","step_at_us":"#);
+            write_uint(out, step_at.as_micros());
+            out.push_str(r#","termination_us":"#);
+            write_uint(out, termination.as_micros());
+        }
+        TufDecl::Linear { umax, termination } => {
+            out.push_str(r#"{"shape":"linear","umax":"#);
+            write_num(out, *umax);
+            out.push_str(r#","termination_us":"#);
+            write_uint(out, termination.as_micros());
+        }
+        TufDecl::Exponential {
+            umax,
+            tau,
+            termination,
+        } => {
+            out.push_str(r#"{"shape":"exponential","umax":"#);
+            write_num(out, *umax);
+            out.push_str(r#","tau_us":"#);
+            write_uint(out, tau.as_micros());
+            out.push_str(r#","termination_us":"#);
+            write_uint(out, termination.as_micros());
+        }
+        TufDecl::Piecewise { points } => {
+            out.push_str(r#"{"shape":"piecewise","points":"#);
+            push_list(out, points, |out, &(t, u)| {
+                out.push('[');
+                write_uint(out, t.as_micros());
+                out.push(',');
+                write_num(out, u);
+                out.push(']');
+            });
         }
     }
+    out.push('}');
 }
 
-impl TaskDecl {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("name".into(), Json::Str(self.name.clone())),
-            ("tuf".into(), self.tuf.to_json()),
-            (
-                "max_arrivals".into(),
-                Json::uint(u64::from(self.max_arrivals)),
-            ),
-            ("window_us".into(), delta_json(self.window)),
-            (
-                "allocation_cycles".into(),
-                Json::uint(self.allocation.get()),
-            ),
-            (
-                "critical_offset_us".into(),
-                delta_json(self.critical_offset),
-            ),
-            (
-                "termination_offset_us".into(),
-                delta_json(self.termination_offset),
-            ),
-        ])
-    }
+fn push_task(out: &mut String, task: &TaskDecl) {
+    out.push_str(r#"{"name":"#);
+    write_str(out, &task.name);
+    out.push_str(r#","tuf":"#);
+    push_tuf(out, &task.tuf);
+    out.push_str(r#","max_arrivals":"#);
+    write_uint(out, u64::from(task.max_arrivals));
+    out.push_str(r#","window_us":"#);
+    write_uint(out, task.window.as_micros());
+    out.push_str(r#","allocation_cycles":"#);
+    write_uint(out, task.allocation.get());
+    out.push_str(r#","critical_offset_us":"#);
+    write_uint(out, task.critical_offset.as_micros());
+    out.push_str(r#","termination_offset_us":"#);
+    write_uint(out, task.termination_offset.as_micros());
+    out.push('}');
 }
 
-fn trigger_json(event: SchedEvent) -> Json {
+fn push_trigger(out: &mut String, event: SchedEvent) {
     let (kind, job) = match event {
         SchedEvent::Start => ("start", None),
         SchedEvent::Arrival => ("arrival", None),
         SchedEvent::Completion(j) => ("completion", Some(j)),
         SchedEvent::Abort(j) => ("abort", Some(j)),
     };
-    let mut fields = vec![("kind".into(), Json::Str(kind.into()))];
+    out.push_str(r#"{"kind":"#);
+    write_str(out, kind);
     if let Some(j) = job {
-        fields.push(("job".into(), Json::uint(j.0)));
+        out.push_str(r#","job":"#);
+        write_uint(out, j.0);
     }
-    Json::Obj(fields)
+    out.push('}');
 }
 
-/// Starts a top-level field on a line of its own.
-fn push_key(out: &mut String, key: &str) {
-    out.push_str(if out.is_empty() { "{\n" } else { ",\n" });
-    Json::Str(key.into()).write_compact(out);
-    out.push(':');
+fn push_job_row(out: &mut String, j: &JobSnapshot) {
+    push_uints(
+        out,
+        &[
+            j.job.0,
+            j.task.0 as u64,
+            j.arrival.as_micros(),
+            j.critical.as_micros(),
+            j.termination.as_micros(),
+            j.remaining.get(),
+        ],
+    );
 }
 
-/// Writes a top-level array field with one compact row per line.
-fn push_lines(out: &mut String, key: &str, rows: impl Iterator<Item = Json>) {
-    push_key(out, key);
+fn push_opt_uint(out: &mut String, v: Option<u64>) {
+    match v {
+        Some(v) => write_uint(out, v),
+        None => out.push_str("null"),
+    }
+}
+
+fn push_event(out: &mut String, e: &EventRecord) {
+    out.push_str(r#"{"at_us":"#);
+    write_uint(out, e.at.as_micros());
+    out.push_str(r#","trigger":"#);
+    push_trigger(out, e.trigger);
+    out.push_str(r#","departed":"#);
+    push_list(out, &e.departed, |out, j| write_uint(out, j.0));
+    out.push_str(r#","progressed":"#);
+    push_list(out, &e.progressed, |out, p| {
+        push_uints(out, &[p.job.0, p.remaining.get()]);
+    });
+    out.push_str(r#","arrived":"#);
+    push_list(out, &e.arrived, push_job_row);
+    out.push_str(r#","run":"#);
+    push_opt_uint(out, e.run.map(|j| j.0));
+    out.push_str(r#","frequency_mhz":"#);
+    write_uint(out, e.frequency.as_mhz());
+    out.push_str(r#","aborts":"#);
+    push_list(out, &e.aborts, |out, j| write_uint(out, j.0));
+    out.push_str(r#","explanation":"#);
+    match &e.explanation {
+        Some(x) => push_explanation(out, x),
+        None => out.push_str("null"),
+    }
+    out.push('}');
+}
+
+fn push_explanation(out: &mut String, x: &DecisionExplanation) {
+    out.push_str(r#"{"uer":"#);
+    push_list(out, &x.uer, |out, u| {
+        out.push('[');
+        write_uint(out, u.job.0);
+        out.push(',');
+        write_num(out, u.uer);
+        out.push(']');
+    });
+    out.push_str(r#","schedule":"#);
+    push_list(out, &x.schedule, |out, s| {
+        push_uints(out, &[s.job.0, s.predicted_finish.as_micros()]);
+    });
+    out.push_str(r#","aborts":"#);
+    push_list(out, &x.aborts, |out, a| {
+        push_uints(
+            out,
+            &[
+                a.job.0,
+                a.remaining.get(),
+                a.termination.as_micros(),
+                a.predicted_finish.as_micros(),
+            ],
+        );
+    });
+    out.push_str(r#","dvs":"#);
+    match &x.dvs {
+        Some(d) => {
+            out.push_str(r#"{"required_speed":"#);
+            write_num(out, d.required_speed);
+            out.push_str(r#","must_run_cycles":"#);
+            write_num(out, d.must_run_cycles);
+            out.push_str(r#","earliest_critical_us":"#);
+            push_opt_uint(out, d.earliest_critical.map(SimTime::as_micros));
+            out.push_str(r#","clamp_mhz":"#);
+            push_opt_uint(out, d.clamp.map(Frequency::as_mhz));
+            out.push('}');
+        }
+        None => out.push_str("null"),
+    }
+    out.push_str(r#","skip_infeasible":"#);
+    out.push_str(if x.skip_infeasible { "true" } else { "false" });
+    out.push('}');
+}
+
+fn push_charge(out: &mut String, c: &ChargeRecord) {
     out.push('[');
-    let mut separator = "\n";
-    for row in rows {
-        out.push_str(separator);
-        row.write_compact(out);
-        separator = ",\n";
-    }
-    out.push_str("\n]");
+    write_uint(out, c.at.as_micros());
+    out.push(',');
+    write_str(out, c.kind.as_str());
+    out.push(',');
+    write_uint(out, c.frequency_mhz);
+    out.push(',');
+    write_uint(out, c.cycles.get());
+    out.push(',');
+    write_uint(out, c.micros);
+    out.push(',');
+    write_num(out, c.energy);
+    out.push(']');
 }
 
 impl RunCertificate {
     /// Renders the certificate as an `eua-certificate/2` document: compact
     /// JSON with one top-level field per line, except that `events` and
-    /// `charges` put each row on a line of its own.
-    ///
-    /// Each event writes its ready set as the change from the previous
-    /// event's.
-    ///
-    /// # Panics
-    ///
-    /// If an event's ready set is not id-ascending with no duplicates. The
-    /// engine records every ready set that way, and a certificate that is
-    /// not could not be rebuilt from its changes.
+    /// `charges` put each row on a line of its own. Rows go straight into
+    /// the output through [`crate::json`]'s scalar writers.
     #[must_use]
     pub fn render(&self) -> String {
-        let (s3, s2, s1_rel, s0_rel) = self.energy_rel;
-        let header = [
-            ("format", Json::Str(CERT_FORMAT.into())),
-            ("policy", Json::Str(self.policy.clone())),
-            ("seed", Json::uint(self.seed)),
-            ("horizon_us", delta_json(self.horizon)),
-            ("frequencies_mhz", uint_arr(&self.frequencies_mhz)),
-            (
-                "policy_frequencies_mhz",
-                uint_arr(&self.policy_frequencies_mhz),
-            ),
-            (
-                "energy",
-                Json::Obj(vec![
-                    ("name".into(), Json::Str(self.energy_name.clone())),
-                    ("s3".into(), Json::num(s3)),
-                    ("s2".into(), Json::num(s2)),
-                    ("s1_rel".into(), Json::num(s1_rel)),
-                    ("s0_rel".into(), Json::num(s0_rel)),
-                ]),
-            ),
-            ("idle_power", Json::num(self.idle_power)),
-            ("columns", columns_json()),
-            (
-                "tasks",
-                Json::Arr(self.tasks.iter().map(TaskDecl::to_json).collect()),
-            ),
-            (
-                "arrivals",
-                Json::Arr(
-                    self.arrivals
-                        .iter()
-                        .map(|&(t, task)| Json::Arr(vec![time_json(t), Json::uint(task as u64)]))
-                        .collect(),
-                ),
-            ),
-        ];
         let mut out = String::new();
-        for (key, value) in &header {
-            push_key(&mut out, key);
-            value.write_compact(&mut out);
+        push_key(&mut out, "format");
+        write_str(&mut out, CERT_FORMAT);
+        push_key(&mut out, "policy");
+        write_str(&mut out, &self.policy);
+        push_key(&mut out, "seed");
+        write_uint(&mut out, self.seed);
+        push_key(&mut out, "horizon_us");
+        write_uint(&mut out, self.horizon.as_micros());
+        push_key(&mut out, "frequencies_mhz");
+        push_uints(&mut out, &self.frequencies_mhz);
+        push_key(&mut out, "policy_frequencies_mhz");
+        push_uints(&mut out, &self.policy_frequencies_mhz);
+        push_key(&mut out, "energy");
+        let (s3, s2, s1_rel, s0_rel) = self.energy_rel;
+        out.push_str(r#"{"name":"#);
+        write_str(&mut out, &self.energy_name);
+        for (key, value) in [
+            ("s3", s3),
+            ("s2", s2),
+            ("s1_rel", s1_rel),
+            ("s0_rel", s0_rel),
+        ] {
+            out.push(',');
+            write_str(&mut out, key);
+            out.push(':');
+            write_num(&mut out, value);
         }
-        let before = std::iter::once(&[][..]).chain(self.events.iter().map(|e| e.ready.as_slice()));
-        push_lines(
-            &mut out,
-            "events",
-            self.events
-                .iter()
-                .zip(before)
-                .map(|(e, before)| event_json(e, before)),
-        );
-        push_lines(&mut out, "charges", self.charges.iter().map(charge_json));
+        out.push('}');
+        push_key(&mut out, "idle_power");
+        write_num(&mut out, self.idle_power);
+        push_key(&mut out, "columns");
+        push_columns(&mut out);
+        push_key(&mut out, "tasks");
+        push_list(&mut out, &self.tasks, push_task);
+        push_key(&mut out, "arrivals");
+        push_list(&mut out, &self.arrivals, |out, &(t, task)| {
+            push_uints(out, &[t.as_micros(), task as u64]);
+        });
+        push_lines(&mut out, "events", &self.events, push_event);
+        push_lines(&mut out, "charges", &self.charges, push_charge);
         push_key(&mut out, "final_energy");
-        Json::num(self.final_energy).write_compact(&mut out);
+        write_num(&mut out, self.final_energy);
         out.push_str("\n}\n");
         out
     }
 
-    /// Parses a rendered certificate, rebuilding each event's `ready`
-    /// set from the recorded changes.
+    /// Parses a rendered certificate. Its fields must come in the order
+    /// [`RunCertificate::render`] writes them; the events keep their
+    /// ready-set changes as written, for [`RunCertificate::walk`] to
+    /// apply.
     ///
     /// # Errors
     ///
     /// A human-readable message naming the first malformed field; the
     /// auditor maps any such failure to `aud-malformed-certificate`.
     pub fn parse(text: &str) -> Result<RunCertificate, String> {
-        let doc = json_parse(text)?;
-        let format = str_field(&doc, "format")?;
+        let mut r = Reader {
+            lex: Lexer::new(text),
+        };
+        if r.lex.peek() != Some(b'{') {
+            // Not an object, so not a certificate: the tree parser names
+            // what is wrong with it, such as nesting past its cap.
+            json_parse(text)?;
+            return Err("a certificate is a JSON object".into());
+        }
+        r.first("format")?;
+        let format = r.string("format")?;
         if format != CERT_FORMAT {
             return Err(format!(
                 "unknown certificate format {format:?}; this reader accepts {CERT_FORMAT:?} only"
             ));
         }
-        if doc.get("columns") != Some(&columns_json()) {
-            return Err(format!(
-                "missing `columns` header, or one that differs from {CERT_FORMAT:?}'s"
-            ));
-        }
-        let energy = doc.get("energy").ok_or("missing energy object")?;
+        r.next("policy")?;
+        let policy = r.string("policy")?.into_owned();
+        let seed = r.u64_field("seed")?;
+        let horizon = r.delta_field("horizon_us")?;
+        r.next("frequencies_mhz")?;
+        let frequencies_mhz = r.list("frequencies_mhz", |r| r.u64("frequencies_mhz"))?;
+        r.next("policy_frequencies_mhz")?;
+        let policy_frequencies_mhz = r.list("policy_frequencies_mhz", |r| {
+            r.u64("policy_frequencies_mhz")
+        })?;
+        r.next("energy")?;
+        r.first("name")?;
+        let energy_name = r.string("name")?.into_owned();
+        let energy_rel = (
+            r.f64_field("s3")?,
+            r.f64_field("s2")?,
+            r.f64_field("s1_rel")?,
+            r.f64_field("s0_rel")?,
+        );
+        r.close()?;
+        let idle_power = r.f64_field("idle_power")?;
+        r.columns().map_err(|_| {
+            format!("missing `columns` header, or one that differs from {CERT_FORMAT:?}'s")
+        })?;
+        r.next("tasks")?;
+        let tasks = r.list("tasks", Reader::task)?;
+        r.next("arrivals")?;
+        let arrivals = r.list("arrivals", |r| {
+            let [at, task] = r.row("arrival", &ARRIVAL_COLUMNS)?;
+            Ok((
+                SimTime::from_micros(u64_of(&at, "at_us")?),
+                usize_of(&task, "task")?,
+            ))
+        })?;
+        r.next("events")?;
+        let mut index = 0;
+        let events = r.list("events", |r| {
+            let event = r.event().map_err(|e| format!("event {index}: {e}"));
+            index += 1;
+            event
+        })?;
+        r.next("charges")?;
+        let charges = r.list("charges", Reader::charge)?;
+        let final_energy = r.f64_field("final_energy")?;
+        r.close()?;
+        r.lex.finish()?;
         Ok(RunCertificate {
-            policy: str_field(&doc, "policy")?,
-            seed: u64_field(&doc, "seed")?,
-            horizon: TimeDelta::from_micros(u64_field(&doc, "horizon_us")?),
-            frequencies_mhz: u64_arr(&doc, "frequencies_mhz")?,
-            policy_frequencies_mhz: u64_arr(&doc, "policy_frequencies_mhz")?,
-            energy_name: str_field(energy, "name")?,
-            energy_rel: (
-                f64_field(energy, "s3")?,
-                f64_field(energy, "s2")?,
-                f64_field(energy, "s1_rel")?,
-                f64_field(energy, "s0_rel")?,
-            ),
-            idle_power: f64_field(&doc, "idle_power")?,
-            tasks: arr_field(&doc, "tasks")?
-                .iter()
-                .map(parse_task)
-                .collect::<Result<_, _>>()?,
-            arrivals: arr_field(&doc, "arrivals")?
-                .iter()
-                .map(|row| {
-                    let [at, task] = cells(row, "arrival", &ARRIVAL_COLUMNS)?;
-                    Ok::<_, String>((
-                        SimTime::from_micros(u64_of(at, "at_us")?),
-                        usize_of(task, "task")?,
-                    ))
-                })
-                .collect::<Result<_, _>>()?,
-            events: parse_events(arr_field(&doc, "events")?)?,
-            charges: arr_field(&doc, "charges")?
-                .iter()
-                .map(parse_charge)
-                .collect::<Result<_, _>>()?,
-            final_energy: f64_field(&doc, "final_energy")?,
+            policy,
+            seed,
+            horizon,
+            frequencies_mhz,
+            policy_frequencies_mhz,
+            energy_name,
+            energy_rel,
+            idle_power,
+            tasks,
+            arrivals,
+            events,
+            charges,
+            final_energy,
         })
     }
 }
 
-/// The change from one id-ascending ready set to the next, found by a
-/// merge walk: the ids that `departed`, the `[job, remaining]` rows of
-/// jobs that `progressed`, and the full rows of jobs that `arrived`. A
-/// job whose task, arrival, critical or termination time changed is
-/// written as a departure plus an arrival, so `parse` rebuilds `after`
-/// exactly.
-fn ready_delta(before: &[JobSnapshot], after: &[JobSnapshot]) -> [Json; 3] {
-    assert!(
-        after.windows(2).all(|w| w[0].job < w[1].job),
-        "ready sets must be id-ascending with no duplicates"
-    );
-    let (mut departed, mut progressed, mut arrived) = (Vec::new(), Vec::new(), Vec::new());
-    let (mut i, mut k) = (0, 0);
-    loop {
-        let order = match (before.get(i), after.get(k)) {
-            (None, None) => break,
-            (Some(_), None) => Ordering::Less,
-            (None, Some(_)) => Ordering::Greater,
-            (Some(old), Some(new)) => old.job.cmp(&new.job),
-        };
-        match order {
-            Ordering::Less => {
-                departed.push(Json::uint(before[i].job.0));
-                i += 1;
-            }
-            Ordering::Greater => {
-                arrived.push(job_row(&after[k]));
-                k += 1;
-            }
-            Ordering::Equal => {
-                let (old, new) = (&before[i], &after[k]);
-                let kept = JobSnapshot {
-                    remaining: new.remaining,
-                    ..*old
-                };
-                if kept != *new {
-                    departed.push(Json::uint(old.job.0));
-                    arrived.push(job_row(new));
-                } else if old.remaining != new.remaining {
-                    progressed.push(Json::Arr(vec![
-                        Json::uint(new.job.0),
-                        Json::uint(new.remaining.get()),
-                    ]));
-                }
-                i += 1;
-                k += 1;
-            }
-        }
-    }
-    [
-        Json::Arr(departed),
-        Json::Arr(progressed),
-        Json::Arr(arrived),
-    ]
-}
-
-fn job_row(j: &JobSnapshot) -> Json {
-    Json::Arr(vec![
-        Json::uint(j.job.0),
-        Json::uint(j.task.0 as u64),
-        time_json(j.arrival),
-        time_json(j.critical),
-        time_json(j.termination),
-        Json::uint(j.remaining.get()),
-    ])
-}
-
-fn event_json(e: &EventRecord, before: &[JobSnapshot]) -> Json {
-    let [departed, progressed, arrived] = ready_delta(before, &e.ready);
-    Json::Obj(vec![
-        ("at_us".into(), time_json(e.at)),
-        ("trigger".into(), trigger_json(e.trigger)),
-        ("departed".into(), departed),
-        ("progressed".into(), progressed),
-        ("arrived".into(), arrived),
-        ("run".into(), e.run.map_or(Json::Null, |j| Json::uint(j.0))),
-        ("frequency_mhz".into(), Json::uint(e.frequency.as_mhz())),
-        (
-            "aborts".into(),
-            Json::Arr(e.aborts.iter().map(|j| Json::uint(j.0)).collect()),
-        ),
-        (
-            "explanation".into(),
-            e.explanation.as_ref().map_or(Json::Null, explanation_json),
-        ),
-    ])
-}
-
-fn explanation_json(x: &DecisionExplanation) -> Json {
-    Json::Obj(vec![
-        (
-            "uer".into(),
-            Json::Arr(
-                x.uer
-                    .iter()
-                    .map(|u| Json::Arr(vec![Json::uint(u.job.0), Json::num(u.uer)]))
-                    .collect(),
-            ),
-        ),
-        (
-            "schedule".into(),
-            Json::Arr(
-                x.schedule
-                    .iter()
-                    .map(|s| Json::Arr(vec![Json::uint(s.job.0), time_json(s.predicted_finish)]))
-                    .collect(),
-            ),
-        ),
-        (
-            "aborts".into(),
-            Json::Arr(
-                x.aborts
-                    .iter()
-                    .map(|a| {
-                        Json::Arr(vec![
-                            Json::uint(a.job.0),
-                            Json::uint(a.remaining.get()),
-                            time_json(a.termination),
-                            time_json(a.predicted_finish),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "dvs".into(),
-            x.dvs.as_ref().map_or(Json::Null, |d| {
-                Json::Obj(vec![
-                    ("required_speed".into(), Json::num(d.required_speed)),
-                    ("must_run_cycles".into(), Json::num(d.must_run_cycles)),
-                    (
-                        "earliest_critical_us".into(),
-                        d.earliest_critical.map_or(Json::Null, time_json),
-                    ),
-                    (
-                        "clamp_mhz".into(),
-                        d.clamp.map_or(Json::Null, |f| Json::uint(f.as_mhz())),
-                    ),
-                ])
-            }),
-        ),
-        ("skip_infeasible".into(), Json::Bool(x.skip_infeasible)),
-    ])
-}
-
-fn charge_json(c: &ChargeRecord) -> Json {
-    Json::Arr(vec![
-        time_json(c.at),
-        Json::Str(c.kind.as_str().into()),
-        Json::uint(c.frequency_mhz),
-        Json::uint(c.cycles.get()),
-        Json::uint(c.micros),
-        Json::num(c.energy),
-    ])
-}
-
 // ---------------------------------------------------------------------
-// Parsing.
+// Reading.
 // ---------------------------------------------------------------------
 
-fn u64_of(v: &Json, what: &str) -> Result<u64, String> {
+fn u64_of(v: &Token<'_>, what: &str) -> Result<u64, String> {
     match v {
-        Json::Num(n) => n
+        Token::Num(n) => n
             .parse::<u64>()
             .map_err(|_| format!("`{what}` is not an unsigned integer: {n:?}")),
         _ => Err(format!("non-numeric `{what}`")),
     }
 }
 
-fn f64_of(v: &Json, what: &str) -> Result<f64, String> {
+fn f64_of(v: &Token<'_>, what: &str) -> Result<f64, String> {
     match v {
-        Json::Num(n) => n
+        Token::Num(n) => n
             .parse::<f64>()
             .map_err(|_| format!("`{what}` is not a number: {n:?}")),
         _ => Err(format!("non-numeric `{what}`")),
     }
 }
 
-fn usize_of(v: &Json, what: &str) -> Result<usize, String> {
+fn usize_of(v: &Token<'_>, what: &str) -> Result<usize, String> {
     usize::try_from(u64_of(v, what)?).map_err(|_| format!("`{what}` is out of range"))
 }
 
-fn field<'a>(v: &'a Json, key: &str) -> Result<&'a Json, String> {
-    v.get(key).ok_or_else(|| format!("missing `{key}`"))
+/// Pulls a certificate's tokens from the shared [`Lexer`] in the fixed
+/// order [`RunCertificate::render`] writes them, building no tree.
+struct Reader<'a> {
+    lex: Lexer<'a>,
 }
 
-fn str_field(v: &Json, key: &str) -> Result<String, String> {
-    field(v, key)?
-        .as_str()
-        .map(String::from)
-        .ok_or_else(|| format!("non-string `{key}`"))
-}
-
-fn u64_field(v: &Json, key: &str) -> Result<u64, String> {
-    u64_of(field(v, key)?, key)
-}
-
-fn f64_field(v: &Json, key: &str) -> Result<f64, String> {
-    f64_of(field(v, key)?, key)
-}
-
-fn opt_u64_field(v: &Json, key: &str) -> Result<Option<u64>, String> {
-    match v.get(key) {
-        Some(Json::Null) | None => Ok(None),
-        Some(n) => u64_of(n, key).map(Some),
+impl<'a> Reader<'a> {
+    /// Opens an object at its first field, `{"key":`.
+    fn first(&mut self, key: &str) -> Result<(), String> {
+        self.lex.expect(b'{', "'{'")?;
+        self.key(key)
     }
-}
 
-fn arr_field<'a>(v: &'a Json, key: &str) -> Result<&'a [Json], String> {
-    field(v, key)?
-        .as_arr()
-        .ok_or_else(|| format!("non-array `{key}`"))
-}
-
-fn u64_arr(v: &Json, key: &str) -> Result<Vec<u64>, String> {
-    arr_field(v, key)?.iter().map(|e| u64_of(e, key)).collect()
-}
-
-/// The cells of one positional row of `table`, which must have exactly
-/// one cell per column.
-fn cells<'a, const N: usize>(
-    row: &'a Json,
-    table: &str,
-    columns: &[&str; N],
-) -> Result<&'a [Json; N], String> {
-    let items = row
-        .as_arr()
-        .ok_or_else(|| format!("{table} row is not an array"))?;
-    items.try_into().map_err(|_| {
-        format!(
-            "{table} row has {} cells, not the {N} of {columns:?}",
-            items.len()
-        )
-    })
-}
-
-fn parse_task(v: &Json) -> Result<TaskDecl, String> {
-    Ok(TaskDecl {
-        name: str_field(v, "name")?,
-        tuf: parse_tuf(field(v, "tuf")?)?,
-        max_arrivals: u32::try_from(u64_field(v, "max_arrivals")?)
-            .map_err(|_| "max_arrivals out of range".to_string())?,
-        window: TimeDelta::from_micros(u64_field(v, "window_us")?),
-        allocation: Cycles::new(u64_field(v, "allocation_cycles")?),
-        critical_offset: TimeDelta::from_micros(u64_field(v, "critical_offset_us")?),
-        termination_offset: TimeDelta::from_micros(u64_field(v, "termination_offset_us")?),
-    })
-}
-
-fn parse_tuf(v: &Json) -> Result<TufDecl, String> {
-    let shape = str_field(v, "shape")?;
-    match shape.as_str() {
-        "step" => Ok(TufDecl::Step {
-            umax: f64_field(v, "umax")?,
-            step_at: TimeDelta::from_micros(u64_field(v, "step_at_us")?),
-            termination: TimeDelta::from_micros(u64_field(v, "termination_us")?),
-        }),
-        "linear" => Ok(TufDecl::Linear {
-            umax: f64_field(v, "umax")?,
-            termination: TimeDelta::from_micros(u64_field(v, "termination_us")?),
-        }),
-        "exponential" => Ok(TufDecl::Exponential {
-            umax: f64_field(v, "umax")?,
-            tau: TimeDelta::from_micros(u64_field(v, "tau_us")?),
-            termination: TimeDelta::from_micros(u64_field(v, "termination_us")?),
-        }),
-        "piecewise" => {
-            let points = arr_field(v, "points")?
-                .iter()
-                .map(|p| {
-                    let [t, u] = cells(p, "piecewise point", &["offset_us", "utility"])?;
-                    Ok((
-                        TimeDelta::from_micros(u64_of(t, "piecewise offset")?),
-                        f64_of(u, "piecewise utility")?,
-                    ))
-                })
-                .collect::<Result<_, String>>()?;
-            Ok(TufDecl::Piecewise { points })
-        }
-        other => Err(format!("unknown tuf shape {other:?}")),
-    }
-}
-
-fn parse_trigger(v: &Json) -> Result<SchedEvent, String> {
-    let kind = str_field(v, "kind")?;
-    match kind.as_str() {
-        "start" => Ok(SchedEvent::Start),
-        "arrival" => Ok(SchedEvent::Arrival),
-        "completion" => Ok(SchedEvent::Completion(JobId(u64_field(v, "job")?))),
-        "abort" => Ok(SchedEvent::Abort(JobId(u64_field(v, "job")?))),
-        other => Err(format!("unknown trigger kind {other:?}")),
-    }
-}
-
-/// Parses the event rows, replaying each one's ready-set change onto
-/// the live jobs: departures first, then progress, then arrivals.
-fn parse_events(rows: &[Json]) -> Result<Vec<EventRecord>, String> {
-    let mut live = BTreeMap::new();
-    rows.iter()
-        .enumerate()
-        .map(|(i, row)| parse_event(row, &mut live).map_err(|e| format!("event {i}: {e}")))
-        .collect()
-}
-
-fn parse_event(v: &Json, live: &mut BTreeMap<JobId, JobSnapshot>) -> Result<EventRecord, String> {
-    for id in arr_field(v, "departed")? {
-        let job = JobId(u64_of(id, "departed")?);
-        if live.remove(&job).is_none() {
-            return Err(format!("departed job {} is not live", job.0));
+    /// Moves to the object's next field, `,"key":`.
+    fn next(&mut self, key: &str) -> Result<(), String> {
+        if self.lex.eat(b',') {
+            self.key(key)
+        } else {
+            Err(format!("missing `{key}` at byte {}", self.lex.offset()))
         }
     }
-    for row in arr_field(v, "progressed")? {
-        let [job, remaining] = cells(row, "progress", &PROGRESS_COLUMNS)?;
-        let job = JobId(u64_of(job, "job")?);
-        let snapshot = live
-            .get_mut(&job)
-            .ok_or_else(|| format!("progressed job {} is not live", job.0))?;
-        snapshot.remaining = Cycles::new(u64_of(remaining, "remaining_cycles")?);
+
+    fn key(&mut self, key: &str) -> Result<(), String> {
+        self.lex.peek();
+        let at = self.lex.offset();
+        match self.lex.token()? {
+            Token::Str(k) if k == key => self.lex.expect(b':', "':'"),
+            _ => Err(format!("missing `{key}` at byte {at}")),
+        }
     }
-    for row in arr_field(v, "arrived")? {
-        let [job, task, arrival, critical, termination, remaining] =
-            cells(row, "job", &JOB_COLUMNS)?;
-        let snapshot = JobSnapshot {
-            job: JobId(u64_of(job, "job")?),
-            task: TaskId(usize_of(task, "task")?),
-            arrival: SimTime::from_micros(u64_of(arrival, "arrival_us")?),
-            critical: SimTime::from_micros(u64_of(critical, "critical_us")?),
-            termination: SimTime::from_micros(u64_of(termination, "termination_us")?),
-            remaining: Cycles::new(u64_of(remaining, "remaining_cycles")?),
+
+    /// Closes an object after its last field.
+    fn close(&mut self) -> Result<(), String> {
+        self.lex.expect(b'}', "'}'")
+    }
+
+    fn u64(&mut self, what: &str) -> Result<u64, String> {
+        u64_of(&self.lex.token()?, what)
+    }
+
+    fn f64(&mut self, what: &str) -> Result<f64, String> {
+        f64_of(&self.lex.token()?, what)
+    }
+
+    fn string(&mut self, what: &str) -> Result<Cow<'a, str>, String> {
+        match self.lex.token()? {
+            Token::Str(s) => Ok(s),
+            _ => Err(format!("non-string `{what}`")),
+        }
+    }
+
+    /// `null`, or what `read` reads.
+    fn nullable<T>(
+        &mut self,
+        read: impl FnOnce(&mut Self) -> Result<T, String>,
+    ) -> Result<Option<T>, String> {
+        if self.lex.peek() == Some(b'n') {
+            self.lex.token()?;
+            Ok(None)
+        } else {
+            read(self).map(Some)
+        }
+    }
+
+    /// An array, each item read by `item`.
+    fn list<T>(
+        &mut self,
+        what: &str,
+        mut item: impl FnMut(&mut Self) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        if !self.lex.eat(b'[') {
+            return Err(format!("non-array `{what}`"));
+        }
+        let mut items = Vec::new();
+        if self.lex.eat(b']') {
+            return Ok(items);
+        }
+        loop {
+            items.push(item(self)?);
+            if self.lex.eat(b']') {
+                return Ok(items);
+            }
+            self.lex.expect(b',', "',' or ']'")?;
+        }
+    }
+
+    /// The cells of one positional row of `table`, which must have
+    /// exactly one scalar cell per column.
+    fn row<const N: usize>(
+        &mut self,
+        table: &str,
+        columns: &[&str; N],
+    ) -> Result<[Token<'a>; N], String> {
+        if !self.lex.eat(b'[') {
+            return Err(format!("{table} row is not an array"));
+        }
+        let mut cells = [const { Token::Null }; N];
+        let mut count = 0;
+        if !self.lex.eat(b']') {
+            loop {
+                self.lex.peek();
+                let at = self.lex.offset();
+                let cell = self.lex.token()?;
+                if matches!(
+                    cell,
+                    Token::ObjectStart
+                        | Token::ObjectEnd
+                        | Token::ArrayStart
+                        | Token::ArrayEnd
+                        | Token::Colon
+                        | Token::Comma
+                ) {
+                    return Err(format!("expected a scalar {table} cell at byte {at}"));
+                }
+                if let Some(slot) = cells.get_mut(count) {
+                    *slot = cell;
+                }
+                count += 1;
+                if self.lex.eat(b']') {
+                    break;
+                }
+                self.lex.expect(b',', "',' or ']'")?;
+            }
+        }
+        if count == N {
+            Ok(cells)
+        } else {
+            Err(format!(
+                "{table} row has {count} cells, not the {N} of {columns:?}"
+            ))
+        }
+    }
+
+    /// The `columns` field, which must name the writer's tables and cells.
+    fn columns(&mut self) -> Result<(), String> {
+        self.next("columns")?;
+        for (i, (table, columns)) in TABLES.iter().enumerate() {
+            if i == 0 {
+                self.first(table)?;
+            } else {
+                self.next(table)?;
+            }
+            let names = self.list(table, |r| r.string(table))?;
+            if names.iter().ne(columns.iter()) {
+                return Err(format!("`{table}` columns differ"));
+            }
+        }
+        self.close()
+    }
+
+    /// The object's next field `key`, an unsigned integer.
+    fn u64_field(&mut self, key: &str) -> Result<u64, String> {
+        self.next(key)?;
+        self.u64(key)
+    }
+
+    /// The object's next field `key`, a number.
+    fn f64_field(&mut self, key: &str) -> Result<f64, String> {
+        self.next(key)?;
+        self.f64(key)
+    }
+
+    /// The object's next field `key`, a duration in µs.
+    fn delta_field(&mut self, key: &str) -> Result<TimeDelta, String> {
+        self.u64_field(key).map(TimeDelta::from_micros)
+    }
+
+    fn task(&mut self) -> Result<TaskDecl, String> {
+        self.first("name")?;
+        let name = self.string("name")?.into_owned();
+        self.next("tuf")?;
+        let tuf = self.tuf()?;
+        let max_arrivals = u32::try_from(self.u64_field("max_arrivals")?)
+            .map_err(|_| "max_arrivals out of range".to_string())?;
+        let task = TaskDecl {
+            name,
+            tuf,
+            max_arrivals,
+            window: self.delta_field("window_us")?,
+            allocation: Cycles::new(self.u64_field("allocation_cycles")?),
+            critical_offset: self.delta_field("critical_offset_us")?,
+            termination_offset: self.delta_field("termination_offset_us")?,
         };
-        if live.insert(snapshot.job, snapshot).is_some() {
-            return Err(format!("arrived job {} is already live", snapshot.job.0));
+        self.close()?;
+        Ok(task)
+    }
+
+    fn tuf(&mut self) -> Result<TufDecl, String> {
+        self.first("shape")?;
+        let tuf = match self.string("shape")?.as_ref() {
+            "step" => TufDecl::Step {
+                umax: self.f64_field("umax")?,
+                step_at: self.delta_field("step_at_us")?,
+                termination: self.delta_field("termination_us")?,
+            },
+            "linear" => TufDecl::Linear {
+                umax: self.f64_field("umax")?,
+                termination: self.delta_field("termination_us")?,
+            },
+            "exponential" => TufDecl::Exponential {
+                umax: self.f64_field("umax")?,
+                tau: self.delta_field("tau_us")?,
+                termination: self.delta_field("termination_us")?,
+            },
+            "piecewise" => {
+                self.next("points")?;
+                let points = self.list("points", |r| {
+                    let [t, u] = r.row("piecewise point", &["offset_us", "utility"])?;
+                    Ok((
+                        TimeDelta::from_micros(u64_of(&t, "piecewise offset")?),
+                        f64_of(&u, "piecewise utility")?,
+                    ))
+                })?;
+                TufDecl::Piecewise { points }
+            }
+            other => return Err(format!("unknown tuf shape {other:?}")),
+        };
+        self.close()?;
+        Ok(tuf)
+    }
+
+    fn trigger(&mut self) -> Result<SchedEvent, String> {
+        self.first("kind")?;
+        let trigger = match self.string("kind")?.as_ref() {
+            "start" => SchedEvent::Start,
+            "arrival" => SchedEvent::Arrival,
+            "completion" => SchedEvent::Completion(JobId(self.u64_field("job")?)),
+            "abort" => SchedEvent::Abort(JobId(self.u64_field("job")?)),
+            other => return Err(format!("unknown trigger kind {other:?}")),
+        };
+        self.close()?;
+        Ok(trigger)
+    }
+
+    fn event(&mut self) -> Result<EventRecord, String> {
+        self.first("at_us")?;
+        let at = SimTime::from_micros(self.u64("at_us")?);
+        self.next("trigger")?;
+        let trigger = self.trigger()?;
+        self.next("departed")?;
+        let departed = self.list("departed", |r| r.u64("departed").map(JobId))?;
+        self.next("progressed")?;
+        let progressed = self.list("progressed", |r| {
+            let [job, remaining] = r.row("progress", &PROGRESS_COLUMNS)?;
+            Ok(Progress {
+                job: JobId(u64_of(&job, "job")?),
+                remaining: Cycles::new(u64_of(&remaining, "remaining_cycles")?),
+            })
+        })?;
+        self.next("arrived")?;
+        let arrived = self.list("arrived", Reader::job)?;
+        self.next("run")?;
+        let run = self.nullable(|r| r.u64("run"))?.map(JobId);
+        let frequency_mhz = self.u64_field("frequency_mhz")?;
+        if frequency_mhz == 0 {
+            return Err("event frequency_mhz must be positive".into());
         }
+        self.next("aborts")?;
+        let aborts = self.list("aborts", |r| r.u64("aborts").map(JobId))?;
+        self.next("explanation")?;
+        let explanation = self.nullable(Reader::explanation)?;
+        self.close()?;
+        Ok(EventRecord {
+            at,
+            trigger,
+            departed,
+            progressed,
+            arrived,
+            run,
+            frequency: Frequency::from_mhz(frequency_mhz),
+            aborts,
+            explanation,
+        })
     }
-    let frequency_mhz = u64_field(v, "frequency_mhz")?;
-    if frequency_mhz == 0 {
-        return Err("event frequency_mhz must be positive".into());
+
+    fn job(&mut self) -> Result<JobSnapshot, String> {
+        let [job, task, arrival, critical, termination, remaining] =
+            self.row("job", &JOB_COLUMNS)?;
+        Ok(JobSnapshot {
+            job: JobId(u64_of(&job, "job")?),
+            task: TaskId(usize_of(&task, "task")?),
+            arrival: SimTime::from_micros(u64_of(&arrival, "arrival_us")?),
+            critical: SimTime::from_micros(u64_of(&critical, "critical_us")?),
+            termination: SimTime::from_micros(u64_of(&termination, "termination_us")?),
+            remaining: Cycles::new(u64_of(&remaining, "remaining_cycles")?),
+        })
     }
-    Ok(EventRecord {
-        at: SimTime::from_micros(u64_field(v, "at_us")?),
-        trigger: parse_trigger(field(v, "trigger")?)?,
-        ready: live.values().copied().collect(),
-        run: opt_u64_field(v, "run")?.map(JobId),
-        frequency: Frequency::from_mhz(frequency_mhz),
-        aborts: arr_field(v, "aborts")?
-            .iter()
-            .map(|j| u64_of(j, "aborts").map(JobId))
-            .collect::<Result<_, _>>()?,
-        explanation: match v.get("explanation") {
-            Some(Json::Null) | None => None,
-            Some(x) => Some(parse_explanation(x)?),
-        },
-    })
-}
 
-fn parse_explanation(v: &Json) -> Result<DecisionExplanation, String> {
-    Ok(DecisionExplanation {
-        uer: arr_field(v, "uer")?
-            .iter()
-            .map(|row| {
-                let [job, uer] = cells(row, "uer", &UER_COLUMNS)?;
-                Ok::<_, String>(UerEntry {
-                    job: JobId(u64_of(job, "job")?),
-                    uer: f64_of(uer, "uer")?,
-                })
+    fn explanation(&mut self) -> Result<DecisionExplanation, String> {
+        self.first("uer")?;
+        let uer = self.list("uer", |r| {
+            let [job, uer] = r.row("uer", &UER_COLUMNS)?;
+            Ok(UerEntry {
+                job: JobId(u64_of(&job, "job")?),
+                uer: f64_of(&uer, "uer")?,
             })
-            .collect::<Result<_, _>>()?,
-        schedule: arr_field(v, "schedule")?
-            .iter()
-            .map(|row| {
-                let [job, finish] = cells(row, "schedule", &SCHEDULE_COLUMNS)?;
-                Ok::<_, String>(ScheduleEntry {
-                    job: JobId(u64_of(job, "job")?),
-                    predicted_finish: SimTime::from_micros(u64_of(finish, "finish_us")?),
-                })
+        })?;
+        self.next("schedule")?;
+        let schedule = self.list("schedule", |r| {
+            let [job, finish] = r.row("schedule", &SCHEDULE_COLUMNS)?;
+            Ok(ScheduleEntry {
+                job: JobId(u64_of(&job, "job")?),
+                predicted_finish: SimTime::from_micros(u64_of(&finish, "finish_us")?),
             })
-            .collect::<Result<_, _>>()?,
-        aborts: arr_field(v, "aborts")?
-            .iter()
-            .map(|row| {
-                let [job, remaining, termination, finish] =
-                    cells(row, "abort_witness", &ABORT_WITNESS_COLUMNS)?;
-                Ok::<_, String>(AbortWitness {
-                    job: JobId(u64_of(job, "job")?),
-                    remaining: Cycles::new(u64_of(remaining, "remaining_cycles")?),
-                    termination: SimTime::from_micros(u64_of(termination, "termination_us")?),
-                    predicted_finish: SimTime::from_micros(u64_of(finish, "predicted_finish_us")?),
-                })
+        })?;
+        self.next("aborts")?;
+        let aborts = self.list("aborts", |r| {
+            let [job, remaining, termination, finish] =
+                r.row("abort_witness", &ABORT_WITNESS_COLUMNS)?;
+            Ok(AbortWitness {
+                job: JobId(u64_of(&job, "job")?),
+                remaining: Cycles::new(u64_of(&remaining, "remaining_cycles")?),
+                termination: SimTime::from_micros(u64_of(&termination, "termination_us")?),
+                predicted_finish: SimTime::from_micros(u64_of(&finish, "predicted_finish_us")?),
             })
-            .collect::<Result<_, _>>()?,
-        dvs: match v.get("dvs") {
-            Some(Json::Null) | None => None,
-            Some(d) => Some(DvsExplanation {
-                required_speed: f64_field(d, "required_speed")?,
-                must_run_cycles: f64_field(d, "must_run_cycles")?,
-                earliest_critical: opt_u64_field(d, "earliest_critical_us")?
-                    .map(SimTime::from_micros),
-                clamp: match opt_u64_field(d, "clamp_mhz")? {
-                    Some(0) => return Err("clamp_mhz must be positive".into()),
-                    Some(m) => Some(Frequency::from_mhz(m)),
-                    None => None,
-                },
-            }),
-        },
-        skip_infeasible: match v.get("skip_infeasible") {
-            Some(Json::Bool(b)) => *b,
-            _ => return Err("missing or non-boolean `skip_infeasible`".into()),
-        },
-    })
-}
+        })?;
+        self.next("dvs")?;
+        let dvs = self.nullable(Reader::dvs)?;
+        self.next("skip_infeasible")?;
+        let Token::Bool(skip_infeasible) = self.lex.token()? else {
+            return Err("non-boolean `skip_infeasible`".into());
+        };
+        self.close()?;
+        Ok(DecisionExplanation {
+            uer,
+            schedule,
+            aborts,
+            dvs,
+            skip_infeasible,
+        })
+    }
 
-fn parse_charge(row: &Json) -> Result<ChargeRecord, String> {
-    let [at, kind, frequency_mhz, cycles, micros, energy] = cells(row, "charge", &CHARGE_COLUMNS)?;
-    let kind = match kind.as_str() {
-        Some("execute") => ChargeKind::Execute,
-        Some("switch") => ChargeKind::Switch,
-        Some("abort-cost") => ChargeKind::AbortCost,
-        Some("idle") => ChargeKind::Idle,
-        other => return Err(format!("unknown charge kind {other:?}")),
-    };
-    Ok(ChargeRecord {
-        at: SimTime::from_micros(u64_of(at, "at_us")?),
-        kind,
-        frequency_mhz: u64_of(frequency_mhz, "frequency_mhz")?,
-        cycles: Cycles::new(u64_of(cycles, "cycles")?),
-        micros: u64_of(micros, "micros")?,
-        energy: f64_of(energy, "energy")?,
-    })
+    fn dvs(&mut self) -> Result<DvsExplanation, String> {
+        self.first("required_speed")?;
+        let required_speed = self.f64("required_speed")?;
+        let must_run_cycles = self.f64_field("must_run_cycles")?;
+        self.next("earliest_critical_us")?;
+        let earliest_critical = self
+            .nullable(|r| r.u64("earliest_critical_us"))?
+            .map(SimTime::from_micros);
+        self.next("clamp_mhz")?;
+        let clamp = match self.nullable(|r| r.u64("clamp_mhz"))? {
+            Some(0) => return Err("clamp_mhz must be positive".into()),
+            mhz => mhz.map(Frequency::from_mhz),
+        };
+        self.close()?;
+        Ok(DvsExplanation {
+            required_speed,
+            must_run_cycles,
+            earliest_critical,
+            clamp,
+        })
+    }
+
+    fn charge(&mut self) -> Result<ChargeRecord, String> {
+        let [at, kind, frequency_mhz, cycles, micros, energy] =
+            self.row("charge", &CHARGE_COLUMNS)?;
+        let Token::Str(kind) = kind else {
+            return Err("non-string charge `kind`".into());
+        };
+        let kind = match kind.as_ref() {
+            "execute" => ChargeKind::Execute,
+            "switch" => ChargeKind::Switch,
+            "abort-cost" => ChargeKind::AbortCost,
+            "idle" => ChargeKind::Idle,
+            other => return Err(format!("unknown charge kind {other:?}")),
+        };
+        Ok(ChargeRecord {
+            at: SimTime::from_micros(u64_of(&at, "at_us")?),
+            kind,
+            frequency_mhz: u64_of(&frequency_mhz, "frequency_mhz")?,
+            cycles: Cycles::new(u64_of(&cycles, "cycles")?),
+            micros: u64_of(&micros, "micros")?,
+            energy: f64_of(&energy, "energy")?,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -1138,7 +1444,9 @@ mod tests {
             events: vec![EventRecord {
                 at: SimTime::ZERO,
                 trigger: SchedEvent::Arrival,
-                ready: vec![job(0, 150_000)],
+                departed: vec![],
+                progressed: vec![],
+                arrived: vec![job(0, 150_000)],
                 run: Some(JobId(0)),
                 frequency: Frequency::from_mhz(36),
                 aborts: vec![],
@@ -1190,32 +1498,56 @@ mod tests {
         }
     }
 
-    /// [`sample`] followed by events that make every kind of ready-set
-    /// change: arrivals, progress, departures, and a job whose critical
-    /// time changed while it stayed live.
-    fn sample_with_deltas() -> RunCertificate {
-        let mut cert = sample();
-        let moved = JobSnapshot {
-            critical: SimTime::from_micros(9_000),
-            ..job(1, 50)
-        };
-        let readies = [
+    /// The ready set of each event of [`sample_with_deltas`]: every kind
+    /// of change, namely arrivals, progress and departures.
+    fn readies() -> Vec<Vec<JobSnapshot>> {
+        vec![
+            vec![job(0, 150_000)],
             vec![job(0, 120_000), job(1, 99), job(2, 99)],
             vec![job(1, 50), job(2, 99), job(3, 99)],
-            vec![moved, job(3, 99)],
+            vec![job(1, 50), job(3, 99)],
             vec![],
-        ];
-        for (k, ready) in (1..).zip(readies) {
-            cert.events.push(EventRecord {
-                at: SimTime::from_micros(k * 1_000),
-                trigger: SchedEvent::Completion(JobId(k)),
-                ready,
-                run: None,
-                frequency: Frequency::from_mhz(100),
-                aborts: vec![],
-                explanation: None,
-            });
+        ]
+    }
+
+    /// [`sample`]'s event followed by four more, all recorded from the
+    /// ready sets of [`readies`] the way the engine records them.
+    fn sample_with_deltas() -> RunCertificate {
+        let first = sample();
+        let mut recorder = Recorder::new(RunCertificate {
+            events: Vec::new(),
+            ..first.clone()
+        });
+        for (k, ready) in (0..).zip(readies()) {
+            let views: Vec<JobView> = ready
+                .iter()
+                .map(|s| JobView {
+                    id: s.job,
+                    task: s.task,
+                    arrival: s.arrival,
+                    critical_time: s.critical,
+                    termination: s.termination,
+                    remaining: s.remaining,
+                    executed: Cycles::ZERO,
+                })
+                .collect();
+            let (trigger, decision, explanation) = match k {
+                0 => (
+                    first.events[0].trigger,
+                    Decision::run(JobId(0), Frequency::from_mhz(36)),
+                    first.events[0].explanation.clone(),
+                ),
+                _ => (
+                    SchedEvent::Completion(JobId(k)),
+                    Decision::idle(Frequency::from_mhz(100)),
+                    None,
+                ),
+            };
+            let at = SimTime::from_micros(k * 1_000);
+            recorder.record(at, trigger, &views, &decision, explanation);
         }
+        let cert = recorder.finish(first.final_energy);
+        assert_eq!(cert.events[0], first.events[0]);
         cert
     }
 
@@ -1244,20 +1576,41 @@ mod tests {
             r#""departed":[],"progressed":[],"arrived":[[0,0,0,10000,10000,150000]]"#,
             r#""departed":[],"progressed":[[0,120000]],"arrived":[[1,0,1000,11000,11000,99],[2,0,2000,12000,12000,99]]"#,
             r#""departed":[0],"progressed":[[1,50]],"arrived":[[3,0,3000,13000,13000,99]]"#,
-            r#""departed":[1,2],"progressed":[],"arrived":[[1,0,1000,9000,11000,50]]"#,
+            r#""departed":[2],"progressed":[],"arrived":[]"#,
             r#""departed":[1,3],"progressed":[],"arrived":[]"#,
         ];
         for (line, delta) in events.iter().zip(deltas) {
             assert!(line.contains(delta), "{line} lacks {delta}");
         }
+        let mut walked = Vec::new();
+        cert.walk(|_, _, ready| walked.push(ready.to_vec()))
+            .expect("recorded changes apply");
+        assert_eq!(walked, readies(), "the walk rebuilds every ready set");
     }
 
     #[test]
-    #[should_panic(expected = "id-ascending")]
-    fn rendering_an_unordered_ready_set_panics() {
-        let mut cert = sample();
-        cert.events[0].ready = vec![job(1, 99), job(0, 99)];
-        let _ = cert.render();
+    fn a_departure_and_an_arrival_of_one_id_replace_its_row() {
+        // The engine never changes a live job's times, but the format can
+        // say so: departures apply before arrivals.
+        let mut cert = sample_with_deltas();
+        let moved = JobSnapshot {
+            critical: SimTime::from_micros(9_000),
+            ..job(1, 50)
+        };
+        cert.events[3].departed.push(JobId(1));
+        cert.events[3].arrived.push(moved);
+        let text = cert.render();
+        let back = RunCertificate::parse(&text).expect("must parse");
+        assert_eq!(back, cert);
+        assert_eq!(back.render(), text);
+        let mut last = Vec::new();
+        back.walk(|k, _, ready| {
+            if k == 3 {
+                last = ready.to_vec();
+            }
+        })
+        .expect("changes apply");
+        assert_eq!(last, vec![moved, job(3, 99)]);
     }
 
     #[test]
@@ -1297,16 +1650,15 @@ mod tests {
                 "unknown tuf shape",
             ),
             (
-                forge(r#""departed":[0]"#, r#""departed":[7]"#),
-                "departed job 7 is not live",
+                forge(
+                    "\"policy\":\"eua\",\n\"seed\":42",
+                    "\"seed\":42,\n\"policy\":\"eua\"",
+                ),
+                "missing `policy`",
             ),
             (
-                forge(r#""progressed":[[0,"#, r#""progressed":[[7,"#),
-                "progressed job 7 is not live",
-            ),
-            (
-                forge(r#""arrived":[[1,"#, r#""arrived":[[0,"#),
-                "arrived job 0 is already live",
+                forge("\"seed\":42,", "\"seed\":42,\n\"seed\":42,"),
+                "missing `horizon_us`",
             ),
         ] {
             assert_ne!(bad, good, "the forgery for {reason:?} changed nothing");
@@ -1314,6 +1666,38 @@ mod tests {
                 Ok(_) => panic!("accepted a document forged for {reason:?}"),
                 Err(e) => assert!(e.contains(reason), "{e:?} does not say {reason:?}"),
             }
+        }
+    }
+
+    #[test]
+    fn changes_that_do_not_apply_stop_the_walk() {
+        let good = sample_with_deltas().render();
+        let forge = |from: &str, to: &str| good.replacen(from, to, 1);
+        for (bad, reason) in [
+            (
+                forge(r#""departed":[0]"#, r#""departed":[7]"#),
+                "event 2: departed job 7 is not live",
+            ),
+            (
+                forge(r#""progressed":[[0,"#, r#""progressed":[[7,"#),
+                "event 1: progressed job 7 is not live",
+            ),
+            (
+                forge(r#""arrived":[[1,"#, r#""arrived":[[0,"#),
+                "event 1: arrived job 0 is already live",
+            ),
+        ] {
+            assert_ne!(bad, good, "the forgery for {reason:?} changed nothing");
+            let cert =
+                RunCertificate::parse(&bad).expect("the walk, not the parser, applies changes");
+            let mut visited = 0;
+            let err = cert.walk(|_, _, _| visited += 1).unwrap_err();
+            assert!(
+                err.to_string().contains(reason),
+                "{err} does not say {reason:?}"
+            );
+            let event = reason[6..7].parse::<usize>().unwrap();
+            assert_eq!(visited, event, "events before the bad change are visited");
         }
     }
 

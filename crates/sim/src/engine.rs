@@ -8,9 +8,7 @@ use eua_uam::ArrivalTrace;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::certificate::{
-    ChargeKind, ChargeRecord, EventRecord, JobSnapshot, RunCertificate, TaskDecl,
-};
+use crate::certificate::{ChargeKind, ChargeRecord, Recorder, RunCertificate, TaskDecl};
 use crate::context::{JobView, SchedContext, SchedEvent};
 use crate::error::SimError;
 use crate::faults::{map_to_degraded, FaultPlan, FaultStats};
@@ -299,12 +297,9 @@ impl Engine {
         let mut state = EngineState::new(tasks, platform, config, plan, prep);
         state.run_loop(policy)?;
         state.invariants.finish(state.metrics.energy);
-        if let Some(cert) = state.cert.as_mut() {
-            cert.final_energy = state.metrics.energy;
-        }
         Ok(Outcome {
+            certificate: state.cert.map(|cert| cert.finish(state.metrics.energy)),
             metrics: state.metrics,
-            certificate: state.cert,
             faults: state.stats,
         })
     }
@@ -324,8 +319,8 @@ pub(crate) struct PreparedRun {
     /// The platform view handed to policies when `degraded` is set.
     pub(crate) policy_platform: Option<Platform>,
     pub(crate) stats: FaultStats,
-    /// The decision certificate skeleton, when recording.
-    pub(crate) cert: Option<RunCertificate>,
+    /// The decision certificate's recorder, when recording.
+    pub(crate) cert: Option<Recorder>,
 }
 
 // Per-run setup: traces, frequency table, and certificate skeleton are
@@ -434,7 +429,7 @@ pub(crate) fn prepare_run<P: SchedulerPolicy + ?Sized>(
         degraded,
         policy_platform,
         stats,
-        cert,
+        cert: cert.map(Recorder::new),
     })
 }
 
@@ -474,7 +469,7 @@ struct EngineState<'a> {
     stats: FaultStats,
     metrics: Metrics,
     /// The decision certificate under construction, when recording.
-    cert: Option<RunCertificate>,
+    cert: Option<Recorder>,
     invariants: InvariantChecker,
 }
 
@@ -772,8 +767,10 @@ impl<'a> EngineState<'a> {
 
     /// Certificate: every decision is recorded at its instant — including
     /// ones later discarded by a costly-abort clock jump, which were
-    /// still valid when taken. Cold by construction: recording allocates,
-    /// so it lives outside the `// eua-lint: hot` loop body.
+    /// still valid when taken — with the ready set's change since the
+    /// previous decision. Cold by construction: recording allocates and
+    /// walks the ready set, so it lives outside the `// eua-lint: hot`
+    /// loop body, and an uncertified run returns at once.
     fn record_decision<P: SchedulerPolicy + ?Sized>(
         &mut self,
         event: SchedEvent,
@@ -783,15 +780,7 @@ impl<'a> EngineState<'a> {
         let Some(cert) = self.cert.as_mut() else {
             return;
         };
-        cert.events.push(EventRecord {
-            at: self.now,
-            trigger: event,
-            ready: self.views.iter().map(JobSnapshot::from_view).collect(),
-            run: decision.run,
-            frequency: decision.frequency,
-            aborts: decision.abort.clone(),
-            explanation: policy.explain(),
-        });
+        cert.record(self.now, event, &self.views, decision, policy.explain());
     }
 
     /// The earliest upcoming event the engine controls: an arrival, a

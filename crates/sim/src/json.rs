@@ -1,15 +1,23 @@
-//! A minimal first-party JSON tree shared by every serializer in the
-//! workspace (decision certificates here, SARIF in `eua-analyze`,
-//! result files in `eua-bench`): deterministic rendering plus a strict
-//! parser, so emitted documents can be asserted to **round-trip**
-//! byte-for-byte (`render(parse(s)) == s`) without external crates —
-//! the build environment is offline, so no `serde`.
+//! The workspace's one JSON grammar and formatting, without external
+//! crates (the build environment is offline, so no `serde`):
+//!
+//! * [`write_str`], [`write_uint`] and [`write_num`] format every string
+//!   and number any first-party writer emits;
+//! * [`Lexer`] is a borrowing pull lexer over RFC 8259 JSON;
+//! * [`Json`] is a tree for SARIF (`eua-analyze`), result files and
+//!   journals (`eua-bench`), rendered through the scalar writers and
+//!   parsed from the lexer's tokens by [`parse`].
+//!
+//! Decision certificates use the writers and the lexer directly, without
+//! a tree. Emitted documents can be asserted to **round-trip**
+//! byte-for-byte (`render(parse(s)) == s`).
 //!
 //! Numbers are kept as their literal token text ([`Json::Num`] wraps a
 //! `String`), which is what makes the round-trip exact: a parsed
 //! document re-renders to the same bytes because nothing is ever
 //! re-formatted through `f64`.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// A JSON value. Object keys keep insertion order (no sorting), so a
@@ -37,7 +45,9 @@ impl Json {
     #[must_use]
     pub fn num(v: f64) -> Json {
         if v.is_finite() {
-            Json::Num(format!("{v:?}"))
+            let mut text = String::new();
+            write_num(&mut text, v);
+            Json::Num(text)
         } else {
             Json::Null
         }
@@ -46,7 +56,9 @@ impl Json {
     /// A number from an unsigned integer.
     #[must_use]
     pub fn uint(v: u64) -> Json {
-        Json::Num(v.to_string())
+        let mut text = String::new();
+        write_uint(&mut text, v);
+        Json::Num(text)
     }
 
     /// Renders the tree as pretty-printed JSON (2-space indent, `\n`
@@ -78,7 +90,7 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Num(n) => out.push_str(n),
-            Json::Str(s) => write_escaped(out, s),
+            Json::Str(s) => write_str(out, s),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -95,7 +107,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    write_escaped(out, key);
+                    write_str(out, key);
                     out.push(':');
                     value.write_compact(out);
                 }
@@ -136,7 +148,7 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Num(n) => out.push_str(n),
-            Json::Str(s) => write_escaped(out, s),
+            Json::Str(s) => write_str(out, s),
             Json::Arr(items) => {
                 if items.is_empty() {
                     out.push_str("[]");
@@ -164,7 +176,7 @@ impl Json {
                 for (i, (key, value)) in fields.iter().enumerate() {
                     out.push('\n');
                     push_indent(out, indent + 1);
-                    write_escaped(out, key);
+                    write_str(out, key);
                     out.push_str(": ");
                     value.write(out, indent + 1);
                     if i + 1 < fields.len() {
@@ -185,7 +197,12 @@ fn push_indent(out: &mut String, indent: usize) {
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
+// The three scalar writers below are the workspace's one number and
+// string formatting: the `Json` tree renders through them, and so does
+// the certificate writer, which appends rows without building a tree.
+
+/// Appends `s` as a JSON string literal.
+pub fn write_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -203,14 +220,41 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Appends an unsigned integer in plain decimal digits.
+pub fn write_uint(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    for &d in &digits[start..] {
+        out.push(char::from(d));
+    }
+}
+
+/// Appends an `f64` in Rust's shortest-round-trip `{:?}` form (such as
+/// `0.5`, `1.0`, `1e-7` or `-0.0`), or `null` when it is not finite.
+pub fn write_num(out: &mut String, v: f64) {
+    if v.is_finite() {
+        let _ = write!(out, "{v:?}");
+    } else {
+        out.push_str("null");
+    }
+}
+
 /// The deepest array/object nesting [`parse`] accepts. The parser
 /// recurses once per level, so an unbounded depth would let a hostile
 /// document overflow the stack; the deepest document the workspace
 /// writes (a SARIF log) nests 9 levels.
 const MAX_DEPTH: usize = 128;
 
-/// Parses a JSON document (the subset this module renders: no exotic
-/// escapes beyond `\" \\ \/ \n \r \t \uXXXX`).
+/// Parses a JSON document (RFC 8259) into a [`Json`] tree, through the
+/// same [`Lexer`] the certificate reader pulls its tokens from.
 ///
 /// # Errors
 ///
@@ -218,186 +262,330 @@ const MAX_DEPTH: usize = 128;
 /// malformed token, trailing garbage after the document, or nesting
 /// deeper than 128 levels.
 pub fn parse(input: &str) -> Result<Json, String> {
-    let bytes = input.as_bytes();
-    let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos, 0)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing data at byte {pos}"));
-    }
+    let mut lexer = Lexer::new(input);
+    let first = lexer.token()?;
+    let value = tree(&mut lexer, first, 0)?;
+    lexer.finish()?;
     Ok(value)
 }
 
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
+/// Builds the value that opens with `token`, which sits inside `depth`
+/// enclosing arrays and objects.
+fn tree<'a>(lexer: &mut Lexer<'a>, token: Token<'a>, depth: usize) -> Result<Json, String> {
+    if matches!(token, Token::ArrayStart | Token::ObjectStart) && depth == MAX_DEPTH {
+        return Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {}",
+            lexer.offset() - 1
+        ));
     }
-}
-
-/// Parses the value at `pos`, which sits inside `depth` enclosing
-/// arrays and objects.
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err("unexpected end of input".to_string()),
-        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
-            "nesting deeper than {MAX_DEPTH} levels at byte {pos}",
-            pos = *pos
-        )),
-        Some(b'{') => parse_object(bytes, pos, depth + 1),
-        Some(b'[') => parse_array(bytes, pos, depth + 1),
-        Some(b'"') => parse_string(bytes, pos).map(Json::Str),
-        Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
-        Some(b'n') => parse_literal(bytes, pos, "null", Json::Null),
-        Some(_) => parse_number(bytes, pos),
-    }
-}
-
-fn parse_literal(bytes: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Json, String> {
-    if bytes[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(value)
-    } else {
-        Err(format!("malformed literal at byte {pos}", pos = *pos))
-    }
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    let digits_start = *pos;
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-    {
-        *pos += 1;
-    }
-    if *pos == digits_start {
-        return Err(format!("expected a number at byte {start}"));
-    }
-    let text = std::str::from_utf8(&bytes[start..*pos])
-        .map_err(|_| format!("invalid utf-8 in number at byte {start}"))?;
-    // Validate through Rust's float parser without re-formatting.
-    text.parse::<f64>()
-        .map_err(|_| format!("malformed number {text:?} at byte {start}"))?;
-    Ok(Json::Num(text.to_string()))
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    debug_assert_eq!(bytes[*pos], b'"');
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err("unterminated string".to_string()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or_else(|| "truncated \\u escape".to_string())?;
-                        let hex = std::str::from_utf8(hex)
-                            .map_err(|_| "invalid utf-8 in \\u escape".to_string())?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| format!("malformed \\u escape {hex:?}"))?;
-                        out.push(
-                            char::from_u32(code)
-                                .ok_or_else(|| format!("invalid codepoint \\u{hex}"))?,
-                        );
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("unknown escape at byte {pos}", pos = *pos)),
-                }
-                *pos += 1;
-            }
-            Some(&b) if b < 0x80 => {
-                out.push(b as char);
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one multi-byte UTF-8 scalar. Validate only a
-                // bounded 4-byte window — validating the whole remaining
-                // input per character would make parsing quadratic.
-                let end = (*pos + 4).min(bytes.len());
-                let c = match std::str::from_utf8(&bytes[*pos..end]) {
-                    Ok(s) => s.chars().next(),
-                    Err(e) => std::str::from_utf8(&bytes[*pos..*pos + e.valid_up_to()])
-                        .ok()
-                        .and_then(|s| s.chars().next()),
-                }
-                .ok_or_else(|| format!("invalid utf-8 at byte {pos}", pos = *pos))?;
-                out.push(c);
-                *pos += c.len_utf8();
-            }
-        }
-    }
-}
-
-fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
-    *pos += 1; // consume '['
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Json::Arr(items));
-    }
-    loop {
-        items.push(parse_value(bytes, pos, depth)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
+    match token {
+        Token::Null => Ok(Json::Null),
+        Token::Bool(b) => Ok(Json::Bool(b)),
+        Token::Num(n) => Ok(Json::Num(n.to_string())),
+        Token::Str(s) => Ok(Json::Str(s.into_owned())),
+        Token::ArrayStart => {
+            let mut items = Vec::new();
+            if lexer.eat(b']') {
                 return Ok(Json::Arr(items));
             }
-            _ => return Err(format!("expected ',' or ']' at byte {pos}", pos = *pos)),
+            loop {
+                let next = lexer.token()?;
+                items.push(tree(lexer, next, depth + 1)?);
+                if lexer.eat(b']') {
+                    return Ok(Json::Arr(items));
+                }
+                lexer.expect(b',', "',' or ']'")?;
+            }
+        }
+        Token::ObjectStart => {
+            let mut fields = Vec::new();
+            if lexer.eat(b'}') {
+                return Ok(Json::Obj(fields));
+            }
+            loop {
+                let at = lexer.offset();
+                let Token::Str(key) = lexer.token()? else {
+                    return Err(format!("expected a key at byte {at}"));
+                };
+                lexer.expect(b':', "':'")?;
+                let next = lexer.token()?;
+                fields.push((key.into_owned(), tree(lexer, next, depth + 1)?));
+                if lexer.eat(b'}') {
+                    return Ok(Json::Obj(fields));
+                }
+                lexer.expect(b',', "',' or '}'")?;
+            }
+        }
+        Token::ArrayEnd | Token::ObjectEnd | Token::Colon | Token::Comma => {
+            Err(format!("expected a value at byte {}", lexer.offset() - 1))
         }
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
-    *pos += 1; // consume '{'
-    let mut fields = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Json::Obj(fields));
+/// One JSON token. A string borrows its text from the input unless it
+/// holds an escape.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Token<'a> {
+    /// `{`
+    ObjectStart,
+    /// `}`
+    ObjectEnd,
+    /// `[`
+    ArrayStart,
+    /// `]`
+    ArrayEnd,
+    /// `:`
+    Colon,
+    /// `,`
+    Comma,
+    /// `null`
+    Null,
+    /// `true` / `false`
+    Bool(bool),
+    /// A number's literal text, checked against RFC 8259's grammar.
+    Num(&'a str),
+    /// A string's unescaped content.
+    Str(Cow<'a, str>),
+}
+
+/// A borrowing pull lexer over RFC 8259 JSON: [`parse`] builds its tree
+/// from it, and the certificate reader pulls tokens from it in the fixed
+/// order its writer lays them out, without building a tree.
+#[derive(Debug, Clone)]
+pub struct Lexer<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+impl<'a> Lexer<'a> {
+    /// A lexer at the start of `text`.
+    #[must_use]
+    pub fn new(text: &'a str) -> Self {
+        Lexer { text, pos: 0 }
     }
-    loop {
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b'"') {
-            return Err(format!("expected a key at byte {pos}", pos = *pos));
+
+    /// The byte offset of the next unread byte.
+    #[must_use]
+    pub fn offset(&self) -> usize {
+        self.pos
+    }
+
+    fn skip_ws(&mut self) {
+        let bytes = self.text.as_bytes();
+        while matches!(bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
         }
-        let key = parse_string(bytes, pos)?;
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b':') {
-            return Err(format!("expected ':' at byte {pos}", pos = *pos));
+    }
+
+    /// The next byte after any whitespace, without consuming it.
+    pub fn peek(&mut self) -> Option<u8> {
+        self.skip_ws();
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
+    /// Consumes the punctuation byte `byte` if it comes next.
+    pub fn eat(&mut self, byte: u8) -> bool {
+        let next = self.peek() == Some(byte);
+        if next {
+            self.pos += 1;
         }
-        *pos += 1;
-        let value = parse_value(bytes, pos, depth)?;
-        fields.push((key, value));
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Json::Obj(fields));
+        next
+    }
+
+    /// Consumes the punctuation byte `byte`, or fails naming `what` was
+    /// expected.
+    ///
+    /// # Errors
+    ///
+    /// When the next byte is not `byte`.
+    pub fn expect(&mut self, byte: u8, what: &str) -> Result<(), String> {
+        if self.eat(byte) {
+            Ok(())
+        } else {
+            Err(format!("expected {what} at byte {}", self.pos))
+        }
+    }
+
+    /// The next token.
+    ///
+    /// # Errors
+    ///
+    /// At the end of input, or on a malformed token.
+    pub fn token(&mut self) -> Result<Token<'a>, String> {
+        let Some(byte) = self.peek() else {
+            return Err("unexpected end of input".to_string());
+        };
+        let punct = match byte {
+            b'{' => Some(Token::ObjectStart),
+            b'}' => Some(Token::ObjectEnd),
+            b'[' => Some(Token::ArrayStart),
+            b']' => Some(Token::ArrayEnd),
+            b':' => Some(Token::Colon),
+            b',' => Some(Token::Comma),
+            _ => None,
+        };
+        if let Some(token) = punct {
+            self.pos += 1;
+            return Ok(token);
+        }
+        match byte {
+            b'"' => self.string().map(Token::Str),
+            b't' => self.literal("true", Token::Bool(true)),
+            b'f' => self.literal("false", Token::Bool(false)),
+            b'n' => self.literal("null", Token::Null),
+            _ => self.number().map(Token::Num),
+        }
+    }
+
+    /// Succeeds only when nothing but whitespace remains.
+    ///
+    /// # Errors
+    ///
+    /// Names the offset of the trailing data.
+    pub fn finish(&mut self) -> Result<(), String> {
+        match self.peek() {
+            None => Ok(()),
+            Some(_) => Err(format!("trailing data at byte {}", self.pos)),
+        }
+    }
+
+    fn literal(&mut self, lit: &str, token: Token<'a>) -> Result<Token<'a>, String> {
+        if self.text.as_bytes()[self.pos..].starts_with(lit.as_bytes()) {
+            self.pos += lit.len();
+            Ok(token)
+        } else {
+            Err(format!("malformed literal at byte {}", self.pos))
+        }
+    }
+
+    /// A number: an optional `-`, an integer part without a leading zero,
+    /// an optional fraction with at least one digit, and an optional
+    /// exponent with at least one digit.
+    fn number(&mut self) -> Result<&'a str, String> {
+        let start = self.pos;
+        let bytes = self.text.as_bytes();
+        let run = bytes[start..]
+            .iter()
+            .take_while(|b| matches!(b, b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-'))
+            .count();
+        if run == 0 {
+            return Err(format!("expected a number at byte {start}"));
+        }
+        self.pos += run;
+        let text = &self.text[start..self.pos];
+        let digits = |s: &[u8]| s.iter().take_while(|b| b.is_ascii_digit()).count();
+        let mut rest = text.as_bytes();
+        rest = rest.strip_prefix(b"-").unwrap_or(rest);
+        let int = digits(rest);
+        let mut valid = int == 1 || (int > 1 && rest[0] != b'0');
+        rest = &rest[int..];
+        if let Some(fraction) = rest.strip_prefix(b".") {
+            let n = digits(fraction);
+            valid &= n > 0;
+            rest = &fraction[n..];
+        }
+        if let Some(exponent) = rest.strip_prefix(b"e").or_else(|| rest.strip_prefix(b"E")) {
+            let exponent = exponent
+                .strip_prefix(b"+")
+                .or_else(|| exponent.strip_prefix(b"-"))
+                .unwrap_or(exponent);
+            let n = digits(exponent);
+            valid &= n > 0;
+            rest = &exponent[n..];
+        }
+        if valid && rest.is_empty() {
+            Ok(text)
+        } else {
+            Err(format!("malformed number {text:?} at byte {start}"))
+        }
+    }
+
+    /// A string, borrowed when it holds no escape. Control characters
+    /// must be escaped.
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
+        let bytes = self.text.as_bytes();
+        self.pos += 1; // the opening quote
+        let mut run = self.pos;
+        let mut owned: Option<String> = None;
+        loop {
+            match bytes.get(self.pos) {
+                None => return Err("unterminated string".to_string()),
+                Some(b'"') => {
+                    let tail = &self.text[run..self.pos];
+                    self.pos += 1;
+                    return Ok(match owned {
+                        Some(mut s) => {
+                            s.push_str(tail);
+                            Cow::Owned(s)
+                        }
+                        None => Cow::Borrowed(tail),
+                    });
+                }
+                Some(b'\\') => {
+                    let s = owned.get_or_insert_with(String::new);
+                    s.push_str(&self.text[run..self.pos]);
+                    self.pos += 1;
+                    let c = self.escape()?;
+                    s.push(c);
+                    run = self.pos;
+                }
+                Some(&b) if b < 0x20 => {
+                    return Err(format!("unescaped control character at byte {}", self.pos))
+                }
+                // Any other byte, including those of a multi-byte UTF-8
+                // scalar: the input is a `&str`, so it is already valid.
+                Some(_) => self.pos += 1,
             }
-            _ => return Err(format!("expected ',' or '}}' at byte {pos}", pos = *pos)),
         }
+    }
+
+    /// The character an escape stands for; `pos` is just past the `\`.
+    fn escape(&mut self) -> Result<char, String> {
+        let at = self.pos;
+        let c = match self.text.as_bytes().get(at) {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'u') => {
+                self.pos += 1;
+                let high = self.hex4()?;
+                let code = if (0xD800..0xDC00).contains(&high)
+                    && self.text.as_bytes()[self.pos..].starts_with(b"\\u")
+                {
+                    // A UTF-16 surrogate pair.
+                    self.pos += 2;
+                    let low = self.hex4()?;
+                    if !(0xDC00..0xE000).contains(&low) {
+                        return Err(format!("unpaired surrogate at byte {at}"));
+                    }
+                    0x10000 + ((high - 0xD800) << 10) + (low - 0xDC00)
+                } else {
+                    high
+                };
+                return char::from_u32(code)
+                    .ok_or_else(|| format!("invalid codepoint \\u{code:04x} at byte {at}"));
+            }
+            _ => return Err(format!("unknown escape at byte {at}")),
+        };
+        self.pos += 1;
+        Ok(c)
+    }
+
+    fn hex4(&mut self) -> Result<u32, String> {
+        let hex = self
+            .text
+            .get(self.pos..self.pos + 4)
+            .ok_or_else(|| "truncated \\u escape".to_string())?;
+        if !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
+            return Err(format!("malformed \\u escape {hex:?}"));
+        }
+        self.pos += 4;
+        u32::from_str_radix(hex, 16).map_err(|_| format!("malformed \\u escape {hex:?}"))
     }
 }
 
@@ -497,6 +685,87 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "{bad:?} must be rejected");
         }
+    }
+
+    /// Asserts that `doc` is rejected with a message containing `reason`.
+    fn rejects(doc: &str, reason: &str) {
+        match parse(doc) {
+            Ok(v) => panic!("{doc:?} parsed as {v:?}"),
+            Err(e) => assert!(e.contains(reason), "{doc:?}: {e:?} does not say {reason:?}"),
+        }
+    }
+
+    #[test]
+    fn a_leading_plus_is_not_a_number() {
+        rejects("[+5]", "malformed number \"+5\"");
+    }
+
+    #[test]
+    fn a_fraction_needs_an_integer_part() {
+        rejects("[.5]", "malformed number \".5\"");
+    }
+
+    #[test]
+    fn a_fraction_needs_digits_after_the_point() {
+        rejects("[1.]", "malformed number \"1.\"");
+    }
+
+    #[test]
+    fn an_integer_part_has_no_leading_zero() {
+        rejects("[01]", "malformed number \"01\"");
+    }
+
+    #[test]
+    fn a_negative_fraction_needs_an_integer_part() {
+        rejects("[-.5]", "malformed number \"-.5\"");
+    }
+
+    #[test]
+    fn an_exponent_needs_digits() {
+        rejects("[1e]", "malformed number \"1e\"");
+        rejects("[1e+]", "malformed number \"1e+\"");
+    }
+
+    #[test]
+    fn strings_reject_raw_control_characters() {
+        rejects("[\"tab\there\"]", "unescaped control character at byte 5");
+        rejects("[\"a\u{1}\"]", "unescaped control character");
+    }
+
+    #[test]
+    fn numbers_the_writers_emit_are_json() {
+        for v in [0.0, -0.0, 1.0, 0.1, 1e-7, 1.5e300, -2.5e-12, 6.6e-9, 1e16] {
+            let text = Json::num(v).render_compact();
+            assert_eq!(parse(&text), Ok(Json::Num(text.clone())), "{v:?}");
+        }
+        for v in [0, 7, u64::MAX] {
+            let text = Json::uint(v).render_compact();
+            assert_eq!(text, v.to_string());
+            assert_eq!(parse(&text), Ok(Json::Num(text.clone())));
+        }
+    }
+
+    #[test]
+    fn escapes_cover_rfc_8259() {
+        let parsed = parse(r#""\b\f\/\u00e9\ud83d\ude00""#).unwrap();
+        assert_eq!(parsed, Json::Str("\u{8}\u{c}/\u{e9}\u{1f600}".into()));
+        rejects(r#""\ud83d""#, "invalid codepoint");
+        rejects(r#""\ud83d\u0041""#, "unpaired surrogate");
+        rejects(r#""\x""#, "unknown escape");
+    }
+
+    #[test]
+    fn unescaped_strings_borrow_from_the_input() {
+        let mut lexer = Lexer::new(r#"["plain", "esc\"aped"]"#);
+        assert_eq!(lexer.token(), Ok(Token::ArrayStart));
+        assert!(matches!(
+            lexer.token(),
+            Ok(Token::Str(Cow::Borrowed("plain")))
+        ));
+        assert_eq!(lexer.token(), Ok(Token::Comma));
+        assert!(matches!(lexer.token(), Ok(Token::Str(Cow::Owned(s))) if s == "esc\"aped"));
+        assert_eq!(lexer.token(), Ok(Token::ArrayEnd));
+        assert_eq!(lexer.finish(), Ok(()));
     }
 
     #[test]

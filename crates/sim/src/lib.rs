@@ -82,7 +82,8 @@ pub use analysis::{
 };
 pub use certificate::{
     AbortWitness, ChargeKind, ChargeRecord, DecisionExplanation, DvsExplanation, EventRecord,
-    JobSnapshot, RunCertificate, ScheduleEntry, TaskDecl, TufDecl, UerEntry, CERT_FORMAT,
+    JobSnapshot, Progress, RunCertificate, ScheduleEntry, TaskDecl, TufDecl, UerEntry, WalkError,
+    CERT_FORMAT,
 };
 pub use context::{JobView, SchedContext, SchedEvent};
 pub use engine::{Engine, Outcome, SimConfig};

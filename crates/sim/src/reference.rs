@@ -22,7 +22,7 @@ use eua_uam::ArrivalTrace;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::certificate::{ChargeKind, ChargeRecord, EventRecord, JobSnapshot, RunCertificate};
+use crate::certificate::{ChargeKind, ChargeRecord, Recorder};
 use crate::context::{JobView, SchedContext, SchedEvent};
 use crate::engine::{prepare_run, Engine, Outcome, SimConfig};
 use crate::error::SimError;
@@ -107,12 +107,9 @@ pub(crate) fn run_core_reference<P: SchedulerPolicy + ?Sized>(
     };
     state.run_loop(policy)?;
     state.invariants.finish(state.metrics.energy);
-    if let Some(cert) = state.cert.as_mut() {
-        cert.final_energy = state.metrics.energy;
-    }
     Ok(Outcome {
+        certificate: state.cert.map(|cert| cert.finish(state.metrics.energy)),
         metrics: state.metrics,
-        certificate: state.cert,
         faults: state.stats,
     })
 }
@@ -139,7 +136,7 @@ struct ReferenceState<'a> {
     stuck_freq: Option<Frequency>,
     stats: FaultStats,
     metrics: Metrics,
-    cert: Option<RunCertificate>,
+    cert: Option<Recorder>,
     invariants: InvariantChecker,
 }
 
@@ -205,15 +202,7 @@ impl ReferenceState<'_> {
             // including ones later discarded by a costly-abort clock jump,
             // which were still valid when taken.
             if let Some(cert) = self.cert.as_mut() {
-                cert.events.push(EventRecord {
-                    at: self.now,
-                    trigger: event,
-                    ready: views.iter().map(JobSnapshot::from_view).collect(),
-                    run: decision.run,
-                    frequency: decision.frequency,
-                    aborts: decision.abort.clone(),
-                    explanation: policy.explain(),
-                });
+                cert.record(self.now, event, &views, &decision, policy.explain());
             }
             event = SchedEvent::Start; // consumed; will be overwritten below
             if let Some(aborted) = self.apply_policy_aborts(&decision)? {

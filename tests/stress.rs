@@ -103,7 +103,7 @@ fn eua_inverts_edf_order_only_during_overload() {
         5,
     )
     .expect("run");
-    let v = edf_violations(out.certificate.as_ref().expect("certificate"));
+    let v = edf_violations(out.certificate.as_ref().expect("certificate")).expect("changes apply");
     assert!(
         v.is_empty(),
         "unexpected inversions under-load: {}",
@@ -122,7 +122,7 @@ fn eua_inverts_edf_order_only_during_overload() {
         5,
     )
     .expect("run");
-    let v = edf_violations(out.certificate.as_ref().expect("certificate"));
+    let v = edf_violations(out.certificate.as_ref().expect("certificate")).expect("changes apply");
     assert!(
         !v.is_empty(),
         "EUA* should invert EDF order during overload"
@@ -139,7 +139,7 @@ fn eua_inverts_edf_order_only_during_overload() {
         5,
     )
     .expect("run");
-    let v = edf_violations(out.certificate.as_ref().expect("certificate"));
+    let v = edf_violations(out.certificate.as_ref().expect("certificate")).expect("changes apply");
     assert!(v.is_empty(), "EDF produced inversions: {}", v.len());
 }
 
