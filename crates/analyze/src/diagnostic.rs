@@ -381,7 +381,9 @@ impl DiagCode {
             DiagCode::FreqTableEmpty => "frequency table is empty",
             DiagCode::FreqTableInvalid => "frequency table has zero or unordered entries",
             DiagCode::DominatedFrequency => "a faster frequency is never more expensive per cycle",
-            DiagCode::EnergyInvalidCoefficient => "energy coefficient negative or non-finite",
+            DiagCode::EnergyInvalidCoefficient => {
+                "energy coefficient negative or non-finite, or all four zero"
+            }
             DiagCode::EnergyKneeOutsideRange => "energy-optimal speed outside the table range",
             DiagCode::Theorem1Speed => "Theorem 1 sufficient-speed condition status",
             DiagCode::BrhDemandBound => "BRH demand-bound feasibility status",

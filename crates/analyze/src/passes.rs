@@ -486,6 +486,16 @@ fn energy_model_pass(scenario: &ScenarioSpec, out: &mut Vec<Diagnostic>) {
             ));
         }
     }
+    if [e.s3, e.s2, e.s1_rel, e.s0_rel].iter().all(|&c| c == 0.0) {
+        valid = false;
+        out.push(Diagnostic::for_entity(
+            DiagCode::EnergyInvalidCoefficient,
+            format!("energy model {}", e.name),
+            "all four coefficients are zero, so every job costs no energy and its \
+             UER U/(E·c) is infinite"
+                .to_string(),
+        ));
+    }
     let Some(f_max) = scenario.f_max_mhz() else {
         return;
     };
@@ -1029,6 +1039,26 @@ mod tests {
             .diagnostics
             .iter()
             .any(|d| d.entity.as_deref() == Some("frequency 36 MHz")));
+    }
+
+    #[test]
+    fn a_model_with_no_energy_is_an_invalid_coefficient() {
+        let text = valid_scenario()
+            .render()
+            .replace("energy E1\n", "energy custom 0 0 0 0\n");
+        let spec = ScenarioSpec::parse(&text).expect("the scenario parses");
+        assert_eq!(spec.energy.name, "custom");
+        let report = analyze(&spec);
+        let invalid: Vec<_> = report
+            .diagnostics
+            .iter()
+            .filter(|d| d.code == DiagCode::EnergyInvalidCoefficient)
+            .collect();
+        assert_eq!(invalid.len(), 1, "{}", report.render_text());
+        assert!(invalid[0]
+            .message
+            .contains("all four coefficients are zero"));
+        assert!(report.has_errors());
     }
 
     #[test]

@@ -47,7 +47,7 @@ use std::collections::BTreeMap;
 
 use eua_analyze::{DiagCode, Diagnostic, Report};
 use eua_platform::{
-    select_freq, Cycles, EnergyModel, EnergySetting, Frequency, FrequencyTable, SimTime,
+    select_freq, EnergyModel, EnergySetting, Frequency, FrequencyTable, SimTime, TimeDelta,
 };
 use eua_sim::{EventRecord, JobId, JobSnapshot, RunCertificate};
 use eua_tuf::Tuf;
@@ -112,7 +112,10 @@ pub fn audit(cert: &RunCertificate) -> Report {
     };
     if let Some(env) = Env::build(cert, &mut sink) {
         check_uam(cert, &mut sink);
-        let walked = cert.walk(|i, event, ready| check_event(i, event, ready, &env, &mut sink));
+        let mut scratch = Scratch::default();
+        let walked = cert.walk(|i, event, ready| {
+            check_event(i, event, ready, &env, &mut scratch, &mut sink);
+        });
         if let Err(e) = walked {
             return unreadable(&sink.report.scenario, e);
         }
@@ -246,8 +249,7 @@ fn check_uam(cert: &RunCertificate, sink: &mut Sink) {
             }
         }
     }
-    for (decl, times) in cert.tasks.iter().zip(&per_task) {
-        let mut sorted = times.clone();
+    for (decl, sorted) in cert.tasks.iter().zip(&mut per_task) {
         sorted.sort();
         let bound = decl.max_arrivals as usize;
         let mut lo = 0usize;
@@ -287,8 +289,23 @@ struct Cand {
     job: JobId,
     critical: SimTime,
     termination: SimTime,
-    remaining: Cycles,
+    /// `⌈remaining / f_m⌉`, computed once for every replay.
+    exec: TimeDelta,
     key: f64,
+}
+
+/// Buffers that every event's checks reuse, so that checking an event
+/// allocates only to report a finding.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// Each ready job's `⌈remaining / f_m⌉`, in ready-set order.
+    exec: Vec<TimeDelta>,
+    /// The jobs the event certifies a UER for, sorted.
+    uer_jobs: Vec<JobId>,
+    /// The greedy reconstruction's candidates.
+    cands: Vec<Cand>,
+    /// The schedule it builds.
+    sched: Vec<Cand>,
 }
 
 /// NaN keys order as −∞ (strictly after every real key), mirroring the
@@ -301,10 +318,10 @@ fn sort_key(key: f64) -> f64 {
     }
 }
 
-fn replay_feasible(now: SimTime, schedule: &[Cand], f_m: Frequency) -> bool {
+fn replay_feasible(now: SimTime, schedule: &[Cand]) -> bool {
     let mut t = now;
     for c in schedule {
-        t = t.saturating_add(f_m.execution_time(c.remaining));
+        t = t.saturating_add(c.exec);
         if t > c.termination {
             return false;
         }
@@ -316,16 +333,22 @@ fn replay_feasible(now: SimTime, schedule: &[Cand], f_m: Frequency) -> bool {
 /// consider candidates in non-increasing key order (NaN last, ties by
 /// earlier critical time then id), insert each at its `(critical, id)`
 /// position, and keep the insertion only if every entry still meets its
-/// termination when replayed back-to-back at `f_m`.
-fn greedy_schedule(now: SimTime, mut cands: Vec<Cand>, f_m: Frequency, skip: bool) -> Vec<JobId> {
-    cands.sort_by(|a, b| {
+/// termination when replayed back-to-back at `f_m`. It is the naive
+/// insertion, replaying the whole schedule per candidate, because it is
+/// the oracle for the scheduler's incremental one. `cands` is left
+/// sorted and `sched` holds the result.
+fn greedy_schedule(now: SimTime, cands: &mut [Cand], skip: bool, sched: &mut Vec<Cand>) {
+    // Candidates that compare equal share their job and so every field
+    // but a NaN or −∞ key, and either ends the loop: an unstable sort
+    // decides what a stable one would.
+    cands.sort_unstable_by(|a, b| {
         sort_key(b.key)
             .total_cmp(&sort_key(a.key))
             .then_with(|| a.critical.cmp(&b.critical))
             .then_with(|| a.job.cmp(&b.job))
     });
-    let mut sched: Vec<Cand> = Vec::with_capacity(cands.len());
-    for c in cands {
+    sched.clear();
+    for &c in cands.iter() {
         if c.key.is_nan() || c.key <= 0.0 {
             // Sorted non-increasing with NaN last: the first non-positive
             // (or NaN) key ends consideration entirely.
@@ -333,7 +356,7 @@ fn greedy_schedule(now: SimTime, mut cands: Vec<Cand>, f_m: Frequency, skip: boo
         }
         let pos = sched.partition_point(|e| (e.critical, e.job) < (c.critical, c.job));
         sched.insert(pos, c);
-        if !replay_feasible(now, &sched, f_m) {
+        if !replay_feasible(now, sched) {
             sched.remove(pos);
             if skip {
                 continue;
@@ -341,7 +364,6 @@ fn greedy_schedule(now: SimTime, mut cands: Vec<Cand>, f_m: Frequency, skip: boo
             break;
         }
     }
-    sched.iter().map(|c| c.job).collect()
 }
 
 fn event_entity(index: usize, at: SimTime) -> String {
@@ -357,15 +379,12 @@ fn check_event(
     event: &EventRecord,
     ready: &[JobSnapshot],
     env: &Env,
+    scratch: &mut Scratch,
     sink: &mut Sink,
 ) {
     let entity = || event_entity(index, event.at);
-    let find = |job: JobId| {
-        ready
-            .binary_search_by_key(&job, |s| s.job)
-            .ok()
-            .map(|i| &ready[i])
-    };
+    let position = |job: JobId| ready.binary_search_by_key(&job, |s| s.job).ok();
+    let find = |job: JobId| position(job).map(|i| &ready[i]);
 
     // Engine-level invariants: referenced jobs must be live, a decision
     // must not both run and abort a job, tasks must exist.
@@ -430,13 +449,23 @@ fn check_event(
     };
     let f_m = env.policy_f_max();
     let per_cycle_at_fm = env.policy_model.energy_per_cycle(f_m);
+    // Each ready job's `⌈c_r/f_m⌉`, in ready-set order, for every check
+    // below: one division per job.
+    let exec = &mut scratch.exec;
+    exec.clear();
+    exec.extend(ready.iter().map(|s| f_m.execution_time(s.remaining)));
+    let exec = &*exec;
 
     // UER recomputation and completeness: every feasible ready job must
     // carry a certified UER matching `U(now + c_r/f_m − arrival) /
     // (E(f_m)·c_r)`, and no infeasible job may carry one.
-    let uer_of: BTreeMap<JobId, f64> = expl.uer.iter().map(|u| (u.job, u.uer)).collect();
+    let uer_jobs = &mut scratch.uer_jobs;
+    uer_jobs.clear();
+    uer_jobs.extend(expl.uer.iter().map(|u| u.job));
+    uer_jobs.sort_unstable();
+    let has_uer = |job: JobId| uer_jobs.binary_search(&job).is_ok();
     for u in &expl.uer {
-        let Some(snap) = find(u.job) else {
+        let Some(k) = position(u.job) else {
             sink.push(Diagnostic::for_entity(
                 DiagCode::AudMalformedCertificate,
                 entity(),
@@ -447,7 +476,8 @@ fn check_event(
             ));
             continue;
         };
-        let predicted = event.at.saturating_add(f_m.execution_time(snap.remaining));
+        let snap = &ready[k];
+        let predicted = event.at.saturating_add(exec[k]);
         let sojourn = predicted.saturating_since(snap.arrival);
         let utility = env.tufs[snap.task.index()].utility(sojourn);
         let expected = utility / (per_cycle_at_fm * snap.remaining.as_f64());
@@ -465,10 +495,9 @@ fn check_event(
             ));
         }
     }
-    for snap in ready {
-        let feasible =
-            event.at.saturating_add(f_m.execution_time(snap.remaining)) <= snap.termination;
-        if feasible && !uer_of.contains_key(&snap.job) {
+    for (snap, &exec) in ready.iter().zip(exec) {
+        let feasible = event.at.saturating_add(exec) <= snap.termination;
+        if feasible && !has_uer(snap.job) {
             sink.push(Diagnostic::for_entity(
                 DiagCode::AudUerMismatch,
                 entity(),
@@ -478,7 +507,7 @@ fn check_event(
                 ),
             ));
         }
-        if !feasible && uer_of.contains_key(&snap.job) {
+        if !feasible && has_uer(snap.job) {
             sink.push(Diagnostic::for_entity(
                 DiagCode::AudUerMismatch,
                 entity(),
@@ -492,15 +521,19 @@ fn check_event(
 
     // Abort legality: the decision's abort list and the witness list must
     // agree, and each witness must prove `now + c_r/f_m > termination`.
-    let witness_jobs: Vec<JobId> = expl.aborts.iter().map(|w| w.job).collect();
-    if witness_jobs != event.aborts {
+    if !expl
+        .aborts
+        .iter()
+        .map(|w| w.job)
+        .eq(event.aborts.iter().copied())
+    {
         sink.push(Diagnostic::for_entity(
             DiagCode::AudAbortIllegal,
             entity(),
             format!(
                 "abort list {:?} and witness list {:?} disagree",
                 event.aborts.iter().map(|j| j.get()).collect::<Vec<_>>(),
-                witness_jobs.iter().map(|j| j.get()).collect::<Vec<_>>()
+                expl.aborts.iter().map(|w| w.job.get()).collect::<Vec<_>>()
             ),
         ));
     }
@@ -532,30 +565,28 @@ fn check_event(
 
     // Schedule reconstruction: greedy insertion over the certified UERs
     // must reproduce the certified order exactly.
-    let cands: Vec<Cand> = expl
-        .uer
-        .iter()
-        .filter_map(|u| {
-            find(u.job).map(|snap| Cand {
-                job: u.job,
-                critical: snap.critical,
-                termination: snap.termination,
-                remaining: snap.remaining,
-                key: u.uer,
-            })
+    scratch.cands.clear();
+    scratch.cands.extend(expl.uer.iter().filter_map(|u| {
+        position(u.job).map(|k| Cand {
+            job: u.job,
+            critical: ready[k].critical,
+            termination: ready[k].termination,
+            exec: exec[k],
+            key: u.uer,
         })
-        .collect();
-    let expected = greedy_schedule(event.at, cands, f_m, expl.skip_infeasible);
-    let certified: Vec<JobId> = expl.schedule.iter().map(|e| e.job).collect();
-    if expected != certified {
+    }));
+    let expected = &mut scratch.sched;
+    greedy_schedule(event.at, &mut scratch.cands, expl.skip_infeasible, expected);
+    let certified = || expl.schedule.iter().map(|e| e.job);
+    if !expected.iter().map(|c| c.job).eq(certified()) {
         sink.push(Diagnostic::for_entity(
             DiagCode::AudScheduleOrder,
             entity(),
             format!(
                 "certified schedule {:?} but greedy non-increasing-UER insertion \
                  reconstructs {:?}",
-                certified.iter().map(|j| j.get()).collect::<Vec<_>>(),
-                expected.iter().map(|j| j.get()).collect::<Vec<_>>()
+                certified().map(JobId::get).collect::<Vec<_>>(),
+                expected.iter().map(|c| c.job.get()).collect::<Vec<_>>()
             ),
         ));
     } else {
@@ -565,9 +596,10 @@ fn check_event(
         let mut t = event.at;
         let mut prev: Option<(SimTime, JobId)> = None;
         for entry in &expl.schedule {
-            let Some(snap) = find(entry.job) else {
+            let Some(k) = position(entry.job) else {
                 continue;
             };
+            let snap = &ready[k];
             if let Some(p) = prev {
                 if (snap.critical, entry.job) < p {
                     sink.push(Diagnostic::for_entity(
@@ -581,7 +613,7 @@ fn check_event(
                 }
             }
             prev = Some((snap.critical, entry.job));
-            t = t.saturating_add(f_m.execution_time(snap.remaining));
+            t = t.saturating_add(exec[k]);
             if entry.predicted_finish != t || t > snap.termination {
                 sink.push(Diagnostic::for_entity(
                     DiagCode::AudScheduleInfeasible,
@@ -599,14 +631,14 @@ fn check_event(
         }
     }
     // The dispatched job must head the certified schedule.
-    if event.run != certified.first().copied() {
+    if event.run != certified().next() {
         sink.push(Diagnostic::for_entity(
             DiagCode::AudScheduleOrder,
             entity(),
             format!(
                 "dispatch {:?} disagrees with the schedule head {:?}",
                 event.run.map(|j| j.get()),
-                certified.first().map(|j| j.get())
+                certified().next().map(JobId::get)
             ),
         ));
     }
@@ -674,12 +706,12 @@ fn check_energy(cert: &RunCertificate, env: &Env, sink: &mut Sink) {
     let mut total = 0.0f64;
     let mut busy_until = 0u64;
     for (i, charge) in cert.charges.iter().enumerate() {
-        let entity = format!("charge {i} @{}us", charge.at.as_micros());
+        let entity = || format!("charge {i} @{}us", charge.at.as_micros());
         let start = charge.at.as_micros();
         if start < busy_until {
             sink.push(Diagnostic::for_entity(
                 DiagCode::AudEnergyMismatch,
-                entity.clone(),
+                entity(),
                 format!(
                     "{} charge starts at {start} us, before the previous charge ends at \
                      {busy_until} us",
@@ -694,7 +726,7 @@ fn check_energy(cert: &RunCertificate, env: &Env, sink: &mut Sink) {
                 if charge.frequency_mhz == 0 {
                     sink.push(Diagnostic::for_entity(
                         DiagCode::AudMalformedCertificate,
-                        entity,
+                        entity(),
                         format!("{} charge at 0 MHz", charge.kind.as_str()),
                     ));
                     total += charge.energy;
@@ -705,7 +737,7 @@ fn check_energy(cert: &RunCertificate, env: &Env, sink: &mut Sink) {
                 if charge.micros != quantized {
                     sink.push(Diagnostic::for_entity(
                         DiagCode::AudEnergyMismatch,
-                        entity.clone(),
+                        entity(),
                         format!(
                             "{} charge lasts {} us but {} cycles at {} MHz take {quantized} us",
                             charge.kind.as_str(),
@@ -721,7 +753,7 @@ fn check_energy(cert: &RunCertificate, env: &Env, sink: &mut Sink) {
         if !close(expected, charge.energy) {
             sink.push(Diagnostic::for_entity(
                 DiagCode::AudEnergyMismatch,
-                entity,
+                entity(),
                 format!(
                     "{} charge of {} but E({} MHz) over {} cycles / {} us gives {}",
                     charge.kind.as_str(),
@@ -749,7 +781,7 @@ fn check_energy(cert: &RunCertificate, env: &Env, sink: &mut Sink) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eua_platform::TimeDelta;
+    use eua_platform::Cycles;
     use eua_sim::{ChargeKind, ChargeRecord, SchedEvent, TaskDecl, TaskId, TufDecl};
 
     fn decl(name: &str) -> TaskDecl {
@@ -790,6 +822,22 @@ mod tests {
     fn clean_minimal_certificate_audits_clean() {
         let report = audit(&base_cert());
         assert!(!report.has_errors(), "{}", report.render_text());
+    }
+
+    #[test]
+    fn a_certificate_without_energy_is_malformed() {
+        let mut cert = base_cert();
+        cert.energy_rel = (0.0, 0.0, 0.0, 0.0);
+        let report = audit(&cert);
+        assert_eq!(
+            report.codes().into_iter().collect::<Vec<_>>(),
+            ["aud-malformed-certificate"],
+            "{}",
+            report.render_text()
+        );
+        assert!(report.diagnostics[0]
+            .message
+            .contains("energy model must have a non-zero coefficient"));
     }
 
     #[test]
@@ -862,15 +910,17 @@ mod tests {
             job: JobId(job),
             critical: SimTime::from_micros(critical),
             termination: SimTime::from_micros(critical),
-            remaining: Cycles::new(1_000),
+            exec: Frequency::from_mhz(100).execution_time(Cycles::new(1_000)),
             key,
         };
-        let out = greedy_schedule(
+        let mut sched = Vec::new();
+        greedy_schedule(
             SimTime::ZERO,
-            vec![mk(0, 300, 5.0), mk(1, 100, 1.0), mk(2, 200, 3.0)],
-            Frequency::from_mhz(100),
+            &mut [mk(0, 300, 5.0), mk(1, 100, 1.0), mk(2, 200, 3.0)],
             false,
+            &mut sched,
         );
+        let out: Vec<JobId> = sched.iter().map(|c| c.job).collect();
         assert_eq!(out, vec![JobId(1), JobId(2), JobId(0)]);
     }
 

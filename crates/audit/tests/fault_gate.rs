@@ -8,6 +8,10 @@
 //! family (demand mis-estimation, DVS latency/stuck/degraded tables,
 //! abort costs) must still produce internally consistent certificates.
 //!
+//! Both properties audit the certificate's text, as `eua-audit` does,
+//! after checking that it reads back to the same bytes, so every fault
+//! family's certificates go through the writer and the reader.
+//!
 //! Each property runs `AUDIT_CASES` cases.
 
 mod common;
@@ -15,11 +19,11 @@ mod common;
 use std::collections::BTreeSet;
 
 use common::{bridge, run_certified_with_faults};
-use eua_analyze::shipped_scenarios;
-use eua_audit::audit;
+use eua_analyze::{shipped_scenarios, Report};
+use eua_audit::audit_text;
 use eua_core::make_policy;
 use eua_platform::TimeDelta;
-use eua_sim::FaultPlan;
+use eua_sim::{FaultPlan, RunCertificate};
 use proptest::prelude::*;
 
 /// Proptest cases per property.
@@ -35,6 +39,20 @@ fn predicted_codes(plan: &FaultPlan) -> BTreeSet<&'static str> {
         codes.insert("aud-uam-violation");
     }
     codes
+}
+
+/// Renders `cert`, checks that the text reads back to the same bytes,
+/// and audits the text.
+fn audit_rendered(label: &str, cert: &RunCertificate) -> Result<Report, String> {
+    let text = cert.render();
+    let back = RunCertificate::parse(&text).map(|c| c.render());
+    if back.as_ref() != Ok(&text) {
+        return Err(format!(
+            "`{label}`: render(parse(s)) != s ({:?})",
+            back.err()
+        ));
+    }
+    Ok(audit_text(label, &text))
 }
 
 /// A small curated plan space: one representative per fault family plus
@@ -103,7 +121,9 @@ proptest! {
         let cert = run_certified_with_faults(
             &tasks, &patterns, &platform, &mut policy, seed, &FaultPlan::none(),
         );
-        let report = audit(&cert);
+        let report = audit_rendered(&spec.name, &cert);
+        prop_assert!(report.is_ok(), "{}", report.unwrap_err());
+        let report = report.unwrap();
         prop_assert!(
             !report.has_errors(),
             "`{}` under `{policy_name}` seed {seed}:\n{}",
@@ -129,7 +149,9 @@ proptest! {
         let cert = run_certified_with_faults(
             &tasks, &patterns, &platform, &mut policy, seed, &plan,
         );
-        let report = audit(&cert);
+        let report = audit_rendered(&spec.name, &cert);
+        prop_assert!(report.is_ok(), "{} under {plan:?}", report.unwrap_err());
+        let report = report.unwrap();
         let predicted = predicted_codes(&plan);
         for code in report.codes() {
             prop_assert!(

@@ -133,7 +133,8 @@ impl EnergySetting {
     /// # Errors
     ///
     /// Returns [`PlatformError::InvalidEnergyCoefficient`] if any
-    /// coefficient is negative or non-finite.
+    /// coefficient is negative or non-finite, and
+    /// [`PlatformError::ZeroEnergyModel`] if all four are zero.
     pub fn custom(
         name: &'static str,
         s3: f64,
@@ -148,6 +149,9 @@ impl EnergySetting {
                     value,
                 });
             }
+        }
+        if [s3, s2, s1_rel, s0_rel].iter().all(|&c| c == 0.0) {
+            return Err(PlatformError::ZeroEnergyModel);
         }
         Ok(EnergySetting {
             name,
@@ -375,6 +379,19 @@ mod tests {
         assert!(EnergySetting::custom("bad", -1.0, 0.0, 0.0, 0.0).is_err());
         assert!(EnergySetting::custom("bad", 1.0, f64::NAN, 0.0, 0.0).is_err());
         assert!(EnergySetting::custom("ok", 1.0, 0.5, 0.1, 0.2).is_ok());
+    }
+
+    #[test]
+    fn custom_rejects_a_model_with_no_energy() {
+        assert_eq!(
+            EnergySetting::custom("z", 0.0, 0.0, 0.0, 0.0),
+            Err(PlatformError::ZeroEnergyModel)
+        );
+        assert_eq!(
+            EnergySetting::custom("z", -0.0, 0.0, -0.0, 0.0),
+            Err(PlatformError::ZeroEnergyModel)
+        );
+        assert!(EnergySetting::custom("idle-free", 0.0, 0.0, 0.0, 1e-9).is_ok());
     }
 
     #[test]

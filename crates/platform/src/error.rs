@@ -33,6 +33,10 @@ pub enum PlatformError {
         /// The offending value.
         value: f64,
     },
+    /// All four energy-model coefficients were zero: every job would
+    /// cost no energy, so its utility-and-energy ratio `U/(E·c)` would be
+    /// infinite (or NaN at zero utility).
+    ZeroEnergyModel,
 }
 
 impl fmt::Display for PlatformError {
@@ -62,6 +66,9 @@ impl fmt::Display for PlatformError {
                     "energy coefficient {name} must be finite and non-negative, got {value}"
                 )
             }
+            PlatformError::ZeroEnergyModel => {
+                write!(f, "energy model must have a non-zero coefficient")
+            }
         }
     }
 }
@@ -88,6 +95,7 @@ mod tests {
                 value: -1.0,
             }
             .to_string(),
+            PlatformError::ZeroEnergyModel.to_string(),
         ];
         for m in msgs {
             assert!(!m.is_empty());

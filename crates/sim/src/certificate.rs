@@ -34,7 +34,7 @@ use eua_tuf::Tuf;
 
 use crate::context::{JobView, SchedEvent};
 use crate::ids::{JobId, TaskId};
-use crate::json::{parse as json_parse, write_num, write_str, write_uint, Lexer, Token};
+use crate::json::{parse as json_parse, write_str, write_uint, FloatMemo, Lexer, Token};
 use crate::policy::Decision;
 use crate::task::Task;
 
@@ -651,7 +651,7 @@ fn push_uints(out: &mut String, cells: &[u64]) {
 }
 
 /// Writes a top-level array field with one row per line.
-fn push_lines<T>(out: &mut String, key: &str, rows: &[T], row: impl Fn(&mut String, &T)) {
+fn push_lines<T>(out: &mut String, key: &str, rows: &[T], mut row: impl FnMut(&mut String, &T)) {
     push_key(out, key);
     out.push('[');
     let mut separator = "\n";
@@ -676,7 +676,7 @@ fn push_columns(out: &mut String) {
     out.push('}');
 }
 
-fn push_tuf(out: &mut String, tuf: &TufDecl) {
+fn push_tuf(out: &mut String, tuf: &TufDecl, floats: &mut FloatMemo) {
     match tuf {
         TufDecl::Step {
             umax,
@@ -684,7 +684,7 @@ fn push_tuf(out: &mut String, tuf: &TufDecl) {
             termination,
         } => {
             out.push_str(r#"{"shape":"step","umax":"#);
-            write_num(out, *umax);
+            floats.write(out, *umax);
             out.push_str(r#","step_at_us":"#);
             write_uint(out, step_at.as_micros());
             out.push_str(r#","termination_us":"#);
@@ -692,7 +692,7 @@ fn push_tuf(out: &mut String, tuf: &TufDecl) {
         }
         TufDecl::Linear { umax, termination } => {
             out.push_str(r#"{"shape":"linear","umax":"#);
-            write_num(out, *umax);
+            floats.write(out, *umax);
             out.push_str(r#","termination_us":"#);
             write_uint(out, termination.as_micros());
         }
@@ -702,7 +702,7 @@ fn push_tuf(out: &mut String, tuf: &TufDecl) {
             termination,
         } => {
             out.push_str(r#"{"shape":"exponential","umax":"#);
-            write_num(out, *umax);
+            floats.write(out, *umax);
             out.push_str(r#","tau_us":"#);
             write_uint(out, tau.as_micros());
             out.push_str(r#","termination_us":"#);
@@ -714,7 +714,7 @@ fn push_tuf(out: &mut String, tuf: &TufDecl) {
                 out.push('[');
                 write_uint(out, t.as_micros());
                 out.push(',');
-                write_num(out, u);
+                floats.write(out, u);
                 out.push(']');
             });
         }
@@ -722,11 +722,11 @@ fn push_tuf(out: &mut String, tuf: &TufDecl) {
     out.push('}');
 }
 
-fn push_task(out: &mut String, task: &TaskDecl) {
+fn push_task(out: &mut String, task: &TaskDecl, floats: &mut FloatMemo) {
     out.push_str(r#"{"name":"#);
     write_str(out, &task.name);
     out.push_str(r#","tuf":"#);
-    push_tuf(out, &task.tuf);
+    push_tuf(out, &task.tuf, floats);
     out.push_str(r#","max_arrivals":"#);
     write_uint(out, u64::from(task.max_arrivals));
     out.push_str(r#","window_us":"#);
@@ -777,7 +777,7 @@ fn push_opt_uint(out: &mut String, v: Option<u64>) {
     }
 }
 
-fn push_event(out: &mut String, e: &EventRecord) {
+fn push_event(out: &mut String, e: &EventRecord, floats: &mut FloatMemo) {
     out.push_str(r#"{"at_us":"#);
     write_uint(out, e.at.as_micros());
     out.push_str(r#","trigger":"#);
@@ -798,19 +798,19 @@ fn push_event(out: &mut String, e: &EventRecord) {
     push_list(out, &e.aborts, |out, j| write_uint(out, j.0));
     out.push_str(r#","explanation":"#);
     match &e.explanation {
-        Some(x) => push_explanation(out, x),
+        Some(x) => push_explanation(out, x, floats),
         None => out.push_str("null"),
     }
     out.push('}');
 }
 
-fn push_explanation(out: &mut String, x: &DecisionExplanation) {
+fn push_explanation(out: &mut String, x: &DecisionExplanation, floats: &mut FloatMemo) {
     out.push_str(r#"{"uer":"#);
     push_list(out, &x.uer, |out, u| {
         out.push('[');
         write_uint(out, u.job.0);
         out.push(',');
-        write_num(out, u.uer);
+        floats.write(out, u.uer);
         out.push(']');
     });
     out.push_str(r#","schedule":"#);
@@ -833,9 +833,9 @@ fn push_explanation(out: &mut String, x: &DecisionExplanation) {
     match &x.dvs {
         Some(d) => {
             out.push_str(r#"{"required_speed":"#);
-            write_num(out, d.required_speed);
+            floats.write(out, d.required_speed);
             out.push_str(r#","must_run_cycles":"#);
-            write_num(out, d.must_run_cycles);
+            floats.write(out, d.must_run_cycles);
             out.push_str(r#","earliest_critical_us":"#);
             push_opt_uint(out, d.earliest_critical.map(SimTime::as_micros));
             out.push_str(r#","clamp_mhz":"#);
@@ -849,7 +849,7 @@ fn push_explanation(out: &mut String, x: &DecisionExplanation) {
     out.push('}');
 }
 
-fn push_charge(out: &mut String, c: &ChargeRecord) {
+fn push_charge(out: &mut String, c: &ChargeRecord, floats: &mut FloatMemo) {
     out.push('[');
     write_uint(out, c.at.as_micros());
     out.push(',');
@@ -861,7 +861,7 @@ fn push_charge(out: &mut String, c: &ChargeRecord) {
     out.push(',');
     write_uint(out, c.micros);
     out.push(',');
-    write_num(out, c.energy);
+    floats.write(out, c.energy);
     out.push(']');
 }
 
@@ -869,10 +869,12 @@ impl RunCertificate {
     /// Renders the certificate as an `eua-certificate/2` document: compact
     /// JSON with one top-level field per line, except that `events` and
     /// `charges` put each row on a line of its own. Rows go straight into
-    /// the output through [`crate::json`]'s scalar writers.
+    /// the output through [`crate::json`]'s scalar writers, and one
+    /// [`FloatMemo`] formats each distinct float of the document once.
     #[must_use]
     pub fn render(&self) -> String {
         let mut out = String::new();
+        let mut floats = FloatMemo::default();
         push_key(&mut out, "format");
         write_str(&mut out, CERT_FORMAT);
         push_key(&mut out, "policy");
@@ -898,23 +900,29 @@ impl RunCertificate {
             out.push(',');
             write_str(&mut out, key);
             out.push(':');
-            write_num(&mut out, value);
+            floats.write(&mut out, value);
         }
         out.push('}');
         push_key(&mut out, "idle_power");
-        write_num(&mut out, self.idle_power);
+        floats.write(&mut out, self.idle_power);
         push_key(&mut out, "columns");
         push_columns(&mut out);
         push_key(&mut out, "tasks");
-        push_list(&mut out, &self.tasks, push_task);
+        push_list(&mut out, &self.tasks, |out, task| {
+            push_task(out, task, &mut floats);
+        });
         push_key(&mut out, "arrivals");
         push_list(&mut out, &self.arrivals, |out, &(t, task)| {
             push_uints(out, &[t.as_micros(), task as u64]);
         });
-        push_lines(&mut out, "events", &self.events, push_event);
-        push_lines(&mut out, "charges", &self.charges, push_charge);
+        push_lines(&mut out, "events", &self.events, |out, event| {
+            push_event(out, event, &mut floats);
+        });
+        push_lines(&mut out, "charges", &self.charges, |out, charge| {
+            push_charge(out, charge, &mut floats);
+        });
         push_key(&mut out, "final_energy");
-        write_num(&mut out, self.final_energy);
+        floats.write(&mut out, self.final_energy);
         out.push_str("\n}\n");
         out
     }
@@ -973,11 +981,8 @@ impl RunCertificate {
         let tasks = r.list("tasks", Reader::task)?;
         r.next("arrivals")?;
         let arrivals = r.list("arrivals", |r| {
-            let [at, task] = r.row("arrival", &ARRIVAL_COLUMNS)?;
-            Ok((
-                SimTime::from_micros(u64_of(&at, "at_us")?),
-                usize_of(&task, "task")?,
-            ))
+            let [at, task] = r.uints("arrival", &ARRIVAL_COLUMNS)?;
+            Ok((SimTime::from_micros(at), task_index(task)?))
         })?;
         r.next("events")?;
         let mut index = 0;
@@ -1024,19 +1029,30 @@ fn u64_of(v: &Token<'_>, what: &str) -> Result<u64, String> {
 
 fn f64_of(v: &Token<'_>, what: &str) -> Result<f64, String> {
     match v {
-        Token::Num(n) => n
-            .parse::<f64>()
-            .map_err(|_| format!("`{what}` is not a number: {n:?}")),
+        Token::Num(n) => f64_from(n, what),
         _ => Err(format!("non-numeric `{what}`")),
     }
 }
 
-fn usize_of(v: &Token<'_>, what: &str) -> Result<usize, String> {
-    usize::try_from(u64_of(v, what)?).map_err(|_| format!("`{what}` is out of range"))
+/// A number literal the lexer accepted, as an `f64`.
+fn f64_from(n: &str, what: &str) -> Result<f64, String> {
+    n.parse::<f64>()
+        .map_err(|_| format!("`{what}` is not a number: {n:?}"))
+}
+
+fn task_index(task: u64) -> Result<usize, String> {
+    usize::try_from(task).map_err(|_| "`task` is out of range".to_string())
 }
 
 /// Pulls a certificate's tokens from the shared [`Lexer`] in the fixed
 /// order [`RunCertificate::render`] writes them, building no tree.
+///
+/// Keys, integers, UER rows and charge rows are first read as the writer
+/// spells them (`"key":`, plain digits, rows without whitespace), with no
+/// [`Token`] per cell. Any other spelling, such as an escape, whitespace
+/// or a malformed cell, falls back to the token path from where the
+/// shortcut started, so the reader accepts exactly what the token path
+/// accepts and fails with its messages.
 struct Reader<'a> {
     lex: Lexer<'a>,
 }
@@ -1058,12 +1074,15 @@ impl<'a> Reader<'a> {
     }
 
     fn key(&mut self, key: &str) -> Result<(), String> {
-        self.lex.peek();
-        let at = self.lex.offset();
-        match self.lex.token()? {
-            Token::Str(k) if k == key => self.lex.expect(b':', "':'"),
-            _ => Err(format!("missing `{key}` at byte {at}")),
+        if !self.lex.eat_plain_str(key) {
+            self.lex.peek();
+            let at = self.lex.offset();
+            match self.lex.token()? {
+                Token::Str(k) if k == key => {}
+                _ => return Err(format!("missing `{key}` at byte {at}")),
+            }
         }
+        self.lex.expect(b':', "':'")
     }
 
     /// Closes an object after its last field.
@@ -1072,11 +1091,17 @@ impl<'a> Reader<'a> {
     }
 
     fn u64(&mut self, what: &str) -> Result<u64, String> {
-        u64_of(&self.lex.token()?, what)
+        match self.lex.uint() {
+            Some(v) => Ok(v),
+            None => u64_of(&self.lex.token()?, what),
+        }
     }
 
     fn f64(&mut self, what: &str) -> Result<f64, String> {
-        f64_of(&self.lex.token()?, what)
+        match self.lex.num() {
+            Some(n) => f64_from(n, what),
+            None => f64_of(&self.lex.token()?, what),
+        }
     }
 
     fn string(&mut self, what: &str) -> Result<Cow<'a, str>, String> {
@@ -1166,6 +1191,53 @@ impl<'a> Reader<'a> {
                 "{table} row has {count} cells, not the {N} of {columns:?}"
             ))
         }
+    }
+
+    /// One positional row of `table` whose cells are all unsigned
+    /// integers, in `columns` order.
+    fn uints<const N: usize>(
+        &mut self,
+        table: &str,
+        columns: &[&str; N],
+    ) -> Result<[u64; N], String> {
+        self.plain_or_tokens(Reader::plain_uints, |r| {
+            let cells = r.row(table, columns)?;
+            let mut values = [0; N];
+            for ((value, cell), column) in values.iter_mut().zip(&cells).zip(columns) {
+                *value = u64_of(cell, column)?;
+            }
+            Ok(values)
+        })
+    }
+
+    /// Reads with `plain`, the shortcut for the writer's spelling; when it
+    /// returns `None`, reads the same bytes again with `tokens`.
+    fn plain_or_tokens<T>(
+        &mut self,
+        plain: impl FnOnce(&mut Self) -> Option<T>,
+        tokens: impl FnOnce(&mut Self) -> Result<T, String>,
+    ) -> Result<T, String> {
+        let start = self.lex.clone();
+        if let Some(value) = plain(self) {
+            return Ok(value);
+        }
+        self.lex = start;
+        tokens(self)
+    }
+
+    /// The writer's spelling of a row of `N` unsigned integers.
+    fn plain_uints<const N: usize>(&mut self) -> Option<[u64; N]> {
+        let mut cells = [0; N];
+        if !self.lex.eat(b'[') {
+            return None;
+        }
+        for (i, cell) in cells.iter_mut().enumerate() {
+            if i > 0 && !self.lex.eat(b',') {
+                return None;
+            }
+            *cell = self.lex.uint()?;
+        }
+        self.lex.eat(b']').then_some(cells)
     }
 
     /// The `columns` field, which must name the writer's tables and cells.
@@ -1278,10 +1350,10 @@ impl<'a> Reader<'a> {
         let departed = self.list("departed", |r| r.u64("departed").map(JobId))?;
         self.next("progressed")?;
         let progressed = self.list("progressed", |r| {
-            let [job, remaining] = r.row("progress", &PROGRESS_COLUMNS)?;
+            let [job, remaining] = r.uints("progress", &PROGRESS_COLUMNS)?;
             Ok(Progress {
-                job: JobId(u64_of(&job, "job")?),
-                remaining: Cycles::new(u64_of(&remaining, "remaining_cycles")?),
+                job: JobId(job),
+                remaining: Cycles::new(remaining),
             })
         })?;
         self.next("arrived")?;
@@ -1312,43 +1384,60 @@ impl<'a> Reader<'a> {
 
     fn job(&mut self) -> Result<JobSnapshot, String> {
         let [job, task, arrival, critical, termination, remaining] =
-            self.row("job", &JOB_COLUMNS)?;
+            self.uints("job", &JOB_COLUMNS)?;
         Ok(JobSnapshot {
-            job: JobId(u64_of(&job, "job")?),
-            task: TaskId(usize_of(&task, "task")?),
-            arrival: SimTime::from_micros(u64_of(&arrival, "arrival_us")?),
-            critical: SimTime::from_micros(u64_of(&critical, "critical_us")?),
-            termination: SimTime::from_micros(u64_of(&termination, "termination_us")?),
-            remaining: Cycles::new(u64_of(&remaining, "remaining_cycles")?),
+            job: JobId(job),
+            task: TaskId(task_index(task)?),
+            arrival: SimTime::from_micros(arrival),
+            critical: SimTime::from_micros(critical),
+            termination: SimTime::from_micros(termination),
+            remaining: Cycles::new(remaining),
         })
     }
 
-    fn explanation(&mut self) -> Result<DecisionExplanation, String> {
-        self.first("uer")?;
-        let uer = self.list("uer", |r| {
+    fn uer(&mut self) -> Result<UerEntry, String> {
+        self.plain_or_tokens(Reader::plain_uer, |r| {
             let [job, uer] = r.row("uer", &UER_COLUMNS)?;
             Ok(UerEntry {
                 job: JobId(u64_of(&job, "job")?),
                 uer: f64_of(&uer, "uer")?,
             })
-        })?;
+        })
+    }
+
+    /// The writer's spelling of a UER row.
+    fn plain_uer(&mut self) -> Option<UerEntry> {
+        if !self.lex.eat(b'[') {
+            return None;
+        }
+        let job = JobId(self.lex.uint()?);
+        if !self.lex.eat(b',') {
+            return None;
+        }
+        let uer = self.lex.num()?.parse().ok()?;
+        self.lex.eat(b']').then_some(UerEntry { job, uer })
+    }
+
+    fn explanation(&mut self) -> Result<DecisionExplanation, String> {
+        self.first("uer")?;
+        let uer = self.list("uer", Reader::uer)?;
         self.next("schedule")?;
         let schedule = self.list("schedule", |r| {
-            let [job, finish] = r.row("schedule", &SCHEDULE_COLUMNS)?;
+            let [job, finish] = r.uints("schedule", &SCHEDULE_COLUMNS)?;
             Ok(ScheduleEntry {
-                job: JobId(u64_of(&job, "job")?),
-                predicted_finish: SimTime::from_micros(u64_of(&finish, "finish_us")?),
+                job: JobId(job),
+                predicted_finish: SimTime::from_micros(finish),
             })
         })?;
         self.next("aborts")?;
         let aborts = self.list("aborts", |r| {
             let [job, remaining, termination, finish] =
-                r.row("abort_witness", &ABORT_WITNESS_COLUMNS)?;
+                r.uints("abort_witness", &ABORT_WITNESS_COLUMNS)?;
             Ok(AbortWitness {
-                job: JobId(u64_of(&job, "job")?),
-                remaining: Cycles::new(u64_of(&remaining, "remaining_cycles")?),
-                termination: SimTime::from_micros(u64_of(&termination, "termination_us")?),
-                predicted_finish: SimTime::from_micros(u64_of(&finish, "predicted_finish_us")?),
+                job: JobId(job),
+                remaining: Cycles::new(remaining),
+                termination: SimTime::from_micros(termination),
+                predicted_finish: SimTime::from_micros(finish),
             })
         })?;
         self.next("dvs")?;
@@ -1390,25 +1479,66 @@ impl<'a> Reader<'a> {
     }
 
     fn charge(&mut self) -> Result<ChargeRecord, String> {
-        let [at, kind, frequency_mhz, cycles, micros, energy] =
-            self.row("charge", &CHARGE_COLUMNS)?;
-        let Token::Str(kind) = kind else {
-            return Err("non-string charge `kind`".into());
-        };
-        let kind = match kind.as_ref() {
-            "execute" => ChargeKind::Execute,
-            "switch" => ChargeKind::Switch,
-            "abort-cost" => ChargeKind::AbortCost,
-            "idle" => ChargeKind::Idle,
-            other => return Err(format!("unknown charge kind {other:?}")),
-        };
-        Ok(ChargeRecord {
-            at: SimTime::from_micros(u64_of(&at, "at_us")?),
+        self.plain_or_tokens(Reader::plain_charge, |r| {
+            let [at, kind, frequency_mhz, cycles, micros, energy] =
+                r.row("charge", &CHARGE_COLUMNS)?;
+            let Token::Str(kind) = kind else {
+                return Err("non-string charge `kind`".into());
+            };
+            let kind = match kind.as_ref() {
+                "execute" => ChargeKind::Execute,
+                "switch" => ChargeKind::Switch,
+                "abort-cost" => ChargeKind::AbortCost,
+                "idle" => ChargeKind::Idle,
+                other => return Err(format!("unknown charge kind {other:?}")),
+            };
+            Ok(ChargeRecord {
+                at: SimTime::from_micros(u64_of(&at, "at_us")?),
+                kind,
+                frequency_mhz: u64_of(&frequency_mhz, "frequency_mhz")?,
+                cycles: Cycles::new(u64_of(&cycles, "cycles")?),
+                micros: u64_of(&micros, "micros")?,
+                energy: f64_of(&energy, "energy")?,
+            })
+        })
+    }
+
+    /// The writer's spelling of a charge row.
+    fn plain_charge(&mut self) -> Option<ChargeRecord> {
+        if !self.lex.eat(b'[') {
+            return None;
+        }
+        let at = SimTime::from_micros(self.lex.uint()?);
+        if !self.lex.eat(b',') {
+            return None;
+        }
+        let kind = [
+            ChargeKind::Execute,
+            ChargeKind::Switch,
+            ChargeKind::AbortCost,
+            ChargeKind::Idle,
+        ]
+        .into_iter()
+        .find(|kind| self.lex.eat_plain_str(kind.as_str()))?;
+        let mut cells = [0; 3];
+        for cell in &mut cells {
+            if !self.lex.eat(b',') {
+                return None;
+            }
+            *cell = self.lex.uint()?;
+        }
+        let [frequency_mhz, cycles, micros] = cells;
+        if !self.lex.eat(b',') {
+            return None;
+        }
+        let energy = self.lex.num()?.parse().ok()?;
+        self.lex.eat(b']').then_some(ChargeRecord {
+            at,
             kind,
-            frequency_mhz: u64_of(&frequency_mhz, "frequency_mhz")?,
-            cycles: Cycles::new(u64_of(&cycles, "cycles")?),
-            micros: u64_of(&micros, "micros")?,
-            energy: f64_of(&energy, "energy")?,
+            frequency_mhz,
+            cycles: Cycles::new(cycles),
+            micros,
+            energy,
         })
     }
 }
@@ -1660,12 +1790,52 @@ mod tests {
                 forge("\"seed\":42,", "\"seed\":42,\n\"seed\":42,"),
                 "missing `horizon_us`",
             ),
+            // A key that only begins with the expected one is another key.
+            (forge(r#""run":"#, r#""run!:":"#), "missing `run`"),
+            (forge(r#""kind":"#, r#""kinds":"#), "missing `kind`"),
         ] {
             assert_ne!(bad, good, "the forgery for {reason:?} changed nothing");
             match RunCertificate::parse(&bad) {
                 Ok(_) => panic!("accepted a document forged for {reason:?}"),
                 Err(e) => assert!(e.contains(reason), "{e:?} does not say {reason:?}"),
             }
+        }
+    }
+
+    /// `text` with the first character of every key written as a `\u`
+    /// escape.
+    fn escape_key_initials(text: &str) -> String {
+        let mut out = String::new();
+        let mut rest = text;
+        while let Some(colon) = rest.find("\":") {
+            let open = rest[..colon].rfind('"').expect("a key opens with a quote");
+            let initial = rest[open + 1..].chars().next().expect("keys are not empty");
+            out.push_str(&rest[..=open]);
+            out.push_str(&format!("\\u{:04x}", u32::from(initial)));
+            out.push_str(&rest[open + 1 + initial.len_utf8()..colon + 2]);
+            rest = &rest[colon + 2..];
+        }
+        out.push_str(rest);
+        out
+    }
+
+    #[test]
+    fn other_spellings_read_as_the_writers_spelling() {
+        let cert = sample_with_deltas();
+        let text = cert.render();
+        for spelled in [
+            escape_key_initials(&text),
+            text.replace("\":", "\" :"),
+            text.replace("\":", "\": "),
+            text.replace(',', " ,\t"),
+            text.replace('[', "[\n"),
+        ] {
+            assert_ne!(spelled, text);
+            assert_eq!(
+                RunCertificate::parse(&spelled),
+                Ok(cert.clone()),
+                "{spelled}"
+            );
         }
     }
 

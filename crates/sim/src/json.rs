@@ -2,7 +2,8 @@
 //! crates (the build environment is offline, so no `serde`):
 //!
 //! * [`write_str`], [`write_uint`] and [`write_num`] format every string
-//!   and number any first-party writer emits;
+//!   and number any first-party writer emits, and [`FloatMemo`] formats
+//!   each distinct `f64` of a document once, as [`write_num`] does;
 //! * [`Lexer`] is a borrowing pull lexer over RFC 8259 JSON;
 //! * [`Json`] is a tree for SARIF (`eua-analyze`), result files and
 //!   journals (`eua-bench`), rendered through the scalar writers and
@@ -201,22 +202,31 @@ fn push_indent(out: &mut String, indent: usize) {
 // string formatting: the `Json` tree renders through them, and so does
 // the certificate writer, which appends rows without building a tree.
 
-/// Appends `s` as a JSON string literal.
+/// Appends `s` as a JSON string literal. Runs that need no escape go in
+/// as slices; every escaped byte is ASCII, so each run ends on a char
+/// boundary.
 pub fn write_str(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (i, byte) in s.bytes().enumerate() {
+        let escape = match byte {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{byte:04x}");
+        } else {
+            out.push_str(escape);
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -244,6 +254,80 @@ pub fn write_num(out: &mut String, v: f64) {
         let _ = write!(out, "{v:?}");
     } else {
         out.push_str("null");
+    }
+}
+
+/// Writes `f64`s exactly as [`write_num`] does, formatting each distinct
+/// value once: an open-addressing table from a value's bits to its text,
+/// meant to live for one document. A certificate repeats most of its
+/// floats (a job's UER from one event to the next), and formatting is
+/// most of what writing one costs.
+#[derive(Debug)]
+pub struct FloatMemo {
+    /// `(bits, start, end)`: the text of the value with these bits is
+    /// `texts[start..end]`. A slot with `end == 0` is empty, since no
+    /// text is.
+    slots: Vec<(u64, usize, usize)>,
+    texts: String,
+    /// How many slots are filled; the table doubles past half full.
+    len: usize,
+}
+
+impl Default for FloatMemo {
+    fn default() -> Self {
+        FloatMemo {
+            slots: vec![(0, 0, 0); 64],
+            texts: String::new(),
+            len: 0,
+        }
+    }
+}
+
+impl FloatMemo {
+    /// The slot a value's bits probe first, in a table of `slots` slots
+    /// (a power of two).
+    fn home(bits: u64, slots: usize) -> usize {
+        // Fibonacci hashing: the product's top bits depend on every bit.
+        (bits.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - slots.trailing_zeros())) as usize
+    }
+
+    /// Appends `v` as [`write_num`] would.
+    pub fn write(&mut self, out: &mut String, v: f64) {
+        let bits = v.to_bits();
+        let mask = self.slots.len() - 1;
+        let mut slot = Self::home(bits, self.slots.len());
+        loop {
+            let (key, start, end) = self.slots[slot];
+            if end == 0 {
+                break;
+            }
+            if key == bits {
+                out.push_str(&self.texts[start..end]);
+                return;
+            }
+            slot = (slot + 1) & mask;
+        }
+        let start = self.texts.len();
+        write_num(&mut self.texts, v);
+        out.push_str(&self.texts[start..]);
+        self.slots[slot] = (bits, start, self.texts.len());
+        self.len += 1;
+        if 2 * self.len > self.slots.len() {
+            self.grow();
+        }
+    }
+
+    /// Doubles the table, keeping every entry.
+    fn grow(&mut self) {
+        let slots = 2 * self.slots.len();
+        let old = std::mem::replace(&mut self.slots, vec![(0, 0, 0); slots]);
+        for entry in old.into_iter().filter(|&(_, _, end)| end > 0) {
+            let mut slot = Self::home(entry.0, slots);
+            while self.slots[slot].2 > 0 {
+                slot = (slot + 1) & (slots - 1);
+            }
+            self.slots[slot] = entry;
+        }
     }
 }
 
@@ -458,46 +542,64 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    /// A number: an optional `-`, an integer part without a leading zero,
-    /// an optional fraction with at least one digit, and an optional
-    /// exponent with at least one digit.
+    /// A number token. Its grammar is checked in one pass by
+    /// [`scan_number`]; a literal that fails it is named whole, as the
+    /// longest run of bytes a number can hold (`[0-9.eE+-]`).
     fn number(&mut self) -> Result<&'a str, String> {
         let start = self.pos;
-        let bytes = self.text.as_bytes();
-        let run = bytes[start..]
+        if let Some((end, _)) = scan_number(self.text.as_bytes(), start) {
+            self.pos = end;
+            return Ok(&self.text[start..end]);
+        }
+        let run = self.text.as_bytes()[start..]
             .iter()
-            .take_while(|b| matches!(b, b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-'))
+            .take_while(|&&b| number_byte(b))
             .count();
         if run == 0 {
             return Err(format!("expected a number at byte {start}"));
         }
         self.pos += run;
         let text = &self.text[start..self.pos];
-        let digits = |s: &[u8]| s.iter().take_while(|b| b.is_ascii_digit()).count();
-        let mut rest = text.as_bytes();
-        rest = rest.strip_prefix(b"-").unwrap_or(rest);
-        let int = digits(rest);
-        let mut valid = int == 1 || (int > 1 && rest[0] != b'0');
-        rest = &rest[int..];
-        if let Some(fraction) = rest.strip_prefix(b".") {
-            let n = digits(fraction);
-            valid &= n > 0;
-            rest = &fraction[n..];
+        Err(format!("malformed number {text:?} at byte {start}"))
+    }
+
+    /// Consumes a plain unsigned integer that starts at the next byte,
+    /// with no whitespace before it, and returns its value. `None`, with
+    /// nothing consumed, when the next token is anything else: a negative
+    /// number, one with a fraction or an exponent, one past `u64::MAX`, a
+    /// malformed one or no number at all.
+    pub fn uint(&mut self) -> Option<u64> {
+        let (end, value) = scan_number(self.text.as_bytes(), self.pos)?;
+        let value = value?;
+        self.pos = end;
+        Some(value)
+    }
+
+    /// Consumes an RFC 8259 number that starts at the next byte, with no
+    /// whitespace before it, and returns its text; `None`, with nothing
+    /// consumed, when no number starts there or the one that does is
+    /// malformed.
+    pub fn num(&mut self) -> Option<&'a str> {
+        let start = self.pos;
+        let (end, _) = scan_number(self.text.as_bytes(), start)?;
+        self.pos = end;
+        Some(&self.text[start..end])
+    }
+
+    /// Consumes the string literal `"s"` when the input continues with
+    /// exactly that spelling: the bytes of `s` between two quotes, with
+    /// no whitespace before them. A string spelled any other way, with
+    /// an escape for instance, is left for [`Lexer::token`].
+    pub fn eat_plain_str(&mut self, s: &str) -> bool {
+        let rest = &self.text.as_bytes()[self.pos..];
+        let n = s.len();
+        let spelled = rest.first() == Some(&b'"')
+            && rest.get(1..=n) == Some(s.as_bytes())
+            && rest.get(n + 1) == Some(&b'"');
+        if spelled {
+            self.pos += n + 2;
         }
-        if let Some(exponent) = rest.strip_prefix(b"e").or_else(|| rest.strip_prefix(b"E")) {
-            let exponent = exponent
-                .strip_prefix(b"+")
-                .or_else(|| exponent.strip_prefix(b"-"))
-                .unwrap_or(exponent);
-            let n = digits(exponent);
-            valid &= n > 0;
-            rest = &exponent[n..];
-        }
-        if valid && rest.is_empty() {
-            Ok(text)
-        } else {
-            Err(format!("malformed number {text:?} at byte {start}"))
-        }
+        spelled
     }
 
     /// A string, borrowed when it holds no escape. Control characters
@@ -587,6 +689,64 @@ impl<'a> Lexer<'a> {
         self.pos += 4;
         u32::from_str_radix(hex, 16).map_err(|_| format!("malformed \\u escape {hex:?}"))
     }
+}
+
+/// Whether `byte` can occur in a number literal.
+fn number_byte(byte: u8) -> bool {
+    matches!(byte, b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
+}
+
+/// Scans the RFC 8259 number that starts at `start`, in one pass: an
+/// optional `-`, an integer part without a leading zero, an optional
+/// fraction and an optional exponent, each with at least one digit.
+/// Returns the offset just past it and, for a plain unsigned integer
+/// that fits in a `u64`, its value. `None` when no number starts there,
+/// or when the one that does runs on into a byte a number can hold, as
+/// in `01`, `1.` or `1e5e`: the lexer reads such a run as one malformed
+/// literal.
+fn scan_number(bytes: &[u8], start: usize) -> Option<(usize, Option<u64>)> {
+    let rest = bytes.get(start..)?;
+    let negative = rest.first() == Some(&b'-');
+    let int = usize::from(negative);
+    let mut i = int;
+    let (mut value, mut overflow) = (0u64, false);
+    while let Some(&byte) = rest.get(i) {
+        let digit = byte.wrapping_sub(b'0');
+        if digit > 9 {
+            break;
+        }
+        let (tens, o1) = value.overflowing_mul(10);
+        let (sum, o2) = tens.overflowing_add(u64::from(digit));
+        value = sum;
+        overflow |= o1 | o2;
+        i += 1;
+    }
+    if i == int || (i > int + 1 && rest[int] == b'0') {
+        return None;
+    }
+    let digits_from = |i: usize| {
+        let n = rest
+            .get(i..)
+            .map_or(0, |r| r.iter().take_while(|b| b.is_ascii_digit()).count());
+        (n > 0).then_some(i + n)
+    };
+    let mut plain = !negative && !overflow;
+    if rest.get(i) == Some(&b'.') {
+        plain = false;
+        i = digits_from(i + 1)?;
+    }
+    if matches!(rest.get(i), Some(b'e' | b'E')) {
+        plain = false;
+        i += 1;
+        if matches!(rest.get(i), Some(b'+' | b'-')) {
+            i += 1;
+        }
+        i = digits_from(i)?;
+    }
+    if rest.get(i).is_some_and(|&b| number_byte(b)) {
+        return None;
+    }
+    Some((start + i, plain.then_some(value)))
 }
 
 #[cfg(test)]
@@ -784,6 +944,124 @@ mod tests {
         // overflow.
         let err = parse(&"[".repeat(200_000)).unwrap_err();
         assert!(err.contains("nesting deeper than"), "{err}");
+    }
+
+    /// Whether `literal` is an RFC 8259 number: the grammar checked over
+    /// the whole literal in separate passes, as the lexer did before it
+    /// scanned numbers in one.
+    fn rfc8259_number(literal: &str) -> bool {
+        let digits = |s: &[u8]| s.iter().take_while(|b| b.is_ascii_digit()).count();
+        let mut rest = literal.as_bytes();
+        rest = rest.strip_prefix(b"-").unwrap_or(rest);
+        let int = digits(rest);
+        let mut valid = int == 1 || (int > 1 && rest[0] != b'0');
+        rest = &rest[int..];
+        if let Some(fraction) = rest.strip_prefix(b".") {
+            let n = digits(fraction);
+            valid &= n > 0;
+            rest = &fraction[n..];
+        }
+        if let Some(exponent) = rest.strip_prefix(b"e").or_else(|| rest.strip_prefix(b"E")) {
+            let exponent = exponent
+                .strip_prefix(b"+")
+                .or_else(|| exponent.strip_prefix(b"-"))
+                .unwrap_or(exponent);
+            let n = digits(exponent);
+            valid &= n > 0;
+            rest = &exponent[n..];
+        }
+        valid && rest.is_empty()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4096))]
+
+        /// Every literal of number bytes, followed by a delimiter, is a
+        /// number token exactly when it is an RFC 8259 number, and is
+        /// otherwise named whole as malformed; `uint` reads exactly the
+        /// plain unsigned integers, with `str::parse`'s value, and `num`
+        /// exactly the numbers.
+        #[test]
+        fn the_one_pass_scan_accepts_exactly_rfc_8259_numbers(
+            symbols in proptest::collection::vec(0usize..15, 1..=8),
+            delimiter in 0usize..5,
+        ) {
+            let literal: String = symbols.iter().map(|&i| char::from(b"0123456789.eE+-"[i])).collect();
+            let doc = format!("{literal}{}", [",", "]", "}", " ", ""][delimiter]);
+            let number = rfc8259_number(&literal);
+            let token = Lexer::new(&doc).token();
+            if number {
+                proptest::prop_assert_eq!(token, Ok(Token::Num(&literal)));
+            } else {
+                proptest::prop_assert_eq!(token, Err(format!("malformed number {literal:?} at byte 0")));
+            }
+            let mut lexer = Lexer::new(&doc);
+            let value = lexer.uint();
+            let plain = literal.parse::<u64>().ok().filter(|_| number);
+            proptest::prop_assert_eq!(value, plain, "{literal:?}");
+            proptest::prop_assert_eq!(lexer.offset(), if value.is_some() { literal.len() } else { 0 });
+            let mut lexer = Lexer::new(&doc);
+            proptest::prop_assert_eq!(lexer.num(), number.then_some(literal.as_str()));
+        }
+    }
+
+    #[test]
+    fn uint_reads_up_to_u64_max() {
+        assert_eq!(Lexer::new("18446744073709551615]").uint(), Some(u64::MAX));
+        let past = "18446744073709551616]";
+        assert_eq!(Lexer::new(past).uint(), None);
+        assert_eq!(
+            Lexer::new(past).token(),
+            Ok(Token::Num("18446744073709551616"))
+        );
+        assert_eq!(
+            Lexer::new(" 7").uint(),
+            None,
+            "whitespace is the token path's"
+        );
+        assert_eq!(Lexer::new("-0").uint(), None);
+    }
+
+    #[test]
+    fn the_float_memo_writes_what_write_num_writes() {
+        // Two values whose bits probe the same first slot of a new memo.
+        let slots = FloatMemo::default().slots.len();
+        let mut first_at = vec![None; slots];
+        let (a, b) = (1..)
+            .map(|k| f64::from(k) * 0.1)
+            .find_map(|v| {
+                let home = FloatMemo::home(v.to_bits(), slots);
+                first_at[home].replace(v).map(|u| (u, v))
+            })
+            .expect("a slot is shared before every slot is full");
+        let mut values = vec![a, b, a, b, -0.0, 0.0, -0.0, 1e16, 5e-324, 1e-7, f64::NAN];
+        // Enough distinct values to grow the table twice, then each again.
+        let many: Vec<f64> = (0..300).map(|k| f64::from(k) / 7.0).collect();
+        values.extend(&many);
+        values.extend(&many);
+        let mut memo = FloatMemo::default();
+        let (mut got, mut want) = (String::new(), String::new());
+        for v in values {
+            memo.write(&mut got, v);
+            got.push(',');
+            if v.is_finite() {
+                want.push_str(&format!("{v:?}"));
+            } else {
+                want.push_str("null");
+            }
+            want.push(',');
+        }
+        assert_eq!(got, want);
+        assert!(want.starts_with(&format!(
+            "{a:?},{b:?},{a:?},{b:?},-0.0,0.0,-0.0,1e16,5e-324,"
+        )));
+    }
+
+    #[test]
+    fn strings_escape_only_what_json_requires() {
+        let mut out = String::new();
+        write_str(&mut out, "plain é \u{1} \" \\ \n\r\t end");
+        assert_eq!(out, r#""plain é \u0001 \" \\ \n\r\t end""#);
     }
 
     #[test]
