@@ -18,8 +18,8 @@
 //!   `.scn` repros (DESIGN.md §15).
 //!
 //! The `#[ignore]`d overload guard (`tests/overload_guard.rs`) pins the
-//! scaling shape of the schedule builder's overload fallback; the
-//! repository benchmark lives in `perf/`.
+//! scaling shape of the schedule builder's overload fallback and of the
+//! Algorithm 2 look-ahead; the repository benchmark lives in `perf/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,20 +1,25 @@
 #![allow(clippy::expect_used, clippy::unwrap_used)] // test code
 
-//! Bench guard for the schedule builder's overload path (ROADMAP item
-//! 3): a segment tree over fixed schedule positions makes each rebuild
-//! O(n log n) in the candidate count.
+//! Bench guards for two paths whose cost must stay O(n log n): the
+//! schedule builder's overload path (ROADMAP item 3), where a segment
+//! tree over fixed schedule positions makes each rebuild O(n log n) in
+//! the candidate count, and the Algorithm 2 look-ahead, which re-sorts
+//! its persistent walk order at every call.
 //!
-//! `#[ignore]`d: timing assertions are load-sensitive, so this runs on
+//! `#[ignore]`d: timing assertions are load-sensitive, so these run on
 //! demand (`cargo test -p eua-bench --test overload_guard -- --ignored
 //! --nocapture`) and from `ci.sh`, not from the default test sweep. The
-//! guard pins the *scaling shape*, not absolute speed. From n = 64 to
-//! n = 1024, n log n predicts about 27x and a quadratic builder about
+//! guards pin the *scaling shape*, not absolute speed. From n = 64 to
+//! n = 1024, n log n predicts about 27x and a quadratic path about
 //! 256x; the O(n²) builder the tree replaced measured 70–75x on the
-//! backlog set. Each candidate set must scale by less than 50x.
+//! backlog set. Each case must scale by less than 50x.
 
-use eua_core::{Candidate, InsertionMode, ScheduleBuilder};
-use eua_platform::{Cycles, Frequency, SimTime};
-use eua_sim::JobId;
+use eua_core::{Candidate, InsertionMode, LookAheadDvs, ScheduleBuilder};
+use eua_platform::{Cycles, EnergySetting, Frequency, SimTime, TimeDelta};
+use eua_sim::{JobId, JobView, Platform, SchedContext, SchedEvent, Task, TaskId, TaskSet};
+use eua_tuf::Tuf;
+use eua_uam::demand::DemandModel;
+use eua_uam::{Assurance, UamSpec};
 
 /// The `overload_backlog` regime: `n` jobs due within one 40 ms window,
 /// carrying twice the work the window holds (load 2.0) at 100 MHz. Most
@@ -70,6 +75,69 @@ fn rebuilder(base: Vec<Candidate>) -> impl FnMut() -> usize {
         builder
             .rebuild(SimTime::ZERO, &mut buf, f_m, InsertionMode::SkipInfeasible)
             .len()
+    }
+}
+
+/// A look-ahead call sequence over `n` tasks with one live job each. The
+/// calls cycle through four contexts whose arrival instants order the
+/// tasks by four unrelated permutations, so every call reorders most of
+/// the walk. Each window is 1 ms and the critical offset 50 ms, so at
+/// `now` = 20 ms every window has expired and a task's critical time in
+/// the walk is its job's.
+fn look_ahead_calls(n: u64) -> impl FnMut() -> usize {
+    const MULTIPLIERS: [u64; 4] = [7_919, 104_729, 1_299_709, 15_485_863];
+    let tasks = (0..n)
+        .map(|i| {
+            Task::new(
+                format!("t{i}"),
+                Tuf::step(1.0, TimeDelta::from_millis(50)).expect("tuf"),
+                UamSpec::new(1, TimeDelta::from_millis(1)).expect("uam"),
+                DemandModel::deterministic(10_000.0).expect("demand"),
+                Assurance::new(1.0, 0.5).expect("assurance"),
+            )
+            .expect("task")
+        })
+        .collect();
+    let tasks = TaskSet::new(tasks).expect("task set");
+    let contexts: Vec<Vec<JobView>> = MULTIPLIERS
+        .iter()
+        .map(|&m| {
+            (0..n)
+                .map(|i| {
+                    // An odd multiplier permutes 0..n for n a power of two.
+                    let arrival = SimTime::from_micros((m * i % n) * 10);
+                    let critical = arrival.saturating_add(TimeDelta::from_millis(50));
+                    JobView {
+                        id: JobId(i),
+                        task: TaskId(i as usize),
+                        arrival,
+                        critical_time: critical,
+                        termination: critical,
+                        remaining: Cycles::new(10_000),
+                        executed: Cycles::ZERO,
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    let platform = Platform::powernow(EnergySetting::e1());
+    let mut dvs = LookAheadDvs::new();
+    let mut call = 0;
+    move || {
+        call += 1;
+        let ctx = SchedContext {
+            now: SimTime::from_millis(20),
+            event: SchedEvent::Arrival,
+            jobs: &contexts[call % contexts.len()],
+            tasks: &tasks,
+            platform: &platform,
+            running: None,
+            energy_used: 0.0,
+        };
+        let analysis = dvs.analyze(&ctx);
+        analysis
+            .earliest_critical
+            .map_or(0, |t| t.as_micros() as usize)
     }
 }
 
@@ -140,4 +208,26 @@ fn overload_fallback_scaling_guard() {
              the O(n log n) path has regressed"
         );
     }
+}
+
+#[test]
+#[ignore = "timing guard; run on demand via cargo test -- --ignored"]
+fn look_ahead_scaling_guard() {
+    let (at_64, at_1024) = median_ns_pair(look_ahead_calls(64), look_ahead_calls(1024));
+    let ratio = at_1024 / at_64;
+    println!(
+        "look-ahead: {at_64:.0} ns @64 tasks, {at_1024:.0} ns @1024 tasks, ratio {ratio:.1}x \
+         (n log n ~27x, quadratic ~256x)"
+    );
+    assert!(
+        at_64 > 0.0 && at_1024 > at_64,
+        "look-ahead: measurement degenerate: {at_64} ns @64, {at_1024} ns @1024"
+    );
+    // The walk order is re-sorted from the previous call's order at every
+    // call; a sort that degrades to insertion on a scrambled order is
+    // O(n²) and fails.
+    assert!(
+        ratio < 50.0,
+        "look-ahead scaled {ratio:.1}x from 64→1024 tasks; its per-call sort has regressed"
+    );
 }

@@ -52,6 +52,9 @@ pub struct EdfPolicy {
     abort_infeasible: bool,
     name: String,
     look_ahead: LookAheadDvs,
+    /// Cycle-conserving buffer: live jobs per task, refilled by each
+    /// decision.
+    pending: Vec<u32>,
 }
 
 impl EdfPolicy {
@@ -72,6 +75,7 @@ impl EdfPolicy {
             abort_infeasible,
             name,
             look_ahead: LookAheadDvs::new(),
+            pending: Vec::new(),
         }
     }
 
@@ -106,10 +110,15 @@ impl EdfPolicy {
         self.dvs
     }
 
-    fn cycle_conserving_speed(ctx: &SchedContext<'_>) -> f64 {
+    fn cycle_conserving_speed(&mut self, ctx: &SchedContext<'_>) -> f64 {
+        // One pass over the live jobs counts each task's pending jobs.
+        self.pending.clear();
+        self.pending.resize(ctx.tasks.len(), 0);
+        for j in ctx.jobs {
+            self.pending[j.task.index()] += 1;
+        }
         let mut speed = 0.0;
-        for (tid, task) in ctx.tasks.iter() {
-            let pending = ctx.pending_count(tid);
+        for ((_, task), &pending) in ctx.tasks.iter().zip(&self.pending) {
             if pending > 0 {
                 let considered = f64::from(pending.min(task.uam().max_arrivals()));
                 speed += considered * task.allocation().as_f64()
@@ -157,7 +166,7 @@ impl SchedulerPolicy for EdfPolicy {
                 select_freq(ctx.platform.table(), demand)
             }
             DvsMode::CycleConserving => {
-                select_freq(ctx.platform.table(), Self::cycle_conserving_speed(ctx))
+                select_freq(ctx.platform.table(), self.cycle_conserving_speed(ctx))
             }
             DvsMode::LookAhead => {
                 #[allow(clippy::expect_used)] // populated above exactly when LookAhead
@@ -176,8 +185,8 @@ impl SchedulerPolicy for EdfPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eua_platform::{EnergySetting, SimTime, TimeDelta};
-    use eua_sim::{Engine, Platform, SimConfig, Task, TaskSet};
+    use eua_platform::{Cycles, EnergySetting, SimTime, TimeDelta};
+    use eua_sim::{Engine, JobId, Platform, SchedEvent, SimConfig, Task, TaskId, TaskSet};
     use eua_tuf::Tuf;
     use eua_uam::demand::DemandModel;
     use eua_uam::generator::ArrivalPattern;
@@ -295,6 +304,45 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn cycle_conserving_speed_counts_each_tasks_own_jobs() {
+        // Task a is idle and reserves its mean demand; task b has two live
+        // jobs and a = 2, so it reserves two allocations.
+        let a = step_task("a", 10, 100_000.0);
+        let b = Task::new(
+            "b",
+            Tuf::step(10.0, ms(20)).unwrap(),
+            UamSpec::new(2, ms(20)).unwrap(),
+            DemandModel::deterministic(200_000.0).unwrap(),
+            Assurance::new(1.0, 0.5).unwrap(),
+        )
+        .unwrap();
+        let expected = a.demand().mean() / 10_000.0 + 2.0 * b.allocation().as_f64() / 20_000.0;
+        let tasks = TaskSet::new(vec![a, b]).unwrap();
+        let platform = platform();
+        let view = |id: u64| JobView {
+            id: JobId(id),
+            task: TaskId(1),
+            arrival: SimTime::ZERO,
+            critical_time: SimTime::from_micros(20_000),
+            termination: SimTime::from_micros(20_000),
+            remaining: Cycles::new(200_000),
+            executed: Cycles::ZERO,
+        };
+        let jobs = [view(0), view(1)];
+        let ctx = SchedContext {
+            now: SimTime::ZERO,
+            event: SchedEvent::Arrival,
+            jobs: &jobs,
+            tasks: &tasks,
+            platform: &platform,
+            running: None,
+            energy_used: 0.0,
+        };
+        let speed = EdfPolicy::cycle_conserving().cycle_conserving_speed(&ctx);
+        assert_eq!(speed.to_bits(), expected.to_bits(), "{speed} vs {expected}");
     }
 
     #[test]

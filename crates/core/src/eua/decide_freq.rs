@@ -30,9 +30,19 @@
 //! with an expired window keep their static reservation inside `Util` and
 //! are skipped by the deferral loop; `x` is clamped to `[0, C_i^r]` so
 //! transient overload cannot drive `Util` negative.
+//!
+//! Between calls [`LookAheadDvs`] keeps one row per task (the task's
+//! window, critical offset, `C_i/D_i`, `a_i` and allocation, its window
+//! anchor, and what the last call found for it) and the last call's walk
+//! order, so a call re-derives nothing its inputs did not change (DESIGN.md
+//! §14.3). [`LookAheadDvs::reset`] clears the rows, anchors and constants
+//! alike, and the order; so does a change in the task count. The next
+//! call reads the constants afresh. A policy reused on another task set of
+//! the same size must therefore be reset first, as the engine does before
+//! every run.
 
-use eua_platform::SimTime;
-use eua_sim::SchedContext;
+use eua_platform::{Cycles, SimTime, TimeDelta};
+use eua_sim::{JobId, SchedContext};
 
 /// The outcome of the Algorithm 2 analysis.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -57,32 +67,37 @@ pub struct DvsAnalysis {
 /// at each arrival, so live views never miss one).
 #[derive(Debug, Clone, Default)]
 pub struct LookAheadDvs {
-    /// Per-task start of the current arrival window (the first arrival at
-    /// or after the previous window's end).
-    anchors: Vec<Option<SimTime>>,
-    /// Scratch for the deferral walk, reused across calls so the
-    /// steady-state analysis performs no per-event heap allocation.
-    entries: Vec<Entry>,
-    /// Per-task aggregation scratch for the single job pass, reused
-    /// across calls.
-    scratch: Vec<TaskScratch>,
+    /// One row per task, indexed by task.
+    rows: Vec<TaskRow>,
+    /// `Σ C_i/D_i` over all tasks, summed in task order (line 2).
+    total_rate: f64,
+    /// Task indices in walk order: rows in the walk first, latest
+    /// critical time first, then task index. Each call re-sorts the
+    /// previous call's order, which is nearly sorted already.
+    order: Vec<usize>,
 }
 
-/// One task's contribution to the deferral walk (scratch state).
-#[derive(Debug, Clone)]
-struct Entry {
-    critical: SimTime,
-    remaining: f64,
-    static_rate: f64,
-}
-
-/// Per-task facts gathered in one pass over the live jobs: how many are
-/// pending, and the `(critical, id, remaining)` of the earliest-critical
-/// one.
-#[derive(Debug, Clone, Copy, Default)]
-struct TaskScratch {
+/// One task's row: its constants, its window anchor, and what this call
+/// found for it.
+#[derive(Debug, Clone, Copy)]
+struct TaskRow {
+    // The task's constants, read by `fill`.
+    window: TimeDelta,
+    critical_offset: TimeDelta,
+    demand_rate: f64,
+    max_arrivals: u32,
+    allocation: f64,
+    /// Start of the current arrival window (the first arrival at or after
+    /// the previous window's end).
+    anchor: Option<SimTime>,
+    /// Live jobs of the task.
     pending: u32,
-    earliest: Option<(SimTime, eua_sim::JobId, eua_platform::Cycles)>,
+    /// `(critical, id, remaining)` of the earliest-critical live job.
+    earliest: Option<(SimTime, JobId, Cycles)>,
+    /// The task's critical time in the walk; `None` keeps it out.
+    critical: Option<SimTime>,
+    /// Remaining cycles `C_i^r` in the current window.
+    remaining: f64,
 }
 
 impl LookAheadDvs {
@@ -92,11 +107,35 @@ impl LookAheadDvs {
         LookAheadDvs::default()
     }
 
-    /// Clears all window anchors (for policy reuse across runs).
+    /// Clears the per-task rows (window anchors and task constants) and
+    /// the walk order, for policy reuse across runs.
     pub fn reset(&mut self) {
-        self.anchors.clear();
-        self.entries.clear();
-        self.scratch.clear();
+        self.rows.clear();
+        self.order.clear();
+    }
+
+    /// Reads each task's constants into a fresh row, with no anchor.
+    fn fill(&mut self, ctx: &SchedContext<'_>) {
+        self.rows.clear();
+        self.rows.extend(ctx.tasks.iter().map(|(_, task)| TaskRow {
+            window: task.uam().window(),
+            critical_offset: task.critical_offset(),
+            demand_rate: task.demand_rate(),
+            max_arrivals: task.uam().max_arrivals(),
+            allocation: task.allocation().as_f64(),
+            anchor: None,
+            pending: 0,
+            earliest: None,
+            critical: None,
+            remaining: 0.0,
+        }));
+        let mut total_rate = 0.0;
+        for row in &self.rows {
+            total_rate += row.demand_rate;
+        }
+        self.total_rate = total_rate;
+        self.order.clear();
+        self.order.extend(0..self.rows.len());
     }
 
     /// Observes the context's arrivals and runs the Algorithm 2 demand
@@ -107,81 +146,73 @@ impl LookAheadDvs {
     /// `f_m` is required.
     // eua-lint: hot
     pub fn analyze(&mut self, ctx: &SchedContext<'_>) -> DvsAnalysis {
-        if self.anchors.len() != ctx.tasks.len() {
-            self.anchors.clear();
-            self.anchors.resize(ctx.tasks.len(), None);
+        if self.rows.len() != ctx.tasks.len() {
+            self.fill(ctx);
         }
         let f_m = ctx.platform.f_max().as_f64();
+        let LookAheadDvs {
+            rows,
+            total_rate,
+            order,
+        } = self;
 
+        for row in rows.iter_mut() {
+            row.pending = 0;
+            row.earliest = None;
+        }
         // One pass over the live jobs (they are in arrival order, so each
         // task's subsequence is too): count pending jobs, find the
         // earliest-critical one, and advance the window anchors from
-        // observed arrivals. This replaces the per-task `jobs_of` filter
-        // scans — O(jobs) total instead of O(tasks · jobs) — and
-        // aggregates exactly the facts the old inner loop derived.
-        self.scratch.clear();
-        self.scratch.resize(ctx.tasks.len(), TaskScratch::default());
+        // observed arrivals.
         for j in ctx.jobs {
-            let s = &mut self.scratch[j.task.index()];
-            s.pending += 1;
-            let anchor = &mut self.anchors[j.task.index()];
-            match *anchor {
-                None => *anchor = Some(j.arrival),
-                Some(a) if j.arrival >= a.saturating_add(ctx.tasks.task(j.task).uam().window()) => {
-                    *anchor = Some(j.arrival);
+            let row = &mut rows[j.task.index()];
+            row.pending += 1;
+            match row.anchor {
+                None => row.anchor = Some(j.arrival),
+                Some(a) if j.arrival >= a.saturating_add(row.window) => {
+                    row.anchor = Some(j.arrival);
                 }
                 _ => {}
             }
-            if s.earliest
+            if row
+                .earliest
                 .is_none_or(|(crit, id, _)| (j.critical_time, j.id) < (crit, id))
             {
-                s.earliest = Some((j.critical_time, j.id, j.remaining));
+                row.earliest = Some((j.critical_time, j.id, j.remaining));
             }
         }
 
-        self.entries.clear();
-        // Aggregate worst-case utilization over ALL tasks (line 2). Tasks
-        // without an active window keep their reservation: under UAM they
-        // may release a full window of work at any instant.
-        let mut util: f64 = 0.0;
-        for (tid, task) in ctx.tasks.iter() {
-            util += task.demand_rate();
-            let window = task.uam().window();
-            let anchor = self.anchors[tid.index()];
-            let TaskScratch { pending, earliest } = self.scratch[tid.index()];
-
+        let mut earliest_critical: Option<SimTime> = None;
+        for row in rows.iter_mut() {
             // The current window's critical time, while the window is
             // active and the critical time has not yet passed.
-            let window_critical = anchor.and_then(|a| {
-                let expiry = a.saturating_add(window);
-                let crit = a.saturating_add(task.critical_offset());
+            let window_critical = row.anchor.and_then(|a| {
+                let expiry = a.saturating_add(row.window);
+                let crit = a.saturating_add(row.critical_offset);
                 (ctx.now < expiry && crit > ctx.now).then_some(crit)
             });
-
-            let (critical, remaining) = match (earliest, window_critical) {
+            (row.critical, row.remaining) = match (row.earliest, window_critical) {
                 (Some((first_critical, _, first_remaining)), wc) => {
-                    let considered = pending.min(task.uam().max_arrivals());
+                    let considered = row.pending.min(row.max_arrivals);
                     let remaining = first_remaining.as_f64()
-                        + f64::from(considered.saturating_sub(1)) * task.allocation().as_f64();
+                        + f64::from(considered.saturating_sub(1)) * row.allocation;
                     let critical = match wc {
                         Some(w) => w.min(first_critical),
                         None => first_critical,
                     };
-                    (critical, remaining)
+                    (Some(critical), remaining)
                 }
                 // Completed-but-active window: it still anchors the
                 // analysis horizon, with nothing left to run.
-                (None, Some(w)) => (w, 0.0),
-                (None, None) => continue,
+                (None, Some(w)) => (Some(w), 0.0),
+                (None, None) => (None, 0.0),
             };
-            self.entries.push(Entry {
-                critical,
-                remaining,
-                static_rate: task.demand_rate(),
-            });
+            if let Some(c) = row.critical {
+                earliest_critical = Some(earliest_critical.map_or(c, |e| e.min(c)));
+            }
         }
 
-        let Some(earliest_critical) = self.entries.iter().map(|e| e.critical).min() else {
+        let Some(earliest_critical) = earliest_critical else {
             return DvsAnalysis {
                 required_speed: 0.0,
                 earliest_critical: None,
@@ -189,20 +220,38 @@ impl LookAheadDvs {
             };
         };
 
-        // Reverse EDF order: latest critical time first (line 4).
-        self.entries.sort_by_key(|e| std::cmp::Reverse(e.critical));
+        // Reverse EDF order: latest critical time first (line 4), ties in
+        // task order, and tasks outside the walk last. The last call left
+        // the order nearly sorted, which the stable sort finishes in about
+        // linear time.
+        order.sort_by(|&a, &b| rows[b].critical.cmp(&rows[a].critical).then(a.cmp(&b)));
 
+        // Aggregate worst-case utilization over ALL tasks (line 2). Tasks
+        // without an active window keep their reservation: under UAM they
+        // may release a full window of work at any instant.
+        let mut util = *total_rate;
         let mut s = 0.0f64;
-        for e in &self.entries {
-            util -= e.static_rate;
-            let gap = e.critical.saturating_since(earliest_critical).as_micros() as f64;
+        for &i in order.iter() {
+            let row = &rows[i];
+            let Some(critical) = row.critical else { break };
+            util -= row.demand_rate;
+            let gap = critical.saturating_since(earliest_critical).as_micros() as f64;
             // Minimum cycles that must run before D_a_n so the task can
             // still finish by its own critical time at worst-case demand
             // `util` from more-urgent tasks (line 6), clamped to the
             // physically meaningful range.
-            let x = (e.remaining - (f_m - util) * gap).clamp(0.0, e.remaining);
+            let need = row.remaining - (f_m - util) * gap;
+            if gap > 0.0 && need <= 0.0 {
+                // x = 0: all of it defers past D_a_n. The clamp below would
+                // give x = ±0, and (r − ±0) / gap = r / gap and s + ±0 = s
+                // (s is never −0), so this is the same arithmetic with the
+                // division off the `util` dependency chain.
+                util += row.remaining / gap;
+                continue;
+            }
+            let x = need.clamp(0.0, row.remaining);
             if gap > 0.0 {
-                util += (e.remaining - x) / gap;
+                util += (row.remaining - x) / gap;
             }
             s += x;
         }

@@ -77,23 +77,6 @@ impl<'a> SchedContext<'a> {
     pub fn job(&self, id: JobId) -> Option<&JobView> {
         self.jobs.iter().find(|j| j.id == id)
     }
-
-    /// Iterates over the live jobs of one task, in arrival order.
-    pub fn jobs_of(&self, task: TaskId) -> impl Iterator<Item = &JobView> + '_ {
-        self.jobs.iter().filter(move |j| j.task == task)
-    }
-
-    /// The earliest-arrived live job of each task that has one, in task
-    /// order — the "earliest invocation" EUA\*'s DVS step reasons about.
-    pub fn earliest_per_task(&self) -> impl Iterator<Item = &JobView> + '_ {
-        (0..self.tasks.len()).filter_map(move |i| self.jobs_of(TaskId(i)).next())
-    }
-
-    /// Number of live jobs of `task`.
-    #[must_use]
-    pub fn pending_count(&self, task: TaskId) -> u32 {
-        self.jobs_of(task).count() as u32
-    }
 }
 
 #[cfg(test)]
@@ -149,28 +132,5 @@ mod tests {
         };
         assert_eq!(ctx.job(JobId(1)).unwrap().task, TaskId(1));
         assert!(ctx.job(JobId(9)).is_none());
-        assert_eq!(ctx.jobs_of(TaskId(0)).count(), 2);
-        assert_eq!(ctx.pending_count(TaskId(0)), 2);
-        assert_eq!(ctx.pending_count(TaskId(1)), 1);
-        let earliest: Vec<u64> = ctx.earliest_per_task().map(|j| j.id.get()).collect();
-        assert_eq!(earliest, vec![0, 1]);
-    }
-
-    #[test]
-    fn earliest_per_task_skips_idle_tasks() {
-        let tasks = two_task_set();
-        let platform = Platform::powernow(EnergySetting::e1());
-        let jobs = vec![view(7, 1)];
-        let ctx = SchedContext {
-            now: SimTime::ZERO,
-            event: SchedEvent::Start,
-            jobs: &jobs,
-            tasks: &tasks,
-            platform: &platform,
-            running: None,
-            energy_used: 0.0,
-        };
-        let earliest: Vec<u64> = ctx.earliest_per_task().map(|j| j.id.get()).collect();
-        assert_eq!(earliest, vec![7]);
     }
 }

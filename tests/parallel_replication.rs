@@ -144,59 +144,70 @@ fn reused_policy_matches_a_fresh_policy_for_every_policy() {
     }
 }
 
-/// Two tasks, each periodic at 10 ms with a linear TUF of the given
-/// height that ends at 10 ms and a deterministic 600,000-cycle demand:
-/// 12 ms of work per 10 ms at E1's top speed, so an overload.
-fn overloaded_pair(heights: [f64; 2]) -> (TaskSet, Vec<ArrivalPattern>) {
-    let period = TimeDelta::from_millis(10);
-    let tasks = heights
-        .iter()
-        .zip(["first", "second"])
-        .map(|(&height, name)| {
+/// Two periodic tasks, each with a linear TUF of the given height that
+/// ends at its period and a deterministic demand.
+fn pair(
+    heights: [f64; 2],
+    periods_ms: [u64; 2],
+    cycles: [f64; 2],
+) -> (TaskSet, Vec<ArrivalPattern>) {
+    let periods = periods_ms.map(TimeDelta::from_millis);
+    let tasks = (0..2)
+        .map(|i| {
             Task::new(
-                name,
-                Tuf::linear(height, period).expect("linear tuf"),
-                UamSpec::periodic(period).expect("periodic uam"),
-                DemandModel::deterministic(600_000.0).expect("demand"),
+                ["first", "second"][i],
+                Tuf::linear(heights[i], periods[i]).expect("linear tuf"),
+                UamSpec::periodic(periods[i]).expect("periodic uam"),
+                DemandModel::deterministic(cycles[i]).expect("demand"),
                 Assurance::new(0.1, 0.5).expect("assurance"),
             )
             .expect("task")
         })
         .collect();
-    let patterns = vec![ArrivalPattern::periodic(period).expect("pattern"); 2];
+    let patterns = periods
+        .iter()
+        .map(|&p| ArrivalPattern::periodic(p).expect("pattern"))
+        .collect();
     (TaskSet::new(tasks).expect("task set"), patterns)
 }
 
 /// A policy reused after a run that ended on its first decision must
-/// keep nothing of that decision. Both runs release the same two jobs at
-/// t = 0 with the same demand, and only the swapped TUF heights tell
-/// them apart, so any per-job state that `reset` left behind would
-/// answer the second run with the first run's utilities.
+/// keep nothing of that run or its task set. The first run is an
+/// overload: two tasks periodic at 10 ms with 600,000 cycles each, 12 ms
+/// of work per 10 ms at E1's top speed. The second run has as many tasks,
+/// with swapped TUF heights, so per-job state that `reset` left behind
+/// would answer it with the first run's utilities; its second task has a
+/// 20 ms window and 900,000 cycles, so its critical time falls later and
+/// Algorithm 2 defers part of its work against a demand rate that differs
+/// from the first run's, which per-task state left behind (such as the
+/// look-ahead's task constants) would get wrong.
 #[test]
-fn reused_policy_forgets_the_scores_of_a_run_cut_after_one_decision() {
+fn reused_policy_forgets_the_task_set_of_a_run_cut_after_one_decision() {
     let platform = Platform::powernow(EnergySetting::e1());
-    let run = |policy: &mut dyn SchedulerPolicy, heights: [f64; 2], horizon: TimeDelta| {
-        let (tasks, patterns) = overloaded_pair(heights);
+    let run = |policy: &mut dyn SchedulerPolicy,
+               (tasks, patterns): &(TaskSet, Vec<ArrivalPattern>),
+               horizon: TimeDelta| {
         let config = SimConfig::new(horizon).with_certificate();
-        let outcome = Engine::run(&tasks, &patterns, &platform, policy, &config, 1).expect("run");
+        let outcome = Engine::run(tasks, patterns, &platform, policy, &config, 1).expect("run");
         (
             outcome.metrics,
             outcome.certificate.expect("certificate requested"),
         )
     };
+    let first = pair([10.0, 1.0], [10, 10], [600_000.0, 600_000.0]);
+    let second = pair([1.0, 10.0], [10, 20], [300_000.0, 900_000.0]);
     for &name in available_policies() {
         let make = || make_policy(name).expect("registered policy");
         let mut reused = make();
-        let (_, first) = run(reused.as_mut(), [10.0, 1.0], TimeDelta::from_micros(1));
+        let (_, cut) = run(reused.as_mut(), &first, TimeDelta::from_micros(1));
         assert_eq!(
-            first.events.len(),
+            cut.events.len(),
             1,
             "{name}: the first run must stop after one decision"
         );
-        let second = [1.0, 10.0];
-        let (metrics, cert) = run(make().as_mut(), second, TimeDelta::from_millis(30));
+        let (metrics, cert) = run(make().as_mut(), &second, TimeDelta::from_millis(30));
         let (reused_metrics, reused_cert) =
-            run(reused.as_mut(), second, TimeDelta::from_millis(30));
+            run(reused.as_mut(), &second, TimeDelta::from_millis(30));
         assert!(
             reused_metrics == metrics && reused_cert.render() == cert.render(),
             "{name}: a run after a one-decision run differs from a fresh policy"
