@@ -123,10 +123,11 @@ cargo test --release --offline -q --manifest-path perf/Cargo.toml
 step "overload fallback and look-ahead bench guards (ignored timing tests, scaling shape)"
 # Pins two paths to O(n log n), each under 50x from n = 64 to 1024
 # (n log n predicts ~27x, quadratic ~256x). overload_fallback_scaling_guard:
-# the schedule builder's segment-tree overload path on two candidate
-# sets (a load-2.0 backlog that accepts 74%, and tight terminations
-# that reject most); the O(n²) builder it replaced measured 70-75x on
-# the backlog set. look_ahead_scaling_guard: the Algorithm 2 look-ahead
+# the schedule builder's segment-tree overload path on three candidate
+# sets (a load-2.0 backlog that accepts 74%, tight terminations that
+# reject most, and the permuted-key backlog, whose rebuilds permute the
+# keys so the kept consideration order is useless); the O(n²) builder
+# it replaced measured 70-75x on the backlog set. look_ahead_scaling_guard: the Algorithm 2 look-ahead
 # over 64 and 1024 tasks, every call reordering most tasks' critical
 # times, so its per-call re-sort of the persistent walk order cannot
 # degrade to insertion (~244x). --nocapture logs the ratios.

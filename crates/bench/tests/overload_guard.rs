@@ -6,6 +6,13 @@
 //! the candidate count, and the Algorithm 2 look-ahead, which re-sorts
 //! its persistent walk order at every call.
 //!
+//! The builder runs three cases: a backlog set, a tight set, and the
+//! permuted-key backlog set, whose successive rebuilds permute the keys
+//! among the candidates. A reused builder starts each overload key sort
+//! from the previous overload build's order, so rebuilding one set
+//! starts already sorted; the permuted-key case makes that kept order
+//! useless, the sort's worst case.
+//!
 //! `#[ignore]`d: timing assertions are load-sensitive, so these run on
 //! demand (`cargo test -p eua-bench --test overload_guard -- --ignored
 //! --nocapture`) and from `ci.sh`, not from the default test sweep. The
@@ -63,15 +70,36 @@ fn tight_candidates(n: u64) -> Vec<Candidate> {
         .collect()
 }
 
-/// A skip-mode `rebuild` of `base` on a reused builder, returning the
-/// schedule length.
-fn rebuilder(base: Vec<Candidate>) -> impl FnMut() -> usize {
+/// `base` under four unrelated permutations of its keys among the
+/// candidates (an odd multiplier permutes 0..n for n a power of two).
+fn permuted_keys(base: &[Candidate]) -> Vec<Vec<Candidate>> {
+    const MULTIPLIERS: [usize; 4] = [7_919, 104_729, 1_299_709, 15_485_863];
+    let n = base.len();
+    MULTIPLIERS
+        .iter()
+        .map(|&m| {
+            base.iter()
+                .enumerate()
+                .map(|(i, c)| Candidate {
+                    key: base[m * i % n].key,
+                    ..*c
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Skip-mode `rebuild`s on a reused builder, cycling through `sets`,
+/// each returning the schedule length.
+fn rebuilder(sets: Vec<Vec<Candidate>>) -> impl FnMut() -> usize {
     let f_m = Frequency::from_mhz(100);
     let mut builder = ScheduleBuilder::new();
     let mut buf = Vec::new();
+    let mut call = 0;
     move || {
+        call += 1;
         buf.clear();
-        buf.extend_from_slice(&base);
+        buf.extend_from_slice(&sets[call % sets.len()]);
         builder
             .rebuild(SimTime::ZERO, &mut buf, f_m, InsertionMode::SkipInfeasible)
             .len()
@@ -184,8 +212,21 @@ fn median_ns_pair(
 #[ignore = "timing guard; run on demand via cargo test -- --ignored"]
 fn overload_fallback_scaling_guard() {
     for (name, small, large) in [
-        ("backlog", backlog_candidates(64), backlog_candidates(1024)),
-        ("tight", tight_candidates(64), tight_candidates(1024)),
+        (
+            "backlog",
+            vec![backlog_candidates(64)],
+            vec![backlog_candidates(1024)],
+        ),
+        (
+            "tight",
+            vec![tight_candidates(64)],
+            vec![tight_candidates(1024)],
+        ),
+        (
+            "permuted-key backlog",
+            permuted_keys(&backlog_candidates(64)),
+            permuted_keys(&backlog_candidates(1024)),
+        ),
     ] {
         let mut large = rebuilder(large);
         let accepted = large() as f64 / 1024.0;

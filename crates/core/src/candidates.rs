@@ -151,13 +151,23 @@ impl Node {
 /// root's `min` is the least `termination − (finish − now)` of the whole
 /// schedule, so the schedule is feasible iff `root.min ≥ now`. A
 /// candidate is a tentative leaf update, kept iff the root still passes;
-/// a rejected one is undone, or ends the build in break mode. That is
-/// O(log n) per candidate, O(n log n) per rebuild.
+/// a rejected one ends the build in break mode, and in skip mode is
+/// undone from the nodes its update saved. That is O(log n) per
+/// candidate, O(n log n) per rebuild.
 ///
 /// The tree computes exactly what [`schedule_feasible`] does. Its
 /// saturating `u64` finish times exceed a finite termination exactly when
 /// the unbounded sum does, and never exceed a [`SimTime::MAX`] one,
 /// which the tree counts as +∞.
+///
+/// Across calls the builder keeps its buffers and one piece of state:
+/// the last overload build's consideration order, as `(critical, id,
+/// rank)` rows. The next overload build starts its key sort from that
+/// order, so jobs whose keys kept their relative order cost the sort
+/// about linear time. The sort's pairs are distinct, so its result is
+/// the same whatever order it starts from: a builder reused across
+/// scheduling events, runs or policies builds byte-identical schedules
+/// to a fresh one, and only its speed depends on what it kept.
 #[derive(Debug, Clone, Default)]
 pub struct ScheduleBuilder {
     /// Each candidate's execution time at `f_max`, by position.
@@ -165,9 +175,16 @@ pub struct ScheduleBuilder {
     /// `(!key.to_bits(), position)` pairs, sorted into consideration
     /// order.
     order: Vec<(u64, usize)>,
+    /// The last overload build's `(critical, id, rank)` rows in position
+    /// order, `rank` being the row's index in that build's `order`. The
+    /// fast path neither reads nor updates them.
+    kept: Vec<(SimTime, JobId, usize)>,
     /// The tree, 1-based: node `i` has children `2i` and `2i + 1`, and
     /// position `p` is leaf `tree.len() / 2 + p`.
     tree: Vec<Node>,
+    /// Skip mode's copies of the ancestors below the root that the
+    /// current insertion re-merged, parent first.
+    saved: Vec<Node>,
     /// Whether the candidate at each position was inserted.
     accepted: Vec<bool>,
     schedule: Vec<Candidate>,
@@ -245,20 +262,24 @@ impl ScheduleBuilder {
         // Overload: consider the candidates in key order. The retained
         // keys are positive and never NaN, so their bit patterns order as
         // the keys do, and position order is `consideration_order`'s
-        // `(critical, id)` tie-break.
-        self.order.clear();
-        self.order.extend(
-            candidates
-                .iter()
-                .enumerate()
-                .map(|(p, c)| (!c.key.to_bits(), p)),
-        );
-        self.order.sort_unstable();
-        let leaves = candidates.len().next_power_of_two();
+        // `(critical, id)` tie-break. The pairs are distinct, so the sort
+        // gives one result from any starting order; starting from the
+        // last overload build's (`seed_order`) only makes it faster.
+        self.seed_order(candidates);
+        self.order.sort();
+        self.keep_order(candidates);
+        // At least two leaves, so the root always has two children.
+        let leaves = candidates.len().next_power_of_two().max(2);
         self.tree.clear();
         self.tree.resize(2 * leaves, Node::EMPTY);
         self.accepted.clear();
         self.accepted.resize(candidates.len(), false);
+        if mode == InsertionMode::SkipInfeasible {
+            // One slot per level strictly between the leaves and the root.
+            self.saved.clear();
+            self.saved
+                .resize(leaves.trailing_zeros() as usize - 1, Node::EMPTY);
+        }
         let start = i128::from(now.as_micros());
         for &(_, p) in &self.order {
             let exec = i128::from(self.exec[p].as_micros());
@@ -268,15 +289,23 @@ impl ScheduleBuilder {
             } else {
                 i128::from(termination.as_micros()).saturating_sub(exec)
             };
-            set_leaf(&mut self.tree, leaves + p, Node { sum: exec, min });
-            if self.tree[1].min >= start {
-                self.accepted[p] = true;
-                continue;
+            let (leaf, node) = (leaves + p, Node { sum: exec, min });
+            match mode {
+                InsertionMode::BreakOnInfeasible => {
+                    set_leaf(&mut self.tree, leaf, node);
+                    if self.tree[1].min < start {
+                        break;
+                    }
+                }
+                InsertionMode::SkipInfeasible => {
+                    set_leaf_saving(&mut self.tree, leaf, node, &mut self.saved);
+                    if self.tree[1].min < start {
+                        undo_leaf(&mut self.tree, leaf, &self.saved);
+                        continue;
+                    }
+                }
             }
-            if mode == InsertionMode::BreakOnInfeasible {
-                break;
-            }
-            set_leaf(&mut self.tree, leaves + p, Node::EMPTY);
+            self.accepted[p] = true;
         }
         self.schedule.extend(
             candidates
@@ -287,6 +316,51 @@ impl ScheduleBuilder {
         candidates.clear();
         &self.schedule
     }
+
+    /// Fills `order` with the `(!key.to_bits(), position)` pairs of the
+    /// position-sorted `candidates`: first those of jobs the last
+    /// overload build held, in that build's consideration order, then the
+    /// new ones in position order. Both `candidates` and the kept rows
+    /// are in `(critical, id)` order, so one merge-join finds the jobs
+    /// the two builds share.
+    fn seed_order(&mut self, candidates: &[Candidate]) {
+        // Each kept rank gets a slot; the slots of jobs that left keep
+        // this placeholder and are dropped at the end.
+        const GONE: (u64, usize) = (0, usize::MAX);
+        self.order.clear();
+        self.order.resize(self.kept.len(), GONE);
+        let mut k = 0;
+        for (p, c) in candidates.iter().enumerate() {
+            let pair = (!c.key.to_bits(), p);
+            let at = (c.critical, c.id);
+            while self
+                .kept
+                .get(k)
+                .is_some_and(|&(crit, id, _)| (crit, id) < at)
+            {
+                k += 1;
+            }
+            match self.kept.get(k) {
+                Some(&(crit, id, rank)) if (crit, id) == at => {
+                    self.order[rank] = pair;
+                    k += 1;
+                }
+                _ => self.order.push(pair),
+            }
+        }
+        self.order.retain(|&slot| slot != GONE);
+    }
+
+    /// Keeps the sorted `order` as the rows the next overload build
+    /// seeds its sort from.
+    fn keep_order(&mut self, candidates: &[Candidate]) {
+        self.kept.clear();
+        self.kept
+            .resize(candidates.len(), (SimTime::ZERO, JobId(0), 0));
+        for (rank, &(_, p)) in self.order.iter().enumerate() {
+            self.kept[p] = (candidates[p].critical, candidates[p].id, rank);
+        }
+    }
 }
 
 /// Writes `node` into `leaf` and re-merges its ancestors up to the root.
@@ -296,6 +370,33 @@ fn set_leaf(tree: &mut [Node], leaf: usize, node: Node) {
     while i > 1 {
         i /= 2;
         tree[i] = Node::merge(tree[2 * i], tree[2 * i + 1]);
+    }
+}
+
+/// [`set_leaf`] that [`undo_leaf`] can take back: it copies each
+/// ancestor below the root into `saved` (one slot per level, parent
+/// first) before re-merging it. The root is not saved, since every
+/// insertion re-merges it before anything reads it.
+fn set_leaf_saving(tree: &mut [Node], leaf: usize, node: Node, saved: &mut [Node]) {
+    let mut i = leaf;
+    tree[i] = node;
+    for slot in saved {
+        i /= 2;
+        *slot = tree[i];
+        tree[i] = Node::merge(tree[2 * i], tree[2 * i + 1]);
+    }
+    tree[1] = Node::merge(tree[2], tree[3]);
+}
+
+/// Undoes [`set_leaf_saving`] at `leaf`: empties the leaf (every leaf is
+/// empty until its one insertion) and writes back the saved ancestors.
+/// The root keeps the rejected insertion until the next one re-merges it.
+fn undo_leaf(tree: &mut [Node], leaf: usize, saved: &[Node]) {
+    let mut i = leaf;
+    tree[i] = Node::EMPTY;
+    for &node in saved {
+        i /= 2;
+        tree[i] = node;
     }
 }
 

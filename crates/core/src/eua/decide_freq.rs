@@ -249,6 +249,15 @@ impl LookAheadDvs {
                 util += row.remaining / gap;
                 continue;
             }
+            if need >= row.remaining {
+                // x = C_r: none of it defers. The clamp below would give
+                // x = C_r (±0 when C_r = 0), add (C_r − x) / gap = +0 to
+                // `util` when gap > 0, and s + ±0 = s. The sign of a zero
+                // `util` never reaches `need`, `s` or the result, so this
+                // is the same arithmetic without the division on `util`.
+                s += row.remaining;
+                continue;
+            }
             let x = need.clamp(0.0, row.remaining);
             if gap > 0.0 {
                 util += (row.remaining - x) / gap;

@@ -12,7 +12,9 @@
 //! progress, idle gaps, `reset` followed by another task set of the same
 //! size, and task-count changes without `reset`), and at every call they
 //! must agree bit for bit. A second test checks that the generated
-//! sequences reach each of those cases.
+//! sequences reach each of those cases, and that the walk reaches each
+//! of its steps: `x = 0` and `x = C_r` with `gap > 0`, an interior `x`,
+//! and `gap = 0`.
 
 use eua_core::{DvsAnalysis, LookAheadDvs};
 use eua_platform::{Cycles, EnergySetting, SimTime, TimeDelta};
@@ -30,6 +32,8 @@ struct Reference {
     anchors: Vec<Option<SimTime>>,
     entries: Vec<ReferenceEntry>,
     facts: Vec<ReferenceFacts>,
+    /// The last call's walk, one step per entry; for [`Coverage`] only.
+    walk: Vec<ReferenceStep>,
 }
 
 #[derive(Debug, Clone)]
@@ -37,6 +41,15 @@ struct ReferenceEntry {
     critical: SimTime,
     remaining: f64,
     static_rate: f64,
+}
+
+/// One step of the walk: the entry's gap to `D_a_n`, its clamped `x` and
+/// its remaining cycles.
+#[derive(Debug, Clone, Copy)]
+struct ReferenceStep {
+    gap: f64,
+    x: f64,
+    remaining: f64,
 }
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -50,6 +63,7 @@ impl Reference {
         self.anchors.clear();
         self.entries.clear();
         self.facts.clear();
+        self.walk.clear();
     }
 
     fn analyze(&mut self, ctx: &SchedContext<'_>) -> DvsAnalysis {
@@ -81,6 +95,7 @@ impl Reference {
         }
 
         self.entries.clear();
+        self.walk.clear();
         let mut util: f64 = 0.0;
         for (tid, task) in ctx.tasks.iter() {
             util += task.demand_rate();
@@ -130,6 +145,11 @@ impl Reference {
             util -= e.static_rate;
             let gap = e.critical.saturating_since(earliest_critical).as_micros() as f64;
             let x = (e.remaining - (f_m - util) * gap).clamp(0.0, e.remaining);
+            self.walk.push(ReferenceStep {
+                gap,
+                x,
+                remaining: e.remaining,
+            });
             if gap > 0.0 {
                 util += (e.remaining - x) / gap;
             }
@@ -288,6 +308,14 @@ struct Coverage {
     reset_same_count: bool,
     /// A call right after a task-count change without `reset`.
     count_change: bool,
+    /// A walk step with `gap > 0` whose work all defers (`x = 0 < C_r`).
+    x_zero: bool,
+    /// A walk step with `gap > 0` whose work all must run (`x = C_r > 0`).
+    x_full: bool,
+    /// A walk step with `0 < x < C_r`.
+    x_interior: bool,
+    /// A walk step at `D_a_n` itself (`gap = 0`).
+    gap_zero: bool,
 }
 
 impl Coverage {
@@ -300,6 +328,10 @@ impl Coverage {
             due: self.due || o.due,
             reset_same_count: self.reset_same_count || o.reset_same_count,
             count_change: self.count_change || o.count_change,
+            x_zero: self.x_zero || o.x_zero,
+            x_full: self.x_full || o.x_full,
+            x_interior: self.x_interior || o.x_interior,
+            gap_zero: self.gap_zero || o.gap_zero,
         }
     }
 
@@ -327,6 +359,12 @@ impl Coverage {
                 && anchor.is_some_and(|a| ctx.now >= a.saturating_add(task.uam().window()));
         }
         c.idle_gap = ctx.jobs.is_empty() && reference.anchors.iter().any(Option::is_some);
+        for &ReferenceStep { gap, x, remaining } in &reference.walk {
+            c.x_zero |= gap > 0.0 && x == 0.0 && remaining > 0.0;
+            c.x_full |= gap > 0.0 && x == remaining && remaining > 0.0;
+            c.x_interior |= 0.0 < x && x < remaining;
+            c.gap_zero |= gap == 0.0;
+        }
         c
     }
 }
@@ -464,4 +502,8 @@ fn generated_sequences_reach_every_case() {
     assert!(total.due, "{total:?}");
     assert!(total.reset_same_count, "{total:?}");
     assert!(total.count_change, "{total:?}");
+    assert!(total.x_zero, "{total:?}");
+    assert!(total.x_full, "{total:?}");
+    assert!(total.x_interior, "{total:?}");
+    assert!(total.gap_zero, "{total:?}");
 }

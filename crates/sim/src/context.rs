@@ -72,10 +72,13 @@ pub struct SchedContext<'a> {
 }
 
 impl<'a> SchedContext<'a> {
-    /// Looks up a live job by id.
+    /// Looks up a live job by id, by binary search: `jobs` is id-ordered.
     #[must_use]
     pub fn job(&self, id: JobId) -> Option<&JobView> {
-        self.jobs.iter().find(|j| j.id == id)
+        self.jobs
+            .binary_search_by(|j| j.id.cmp(&id))
+            .ok()
+            .map(|k| &self.jobs[k])
     }
 }
 
@@ -120,17 +123,23 @@ mod tests {
     fn context_lookups() {
         let tasks = two_task_set();
         let platform = Platform::powernow(EnergySetting::e1());
-        let jobs = vec![view(0, 0), view(1, 1), view(2, 0)];
+        // Ids with gaps, as completions and aborts leave them.
+        let jobs = vec![view(1, 0), view(4, 1), view(8, 0)];
         let ctx = SchedContext {
             now: SimTime::from_micros(5),
             event: SchedEvent::Arrival,
             jobs: &jobs,
             tasks: &tasks,
             platform: &platform,
-            running: Some(JobId(0)),
+            running: Some(JobId(1)),
             energy_used: 0.0,
         };
-        assert_eq!(ctx.job(JobId(1)).unwrap().task, TaskId(1));
-        assert!(ctx.job(JobId(9)).is_none());
+        for job in &jobs {
+            assert_eq!(ctx.job(job.id), Some(job));
+        }
+        // Absent below, between and above the live ids.
+        for id in [0, 2, 3, 5, 7, 9, u64::MAX] {
+            assert!(ctx.job(JobId(id)).is_none(), "job {id}");
+        }
     }
 }
