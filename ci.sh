@@ -123,14 +123,19 @@ cargo test --release --offline -q --manifest-path perf/Cargo.toml
 step "overload fallback and look-ahead bench guards (ignored timing tests, scaling shape)"
 # Pins two paths to O(n log n), each under 50x from n = 64 to 1024
 # (n log n predicts ~27x, quadratic ~256x). overload_fallback_scaling_guard:
-# the schedule builder's segment-tree overload path on three candidate
-# sets (a load-2.0 backlog that accepts 74%, tight terminations that
-# reject most, and the permuted-key backlog, whose rebuilds permute the
-# keys so the kept consideration order is useless); the O(n²) builder
-# it replaced measured 70-75x on the backlog set. look_ahead_scaling_guard: the Algorithm 2 look-ahead
-# over 64 and 1024 tasks, every call reordering most tasks' critical
-# times, so its per-call re-sort of the persistent walk order cannot
-# degrade to insertion (~244x). --nocapture logs the ratios.
+# the schedule builder's overload path (key sort, longest-feasible-prefix
+# search, and skip mode's segment tree past the first rejection), in
+# break and in skip mode, on four candidate sets: a load-2.0 backlog,
+# tight terminations that reject most, the permuted-key backlog, whose
+# rebuilds permute the keys so the kept consideration order is useless,
+# and the alternating-prefix set, whose rebuilds accept about 1/4 and
+# 3/4 of the candidates in turn, so every prefix search gallops and
+# bisects across n/2; the O(n²) builder the segment tree replaced
+# measured 70-75x on the backlog set. look_ahead_scaling_guard: the
+# Algorithm 2 look-ahead over 64 and 1024 tasks, every call reordering
+# most tasks' critical times, so its per-call re-sort of the persistent
+# walk order cannot degrade to insertion (~244x). --nocapture logs the
+# ratios.
 cargo test -q -p eua-bench --test overload_guard -- --ignored --nocapture
 
 step "robustness sweep smoke (--jobs 2, byte round-trip, certified)"

@@ -1,17 +1,23 @@
 #![allow(clippy::expect_used, clippy::unwrap_used)] // test code
 
 //! Bench guards for two paths whose cost must stay O(n log n): the
-//! schedule builder's overload path (ROADMAP item 3), where a segment
-//! tree over fixed schedule positions makes each rebuild O(n log n) in
-//! the candidate count, and the Algorithm 2 look-ahead, which re-sorts
-//! its persistent walk order at every call.
+//! schedule builder's overload path (ROADMAP item 3), where a key sort,
+//! a search for the longest feasible key prefix over linear scans, and
+//! in skip mode a segment tree over fixed schedule positions make each
+//! rebuild O(n log n) in the candidate count, and the Algorithm 2
+//! look-ahead, which re-sorts its persistent walk order at every call.
 //!
-//! The builder runs three cases: a backlog set, a tight set, and the
-//! permuted-key backlog set, whose successive rebuilds permute the keys
-//! among the candidates. A reused builder starts each overload key sort
-//! from the previous overload build's order, so rebuilding one set
-//! starts already sorted; the permuted-key case makes that kept order
-//! useless, the sort's worst case.
+//! The builder runs four cases, each in break and in skip mode: a
+//! backlog set, a tight set, the permuted-key backlog set, whose
+//! successive rebuilds permute the keys among the candidates, and the
+//! alternating-prefix set, whose successive rebuilds accept about a
+//! quarter and about three quarters of the candidates. A reused builder
+//! starts each overload key sort from the previous overload build's
+//! order, so rebuilding one set starts already sorted; the permuted-key
+//! case makes that kept order useless, the sort's worst case. It also
+//! starts each prefix search from the previous build's prefix, so the
+//! alternating-prefix case, whose prefix moves by about n/2 every time,
+//! runs the search's full gallop and bisection at every rebuild.
 //!
 //! `#[ignore]`d: timing assertions are load-sensitive, so these run on
 //! demand (`cargo test -p eua-bench --test overload_guard -- --ignored
@@ -70,6 +76,33 @@ fn tight_candidates(n: u64) -> Vec<Candidate> {
         .collect()
 }
 
+/// `n` jobs due together at the end of a window that holds `quarters`
+/// quarters of their work at 100 MHz, their critical times spread over
+/// the window. A key prefix is feasible iff its work fits the window, so
+/// the longest feasible one holds about that share of the jobs.
+fn window_share_candidates(n: u64, quarters: u64) -> Vec<Candidate> {
+    const QUARTERS: [u64; 8] = [1, 1, 2, 2, 3, 6, 8, 9];
+    let cycles = |i: u64| 10_000 * QUARTERS[(i * 104_729 % 8) as usize];
+    // Total work in µs at 100 cycles per µs.
+    let total: u64 = (0..n).map(|i| cycles(i) / 100).sum();
+    let end = total * quarters / 4;
+    (0..n)
+        .map(|i| Candidate {
+            id: JobId(i),
+            critical: SimTime::from_micros(1 + (i * 7919 % n) * end / n),
+            termination: SimTime::from_micros(end),
+            remaining: Cycles::new(cycles(i)),
+            key: 1.0 + (i as f64 * 13.7) % 97.0,
+        })
+        .collect()
+}
+
+/// The same jobs due by a window holding a quarter and one holding three
+/// quarters of their work, in turn.
+fn alternating_prefix(n: u64) -> Vec<Vec<Candidate>> {
+    vec![window_share_candidates(n, 1), window_share_candidates(n, 3)]
+}
+
 /// `base` under four unrelated permutations of its keys among the
 /// candidates (an odd multiplier permutes 0..n for n a power of two).
 fn permuted_keys(base: &[Candidate]) -> Vec<Vec<Candidate>> {
@@ -89,9 +122,9 @@ fn permuted_keys(base: &[Candidate]) -> Vec<Vec<Candidate>> {
         .collect()
 }
 
-/// Skip-mode `rebuild`s on a reused builder, cycling through `sets`,
+/// `rebuild`s in `mode` on a reused builder, cycling through `sets`,
 /// each returning the schedule length.
-fn rebuilder(sets: Vec<Vec<Candidate>>) -> impl FnMut() -> usize {
+fn rebuilder(sets: &[Vec<Candidate>], mode: InsertionMode) -> impl FnMut() -> usize + '_ {
     let f_m = Frequency::from_mhz(100);
     let mut builder = ScheduleBuilder::new();
     let mut buf = Vec::new();
@@ -100,9 +133,7 @@ fn rebuilder(sets: Vec<Vec<Candidate>>) -> impl FnMut() -> usize {
         call += 1;
         buf.clear();
         buf.extend_from_slice(&sets[call % sets.len()]);
-        builder
-            .rebuild(SimTime::ZERO, &mut buf, f_m, InsertionMode::SkipInfeasible)
-            .len()
+        builder.rebuild(SimTime::ZERO, &mut buf, f_m, mode).len()
     }
 }
 
@@ -227,27 +258,39 @@ fn overload_fallback_scaling_guard() {
             permuted_keys(&backlog_candidates(64)),
             permuted_keys(&backlog_candidates(1024)),
         ),
+        (
+            "alternating-prefix",
+            alternating_prefix(64),
+            alternating_prefix(1024),
+        ),
     ] {
-        let mut large = rebuilder(large);
-        let accepted = large() as f64 / 1024.0;
-        let (at_64, at_1024) = median_ns_pair(rebuilder(small), large);
-        let ratio = at_1024 / at_64;
-        println!(
-            "overload fallback, {name} set: {at_64:.0} ns @64, {at_1024:.0} ns @1024 \
-             ({:.0}% accepted), ratio {ratio:.1}x (n log n ~27x, quadratic ~256x)",
-            accepted * 100.0
-        );
-        assert!(
-            at_64 > 0.0 && at_1024 > at_64,
-            "{name} set: measurement degenerate: {at_64} ns @64, {at_1024} ns @1024"
-        );
-        // Nearly 2x headroom over n log n for noisy shared runners; an
-        // O(n²) path (the replaced builder measured 70–75x here) fails.
-        assert!(
-            ratio < 50.0,
-            "{name} set: overload fallback scaled {ratio:.1}x from 64→1024 candidates; \
-             the O(n log n) path has regressed"
-        );
+        for mode in [
+            InsertionMode::BreakOnInfeasible,
+            InsertionMode::SkipInfeasible,
+        ] {
+            let mut large = rebuilder(&large, mode);
+            let accepted = large() as f64 / 1024.0;
+            let (at_64, at_1024) = median_ns_pair(rebuilder(&small, mode), large);
+            let ratio = at_1024 / at_64;
+            println!(
+                "overload fallback, {name} set, {mode:?}: {at_64:.0} ns @64, \
+                 {at_1024:.0} ns @1024 ({:.0}% accepted), ratio {ratio:.1}x \
+                 (n log n ~27x, quadratic ~256x)",
+                accepted * 100.0
+            );
+            assert!(
+                at_64 > 0.0 && at_1024 > at_64,
+                "{name} set, {mode:?}: measurement degenerate: {at_64} ns @64, \
+                 {at_1024} ns @1024"
+            );
+            // Nearly 2x headroom over n log n for noisy shared runners; an
+            // O(n²) path (the replaced builder measured 70–75x here) fails.
+            assert!(
+                ratio < 50.0,
+                "{name} set, {mode:?}: overload fallback scaled {ratio:.1}x from 64→1024 \
+                 candidates; the O(n log n) path has regressed"
+            );
+        }
     }
 }
 

@@ -4,17 +4,19 @@
 //! Two implementations of the paper's Algorithm 1 lines 12–18 live here:
 //!
 //! * [`ScheduleBuilder`] — the production path. It sorts the candidates
-//!   once into their fixed `(critical, id)` schedule positions and tests
-//!   each insertion on a segment tree over those positions in O(log n),
-//!   instead of re-walking the whole schedule through
-//!   [`schedule_feasible`] at every attempt. Its buffers are reusable
-//!   across scheduling events (see [`crate::Eua`]).
+//!   once into their fixed `(critical, id)` schedule positions, finds
+//!   the longest feasible key prefix with a few linear scans, and tests
+//!   each of skip mode's later insertions on a segment tree over those
+//!   positions in O(log n), instead of re-walking the whole schedule
+//!   through [`schedule_feasible`] at every attempt. Its buffers are
+//!   reusable across scheduling events (see [`crate::Eua`]).
 //! * [`build_schedule_reference`] — the naive textbook construction that
 //!   re-checks [`schedule_feasible`] after every insertion. It is kept as
 //!   the differential-testing oracle; the property suite asserts the two
 //!   produce identical schedules.
 
 use std::cmp::Ordering;
+use std::hint::select_unpredictable;
 
 use eua_platform::{Cycles, Frequency, SimTime, TimeDelta};
 use eua_sim::{JobId, JobView};
@@ -139,6 +141,18 @@ impl Node {
             min: l.min.min(r.min - l.sum),
         }
     }
+
+    /// The leaf of one accepted entry: its execution time, and its
+    /// termination less that time (+∞ for a [`SimTime::MAX`] one).
+    fn leaf(exec: TimeDelta, termination: SimTime) -> Node {
+        let exec = i128::from(exec.as_micros());
+        let min = if termination == SimTime::MAX {
+            i128::MAX
+        } else {
+            i128::from(termination.as_micros()).saturating_sub(exec)
+        };
+        Node { sum: exec, min }
+    }
 }
 
 /// Greedy constructor of feasible critical-time-ordered schedules
@@ -146,26 +160,35 @@ impl Node {
 ///
 /// Insertion positions are partition points over the fixed total order
 /// `(critical, id)`, which key-ordered consideration never changes, so
-/// one sort gives every candidate its schedule position. A segment tree
-/// over those positions (`Node`) summarises the accepted entries; its
-/// root's `min` is the least `termination − (finish − now)` of the whole
-/// schedule, so the schedule is feasible iff `root.min ≥ now`. A
-/// candidate is a tentative leaf update, kept iff the root still passes;
-/// a rejected one ends the build in break mode, and in skip mode is
-/// undone from the nodes its update saved. That is O(log n) per
-/// candidate, O(n log n) per rebuild.
+/// one sort gives every candidate its schedule position. Adding a job
+/// never makes another finish earlier, so once a key-order prefix is
+/// infeasible every longer one is too: both modes accept exactly the
+/// longest feasible key prefix before their first rejection. The builder
+/// finds it by galloping and bisecting over linear feasibility scans of
+/// the position-ordered candidates, each scan [`schedule_feasible`]'s own
+/// saturating `u64` walk over the candidates of rank below a bound. That
+/// is O(n log n) at worst and about linear when the prefix moves little
+/// between builds. Break mode stops there.
 ///
-/// The tree computes exactly what [`schedule_feasible`] does. Its
-/// saturating `u64` finish times exceed a finite termination exactly when
-/// the unbounded sum does, and never exceed a [`SimTime::MAX`] one,
+/// Skip mode goes on past that first rejection on a segment tree over
+/// the positions (`Node`), built bottom-up from the prefix in O(n). Its
+/// root's `min` is the least `termination − (finish − now)` of the
+/// accepted schedule, so that schedule is feasible iff `root.min ≥ now`.
+/// Each later candidate is a tentative O(log n) leaf update, kept iff the
+/// root still passes and otherwise undone from the nodes its update
+/// saved. The tree also computes exactly what [`schedule_feasible`] does:
+/// saturating `u64` finish times exceed a finite termination exactly
+/// when the unbounded sum does, and never exceed a [`SimTime::MAX`] one,
 /// which the tree counts as +∞.
 ///
-/// Across calls the builder keeps its buffers and one piece of state:
+/// Across calls the builder keeps its buffers and two pieces of state:
 /// the last overload build's consideration order, as `(critical, id,
-/// rank)` rows. The next overload build starts its key sort from that
-/// order, so jobs whose keys kept their relative order cost the sort
-/// about linear time. The sort's pairs are distinct, so its result is
-/// the same whatever order it starts from: a builder reused across
+/// rank)` rows, and its prefix length. The next overload build starts
+/// its key sort from that order, so jobs whose keys kept their relative
+/// order cost the sort about linear time, and its prefix search from
+/// that length. The sort's pairs are distinct, so its result is the same
+/// whatever order it starts from, and the prefix predicate has one
+/// boundary whatever the search's start: a builder reused across
 /// scheduling events, runs or policies builds byte-identical schedules
 /// to a fresh one, and only its speed depends on what it kept.
 #[derive(Debug, Clone, Default)]
@@ -179,8 +202,12 @@ pub struct ScheduleBuilder {
     /// order, `rank` being the row's index in that build's `order`. The
     /// fast path neither reads nor updates them.
     kept: Vec<(SimTime, JobId, usize)>,
-    /// The tree, 1-based: node `i` has children `2i` and `2i + 1`, and
-    /// position `p` is leaf `tree.len() / 2 + p`.
+    /// The last overload build's longest feasible key prefix, where the
+    /// next one's search starts. The fast path neither reads nor updates
+    /// it.
+    prefix: usize,
+    /// Skip mode's tree, 1-based: node `i` has children `2i` and
+    /// `2i + 1`, and position `p` is leaf `tree.len() / 2 + p`.
     tree: Vec<Node>,
     /// Skip mode's copies of the ancestors below the root that the
     /// current insertion re-merged, parent first.
@@ -266,55 +293,129 @@ impl ScheduleBuilder {
         // gives one result from any starting order; starting from the
         // last overload build's (`seed_order`) only makes it faster.
         self.seed_order(candidates);
-        self.order.sort();
+        sort_nearly_sorted(&mut self.order);
         self.keep_order(candidates);
+        // Both modes accept the longest feasible key prefix; break mode
+        // stops there, and skip mode goes on past its first rejection.
+        let prefix = self.longest_feasible_prefix(now, candidates);
+        self.prefix = prefix;
+        self.accepted.clear();
+        self.accepted
+            .extend(self.kept.iter().map(|&(_, _, rank)| rank < prefix));
+        if mode == InsertionMode::SkipInfeasible {
+            self.skip_tail(now, candidates, prefix);
+        }
+        // Acceptance follows key order, not position: compact the
+        // accepted candidates to the front without a branch on it.
+        let mut len = 0;
+        for p in 0..candidates.len() {
+            candidates[len] = candidates[p];
+            len += usize::from(self.accepted[p]);
+        }
+        candidates.truncate(len);
+        self.schedule.append(candidates);
+        &self.schedule
+    }
+
+    /// The longest key-order prefix that is feasible in position order,
+    /// i.e. what greedy insertion accepts before its first rejection.
+    /// Adding a job never makes another finish earlier, so every prefix
+    /// of a feasible prefix is feasible: the predicate has one boundary.
+    /// The search gallops from the last overload build's prefix
+    /// (`self.prefix`) to it and then bisects, so its result does not
+    /// depend on where it starts.
+    fn longest_feasible_prefix(&self, now: SimTime, candidates: &[Candidate]) -> usize {
+        let n = candidates.len();
+        let fits = |k| self.prefix_feasible(now, candidates, k);
+        // The empty prefix fits, and the whole set does not (the fast
+        // path failed), so each gallop takes its end without a scan.
+        // Afterwards prefix `lo` fits and prefix `hi` does not.
+        let start = self.prefix.min(n - 1);
+        let (mut lo, mut hi) = if start == 0 || fits(start) {
+            let (mut lo, mut step) = (start, 1);
+            loop {
+                let k = lo + step;
+                if k >= n || !fits(k) {
+                    break (lo, k.min(n));
+                }
+                lo = k;
+                step *= 2;
+            }
+        } else {
+            let (mut hi, mut step) = (start, 1);
+            loop {
+                let k = hi.saturating_sub(step);
+                if k == 0 || fits(k) {
+                    break (k, hi);
+                }
+                hi = k;
+                step *= 2;
+            }
+        };
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if fits(mid) {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+
+    /// Whether the candidates of key rank below `k` are feasible in
+    /// position order: [`schedule_feasible`]'s saturating walk over the
+    /// position-ordered candidates, each other candidate taken as no
+    /// work and no termination.
+    fn prefix_feasible(&self, now: SimTime, candidates: &[Candidate], k: usize) -> bool {
+        // Membership follows key order, not position, so a branch on it
+        // mispredicts about as often as it is taken: select without one,
+        // and test lateness once at the end.
+        let mut t = now.as_micros();
+        let mut late = false;
+        for ((&(_, _, rank), exec), c) in self.kept.iter().zip(&self.exec).zip(candidates) {
+            let member = rank < k;
+            t = t.saturating_add(select_unpredictable(member, exec.as_micros(), 0));
+            late |= t > select_unpredictable(member, c.termination.as_micros(), u64::MAX);
+        }
+        !late
+    }
+
+    /// Skip mode past the first rejection, which is the candidate of
+    /// rank `prefix`: builds the tree bottom-up from the accepted prefix,
+    /// then tries each later candidate in key order, keeping it iff the
+    /// root still passes and otherwise undoing it from the saved nodes.
+    fn skip_tail(&mut self, now: SimTime, candidates: &[Candidate], prefix: usize) {
+        if prefix + 1 >= candidates.len() {
+            return;
+        }
         // At least two leaves, so the root always has two children.
         let leaves = candidates.len().next_power_of_two().max(2);
         self.tree.clear();
         self.tree.resize(2 * leaves, Node::EMPTY);
-        self.accepted.clear();
-        self.accepted.resize(candidates.len(), false);
-        if mode == InsertionMode::SkipInfeasible {
-            // One slot per level strictly between the leaves and the root.
-            self.saved.clear();
-            self.saved
-                .resize(leaves.trailing_zeros() as usize - 1, Node::EMPTY);
-        }
-        let start = i128::from(now.as_micros());
-        for &(_, p) in &self.order {
-            let exec = i128::from(self.exec[p].as_micros());
-            let termination = candidates[p].termination;
-            let min = if termination == SimTime::MAX {
-                i128::MAX
-            } else {
-                i128::from(termination.as_micros()).saturating_sub(exec)
-            };
-            let (leaf, node) = (leaves + p, Node { sum: exec, min });
-            match mode {
-                InsertionMode::BreakOnInfeasible => {
-                    set_leaf(&mut self.tree, leaf, node);
-                    if self.tree[1].min < start {
-                        break;
-                    }
-                }
-                InsertionMode::SkipInfeasible => {
-                    set_leaf_saving(&mut self.tree, leaf, node, &mut self.saved);
-                    if self.tree[1].min < start {
-                        undo_leaf(&mut self.tree, leaf, &self.saved);
-                        continue;
-                    }
-                }
+        for (p, (&accepted, c)) in self.accepted.iter().zip(candidates).enumerate() {
+            if accepted {
+                self.tree[leaves + p] = Node::leaf(self.exec[p], c.termination);
             }
-            self.accepted[p] = true;
         }
-        self.schedule.extend(
-            candidates
-                .iter()
-                .zip(&self.accepted)
-                .filter_map(|(c, &accepted)| accepted.then_some(*c)),
-        );
-        candidates.clear();
-        &self.schedule
+        for i in (1..leaves).rev() {
+            self.tree[i] = Node::merge(self.tree[2 * i], self.tree[2 * i + 1]);
+        }
+        // One slot per level strictly between the leaves and the root.
+        self.saved.clear();
+        self.saved
+            .resize(leaves.trailing_zeros() as usize - 1, Node::EMPTY);
+        let start = i128::from(now.as_micros());
+        for &(_, p) in self.order.iter().skip(prefix + 1) {
+            let leaf = leaves + p;
+            let node = Node::leaf(self.exec[p], candidates[p].termination);
+            set_leaf_saving(&mut self.tree, leaf, node, &mut self.saved);
+            if self.tree[1].min < start {
+                undo_leaf(&mut self.tree, leaf, &self.saved);
+            } else {
+                self.accepted[p] = true;
+            }
+        }
     }
 
     /// Fills `order` with the `(!key.to_bits(), position)` pairs of the
@@ -363,20 +464,35 @@ impl ScheduleBuilder {
     }
 }
 
-/// Writes `node` into `leaf` and re-merges its ancestors up to the root.
-fn set_leaf(tree: &mut [Node], leaf: usize, node: Node) {
-    let mut i = leaf;
-    tree[i] = node;
-    while i > 1 {
-        i /= 2;
-        tree[i] = Node::merge(tree[2 * i], tree[2 * i + 1]);
+/// Sorts `order`, which the seeding leaves nearly sorted (in
+/// `overload_backlog` about one descent and 53 insertion moves per build
+/// of about 145 pairs), by insertion while that takes at most `4n` moves
+/// in all, and by the standard library's sort otherwise, so the worst
+/// case stays O(n log n).
+fn sort_nearly_sorted(order: &mut [(u64, usize)]) {
+    let mut budget = 4 * order.len();
+    for i in 1..order.len() {
+        let pair = order[i];
+        let mut j = i;
+        while j > 0 && order[j - 1] > pair {
+            if budget == 0 {
+                order[j] = pair;
+                order.sort();
+                return;
+            }
+            budget -= 1;
+            order[j] = order[j - 1];
+            j -= 1;
+        }
+        order[j] = pair;
     }
 }
 
-/// [`set_leaf`] that [`undo_leaf`] can take back: it copies each
-/// ancestor below the root into `saved` (one slot per level, parent
-/// first) before re-merging it. The root is not saved, since every
-/// insertion re-merges it before anything reads it.
+/// Writes `node` into `leaf` and re-merges its ancestors up to the root,
+/// so that [`undo_leaf`] can take it back: it copies each ancestor below
+/// the root into `saved` (one slot per level, parent first) before
+/// re-merging it. The root is not saved, since every insertion re-merges
+/// it before anything reads it.
 fn set_leaf_saving(tree: &mut [Node], leaf: usize, node: Node, saved: &mut [Node]) {
     let mut i = leaf;
     tree[i] = node;

@@ -8,7 +8,7 @@
 //! so differences in the figures isolate the scheduling and DVS policies
 //! rather than the demand estimates.
 
-use eua_platform::select_freq;
+use eua_platform::{select_freq, Frequency};
 use eua_sim::{Decision, JobView, SchedContext, SchedulerPolicy};
 
 use crate::candidates::job_feasible;
@@ -52,9 +52,73 @@ pub struct EdfPolicy {
     abort_infeasible: bool,
     name: String,
     look_ahead: LookAheadDvs,
+    /// The task set's constants, read on the first static or
+    /// cycle-conserving decision after `reset` or a task-count change.
+    rates: Option<TaskSetRates>,
     /// Cycle-conserving buffer: live jobs per task, refilled by each
     /// decision.
     pending: Vec<u32>,
+}
+
+/// What the static and cycle-conserving modes read of a task set.
+#[derive(Debug, Clone)]
+struct TaskSetRates {
+    /// `edf-static`'s frequency: `select_freq` of `Σ C_i/D_i`, summed in
+    /// task order.
+    static_freq: Frequency,
+    /// One row per task, indexed by task.
+    rows: Vec<TaskRates>,
+}
+
+impl TaskSetRates {
+    /// The rates of `ctx`'s task set: those in `slot`, unless it is empty
+    /// or holds another task count, in which case they are read afresh.
+    fn of<'a>(slot: &'a mut Option<TaskSetRates>, ctx: &SchedContext<'_>) -> &'a mut Self {
+        if slot
+            .as_ref()
+            .is_some_and(|r| r.rows.len() != ctx.tasks.len())
+        {
+            *slot = None;
+        }
+        slot.get_or_insert_with(|| {
+            // Theorem 1: speed Σ C_i/D_i suffices for all critical times
+            // under UAM arrivals.
+            let demand: f64 = ctx.tasks.iter().map(|(_, t)| t.demand_rate()).sum();
+            TaskSetRates {
+                static_freq: select_freq(ctx.platform.table(), demand),
+                rows: ctx
+                    .tasks
+                    .iter()
+                    .map(|(_, task)| {
+                        let critical_offset = task.critical_offset().as_micros() as f64;
+                        TaskRates {
+                            idle: task.demand().mean() / critical_offset,
+                            max_arrivals: task.uam().max_arrivals(),
+                            busy: Vec::new(),
+                            allocation: task.allocation().as_f64(),
+                            critical_offset,
+                        }
+                    })
+                    .collect(),
+            }
+        })
+    }
+}
+
+/// One task's cycle-conserving rates, in cycles per µs.
+#[derive(Debug, Clone)]
+struct TaskRates {
+    /// `mean / D_i`: what the task reserves while it has no live job.
+    idle: f64,
+    /// `a_i`, the most live jobs the rates count.
+    max_arrivals: u32,
+    /// `considered · c_i / D_i` at index `considered − 1`, filled up to
+    /// the largest `considered` seen (at most `a_i`, which may be as
+    /// large as `u32::MAX`, so it is never filled ahead).
+    busy: Vec<f64>,
+    /// `c_i` and `D_i`, from which `busy` grows.
+    allocation: f64,
+    critical_offset: f64,
 }
 
 impl EdfPolicy {
@@ -75,6 +139,7 @@ impl EdfPolicy {
             abort_infeasible,
             name,
             look_ahead: LookAheadDvs::new(),
+            rates: None,
             pending: Vec::new(),
         }
     }
@@ -111,6 +176,7 @@ impl EdfPolicy {
     }
 
     fn cycle_conserving_speed(&mut self, ctx: &SchedContext<'_>) -> f64 {
+        let rates = TaskSetRates::of(&mut self.rates, ctx);
         // One pass over the live jobs counts each task's pending jobs.
         self.pending.clear();
         self.pending.resize(ctx.tasks.len(), 0);
@@ -118,15 +184,18 @@ impl EdfPolicy {
             self.pending[j.task.index()] += 1;
         }
         let mut speed = 0.0;
-        for ((_, task), &pending) in ctx.tasks.iter().zip(&self.pending) {
+        for (row, &pending) in rates.rows.iter_mut().zip(&self.pending) {
             if pending > 0 {
-                let considered = f64::from(pending.min(task.uam().max_arrivals()));
-                speed += considered * task.allocation().as_f64()
-                    / task.critical_offset().as_micros() as f64;
+                let considered = pending.min(row.max_arrivals);
+                while row.busy.len() < considered as usize {
+                    let next = f64::from(row.busy.len() as u32 + 1);
+                    row.busy.push(next * row.allocation / row.critical_offset);
+                }
+                speed += row.busy[considered as usize - 1];
             } else {
                 // The cycle-conserving reclamation: an idle task reserves
                 // only its expected demand until its next release.
-                speed += task.demand().mean() / task.critical_offset().as_micros() as f64;
+                speed += row.idle;
             }
         }
         speed
@@ -159,12 +228,7 @@ impl SchedulerPolicy for EdfPolicy {
         };
         let frequency = match self.dvs {
             DvsMode::None => f_m,
-            DvsMode::Static => {
-                // Theorem 1: speed Σ C_i/D_i suffices for all critical
-                // times under UAM arrivals.
-                let demand: f64 = ctx.tasks.iter().map(|(_, t)| t.demand_rate()).sum();
-                select_freq(ctx.platform.table(), demand)
-            }
+            DvsMode::Static => TaskSetRates::of(&mut self.rates, ctx).static_freq,
             DvsMode::CycleConserving => {
                 select_freq(ctx.platform.table(), self.cycle_conserving_speed(ctx))
             }
@@ -179,6 +243,7 @@ impl SchedulerPolicy for EdfPolicy {
 
     fn reset(&mut self) {
         self.look_ahead.reset();
+        self.rates = None;
     }
 }
 

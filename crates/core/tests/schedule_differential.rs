@@ -1,15 +1,16 @@
 #![allow(clippy::expect_used)] // test code: panicking on bad setup is the point
 
-//! Differential tests for the segment-tree schedule builder: the
-//! optimized `build_schedule` must produce byte-identical schedules to the
-//! naive `build_schedule_reference` oracle (full `schedule_feasible`
-//! re-walk per insertion) on arbitrary candidate sets, in both insertion
-//! modes, and across buffer reuse. A reused builder keeps the last
-//! overload build's consideration order and starts the next key sort
-//! from it, so generated multi-call sequences, in which jobs persist,
-//! change keys, leave and arrive, drive one builder against the oracle
-//! at every call; a last test checks that the sequences reach each case
-//! that oracle is meant to cover.
+//! Differential tests for the schedule builder: the optimized
+//! `build_schedule` must produce byte-identical schedules to the naive
+//! `build_schedule_reference` oracle (full `schedule_feasible` re-walk
+//! per insertion) on arbitrary candidate sets, in both insertion modes,
+//! and across buffer reuse. A reused builder keeps the last overload
+//! build's consideration order and prefix length, and starts the next
+//! key sort and prefix search from them, so generated multi-call
+//! sequences, in which jobs persist, change keys, leave and arrive,
+//! drive one builder against the oracle at every call; a last test
+//! checks that the sequences reach each case that oracle is meant to
+//! cover.
 
 use eua_core::{
     build_schedule, build_schedule_reference, Candidate, InsertionMode, ScheduleBuilder,
@@ -291,6 +292,19 @@ struct Coverage {
     break_after_skip: bool,
     /// A call whose input is not in `(critical, id)` order.
     shuffled: bool,
+    /// An overload call whose longest feasible key prefix (what greedy
+    /// insertion accepts before its first rejection) is longer than the
+    /// last overload call's by more than one, or shorter by at least two.
+    prefix_grew: bool,
+    prefix_shrank: bool,
+    /// An overload call whose top-key candidate alone is infeasible (a
+    /// prefix of 0) after an overload call with a prefix of a power of
+    /// two, from which the prefix search's downward gallop probes 1.
+    prefix_zero: bool,
+    /// A skip-mode overload call that accepts a candidate after its first
+    /// rejection, and one that rejects every later candidate.
+    tail_accepts: bool,
+    tail_rejects_all: bool,
 }
 
 impl Coverage {
@@ -308,6 +322,11 @@ impl Coverage {
             skip_after_break: self.skip_after_break || o.skip_after_break,
             break_after_skip: self.break_after_skip || o.break_after_skip,
             shuffled: self.shuffled || o.shuffled,
+            prefix_grew: self.prefix_grew || o.prefix_grew,
+            prefix_shrank: self.prefix_shrank || o.prefix_shrank,
+            prefix_zero: self.prefix_zero || o.prefix_zero,
+            tail_accepts: self.tail_accepts || o.tail_accepts,
+            tail_rejects_all: self.tail_rejects_all || o.tail_rejects_all,
         }
     }
 }
@@ -358,6 +377,22 @@ fn change(jobs: &mut Vec<Candidate>, call: &Call, next_id: &mut u64) {
     }
 }
 
+/// How many candidates of `input`, taken in consideration order (key
+/// descending, then critical time, then id), the oracle's schedule
+/// `want` holds before the first one it lacks.
+fn accepted_prefix(input: &[Candidate], want: &[Candidate]) -> usize {
+    let mut order: Vec<&Candidate> = input.iter().filter(|j| is_positive(j)).collect();
+    order.sort_by(|a, b| {
+        b.key
+            .total_cmp(&a.key)
+            .then_with(|| (a.critical, a.id).cmp(&(b.critical, b.id)))
+    });
+    order
+        .iter()
+        .take_while(|j| want.iter().any(|w| w.id == j.id))
+        .count()
+}
+
 /// Runs `seq` through one reused [`ScheduleBuilder`], comparing every
 /// call with the naive oracle; returns the cases it reached, or the first
 /// disagreement.
@@ -376,6 +411,7 @@ fn run_sequence(seq: &Sequence) -> Result<Coverage, String> {
     // overload call's positive-key jobs, sorted.
     let mut kept: Vec<(SimTime, JobId, u64, Cycles)> = Vec::new();
     let mut last_overload: Option<InsertionMode> = None;
+    let mut last_prefix = 0;
     let mut fast_since_overload = false;
 
     for (n, call) in seq.calls.iter().enumerate() {
@@ -449,7 +485,18 @@ fn run_sequence(seq: &Sequence) -> Result<Coverage, String> {
                 && mode == InsertionMode::SkipInfeasible;
             c.break_after_skip = last_overload == Some(InsertionMode::SkipInfeasible)
                 && mode == InsertionMode::BreakOnInfeasible;
+            let prefix = accepted_prefix(&input, &want);
+            if last_overload.is_some() {
+                c.prefix_grew = prefix > last_prefix + 1;
+                c.prefix_shrank = prefix + 2 <= last_prefix;
+                c.prefix_zero = prefix == 0 && last_prefix >= 2 && last_prefix.is_power_of_two();
+            }
+            if mode == InsertionMode::SkipInfeasible {
+                c.tail_accepts = want.len() > prefix;
+                c.tail_rejects_all = want.len() == prefix && positive.len() > prefix + 1;
+            }
             kept = positive;
+            last_prefix = prefix;
             last_overload = Some(mode);
             fast_since_overload = false;
         } else {
@@ -495,6 +542,11 @@ fn generated_sequences_reach_every_case() {
         skip_after_break,
         break_after_skip,
         shuffled,
+        prefix_grew,
+        prefix_shrank,
+        prefix_zero,
+        tail_accepts,
+        tail_rejects_all,
     } = total;
     for (case, reached) in [
         ("persisted_changed", persisted_changed),
@@ -509,6 +561,11 @@ fn generated_sequences_reach_every_case() {
         ("skip_after_break", skip_after_break),
         ("break_after_skip", break_after_skip),
         ("shuffled", shuffled),
+        ("prefix_grew", prefix_grew),
+        ("prefix_shrank", prefix_shrank),
+        ("prefix_zero", prefix_zero),
+        ("tail_accepts", tail_accepts),
+        ("tail_rejects_all", tail_rejects_all),
     ] {
         assert!(reached, "no sequence reached {case}: {total:?}");
     }

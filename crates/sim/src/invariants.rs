@@ -191,6 +191,20 @@ mod tests {
     }
 
     #[test]
+    fn arrivals_must_not_go_backwards() {
+        let window = TimeDelta::from_micros(100);
+        let mut c = InvariantChecker::new(2);
+        c.arrival(0, SimTime::from_micros(10), 4, window);
+        c.arrival(0, SimTime::from_micros(10), 4, window);
+        // Another task's stream is its own.
+        c.arrival(1, SimTime::from_micros(5), 4, window);
+        let r = std::panic::catch_unwind(move || {
+            c.arrival(0, SimTime::from_micros(9), 4, window);
+        });
+        assert!(r.is_err());
+    }
+
+    #[test]
     fn uam_window_bound_enforced() {
         let window = TimeDelta::from_micros(100);
         let mut c = InvariantChecker::new(1);
@@ -243,6 +257,11 @@ mod tests {
         assert!(r.is_err());
         let mut c = InvariantChecker::new(1);
         let r = std::panic::catch_unwind(move || c.energy_charge(-1.0));
+        assert!(r.is_err());
+        // A total within the additivity tolerance of no charge at all is
+        // still negative.
+        let c = InvariantChecker::new(1);
+        let r = std::panic::catch_unwind(move || c.finish(-1e-9));
         assert!(r.is_err());
     }
 }

@@ -180,7 +180,8 @@ fn pair(
 /// 20 ms window and 900,000 cycles, so its critical time falls later and
 /// Algorithm 2 defers part of its work against a demand rate that differs
 /// from the first run's, which per-task state left behind (such as the
-/// look-ahead's task constants) would get wrong.
+/// look-ahead's task constants, or `edf-static`'s frequency and ccEDF's
+/// rates) would get wrong.
 #[test]
 fn reused_policy_forgets_the_task_set_of_a_run_cut_after_one_decision() {
     let platform = Platform::powernow(EnergySetting::e1());
