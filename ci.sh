@@ -183,6 +183,12 @@ fi
 step "analyzer pre-flight (all shipped examples)"
 cargo run -q -p eua-analyze -- check --all-examples
 
+step "analyzer pre-flight (regression corpus)"
+# Every committed repro must analyze clean (exit 0): each is a scenario
+# the simulator runs, so the simulator backstop (`sim-rejected`) must
+# never flag one.
+cargo run -q -p eua-analyze -- check tests/regression_corpus/*.scn
+
 step "analyzer rejects a broken scenario"
 if cargo run -q -p eua-analyze -- check crates/analyze/scenarios/invalid.scn \
     >/dev/null 2>&1; then

@@ -23,9 +23,10 @@
 //!
 //! [`Fits`]: DemandVerdict::Fits
 
+use eua_sim::Task;
 use eua_uam::dbf::{self, DemandCurve, DemandVerdict};
 
-use crate::ir::{quantized_exec_us, AnalysisIr, TaskIr};
+use crate::ir::{quantized_exec_us, AnalysisIr};
 
 /// Point budget for each BRH scan: generous for realistic scenarios
 /// (busy periods of a few hundred windows) while bounding pathological
@@ -72,7 +73,7 @@ pub struct WitnessWindow {
     pub capacity_cycles: f64,
 }
 
-/// The verdict at one frequency, with its utilization breakdown.
+/// The verdict at one frequency.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FrequencyVerdict {
     /// The frequency in MHz.
@@ -81,54 +82,45 @@ pub struct FrequencyVerdict {
     pub verdict: Verdict,
     /// The overload witness, present iff `verdict` is `Infeasible`.
     pub witness: Option<WitnessWindow>,
-    /// Total long-run utilization `Σ a_i·c_i/P_i` in MHz (cycles/µs);
-    /// independent of `f_mhz`.
-    pub utilization_mhz: f64,
-    /// Per-task utilization shares `(name, a·c/P)` in MHz.
-    pub shares: Vec<(String, f64)>,
 }
 
 /// The continuous lower-model curve of one task: raw allocation cycles.
-fn continuous_curve(t: &TaskIr) -> DemandCurve {
+fn continuous_curve(t: &Task) -> DemandCurve {
     DemandCurve {
-        window_demand: t.window_demand_cycles(),
-        critical_us: t.critical_us,
-        window_us: t.window_us,
+        window_demand: t.window_demand().as_f64(),
+        critical_us: t.critical_offset().as_micros(),
+        window_us: t.uam().window().as_micros(),
     }
 }
 
 /// The quantized upper-model curve at `mhz`: each job is charged its
 /// whole-µs occupancy, `⌈c/f⌉·f` cycles.
-fn quantized_curve(t: &TaskIr, mhz: u64) -> DemandCurve {
-    let occupancy_us = quantized_exec_us(t.allocation_cycles, mhz);
+fn quantized_curve(t: &Task, mhz: u64) -> DemandCurve {
+    let occupancy_us = quantized_exec_us(t.allocation().get(), mhz);
     #[allow(clippy::cast_precision_loss)]
     let per_job = (occupancy_us.saturating_mul(mhz)) as f64;
     DemandCurve {
-        window_demand: f64::from(t.arrivals) * per_job,
-        critical_us: t.critical_us,
-        window_us: t.window_us,
+        window_demand: f64::from(t.uam().max_arrivals()) * per_job,
+        critical_us: t.critical_offset().as_micros(),
+        window_us: t.uam().window().as_micros(),
     }
 }
 
 /// Runs the demand-bound analysis at every table frequency, ascending.
 #[must_use]
 pub fn frequency_verdicts(ir: &AnalysisIr) -> Vec<FrequencyVerdict> {
-    let continuous: Vec<DemandCurve> = ir.tasks.iter().map(continuous_curve).collect();
-    let utilization = dbf::total_utilization(&continuous);
-    let shares: Vec<(String, f64)> = ir
-        .tasks
-        .iter()
-        .zip(&continuous)
-        .map(|(t, c)| (t.name.clone(), c.utilization()))
-        .collect();
+    let continuous: Vec<DemandCurve> = ir.tasks.iter().map(|t| continuous_curve(&t.task)).collect();
 
     ir.freqs
         .iter()
         .map(|f| {
             #[allow(clippy::cast_precision_loss)]
             let speed = f.mhz as f64;
-            let quantized: Vec<DemandCurve> =
-                ir.tasks.iter().map(|t| quantized_curve(t, f.mhz)).collect();
+            let quantized: Vec<DemandCurve> = ir
+                .tasks
+                .iter()
+                .map(|t| quantized_curve(&t.task, f.mhz))
+                .collect();
             let (verdict, witness) =
                 match dbf::demand_witness(&quantized, speed, MAX_WITNESS_POINTS) {
                     DemandVerdict::Fits => (Verdict::Feasible, None),
@@ -152,8 +144,6 @@ pub fn frequency_verdicts(ir: &AnalysisIr) -> Vec<FrequencyVerdict> {
                 f_mhz: f.mhz,
                 verdict,
                 witness,
-                utilization_mhz: utilization,
-                shares: shares.clone(),
             }
         })
         .collect()
@@ -241,8 +231,6 @@ mod tests {
             let cap = fv.f_mhz as f64 * w.interval_us as f64;
             assert!((w.capacity_cycles - cap).abs() < 1e-6);
         }
-        assert!((v[0].utilization_mhz - 60.0).abs() < 1e-9);
-        assert_eq!(v[0].shares.len(), 1);
     }
 
     #[test]

@@ -148,6 +148,10 @@ pub enum DiagCode {
     /// A `.scn` file declares an `allocation` inconsistent with the
     /// Chebyshev allocation implied by its mean/variance/ρ.
     SemChebyshevAllocationMismatch,
+    /// A scenario no other pass faults still fails to raise into the
+    /// simulator's workload or fault plan (the backstop; the message is
+    /// the simulator's).
+    SimRejected,
     /// A decision certificate fails to parse, declares an unknown format,
     /// or references jobs/tasks that do not exist in its own tables.
     AudMalformedCertificate,
@@ -200,7 +204,7 @@ pub enum DiagCode {
 impl DiagCode {
     /// Every code, in declaration order (the `codes` listings; a unit
     /// test pins that each variant appears exactly once).
-    pub const ALL: [DiagCode; 46] = [
+    pub const ALL: [DiagCode; 47] = [
         DiagCode::NoTasks,
         DiagCode::DuplicateTaskName,
         DiagCode::TufNonPositiveUmax,
@@ -234,6 +238,7 @@ impl DiagCode {
         DiagCode::SemDominatedFrequency,
         DiagCode::SemUnreachableDvsState,
         DiagCode::SemChebyshevAllocationMismatch,
+        DiagCode::SimRejected,
         DiagCode::AudMalformedCertificate,
         DiagCode::AudUerMismatch,
         DiagCode::AudScheduleOrder,
@@ -286,6 +291,7 @@ impl DiagCode {
             DiagCode::SemDominatedFrequency => "sem-dominated-frequency",
             DiagCode::SemUnreachableDvsState => "sem-unreachable-dvs-state",
             DiagCode::SemChebyshevAllocationMismatch => "sem-chebyshev-allocation-mismatch",
+            DiagCode::SimRejected => "sim-rejected",
             DiagCode::AudMalformedCertificate => "aud-malformed-certificate",
             DiagCode::AudUerMismatch => "aud-uer-mismatch",
             DiagCode::AudScheduleOrder => "aud-schedule-order",
@@ -327,6 +333,7 @@ impl DiagCode {
             | DiagCode::FaultNegativeDeviation
             | DiagCode::FaultSwitchLatencyExceedsWindow
             | DiagCode::FaultEmptyDegradedSet
+            | DiagCode::SimRejected
             | DiagCode::AudMalformedCertificate
             | DiagCode::AudUerMismatch
             | DiagCode::AudScheduleOrder
@@ -418,6 +425,7 @@ impl DiagCode {
             DiagCode::SemChebyshevAllocationMismatch => {
                 "declared allocation disagrees with the Chebyshev bound"
             }
+            DiagCode::SimRejected => "the simulator rejects the workload or fault plan",
             DiagCode::AudMalformedCertificate => {
                 "certificate unparsable or internally inconsistent"
             }

@@ -23,7 +23,7 @@
 //! `f = max(f, uer_optimal)` can never pick it.
 
 use crate::demand::{FrequencyVerdict, Verdict};
-use crate::ir::{quantized_exec_us, AnalysisIr};
+use crate::ir::{quantized_exec_us, AnalysisIr, TaskIr};
 use eua_platform::TimeDelta;
 
 /// Absolute slop for energy comparisons.
@@ -59,7 +59,7 @@ pub fn energy_profiles(ir: &AnalysisIr, verdicts: &[FrequencyVerdict]) -> Vec<En
             .find(|v| v.f_mhz == mhz)
             .map_or(Verdict::Indeterminate, |v| v.verdict)
     };
-    let all_step = ir.tasks.iter().all(|t| t.tuf.is_step());
+    let all_step = ir.tasks.iter().all(|t| t.task.tuf().is_step());
     let min_uer_optimal = ir.tasks.iter().map(|t| t.uer_optimal_mhz).min();
 
     ir.freqs
@@ -107,12 +107,13 @@ pub fn energy_profiles(ir: &AnalysisIr, verdicts: &[FrequencyVerdict]) -> Vec<En
 fn uer_bracket(ir: &AnalysisIr, mhz: u64, energy_per_cycle: f64, verdict: Verdict) -> (f64, f64) {
     let mut uer_max = 0.0f64;
     let mut uer_min = f64::INFINITY;
-    for t in &ir.tasks {
+    for TaskIr { task, .. } in &ir.tasks {
+        let allocation = task.allocation().get();
         #[allow(clippy::cast_precision_loss)]
-        let denom = (t.allocation_cycles.max(1)) as f64 * energy_per_cycle;
-        let sojourn = TimeDelta::from_micros(quantized_exec_us(t.allocation_cycles, mhz));
-        uer_max = uer_max.max(t.tuf.utility(sojourn) / denom);
-        let at_critical = t.tuf.utility(TimeDelta::from_micros(t.critical_us)) / denom;
+        let denom = (allocation.max(1)) as f64 * energy_per_cycle;
+        let sojourn = TimeDelta::from_micros(quantized_exec_us(allocation, mhz));
+        uer_max = uer_max.max(task.tuf().utility(sojourn) / denom);
+        let at_critical = task.tuf().utility(task.critical_offset()) / denom;
         uer_min = uer_min.min(at_critical);
     }
     if verdict != Verdict::Feasible || !uer_min.is_finite() {

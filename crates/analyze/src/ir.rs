@@ -4,63 +4,30 @@
 //! The raw [`ScenarioSpec`] deliberately holds whatever the user wrote;
 //! the lint passes diagnose it field by field. The semantic analyses
 //! (demand-bound verdicts, energy intervals) instead need everything
-//! *resolved at once*: Chebyshev allocations ceiled to whole cycles,
-//! critical times solved from `U(D) ≥ ν·U_max`, the frequency table
-//! sorted with per-cycle energy attached, and each task's UER-optimal
+//! *resolved at once*: each task raised into the simulator's [`Task`]
+//! (its Chebyshev allocation in whole cycles, its critical time solved
+//! from `U(D) ≥ ν·U_max`), the frequency table sorted with the
+//! platform's per-cycle energy attached, and each task's UER-optimal
 //! frequency from EUA\*'s `offlineComputing`. [`lower`] performs that
-//! resolution in one fallible step; any failure message simply names the
+//! resolution in one fallible step, and [`resolve`] does it over tasks
+//! the caller already raised; any failure message simply names the
 //! first unresolvable piece (the lint passes have already reported the
 //! underlying problem as diagnostics).
 
-use eua_platform::{
-    optimal_uer_frequency, Cycles, EnergyModel, EnergySetting, Frequency, FrequencyTable,
-};
-use eua_tuf::Tuf;
+use eua_platform::{optimal_uer_frequency, Cycles, Frequency, FrequencyTable};
+use eua_sim::Task;
 
 use crate::scenario::ScenarioSpec;
 
 /// One task, fully resolved for semantic analysis.
 #[derive(Debug, Clone)]
 pub struct TaskIr {
-    /// The task's name (diagnostics anchor on it).
-    pub name: String,
-    /// The validated TUF, for utility evaluation.
-    pub tuf: Tuf,
-    /// Maximum utility `U_max = U(0)`.
-    pub umax: f64,
-    /// Required utility fraction ν.
-    pub nu: f64,
-    /// Required timeliness probability ρ.
-    pub rho: f64,
-    /// Demand mean `E(Y)` in cycles.
-    pub mean_cycles: f64,
-    /// Demand variance `Var(Y)` in cycles².
-    pub variance_cycles: f64,
-    /// The Chebyshev allocation `⌈E(Y) + sqrt(ρ/(1−ρ)·Var(Y))⌉` in
-    /// whole cycles — the per-job budget the scheduler provisions.
-    pub allocation_cycles: u64,
-    /// The allocation the `.scn` file declared, if any (cross-checked
-    /// by the Chebyshev pass, not used in the math).
-    pub declared_allocation: Option<f64>,
-    /// Critical time `D` in µs, solved from `U(D) ≥ ν·U_max`.
-    pub critical_us: u64,
-    /// UAM window `P` in µs.
-    pub window_us: u64,
-    /// UAM arrival bound `a`.
-    pub arrivals: u32,
+    /// The simulator's task: name, TUF, `⟨a, P⟩`, Chebyshev allocation
+    /// and critical time.
+    pub task: Task,
     /// The task's UER-optimal frequency in MHz (EUA\*'s offline clamp
     /// never selects below it).
     pub uer_optimal_mhz: u64,
-}
-
-impl TaskIr {
-    /// Worst-case per-window demand `a·c` in cycles.
-    #[must_use]
-    pub fn window_demand_cycles(&self) -> f64 {
-        #[allow(clippy::cast_precision_loss)]
-        let demand = u64::from(self.arrivals).saturating_mul(self.allocation_cycles) as f64;
-        demand
-    }
 }
 
 /// One DVS state with its per-cycle energy under the scenario's model.
@@ -75,8 +42,6 @@ pub struct FreqIr {
 /// A scenario resolved for semantic analysis.
 #[derive(Debug, Clone)]
 pub struct AnalysisIr {
-    /// The scenario's name.
-    pub name: String,
     /// Resolved tasks, in declaration order.
     pub tasks: Vec<TaskIr>,
     /// The frequency table ascending, positive, deduplicated, with
@@ -86,23 +51,27 @@ pub struct AnalysisIr {
     pub f_max_mhz: u64,
 }
 
-impl AnalysisIr {
-    /// The bound energy model (re-derivable, kept for the energy pass).
-    #[must_use]
-    pub fn frequency(&self, mhz: u64) -> Frequency {
-        Frequency::from_mhz(mhz)
-    }
-}
-
-/// Resolves a raw spec into an [`AnalysisIr`].
+/// Resolves a raw spec into an [`AnalysisIr`], raising its tasks with
+/// [`ScenarioSpec::to_tasks`].
 ///
 /// # Errors
 ///
-/// Returns a message naming the first unresolvable piece: an unusable
-/// frequency table, invalid energy coefficients, or a task the simulator
-/// types reject. Callers run the lint passes first, so these messages
-/// never reach users as the *only* explanation.
+/// Returns a message naming the first unresolvable piece: a task the
+/// simulator types reject, an unusable frequency table, or invalid
+/// energy coefficients. Callers run the lint passes first, so these
+/// messages never reach users as the *only* explanation.
 pub fn lower(spec: &ScenarioSpec) -> Result<AnalysisIr, String> {
+    resolve(spec, spec.to_tasks()?)
+}
+
+/// Resolves `spec` over `tasks`, its tasks already raised (in
+/// declaration order).
+///
+/// # Errors
+///
+/// Returns a message naming an unusable frequency table or invalid
+/// energy coefficients.
+pub fn resolve(spec: &ScenarioSpec, tasks: Vec<Task>) -> Result<AnalysisIr, String> {
     let mut mhz: Vec<u64> = spec
         .frequencies_mhz
         .iter()
@@ -111,72 +80,40 @@ pub fn lower(spec: &ScenarioSpec) -> Result<AnalysisIr, String> {
         .collect();
     mhz.sort_unstable();
     mhz.dedup();
-    if mhz.is_empty() {
-        return Err("no positive frequency in the table".into());
-    }
-    let table = FrequencyTable::new(mhz.iter().copied()).map_err(|e| e.to_string())?;
+    let table = FrequencyTable::new(mhz).map_err(|e| e.to_string())?;
     let f_max = table.max();
 
-    let model = bound_energy_model(spec, f_max)?;
-    let freqs = mhz
+    let model = spec
+        .energy
+        .setting()
+        .map_err(|e| format!("energy model `{}`: {e}", spec.energy.name))?
+        .model(f_max);
+    let freqs = table
         .iter()
-        .map(|&m| FreqIr {
-            mhz: m,
-            energy_per_cycle: model.energy_per_cycle(Frequency::from_mhz(m)),
+        .map(|f| FreqIr {
+            mhz: f.as_mhz(),
+            energy_per_cycle: model.energy_per_cycle(f),
         })
         .collect();
 
-    let mut tasks = Vec::with_capacity(spec.tasks.len());
-    for raw in &spec.tasks {
-        let task = raw
-            .to_task()
-            .map_err(|e| format!("task `{}`: {e}", raw.name))?;
-        let tuf = task.tuf().clone();
-        let allocation = task.allocation();
-        let uer_optimal = {
-            let u = |t| tuf.utility(t);
-            optimal_uer_frequency(&table, &model, allocation, u)
-        };
-        tasks.push(TaskIr {
-            name: raw.name.clone(),
-            umax: tuf.max_utility(),
-            nu: raw.nu,
-            rho: raw.rho,
-            mean_cycles: raw.demand.mean(),
-            variance_cycles: raw.demand.variance(),
-            allocation_cycles: allocation.get(),
-            declared_allocation: raw.declared_allocation,
-            critical_us: task.critical_offset().as_micros(),
-            window_us: raw.window_us,
-            arrivals: task.uam().max_arrivals(),
-            uer_optimal_mhz: uer_optimal.as_mhz(),
-            tuf,
-        });
-    }
+    let tasks = tasks
+        .into_iter()
+        .map(|task| {
+            let tuf = task.tuf();
+            let uer_optimal =
+                optimal_uer_frequency(&table, &model, task.allocation(), |t| tuf.utility(t));
+            TaskIr {
+                uer_optimal_mhz: uer_optimal.as_mhz(),
+                task,
+            }
+        })
+        .collect();
 
     Ok(AnalysisIr {
-        name: spec.name.clone(),
         tasks,
         freqs,
         f_max_mhz: f_max.as_mhz(),
     })
-}
-
-/// Maps the raw energy spec onto a validated, bound [`EnergyModel`].
-fn bound_energy_model(spec: &ScenarioSpec, f_max: Frequency) -> Result<EnergyModel, String> {
-    use crate::scenario::EnergySpec;
-    let e = &spec.energy;
-    let setting = if *e == EnergySpec::e1() {
-        EnergySetting::e1()
-    } else if *e == EnergySpec::e2() {
-        EnergySetting::e2()
-    } else if *e == EnergySpec::e3() {
-        EnergySetting::e3()
-    } else {
-        EnergySetting::custom("custom", e.s3, e.s2, e.s1_rel, e.s0_rel)
-            .map_err(|err| format!("energy model `{}`: {err}", e.name))?
-    };
-    Ok(setting.model(f_max))
 }
 
 /// The per-job execution time of `cycles` at `mhz`, in whole µs
@@ -230,14 +167,13 @@ mod tests {
     #[test]
     fn lowering_resolves_chebyshev_allocation() {
         let ir = lower(&spec()).expect("lowers");
-        let t = &ir.tasks[0];
+        let t = &ir.tasks[0].task;
         let c = 150_000.0 + (0.96f64 / 0.04 * 150_000.0).sqrt();
-        #[allow(clippy::cast_precision_loss)]
-        let got = t.allocation_cycles as f64;
+        let got = t.allocation().as_f64();
         assert!((got - c.ceil()).abs() < 1.0, "{got} vs {c}");
-        assert_eq!(t.critical_us, 10_000);
-        assert_eq!(t.arrivals, 2);
-        assert!((t.window_demand_cycles() - 2.0 * got).abs() < 1e-9);
+        assert_eq!(t.critical_offset().as_micros(), 10_000);
+        assert_eq!(t.uam().max_arrivals(), 2);
+        assert!((t.window_demand().as_f64() - 2.0 * got).abs() < 1e-9);
     }
 
     #[test]

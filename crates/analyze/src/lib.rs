@@ -14,12 +14,12 @@
 //! | [`diagnostic`] | [`DiagCode`], [`Severity`], [`Report`], text/JSON renderers |
 //! | [`cli`] | the command-line front end `eua-analyze`, `eua-audit` and `eua-lint` share |
 //! | [`scenario`] | raw specs ([`ScenarioSpec`] …), the `.scn` parser/renderer, bridges to simulator types |
-//! | [`passes`] | the checks: TUF shape, assurances, Chebyshev, UAM, frequencies, energy, feasibility, semantics |
-//! | [`ir`] | the typed analysis IR ([`AnalysisIr`]) lowered from a raw spec |
+//! | [`passes`] | the checks: TUF shape, assurances, Chebyshev, UAM, frequencies, energy, feasibility, faults, semantics, the simulator backstop |
+//! | [`ir`] | the typed analysis IR ([`AnalysisIr`]): the simulator's tasks, raised once, and the table with the platform's `E(f)` |
 //! | [`demand`] | UAM demand-bound verdicts per frequency ([`Verdict`], [`FrequencyVerdict`]) |
 //! | [`energy`] | UER brackets, dominated frequencies, unreachable DVS states ([`EnergyProfile`]) |
 //! | [`sarif`] | SARIF 2.1.0 rendering and subset validation |
-//! | [`spans`] | `.scn` token extents ([`SourceMap`]) for SARIF regions |
+//! | [`spans`] | the `.scn` token extents ([`SourceMap`]) the parser records for SARIF regions |
 //! | [`examples`] | registry mirroring every shipped workload for `--all-examples` |
 //!
 //! # Example

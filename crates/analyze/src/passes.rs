@@ -9,10 +9,10 @@
 
 use crate::demand::Verdict;
 use crate::diagnostic::{DiagCode, Diagnostic, Report, Severity};
-use crate::scenario::{DemandSpec, ScenarioSpec, TaskSpec, TufSpec};
+use crate::scenario::{DemandSpec, FaultSpec, ScenarioSpec, TaskSpec, TufSpec};
 use eua_core::{brh_schedulable, sufficient_speed, theorem1_speed};
 use eua_platform::Frequency;
-use eua_sim::TaskSet;
+use eua_sim::{FaultPlan, Task, TaskSet};
 
 /// Relative slop for float comparisons against `f_m`.
 const EPS: f64 = 1e-9;
@@ -22,8 +22,9 @@ const ALLOCATION_TOL: f64 = 1e-6;
 
 /// Analyzes `scenario` with every pass, in order: structure, TUF
 /// shapes, assurances, Chebyshev budgets, UAM specs, frequency table,
-/// energy model, feasibility classification, fault stanzas, and the
-/// semantic verdict pass. Returns the sorted report.
+/// energy model, feasibility classification, fault stanzas, the
+/// semantic verdict pass, and the simulator backstop. Returns the
+/// sorted report.
 ///
 /// Offline certificate/scenario auditing — never on a decision path.
 #[must_use]
@@ -37,9 +38,18 @@ pub fn analyze(scenario: &ScenarioSpec) -> Report {
     uam_pass(scenario, out);
     frequency_table_pass(scenario, out);
     energy_model_pass(scenario, out);
-    feasibility_pass(scenario, out);
+    // The two passes on simulator types share one raising of the tasks,
+    // and stay silent when it fails: the passes above say why, or else
+    // the backstop does.
+    let tasks = scenario.to_tasks().ok();
+    if let Some(tasks) = &tasks {
+        feasibility_pass(scenario, tasks, out);
+    }
     fault_pass(scenario, out);
-    semantic_pass(scenario, out);
+    if let Some(tasks) = tasks {
+        semantic_pass(scenario, tasks, out);
+    }
+    simulator_pass(scenario, out);
     report.sort();
     report
 }
@@ -467,10 +477,10 @@ fn frequency_table_pass(scenario: &ScenarioSpec, out: &mut Vec<Diagnostic>) {
 }
 
 /// Energy-model checks: coefficient validity, the knee of `E(f)`, and
-/// dominated-frequency detection.
+/// dominated-frequency detection. The knee and `E(f)` are the platform's
+/// [`eua_platform::EnergyModel`], built once the coefficients pass.
 fn energy_model_pass(scenario: &ScenarioSpec, out: &mut Vec<Diagnostic>) {
     let e = &scenario.energy;
-    let mut valid = true;
     for (coeff, value) in [
         ("S3", e.s3),
         ("S2", e.s2),
@@ -478,7 +488,6 @@ fn energy_model_pass(scenario: &ScenarioSpec, out: &mut Vec<Diagnostic>) {
         ("S0/f_m³", e.s0_rel),
     ] {
         if !value.is_finite() || value < 0.0 {
-            valid = false;
             out.push(Diagnostic::for_entity(
                 DiagCode::EnergyInvalidCoefficient,
                 format!("energy model {}", e.name),
@@ -487,7 +496,6 @@ fn energy_model_pass(scenario: &ScenarioSpec, out: &mut Vec<Diagnostic>) {
         }
     }
     if [e.s3, e.s2, e.s1_rel, e.s0_rel].iter().all(|&c| c == 0.0) {
-        valid = false;
         out.push(Diagnostic::for_entity(
             DiagCode::EnergyInvalidCoefficient,
             format!("energy model {}", e.name),
@@ -496,28 +504,28 @@ fn energy_model_pass(scenario: &ScenarioSpec, out: &mut Vec<Diagnostic>) {
                 .to_string(),
         ));
     }
-    let Some(f_max) = scenario.f_max_mhz() else {
+    // The checks above are `EnergySetting::custom`'s rules, so the
+    // setting exists exactly when none of them fired.
+    let (Some(f_max), Ok(setting)) = (scenario.f_max_mhz(), e.setting()) else {
         return;
     };
-    if !valid {
-        return;
-    }
-    #[allow(clippy::cast_precision_loss)]
-    let f_max_f = f_max as f64;
+    let model = setting.model(Frequency::from_mhz(f_max));
+    let energy_per_cycle = |mhz: u64| model.energy_per_cycle(Frequency::from_mhz(mhz));
+
+    let positive: Vec<u64> = scenario
+        .frequencies_mhz
+        .iter()
+        .copied()
+        .filter(|&f| f > 0)
+        .collect();
 
     // Knee position: only interesting when a constant term exists
     // (otherwise "slower is cheaper" is the expected E1 behavior).
     if e.s0_rel > 0.0 {
-        let knee = e.optimal_speed_mhz(f_max_f);
-        let lo = scenario
-            .frequencies_mhz
-            .iter()
-            .copied()
-            .filter(|&f| f > 0)
-            .min();
+        let knee = model.energy_optimal_speed();
         #[allow(clippy::cast_precision_loss)]
-        if let Some(lo) = lo {
-            if knee < lo as f64 || knee > f_max_f {
+        if let Some(&lo) = positive.iter().min() {
+            if knee < lo as f64 || knee > f_max as f64 {
                 out.push(Diagnostic::new(
                     DiagCode::EnergyKneeOutsideRange,
                     format!(
@@ -532,19 +540,12 @@ fn energy_model_pass(scenario: &ScenarioSpec, out: &mut Vec<Diagnostic>) {
     // Dominated frequencies: a slower setting that a faster one beats
     // (or ties) on energy per cycle can never win on UER for a
     // non-increasing TUF.
-    let positive: Vec<u64> = scenario
-        .frequencies_mhz
-        .iter()
-        .copied()
-        .filter(|&f| f > 0)
-        .collect();
-    #[allow(clippy::cast_precision_loss)]
     for &fi in &positive {
-        let ei = e.energy_per_cycle(fi as f64, f_max_f);
+        let ei = energy_per_cycle(fi);
         let dominator = positive
             .iter()
             .copied()
-            .filter(|&fj| fj > fi && e.energy_per_cycle(fj as f64, f_max_f) <= ei + EPS)
+            .filter(|&fj| fj > fi && energy_per_cycle(fj) <= ei + EPS)
             .min();
         if let Some(fj) = dominator {
             out.push(
@@ -555,7 +556,7 @@ fn energy_model_pass(scenario: &ScenarioSpec, out: &mut Vec<Diagnostic>) {
                         "dominated under {}: {fj} MHz is faster and uses no more energy per \
                          cycle ({:.0} vs {:.0}), so its UER is never worse",
                         e.name,
-                        e.energy_per_cycle(fj as f64, f_max_f),
+                        energy_per_cycle(fj),
                         ei
                     ),
                 )
@@ -569,31 +570,19 @@ fn energy_model_pass(scenario: &ScenarioSpec, out: &mut Vec<Diagnostic>) {
 
 /// Feasibility classification via the real `eua-core` analysis:
 /// Theorem 1 sufficient speed, the BRH demand bound, and sustained
-/// overload. Runs only once every task and the table validate, so it can
-/// reuse the simulator types directly.
-fn feasibility_pass(scenario: &ScenarioSpec, out: &mut Vec<Diagnostic>) {
-    // Raise every task; bail silently if any fails (the validation
-    // passes already reported why).
-    let mut tasks = Vec::with_capacity(scenario.tasks.len());
-    for spec in &scenario.tasks {
-        match spec.to_task() {
-            Ok(t) => tasks.push(t),
-            Err(_) => return,
-        }
-    }
-    let Ok(task_set) = TaskSet::new(tasks) else {
+/// overload. Runs on the raised `tasks` once the table validates, so it
+/// reuses the simulator types directly.
+fn feasibility_pass(scenario: &ScenarioSpec, tasks: &[Task], out: &mut Vec<Diagnostic>) {
+    let Ok(task_set) = TaskSet::new(tasks.to_vec()) else {
         return;
     };
-    let sorted = {
-        let mut f = scenario.frequencies_mhz.clone();
-        f.sort_unstable();
-        f.dedup();
-        f
+    let Some(f_max) = scenario.f_max_mhz() else {
+        return;
     };
-    if sorted.first() == Some(&0) || sorted.is_empty() {
+    if scenario.frequencies_mhz.contains(&0) {
         return;
     }
-    let f_max = Frequency::from_mhz(*sorted.last().unwrap_or(&1));
+    let f_max = Frequency::from_mhz(f_max);
     let f_max_f = f_max.as_f64();
 
     // Per-task: can the window demand a·c finish by D alone at f_m?
@@ -797,14 +786,14 @@ fn fault_pass(scenario: &ScenarioSpec, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// The semantic verdict pass: lowers the spec to the analysis IR, runs
-/// the per-frequency demand-bound analysis, and reports the verdict at
-/// `f_m`, the static feasibility floor, dominated frequencies, and
-/// statically-unreachable DVS states.
-fn semantic_pass(scenario: &ScenarioSpec, out: &mut Vec<Diagnostic>) {
-    // Lowering fails only for conditions the lint passes have
+/// The semantic verdict pass: resolves the spec and its raised `tasks`
+/// into the analysis IR, runs the per-frequency demand-bound analysis,
+/// and reports the verdict at `f_m`, the static feasibility floor,
+/// dominated frequencies, and statically-unreachable DVS states.
+fn semantic_pass(scenario: &ScenarioSpec, tasks: Vec<Task>, out: &mut Vec<Diagnostic>) {
+    // Resolving fails only for conditions the lint passes have
     // already reported; stay silent rather than double-report.
-    let Ok(ir) = crate::ir::lower(scenario) else {
+    let Ok(ir) = crate::ir::resolve(scenario, tasks) else {
         return;
     };
     let verdicts = crate::demand::frequency_verdicts(&ir);
@@ -885,6 +874,35 @@ fn semantic_pass(scenario: &ScenarioSpec, out: &mut Vec<Diagnostic>) {
                 ),
             ));
         }
+    }
+}
+
+/// The backstop: a scenario no pass reports an error for must also be
+/// one the simulator runs. Raises the workload and the fault plan
+/// through the simulator's own checks ([`ScenarioSpec::to_workload`],
+/// [`FaultPlan::validate`]), so a rule no pass restates still surfaces,
+/// as one `sim-rejected` error carrying the simulator's message. Skipped
+/// once an error is reported: that scenario fails to raise for the
+/// reason given.
+fn simulator_pass(scenario: &ScenarioSpec, out: &mut Vec<Diagnostic>) {
+    if out.iter().any(|d| d.severity == Severity::Error) {
+        return;
+    }
+    let rejected = scenario.to_workload().err().or_else(|| {
+        let plan = scenario
+            .faults
+            .as_ref()
+            .map_or_else(FaultPlan::none, FaultSpec::to_plan);
+        plan.validate().err().map(|e| e.to_string())
+    });
+    if let Some(message) = rejected {
+        out.push(
+            Diagnostic::new(
+                DiagCode::SimRejected,
+                format!("the simulator rejects this scenario: {message}"),
+            )
+            .with_suggestion("no simulation can run it; fix the value the message names"),
+        );
     }
 }
 
@@ -1098,5 +1116,58 @@ mod tests {
             report.render_text()
         );
         assert!(!report.has_errors());
+    }
+
+    /// Each of these passes every rule the passes state, yet the
+    /// simulator refuses it: the backstop reports it once, with the
+    /// simulator's message.
+    #[test]
+    fn the_backstop_reports_what_only_the_simulator_rejects() {
+        let valid = valid_scenario().render();
+        let task_end = "  assurance 1.0 0.96\nend\n";
+        for (edit, message) in [
+            (
+                valid.replace(task_end, &format!("  arrival onoff 0 1\n{task_end}")),
+                "on_windows",
+            ),
+            (
+                valid.replace(task_end, &format!("  arrival poisson 0\n{task_end}")),
+                "rate_per_window",
+            ),
+            (
+                format!("{valid}faults\n  burst-extra 2 0\nend\n"),
+                "window stride",
+            ),
+        ] {
+            assert_ne!(edit, valid, "the edit changed nothing");
+            let report = analyze(&ScenarioSpec::parse(&edit).expect("the scenario parses"));
+            let errors: Vec<_> = report
+                .diagnostics
+                .iter()
+                .filter(|d| d.severity == Severity::Error)
+                .collect();
+            assert_eq!(errors.len(), 1, "{}", report.render_text());
+            assert_eq!(errors[0].code, DiagCode::SimRejected);
+            assert!(errors[0].message.contains(message), "{}", errors[0].message);
+        }
+    }
+
+    #[test]
+    fn the_backstop_accepts_an_idle_burst_stride_and_defers_to_other_errors() {
+        // No extra arrivals, so the stride is never used: the regression
+        // corpus writes `burst-extra 0 0`.
+        let mut s = valid_scenario();
+        s.faults = Some(crate::scenario::FaultSpec {
+            burst_every: 0,
+            ..Default::default()
+        });
+        let report = analyze(&s);
+        assert!(!report.has_errors(), "{}", report.render_text());
+        // A scenario that already has an error is not raised again
+        // (raising it would fail on the empty task set).
+        s.tasks.clear();
+        let codes = analyze(&s).codes();
+        assert!(codes.contains("no-tasks"), "{codes:?}");
+        assert!(!codes.contains("sim-rejected"), "{codes:?}");
     }
 }

@@ -18,13 +18,15 @@
 use std::error::Error;
 use std::fmt;
 
-use eua_platform::{FrequencyTable, TimeDelta};
+use eua_platform::{EnergySetting, FrequencyTable, PlatformError, TimeDelta};
 use eua_sim::{FaultPlan, Task, TaskSet};
 use eua_tuf::Tuf;
 use eua_uam::demand::DemandModel;
 use eua_uam::generator::ArrivalPattern;
 use eua_uam::{Assurance, UamSpec};
 use eua_workload::Workload;
+
+use crate::spans::{SourceMap, Span};
 
 /// Raw description of a time/utility function shape.
 ///
@@ -137,17 +139,6 @@ impl TufSpec {
             TufSpec::Linear { .. } => "linear",
             TufSpec::Exponential { .. } => "exponential",
             TufSpec::Piecewise { .. } => "piecewise",
-        }
-    }
-
-    /// The raw maximum utility (utility at release).
-    #[must_use]
-    pub fn umax(&self) -> f64 {
-        match self {
-            TufSpec::Step { umax, .. }
-            | TufSpec::Linear { umax, .. }
-            | TufSpec::Exponential { umax, .. } => *umax,
-            TufSpec::Piecewise { points } => points.first().map_or(f64::NAN, |&(_, u)| u),
         }
     }
 }
@@ -450,14 +441,14 @@ impl TaskSpec {
     }
 }
 
-/// Raw Martin-model energy coefficients, mirroring the paper's Table 2
+/// Raw Martin-model energy coefficients, in the paper's Table 2
 /// parameterization: `S1` and `S0` are specified relative to `f_m²` and
 /// `f_m³` respectively.
 ///
-/// This deliberately duplicates the constants baked into
-/// [`eua_platform::EnergySetting`] (whose fields are private and
-/// validated): the analyzer must be able to hold *invalid* coefficients
-/// in order to report them.
+/// [`eua_platform::EnergySetting`] owns the model: the E1–E3 constants,
+/// `E(f)` and the energy-optimal speed. This record only holds what the
+/// user wrote, invalid coefficients included, so the energy pass can
+/// report them; [`EnergySpec::setting`] raises it once they pass.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EnergySpec {
     /// Display name (`E1`, `E2`, `E3`, or `custom`).
@@ -473,84 +464,56 @@ pub struct EnergySpec {
 }
 
 impl EnergySpec {
-    /// Table 2 setting E1: `(S3, S2, S1, S0) = (1, 0, 0, 0)`.
+    /// Lowers a validated [`EnergySetting`] into its raw spec.
+    #[must_use]
+    pub fn from_setting(setting: &EnergySetting) -> Self {
+        let (s3, s2, s1_rel, s0_rel) = setting.relative_coefficients();
+        EnergySpec {
+            name: setting.name().into(),
+            s3,
+            s2,
+            s1_rel,
+            s0_rel,
+        }
+    }
+
+    /// Table 2 setting E1 ([`EnergySetting::e1`]).
     #[must_use]
     pub fn e1() -> Self {
-        EnergySpec {
-            name: "E1".into(),
-            s3: 1.0,
-            s2: 0.0,
-            s1_rel: 0.0,
-            s0_rel: 0.0,
-        }
+        Self::from_setting(&EnergySetting::e1())
     }
 
-    /// Table 2 setting E2: `S1 = 0.1·f_m²`, `S0 = 0.1·f_m³`.
+    /// Table 2 setting E2 ([`EnergySetting::e2`]).
     #[must_use]
     pub fn e2() -> Self {
-        EnergySpec {
-            name: "E2".into(),
-            s3: 1.0,
-            s2: 0.0,
-            s1_rel: 0.1,
-            s0_rel: 0.1,
-        }
+        Self::from_setting(&EnergySetting::e2())
     }
 
-    /// Table 2 setting E3: `S1 = 0.5·f_m²`, `S0 = 0.5·f_m³`.
+    /// Table 2 setting E3 ([`EnergySetting::e3`]).
     #[must_use]
     pub fn e3() -> Self {
-        EnergySpec {
-            name: "E3".into(),
-            s3: 1.0,
-            s2: 0.0,
-            s1_rel: 0.5,
-            s0_rel: 0.5,
-        }
+        Self::from_setting(&EnergySetting::e3())
     }
 
-    /// Energy per cycle at `f_mhz` with the static terms bound to
-    /// `f_max_mhz`: `E(f) = S3·f² + S2·f + S1 + S0/f`.
-    #[must_use]
-    pub fn energy_per_cycle(&self, f_mhz: f64, f_max_mhz: f64) -> f64 {
-        let s1 = self.s1_rel * f_max_mhz * f_max_mhz;
-        let s0 = self.s0_rel * f_max_mhz * f_max_mhz * f_max_mhz;
-        self.s3 * f_mhz * f_mhz + self.s2 * f_mhz + s1 + s0 / f_mhz
-    }
-
-    /// The continuous energy-optimal speed (the knee of `E(f)`), found
-    /// from `E'(f) = 2·S3·f + S2 − S0/f² = 0`.
+    /// Raises the coefficients into the platform's [`EnergySetting`]
+    /// (named `custom`: the platform names only its own presets, and the
+    /// name never reaches the analysis).
     ///
-    /// Returns `0` when `S0 = 0` (slower is always cheaper) and infinity
-    /// when `S3 = S2 = 0 < S0` (faster is always cheaper).
-    #[must_use]
-    pub fn optimal_speed_mhz(&self, f_max_mhz: f64) -> f64 {
-        let s0 = self.s0_rel * f_max_mhz * f_max_mhz * f_max_mhz;
-        if s0 == 0.0 {
-            return 0.0;
-        }
-        if self.s3 == 0.0 && self.s2 == 0.0 {
-            return f64::INFINITY;
-        }
-        // E'(f) is strictly increasing for f > 0, so bisect it.
-        let (mut lo, mut hi) = (1e-9, f_max_mhz.max(1.0) * 100.0);
-        let deriv = |f: f64| 2.0 * self.s3 * f + self.s2 - s0 / (f * f);
-        for _ in 0..200 {
-            let mid = 0.5 * (lo + hi);
-            if deriv(mid) < 0.0 {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        0.5 * (lo + hi)
+    /// # Errors
+    ///
+    /// Returns [`EnergySetting::custom`]'s error for a negative or
+    /// non-finite coefficient, or for four zeros; the energy pass
+    /// reports each as `energy-invalid-coefficient`.
+    pub fn setting(&self) -> Result<EnergySetting, PlatformError> {
+        EnergySetting::custom("custom", self.s3, self.s2, self.s1_rel, self.s0_rel)
     }
 }
 
 /// Raw description of a fault-injection plan (see
 /// [`eua_sim::FaultPlan`]); nothing is validated here — the fault pass
 /// diagnoses negative deviation factors, window-length switch
-/// latencies, and unusable degraded frequency sets.
+/// latencies, and unusable degraded frequency sets; whatever else
+/// [`FaultPlan::validate`] refuses is reported as `sim-rejected`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultSpec {
     /// Multiplier on every sampled demand's mean (1.0 = faithful).
@@ -563,7 +526,8 @@ pub struct FaultSpec {
     pub degraded_mhz: Option<Vec<u64>>,
     /// Extra arrivals injected per affected UAM window.
     pub burst_extra: u32,
-    /// Every how many windows a burst strikes (0 is diagnosed).
+    /// Every how many windows a burst strikes (0 with extra arrivals is
+    /// reported as `sim-rejected`).
     pub burst_every: u32,
     /// Fixed processing cost of each abort, in µs.
     pub abort_cost_us: u64,
@@ -688,22 +652,41 @@ impl ScenarioSpec {
         Ok(spec)
     }
 
+    /// Raises every task into a validated simulator [`Task`], in
+    /// declaration order.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first failing task's constructor error message,
+    /// prefixed with its name.
+    pub fn to_tasks(&self) -> Result<Vec<Task>, String> {
+        self.tasks
+            .iter()
+            .map(|t| t.to_task().map_err(|e| format!("task `{}`: {e}", t.name)))
+            .collect()
+    }
+
     /// Raises the spec into a validated simulator [`Workload`]; tasks
     /// without an `arrival` line get the maximal window-burst adversary.
     ///
     /// # Errors
     ///
-    /// Returns the first constructor error message; callers run the
-    /// validation passes first when the text is untrusted.
+    /// Returns the first constructor error message, prefixed with its
+    /// task's name; callers run the validation passes first when the
+    /// text is untrusted.
     pub fn to_workload(&self) -> Result<Workload, String> {
-        let mut tasks = Vec::with_capacity(self.tasks.len());
-        let mut patterns = Vec::with_capacity(self.tasks.len());
-        for t in &self.tasks {
-            let task = t.to_task()?;
-            let arrival = t.arrival.unwrap_or(ArrivalSpec::Burst);
-            patterns.push(arrival.to_pattern(*task.uam())?);
-            tasks.push(task);
-        }
+        let tasks = self.to_tasks()?;
+        let patterns = self
+            .tasks
+            .iter()
+            .zip(&tasks)
+            .map(|(t, task)| {
+                let arrival = t.arrival.unwrap_or(ArrivalSpec::Burst);
+                arrival
+                    .to_pattern(*task.uam())
+                    .map_err(|e| format!("task `{}`: {e}", t.name))
+            })
+            .collect::<Result<_, _>>()?;
         Ok(Workload {
             tasks: TaskSet::new(tasks).map_err(|e| e.to_string())?,
             patterns,
@@ -867,19 +850,20 @@ impl ScenarioSpec {
     ///
     /// Returns a [`ParseError`] with the 1-based offending line.
     pub fn parse(text: &str) -> Result<Self, ParseError> {
-        Parser::new(text).run()
+        Ok(Parser::new(text, None).run()?.0)
     }
 
     /// Like [`ScenarioSpec::parse`], additionally returning the
-    /// [`crate::SourceMap`] of token extents scanned from the same text
-    /// — the SARIF writer uses it to attach `region`s to findings.
+    /// [`SourceMap`] of the tokens the parser read for the scenario
+    /// name, each frequency, the energy model and each task name — the
+    /// SARIF writer uses it to attach `region`s to findings.
     ///
     /// # Errors
     ///
     /// Returns a [`ParseError`] with the 1-based offending line.
-    pub fn parse_with_spans(text: &str) -> Result<(Self, crate::spans::SourceMap), ParseError> {
-        let spec = Self::parse(text)?;
-        Ok((spec, crate::spans::SourceMap::scan(text)))
+    pub fn parse_with_spans(text: &str) -> Result<(Self, SourceMap), ParseError> {
+        let (spec, spans) = Parser::new(text, Some(SourceMap::default())).run()?;
+        Ok((spec, spans.unwrap_or_default()))
     }
 }
 
@@ -902,22 +886,33 @@ impl Error for ParseError {}
 
 /// Internal line-based parser state.
 struct Parser<'a> {
-    lines: Vec<(usize, &'a str)>,
+    /// `(1-based line number, the line, its body)` for each line whose
+    /// body (the text before any `#`, trimmed) is not empty. Every
+    /// token the parser reads is a slice of its line, which is how
+    /// [`span`] finds its columns.
+    lines: Vec<(usize, &'a str, &'a str)>,
     pos: usize,
+    /// The token extents SARIF regions need, when the caller asked for
+    /// them ([`ScenarioSpec::parse_with_spans`]).
+    spans: Option<SourceMap>,
 }
 
 impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
+    fn new(text: &'a str, spans: Option<SourceMap>) -> Self {
         let lines = text
             .lines()
             .enumerate()
             .map(|(i, l)| {
                 let body = l.split('#').next().unwrap_or("").trim();
-                (i + 1, body)
+                (i + 1, l, body)
             })
-            .filter(|(_, body)| !body.is_empty())
+            .filter(|(_, _, body)| !body.is_empty())
             .collect();
-        Parser { lines, pos: 0 }
+        Parser {
+            lines,
+            pos: 0,
+            spans,
+        }
     }
 
     fn err(line: usize, message: impl Into<String>) -> ParseError {
@@ -927,7 +922,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn run(mut self) -> Result<ScenarioSpec, ParseError> {
+    fn run(mut self) -> Result<(ScenarioSpec, Option<SourceMap>), ParseError> {
         let mut name: Option<String> = None;
         let mut frequencies: Vec<u64> = Vec::new();
         let mut energy: Option<EnergySpec> = None;
@@ -935,7 +930,7 @@ impl<'a> Parser<'a> {
         let mut faults: Option<FaultSpec> = None;
 
         while self.pos < self.lines.len() {
-            let (line, body) = self.lines[self.pos];
+            let (line, text, body) = self.lines[self.pos];
             self.pos += 1;
             let mut words = body.split_whitespace();
             let keyword = words.next().unwrap_or("");
@@ -952,7 +947,11 @@ impl<'a> Parser<'a> {
                     // would collapse interior runs of whitespace, so a
                     // doubly-spaced name would not survive a
                     // parse → render round trip.
-                    name = Some(raw_rest(body, keyword));
+                    let rest = raw_rest(body, keyword);
+                    if let Some(map) = &mut self.spans {
+                        map.scenario = Some(span(line, text, rest));
+                    }
+                    name = Some(rest.to_string());
                 }
                 "frequencies" => {
                     // A first `frequencies` line holds at least one value.
@@ -963,7 +962,11 @@ impl<'a> Parser<'a> {
                         return Err(Self::err(line, "`frequencies` needs at least one value"));
                     }
                     for w in &rest {
-                        frequencies.push(parse_u64(line, "frequency", w)?);
+                        let mhz = parse_u64(line, "frequency", w)?;
+                        if let Some(map) = &mut self.spans {
+                            map.frequencies.push((mhz, span(line, text, w)));
+                        }
+                        frequencies.push(mhz);
                     }
                 }
                 "energy" => {
@@ -971,13 +974,19 @@ impl<'a> Parser<'a> {
                         return Err(Self::err(line, "duplicate `energy` line"));
                     }
                     energy = Some(Self::parse_energy(line, &rest)?);
+                    if let Some(map) = &mut self.spans {
+                        map.energy = Some(span(line, text, raw_rest(body, keyword)));
+                    }
                 }
                 "task" => {
                     if rest.is_empty() {
                         return Err(Self::err(line, "`task` needs a name"));
                     }
                     let name = raw_rest(body, keyword);
-                    tasks.push(self.parse_task(line, name)?);
+                    if let Some(map) = &mut self.spans {
+                        map.tasks.push((name.to_string(), span(line, text, name)));
+                    }
+                    tasks.push(self.parse_task(line, name.to_string())?);
                 }
                 "faults" => {
                     if faults.is_some() {
@@ -991,19 +1000,20 @@ impl<'a> Parser<'a> {
             }
         }
 
-        Ok(ScenarioSpec {
+        let spec = ScenarioSpec {
             name: name.unwrap_or_else(|| "unnamed".into()),
             frequencies_mhz: frequencies,
             energy: energy.unwrap_or_else(EnergySpec::e1),
             tasks,
             faults,
-        })
+        };
+        Ok((spec, self.spans))
     }
 
     fn parse_faults(&mut self, stanza_line: usize) -> Result<FaultSpec, ParseError> {
         let mut spec = FaultSpec::default();
         loop {
-            let Some(&(line, body)) = self.lines.get(self.pos) else {
+            let Some(&(line, _, body)) = self.lines.get(self.pos) else {
                 return Err(Self::err(
                     stanza_line,
                     "`faults` stanza is missing its `end`",
@@ -1042,8 +1052,8 @@ impl<'a> Parser<'a> {
                 }
                 "burst-extra" => match rest.as_slice() {
                     [extra, every] => {
-                        spec.burst_extra = parse_u64(line, "extra", extra)? as u32;
-                        spec.burst_every = parse_u64(line, "every", every)? as u32;
+                        spec.burst_extra = parse_u32(line, "extra", extra)?;
+                        spec.burst_every = parse_u32(line, "every", every)?;
                     }
                     _ => return Err(Self::err(line, "expected `burst-extra <extra> <every>`")),
                 },
@@ -1091,7 +1101,7 @@ impl<'a> Parser<'a> {
         let mut arrival: Option<ArrivalSpec> = None;
 
         loop {
-            let Some(&(line, body)) = self.lines.get(self.pos) else {
+            let Some(&(line, _, body)) = self.lines.get(self.pos) else {
                 return Err(Self::err(
                     task_line,
                     format!("task `{name}` is missing its `end`"),
@@ -1159,8 +1169,8 @@ impl<'a> Parser<'a> {
                 rate_per_window: parse_f64(line, "rate", rate)?,
             }),
             ["onoff", on, off] => Ok(ArrivalSpec::OnOff {
-                on_windows: parse_u64(line, "on windows", on)? as u32,
-                off_windows: parse_u64(line, "off windows", off)? as u32,
+                on_windows: parse_u32(line, "on windows", on)?,
+                off_windows: parse_u32(line, "off windows", off)?,
             }),
             _ => Err(Self::err(
                 line,
@@ -1230,8 +1240,23 @@ impl<'a> Parser<'a> {
 /// The raw text after `keyword` on an already-trimmed line body, with
 /// interior whitespace preserved (re-joining split words would collapse
 /// it and break the parse → render byte round trip).
-fn raw_rest(body: &str, keyword: &str) -> String {
-    body[keyword.len()..].trim_start().to_string()
+fn raw_rest<'a>(body: &'a str, keyword: &str) -> &'a str {
+    body[keyword.len()..].trim_start()
+}
+
+/// The span of `token`, a slice of `text`, the text of line `line`.
+/// Columns are 1-based byte offsets from the start of the line; the end
+/// column is exclusive.
+fn span(line: usize, text: &str, token: &str) -> Span {
+    let start = token.as_ptr().addr() - text.as_ptr().addr();
+    #[allow(clippy::cast_possible_truncation)]
+    let (line, start, end) = (line as u32, start as u32, (start + token.len()) as u32);
+    Span {
+        start_line: line,
+        start_col: start + 1,
+        end_line: line,
+        end_col: end + 1,
+    }
 }
 
 fn parse_f64(line: usize, what: &str, word: &str) -> Result<f64, ParseError> {
@@ -1246,6 +1271,11 @@ fn parse_u64(line: usize, what: &str, word: &str) -> Result<u64, ParseError> {
             format!("{what} `{word}` is not a non-negative integer"),
         )
     })
+}
+
+fn parse_u32(line: usize, what: &str, word: &str) -> Result<u32, ParseError> {
+    u32::try_from(parse_u64(line, what, word)?)
+        .map_err(|_| Parser::err(line, format!("{what} `{word}` exceeds {}", u32::MAX)))
 }
 
 #[cfg(test)]
@@ -1672,12 +1702,59 @@ end
     }
 
     #[test]
-    fn energy_knee_matches_closed_form() {
-        // With S2 = 0 the knee is (S0 / 2S3)^(1/3).
-        let e3 = EnergySpec::e3();
-        let knee = e3.optimal_speed_mhz(100.0);
+    fn energy_specs_raise_to_the_platform_model() {
+        // The presets are the platform's, and raising one gives back the
+        // platform's model: with S2 = 0 its knee is (S0 / 2S3)^(1/3).
+        for setting in EnergySetting::all() {
+            let spec = EnergySpec::from_setting(&setting);
+            assert_eq!(spec.name, setting.name());
+            let raised = spec.setting().expect("a preset is valid");
+            assert_eq!(
+                raised.relative_coefficients(),
+                setting.relative_coefficients()
+            );
+        }
+        let f_max = eua_platform::Frequency::from_mhz(100);
+        let knee = EnergySpec::e3()
+            .setting()
+            .expect("E3 is valid")
+            .model(f_max)
+            .energy_optimal_speed();
         let closed = (0.5f64 * 100.0 * 100.0 * 100.0 / 2.0).cbrt();
         assert!((knee - closed).abs() < 1e-3, "{knee} vs {closed}");
-        assert_eq!(EnergySpec::e1().optimal_speed_mhz(100.0), 0.0);
+        let mut zero = EnergySpec::e1();
+        zero.s3 = 0.0;
+        assert_eq!(zero.setting(), Err(PlatformError::ZeroEnergyModel));
+    }
+
+    #[test]
+    fn counts_above_u32_are_rejected_at_their_line() {
+        // A wrapping cast would read 2^32 + 1 extra arrivals every 2^32
+        // windows as one extra arrival every 0 windows.
+        let e =
+            ScenarioSpec::parse("scenario x\nfaults\n  burst-extra 4294967297 4294967296\nend\n")
+                .unwrap_err();
+        assert_eq!(e.line, 3);
+        assert!(
+            e.message.contains("extra `4294967297` exceeds 4294967295"),
+            "{}",
+            e.message
+        );
+        let task = |arrival: &str| {
+            format!("task t\n  tuf step 1 1000\n  uam 1 1000\n  arrival {arrival}\n  demand det 10\n  assurance 1 0.5\nend\n")
+        };
+        let e = ScenarioSpec::parse(&task("onoff 1 4294967296")).unwrap_err();
+        assert_eq!(e.line, 4);
+        assert!(
+            e.message.contains("off windows `4294967296`"),
+            "{}",
+            e.message
+        );
+        let max = ScenarioSpec::parse(&task("onoff 4294967295 1")).expect("u32::MAX parses");
+        let on_off = ArrivalSpec::OnOff {
+            on_windows: u32::MAX,
+            off_windows: 1,
+        };
+        assert_eq!(max.tasks[0].arrival, Some(on_off));
     }
 }

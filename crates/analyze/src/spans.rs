@@ -1,16 +1,14 @@
-//! Source spans for `.scn` scenario files: a lexical re-scan that maps
-//! diagnostic entities back to the token extents they came from, so
-//! SARIF output can carry precise `region`s (start/end line and column)
+//! Source spans for `.scn` scenario files: the token extents the
+//! parser read, keyed the way diagnostics name their entities, so SARIF
+//! output can carry precise `region`s (start/end line and column)
 //! instead of whole-file locations.
 //!
-//! The scan reads only line structure and whitespace-separated tokens,
-//! with `#` comments stripped as the parser strips them. A `scenario` or
-//! `task` name is the rest of its line, as the parser keeps it, so its
-//! span runs from the name's first token to its last.
 //! [`ScenarioSpec::parse_with_spans`](crate::ScenarioSpec::parse_with_spans)
-//! scans only text that parsed; on other text the scan still never
-//! fails, and the map is simply sparse. Columns are 1-based byte offsets
-//! and `end_col` is exclusive, matching SARIF's `endColumn` convention.
+//! fills a [`SourceMap`] as it reads each line: a `scenario` or `task`
+//! name is the rest of its line, as the parser keeps it, so its span
+//! runs from the name's first token to its last. Columns are 1-based
+//! byte offsets and `end_col` is exclusive, matching SARIF's
+//! `endColumn` convention.
 
 use std::fmt;
 
@@ -41,89 +39,21 @@ impl fmt::Display for Span {
     }
 }
 
-/// Token extents recovered from one `.scn` text, keyed the way
+/// Token extents the parser read from one `.scn` text, keyed the way
 /// diagnostics name their entities (see [`SourceMap::resolve`]).
 #[derive(Debug, Clone, Default)]
 pub struct SourceMap {
     /// The name on the `scenario` header line.
-    scenario: Option<Span>,
+    pub(crate) scenario: Option<Span>,
     /// `(mhz, span)` per numeric token on the `frequencies` line.
-    frequencies: Vec<(u64, Span)>,
+    pub(crate) frequencies: Vec<(u64, Span)>,
     /// The value token(s) on the `energy` line, merged into one span.
-    energy: Option<Span>,
+    pub(crate) energy: Option<Span>,
     /// `(name, span)` per `task` header name.
-    tasks: Vec<(String, Span)>,
-}
-
-/// Whitespace-separated tokens of one line with their 1-based byte
-/// columns (`start`, exclusive `end`).
-fn tokens(line: &str) -> Vec<(u32, u32, &str)> {
-    let mut out = Vec::new();
-    let bytes = line.as_bytes();
-    let mut i = 0usize;
-    while i < bytes.len() {
-        if bytes[i].is_ascii_whitespace() {
-            i += 1;
-            continue;
-        }
-        let start = i;
-        while i < bytes.len() && !bytes[i].is_ascii_whitespace() {
-            i += 1;
-        }
-        #[allow(clippy::cast_possible_truncation)]
-        out.push((start as u32 + 1, i as u32 + 1, &line[start..i]));
-    }
-    out
-}
-
-/// The 1-based columns from the first of `toks` to the end of the last.
-fn extent(toks: &[(u32, u32, &str)]) -> Option<(u32, u32)> {
-    Some((toks.first()?.0, toks.last()?.1))
+    pub(crate) tasks: Vec<(String, Span)>,
 }
 
 impl SourceMap {
-    /// Scans scenario text for anchorable tokens. Never fails: unknown
-    /// or malformed lines simply contribute nothing.
-    #[must_use]
-    pub fn scan(text: &str) -> SourceMap {
-        let mut map = SourceMap::default();
-        for (idx, line) in text.lines().enumerate() {
-            #[allow(clippy::cast_possible_truncation)]
-            let lineno = idx as u32 + 1;
-            let body = line.split('#').next().unwrap_or("");
-            let toks = tokens(body);
-            let span = |(start, end): (u32, u32)| Span {
-                start_line: lineno,
-                start_col: start,
-                end_line: lineno,
-                end_col: end,
-            };
-            match toks.as_slice() {
-                [(_, _, "scenario"), rest @ ..] if map.scenario.is_none() => {
-                    map.scenario = extent(rest).map(span);
-                }
-                [(_, _, "frequencies"), rest @ ..] if map.frequencies.is_empty() => {
-                    for &(s, e, tok) in rest {
-                        if let Ok(mhz) = tok.parse::<u64>() {
-                            map.frequencies.push((mhz, span((s, e))));
-                        }
-                    }
-                }
-                [(_, _, "energy"), rest @ ..] if map.energy.is_none() => {
-                    map.energy = extent(rest).map(span);
-                }
-                [(_, _, "task"), rest @ ..] => {
-                    if let Some((s, e)) = extent(rest) {
-                        let name = &body[s as usize - 1..e as usize - 1];
-                        map.tasks.push((name.to_string(), span((s, e))));
-                    }
-                }
-                _ => {}
-            }
-        }
-        map
-    }
-
     /// Maps a diagnostic entity to its token span, following the entity
     /// grammar the passes emit:
     ///
@@ -176,6 +106,7 @@ impl SourceMap {
 mod tests {
     #![allow(clippy::unwrap_used)]
     use super::*;
+    use crate::ScenarioSpec;
 
     const SCN: &str = "\
 scenario demo
@@ -183,14 +114,25 @@ frequencies 36 55 100
 energy E2
 task control
   tuf step 10 10000
+  uam 1 10000
+  demand det 1000
+  assurance 1 0.5
 end
 task backup
+  tuf step 10 10000
+  uam 1 10000
+  demand det 1000
+  assurance 1 0.5
 end
 ";
 
+    fn map(text: &str) -> SourceMap {
+        ScenarioSpec::parse_with_spans(text).unwrap().1
+    }
+
     #[test]
-    fn scan_anchors_every_entity_kind() {
-        let map = SourceMap::scan(SCN);
+    fn the_parser_anchors_every_entity_kind() {
+        let map = map(SCN);
         let scenario = map.resolve(None).unwrap();
         assert_eq!(
             (scenario.start_line, scenario.start_col, scenario.end_col),
@@ -210,21 +152,23 @@ end
             (4, 6, 13)
         );
         let backup = map.resolve(Some("backup")).unwrap();
-        assert_eq!(backup.start_line, 7);
+        assert_eq!(backup.start_line, 10);
     }
 
     #[test]
     fn multi_word_names_span_the_rest_of_their_line() {
         // A regression-corpus header and a two-word task name, each with
-        // a trailing comment the parser strips.
+        // a trailing comment the parser strips, and a custom energy
+        // model whose four values merge into one span.
         let text = "scenario chaos-repro policy=edf  seed=6 # a comment\n\
+                    \x20 energy  custom 1 0 0.5 0.5 # comment\n\
                     task sensor fusion   # trailing comment\n\
                     \x20 tuf step 10 10000\n\
                     \x20 uam 1 10000\n\
                     \x20 demand det 1000\n\
                     \x20 assurance 1.0 0.9\n\
                     end\n";
-        let (spec, map) = crate::ScenarioSpec::parse_with_spans(text).unwrap();
+        let (spec, map) = ScenarioSpec::parse_with_spans(text).unwrap();
         assert_eq!(spec.name, "chaos-repro policy=edf  seed=6");
         assert_eq!(spec.tasks[0].name, "sensor fusion");
         let scenario = map.resolve(None).unwrap();
@@ -232,24 +176,26 @@ end
             (scenario.start_line, scenario.start_col, scenario.end_col),
             (1, 10, 40)
         );
+        let energy = map.resolve(Some("energy model custom")).unwrap();
+        assert_eq!(
+            (energy.start_line, energy.start_col, energy.end_col),
+            (2, 11, 29)
+        );
         let task = map.resolve(Some(&spec.tasks[0].name)).unwrap();
-        assert_eq!((task.start_line, task.start_col, task.end_col), (2, 6, 19));
+        assert_eq!((task.start_line, task.start_col, task.end_col), (3, 6, 19));
         assert_eq!(map.resolve(Some("sensor")), None);
     }
 
     #[test]
     fn unknown_entities_resolve_to_nothing() {
-        let map = SourceMap::scan(SCN);
+        let map = map(SCN);
         assert_eq!(map.resolve(Some("frequency 99 MHz")), None);
         assert_eq!(map.resolve(Some("ghost-task")), None);
-        assert_eq!(SourceMap::scan("").resolve(None), None);
-    }
-
-    #[test]
-    fn scan_survives_mangled_text() {
-        let map = SourceMap::scan("scenario\nfrequencies x y\ntask\nenergy");
-        assert_eq!(map.resolve(None), None);
-        assert_eq!(map.resolve(Some("frequency 36 MHz")), None);
-        assert_eq!(map.resolve(Some("energy model E1")), None);
+        // An empty text parses to a scenario with no header, no table and
+        // no energy line, so nothing anchors.
+        let empty = self::map("");
+        assert_eq!(empty.resolve(None), None);
+        assert_eq!(empty.resolve(Some("frequency 36 MHz")), None);
+        assert_eq!(empty.resolve(Some("energy model E1")), None);
     }
 }

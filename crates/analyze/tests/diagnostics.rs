@@ -10,6 +10,7 @@ use std::collections::BTreeSet;
 use std::process::Command;
 
 use eua_analyze::{analyze, render_json_reports, shipped_scenarios, Report, ScenarioSpec};
+use eua_sim::json::{self, Json};
 
 fn scn_path(name: &str) -> String {
     format!("{}/scenarios/{name}", env!("CARGO_MANIFEST_DIR"))
@@ -72,25 +73,13 @@ fn json_output_is_valid_json() {
     let reports: Vec<Report> = vec![analyze_file("invalid.scn"), analyze_file("valid.scn")];
     let json = render_json_reports(&reports);
     let value = json::parse(&json).expect("valid JSON");
-    let arr = match value {
-        json::Value::Array(a) => a,
-        other => panic!("expected array, got {other:?}"),
-    };
+    let arr = value.as_arr().expect("an array");
     assert_eq!(arr.len(), 2);
     for report in arr {
-        let json::Value::Object(obj) = report else {
-            panic!("expected object")
-        };
-        assert!(obj.iter().any(|(k, _)| k == "scenario"));
-        assert!(obj
-            .iter()
-            .any(|(k, v)| k == "diagnostics" && matches!(v, json::Value::Array(_))));
-        let summary = obj
-            .iter()
-            .find(|(k, _)| k == "summary")
-            .map(|(_, v)| v)
-            .expect("summary present");
-        assert!(matches!(summary, json::Value::Object(_)));
+        assert!(matches!(report, Json::Obj(_)), "expected object");
+        assert!(report.get("scenario").is_some());
+        assert!(report.get("diagnostics").and_then(Json::as_arr).is_some());
+        assert!(matches!(report.get("summary"), Some(Json::Obj(_))));
     }
 }
 
@@ -154,9 +143,7 @@ fn binary_all_examples_is_clean_and_json_parses() {
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
     let value = json::parse(stdout.trim()).expect("valid JSON");
-    let json::Value::Array(reports) = value else {
-        panic!("expected array")
-    };
+    let reports = value.as_arr().expect("an array");
     assert!(
         reports.len() >= 9,
         "expected every shipped workload, got {}",
@@ -176,185 +163,5 @@ fn binary_codes_lists_the_contract() {
         "overload",
     ] {
         assert!(stdout.contains(code), "missing {code} in codes listing");
-    }
-}
-
-/// A minimal recursive-descent JSON parser used only to *validate* the
-/// analyzer's output (the workspace has no serde). Accepts the full JSON
-/// grammar; numbers are kept as raw text.
-mod json {
-    /// Parsed JSON value.
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Value {
-        Null,
-        Bool(bool),
-        Number(String),
-        String(String),
-        Array(Vec<Value>),
-        Object(Vec<(String, Value)>),
-    }
-
-    /// Parses `text` as one JSON document.
-    pub fn parse(text: &str) -> Result<Value, String> {
-        let bytes: Vec<char> = text.chars().collect();
-        let mut pos = 0;
-        let value = parse_value(&bytes, &mut pos)?;
-        skip_ws(&bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing data at {pos}"));
-        }
-        Ok(value)
-    }
-
-    fn skip_ws(b: &[char], pos: &mut usize) {
-        while b.get(*pos).is_some_and(|c| c.is_whitespace()) {
-            *pos += 1;
-        }
-    }
-
-    fn expect(b: &[char], pos: &mut usize, c: char) -> Result<(), String> {
-        if b.get(*pos) == Some(&c) {
-            *pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected `{c}` at {pos}, found {:?}", b.get(*pos)))
-        }
-    }
-
-    fn parse_value(b: &[char], pos: &mut usize) -> Result<Value, String> {
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some('{') => parse_object(b, pos),
-            Some('[') => parse_array(b, pos),
-            Some('"') => Ok(Value::String(parse_string(b, pos)?)),
-            Some('t') => parse_lit(b, pos, "true", Value::Bool(true)),
-            Some('f') => parse_lit(b, pos, "false", Value::Bool(false)),
-            Some('n') => parse_lit(b, pos, "null", Value::Null),
-            Some(c) if *c == '-' || c.is_ascii_digit() => parse_number(b, pos),
-            other => Err(format!("unexpected {other:?} at {pos}")),
-        }
-    }
-
-    fn parse_lit(b: &[char], pos: &mut usize, lit: &str, value: Value) -> Result<Value, String> {
-        for c in lit.chars() {
-            expect(b, pos, c)?;
-        }
-        Ok(value)
-    }
-
-    fn parse_number(b: &[char], pos: &mut usize) -> Result<Value, String> {
-        let start = *pos;
-        if b.get(*pos) == Some(&'-') {
-            *pos += 1;
-        }
-        while b
-            .get(*pos)
-            .is_some_and(|c| c.is_ascii_digit() || matches!(c, '.' | 'e' | 'E' | '+' | '-'))
-        {
-            *pos += 1;
-        }
-        let text: String = b[start..*pos].iter().collect();
-        if text.is_empty() || text == "-" {
-            return Err(format!("bad number at {start}"));
-        }
-        text.parse::<f64>()
-            .map_err(|e| format!("bad number `{text}`: {e}"))?;
-        Ok(Value::Number(text))
-    }
-
-    fn parse_string(b: &[char], pos: &mut usize) -> Result<String, String> {
-        expect(b, pos, '"')?;
-        let mut out = String::new();
-        loop {
-            match b.get(*pos) {
-                Some('"') => {
-                    *pos += 1;
-                    return Ok(out);
-                }
-                Some('\\') => {
-                    *pos += 1;
-                    match b.get(*pos) {
-                        Some('"') => out.push('"'),
-                        Some('\\') => out.push('\\'),
-                        Some('/') => out.push('/'),
-                        Some('n') => out.push('\n'),
-                        Some('t') => out.push('\t'),
-                        Some('r') => out.push('\r'),
-                        Some('b') => out.push('\u{8}'),
-                        Some('f') => out.push('\u{c}'),
-                        Some('u') => {
-                            let hex: String = b
-                                .get(*pos + 1..*pos + 5)
-                                .ok_or("truncated \\u escape")?
-                                .iter()
-                                .collect();
-                            let n = u32::from_str_radix(&hex, 16)
-                                .map_err(|e| format!("bad \\u: {e}"))?;
-                            out.push(char::from_u32(n).unwrap_or('\u{fffd}'));
-                            *pos += 4;
-                        }
-                        other => return Err(format!("bad escape {other:?}")),
-                    }
-                    *pos += 1;
-                }
-                Some(c) if (*c as u32) < 0x20 => {
-                    return Err(format!("unescaped control char at {pos}"));
-                }
-                Some(c) => {
-                    out.push(*c);
-                    *pos += 1;
-                }
-                None => return Err("unterminated string".into()),
-            }
-        }
-    }
-
-    fn parse_array(b: &[char], pos: &mut usize) -> Result<Value, String> {
-        expect(b, pos, '[')?;
-        let mut items = Vec::new();
-        skip_ws(b, pos);
-        if b.get(*pos) == Some(&']') {
-            *pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            items.push(parse_value(b, pos)?);
-            skip_ws(b, pos);
-            match b.get(*pos) {
-                Some(',') => *pos += 1,
-                Some(']') => {
-                    *pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                other => return Err(format!("expected `,` or `]`, found {other:?}")),
-            }
-        }
-    }
-
-    fn parse_object(b: &[char], pos: &mut usize) -> Result<Value, String> {
-        expect(b, pos, '{')?;
-        let mut items = Vec::new();
-        skip_ws(b, pos);
-        if b.get(*pos) == Some(&'}') {
-            *pos += 1;
-            return Ok(Value::Object(items));
-        }
-        loop {
-            skip_ws(b, pos);
-            let key = parse_string(b, pos)?;
-            skip_ws(b, pos);
-            expect(b, pos, ':')?;
-            let value = parse_value(b, pos)?;
-            items.push((key, value));
-            skip_ws(b, pos);
-            match b.get(*pos) {
-                Some(',') => *pos += 1,
-                Some('}') => {
-                    *pos += 1;
-                    return Ok(Value::Object(items));
-                }
-                other => return Err(format!("expected `,` or `}}`, found {other:?}")),
-            }
-        }
     }
 }
